@@ -10,18 +10,26 @@
 //! * `extend` — the cache holds tables for a smaller cluster (7/8 of
 //!   `m`); only the missing GPU columns are filled.
 //!
-//! One JSON line per cluster size so CI can archive the output as
+//! A final `optimizer_hetero` line times one cold heterogeneous solve on
+//! the paper's 6 V100 + 8 P100 + 15 K80 pool at `max_splits = 4`, with
+//! the kind assignments its search space held and how many the lower
+//! bound pruned.
+//!
+//! One JSON line per measurement so CI can archive the output as
 //! `BENCH_optimizer.json`:
 //!
 //! ```text
 //! cargo run --release -p e3-bench --bin bench_optimizer > BENCH_optimizer.json
 //! ```
 
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use e3_hardware::{GpuKind, LatencyModel, TransferModel};
 use e3_model::{zoo, BatchProfile, RampController, RampStyle};
-use e3_optimizer::{optimize_homogeneous_cached, OptimizerConfig, PlanCache};
+use e3_optimizer::{
+    optimize_heterogeneous_with_stats, optimize_homogeneous_cached, OptimizerConfig, PlanCache,
+};
 
 fn main() {
     let model = zoo::deebert();
@@ -78,4 +86,18 @@ fn main() {
             cold / extend.max(1e-9)
         );
     }
+
+    let pool = BTreeMap::from([(GpuKind::V100, 6), (GpuKind::P100, 8), (GpuKind::K80, 15)]);
+    let start = Instant::now();
+    let (plan, stats) =
+        optimize_heterogeneous_with_stats(&model, &ctrl, &profile, &pool, 8.0, &tm, &lm, &cfg);
+    let secs = start.elapsed().as_secs_f64();
+    println!(
+        "{{\"bench\":\"optimizer_hetero\",\"gpus\":{},\"splits\":{},\"cold_secs\":{:.6},\"assignments\":{},\"pruned\":{}}}",
+        pool.values().sum::<usize>(),
+        plan.splits.len(),
+        secs,
+        stats.assignments,
+        stats.pruned
+    );
 }

@@ -3,45 +3,6 @@
 //! 16 V100 or 6 V100 + 8 P100 + 15 K80 — maximizes its goodput. Only E3
 //! can actually exploit the mix.
 
-use e3::harness::ModelFamily;
-use e3_bench::exp::Experiment;
-use e3_bench::{takeaway, Table};
-use e3_hardware::ClusterSpec;
-use e3_workload::DatasetModel;
-
 fn main() {
-    println!(
-        "Figure 13: NLP goodput at fixed cost ($0.013/s), best of 16 V100 vs 6 V100 + 8 P100 + 15 K80\n"
-    );
-    let homo = Experiment::new(
-        ModelFamily::nlp(),
-        ClusterSpec::paper_homogeneous_v100(),
-        DatasetModel::sst2(),
-    );
-    let hetero = Experiment::new(
-        ModelFamily::nlp(),
-        ClusterSpec::paper_heterogeneous(),
-        DatasetModel::sst2(),
-    );
-    let batches = [1usize, 2, 4, 8];
-    let cols: Vec<String> = batches.iter().map(|b| format!("b={b}")).collect();
-    let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-    let mut t = Table::new("goodput vs batch size (fixed cost)", &col_refs);
-    let mut results = Vec::new();
-    for (name, kind) in homo.systems() {
-        let gs: Vec<f64> = batches
-            .iter()
-            .map(|&b| homo.goodput(kind, b).max(hetero.goodput(kind, b)))
-            .collect();
-        t.row(name, &gs);
-        results.push(gs);
-    }
-    t.row("paper:BERT-BASE", &[2280.0, 2941.0, 3913.0, 4886.0]);
-    t.row("paper:DeeBERT", &[2892.0, 3897.0, 4629.0, 4783.0]);
-    t.row("paper:E3", &[2886.0, 4530.0, 7617.0, 8138.0]);
-    t.print();
-    takeaway(&format!(
-        "with heterogeneity available E3 leads at every batch size (b=8: {:.2}x over BERT; paper 1.67x)",
-        results[2][3] / results[0][3]
-    ));
+    print!("{}", e3_bench::figs::fig13_report());
 }

@@ -1,121 +1,6 @@
 //! Fig. 15 — dollar cost per minute to sustain 6,000 samples/s on the
 //! heterogeneous pool (E3 picks the cheapest GPU mix).
 
-use e3::harness::ModelFamily;
-use e3_bench::{takeaway, Table, SEED};
-use e3_hardware::{GpuKind, LatencyModel, TransferModel};
-use e3_model::{BatchProfile, InferenceSim, RampController};
-use e3_optimizer::{min_cost_for_goodput, min_gpus_for_goodput, OptimizerConfig};
-use e3_simcore::SeedSplitter;
-use e3_workload::DatasetModel;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::BTreeMap;
-
-const TARGET: f64 = 6000.0;
-
-fn pool() -> BTreeMap<GpuKind, usize> {
-    // A generous heterogeneous pool to allocate from.
-    let mut c = BTreeMap::new();
-    c.insert(GpuKind::V100, 48);
-    c.insert(GpuKind::P100, 48);
-    c.insert(GpuKind::K80, 64);
-    c
-}
-
 fn main() {
-    println!("Figure 15: $/min to sustain {TARGET} samples/s (heterogeneous pool)\n");
-    let family = ModelFamily::nlp();
-    let ds = DatasetModel::sst2();
-    let infer = InferenceSim::with_accuracy(ds.base_accuracy);
-    let lm = LatencyModel::new();
-    let tm = TransferModel::default();
-    let cfg = OptimizerConfig::default();
-    let ee_ctrl = RampController::all_enabled(family.ee.num_ramps(), family.policy.ramp_style());
-    let stock_ctrl = RampController::all_enabled(0, family.policy.ramp_style());
-    let mut rng = StdRng::seed_from_u64(SeedSplitter::new(SEED).derive("fig15"));
-    let hs = ds.sample_hardnesses(5000, &mut rng);
-    let profile = infer.exit_profile(&family.ee, &family.policy, &ee_ctrl, &hs, &mut rng);
-    let flat = BatchProfile::no_exits(family.stock.num_layers());
-
-    let batches = [1usize, 2, 4, 8];
-    let cols: Vec<String> = batches.iter().map(|b| format!("b={b}")).collect();
-    let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-    let mut t = Table::new("cost ($/min) for fixed goodput", &col_refs);
-
-    // Baselines buy homogeneous V100s (the paper notes non-EE models are
-    // always best on the most capable GPUs).
-    let bert: Vec<f64> = batches
-        .iter()
-        .map(|&b| {
-            min_gpus_for_goodput(
-                &family.stock,
-                &stock_ctrl,
-                &flat,
-                GpuKind::V100,
-                64,
-                b as f64,
-                TARGET,
-                &tm,
-                &lm,
-                &cfg,
-            )
-            .map_or(f64::NAN, |(n, _)| {
-                n as f64 * GpuKind::V100.cost_per_sec() * 60.0
-            })
-        })
-        .collect();
-    let dee: Vec<f64> = batches
-        .iter()
-        .map(|&b| {
-            // Naive EE on its per-GPU best kind, scaled ~0.8 for per-ramp
-            // sync overheads not in the optimizer's deferred-exit model.
-            let per_gpu = e3_optimizer::optimize_homogeneous(
-                &family.ee,
-                &ee_ctrl,
-                &profile,
-                GpuKind::V100,
-                1,
-                b as f64,
-                &tm,
-                &lm,
-                &OptimizerConfig {
-                    pipelining: false,
-                    max_splits: 1,
-                    ..cfg
-                },
-            )
-            .goodput
-                * 0.8;
-            (TARGET / per_gpu).ceil() * GpuKind::V100.cost_per_sec() * 60.0
-        })
-        .collect();
-    let e3: Vec<f64> = batches
-        .iter()
-        .map(|&b| {
-            min_cost_for_goodput(
-                &family.ee,
-                &ee_ctrl,
-                &profile,
-                &pool(),
-                b as f64,
-                TARGET,
-                &tm,
-                &lm,
-                &cfg,
-            )
-            .map_or(f64::NAN, |p| p.cost_per_sec() * 60.0)
-        })
-        .collect();
-    t.row_fmt("BERT-BASE", &bert, 2);
-    t.row_fmt("DeeBERT", &dee, 2);
-    t.row_fmt("E3", &e3, 2);
-    t.row_fmt("paper:BERT-BASE", &[2.17, 1.29, 0.88, 0.73], 2);
-    t.row_fmt("paper:DeeBERT", &[1.70, 1.29, 1.03, 1.03], 2);
-    t.row_fmt("paper:E3", &[1.70, 1.09, 0.83, 0.67], 2);
-    t.print();
-    let saving = (1.0 - e3[3] / bert[3]) * 100.0;
-    takeaway(&format!(
-        "E3 sustains the target at the lowest cost at every batch size ({saving:.0}% below BERT at b=8; paper reports 35-78% savings)"
-    ));
+    print!("{}", e3_bench::figs::fig15_report());
 }

@@ -38,8 +38,9 @@ pub fn plan_for_cluster(
 /// [`plan_for_cluster`] with warm starting: homogeneous solves run
 /// through `cache` (see [`PlanCache`]), so a control loop re-planning
 /// every window pays for the DP only when its inputs actually change.
-/// Heterogeneous clusters fall through to the (already small) boundary
-/// enumeration. Plans are bit-identical to the cold path.
+/// Heterogeneous clusters bypass the cache: each call builds its own
+/// per-kind stage tables and runs the pruned boundary × kind search of
+/// [`crate::hetero`]. Plans are bit-identical to the cold path.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_for_cluster_cached(
     model: &EeModel,

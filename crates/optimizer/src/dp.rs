@@ -92,11 +92,11 @@ pub fn optimize_homogeneous_cached(
     }
 }
 
-/// The per-range one-replica stage table the pipelined DP (and its
-/// cache) keys on: `t1[s][j]` is the survival-weighted batch time of
-/// layers `s..j` on one replica, `INF` where the range overflows device
-/// memory (when `check_memory`).
-fn fill_t1(
+/// The per-range one-replica stage table every split search reads:
+/// `t1[s][j]` is the survival-weighted batch time of layers `s..j` on one
+/// replica, `INF` where the range overflows device memory (when
+/// `check_memory`). The pipelined DP's cache keys on it.
+pub(crate) fn fill_t1(
     model: &EeModel,
     ctrl: &RampController,
     profile: &BatchProfile,
@@ -186,21 +186,6 @@ fn serial_dp(
     // bounded by max_splits via layered DP.
     let max_splits = cfg.max_splits.max(1);
     const INF: f64 = f64::INFINITY;
-    // Memory is first-class here too: infeasible ranges are INF and can
-    // never enter a finite chain; retry unconstrained if nothing fits.
-    let fill_t1 = |check_memory: bool| {
-        let mut t1 = vec![vec![INF; l + 1]; l + 1];
-        for s in 0..l {
-            for j in s + 1..=l {
-                if check_memory && !stage_fits(model, s..j, b0, gpu) {
-                    continue;
-                }
-                let sc = stage_cost(model, ctrl, profile, s..j, b0, gpu, 1, lm);
-                t1[s][j] = sc.effective_time.as_secs_f64();
-            }
-        }
-        t1
-    };
     let tx: Vec<f64> = (0..=l)
         .map(|s| {
             if s == 0 || s == l {
@@ -231,10 +216,12 @@ fn serial_dp(
         }
         (best, par)
     };
-    let t1 = fill_t1(cfg.enforce_memory);
+    // Memory is first-class here too: infeasible ranges are INF and can
+    // never enter a finite chain; retry unconstrained if nothing fits.
+    let t1 = fill_t1(model, ctrl, profile, gpu, b0, lm, cfg.enforce_memory);
     let (mut best, mut par) = run_dp(&t1);
     if cfg.enforce_memory && !best[max_splits][l].is_finite() {
-        let t1 = fill_t1(false);
+        let t1 = fill_t1(model, ctrl, profile, gpu, b0, lm, false);
         (best, par) = run_dp(&t1);
     }
     assert!(

@@ -13,6 +13,40 @@
 //!    per-replica effective time, which is optimal for minimizing the
 //!    maximum (the pipeline bottleneck).
 //!
+//! For 3 kinds at `max_splits = 4` on a 12-layer model that is 232
+//! boundary sets and 14,952 kind assignments, yet only 234 distinct
+//! (layer range, kind) stage costs. Three things keep the walk cheap:
+//!
+//! * **Stage tables** ([`StageTables`]). Each kind's one-replica times
+//!   `t1[a][b]` come from [`fill_t1`] (without the memory check: this
+//!   search has never enforced memory), and `tx[a]` holds the
+//!   surviving-batch transfer entering a stage that starts at layer `a`.
+//!   A cold solve builds them once; [`crate::ValueOracle`] builds them
+//!   once per planning context and shares them across every subset it
+//!   solves.
+//! * **Allocation-free enumeration.** Scratch buffers are reused across
+//!   boundary sets and assignments. A kind holding one stage gives it all
+//!   of its GPUs, which is what waterfilling would do; multi-stage groups
+//!   waterfill in place.
+//! * **Exact lower-bound pruning.** When `n_k` stages share kind `k`,
+//!   each holds at most `avail_k − n_k + 1` replicas, so the maximum over
+//!   stages of `max(t1, tx) / cap`, times the stage penalty, bounds the
+//!   penalized bottleneck from below. An assignment whose bound exceeds
+//!   the incumbent by more than the tie tolerance is skipped unevaluated;
+//!   so is a whole boundary set whose bound, with every stage on its best
+//!   kind and every GPU of that kind, does.
+//!
+//! Plans are bit-identical to the plain enumeration. The tables hold the
+//! values it recomputed on every visit. Boundary sets and assignments are
+//! visited in the same order, so first-found tie-breaks hold, and
+//! waterfilling keeps `max_by`'s last-maximum tie-break and the same
+//! cost summation order. IEEE rounding is monotone, so the bound as
+//! computed never exceeds the bottleneck as computed: a skipped
+//! assignment would have failed the acceptance test against the same
+//! incumbent, leaving the search's trajectory unchanged. The plain
+//! enumeration survives as a `#[cfg(test)]` reference that a property
+//! test compares against.
+//!
 //! The same machinery answers the cost question of §5.3: given a target
 //! goodput, each stage needs `ceil(t_eff / λ*)` replicas where
 //! `λ* = b0 / goodput`, and we take the cheapest feasible assignment.
@@ -23,12 +57,83 @@ use e3_hardware::{GpuKind, LatencyModel, TransferModel};
 use e3_model::{BatchProfile, EeModel, RampController};
 
 use crate::config::OptimizerConfig;
-use crate::dp::build_plan_hetero;
+use crate::dp::{build_plan_hetero, fill_t1};
 use crate::plan::SplitPlan;
-use crate::stage::{boundary_transfer_surviving, stage_cost};
+use crate::stage::boundary_transfer_surviving;
 
 /// One assigned stage: (start layer, end layer, replicas, GPU kind).
 type StageAssignment = (usize, usize, usize, GpuKind);
+
+/// Tolerance within which two penalized bottlenecks tie (and are
+/// compared by cost), and by which a plan may exceed the cost cap.
+const TIE: f64 = 1e-12;
+
+/// How much of the kind-assignment space one heterogeneous solve walked.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchStats {
+    /// Kind assignments in the search space: `|kinds|^stages`, summed
+    /// over every boundary set.
+    pub assignments: u64,
+    /// Of those, the ones the lower bound ruled out before waterfilling.
+    pub pruned: u64,
+}
+
+/// The one-replica stage costs of one planning context (model, ramps,
+/// profile, batch): everything the split search reads.
+pub(crate) struct StageTables {
+    /// `tx[a]`: the surviving-batch transfer entering a stage that starts
+    /// at layer `a`; zero for `a = 0`, which nothing transfers into.
+    tx: Vec<f64>,
+    /// Per kind, `t1[a][b]` from [`fill_t1`] without the memory check.
+    t1: Vec<(GpuKind, Vec<Vec<f64>>)>,
+}
+
+impl StageTables {
+    /// Tables with the transfer vector filled and no kinds yet.
+    pub(crate) fn new(
+        model: &EeModel,
+        profile: &BatchProfile,
+        b0: f64,
+        tm: &TransferModel,
+    ) -> Self {
+        let tx = (0..model.num_layers())
+            .map(|a| {
+                if a == 0 {
+                    0.0
+                } else {
+                    boundary_transfer_surviving(model, profile, a, b0, tm).as_secs_f64()
+                }
+            })
+            .collect();
+        StageTables { tx, t1: Vec::new() }
+    }
+
+    /// Fills the table of each kind in `kinds` that has none yet.
+    fn add_kinds(
+        &mut self,
+        model: &EeModel,
+        ctrl: &RampController,
+        profile: &BatchProfile,
+        b0: f64,
+        lm: &LatencyModel,
+        kinds: &[(GpuKind, usize)],
+    ) {
+        for &(kind, _) in kinds {
+            if !self.t1.iter().any(|(k, _)| *k == kind) {
+                let t1 = fill_t1(model, ctrl, profile, kind, b0, lm, false);
+                self.t1.push((kind, t1));
+            }
+        }
+    }
+
+    fn t1(&self, kind: GpuKind) -> &[Vec<f64>] {
+        self.t1
+            .iter()
+            .find(|(k, _)| *k == kind)
+            .map(|(_, t1)| t1.as_slice())
+            .expect("a table for every searched kind")
+    }
+}
 
 /// Enumerates boundary sets: sorted interior cut positions in `1..l`,
 /// with at most `max_stages - 1` cuts. Includes the empty set (1 stage).
@@ -56,22 +161,15 @@ pub(crate) fn boundary_sets(l: usize, max_stages: usize) -> Vec<Vec<usize>> {
     out
 }
 
-/// Converts a boundary set into stage ranges.
-fn stages_of(l: usize, cuts: &[usize]) -> Vec<(usize, usize)> {
-    let mut stages = Vec::with_capacity(cuts.len() + 1);
-    let mut prev = 0;
-    for &c in cuts {
-        stages.push((prev, c));
-        prev = c;
-    }
-    stages.push((prev, l));
-    stages
+/// The layer range `(start, end)` of stage `i` under the cuts `cuts`.
+fn stage_range(cuts: &[usize], l: usize, i: usize) -> (usize, usize) {
+    let start = if i == 0 { 0 } else { cuts[i - 1] };
+    (start, cuts.get(i).copied().unwrap_or(l))
 }
 
-/// Waterfills `extra` GPUs across stages (each already holding one),
-/// minimizing the maximum of `work[i] / m[i]`. Returns per-stage counts.
-fn waterfill(work: &[f64], mut extra: usize) -> Vec<usize> {
-    let mut m = vec![1usize; work.len()];
+/// Waterfills `extra` GPUs across stages whose counts `m` start at one,
+/// minimizing the maximum of `work[i] / m[i]`.
+fn waterfill(work: &[f64], m: &mut [usize], mut extra: usize) {
     while extra > 0 {
         let (i, _) = work
             .iter()
@@ -82,7 +180,6 @@ fn waterfill(work: &[f64], mut extra: usize) -> Vec<usize> {
         m[i] += 1;
         extra -= 1;
     }
-    m
 }
 
 /// Advances an odometer over `base^len`; returns `false` on wrap-around.
@@ -95,6 +192,15 @@ fn next_assignment(assign: &mut [usize], base: usize) -> bool {
         *slot = 0;
     }
     false
+}
+
+/// The pool's kinds with at least one GPU, in `GpuKind` order.
+fn available(counts: &BTreeMap<GpuKind, usize>) -> Vec<(GpuKind, usize)> {
+    counts
+        .iter()
+        .filter(|(_, n)| **n > 0)
+        .map(|(k, n)| (*k, *n))
+        .collect()
 }
 
 /// Maximizes goodput on a heterogeneous pool: `counts` gives the number
@@ -115,121 +221,262 @@ pub fn optimize_heterogeneous(
     lm: &LatencyModel,
     cfg: &OptimizerConfig,
 ) -> SplitPlan {
+    optimize_heterogeneous_with_stats(model, ctrl, profile, counts, b0, tm, lm, cfg).0
+}
+
+/// [`optimize_heterogeneous`], also reporting how many kind assignments
+/// the search space held and how many of them the lower bound pruned.
+#[allow(clippy::too_many_arguments)]
+pub fn optimize_heterogeneous_with_stats(
+    model: &EeModel,
+    ctrl: &RampController,
+    profile: &BatchProfile,
+    counts: &BTreeMap<GpuKind, usize>,
+    b0: f64,
+    tm: &TransferModel,
+    lm: &LatencyModel,
+    cfg: &OptimizerConfig,
+) -> (SplitPlan, SearchStats) {
+    let mut tables = StageTables::new(model, profile, b0, tm);
+    optimize_tabled(
+        model,
+        ctrl,
+        profile,
+        &available(counts),
+        b0,
+        tm,
+        lm,
+        cfg,
+        &mut tables,
+    )
+}
+
+/// [`optimize_heterogeneous_with_stats`] over the nonzero per-kind
+/// counts `kinds`, reading (and extending) `tables`, which must have
+/// been built for the same model, ramps, profile, batch and transfers.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn optimize_tabled(
+    model: &EeModel,
+    ctrl: &RampController,
+    profile: &BatchProfile,
+    kinds: &[(GpuKind, usize)],
+    b0: f64,
+    tm: &TransferModel,
+    lm: &LatencyModel,
+    cfg: &OptimizerConfig,
+    tables: &mut StageTables,
+) -> (SplitPlan, SearchStats) {
     assert!(b0 > 0.0, "batch must be positive");
-    let kinds: Vec<(GpuKind, usize)> = counts
-        .iter()
-        .filter(|(_, n)| **n > 0)
-        .map(|(k, n)| (*k, *n))
-        .collect();
     assert!(!kinds.is_empty(), "no GPUs available");
 
     if !cfg.pipelining {
         // Serial mode cannot exploit heterogeneity; take the best
         // homogeneous serial plan over the available kinds.
-        return kinds
+        let plan = kinds
             .iter()
             .map(|&(k, n)| {
                 crate::dp::optimize_homogeneous(model, ctrl, profile, k, n, b0, tm, lm, cfg)
             })
             .max_by(|a, b| a.goodput.partial_cmp(&b.goodput).expect("finite"))
             .expect("nonempty kinds");
+        return (plan, SearchStats::default());
     }
 
-    let l = model.num_layers();
-    // (bottleneck, cost, stages)
-    let mut best: Option<(f64, f64, Vec<StageAssignment>)> = None;
+    tables.add_kinds(model, ctrl, profile, b0, lm, kinds);
+    let (stages, stats) = bottleneck_search(kinds, tables, model.num_layers(), cfg);
+    let plan = build_plan_hetero(model, ctrl, profile, b0, tm, lm, cfg, &stages, true);
+    (plan, stats)
+}
 
-    for cuts in boundary_sets(l, cfg.max_splits.max(1)) {
-        let stages = stages_of(l, &cuts);
-        let s = stages.len();
-        // Per-stage, per-kind one-replica effective time (seconds).
-        let t1: Vec<Vec<f64>> = stages
+/// Whether a plan whose penalized bottleneck is at least `bound · pen`
+/// cannot displace the incumbent `best` (penalized bottleneck, cost).
+/// Anything more than the tie tolerance above the incumbent fails the
+/// acceptance test; the bound must clear twice the tolerance, a safety
+/// margin on top of the exact argument in the module docs.
+fn cannot_win(best: Option<(f64, f64)>, bound: f64, pen: f64) -> bool {
+    pen > 0.0 && best.is_some_and(|(bb, _)| bound * pen - bb > 2.0 * TIE)
+}
+
+/// Buffers the bottleneck search reuses across boundary sets and
+/// assignments, for `nk` kinds.
+struct Scratch {
+    nk: usize,
+    /// `w[i * nk + k]`: stage i's one-replica time on kind k.
+    w: Vec<f64>,
+    /// `tx[i]`: the transfer entering stage i.
+    tx: Vec<f64>,
+    /// `m[i]`: stage i's replica count.
+    m: Vec<usize>,
+    /// Stages on each kind under the current assignment.
+    on_kind: Vec<usize>,
+    /// One kind's stage times and replica counts while it waterfills.
+    group_w: Vec<f64>,
+    group_m: Vec<usize>,
+}
+
+impl Scratch {
+    fn new(nk: usize, max_stages: usize) -> Self {
+        Scratch {
+            nk,
+            w: vec![0.0; max_stages * nk],
+            tx: vec![0.0; max_stages],
+            m: vec![0; max_stages],
+            on_kind: vec![0; nk],
+            group_w: Vec::with_capacity(max_stages),
+            group_m: Vec::with_capacity(max_stages),
+        }
+    }
+
+    /// Loads the stage costs of the boundary set `cuts`; returns its
+    /// bound: every stage on its best kind, with all of that kind's GPUs.
+    fn load(
+        &mut self,
+        cuts: &[usize],
+        l: usize,
+        kinds: &[(GpuKind, usize)],
+        t1: &[&[Vec<f64>]],
+        tx: &[f64],
+    ) -> f64 {
+        let nk = self.nk;
+        let mut set_bound = 0.0f64;
+        for i in 0..=cuts.len() {
+            let (a, b) = stage_range(cuts, l, i);
+            self.tx[i] = tx[a];
+            let mut stage_bound = f64::INFINITY;
+            for (k, &(_, avail)) in kinds.iter().enumerate() {
+                self.w[i * nk + k] = t1[k][a][b];
+                stage_bound = stage_bound.min(t1[k][a][b].max(tx[a]) / avail as f64);
+            }
+            set_bound = set_bound.max(stage_bound);
+        }
+        set_bound
+    }
+
+    /// Counts stages per kind; returns whether every kind has a GPU for
+    /// each of its stages.
+    fn count(&mut self, kinds: &[(GpuKind, usize)], assign: &[usize]) -> bool {
+        self.on_kind.fill(0);
+        for &k in assign {
+            self.on_kind[k] += 1;
+        }
+        kinds
             .iter()
-            .map(|&(a, b)| {
-                kinds
-                    .iter()
-                    .map(|&(k, _)| {
-                        stage_cost(model, ctrl, profile, a..b, b0, k, 1, lm)
-                            .effective_time
-                            .as_secs_f64()
-                    })
-                    .collect()
-            })
-            .collect();
-        // Surviving-batch transfer entering each stage i >= 1; amortized
-        // over the receiving stage's replica count once allocated.
-        let tx_in: Vec<f64> = stages
+            .zip(&self.on_kind)
+            .all(|(&(_, avail), &n)| n <= avail)
+    }
+
+    /// The assignment's bound: a stage sharing kind `k` with `n − 1`
+    /// others holds at most `avail_k − n + 1` replicas.
+    fn bound(&self, kinds: &[(GpuKind, usize)], assign: &[usize]) -> f64 {
+        assign
             .iter()
             .enumerate()
-            .map(|(i, &(a, _))| {
-                if i == 0 {
-                    0.0
-                } else {
-                    boundary_transfer_surviving(model, profile, a, b0, tm).as_secs_f64()
-                }
+            .map(|(i, &k)| {
+                let cap = kinds[k].1 - self.on_kind[k] + 1;
+                self.w[i * self.nk + k].max(self.tx[i]) / cap as f64
             })
-            .collect();
+            .fold(0.0, f64::max)
+    }
 
-        let mut assign = vec![0usize; s];
+    /// Allocates replicas within each kind and returns the plan's
+    /// (bottleneck, cost), summed kind by kind in stage order. A kind
+    /// holding one stage gives it all of its GPUs, as waterfilling would.
+    fn allocate(&mut self, kinds: &[(GpuKind, usize)], assign: &[usize]) -> (f64, f64) {
+        let nk = self.nk;
+        let mut bottleneck = 0.0f64;
+        let mut cost = 0.0;
+        for (k, &(kind, avail)) in kinds.iter().enumerate() {
+            let n = self.on_kind[k];
+            let members = || (0..assign.len()).filter(move |&i| assign[i] == k);
+            match n {
+                0 => continue,
+                1 => self.m[members().next().expect("one stage")] = avail,
+                _ => {
+                    self.group_w.clear();
+                    self.group_w.extend(members().map(|i| self.w[i * nk + k]));
+                    self.group_m.clear();
+                    self.group_m.resize(n, 1);
+                    waterfill(&self.group_w, &mut self.group_m, avail - n);
+                    for (i, &gm) in members().zip(&self.group_m) {
+                        self.m[i] = gm;
+                    }
+                }
+            }
+            for i in members() {
+                let m = self.m[i];
+                bottleneck = bottleneck
+                    .max(self.w[i * nk + k] / m as f64)
+                    .max(self.tx[i] / m as f64);
+                cost += m as f64 * kind.cost_per_sec();
+            }
+        }
+        (bottleneck, cost)
+    }
+}
+
+/// Searches boundary sets × kind assignments for the least penalized
+/// bottleneck, ties broken by lower cost, then by first found.
+fn bottleneck_search(
+    kinds: &[(GpuKind, usize)],
+    tables: &StageTables,
+    l: usize,
+    cfg: &OptimizerConfig,
+) -> (Vec<StageAssignment>, SearchStats) {
+    let nk = kinds.len();
+    let t1: Vec<&[Vec<f64>]> = kinds.iter().map(|&(k, _)| tables.t1(k)).collect();
+    let max_stages = cfg.max_splits.max(1);
+    let mut sc = Scratch::new(nk, max_stages);
+    let mut assign = vec![0usize; max_stages];
+    let mut stats = SearchStats::default();
+    // The incumbent's (penalized bottleneck, cost) and stages.
+    let mut best: Option<(f64, f64)> = None;
+    let mut best_stages = Vec::new();
+
+    for cuts in boundary_sets(l, max_stages) {
+        let s = cuts.len() + 1;
+        // Same realization penalty per extra stage as the homogeneous DP
+        // (see OptimizerConfig::stage_overhead_frac).
+        let pen = 1.0 + cfg.stage_overhead_frac * (s as f64 - 1.0);
+        let space = (nk as u64).pow(s as u32);
+        stats.assignments += space;
+        if cannot_win(best, sc.load(&cuts, l, kinds, &t1, &tables.tx), pen) {
+            stats.pruned += space;
+            continue;
+        }
+        let assign = &mut assign[..s];
+        assign.fill(0);
         loop {
-            // Group stages by kind and waterfill within each group.
-            let mut feasible = true;
-            let mut bottleneck = 0.0f64;
-            let mut cost = 0.0;
-            let mut stage_m = vec![0usize; s];
-            for (ki, &(kind, avail)) in kinds.iter().enumerate() {
-                let group: Vec<usize> = (0..s).filter(|&i| assign[i] == ki).collect();
-                if group.is_empty() {
-                    continue;
-                }
-                if group.len() > avail {
-                    feasible = false;
-                    break;
-                }
-                let work: Vec<f64> = group.iter().map(|&i| t1[i][ki]).collect();
-                let ms = waterfill(&work, avail - group.len());
-                for (gi, &i) in group.iter().enumerate() {
-                    stage_m[i] = ms[gi];
-                    bottleneck = bottleneck
-                        .max(t1[i][ki] / ms[gi] as f64)
-                        .max(tx_in[i] / ms[gi] as f64);
-                    cost += ms[gi] as f64 * kind.cost_per_sec();
-                }
-            }
-            if feasible {
-                if let Some(cap) = cfg.max_cost_per_sec {
-                    if cost > cap + 1e-12 {
-                        feasible = false;
+            if sc.count(kinds, assign) {
+                if cannot_win(best, sc.bound(kinds, assign), pen) {
+                    stats.pruned += 1;
+                } else {
+                    let (bottleneck, cost) = sc.allocate(kinds, assign);
+                    let within_cap = cfg.max_cost_per_sec.is_none_or(|cap| cost <= cap + TIE);
+                    let penalized = bottleneck * pen;
+                    let better = match best {
+                        None => true,
+                        Some((bb, bc)) => {
+                            penalized < bb - TIE || ((penalized - bb).abs() <= TIE && cost < bc)
+                        }
+                    };
+                    if within_cap && better {
+                        best = Some((penalized, cost));
+                        best_stages.clear();
+                        best_stages.extend(assign.iter().enumerate().map(|(i, &k)| {
+                            let (a, b) = stage_range(&cuts, l, i);
+                            (a, b, sc.m[i], kinds[k].0)
+                        }));
                     }
                 }
             }
-            if feasible {
-                // Same realization penalty per extra stage as the
-                // homogeneous DP (see OptimizerConfig::stage_overhead_frac).
-                let penalized = bottleneck * (1.0 + cfg.stage_overhead_frac * (s as f64 - 1.0));
-                let better = match &best {
-                    None => true,
-                    Some((bb, bc, _)) => {
-                        penalized < bb - 1e-12 || ((penalized - bb).abs() <= 1e-12 && cost < *bc)
-                    }
-                };
-                if better {
-                    let built: Vec<StageAssignment> = stages
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &(a, b))| (a, b, stage_m[i], kinds[assign[i]].0))
-                        .collect();
-                    best = Some((penalized, cost, built));
-                }
-            }
-            if !next_assignment(&mut assign, kinds.len()) {
+            if !next_assignment(assign, nk) {
                 break;
             }
         }
     }
 
-    let (_, _, stages) = best.expect("at least the single-stage plan is feasible");
-    build_plan_hetero(model, ctrl, profile, b0, tm, lm, cfg, &stages, true)
+    assert!(best.is_some(), "at least the single-stage plan is feasible");
+    (best_stages, stats)
 }
 
 /// Minimizes dollar cost subject to a goodput target on a heterogeneous
@@ -248,88 +495,87 @@ pub fn min_cost_plan(
     cfg: &OptimizerConfig,
 ) -> Option<SplitPlan> {
     assert!(target_goodput > 0.0, "target must be positive");
-    let kinds: Vec<(GpuKind, usize)> = counts
-        .iter()
-        .filter(|(_, n)| **n > 0)
-        .map(|(k, n)| (*k, *n))
-        .collect();
+    let kinds = available(counts);
     if kinds.is_empty() {
         return None;
     }
-    let l = model.num_layers();
+    let mut tables = StageTables::new(model, profile, b0, tm);
+    tables.add_kinds(model, ctrl, profile, b0, lm, &kinds);
     let lambda = b0 / target_goodput; // required bottleneck in seconds
-    let mut best: Option<(f64, Vec<StageAssignment>)> = None;
+    let stages = cost_search(&kinds, &tables, model.num_layers(), lambda, cfg)?;
+    Some(build_plan_hetero(
+        model, ctrl, profile, b0, tm, lm, cfg, &stages, true,
+    ))
+}
 
-    for cuts in boundary_sets(l, cfg.max_splits.max(1)) {
-        let stages = stages_of(l, &cuts);
-        let s = stages.len();
-        let t1: Vec<Vec<f64>> = stages
-            .iter()
-            .map(|&(a, b)| {
-                kinds
-                    .iter()
-                    .map(|&(k, _)| {
-                        stage_cost(model, ctrl, profile, a..b, b0, k, 1, lm)
-                            .effective_time
-                            .as_secs_f64()
-                    })
-                    .collect()
-            })
-            .collect();
-        let tx_in: Vec<f64> = stages
-            .iter()
-            .enumerate()
-            .map(|(i, &(a, _))| {
-                if i == 0 {
-                    0.0
-                } else {
-                    boundary_transfer_surviving(model, profile, a, b0, tm).as_secs_f64()
-                }
-            })
-            .collect();
-        let mut assign = vec![0usize; s];
+/// Searches boundary sets × kind assignments for the cheapest plan whose
+/// every stage meets the bottleneck `lambda`, ties broken by first found.
+fn cost_search(
+    kinds: &[(GpuKind, usize)],
+    tables: &StageTables,
+    l: usize,
+    lambda: f64,
+    cfg: &OptimizerConfig,
+) -> Option<Vec<StageAssignment>> {
+    let nk = kinds.len();
+    let t1: Vec<&[Vec<f64>]> = kinds.iter().map(|&(k, _)| tables.t1(k)).collect();
+    let max_stages = cfg.max_splits.max(1);
+    // `need[i * nk + k]`: replicas stage i needs on kind k to meet the
+    // bottleneck for both compute and the incoming (replica-amortized)
+    // transfer. It does not depend on the other stages' kinds.
+    let mut need = vec![0usize; max_stages * nk];
+    let mut assign = vec![0usize; max_stages];
+    let mut used = vec![0usize; nk];
+    let mut best: Option<f64> = None;
+    let mut best_stages = Vec::new();
+
+    for cuts in boundary_sets(l, max_stages) {
+        let s = cuts.len() + 1;
+        for i in 0..s {
+            let (a, b) = stage_range(&cuts, l, i);
+            for k in 0..nk {
+                let t = t1[k][a][b].max(tables.tx[a]);
+                need[i * nk + k] = (t / lambda).ceil().max(1.0) as usize;
+            }
+        }
+        let assign = &mut assign[..s];
+        assign.fill(0);
         loop {
+            used.fill(0);
             let mut feasible = true;
             let mut cost = 0.0;
-            let mut per_kind_used = vec![0usize; kinds.len()];
-            let mut stage_m = vec![0usize; s];
-            for i in 0..s {
-                let ki = assign[i];
-                // Enough replicas to meet the bottleneck for both compute
-                // and the incoming (replica-amortized) transfer.
-                let need = (t1[i][ki].max(tx_in[i]) / lambda).ceil().max(1.0) as usize;
-                per_kind_used[ki] += need;
-                if per_kind_used[ki] > kinds[ki].1 {
+            for (i, &k) in assign.iter().enumerate() {
+                let n = need[i * nk + k];
+                used[k] += n;
+                if used[k] > kinds[k].1 {
                     feasible = false;
                     break;
                 }
-                stage_m[i] = need;
-                cost += need as f64 * kinds[ki].0.cost_per_sec();
+                cost += n as f64 * kinds[k].0.cost_per_sec();
             }
-            if feasible {
-                let better = best.as_ref().is_none_or(|(bc, _)| cost < *bc);
-                if better {
-                    let built: Vec<StageAssignment> = stages
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &(a, b))| (a, b, stage_m[i], kinds[assign[i]].0))
-                        .collect();
-                    best = Some((cost, built));
-                }
+            if feasible && best.is_none_or(|bc| cost < bc) {
+                best = Some(cost);
+                best_stages.clear();
+                best_stages.extend((0..s).map(|i| {
+                    let (a, b) = stage_range(&cuts, l, i);
+                    (a, b, need[i * nk + assign[i]], kinds[assign[i]].0)
+                }));
             }
-            if !next_assignment(&mut assign, kinds.len()) {
+            if !next_assignment(assign, nk) {
                 break;
             }
         }
     }
 
-    best.map(|(_, stages)| build_plan_hetero(model, ctrl, profile, b0, tm, lm, cfg, &stages, true))
+    best.map(|_| best_stages)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stage::stage_cost;
     use e3_model::{zoo, RampStyle};
+    use proptest::prelude::*;
 
     fn half_by_six() -> BatchProfile {
         let mut surv = vec![1.0];
@@ -379,9 +625,23 @@ mod tests {
     #[test]
     fn waterfill_minimizes_max() {
         // max(4/3, 2/2) = 1.33 beats max(4/4, 2/1) = 2.0.
-        let m = waterfill(&[4.0, 2.0], 3);
+        let mut m = [1, 1];
+        waterfill(&[4.0, 2.0], &mut m, 3);
         assert_eq!(m.iter().sum::<usize>(), 5);
-        assert_eq!(m, vec![3, 2]);
+        assert_eq!(m, [3, 2]);
+    }
+
+    #[test]
+    fn waterfill_ties_go_to_the_last_stage() {
+        // `Iterator::max_by` keeps the last of equal maxima.
+        let mut m = [1, 1];
+        waterfill(&[2.0, 2.0], &mut m, 1);
+        assert_eq!(m, [1, 2]);
+        for (work, extra) in [(&[3.0, 1.0, 3.0][..], 3), (&[0.0, 0.0, 0.0][..], 4)] {
+            let mut m = vec![1; work.len()];
+            waterfill(work, &mut m, extra);
+            assert_eq!(m, reference_waterfill(work, extra));
+        }
     }
 
     #[test]
@@ -510,5 +770,351 @@ mod tests {
         let kinds: std::collections::BTreeSet<_> = plan.splits.iter().map(|s| s.gpu).collect();
         assert_eq!(kinds.len(), 1);
         assert!(!plan.pipelined);
+    }
+
+    #[test]
+    fn bound_prunes_most_of_the_paper_search() {
+        // 232 boundary sets of DeeBERT's 12 layers at max_splits 4, with
+        // 3 + 11·9 + 55·27 + 165·81 = 14,952 kind assignments among them.
+        let (m, c, lm, tm) = setup();
+        let (plan, stats) = optimize_heterogeneous_with_stats(
+            &m,
+            &c,
+            &half_by_six(),
+            &paper_hetero_counts(),
+            8.0,
+            &tm,
+            &lm,
+            &OptimizerConfig::default(),
+        );
+        assert_eq!(stats.assignments, 14_952);
+        assert!(
+            stats.pruned * 2 > stats.assignments,
+            "pruned only {} of {}",
+            stats.pruned,
+            stats.assignments
+        );
+        let reference = reference_optimize_heterogeneous(
+            &m,
+            &c,
+            &half_by_six(),
+            &paper_hetero_counts(),
+            8.0,
+            &tm,
+            &lm,
+            &OptimizerConfig::default(),
+        );
+        assert_eq!(plan, reference);
+    }
+
+    /// The plain enumeration the solver replaced, kept verbatim as an
+    /// executable specification: stage costs recomputed for every
+    /// boundary set, every kind assignment waterfilled, nothing pruned.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_optimize_heterogeneous(
+        model: &EeModel,
+        ctrl: &RampController,
+        profile: &BatchProfile,
+        counts: &BTreeMap<GpuKind, usize>,
+        b0: f64,
+        tm: &TransferModel,
+        lm: &LatencyModel,
+        cfg: &OptimizerConfig,
+    ) -> SplitPlan {
+        assert!(b0 > 0.0, "batch must be positive");
+        let kinds: Vec<(GpuKind, usize)> = counts
+            .iter()
+            .filter(|(_, n)| **n > 0)
+            .map(|(k, n)| (*k, *n))
+            .collect();
+        assert!(!kinds.is_empty(), "no GPUs available");
+
+        if !cfg.pipelining {
+            return kinds
+                .iter()
+                .map(|&(k, n)| {
+                    crate::dp::optimize_homogeneous(model, ctrl, profile, k, n, b0, tm, lm, cfg)
+                })
+                .max_by(|a, b| a.goodput.partial_cmp(&b.goodput).expect("finite"))
+                .expect("nonempty kinds");
+        }
+
+        let l = model.num_layers();
+        // (bottleneck, cost, stages)
+        let mut best: Option<(f64, f64, Vec<StageAssignment>)> = None;
+
+        for cuts in boundary_sets(l, cfg.max_splits.max(1)) {
+            let stages = stages_of(l, &cuts);
+            let s = stages.len();
+            let t1: Vec<Vec<f64>> = stages
+                .iter()
+                .map(|&(a, b)| {
+                    kinds
+                        .iter()
+                        .map(|&(k, _)| {
+                            stage_cost(model, ctrl, profile, a..b, b0, k, 1, lm)
+                                .effective_time
+                                .as_secs_f64()
+                        })
+                        .collect()
+                })
+                .collect();
+            let tx_in: Vec<f64> = stages
+                .iter()
+                .enumerate()
+                .map(|(i, &(a, _))| {
+                    if i == 0 {
+                        0.0
+                    } else {
+                        boundary_transfer_surviving(model, profile, a, b0, tm).as_secs_f64()
+                    }
+                })
+                .collect();
+
+            let mut assign = vec![0usize; s];
+            loop {
+                let mut feasible = true;
+                let mut bottleneck = 0.0f64;
+                let mut cost = 0.0;
+                let mut stage_m = vec![0usize; s];
+                for (ki, &(kind, avail)) in kinds.iter().enumerate() {
+                    let group: Vec<usize> = (0..s).filter(|&i| assign[i] == ki).collect();
+                    if group.is_empty() {
+                        continue;
+                    }
+                    if group.len() > avail {
+                        feasible = false;
+                        break;
+                    }
+                    let work: Vec<f64> = group.iter().map(|&i| t1[i][ki]).collect();
+                    let ms = reference_waterfill(&work, avail - group.len());
+                    for (gi, &i) in group.iter().enumerate() {
+                        stage_m[i] = ms[gi];
+                        bottleneck = bottleneck
+                            .max(t1[i][ki] / ms[gi] as f64)
+                            .max(tx_in[i] / ms[gi] as f64);
+                        cost += ms[gi] as f64 * kind.cost_per_sec();
+                    }
+                }
+                if feasible {
+                    if let Some(cap) = cfg.max_cost_per_sec {
+                        if cost > cap + 1e-12 {
+                            feasible = false;
+                        }
+                    }
+                }
+                if feasible {
+                    let penalized = bottleneck * (1.0 + cfg.stage_overhead_frac * (s as f64 - 1.0));
+                    let better = match &best {
+                        None => true,
+                        Some((bb, bc, _)) => {
+                            penalized < bb - 1e-12
+                                || ((penalized - bb).abs() <= 1e-12 && cost < *bc)
+                        }
+                    };
+                    if better {
+                        let built: Vec<StageAssignment> = stages
+                            .iter()
+                            .enumerate()
+                            .map(|(i, &(a, b))| (a, b, stage_m[i], kinds[assign[i]].0))
+                            .collect();
+                        best = Some((penalized, cost, built));
+                    }
+                }
+                if !next_assignment(&mut assign, kinds.len()) {
+                    break;
+                }
+            }
+        }
+
+        let (_, _, stages) = best.expect("at least the single-stage plan is feasible");
+        build_plan_hetero(model, ctrl, profile, b0, tm, lm, cfg, &stages, true)
+    }
+
+    /// The plain enumeration behind [`min_cost_plan`], kept verbatim.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_min_cost_plan(
+        model: &EeModel,
+        ctrl: &RampController,
+        profile: &BatchProfile,
+        counts: &BTreeMap<GpuKind, usize>,
+        b0: f64,
+        target_goodput: f64,
+        tm: &TransferModel,
+        lm: &LatencyModel,
+        cfg: &OptimizerConfig,
+    ) -> Option<SplitPlan> {
+        let kinds: Vec<(GpuKind, usize)> = counts
+            .iter()
+            .filter(|(_, n)| **n > 0)
+            .map(|(k, n)| (*k, *n))
+            .collect();
+        if kinds.is_empty() {
+            return None;
+        }
+        let l = model.num_layers();
+        let lambda = b0 / target_goodput;
+        let mut best: Option<(f64, Vec<StageAssignment>)> = None;
+
+        for cuts in boundary_sets(l, cfg.max_splits.max(1)) {
+            let stages = stages_of(l, &cuts);
+            let s = stages.len();
+            let t1: Vec<Vec<f64>> = stages
+                .iter()
+                .map(|&(a, b)| {
+                    kinds
+                        .iter()
+                        .map(|&(k, _)| {
+                            stage_cost(model, ctrl, profile, a..b, b0, k, 1, lm)
+                                .effective_time
+                                .as_secs_f64()
+                        })
+                        .collect()
+                })
+                .collect();
+            let tx_in: Vec<f64> = stages
+                .iter()
+                .enumerate()
+                .map(|(i, &(a, _))| {
+                    if i == 0 {
+                        0.0
+                    } else {
+                        boundary_transfer_surviving(model, profile, a, b0, tm).as_secs_f64()
+                    }
+                })
+                .collect();
+            let mut assign = vec![0usize; s];
+            loop {
+                let mut feasible = true;
+                let mut cost = 0.0;
+                let mut per_kind_used = vec![0usize; kinds.len()];
+                let mut stage_m = vec![0usize; s];
+                for i in 0..s {
+                    let ki = assign[i];
+                    let need = (t1[i][ki].max(tx_in[i]) / lambda).ceil().max(1.0) as usize;
+                    per_kind_used[ki] += need;
+                    if per_kind_used[ki] > kinds[ki].1 {
+                        feasible = false;
+                        break;
+                    }
+                    stage_m[i] = need;
+                    cost += need as f64 * kinds[ki].0.cost_per_sec();
+                }
+                if feasible {
+                    let better = best.as_ref().is_none_or(|(bc, _)| cost < *bc);
+                    if better {
+                        let built: Vec<StageAssignment> = stages
+                            .iter()
+                            .enumerate()
+                            .map(|(i, &(a, b))| (a, b, stage_m[i], kinds[assign[i]].0))
+                            .collect();
+                        best = Some((cost, built));
+                    }
+                }
+                if !next_assignment(&mut assign, kinds.len()) {
+                    break;
+                }
+            }
+        }
+
+        best.map(|(_, stages)| {
+            build_plan_hetero(model, ctrl, profile, b0, tm, lm, cfg, &stages, true)
+        })
+    }
+
+    fn stages_of(l: usize, cuts: &[usize]) -> Vec<(usize, usize)> {
+        let mut stages = Vec::with_capacity(cuts.len() + 1);
+        let mut prev = 0;
+        for &c in cuts {
+            stages.push((prev, c));
+            prev = c;
+        }
+        stages.push((prev, l));
+        stages
+    }
+
+    fn reference_waterfill(work: &[f64], mut extra: usize) -> Vec<usize> {
+        let mut m = vec![1usize; work.len()];
+        while extra > 0 {
+            let (i, _) = work
+                .iter()
+                .enumerate()
+                .map(|(i, w)| (i, w / m[i] as f64))
+                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
+                .expect("nonempty");
+            m[i] += 1;
+            extra -= 1;
+        }
+        m
+    }
+
+    /// A non-increasing survival profile for `l` layers from `u` in
+    /// [0, 1) per layer. About a third of the layers lose nobody, so
+    /// flat runs produce tied stage costs; rarely everyone exits, and
+    /// the free stages past that point tie exactly.
+    fn decoded_profile(u: &[f64], l: usize) -> BatchProfile {
+        let mut surv = vec![1.0];
+        for &x in &u[..l] {
+            let last = surv[surv.len() - 1];
+            surv.push(match x {
+                x if x < 0.02 => 0.0,
+                x if x < 0.3 => last,
+                x => last * (0.5 + 0.5 * x),
+            });
+        }
+        BatchProfile::new(surv)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn tabled_pruned_solvers_match_reference(
+            model_idx in 0usize..3,
+            u in proptest::collection::vec(0.0f64..1.0, 16),
+            kind_idx in proptest::collection::btree_set(0usize..4, 1..4),
+            gpus in proptest::collection::vec(1usize..17, 3),
+            max_splits in 1usize..5,
+            b0_idx in 0usize..4,
+            overhead_idx in 0usize..2,
+            cap_frac in 0.0f64..2.0,
+            target_frac in 0.05f64..1.2,
+        ) {
+            let model = [zoo::deebert, zoo::distilbert_ee, zoo::branchy_resnet50][model_idx]();
+            let ctrl = RampController::all_enabled(model.num_ramps(), RampStyle::Independent);
+            let (lm, tm) = (LatencyModel::new(), TransferModel::default());
+            let profile = decoded_profile(&u, model.num_layers());
+            let counts: BTreeMap<GpuKind, usize> = kind_idx
+                .iter()
+                .zip(&gpus)
+                .map(|(&k, &n)| (GpuKind::ALL[k], n))
+                .collect();
+            let b0 = [1.0, 4.0, 8.0, 16.0][b0_idx];
+            // Every plan occupies all GPUs of each kind it uses, so a cap
+            // of at least the cheapest kind's full price keeps one plan
+            // feasible. Half the cases run uncapped.
+            let price = |(k, n): (&GpuKind, &usize)| *n as f64 * k.cost_per_sec();
+            let cheapest = counts.iter().map(price).fold(f64::INFINITY, f64::min);
+            let total: f64 = counts.iter().map(price).sum();
+            let cfg = OptimizerConfig {
+                max_splits,
+                stage_overhead_frac: [0.0, 0.05][overhead_idx],
+                max_cost_per_sec: (cap_frac >= 1.0)
+                    .then_some(cheapest + (cap_frac - 1.0) * (total - cheapest)),
+                ..Default::default()
+            };
+
+            let fast = optimize_heterogeneous(&model, &ctrl, &profile, &counts, b0, &tm, &lm, &cfg);
+            let slow = reference_optimize_heterogeneous(
+                &model, &ctrl, &profile, &counts, b0, &tm, &lm, &cfg,
+            );
+            prop_assert_eq!(&fast, &slow);
+
+            let target = slow.goodput * target_frac;
+            prop_assert_eq!(
+                min_cost_plan(&model, &ctrl, &profile, &counts, b0, target, &tm, &lm, &cfg),
+                reference_min_cost_plan(&model, &ctrl, &profile, &counts, b0, target, &tm, &lm, &cfg)
+            );
+        }
     }
 }

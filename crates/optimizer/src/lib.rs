@@ -31,7 +31,9 @@
 //! bottleneck allocation of per-kind GPU counts (search over the finite
 //! set of candidate bottleneck values) — an equivalent-optimum
 //! restructuring of fig. 6's recursion that avoids materializing the
-//! 4-dimensional GPU-count state space (see `DESIGN.md`).
+//! 4-dimensional GPU-count state space (see `DESIGN.md`). The search
+//! reads per-kind stage tables and skips assignments an exact lower
+//! bound rules out (see [`hetero`]).
 
 pub mod ablation;
 pub mod auto;
@@ -55,7 +57,7 @@ pub use cache::{CacheStats, PlanCache};
 pub use config::OptimizerConfig;
 pub use dp::{optimize_homogeneous, optimize_homogeneous_cached};
 pub use edge::{EdgeSplitPlanner, EdgeSplitTables, LinkEstimate, SplitCandidate};
-pub use hetero::optimize_heterogeneous;
+pub use hetero::{optimize_heterogeneous, optimize_heterogeneous_with_stats, SearchStats};
 pub use marginal::{SubsetValue, ValueOracle};
 pub use plan::{Split, SplitPlan};
 pub use stage::StageCost;

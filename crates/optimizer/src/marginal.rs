@@ -8,7 +8,8 @@
 //! counts and memoizes every subset it has ever solved, so the greedy
 //! outer loop pays for each distinct subset exactly once. Single-kind
 //! subsets additionally skip the heterogeneous boundary/kind enumeration
-//! and go straight to the homogeneous DP.
+//! and go straight to the homogeneous DP; mixed subsets share one set of
+//! per-kind stage tables, built once per oracle.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -20,7 +21,7 @@ use crate::auto::plan_feasible;
 use crate::cache::PlanCache;
 use crate::config::OptimizerConfig;
 use crate::dp::optimize_homogeneous_cached;
-use crate::hetero::optimize_heterogeneous;
+use crate::hetero::{optimize_tabled, StageTables};
 use crate::plan::SplitPlan;
 
 /// The optimizer's verdict on one GPU-count subset.
@@ -54,6 +55,9 @@ pub struct ValueOracle<'a> {
     /// which the plan cache answers by extending one DP column instead
     /// of re-solving.
     plans: PlanCache,
+    /// Stage costs for the heterogeneous search behind mixed subsets:
+    /// they depend on the planning context, not on the subset.
+    tables: StageTables,
 }
 
 impl<'a> ValueOracle<'a> {
@@ -78,6 +82,7 @@ impl<'a> ValueOracle<'a> {
             cfg,
             cache: HashMap::new(),
             plans: PlanCache::new(),
+            tables: StageTables::new(model, profile, b0, tm),
         }
     }
 
@@ -140,17 +145,18 @@ impl<'a> ValueOracle<'a> {
                 &mut self.plans,
             );
         }
-        let counts: BTreeMap<GpuKind, usize> = key.iter().copied().collect();
-        optimize_heterogeneous(
+        optimize_tabled(
             self.model,
             self.ctrl,
             self.profile,
-            &counts,
+            key,
             self.b0,
             self.tm,
             self.lm,
             self.cfg,
+            &mut self.tables,
         )
+        .0
     }
 }
 

@@ -76,9 +76,11 @@ if [ -n "$baseline" ] && [ "$baseline" -gt 0 ]; then
 fi
 cp /tmp/bench_kernel.out BENCH_kernel.json
 
-# Optimizer planning-time benchmark, archived as BENCH_optimizer.json.
+# Optimizer planning-time benchmark (homogeneous sweep plus one cold
+# heterogeneous solve), archived as BENCH_optimizer.json.
 ./target/release/bench_optimizer | tee BENCH_optimizer.json
 grep -q '"gpus":10000' BENCH_optimizer.json
+grep -q '"bench":"optimizer_hetero"' BENCH_optimizer.json
 
 # Full figure suite with per-figure wall time, archived as
 # BENCH_figures.json. Catches a figure quietly becoming 10x slower and
