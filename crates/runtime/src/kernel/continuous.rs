@@ -32,6 +32,37 @@
 //! An optional decoder split at `boundary` models E3: tokens surviving
 //! the boundary transfer to a second stage group where full batches are
 //! re-fused before the deep layers and the lm-head run.
+//!
+//! # Step costs
+//!
+//! Membership changes at every token, so every step prices a new pass.
+//! [`run_continuous`] therefore builds a `StepCosts` once per run: every
+//! duration a pass can add, tabulated by width `w` in `0..=b0`:
+//!
+//! * the encoder prefix for `w` fresh joiners;
+//! * each stage-A and stage-B layer, plus its exit ramp when the ramp
+//!   controller pays for it, plus that ramp's batch re-formation unless
+//!   exits are deferred;
+//! * the lm head, and the deferred boundary re-formation;
+//!
+//! and, by debt `d` up to the longest sequence, the rebuild a preempted
+//! sequence repays on rejoin (prefill, or the PCIe swap-in). A stage-A
+//! step then makes one pass over its members: it counts joiners, repays
+//! debts and buckets each member's executed depth into a histogram.
+//! Walking the histogram gives each layer's width (the members not yet
+//! exited), and the pass adds one table entry per layer. Finishers are
+//! the top bucket. A stage-B step buckets its fused batch the same way.
+//! Every lookup indexes its table directly. A stage-A pass takes at most
+//! `b0` members, window admission caps a padded window at `b0`, and the
+//! fusion buffer caps a stage-B batch at `b0`, so no width exceeds `b0`.
+//! A debt is cache a sequence had built, so none exceeds the longest
+//! sequence.
+//!
+//! The tables are exact, not an approximation. Each entry is the same
+//! [`SimDuration`] the layer-by-layer computation adds, and a
+//! `SimDuration` is an integer count of nanoseconds, so regrouping the
+//! sum gives the same integer. Per-replica transient slowdown factors
+//! still scale the summed pass, in the same order.
 
 use std::collections::VecDeque;
 
@@ -298,8 +329,182 @@ struct Driver<'a, 'o> {
     enc: usize,
     cut: usize,
     bwait: SimDuration,
-    /// Reused per-layer width histogram (see `try_start_a`).
-    width_scratch: Vec<usize>,
+    costs: StepCosts<'a>,
+    /// Reused executed-depth histogram (see `try_start_a`).
+    hist: Vec<usize>,
+}
+
+/// One stage's layers, priced once per width.
+struct StageTable {
+    /// Absolute index of the stage's first layer.
+    first: usize,
+    /// Layers in the stage.
+    span: usize,
+    /// `costs[j * (b0 + 1) + w]`: layer `first + j` at width `w`, as
+    /// [`StepCosts::layer_direct`] prices it.
+    costs: Vec<SimDuration>,
+}
+
+/// Every duration a pass adds, precomputed once per run (see the module
+/// docs). Widths never exceed `b0` and debts never exceed the longest
+/// sequence, so every lookup indexes its table directly.
+struct StepCosts<'a> {
+    cfg: &'a ContinuousConfig<'a>,
+    /// `encoder[w]`: the encoder prefix for `w` fresh joiners.
+    encoder: Vec<SimDuration>,
+    /// Decoder layers `enc..cut`.
+    stage_a: StageTable,
+    /// Layers `cut..L` (no layers in a single-stage run).
+    stage_b: StageTable,
+    /// `head[w]`: the lm head at width `w`.
+    head: Vec<SimDuration>,
+    /// `reform[w]`: one batch re-formation at width `w`.
+    reform: Vec<SimDuration>,
+    /// `rebuild[d]`: repaying a rebuild debt of `d` cache tokens.
+    rebuild: Vec<SimDuration>,
+}
+
+impl<'a> StepCosts<'a> {
+    fn new(cfg: &'a ContinuousConfig<'a>, enc: usize, cut: usize, max_debt: usize) -> Self {
+        let layers = cfg.model.num_layers();
+        let mut costs = StepCosts {
+            cfg,
+            encoder: Vec::new(),
+            stage_a: StageTable {
+                first: enc,
+                span: cut - enc,
+                costs: Vec::new(),
+            },
+            stage_b: StageTable {
+                first: cut,
+                span: layers - cut,
+                costs: Vec::new(),
+            },
+            head: Vec::new(),
+            reform: Vec::new(),
+            rebuild: Vec::new(),
+        };
+        let widths = 0..=cfg.b0;
+        costs.encoder = widths.clone().map(|w| costs.encoder_direct(w)).collect();
+        costs.head = widths.clone().map(|w| costs.head_direct(w)).collect();
+        costs.reform = widths.map(|w| costs.reform_direct(w)).collect();
+        costs.rebuild = (0..=max_debt).map(|d| costs.rebuild_direct(d)).collect();
+        costs.stage_a.costs = costs.tabulate(&costs.stage_a);
+        costs.stage_b.costs = costs.tabulate(&costs.stage_b);
+        costs
+    }
+
+    /// The per-width rows of `st`'s layers.
+    fn tabulate(&self, st: &StageTable) -> Vec<SimDuration> {
+        (st.first..st.first + st.span)
+            .flat_map(|k| (0..=self.cfg.b0).map(move |w| (k, w)))
+            .map(|(k, w)| self.layer_direct(k, w))
+            .collect()
+    }
+
+    /// Calibrated work of absolute layer `k`.
+    fn layer_work(&self, k: usize) -> f64 {
+        let l = self.cfg.model.layers()[k];
+        l.work_us + l.fixed_us
+    }
+
+    fn layer_time(&self, work_us: f64, w: usize) -> SimDuration {
+        self.cfg.lm.layer_time(work_us, w as f64, self.cfg.gpu)
+    }
+
+    /// Layer `k` at width `w`: the layer, plus its exit ramp when the
+    /// controller pays for it, plus that ramp's re-formation unless exits
+    /// are deferred. A layer no member reaches costs nothing.
+    fn layer_direct(&self, k: usize, w: usize) -> SimDuration {
+        if w == 0 {
+            return SimDuration::ZERO;
+        }
+        let mut t = self.layer_time(self.layer_work(k), w);
+        if let Some(ri) = self.cfg.model.ramp_after(k) {
+            if self.cfg.ctrl.pays_cost_at(ri) {
+                let ramp = self.cfg.model.ramps()[ri];
+                t += self.layer_time(ramp.work_us + ramp.fixed_us, w);
+                if !self.cfg.deferred_exits {
+                    t += self.reform_direct(w);
+                }
+            }
+        }
+        t
+    }
+
+    fn encoder_direct(&self, w: usize) -> SimDuration {
+        if w == 0 {
+            return SimDuration::ZERO;
+        }
+        (0..self.stage_a.first).fold(SimDuration::ZERO, |t, k| {
+            t + self.layer_time(self.layer_work(k), w)
+        })
+    }
+
+    fn head_direct(&self, w: usize) -> SimDuration {
+        let head = self.cfg.model.autoreg().expect("autoreg").lm_head;
+        self.layer_time(head.work_us + head.fixed_us, w)
+    }
+
+    fn reform_direct(&self, w: usize) -> SimDuration {
+        self.cfg.lm.exit.reform_time(w as f64)
+    }
+
+    /// One pass over stage A's layers with `d` positions batched
+    /// together, ramps excluded: the prefill that rebuilds a cache.
+    fn prefill_direct(&self, d: usize) -> SimDuration {
+        let st = &self.stage_a;
+        (st.first..st.first + st.span).fold(SimDuration::ZERO, |t, k| {
+            t + self.layer_time(self.layer_work(k), d)
+        })
+    }
+
+    fn rebuild_direct(&self, d: usize) -> SimDuration {
+        match self.cfg.kv {
+            Some(kv) if kv.mode == PreemptMode::Swap => {
+                LinkKind::Pcie.transfer_time((kv.bytes_per_token * d as f64) as u64)
+            }
+            _ => self.prefill_direct(d),
+        }
+    }
+
+    fn head(&self, w: usize) -> SimDuration {
+        debug_assert!(w <= self.cfg.b0, "head width past the table");
+        self.head[w]
+    }
+
+    /// Cost of rebuilding `d` cache tokens: prefill under
+    /// [`PreemptMode::Recompute`] (or without a KV plan), the PCIe
+    /// transfer under [`PreemptMode::Swap`].
+    fn rebuild(&self, d: usize) -> SimDuration {
+        debug_assert!(d < self.rebuild.len(), "debt longer than any sequence");
+        self.rebuild[d]
+    }
+
+    fn layer(&self, st: &StageTable, j: usize, w: usize) -> SimDuration {
+        let b0 = self.cfg.b0;
+        debug_assert!(w <= b0, "layer width past the table");
+        st.costs[j * (b0 + 1) + w]
+    }
+
+    /// A stage's layers for the members bucketed in `hist`, where
+    /// `hist[j]` counts members that stop after the stage's first `j`
+    /// layers and `n` is their total: layer `j` runs at the width left
+    /// once the buckets up to `j` have exited.
+    fn layers(&self, st: &StageTable, hist: &[usize], n: usize) -> SimDuration {
+        let mut w = n;
+        let mut t = SimDuration::ZERO;
+        for (j, &h) in hist[..st.span].iter().enumerate() {
+            w -= h;
+            t += self.layer(st, j, w);
+        }
+        t
+    }
+
+    /// A stage's layers all charged at width `w` (padded windows).
+    fn layers_at(&self, st: &StageTable, w: usize) -> SimDuration {
+        (0..st.span).fold(SimDuration::ZERO, |t, j| t + self.layer(st, j, w))
+    }
 }
 
 /// Runs closed-loop continuous batching over `specs` and narrates it to
@@ -316,90 +521,7 @@ pub fn run_continuous(
     specs: &[SequenceSpec],
     observer: &mut dyn RunObserver,
 ) -> ContinuousOutcome {
-    let ar = cfg.model.autoreg().expect("autoregressive model required");
-    let enc = ar.encoder_layers;
-    let two_stage = cfg.boundary.is_some();
-    let cut = cfg.boundary.unwrap_or_else(|| cfg.model.num_layers());
-    assert!(cfg.replicas_a >= 1 && cfg.b0 >= 1, "empty deployment");
-    assert!(
-        two_stage == (cfg.replicas_b > 0),
-        "stage-B replicas iff a boundary is set"
-    );
-    if two_stage {
-        assert!(
-            cut > enc && cut < cfg.model.num_layers(),
-            "boundary must cut the decoder"
-        );
-        assert!(
-            cfg.join == JoinPolicy::Continuous,
-            "window batching is single-stage"
-        );
-    }
-    let num_stages = 1 + usize::from(two_stage);
-    let num_replicas = cfg.replicas_a + cfg.replicas_b;
-    cfg.fault_plan.validate(num_replicas, num_stages);
-
-    let rt = specs
-        .iter()
-        .map(|s| {
-            assert!(!s.tokens.is_empty(), "sequence without tokens");
-            SeqRt {
-                next_token: 0,
-                kv_tokens: 0,
-                debt: 0,
-                encoded: false,
-                state: SState::Queued,
-            }
-        })
-        .collect();
-    let reps = (0..num_replicas)
-        .map(|i| Rep {
-            stage: usize::from(i >= cfg.replicas_a),
-            resident: Vec::new(),
-            pass: Vec::new(),
-            bpass: Vec::new(),
-            pass_width: 0.0,
-            pass_cost: SimDuration::ZERO,
-            busy: false,
-            epoch: 0,
-            crashed: false,
-            kv_used: 0,
-            transient: Vec::new(),
-            carry: SimDuration::ZERO,
-        })
-        .collect();
-
-    let mut d = Driver {
-        cfg,
-        specs,
-        rt,
-        reps,
-        pool: ContinuousBatching::new(&[cfg.b0]),
-        bbuf: FusionBuffer::new(cfg.b0),
-        held: Vec::new(),
-        link_down: false,
-        stall: [false; 2],
-        q: EventQueue::new(),
-        acc: RunAccumulator::new(num_stages, num_replicas, cfg.slo, false),
-        obs: observer,
-        crossings: 0,
-        enc,
-        cut,
-        bwait: SimDuration::ZERO,
-        width_scratch: Vec::new(),
-    };
-    // Default stage-B fusion wait: the inter-arrival gap of boundary
-    // crossers — one full-width stage-A pass divided by the stage-A
-    // replica count (passes interleave) — long enough for the boundary
-    // to refill, short enough not to idle B.
-    d.bwait = cfg.b_max_wait.unwrap_or_else(|| {
-        (enc..cut)
-            .fold(SimDuration::ZERO, |acc, k| {
-                acc + cfg.lm.layer_time(d.layer_cost(k), cfg.b0 as f64, cfg.gpu)
-            })
-            .mul_f64(1.0 / cfg.replicas_a as f64)
-    });
-
+    let mut d = Driver::new(cfg, specs, observer);
     for (i, s) in specs.iter().enumerate() {
         d.obs
             .on_event(SimTime::ZERO, &KernelEvent::Arrival { sample: s.id });
@@ -427,20 +549,99 @@ pub fn run_continuous(
     }
 }
 
-impl Driver<'_, '_> {
-    fn layer_cost(&self, k: usize) -> f64 {
-        let l = self.cfg.model.layers()[k];
-        l.work_us + l.fixed_us
-    }
+impl<'a, 'o> Driver<'a, 'o> {
+    /// Validates `cfg` and builds the driver's state with every sequence
+    /// queued but nothing in the pool or on the clock yet.
+    fn new(
+        cfg: &'a ContinuousConfig<'a>,
+        specs: &'a [SequenceSpec],
+        obs: &'o mut dyn RunObserver,
+    ) -> Self {
+        let ar = cfg.model.autoreg().expect("autoregressive model required");
+        let enc = ar.encoder_layers;
+        let two_stage = cfg.boundary.is_some();
+        let cut = cfg.boundary.unwrap_or_else(|| cfg.model.num_layers());
+        assert!(cfg.replicas_a >= 1 && cfg.b0 >= 1, "empty deployment");
+        assert!(
+            two_stage == (cfg.replicas_b > 0),
+            "stage-B replicas iff a boundary is set"
+        );
+        if two_stage {
+            assert!(
+                cut > enc && cut < cfg.model.num_layers(),
+                "boundary must cut the decoder"
+            );
+            assert!(
+                cfg.join == JoinPolicy::Continuous,
+                "window batching is single-stage"
+            );
+        }
+        let num_stages = 1 + usize::from(two_stage);
+        let num_replicas = cfg.replicas_a + cfg.replicas_b;
+        cfg.fault_plan.validate(num_replicas, num_stages);
 
-    fn ramp_cost(&self, ri: usize) -> f64 {
-        let r = self.cfg.model.ramps()[ri];
-        r.work_us + r.fixed_us
-    }
-
-    fn head_cost(&self) -> f64 {
-        let h = self.cfg.model.autoreg().expect("autoreg").lm_head;
-        h.work_us + h.fixed_us
+        let mut max_tokens = 0;
+        let rt = specs
+            .iter()
+            .map(|s| {
+                assert!(!s.tokens.is_empty(), "sequence without tokens");
+                max_tokens = max_tokens.max(s.tokens.len());
+                SeqRt {
+                    next_token: 0,
+                    kv_tokens: 0,
+                    debt: 0,
+                    encoded: false,
+                    state: SState::Queued,
+                }
+            })
+            .collect();
+        let reps = (0..num_replicas)
+            .map(|i| Rep {
+                stage: usize::from(i >= cfg.replicas_a),
+                resident: Vec::new(),
+                pass: Vec::new(),
+                bpass: Vec::new(),
+                pass_width: 0.0,
+                pass_cost: SimDuration::ZERO,
+                busy: false,
+                epoch: 0,
+                crashed: false,
+                kv_used: 0,
+                transient: Vec::new(),
+                carry: SimDuration::ZERO,
+            })
+            .collect();
+        // A debt is the cache a sequence had built, at most its length.
+        let costs = StepCosts::new(cfg, enc, cut, max_tokens);
+        // Default stage-B fusion wait: the inter-arrival gap of boundary
+        // crossers — one full-width stage-A pass divided by the stage-A
+        // replica count (passes interleave) — long enough for the boundary
+        // to refill, short enough not to idle B.
+        let bwait = cfg.b_max_wait.unwrap_or_else(|| {
+            costs
+                .prefill_direct(cfg.b0)
+                .mul_f64(1.0 / cfg.replicas_a as f64)
+        });
+        Driver {
+            cfg,
+            specs,
+            rt,
+            reps,
+            pool: ContinuousBatching::new(&[cfg.b0]),
+            bbuf: FusionBuffer::new(cfg.b0),
+            held: Vec::new(),
+            link_down: false,
+            stall: [false; 2],
+            q: EventQueue::new(),
+            acc: RunAccumulator::new(num_stages, num_replicas, cfg.slo, false),
+            obs,
+            crossings: 0,
+            enc,
+            cut,
+            bwait,
+            costs,
+            hist: Vec::new(),
+        }
     }
 
     fn two_stage(&self) -> bool {
@@ -521,7 +722,8 @@ impl Driver<'_, '_> {
         // Admission: refill free slots from the pool.
         match self.cfg.join {
             JoinPolicy::Continuous => {
-                while self.running_count(r) < self.cfg.b0 && self.pool.len(0) > 0 {
+                let mut running = self.running_count(r);
+                while running < self.cfg.b0 && self.pool.len(0) > 0 {
                     let idx = self.pool.queues_peek_front();
                     if !self.kv_admits(r, idx) {
                         break;
@@ -529,6 +731,7 @@ impl Driver<'_, '_> {
                     let s = self.pool.take_front(0).expect("peeked nonempty");
                     debug_assert_eq!(s.id as usize, idx);
                     self.admit_to(r, idx);
+                    running += 1;
                 }
             }
             JoinPolicy::Window { .. } => {
@@ -544,135 +747,73 @@ impl Driver<'_, '_> {
                 }
             }
         }
-        // Reuse the replica's pass buffer across steps: the scheduler's
-        // inner loop allocates nothing in steady state.
+        // One pass over the first `b0` running members (the replica's
+        // pass buffer is reused, so steady state allocates nothing):
+        // count fresh joiners, repay rebuild debts, and bucket each
+        // member's executed depth within the stage.
+        let (enc, cut, full) = (self.enc, self.cut, self.cfg.model.num_layers());
         let mut pass = std::mem::take(&mut self.reps[r].pass);
+        let mut hist = std::mem::take(&mut self.hist);
         pass.clear();
-        pass.extend(
-            self.reps[r]
-                .resident
-                .iter()
-                .copied()
-                .filter(|&i| self.rt[i].state == SState::Running { home: r }),
-        );
-        pass.truncate(self.cfg.b0);
+        hist.clear();
+        hist.resize(cut - enc + 1, 0);
+        let (mut joiners, mut crossers) = (0usize, 0usize);
+        let mut cost = SimDuration::ZERO;
+        for &i in &self.reps[r].resident {
+            if pass.len() == self.cfg.b0 {
+                break;
+            }
+            let s = &mut self.rt[i];
+            if s.state != (SState::Running { home: r }) {
+                continue;
+            }
+            pass.push(i);
+            joiners += usize::from(!s.encoded && s.debt == 0);
+            s.encoded = true;
+            if s.debt > 0 {
+                cost += self.costs.rebuild(s.debt);
+                s.debt = 0;
+            }
+            let layers = self.specs[i].tokens[s.next_token].layers_executed;
+            debug_assert!(layers <= full, "token deeper than the model");
+            hist[layers.clamp(enc, cut) - enc] += 1;
+            crossers += usize::from(layers > cut);
+        }
         if pass.is_empty() {
             self.reps[r].pass = pass;
+            self.hist = hist;
             return;
         }
 
-        // Pass cost: encoder for fresh joiners, prefill/swap-in for
-        // rebuild debts, then the decoder layers at per-layer surviving
-        // widths (or padded window width).
+        // Pass cost: the debts repaid above, a carried swap-out, the
+        // encoder for fresh joiners, then the decoder layers at their
+        // surviving widths (or the padded window width).
         let padded_width = match self.cfg.join {
-            JoinPolicy::Window { padded: true } => Some(self.reps[r].resident.len() as f64),
+            JoinPolicy::Window { padded: true } => Some(self.reps[r].resident.len()),
             _ => None,
         };
-        let mut cost = self.reps[r].carry;
-        self.reps[r].carry = SimDuration::ZERO;
-        let joiners = pass
-            .iter()
-            .filter(|&&i| !self.rt[i].encoded && self.rt[i].debt == 0)
-            .count();
-        if joiners > 0 {
-            for k in 0..self.enc {
-                cost += self
-                    .cfg
-                    .lm
-                    .layer_time(self.layer_cost(k), joiners as f64, self.cfg.gpu);
-            }
-        }
-        for &i in &pass {
-            self.rt[i].encoded = true;
-            let debt = self.rt[i].debt;
-            if debt > 0 {
-                match self.cfg.kv.map(|kv| kv.mode) {
-                    Some(PreemptMode::Swap) => {
-                        let bytes = self.cfg.kv.expect("kv").bytes_per_token * debt as f64;
-                        cost += LinkKind::Pcie.transfer_time(bytes as u64);
-                    }
-                    _ => {
-                        // Prefill: one pass over the stage's layers with
-                        // the rebuilt positions batched together.
-                        for k in self.enc..self.cut {
-                            cost += self.cfg.lm.layer_time(
-                                self.layer_cost(k),
-                                debt as f64,
-                                self.cfg.gpu,
-                            );
-                        }
-                    }
-                }
-                self.rt[i].debt = 0;
-            }
-        }
-        let mut crossers = 0usize;
-        // One-pass width histogram: bucket members by clamped executed
-        // depth, then suffix-sum so `widths[j]` counts members still
-        // active entering layer `enc + j`. Same integers as filtering
-        // the pass per layer, without the O(layers × batch) rescan.
-        let span = self.cut - self.enc;
-        let mut widths = std::mem::take(&mut self.width_scratch);
-        widths.clear();
-        widths.resize(span + 1, 0);
-        for &i in &pass {
-            let tl = self.token_layers(i).clamp(self.enc, self.cut) - self.enc;
-            widths[tl] += 1;
-        }
-        for j in (0..span).rev() {
-            widths[j] += widths[j + 1];
-        }
-        for k in self.enc..self.cut {
-            let active = widths[k - self.enc + 1] as f64;
-            let width = padded_width.unwrap_or(active);
-            if width <= 0.0 {
-                continue;
-            }
-            cost += self
-                .cfg
-                .lm
-                .layer_time(self.layer_cost(k), width, self.cfg.gpu);
-            if let Some(ri) = self.cfg.model.ramp_after(k) {
-                if self.cfg.ctrl.pays_cost_at(ri) {
-                    cost += self
-                        .cfg
-                        .lm
-                        .layer_time(self.ramp_cost(ri), width, self.cfg.gpu);
-                    if !self.cfg.deferred_exits {
-                        cost += self.cfg.lm.exit.reform_time(width);
-                    }
-                }
-            }
-        }
-        self.width_scratch = widths;
+        let costs = &self.costs;
+        cost += std::mem::take(&mut self.reps[r].carry);
+        // Joiners and crossers are pass members: never more than b0.
+        cost += costs.encoder[joiners];
+        cost += match padded_width {
+            Some(w) => costs.layers_at(&costs.stage_a, w),
+            None => costs.layers(&costs.stage_a, &hist, pass.len()),
+        };
         if self.two_stage() {
-            crossers = pass
-                .iter()
-                .filter(|&&i| self.token_layers(i) > self.cut)
-                .count();
-            if self.cfg.deferred_exits && crossers > 0 {
-                cost += self.cfg.lm.exit.reform_time(crossers as f64);
+            if self.cfg.deferred_exits {
+                cost += costs.reform[crossers];
             }
         } else {
-            let full = self.cfg.model.num_layers();
-            let finishers = pass
-                .iter()
-                .filter(|&&i| self.token_layers(i) == full)
-                .count() as f64;
-            let head_width = padded_width.unwrap_or(finishers);
-            if head_width > 0.0 {
-                cost += self
-                    .cfg
-                    .lm
-                    .layer_time(self.head_cost(), head_width, self.cfg.gpu);
-            }
+            // Single stage: the top bucket ran every layer and finishes.
+            cost += costs.head(padded_width.unwrap_or(hist[cut - enc]));
         }
-        let _ = crossers;
+        self.hist = hist;
         for f in &self.reps[r].transient {
             cost = cost.mul_f64(*f);
         }
 
-        let width = padded_width.unwrap_or(pass.len() as f64);
+        let width = padded_width.unwrap_or(pass.len()) as f64;
         self.acc.record_dispatch(0, width);
         self.emit(KernelEvent::ExecStart {
             replica: r,
@@ -850,8 +991,8 @@ impl Driver<'_, '_> {
             self.rt[victim].state = SState::Queued;
             self.reps[r].resident.retain(|&i| i != victim);
             if kv.mode == PreemptMode::Swap {
-                let bytes = kv.bytes_per_token * tokens as f64;
-                self.reps[r].carry += LinkKind::Pcie.transfer_time(bytes as u64);
+                // Swapping out moves the same bytes as swapping back in.
+                self.reps[r].carry += self.costs.rebuild(tokens);
             }
             self.acc.record_kv_preemption();
             self.emit(KernelEvent::KvPreempted {
@@ -887,6 +1028,9 @@ impl Driver<'_, '_> {
             if self.reps[r].busy || self.reps[r].crashed || self.stall[1] {
                 continue;
             }
+            if self.bbuf.is_empty() {
+                break;
+            }
             let now = self.q.now();
             // A partial batch is due after the fusion wait — or at once
             // when stage A can produce no further crossers (drain mode:
@@ -911,36 +1055,17 @@ impl Driver<'_, '_> {
                 size,
                 partial: size < self.cfg.b0,
             });
-            let mut cost = SimDuration::ZERO;
-            for k in self.cut..self.cfg.model.num_layers() {
-                let active = batch
-                    .samples
-                    .iter()
-                    .filter(|j| j.layers_executed > k)
-                    .count() as f64;
-                if active <= 0.0 {
-                    continue;
-                }
-                cost += self
-                    .cfg
-                    .lm
-                    .layer_time(self.layer_cost(k), active, self.cfg.gpu);
-                if let Some(ri) = self.cfg.model.ramp_after(k) {
-                    if self.cfg.ctrl.pays_cost_at(ri) {
-                        cost += self
-                            .cfg
-                            .lm
-                            .layer_time(self.ramp_cost(ri), active, self.cfg.gpu);
-                        if !self.cfg.deferred_exits {
-                            cost += self.cfg.lm.exit.reform_time(active);
-                        }
-                    }
-                }
+            // Bucket the fused batch by executed depth within stage B.
+            let (cut, full) = (self.cut, self.cfg.model.num_layers());
+            let mut hist = std::mem::take(&mut self.hist);
+            hist.clear();
+            hist.resize(full - cut + 1, 0);
+            for j in &batch.samples {
+                hist[j.layers_executed.clamp(cut, full) - cut] += 1;
             }
-            cost += self
-                .cfg
-                .lm
-                .layer_time(self.head_cost(), size as f64, self.cfg.gpu);
+            let costs = &self.costs;
+            let mut cost = costs.layers(&costs.stage_b, &hist, size) + costs.head(size);
+            self.hist = hist;
             for f in &self.reps[r].transient {
                 cost = cost.mul_f64(*f);
             }
@@ -1169,7 +1294,264 @@ impl ContinuousBatching {
 mod tests {
     use super::*;
     use crate::kernel::observer::EventLog;
+    use crate::kernel::NullObserver;
     use e3_model::{zoo, RampStyle};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The per-pass pricing the step-cost tables replaced, kept as the
+    /// reference they are checked against: every layer re-derived from
+    /// the latency model at a width found by filtering the members.
+    impl Driver<'_, '_> {
+        fn reference_layer_cost(&self, k: usize) -> f64 {
+            let l = self.cfg.model.layers()[k];
+            l.work_us + l.fixed_us
+        }
+
+        fn reference_ramp_cost(&self, ri: usize) -> f64 {
+            let r = self.cfg.model.ramps()[ri];
+            r.work_us + r.fixed_us
+        }
+
+        fn reference_head_cost(&self) -> f64 {
+            let h = self.cfg.model.autoreg().expect("autoreg").lm_head;
+            h.work_us + h.fixed_us
+        }
+
+        /// Layers `ks` at the widths `active(k)`, with paid ramps and
+        /// (immediate exits) their re-formations.
+        fn reference_layers(
+            &self,
+            ks: std::ops::Range<usize>,
+            active: impl Fn(usize) -> f64,
+        ) -> SimDuration {
+            let (lm, gpu) = (self.cfg.lm, self.cfg.gpu);
+            let mut cost = SimDuration::ZERO;
+            for k in ks {
+                let width = active(k);
+                if width <= 0.0 {
+                    continue;
+                }
+                cost += lm.layer_time(self.reference_layer_cost(k), width, gpu);
+                if let Some(ri) = self.cfg.model.ramp_after(k) {
+                    if self.cfg.ctrl.pays_cost_at(ri) {
+                        cost += lm.layer_time(self.reference_ramp_cost(ri), width, gpu);
+                        if !self.cfg.deferred_exits {
+                            cost += lm.exit.reform_time(width);
+                        }
+                    }
+                }
+            }
+            cost
+        }
+
+        /// The members and cost of replica `r`'s next stage-A pass, read
+        /// from the current state without changing it; `None` when no
+        /// member runs.
+        fn reference_pass_a(&self, r: usize) -> Option<(Vec<usize>, SimDuration)> {
+            let (lm, gpu) = (self.cfg.lm, self.cfg.gpu);
+            let mut pass: Vec<usize> = self.reps[r]
+                .resident
+                .iter()
+                .copied()
+                .filter(|&i| self.rt[i].state == SState::Running { home: r })
+                .collect();
+            pass.truncate(self.cfg.b0);
+            if pass.is_empty() {
+                return None;
+            }
+            let padded_width = match self.cfg.join {
+                JoinPolicy::Window { padded: true } => Some(self.reps[r].resident.len() as f64),
+                _ => None,
+            };
+            let mut cost = self.reps[r].carry;
+            let joiners = pass
+                .iter()
+                .filter(|&&i| !self.rt[i].encoded && self.rt[i].debt == 0)
+                .count();
+            if joiners > 0 {
+                for k in 0..self.enc {
+                    cost += lm.layer_time(self.reference_layer_cost(k), joiners as f64, gpu);
+                }
+            }
+            for &i in &pass {
+                let debt = self.rt[i].debt;
+                if debt == 0 {
+                    continue;
+                }
+                match self.cfg.kv.map(|kv| kv.mode) {
+                    Some(PreemptMode::Swap) => {
+                        let bytes = self.cfg.kv.expect("kv").bytes_per_token * debt as f64;
+                        cost += LinkKind::Pcie.transfer_time(bytes as u64);
+                    }
+                    _ => {
+                        for k in self.enc..self.cut {
+                            cost += lm.layer_time(self.reference_layer_cost(k), debt as f64, gpu);
+                        }
+                    }
+                }
+            }
+            cost += self.reference_layers(self.enc..self.cut, |k| {
+                padded_width.unwrap_or_else(|| {
+                    pass.iter().filter(|&&i| self.token_layers(i) > k).count() as f64
+                })
+            });
+            if self.two_stage() {
+                let crossers = pass
+                    .iter()
+                    .filter(|&&i| self.token_layers(i) > self.cut)
+                    .count();
+                if self.cfg.deferred_exits && crossers > 0 {
+                    cost += lm.exit.reform_time(crossers as f64);
+                }
+            } else {
+                let full = self.cfg.model.num_layers();
+                let finishers = pass
+                    .iter()
+                    .filter(|&&i| self.token_layers(i) == full)
+                    .count() as f64;
+                let head_width = padded_width.unwrap_or(finishers);
+                if head_width > 0.0 {
+                    cost += lm.layer_time(self.reference_head_cost(), head_width, gpu);
+                }
+            }
+            for f in &self.reps[r].transient {
+                cost = cost.mul_f64(*f);
+            }
+            Some((pass, cost))
+        }
+
+        /// The cost of stage-B replica `r`'s dispatched batch.
+        fn reference_cost_b(&self, r: usize) -> SimDuration {
+            let batch = &self.reps[r].bpass;
+            let mut cost = self.reference_layers(self.cut..self.cfg.model.num_layers(), |k| {
+                batch.iter().filter(|j| j.layers_executed > k).count() as f64
+            });
+            cost += self.cfg.lm.layer_time(
+                self.reference_head_cost(),
+                batch.len() as f64,
+                self.cfg.gpu,
+            );
+            for f in &self.reps[r].transient {
+                cost = cost.mul_f64(*f);
+            }
+            cost
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `try_start_a` and `try_start_b` charge exactly what the
+        /// per-layer reference charges, across models with and without
+        /// an encoder, GPUs, batch targets, joins, exit deferral, preempt
+        /// modes, debts up to the longest sequence, widths up to `b0`,
+        /// and stacked slowdowns.
+        #[test]
+        fn table_priced_passes_match_reference(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let model = [zoo::t5, zoo::calm_t5, zoo::llama31_8b, zoo::llama31_8b_ee]
+                [rng.gen_range(0usize..4)]();
+            let mask = (0..model.num_ramps()).map(|_| rng.gen_bool(0.7)).collect();
+            let ctrl = RampController::with_mask(mask, RampStyle::Independent);
+            let l = lm();
+            let layers = model.num_layers();
+            let enc = model.autoreg().expect("autoreg").encoder_layers;
+            let join = [
+                JoinPolicy::Continuous,
+                JoinPolicy::Window { padded: true },
+                JoinPolicy::Window { padded: false },
+            ][rng.gen_range(0usize..3)];
+            let b0 = rng.gen_range(1usize..17);
+            let mut cfg = base_cfg(&model, &ctrl, &l, join, b0, 1);
+            cfg.gpu = [GpuKind::A6000, GpuKind::V100][rng.gen_range(0usize..2)];
+            if join == JoinPolicy::Continuous && rng.gen_bool(0.5) {
+                cfg.boundary = Some(rng.gen_range(enc + 1..layers));
+                cfg.replicas_b = 1;
+            }
+            cfg.deferred_exits = rng.gen_bool(0.5);
+            let mode = [PreemptMode::Recompute, PreemptMode::Swap][rng.gen_range(0usize..2)];
+            cfg.kv = rng.gen_bool(0.8).then_some(KvPlan {
+                capacity_tokens: 64,
+                bytes_per_token: model.autoreg().expect("autoreg").kv_bytes_per_token,
+                mode,
+            });
+            let specs: Vec<SequenceSpec> = (0..rng.gen_range(1u64..40))
+                .map(|id| SequenceSpec {
+                    id,
+                    arrival: SimTime::ZERO,
+                    tokens: (0..rng.gen_range(1usize..12))
+                        .map(|_| TokenJourney {
+                            layers_executed: rng.gen_range(1..layers + 1),
+                        })
+                        .collect(),
+                })
+                .collect();
+            let longest = specs.iter().map(|s| s.tokens.len()).max().expect("nonempty");
+            let slowdowns = |rng: &mut StdRng| -> Vec<f64> {
+                (0..rng.gen_range(0usize..4)).map(|_| rng.gen_range(0.5..4.0)).collect()
+            };
+
+            let mut obs = NullObserver;
+            let mut d = Driver::new(&cfg, &specs, &mut obs);
+            // Stage A: a random resident set on replica 0 (at most b0
+            // members in a window, as admission keeps it), with fresh
+            // joiners and debts up to the longest sequence.
+            let cap = match join {
+                JoinPolicy::Continuous => usize::MAX,
+                JoinPolicy::Window { .. } => b0,
+            };
+            for (i, spec) in specs.iter().enumerate() {
+                if rng.gen_bool(0.3) || d.reps[0].resident.len() == cap {
+                    continue;
+                }
+                let state = match rng.gen_range(0usize..6) {
+                    0 => SState::Done,
+                    1 => SState::Blocked { home: Some(0) },
+                    _ => SState::Running { home: 0 },
+                };
+                d.rt[i].state = state;
+                d.reps[0].resident.push(i);
+                d.rt[i].encoded = rng.gen_bool(0.5);
+                d.rt[i].next_token = rng.gen_range(0..spec.tokens.len());
+                if rng.gen_bool(0.3) {
+                    d.rt[i].debt = rng.gen_range(1..longest + 1);
+                }
+            }
+            d.reps[0].carry = SimDuration::from_nanos(rng.gen_range(0u64..2_000_000));
+            d.reps[0].transient = slowdowns(&mut rng);
+            let expected = d.reference_pass_a(0);
+            d.try_start_a(0);
+            let got = d.reps[0].busy.then(|| (d.reps[0].pass.clone(), d.reps[0].pass_cost));
+            prop_assert_eq!(&got, &expected);
+            for &i in &d.reps[0].pass {
+                prop_assert!(d.rt[i].encoded && d.rt[i].debt == 0);
+            }
+
+            // Stage B: one fused batch of at most b0 jobs.
+            if let Some(cut) = cfg.boundary {
+                let size = rng.gen_range(1..b0 + 1);
+                // A buffer targeting `size` hands the whole batch over.
+                d.bbuf = FusionBuffer::new(size);
+                for id in 0..size as u64 {
+                    let job = SimSample {
+                        id,
+                        arrival: SimTime::ZERO,
+                        layers_executed: rng.gen_range(cut..layers + 1),
+                        exited_at_ramp: None,
+                        correct: true,
+                        output_tokens: 1,
+                    };
+                    d.bbuf.push(job, SimTime::ZERO);
+                }
+                d.reps[1].transient = slowdowns(&mut rng);
+                d.try_start_b();
+                prop_assert!(d.reps[1].busy);
+                prop_assert_eq!(d.reps[1].pass_cost, d.reference_cost_b(1));
+            }
+        }
+    }
 
     fn lm() -> LatencyModel {
         LatencyModel::new()

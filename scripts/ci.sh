@@ -61,19 +61,13 @@ test -s /tmp/fig_edge.out
 test -s /tmp/fig_scale.out
 
 # Kernel event-throughput microbenchmark, archived as BENCH_kernel.json.
-# The committed baseline is the regression bar: fail if the windowed
-# kernel section drops more than 30% below it.
-baseline=$(sed -n 's/.*"bench":"kernel".*"events_per_sec":\([0-9]*\).*/\1/p' BENCH_kernel.json | head -n 1)
+# The committed baseline is the regression bar: fail if the windowed or
+# the continuous-batching kernel section drops more than 30% below it.
 ./target/release/bench_kernel | tee /tmp/bench_kernel.out
 grep -q "events_per_sec" /tmp/bench_kernel.out
-current=$(sed -n 's/.*"bench":"kernel".*"events_per_sec":\([0-9]*\).*/\1/p' /tmp/bench_kernel.out | head -n 1)
-if [ -n "$baseline" ] && [ "$baseline" -gt 0 ]; then
-    floor=$((baseline * 7 / 10))
-    if [ "$current" -lt "$floor" ]; then
-        echo "bench_kernel regression: ${current} events/sec < 70% of baseline ${baseline}" >&2
-        exit 1
-    fi
-fi
+for section in kernel kernel_continuous; do
+    scripts/bench_floor.sh "$section" BENCH_kernel.json /tmp/bench_kernel.out
+done
 cp /tmp/bench_kernel.out BENCH_kernel.json
 
 # Optimizer planning-time benchmark (homogeneous sweep plus one cold
