@@ -1,32 +1,158 @@
 //! Figure reports as strings.
 //!
-//! Each function renders one figure's complete stdout — header, table,
-//! takeaway — so the binary in `src/bin/` is a one-line `print!` and the
-//! golden snapshot tests in `tests/golden.rs` can lock the output
-//! byte-for-byte against `golden/*.txt`.
+//! Each function renders one experiment's complete output — header,
+//! tables, takeaways — so the `figures` binary only prints it and
+//! `tests/golden.rs` locks it byte-for-byte against `golden/<name>.txt`.
+//! [`crate::FIGURES`] names them.
 
 use std::fmt::Write as _;
 
-use e3::harness::{build_e3_plan, run_open_loop, HarnessOpts, ModelFamily, SystemKind};
+use e3::harness::{
+    build_e3_plan, run_closed_loop, run_open_loop, HarnessOpts, ModelFamily, SystemKind,
+};
 use e3::{E3Config, E3System};
-use e3_hardware::{ClusterSpec, GpuKind, LatencyModel};
-use e3_model::{zoo, InferenceSim, RampController};
+use e3_hardware::{ClusterSpec, ExitOverheads, GpuKind, LatencyModel, TransferModel};
+use e3_model::{zoo, BatchProfile, EeModel, ExitPolicy, InferenceSim, RampController};
+use e3_optimizer::{
+    min_cost_for_goodput, min_gpus_for_goodput, optimize_homogeneous, optimize_homogeneous_cached,
+    run_ablations, OptimizerConfig, PlanCache, SplitPlan,
+};
 use e3_runtime::autoreg::{materialize_sequences, AutoRegStrategy};
 use e3_runtime::kernel::EventLog;
 use e3_runtime::{
     run_continuous, ContinuousConfig, FaultPlan, JoinPolicy, KernelEvent, KvPlan, PreemptMode,
 };
-use e3_scenarios::ScenarioMatrix;
-use e3_simcore::{SimDuration, SimTime};
+use e3_scenarios::{run_edge_cell, DeadlineTightness, EdgeCell, LinkQuality, ScenarioMatrix};
+use e3_simcore::{SeedSplitter, SimDuration, SimTime};
 use e3_tenancy::{
     ClusterAllocator, DemandProportional, MarginalGoodput, MultiTenantSystem, StaticEven,
     TenancyConfig, TenantSpec,
 };
-use e3_workload::{ArrivalProcess, DatasetModel, Phase, WorkloadGenerator};
+use e3_workload::{ArrivalProcess, BurstyTraceConfig, DatasetModel, Phase, WorkloadGenerator};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use crate::exp::{goodput_sweep_report, Experiment};
 use crate::par::par_map;
-use crate::{takeaway_line, Table, SEED};
+use crate::{takeaway_line, Table, RUN_N, SEED};
+
+/// Mean per-sample compute (model+ramp work only) and end-to-end latency
+/// (including exit-check sync) in ms at batch 1, plus accuracy.
+fn batch1_cost(model: &EeModel, dataset: &DatasetModel, seed: u64) -> (f64, f64, f64) {
+    let policy = zoo::default_policy(model.name());
+    let ctrl = RampController::all_enabled(model.num_ramps(), policy.ramp_style());
+    let infer = InferenceSim::with_accuracy(dataset.base_accuracy);
+    let lm = LatencyModel::new();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = 5000;
+    let mut compute_ms = 0.0;
+    let mut latency_ms = 0.0;
+    let mut correct = 0usize;
+    for _ in 0..n {
+        let h = dataset.sample_hardness(&mut rng);
+        let out = infer.run_sample(model, &policy, &ctrl, h, &mut rng);
+        // Time the exact executed prefix at batch 1, ramps included.
+        let mut c = 0.0;
+        for k in 0..out.layers_executed {
+            let l = model.layers()[k];
+            c += lm
+                .layer_time(l.work_us + l.fixed_us, 1.0, GpuKind::V100)
+                .as_millis_f64();
+        }
+        let mut sync = 0.0;
+        for &ri in &out.ramps_paid {
+            let r = model.ramps()[ri];
+            c += lm
+                .layer_time(r.work_us + r.fixed_us, 1.0, GpuKind::V100)
+                .as_millis_f64();
+            sync += lm.exit.reform_time(1.0).as_millis_f64();
+        }
+        compute_ms += c;
+        latency_ms += c + sync;
+        correct += usize::from(out.correct);
+    }
+    (
+        compute_ms / n as f64,
+        latency_ms / n as f64,
+        correct as f64 / n as f64,
+    )
+}
+
+/// Fig. 2 — early exits bring large compute/latency savings with mild
+/// accuracy loss, including atop distilled models (batch size 1): BERT,
+/// BERT-EE, DistilBERT and DistilBERT-EE on SST-2 and QNLI, accuracy and
+/// average latency normalized to vanilla BERT.
+pub fn fig02_report() -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Figure 2: early-exit savings at batch 1 (normalized to BERT)\n"
+    );
+    for dataset in [DatasetModel::sst2(), DatasetModel::qnli()] {
+        let models = [
+            zoo::bert_base(),
+            zoo::deebert(), // = BERT-EE
+            zoo::distilbert(),
+            zoo::distilbert_ee(),
+        ];
+        let (bert_c, bert_l, _) = batch1_cost(&models[0], &dataset, SEED);
+        let mut t = Table::new(
+            format!(
+                "{} (paper: BERT-EE ~57% latency, <2% acc. loss)",
+                dataset.name()
+            ),
+            &["accuracy %", "compute %", "latency %"],
+        );
+        for m in &models {
+            let (c, l, acc) = batch1_cost(m, &dataset, SEED);
+            t.row_fmt(
+                m.name(),
+                &[acc * 100.0, c / bert_c * 100.0, l / bert_l * 100.0],
+                1,
+            );
+        }
+        out.push_str(&t.render());
+        out.push_str(&takeaway_line("EE variants cut compute sharply with small accuracy loss (exit-check sync claws some latency back); gains persist on DistilBERT"));
+    }
+    out
+}
+
+/// Fig. 3 — samples exit DeeBERT early as a batch passes its ramps,
+/// shrinking the batch and cutting GPU utilization.
+pub fn fig03_report() -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Figure 3: DeeBERT batch shrinkage per ramp (input batch 8)\n"
+    );
+    let model = zoo::deebert();
+    let policy = zoo::default_policy("DeeBERT");
+    let ctrl = RampController::all_enabled(model.num_ramps(), policy.ramp_style());
+    let lm = LatencyModel::new();
+
+    let cols: Vec<String> = (1..=12).map(|r| format!("{r}")).collect();
+    let mut batch_tbl = Table::new("expected batch size at ramp (of 8)", &cols);
+    let mut util_tbl = Table::new("GPU occupancy at ramp (%, V100)", &cols);
+
+    for dataset in [DatasetModel::qnli(), DatasetModel::sst2()] {
+        let infer = InferenceSim::with_accuracy(dataset.base_accuracy);
+        let mut rng = StdRng::seed_from_u64(SeedSplitter::new(SEED).derive(dataset.name()));
+        let hs = dataset.sample_hardnesses(8000, &mut rng);
+        let profile = infer.exit_profile(&model, &policy, &ctrl, &hs, &mut rng);
+        let batches: Vec<f64> = (0..12).map(|k| profile.batch_at(k, 8.0)).collect();
+        let utils: Vec<f64> = batches
+            .iter()
+            .map(|&b| lm.occupancy(b, GpuKind::V100) * 100.0)
+            .collect();
+        batch_tbl.row_fmt(dataset.name(), &batches, 1);
+        util_tbl.row(dataset.name(), &utils);
+    }
+    out.push_str(&batch_tbl.render());
+    out.push('\n');
+    out.push_str(&util_tbl.render());
+    out.push_str(&takeaway_line("~half the batch exits by mid-model, leaving late layers badly underutilized (paper: >25% utilization drop)"));
+    out
+}
 
 /// Fig. 7 — NLP goodput vs batch size on 16 homogeneous V100s:
 /// BERT-BASE vs DeeBERT vs E3.
@@ -58,7 +184,75 @@ pub fn fig07_report() -> String {
         e3_8 / dee_8,
         e3_8 / bert_8
     )));
-    out.push('\n');
+    out
+}
+
+/// Fig. 8 — vision goodput vs batch size on 16 V100s: ResNet50 vs
+/// B-ResNet50 (BranchyNet) vs E3.
+pub fn fig08_report() -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Figure 8: vision goodput (samples/s), 16 x V100, ImageNet-like workload\n"
+    );
+    let (rows, table) = goodput_sweep_report(
+        "goodput vs batch size",
+        &ModelFamily::vision(),
+        &ClusterSpec::paper_homogeneous_v100(),
+        &[1, 2, 4, 8, 16, 32],
+        &DatasetModel::imagenet(),
+        &HarnessOpts::default(),
+        &[
+            (
+                "ResNet50",
+                &[2888.0, 5654.0, 10998.0, 15970.0, 17521.0, 19315.0],
+            ),
+            (
+                "B-ResNet50",
+                &[5096.0, 8556.0, 14066.0, 22476.0, 18458.0, 19897.0],
+            ),
+            ("E3", &[4905.0, 9712.0, 16153.0, 26606.0, 28378.0, 33627.0]),
+        ],
+    );
+    out.push_str(&table);
+    out.push_str(&takeaway_line(&format!(
+        "at b=32: E3/B-ResNet50 = {:.2}x (paper 1.69x); the EE baseline's advantage evaporates at large batches",
+        rows[2].1[5] / rows[1].1[5]
+    )));
+    out
+}
+
+/// Fig. 9 — E3 complements compression: DistilBERT vs DistilBERT-EE vs
+/// E3 (the paper develops DistilBERT-EE in house, §2.2). The paper runs
+/// this on a smaller resource slice than fig. 7; two V100s match the
+/// scale of its reported goodputs.
+pub fn fig09_report() -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Figure 9: compressed-model goodput (samples/s), 2 x V100\n"
+    );
+    let (rows, table) = goodput_sweep_report(
+        "goodput vs batch size",
+        &ModelFamily::compressed(),
+        &ClusterSpec::homogeneous(GpuKind::V100, 2, 2),
+        &[1, 2, 4, 8, 16, 32],
+        &DatasetModel::sst2(),
+        &HarnessOpts::default(),
+        &[
+            ("DistilBERT", &[405.0, 561.0, 708.0, 791.0, 867.0, 917.0]),
+            (
+                "DistilBERT-EE",
+                &[446.0, 651.0, 813.0, 889.0, 1111.0, 918.0],
+            ),
+            ("E3", &[481.0, 733.0, 1021.0, 1243.0, 1426.0, 1530.0]),
+        ],
+    );
+    out.push_str(&table);
+    out.push_str(&takeaway_line(&format!(
+        "at b=32: E3/DistilBERT = {:.2}x (paper 1.67x) — exits and distillation compose",
+        rows[2].1[5] / rows[0].1[5]
+    )));
     out
 }
 
@@ -96,8 +290,7 @@ pub fn fig24_report() -> String {
     );
     let slos = [25u64, 50, 100, 250, 500, 1000];
     let cols: Vec<String> = slos.iter().map(|s| format!("{s}ms")).collect();
-    let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-    let mut t = Table::new("goodput at the SLO-feasible batch size", &col_refs);
+    let mut t = Table::new("goodput at the SLO-feasible batch size", &cols);
     let batches: Vec<usize> = slos.iter().map(|&s| max_batch_for_slo(&exp, s)).collect();
     t.row_str(
         "max feasible batch",
@@ -118,7 +311,654 @@ pub fn fig24_report() -> String {
     out.push_str(&takeaway_line(
         "tight SLOs force small batches where DeeBERT is competitive; looser SLOs unlock batching and E3 pulls ahead (paper: up to +63% over DeeBERT)",
     ));
+    out
+}
+
+/// Fig. 16 — workload adaptability: the easy:hard mix switches
+/// 80:20 → 50:50 → 20:80 while the systems run; E3's online profiler and
+/// optimizer re-plan each window.
+pub fn fig16_report() -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Figure 16: adaptability to easy:hard mix shifts (16 x V100, b=8)\n"
+    );
+    let family = ModelFamily::nlp();
+    let cluster = ClusterSpec::paper_homogeneous_v100();
+    let mixes = [0.8, 0.5, 0.2];
+
+    let mut t = Table::new(
+        "goodput per workload mix (batch 8)",
+        &["80E/20H", "50E/50H", "20E/80H"],
+    );
+    for (name, kind) in [
+        ("BERT-BASE", SystemKind::Vanilla),
+        ("DeeBERT", SystemKind::NaiveEe),
+    ] {
+        let gs: Vec<f64> = mixes
+            .iter()
+            .map(|&easy| {
+                Experiment::new(
+                    family.clone(),
+                    cluster.clone(),
+                    DatasetModel::with_mix(easy),
+                )
+                .goodput(kind, 8)
+            })
+            .collect();
+        t.row(name, &gs);
+    }
+
+    // E3 runs its real control loop: three windows per phase, switching
+    // phases mid-run; report the settled (last) window of each phase.
+    let sys = E3System::new(
+        family.ee.clone(),
+        family.policy,
+        cluster,
+        E3Config {
+            seed: SEED,
+            requests_per_window: RUN_N / 2,
+            ..Default::default()
+        },
+    );
+    let phases: Vec<DatasetModel> = mixes
+        .iter()
+        .flat_map(|&easy| vec![DatasetModel::with_mix(easy); 3])
+        .collect();
+    let report = sys.run_windows(&phases);
+    let e3: Vec<f64> = (0..3)
+        .map(|p| report.windows[p * 3 + 2].run.goodput())
+        .collect();
+    t.row("E3 (adapted)", &e3);
+    t.row("paper:BERT-BASE", &[6484.0, 6484.0, 6484.0]);
+    t.row("paper:DeeBERT", &[6736.0, 4718.0, 4737.0]);
+    t.row("paper:E3", &[9071.0, 6655.0, 4963.0]);
+    out.push_str(&t.render());
+    out.push_str(&takeaway_line(
+        "E3 behaves like an EE system on easy mixes and converges toward the stock model as the workload hardens",
+    ));
+    let _ = writeln!(
+        out,
+        "per-window E3 goodput across the phase switches: {:?}",
+        report
+            .windows
+            .iter()
+            .map(|w| w.run.goodput().round())
+            .collect::<Vec<_>>()
+    );
+    let _ = writeln!(
+        out,
+        "per-window prediction drift:                     {:?}",
+        report
+            .windows
+            .iter()
+            .map(|w| (w.drift * 1000.0).round() / 1000.0)
+            .collect::<Vec<_>>()
+    );
+    out
+}
+
+/// Fig. 17 — latency quartiles (min / p25 / median / p75 / max) under
+/// SLO, homogeneous and heterogeneous clusters, 50:50 mix, batch 8.
+/// E3's counter-intuitive result: despite split execution, it attains
+/// the lowest min/median/quartiles — only hard inputs pay the full path,
+/// which lands in the tail.
+pub fn fig17_report() -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Figure 17: latency distribution (ms), 50E/50H mix, batch 8\n"
+    );
+    for (cluster_name, cluster) in [
+        (
+            "homogeneous (16 V100)",
+            ClusterSpec::paper_homogeneous_v100(),
+        ),
+        (
+            "heterogeneous (6 V100 + 8 P100 + 15 K80)",
+            ClusterSpec::paper_heterogeneous(),
+        ),
+    ] {
+        let exp = Experiment::new(ModelFamily::nlp(), cluster, DatasetModel::with_mix(0.5));
+        let mut t = Table::new(cluster_name, &["min", "p25", "median", "p75", "max"]);
+        for (name, kind) in exp.systems() {
+            let s = exp.run(kind, 8).latency_summary_ms();
+            t.row_fmt(name, &[s.min, s.p25, s.median, s.p75, s.max], 1);
+        }
+        out.push_str(&t.render());
+        out.push('\n');
+    }
+    out.push_str(&takeaway_line(
+        "E3 has the lowest min/quartiles/median (easy inputs exit early); its max stays within the SLO",
+    ));
+    out
+}
+
+/// Fig. 18 — generality to other EE architectures: PABEE (BERT-LARGE
+/// with patience-counter ramps, a *dependent* ramp style) under E3.
+pub fn fig18_report() -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Figure 18: PABEE (patience-based exits on BERT-LARGE), 16 x V100\n"
+    );
+    let (rows, table) = goodput_sweep_report(
+        "goodput vs batch size",
+        &ModelFamily::pabee(),
+        &ClusterSpec::paper_homogeneous_v100(),
+        &[1, 2, 4, 8],
+        &DatasetModel::sst2(),
+        &HarnessOpts::default(),
+        &[
+            ("BERT-LARGE", &[796.0, 1542.0, 1908.0, 2106.0]),
+            ("PABEE", &[973.0, 1632.0, 1764.0, 1717.0]),
+            ("E3", &[985.0, 1904.0, 2373.0, 2666.0]),
+        ],
+    );
+    out.push_str(&table);
+    out.push_str(&takeaway_line(&format!(
+        "a counter-based (dependent-ramp) architecture: E3/PABEE at b=8 = {:.2}x (paper 1.55x)",
+        rows[2].1[3] / rows[1].1[3]
+    )));
+    out
+}
+
+/// Fig. 19 — extremely bursty open-loop workload: Twitter-like arrivals
+/// scaled to a 1,000 req/s mean, GPU utilization under 50%.
+pub fn fig19_report() -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Figure 19: bursty open-loop serving (Twitter-like trace, 1000 req/s mean)\n"
+    );
+    // Few GPUs so the mean load is substantial but bursts overwhelm.
+    let exp = Experiment::new(
+        ModelFamily::nlp(),
+        ClusterSpec::homogeneous(GpuKind::V100, 4, 2),
+        DatasetModel::sst2(),
+    );
+    let generator = WorkloadGenerator::new(
+        ArrivalProcess::Bursty(BurstyTraceConfig::twitter_like(1000.0)),
+        exp.dataset.clone(),
+        SimDuration::from_secs(120),
+    );
+
+    let mut t = Table::new(
+        "open-loop serving, batch 8",
+        &["goodput/s", "drop %", "mean util %"],
+    );
+    let mut results = Vec::new();
+    for (name, kind) in [
+        ("BERT-BASE", SystemKind::Vanilla),
+        ("DeeBERT", SystemKind::NaiveEe),
+        ("E3", SystemKind::E3),
+    ] {
+        let r = exp.run_open(kind, 8, &generator);
+        t.row_fmt(
+            name,
+            &[
+                r.goodput(),
+                r.drop_rate() * 100.0,
+                r.mean_effective_utilization() * 100.0,
+            ],
+            1,
+        );
+        results.push(r.goodput());
+    }
+    out.push_str(&t.render());
+    out.push_str(&takeaway_line(&format!(
+        "bursts + idle gaps limit batching: E3 still leads ({:+.0}% over DeeBERT, {:+.0}% over BERT; paper: +29% / +16%)",
+        (results[2] / results[1] - 1.0) * 100.0,
+        (results[2] / results[0] - 1.0) * 100.0
+    )));
+    out
+}
+
+/// Fig. 20 (table) — optimizer overhead: time for one full optimization
+/// pass per model, homogeneous vs heterogeneous. The paper's Python
+/// implementation takes 0.87–3.63 s; the shape that must hold is
+/// heterogeneous > homogeneous and cost growing with layer count. This
+/// report is the paper's reference table; the measured times are
+/// [`fig20_wall_clock`], and `bench_optimizer` times planning with
+/// repetitions into `BENCH_optimizer.json`.
+pub fn fig20_report() -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Figure 20: optimizer overhead (ms per full pass; paper reports seconds on Python)\n"
+    );
+    let mut t = Table::new(
+        "paper: optimizer wall time (s, Python)",
+        &["homogeneous", "heterogeneous"],
+    );
+    t.row_fmt("paper:ResNet50 (s)", &[1.13, 2.62], 2);
+    t.row_fmt("paper:BERT-BASE (s)", &[0.87, 2.09], 2);
+    t.row_fmt("paper:BERT-LARGE (s)", &[1.53, 3.63], 2);
+    out.push_str(&t.render());
+    out
+}
+
+/// Wall-clock half of fig. 20: mean host time of five full optimization
+/// passes per model and cluster.
+pub fn fig20_wall_clock() -> String {
+    use e3_optimizer::auto::plan_for_cluster;
+    use std::time::Instant;
+
+    let lm = LatencyModel::new();
+    let tm = TransferModel::default();
+    let cfg = OptimizerConfig::default();
+    let homo = ClusterSpec::paper_homogeneous_v100();
+    let hetero = ClusterSpec::paper_heterogeneous();
+    let infer = InferenceSim::new();
+
+    let mut t = Table::new(
+        "optimizer wall time (ms)",
+        &["homogeneous", "heterogeneous"],
+    );
+    for (label, model) in [
+        ("ResNet50", zoo::branchy_resnet50()),
+        ("BERT-BASE", zoo::deebert()),
+        ("BERT-LARGE", zoo::pabee()),
+    ] {
+        let policy = zoo::default_policy(model.name());
+        let ctrl = RampController::all_enabled(model.num_ramps(), policy.ramp_style());
+        let mut rng = StdRng::seed_from_u64(SeedSplitter::new(SEED).derive(label));
+        let hs = DatasetModel::sst2().sample_hardnesses(3000, &mut rng);
+        let profile = infer.exit_profile(&model, &policy, &ctrl, &hs, &mut rng);
+        let mut times = Vec::new();
+        for cluster in [&homo, &hetero] {
+            let reps = 5;
+            let start = Instant::now();
+            for _ in 0..reps {
+                let plan = plan_for_cluster(&model, &ctrl, &profile, cluster, 8.0, &tm, &lm, &cfg);
+                std::hint::black_box(plan);
+            }
+            times.push(start.elapsed().as_secs_f64() * 1000.0 / f64::from(reps));
+        }
+        t.row_fmt(label, &times, 2);
+    }
+    let mut out = t.render();
+    out.push_str(&takeaway_line(
+        "the optimizer is lightweight (well under the 2-minute window); heterogeneity costs extra, larger models cost more",
+    ));
+    out
+}
+
+/// Fig. 21 — the online batch-profile estimation closely matches
+/// reality: predicted vs actual batch size at two cut points over 10
+/// scheduling windows (input batch 8).
+pub fn fig21_report() -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Figure 21: predicted vs actual batch size at two model cut points (b=8)\n"
+    );
+    let sys = E3System::new(
+        zoo::deebert(),
+        zoo::default_policy("DeeBERT"),
+        ClusterSpec::paper_homogeneous_v100(),
+        E3Config {
+            seed: SEED,
+            requests_per_window: 8000,
+            ..Default::default()
+        },
+    );
+    // A mildly drifting workload: the mix eases over time, so there is a
+    // real signal to track.
+    let phases: Vec<DatasetModel> = (0..12)
+        .map(|w| DatasetModel::with_mix(0.6 + 0.02 * w as f64))
+        .collect();
+    let report = sys.run_windows(&phases);
+
+    // Cut points at one-third and two-thirds of the model.
+    for cut in [4usize, 8] {
+        let cols: Vec<String> = (1..=10).map(|w| format!("w{w}")).collect();
+        let mut t = Table::new(format!("batch size at layer {cut} (of input 8)"), &cols);
+        // Skip the two warm-up windows (cold start predicts no exits).
+        let series = report.profile_series(cut);
+        let predicted: Vec<f64> = series[2..12].iter().map(|(p, _)| p * 8.0).collect();
+        let actual: Vec<f64> = series[2..12]
+            .iter()
+            .map(|(_, o)| o.map_or(f64::NAN, |v| v * 8.0))
+            .collect();
+        t.row_fmt("predicted", &predicted, 2);
+        t.row_fmt("actual", &actual, 2);
+        out.push_str(&t.render());
+        let mape = e3_simcore::stats::mape(&predicted, &actual);
+        let _ = writeln!(
+            out,
+            "  mean absolute percentage error: {:.1}%\n",
+            mape * 100.0
+        );
+    }
+    out.push_str(&takeaway_line(
+        "after the two-window warm-up, predictions track reality closely (paper: close match)",
+    ));
+    out
+}
+
+/// Fig. 22 — misprediction sensitivity: goodput lost as the batch
+/// profile the optimizer plans with is deliberately wrong by 0–100%.
+/// Errors cost only magnitude, never correctness (§3.1): an error of
+/// `e` makes the planner assume `(1-e)` of the true shrinkage. A second
+/// section runs a live misprediction *burst* through the windowed
+/// control loop with the drift watchdog armed, and reports the guard's
+/// decisions next to the goodput delta it buys.
+pub fn fig22_report() -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Figure 22: goodput under profile misprediction (16 x V100, SST-2-like)\n"
+    );
+    let mut exp = Experiment::new(
+        ModelFamily::nlp(),
+        ClusterSpec::paper_homogeneous_v100(),
+        DatasetModel::sst2(),
+    );
+    // Negative error = the planner assumes MORE shrinkage than reality
+    // (late stages under-provisioned); positive = less (conservative).
+    let errors = [-1.0, -0.5, -0.2, 0.0, 0.2, 0.5, 1.0];
+    let cols: Vec<String> = errors
+        .iter()
+        .map(|e: &f64| format!("{:+.0}%", e * 100.0))
+        .collect();
+    let mut t = Table::new("E3 goodput vs prediction error", &cols);
+    for batch in [8usize, 16] {
+        let gs: Vec<f64> = errors
+            .iter()
+            .map(|&e| {
+                exp.opts.profile_error = e;
+                exp.goodput(SystemKind::E3, batch)
+            })
+            .collect();
+        t.row(format!("input batch = {batch}"), &gs);
+    }
+    out.push_str(&t.render());
+    out.push_str(&takeaway_line(
+        "mild conservative errors cost little (paper: 4-8% at 20% error). The worst case is a mildly optimistic profile that commits to an under-provisioned multi-split plan; wildly wrong profiles degenerate to the robust single-split plan, and the control loop repairs either within a window",
+    ));
+
+    // Live mispredictions through the control loop: a full-severity
+    // oscillating regime makes the lagged forecast persistently wrong;
+    // the drift watchdog confirms the change and the canary guard keeps
+    // stale plans off the traffic.
+    let (_, naive) = reconfig_goodput(1.0, false);
+    let (_, guarded) = reconfig_goodput(1.0, true);
+    let mut t = Table::new(
+        "misprediction burst through the control loop (8 flip windows)",
+        &["naive", "guarded"],
+    );
+    t.row("goodput (samples/s)", &[naive.goodput(), guarded.goodput()]);
+    t.row_fmt("mean drift", &[naive.mean_drift(), guarded.mean_drift()], 3);
+    out.push_str(&t.render());
+    let trigger = guarded
+        .first_trigger_window()
+        .map_or_else(|| "never".to_string(), |w| format!("window {w}"));
+    out.push_str(&takeaway_line(&format!(
+        "watchdog triggered at {trigger}, held safe mode for {} windows, rolled back {} stale plan(s), promoted {}: {:+.0}% goodput over naive re-planning",
+        guarded.safe_mode_windows(),
+        guarded.rollback_count(),
+        guarded.promotion_count(),
+        100.0 * (guarded.goodput() / naive.goodput() - 1.0),
+    )));
+    out
+}
+
+/// Fig. 23 — impact of error tolerance: sweeping DeeBERT's exit-entropy
+/// threshold over {0.3, 0.4, 0.5}. Looser tolerance → earlier exits →
+/// more E3 headroom (and more accuracy loss).
+pub fn fig23_report() -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Figure 23: goodput vs exit-entropy tolerance (16 x V100, b in {{1,2,4,8}})\n"
+    );
+    let cluster = ClusterSpec::paper_homogeneous_v100();
+    let ds = DatasetModel::sst2();
+    let opts = HarnessOpts::default();
+    let batches = [1usize, 2, 4, 8];
+    for entropy in [0.3, 0.4, 0.5] {
+        let mut family = ModelFamily::nlp();
+        family.policy = ExitPolicy::Entropy { threshold: entropy };
+        let cols: Vec<String> = batches.iter().map(|b| format!("b={b}")).collect();
+        let mut t = Table::new(format!("entropy threshold {entropy}"), &cols);
+        let mut acc_row = Vec::new();
+        for (name, kind) in [
+            ("BERT-BASE", SystemKind::Vanilla),
+            ("DeeBERT", SystemKind::NaiveEe),
+            ("E3", SystemKind::E3),
+        ] {
+            let mut gs = Vec::new();
+            for &b in &batches {
+                let r = run_closed_loop(kind, &family, &cluster, b, &ds, RUN_N, &opts, SEED);
+                if kind == SystemKind::E3 {
+                    acc_row.push(r.accuracy() * 100.0);
+                }
+                gs.push(r.goodput());
+            }
+            t.row(name, &gs);
+        }
+        t.row_fmt("E3 accuracy %", &acc_row, 1);
+        out.push_str(&t.render());
+        out.push('\n');
+    }
+    out.push_str(&takeaway_line(
+        "higher tolerated entropy shifts exits earlier: E3's goodput grows (paper: up to +43% over DeeBERT at 0.5) while accuracy dips",
+    ));
+    out
+}
+
+/// Fig. 25 — relaxing E3's assumptions: granting E3 the exit-wrapper
+/// (§3.4) lets it disable ramps that are not useful, avoiding their
+/// checking overheads (paper: 7–16% goodput improvement).
+pub fn fig25_report() -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Figure 25: goodput improvement from the exit-wrapper (16 x V100)\n"
+    );
+    let family = ModelFamily::nlp();
+    let cluster = ClusterSpec::paper_homogeneous_v100();
+    let ds = DatasetModel::sst2();
+    let batches = [1usize, 2, 4, 8];
+    let cols: Vec<String> = batches.iter().map(|b| format!("b={b}")).collect();
+    let mut t = Table::new("E3 goodput with and without the wrapper", &cols);
+    let run = |wrapper: bool, b: usize| {
+        run_closed_loop(
+            SystemKind::E3,
+            &family,
+            &cluster,
+            b,
+            &ds,
+            RUN_N,
+            &HarnessOpts {
+                use_wrapper: wrapper,
+                ..Default::default()
+            },
+            SEED,
+        )
+        .goodput()
+    };
+    let without: Vec<f64> = batches.iter().map(|&b| run(false, b)).collect();
+    let with: Vec<f64> = batches.iter().map(|&b| run(true, b)).collect();
+    let gain: Vec<f64> = with
+        .iter()
+        .zip(&without)
+        .map(|(w, o)| (w / o - 1.0) * 100.0)
+        .collect();
+    t.row("wrapper off", &without);
+    t.row("wrapper on", &with);
+    t.row_fmt("improvement %", &gain, 1);
+    t.row_fmt("paper improvement %", &[6.99, 10.87, 13.99, 16.0], 2);
+    out.push_str(&t.render());
+    out.push_str(&takeaway_line(
+        "disabling not-useful ramps saves checking overhead; gains grow with batch size",
+    ));
+    out
+}
+
+/// Fig. 26 — impact of model parallelism: with it OFF, E3's splits run
+/// serially on the same data-parallel GPUs (eq. 1); with it ON, splits
+/// pipeline across GPUs (§3.2.1–2).
+pub fn fig26_report() -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "Figure 26: model parallelism ON vs OFF (16 x V100)\n");
+    let mut exp = Experiment::new(
+        ModelFamily::nlp(),
+        ClusterSpec::paper_homogeneous_v100(),
+        DatasetModel::sst2(),
+    );
+    let batches = [2usize, 4, 8];
+    let cols: Vec<String> = batches.iter().map(|b| format!("b={b}")).collect();
+    let mut t = Table::new("goodput by mode", &cols);
+
+    for (label, pipelining) in [("MP OFF", false), ("MP ON", true)] {
+        exp.opts.pipelining = pipelining;
+        for (name, kind) in exp.systems() {
+            let gs: Vec<f64> = batches.iter().map(|&b| exp.goodput(kind, b)).collect();
+            t.row(format!("{label:6} {name}"), &gs);
+        }
+    }
+    t.row("paper E3 (MP OFF)", &[3230.0, 3504.0, 6593.0]);
+    t.row("paper E3 (MP ON)", &[6821.0, 7550.0, 8147.0]);
+    out.push_str(&t.render());
+    out.push_str(&takeaway_line(
+        "baselines are unaffected by the knob; E3 needs cross-GPU split execution to realize its full gains",
+    ));
+    out
+}
+
+/// The stock/EE pair and default exit policy of one §6 EE architecture.
+fn architecture_family(name: &str) -> ModelFamily {
+    let (stock, ee) = match name {
+        "DeeBERT" => (zoo::bert_base(), zoo::deebert()),
+        "FastBERT" => (zoo::bert_base(), zoo::fastbert()),
+        "BERxiT" => (zoo::bert_base(), zoo::berxit()),
+        "ELBERT" => (zoo::albert(), zoo::elbert()),
+        "PABEE" => (zoo::bert_large(), zoo::pabee()),
+        other => panic!("unknown architecture {other}"),
+    };
+    ModelFamily {
+        stock,
+        policy: zoo::default_policy(ee.name()),
+        ee,
+        overheads: ExitOverheads::default(),
+    }
+}
+
+/// Extension of §5.6: E3 across *five* EE architectures with genuinely
+/// different exit dynamics — entropy (DeeBERT), self-distilled
+/// confidence (FastBERT), learned gates (BERxiT), confidence-window
+/// voting (ELBERT), and patience counters (PABEE). The paper shows one
+/// extra architecture (PABEE, fig. 18); this sweeps the whole taxonomy
+/// of its §6 to stress E3's black-box claim: only batch sizes at ramps
+/// matter.
+pub fn generality_policies_report() -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Generality: E3 across five EE architectures (16 x V100, SST-2-like, b=8)\n"
+    );
+    let cluster = ClusterSpec::paper_homogeneous_v100();
+    let ds = DatasetModel::sst2();
+    let opts = HarnessOpts::default();
+    let mut t = Table::new(
+        "goodput by architecture (batch 8)",
+        &["stock", "naive EE", "E3", "E3/naive"],
+    );
+    let mut worst = f64::INFINITY;
+    for name in ["DeeBERT", "FastBERT", "BERxiT", "ELBERT", "PABEE"] {
+        let fam = architecture_family(name);
+        let goodput =
+            |kind| run_closed_loop(kind, &fam, &cluster, 8, &ds, RUN_N, &opts, SEED).goodput();
+        let stock = goodput(SystemKind::Vanilla);
+        let naive = goodput(SystemKind::NaiveEe);
+        let e3 = goodput(SystemKind::E3);
+        worst = worst.min(e3 / naive);
+        t.row_fmt(name, &[stock, naive, e3, e3 / naive], 2);
+    }
+    out.push_str(&t.render());
+    out.push_str(&takeaway_line(&format!(
+        "E3 never inspects the exit rule, yet wins on every architecture (worst case {worst:.2}x over naive EE)"
+    )));
+    out
+}
+
+/// Optimizer design-choice ablations (the studies DESIGN.md commits to):
+/// pipelined vs serial objective, surviving-batch transfer accounting,
+/// the stage realization penalty, and the fusion-wait policy — each
+/// evaluated by predicted *and* realized goodput.
+pub fn ablations_report() -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Optimizer design-choice ablations (DeeBERT, 16 x V100, b=8)\n"
+    );
+    let model = zoo::deebert();
+    let policy = zoo::default_policy("DeeBERT");
+    let ctrl = RampController::all_enabled(model.num_ramps(), policy.ramp_style());
+    let infer = InferenceSim::new();
+    let mut rng = StdRng::seed_from_u64(SeedSplitter::new(SEED).derive("ablation"));
+    let hs = DatasetModel::sst2().sample_hardnesses(5000, &mut rng);
+    let profile = infer.exit_profile(&model, &policy, &ctrl, &hs, &mut rng);
+
+    let mut t = Table::new(
+        "predicted goodput, design choice vs alternative",
+        &["with", "without", "gain"],
+    );
+    let results = run_ablations(
+        &model,
+        &ctrl,
+        &profile,
+        GpuKind::V100,
+        16,
+        8.0,
+        &LatencyModel::new(),
+        &OptimizerConfig::default(),
+    );
+    for r in &results {
+        t.row_fmt(
+            r.name,
+            &[r.with_choice.goodput, r.without_choice.goodput, r.gain()],
+            2,
+        );
+    }
+    out.push_str(&t.render());
     out.push('\n');
+
+    // Realized ablation: the stage realization penalty, measured in the
+    // actual serving simulator rather than by the DP's own estimate.
+    let family = ModelFamily::nlp();
+    let cluster = ClusterSpec::paper_homogeneous_v100();
+    let ds = DatasetModel::sst2();
+    let mut t2 = Table::new(
+        "realized goodput: stage penalty on vs off (per seed)",
+        &["penalty on", "penalty off", "splits on/off"],
+    );
+    let on_opts = HarnessOpts::default();
+    let off_opts = HarnessOpts {
+        stage_overhead_frac: 0.0,
+        ..Default::default()
+    };
+    for seed in [SEED, SEED + 1, SEED + 2] {
+        let goodput = |opts| {
+            run_closed_loop(SystemKind::E3, &family, &cluster, 8, &ds, RUN_N, opts, seed).goodput()
+        };
+        let on = goodput(&on_opts);
+        let off = goodput(&off_opts);
+        let plan_on = build_e3_plan(&family, &cluster, 8, &ds, &on_opts, seed);
+        let plan_off = build_e3_plan(&family, &cluster, 8, &ds, &off_opts, seed);
+        t2.row_str(
+            format!("seed {seed}"),
+            &[
+                format!("{on:.0}"),
+                format!("{off:.0}"),
+                format!("{}/{}", plan_on.num_splits(), plan_off.num_splits()),
+            ],
+        );
+    }
+    out.push_str(&t2.render());
+    out.push_str(&takeaway_line("pipelining is the load-bearing choice; transfer realism decides whether splits happen at all"));
     out
 }
 
@@ -147,8 +987,7 @@ pub fn fig_degradation_report() -> String {
     // the queue; goodput degrades roughly with lost capacity, not to zero.
     let crash_counts = [0usize, 1, 2, 4];
     let cols: Vec<String> = crash_counts.iter().map(|c| format!("{c} crash")).collect();
-    let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-    let mut t = Table::new("crash sweep (NaiveEe, b=8)", &col_refs);
+    let mut t = Table::new("crash sweep (NaiveEe, b=8)", &cols);
     let mut goodputs = Vec::new();
     let mut avail = Vec::new();
     let mut violations = Vec::new();
@@ -176,7 +1015,6 @@ pub fn fig_degradation_report() -> String {
         "4 of 8 replicas lost keeps {:.0}% of fault-free goodput: survivors absorb the queue",
         100.0 * goodputs[3] / goodputs[0]
     )));
-    out.push('\n');
 
     // Sweep 2: one replica slowed for the rest of the run — straggler
     // detection vs none, under open-loop arrivals at ~70% of fault-free
@@ -186,10 +1024,9 @@ pub fn fig_degradation_report() -> String {
     // excludes it after warmup and the seven survivors have headroom.
     let factors = [1.5f64, 2.5, 4.0, 8.0];
     let cols: Vec<String> = factors.iter().map(|f| format!("{f}x")).collect();
-    let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
     let mut t = Table::new(
         "slowdown sweep (NaiveEe, b=8, open loop 2000 req/s, replica 0 slowed)",
-        &col_refs,
+        &cols,
     );
     let family = ModelFamily::nlp();
     let cluster = ClusterSpec::homogeneous(GpuKind::V100, 8, 2);
@@ -239,7 +1076,6 @@ pub fn fig_degradation_report() -> String {
         rel[2] / no[2],
         rel[3] / no[3]
     )));
-    out.push('\n');
     out
 }
 
@@ -296,7 +1132,6 @@ pub fn fig_reconfig_report() -> String {
     );
     let severities = [0.0f64, 0.25, 0.5, 0.75, 1.0];
     let cols: Vec<String> = severities.iter().map(|s| format!("sev={s:.2}")).collect();
-    let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
 
     // Each severity point is two full control-loop runs (naive and
     // guarded), independent of its neighbours — parallel, index-merged.
@@ -325,14 +1160,14 @@ pub fn fig_reconfig_report() -> String {
         );
     }
 
-    let mut t = Table::new("goodput over an 8-window burst (samples/s)", &col_refs);
+    let mut t = Table::new("goodput over an 8-window burst (samples/s)", &cols);
     t.row("naive instant swap", &naive);
     t.row("guarded (watchdog+canary)", &guarded);
     t.row_fmt("guarded / naive", &ratio, 2);
     out.push_str(&t.render());
     out.push('\n');
 
-    let mut t = Table::new("watchdog decisions (guarded run)", &col_refs);
+    let mut t = Table::new("watchdog decisions (guarded run)", &cols);
     t.row_str("trigger window", &triggers);
     t.row("safe-mode windows", &safe_windows);
     t.row("rollbacks", &rollbacks);
@@ -344,7 +1179,6 @@ pub fn fig_reconfig_report() -> String {
         "guarding costs {:.0}% when forecasts are fine (the canary's insurance premium at sev 0) and wins up to {best:.2}x under severe bursts: rollbacks keep stale plans off the traffic, and confirmed drift flips planning to the conservative safe-mode profile",
         100.0 * (1.0 - ratio[0]),
     )));
-    out.push('\n');
     out
 }
 
@@ -463,7 +1297,6 @@ pub fn fig_multitenant_report() -> String {
         if floor_ok { "clears" } else { "MISSES" },
         cfg.slo_floor * 100.0,
     )));
-    out.push('\n');
     out
 }
 
@@ -489,8 +1322,7 @@ pub fn fig13_report() -> String {
     );
     let batches = [1usize, 2, 4, 8];
     let cols: Vec<String> = batches.iter().map(|b| format!("b={b}")).collect();
-    let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-    let mut t = Table::new("goodput vs batch size (fixed cost)", &col_refs);
+    let mut t = Table::new("goodput vs batch size (fixed cost)", &cols);
     let mut results = Vec::new();
     for (name, kind) in homo.systems() {
         let gs: Vec<f64> = batches
@@ -508,35 +1340,29 @@ pub fn fig13_report() -> String {
         "with heterogeneity available E3 leads at every batch size (b=8: {:.2}x over BERT; paper 1.67x)",
         results[2][3] / results[0][3]
     )));
-    out.push('\n');
     out
 }
 
-/// Fig. 15 — dollar cost per minute to sustain 6,000 samples/s on the
-/// heterogeneous pool (E3 picks the cheapest GPU mix).
-pub fn fig15_report() -> String {
-    use e3_hardware::TransferModel;
-    use e3_model::BatchProfile;
-    use e3_optimizer::{
-        min_cost_for_goodput, min_gpus_for_goodput, optimize_homogeneous, OptimizerConfig,
-    };
-    use e3_simcore::SeedSplitter;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+/// Batch sizes of the fixed-goodput figures (14 and 15).
+const FIXED_GOODPUT_BATCHES: [usize; 4] = [1, 2, 4, 8];
 
-    const TARGET: f64 = 6000.0;
-    // A generous heterogeneous pool to allocate from.
-    let pool = std::collections::BTreeMap::from([
-        (GpuKind::V100, 48),
-        (GpuKind::P100, 48),
-        (GpuKind::K80, 64),
-    ]);
+/// What figs. 14 and 15 share: NLP on SST-2, the EE profile measured
+/// under the figure's derived seed, and per batch size the V100s that
+/// BERT-BASE and naively served DeeBERT need to sustain the target.
+struct FixedGoodput {
+    family: ModelFamily,
+    ee_ctrl: RampController,
+    profile: BatchProfile,
+    tm: TransferModel,
+    lm: LatencyModel,
+    cfg: OptimizerConfig,
+    /// BERT-BASE V100 count per batch size (NaN when 64 do not suffice).
+    bert: Vec<f64>,
+    /// DeeBERT V100 count per batch size.
+    dee: Vec<f64>,
+}
 
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Figure 15: $/min to sustain {TARGET} samples/s (heterogeneous pool)\n"
-    );
+fn fixed_goodput(label: &str, target: f64) -> FixedGoodput {
     let family = ModelFamily::nlp();
     let ds = DatasetModel::sst2();
     let infer = InferenceSim::with_accuracy(ds.base_accuracy);
@@ -545,19 +1371,13 @@ pub fn fig15_report() -> String {
     let cfg = OptimizerConfig::default();
     let ee_ctrl = RampController::all_enabled(family.ee.num_ramps(), family.policy.ramp_style());
     let stock_ctrl = RampController::all_enabled(0, family.policy.ramp_style());
-    let mut rng = StdRng::seed_from_u64(SeedSplitter::new(SEED).derive("fig15"));
+    let mut rng = StdRng::seed_from_u64(SeedSplitter::new(SEED).derive(label));
     let hs = ds.sample_hardnesses(5000, &mut rng);
     let profile = infer.exit_profile(&family.ee, &family.policy, &ee_ctrl, &hs, &mut rng);
     let flat = BatchProfile::no_exits(family.stock.num_layers());
 
-    let batches = [1usize, 2, 4, 8];
-    let cols: Vec<String> = batches.iter().map(|b| format!("b={b}")).collect();
-    let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-    let mut t = Table::new("cost ($/min) for fixed goodput", &col_refs);
-
-    // Baselines buy homogeneous V100s (the paper notes non-EE models are
-    // always best on the most capable GPUs).
-    let bert: Vec<f64> = batches
+    // BERT-BASE: stock model, flat profile.
+    let bert = FIXED_GOODPUT_BATCHES
         .iter()
         .map(|&b| {
             min_gpus_for_goodput(
@@ -567,21 +1387,21 @@ pub fn fig15_report() -> String {
                 GpuKind::V100,
                 64,
                 b as f64,
-                TARGET,
+                target,
                 &tm,
                 &lm,
                 &cfg,
             )
-            .map_or(f64::NAN, |(n, _)| {
-                n as f64 * GpuKind::V100.cost_per_sec() * 60.0
-            })
+            .map_or(f64::NAN, |(n, _)| n as f64)
         })
         .collect();
-    let dee: Vec<f64> = batches
+    // DeeBERT: served naively — data-parallel with shrinkage; its per-GPU
+    // goodput is the serial single-split rate with in-place exits, scaled
+    // ~0.8 for per-ramp sync overheads not in the optimizer's
+    // deferred-exit model.
+    let dee = FIXED_GOODPUT_BATCHES
         .iter()
         .map(|&b| {
-            // Naive EE on its per-GPU best kind, scaled ~0.8 for per-ramp
-            // sync overheads not in the optimizer's deferred-exit model.
             let per_gpu = optimize_homogeneous(
                 &family.ee,
                 &ee_ctrl,
@@ -597,22 +1417,118 @@ pub fn fig15_report() -> String {
                     ..cfg
                 },
             )
-            .goodput
-                * 0.8;
-            (TARGET / per_gpu).ceil() * GpuKind::V100.cost_per_sec() * 60.0
+            .goodput;
+            (target / (per_gpu * 0.8)).ceil()
         })
         .collect();
-    let e3: Vec<f64> = batches
+    FixedGoodput {
+        family,
+        ee_ctrl,
+        profile,
+        tm,
+        lm,
+        cfg,
+        bert,
+        dee,
+    }
+}
+
+/// Fig. 14 — resources for a fixed goodput: the number of V100s each
+/// system needs to sustain 6,000 samples/s.
+pub fn fig14_report() -> String {
+    const TARGET: f64 = 6000.0;
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Figure 14: V100s needed to sustain {TARGET} samples/s\n"
+    );
+    let fg = fixed_goodput("fig14", TARGET);
+    // E3: full DP.
+    let e3: Vec<f64> = FIXED_GOODPUT_BATCHES
+        .iter()
+        .map(|&b| {
+            min_gpus_for_goodput(
+                &fg.family.ee,
+                &fg.ee_ctrl,
+                &fg.profile,
+                GpuKind::V100,
+                64,
+                b as f64,
+                TARGET,
+                &fg.tm,
+                &fg.lm,
+                &fg.cfg,
+            )
+            .map_or(f64::NAN, |(n, _)| n as f64)
+        })
+        .collect();
+    let cols: Vec<String> = FIXED_GOODPUT_BATCHES
+        .iter()
+        .map(|b| format!("b={b}"))
+        .collect();
+    let mut t = Table::new("GPUs needed (V100, homogeneous)", &cols);
+    t.row("BERT-BASE", &fg.bert);
+    t.row("DeeBERT", &fg.dee);
+    t.row("E3", &e3);
+    t.row("paper:BERT-BASE", &[42.0, 25.0, 17.0, 14.0]);
+    t.row("paper:DeeBERT", &[33.0, 25.0, 20.0, 20.0]);
+    t.row("paper:E3", &[33.0, 21.0, 16.0, 13.0]);
+    out.push_str(&t.render());
+    out.push_str(&takeaway_line(
+        "E3 always needs the fewest GPUs; DeeBERT needs more than BERT once batching helps",
+    ));
+    out
+}
+
+/// Fig. 15 — dollar cost per minute to sustain 6,000 samples/s on the
+/// heterogeneous pool (E3 picks the cheapest GPU mix).
+pub fn fig15_report() -> String {
+    const TARGET: f64 = 6000.0;
+    // A generous heterogeneous pool to allocate from.
+    let pool = std::collections::BTreeMap::from([
+        (GpuKind::V100, 48),
+        (GpuKind::P100, 48),
+        (GpuKind::K80, 64),
+    ]);
+
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Figure 15: $/min to sustain {TARGET} samples/s (heterogeneous pool)\n"
+    );
+    // Baselines buy homogeneous V100s (the paper notes non-EE models are
+    // always best on the most capable GPUs).
+    let fg = fixed_goodput("fig15", TARGET);
+    let v100_per_min = |gpus: &[f64]| -> Vec<f64> {
+        gpus.iter()
+            .map(|n| n * GpuKind::V100.cost_per_sec() * 60.0)
+            .collect()
+    };
+    let e3: Vec<f64> = FIXED_GOODPUT_BATCHES
         .iter()
         .map(|&b| {
             min_cost_for_goodput(
-                &family.ee, &ee_ctrl, &profile, &pool, b as f64, TARGET, &tm, &lm, &cfg,
+                &fg.family.ee,
+                &fg.ee_ctrl,
+                &fg.profile,
+                &pool,
+                b as f64,
+                TARGET,
+                &fg.tm,
+                &fg.lm,
+                &fg.cfg,
             )
             .map_or(f64::NAN, |p| p.cost_per_sec() * 60.0)
         })
         .collect();
+    let bert = v100_per_min(&fg.bert);
+    let cols: Vec<String> = FIXED_GOODPUT_BATCHES
+        .iter()
+        .map(|b| format!("b={b}"))
+        .collect();
+    let mut t = Table::new("cost ($/min) for fixed goodput", &cols);
     t.row_fmt("BERT-BASE", &bert, 2);
-    t.row_fmt("DeeBERT", &dee, 2);
+    t.row_fmt("DeeBERT", &v100_per_min(&fg.dee), 2);
     t.row_fmt("E3", &e3, 2);
     t.row_fmt("paper:BERT-BASE", &[2.17, 1.29, 0.88, 0.73], 2);
     t.row_fmt("paper:DeeBERT", &[1.70, 1.29, 1.03, 1.03], 2);
@@ -622,7 +1538,6 @@ pub fn fig15_report() -> String {
     out.push_str(&takeaway_line(&format!(
         "E3 sustains the target at the lowest cost at every batch size ({saving:.0}% below BERT at b=8; paper reports 35-78% savings)"
     )));
-    out.push('\n');
     out
 }
 
@@ -636,8 +1551,7 @@ fn autoreg_sweep(
     paper_rows: &[(&str, &[f64])],
 ) -> (Vec<Vec<f64>>, String) {
     let cols: Vec<String> = batches.iter().map(|b| format!("b={b}")).collect();
-    let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-    let mut t = Table::new("goodput vs batch size", &col_refs);
+    let mut t = Table::new("goodput vs batch size", &cols);
     // Independent (strategy, batch) points; parallel with index merge.
     let points: Vec<(AutoRegStrategy, &RampController, usize)> = systems
         .iter()
@@ -702,7 +1616,6 @@ pub fn fig10_report() -> String {
         rows[1][0] / rows[0][0],
         rows[2][5] / rows[0][5]
     )));
-    out.push('\n');
     out
 }
 
@@ -749,7 +1662,6 @@ pub fn fig11_report() -> String {
     out.push_str(&takeaway_line(&format!(
         "variable lengths amplify E3's win: up to {best:.2}x over T5 (paper up to 3.8x)"
     )));
-    out.push('\n');
     out
 }
 
@@ -806,7 +1718,6 @@ pub fn fig12_report() -> String {
     out.push_str(&takeaway_line(&format!(
         "naive EE is below vanilla at every batch size (lm-head ramp cost); E3 beats vanilla by up to {best:.2}x (paper 1.48x)"
     )));
-    out.push('\n');
     out
 }
 
@@ -892,8 +1803,7 @@ pub fn fig_kv_pressure_report() -> String {
         .iter()
         .map(|p| format!("cap={}", p.capacity_tokens))
         .collect();
-    let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-    let mut t = Table::new("goodput vs per-replica KV budget (tokens)", &col_refs);
+    let mut t = Table::new("goodput vs per-replica KV budget (tokens)", &cols);
     let wrow: Vec<f64> = points.iter().map(|p| p.window_goodput).collect();
     let crow: Vec<f64> = points.iter().map(|p| p.continuous_goodput).collect();
     t.row("window", &wrow);
@@ -925,7 +1835,6 @@ pub fn fig_kv_pressure_report() -> String {
     out.push_str(&takeaway_line(&format!(
         "freed slots refill mid-flight: continuous batching beats window batching at every budget, up to {best:.2}x under pressure"
     )));
-    out.push('\n');
     out
 }
 
@@ -939,10 +1848,8 @@ pub fn fig_kv_pressure_report() -> String {
 pub fn fig_brownout_report() -> String {
     use e3::BrownoutConfig;
     use e3_hardware::DomainTopology;
-    use e3_model::{ExitPolicy, RampStyle};
+    use e3_model::RampStyle;
     use e3_runtime::{HedgeConfig, ServingConfig, ServingSim, Strategy};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -1068,7 +1975,7 @@ pub fn fig_brownout_report() -> String {
             InferenceSim::new(),
             stages,
             LatencyModel::new(),
-            e3_hardware::TransferModel::default(),
+            TransferModel::default(),
             ServingConfig {
                 closed_loop: false,
                 horizon: Some(SimDuration::from_secs(2)),
@@ -1084,10 +1991,9 @@ pub fn fig_brownout_report() -> String {
     let healthy = gray_run(None, None);
     let factors = [6.0, 10.0, 16.0];
     let cols: Vec<String> = factors.iter().map(|f| format!("gray {f}x")).collect();
-    let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
     let mut g = Table::new(
         "gray replica sweep: p99 completion latency (ms), 1 of 3 x V100 silently slow",
-        &col_refs,
+        &cols,
     );
     let unhedged: Vec<f64> = factors.iter().map(|&f| gray_run(Some(f), None)).collect();
     let hedged: Vec<f64> = factors
@@ -1115,89 +2021,110 @@ pub fn fig_brownout_report() -> String {
         worst,
         healthy
     )));
-    out.push('\n');
     out
 }
 
 /// Scenario-matrix smoke: the pruned cell subset of the composed stress
 /// space ({arrival} × {drift} × {faults} × {skew} × {guarded} × {exit
 /// policy} × {brownout}), every cell's kernel streams validated online
-/// by the invariant checker. `fig_matrix --full` runs all 320 cells.
+/// by the invariant checker, then the edge smoke cell.
 pub fn fig_matrix_report() -> String {
     matrix_report(&ScenarioMatrix::smoke_cells(), "smoke")
 }
 
-/// The full 320-cell cross product (not golden-pinned; CI runs smoke).
+/// The full 320-cell cross product, then the edge smoke cell.
 pub fn fig_matrix_full_report() -> String {
     matrix_report(&ScenarioMatrix::full_cells(), "full")
 }
 
-/// Planning at hyperscale: solves the split DP cold, warm (cache hit →
-/// pure reconstruction), and by column extension at cluster sizes up to
-/// the 10k-GPU horizon. The plan shapes are deterministic; the wall
-/// times are not, so this report is *not* golden-pinned — CI greps for
-/// the stable takeaway prefix instead.
-pub fn fig_scale_report() -> String {
-    use std::time::Instant;
+/// Fixed shape of the planning-at-scale study: DeeBERT on V100 at b=8
+/// with up to four splits, solved cold into a fresh `cache` at `m` GPUs.
+fn scale_solver() -> impl Fn(usize, &mut PlanCache) -> SplitPlan {
+    let model = zoo::deebert();
+    let ctrl = RampController::all_enabled(model.num_ramps(), e3_model::RampStyle::Independent);
+    let profile = BatchProfile::new(vec![
+        1.0, 0.97, 0.83, 0.65, 0.49, 0.36, 0.27, 0.22, 0.21, 0.19, 0.16, 0.11, 0.11,
+    ]);
+    let (tm, lm) = (TransferModel::default(), LatencyModel::new());
+    let cfg = OptimizerConfig {
+        max_splits: 4,
+        ..Default::default()
+    };
+    move |m, cache| {
+        optimize_homogeneous_cached(
+            &model,
+            &ctrl,
+            &profile,
+            GpuKind::V100,
+            m,
+            8.0,
+            &tm,
+            &lm,
+            &cfg,
+            cache,
+        )
+    }
+}
 
+/// Cluster sizes of the planning-at-scale study, up to the 10k-GPU
+/// horizon.
+const SCALE_SIZES: [usize; 4] = [16, 100, 1000, 10_000];
+
+fn scale_columns() -> Vec<String> {
+    SCALE_SIZES.iter().map(|m| format!("m={m}")).collect()
+}
+
+/// Planning at hyperscale: the split DP's plan shape at cluster sizes up
+/// to the 10k-GPU horizon. How long the solves take is
+/// [`fig_scale_wall_clock`].
+pub fn fig_scale_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "Planning at scale: warm-started incremental DP, DeeBERT, V100, b=8, max_splits=4\n"
     );
-    let model = zoo::deebert();
-    let ctrl = RampController::all_enabled(model.num_ramps(), e3_model::RampStyle::Independent);
-    let profile = e3_model::BatchProfile::new(vec![
-        1.0, 0.97, 0.83, 0.65, 0.49, 0.36, 0.27, 0.22, 0.21, 0.19, 0.16, 0.11, 0.11,
-    ]);
-    let (tm, lm) = (e3_hardware::TransferModel::default(), LatencyModel::new());
-    let cfg = e3_optimizer::OptimizerConfig {
-        max_splits: 4,
-        ..Default::default()
-    };
-    let sizes = [16usize, 100, 1000, 10_000];
-    let mut stages = Vec::new();
-    let mut cold_ms = Vec::new();
-    let mut warm_us = Vec::new();
-    let mut goodput = Vec::new();
-    let mut last: Option<(f64, f64)> = None;
-    for &m in &sizes {
-        let mut cache = e3_optimizer::PlanCache::new();
-        let solve = |cache: &mut e3_optimizer::PlanCache| {
-            e3_optimizer::optimize_homogeneous_cached(
-                &model,
-                &ctrl,
-                &profile,
-                GpuKind::V100,
-                m,
-                8.0,
-                &tm,
-                &lm,
-                &cfg,
-                cache,
-            )
-        };
-        let start = Instant::now();
-        let cold_plan = solve(&mut cache);
-        let cold = start.elapsed().as_secs_f64();
-        let start = Instant::now();
-        let warm_plan = solve(&mut cache);
-        let warm = start.elapsed().as_secs_f64();
-        assert_eq!(cold_plan, warm_plan, "warm re-plan must equal cold solve");
-        stages.push(cold_plan.splits.len() as f64);
-        cold_ms.push(cold * 1e3);
-        warm_us.push(warm * 1e6);
-        goodput.push(cold_plan.goodput);
-        last = Some((cold, warm));
-    }
-    let cols: Vec<String> = sizes.iter().map(|m| format!("m={m}")).collect();
-    let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-    let mut t = Table::new("planning wall time vs cluster size", &col_refs);
+    let solve = scale_solver();
+    let plans: Vec<SplitPlan> = SCALE_SIZES
+        .iter()
+        .map(|&m| solve(m, &mut PlanCache::new()))
+        .collect();
+    let stages: Vec<f64> = plans.iter().map(|p| p.splits.len() as f64).collect();
+    let goodput: Vec<f64> = plans.iter().map(|p| p.goodput).collect();
+    let mut t = Table::new("plan shape vs cluster size", &scale_columns());
     t.row("stages", &stages);
     t.row("plan goodput", &goodput);
+    out.push_str(&t.render());
+    out
+}
+
+/// Wall-clock half of the planning-at-scale study: each size solved
+/// cold, then warm (cache hit → pure reconstruction). The takeaway
+/// judges the 10k-GPU solve against the acceptance budget (cold < 10 s,
+/// warm ≥ 10x faster) and says `FAIL` when it misses.
+pub fn fig_scale_wall_clock() -> String {
+    use std::time::Instant;
+
+    let solve = scale_solver();
+    let mut cold_ms = Vec::new();
+    let mut warm_us = Vec::new();
+    let mut last: Option<(f64, f64)> = None;
+    for &m in &SCALE_SIZES {
+        let mut cache = PlanCache::new();
+        let start = Instant::now();
+        let cold_plan = solve(m, &mut cache);
+        let cold = start.elapsed().as_secs_f64();
+        let start = Instant::now();
+        let warm_plan = solve(m, &mut cache);
+        let warm = start.elapsed().as_secs_f64();
+        assert_eq!(cold_plan, warm_plan, "warm re-plan must equal cold solve");
+        cold_ms.push(cold * 1e3);
+        warm_us.push(warm * 1e6);
+        last = Some((cold, warm));
+    }
+    let mut t = Table::new("planning wall time vs cluster size", &scale_columns());
     t.row_fmt("cold (ms)", &cold_ms, 3);
     t.row_fmt("warm (us)", &warm_us, 1);
-    out.push_str(&t.render());
+    let mut out = t.render();
     let (cold, warm) = last.expect("sizes non-empty");
     let verdict = if cold < 10.0 && warm * 10.0 <= cold {
         "PASS"
@@ -1209,7 +2136,6 @@ pub fn fig_scale_report() -> String {
         cold,
         cold / warm.max(1e-9)
     )));
-    out.push('\n');
     out
 }
 
@@ -1287,7 +2213,6 @@ pub fn fig_edge_report() -> String {
     let points = edge_sweep();
     let cells = e3_scenarios::edge_cells();
     let cols: Vec<String> = cells.iter().map(|c| c.label()).collect();
-    let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
     let policies = ["StaticSplit@6", "ExitFirst(50%)", "DeadlineAware"];
 
     let row_of = |metric: &dyn Fn(&EdgePoint) -> f64, policy: &str| -> Vec<f64> {
@@ -1304,14 +2229,14 @@ pub fn fig_edge_report() -> String {
     };
     let mut t = Table::new(
         "deadline attainment (%) by split policy, {link quality} x {deadline}",
-        &col_refs,
+        &cols,
     );
     for policy in policies {
         t.row_fmt(policy, &row_of(&|p| p.attainment * 100.0, policy), 1);
     }
     out.push_str(&t.render());
 
-    let mut l = Table::new("fraction served fully on-device (%)", &col_refs);
+    let mut l = Table::new("fraction served fully on-device (%)", &cols);
     for policy in policies {
         l.row_fmt(policy, &row_of(&|p| p.local_fraction * 100.0, policy), 1);
     }
@@ -1351,7 +2276,6 @@ pub fn fig_edge_report() -> String {
         static_ * 100.0,
         (aware - static_) * 100.0,
     )));
-    out.push('\n');
     out
 }
 
@@ -1381,6 +2305,23 @@ fn matrix_report(cells: &[e3_scenarios::ScenarioCell], which: &str) -> String {
             outcome.cells.len()
         )));
     }
-    out.push('\n');
+
+    // The nastiest pairing of the edge axes rides along, checked for
+    // offload conservation.
+    let cell = EdgeCell {
+        link: LinkQuality::FlakyCellular,
+        deadline: DeadlineTightness::Tight,
+    };
+    let edge = run_edge_cell(cell, SEED);
+    let _ = writeln!(
+        out,
+        "edge smoke cell {}: {} requests, {} edge events, {} violations, attainment {:.1}% -- {}",
+        cell.label(),
+        edge.requests,
+        edge.events_checked,
+        edge.violations.len(),
+        edge.attainment * 100.0,
+        if edge.pass() { "pass" } else { "FAIL" },
+    );
     out
 }

@@ -1,15 +1,19 @@
-//! Shared infrastructure for the per-figure experiment binaries.
+//! The E3 paper's evaluation (§5) as one experiment registry.
 //!
-//! Every table and figure in the paper's evaluation (§5) has a binary in
-//! `src/bin/` that regenerates it:
+//! Every table and figure is a deterministic `fn() -> String` in
+//! [`figs`], listed by name in [`FIGURES`]. The `figures` binary runs the
+//! registry in-process, all of it or the entries named on its command
+//! line:
 //!
 //! ```text
-//! cargo run --release -p e3-bench --bin fig07_nlp_goodput
+//! cargo run --release -p e3-bench --bin figures                     # every experiment
+//! cargo run --release -p e3-bench --bin figures -- fig07_nlp_goodput
 //! ```
 //!
-//! All binaries are deterministic (fixed seeds) and print aligned tables
-//! with the measured values next to the paper's reported numbers where
-//! available. `bin/all_figures` runs every experiment in sequence.
+//! `tests/golden.rs` pins every entry's report byte-for-byte against
+//! `golden/<name>.txt`. The two experiments that measure host time
+//! (`fig20_optimizer_overhead`, `fig_scale`) carry that part as a separate
+//! wall-clock section, printed after the report and never pinned.
 //!
 //! Absolute values are not expected to match the paper — the substrate is
 //! a calibrated simulator, not the authors' testbed — but the *shape*
@@ -26,6 +30,71 @@ pub const RUN_N: usize = 20_000;
 /// Root seed for all experiments.
 pub const SEED: u64 = 0xE3;
 
+/// One registry entry: an experiment and the name it runs under.
+#[derive(Debug)]
+pub struct Figure {
+    /// Registry name; also the golden file stem (`golden/<name>.txt`).
+    pub name: &'static str,
+    /// Renders the deterministic, golden-pinned report.
+    pub report: fn() -> String,
+    /// Renders host wall-clock measurements, printed after the report
+    /// and never pinned.
+    pub wall_clock: Option<fn() -> String>,
+}
+
+impl Figure {
+    const fn new(name: &'static str, report: fn() -> String) -> Self {
+        Figure {
+            name,
+            report,
+            wall_clock: None,
+        }
+    }
+
+    const fn with_wall_clock(mut self, wall_clock: fn() -> String) -> Self {
+        self.wall_clock = Some(wall_clock);
+        self
+    }
+}
+
+/// Every experiment, in the order `figures` runs them.
+pub const FIGURES: &[Figure] = &[
+    Figure::new("fig02_ee_savings", figs::fig02_report),
+    Figure::new("fig03_batch_shrinkage", figs::fig03_report),
+    Figure::new("fig07_nlp_goodput", figs::fig07_report),
+    Figure::new("fig08_vision_goodput", figs::fig08_report),
+    Figure::new("fig09_compressed_goodput", figs::fig09_report),
+    Figure::new("fig10_llm_translation", figs::fig10_report),
+    Figure::new("fig11_llm_summarization", figs::fig11_report),
+    Figure::new("fig12_llama_boolq", figs::fig12_report),
+    Figure::new("fig_kv_pressure", figs::fig_kv_pressure_report),
+    Figure::new("fig13_heterogeneous", figs::fig13_report),
+    Figure::new("fig14_gpu_count", figs::fig14_report),
+    Figure::new("fig15_cost", figs::fig15_report),
+    Figure::new("fig16_adaptability", figs::fig16_report),
+    Figure::new("fig17_latency", figs::fig17_report),
+    Figure::new("fig18_pabee", figs::fig18_report),
+    Figure::new("fig19_bursty", figs::fig19_report),
+    Figure::new("fig20_optimizer_overhead", figs::fig20_report)
+        .with_wall_clock(figs::fig20_wall_clock),
+    Figure::new("fig21_profile_accuracy", figs::fig21_report),
+    Figure::new("fig22_misprediction", figs::fig22_report),
+    Figure::new("fig23_entropy", figs::fig23_report),
+    Figure::new("fig24_slo", figs::fig24_report),
+    Figure::new("fig25_wrapper", figs::fig25_report),
+    Figure::new("fig26_model_parallelism", figs::fig26_report),
+    Figure::new("generality_policies", figs::generality_policies_report),
+    Figure::new("ablations", figs::ablations_report),
+    Figure::new("fig_degradation", figs::fig_degradation_report),
+    Figure::new("fig_brownout", figs::fig_brownout_report),
+    Figure::new("fig_reconfig", figs::fig_reconfig_report),
+    Figure::new("fig_multitenant", figs::fig_multitenant_report),
+    Figure::new("fig_matrix", figs::fig_matrix_report),
+    Figure::new("fig_matrix_full", figs::fig_matrix_full_report),
+    Figure::new("fig_edge", figs::fig_edge_report),
+    Figure::new("fig_scale", figs::fig_scale_report).with_wall_clock(figs::fig_scale_wall_clock),
+];
+
 /// A simple aligned table printer for experiment output.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -36,10 +105,10 @@ pub struct Table {
 
 impl Table {
     /// Creates a table titled `title` with value columns `columns`.
-    pub fn new(title: impl Into<String>, columns: &[&str]) -> Self {
+    pub fn new<S: AsRef<str>>(title: impl Into<String>, columns: &[S]) -> Self {
         Table {
             title: title.into(),
-            columns: columns.iter().map(|c| c.to_string()).collect(),
+            columns: columns.iter().map(|c| c.as_ref().to_string()).collect(),
             rows: Vec::new(),
         }
     }
@@ -109,21 +178,12 @@ impl Table {
         }
         out
     }
-
-    /// Prints the table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
 }
 
-/// Renders a one-line takeaway for placing under a table.
+/// Renders a one-line takeaway closing a section, with the blank line
+/// that separates it from the next.
 pub fn takeaway_line(msg: &str) -> String {
-    format!("  -> {msg}\n")
-}
-
-/// Prints a one-line takeaway under a table.
-pub fn takeaway(msg: &str) {
-    println!("{}", takeaway_line(msg));
+    format!("  -> {msg}\n\n")
 }
 
 #[cfg(test)]
@@ -151,7 +211,7 @@ mod tests {
     }
 }
 
-/// Experiment helpers shared by several figure binaries.
+/// Experiment helpers shared by several figures.
 pub mod exp {
     use super::{Table, RUN_N, SEED};
     use e3::harness::{run_closed_loop, run_open_loop, HarnessOpts, ModelFamily, SystemKind};
@@ -162,7 +222,7 @@ pub mod exp {
     use e3_workload::{DatasetModel, WorkloadGenerator};
 
     /// A figure's fixed experimental context — family, cluster, dataset,
-    /// harness options, request count, seed — so each binary only states
+    /// harness options, request count, seed — so each figure only states
     /// what varies.
     pub struct Experiment {
         /// Model family under study.
@@ -196,12 +256,6 @@ pub mod exp {
         /// Replaces the harness options.
         pub fn with_opts(mut self, opts: HarnessOpts) -> Self {
             self.opts = opts;
-            self
-        }
-
-        /// Replaces the dataset (sweeps over workload mixes).
-        pub fn with_dataset(mut self, dataset: DatasetModel) -> Self {
-            self.dataset = dataset;
             self
         }
 
@@ -330,7 +384,7 @@ pub mod exp {
 
     /// Runs the three systems over a batch-size sweep; returns measured
     /// goodputs as `[(system, per-batch goodput)]` plus the rendered
-    /// table (not printed).
+    /// table.
     ///
     /// Measurement points are independent (each builds its own simulator
     /// from its own derived seed), so they run through
@@ -348,8 +402,7 @@ pub mod exp {
         let exp = Experiment::new(family.clone(), cluster.clone(), dataset.clone())
             .with_opts(opts.clone());
         let cols: Vec<String> = batches.iter().map(|b| format!("b={b}")).collect();
-        let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-        let mut t = Table::new(title, &col_refs);
+        let mut t = Table::new(title, &cols);
         let systems = exp.systems();
         let points: Vec<(SystemKind, usize)> = systems
             .iter()
@@ -366,22 +419,5 @@ pub mod exp {
             t.row(format!("paper:{label}"), vals);
         }
         (out, t.render())
-    }
-
-    /// Runs the three systems over a batch-size sweep and prints a table;
-    /// returns measured goodputs as `[(system, per-batch goodput)]`.
-    pub fn goodput_sweep(
-        title: &str,
-        family: &ModelFamily,
-        cluster: &ClusterSpec,
-        batches: &[usize],
-        dataset: &DatasetModel,
-        opts: &HarnessOpts,
-        paper_rows: &[(&str, &[f64])],
-    ) -> Vec<(String, Vec<f64>)> {
-        let (out, rendered) =
-            goodput_sweep_report(title, family, cluster, batches, dataset, opts, paper_rows);
-        print!("{rendered}");
-        out
     }
 }
