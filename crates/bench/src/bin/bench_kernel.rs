@@ -1,6 +1,6 @@
 //! Kernel event-throughput microbenchmark.
 //!
-//! Three sections, one JSON line each, so CI can archive the output as
+//! Four sections, one JSON line each, so CI can archive the output as
 //! `BENCH_kernel.json` and diff `events_per_sec` against the committed
 //! baseline:
 //!
@@ -16,6 +16,10 @@
 //!    the fastest of [`REPS`] sweeps.
 //! 3. `kernel_multi_tenant` — three NLP tenants under joint allocation
 //!    on 6 V100s; events are every tenant's tagged kernel stream.
+//! 4. `materialize` — the Monte-Carlo materialization the `kernel`
+//!    section excludes: `ServingSim::materialize_backlog` over the same
+//!    20k DeeBERT/SST-2 requests, reported as the fastest of [`REPS`]
+//!    passes. Its `events_per_sec` counts materialized samples.
 //!
 //! ```text
 //! cargo run --release -p e3-bench --bin bench_kernel > BENCH_kernel.json
@@ -195,8 +199,43 @@ fn bench_multi_tenant() {
     );
 }
 
+/// Section 4: per-request exit materialization for the `kernel`
+/// section's configuration.
+fn bench_materialize() {
+    let family = ModelFamily::nlp();
+    let (sim, reqs, run_seed) = build_closed_loop_sim(
+        SystemKind::E3,
+        &family,
+        &ClusterSpec::paper_homogeneous_v100(),
+        8,
+        &DatasetModel::sst2(),
+        RUN_N,
+        &HarnessOpts::default(),
+        SEED,
+    );
+    let layers: usize = sim
+        .materialize_backlog(&reqs, run_seed)
+        .iter()
+        .map(|s| s.layers_executed)
+        .sum();
+    let mut best = f64::INFINITY;
+    for _ in 0..REPS {
+        let start = Instant::now();
+        std::hint::black_box(sim.materialize_backlog(&reqs, run_seed));
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    println!(
+        "{{\"bench\":\"materialize\",\"samples\":{},\"layers\":{},\"wall_secs\":{:.4},\"events_per_sec\":{:.0}}}",
+        reqs.len(),
+        layers,
+        best,
+        reqs.len() as f64 / best.max(1e-9)
+    );
+}
+
 fn main() {
     bench_windowed();
     bench_continuous();
     bench_multi_tenant();
+    bench_materialize();
 }

@@ -12,7 +12,7 @@ use e3::harness::{
 };
 use e3::{E3Config, E3System};
 use e3_hardware::{ClusterSpec, ExitOverheads, GpuKind, LatencyModel, TransferModel};
-use e3_model::{zoo, BatchProfile, EeModel, ExitPolicy, InferenceSim, RampController};
+use e3_model::{zoo, BatchProfile, EeModel, ExitPolicy, ExitSampler, InferenceSim, RampController};
 use e3_optimizer::{
     min_cost_for_goodput, min_gpus_for_goodput, optimize_homogeneous, optimize_homogeneous_cached,
     run_ablations, OptimizerConfig, PlanCache, SplitPlan,
@@ -42,6 +42,7 @@ fn batch1_cost(model: &EeModel, dataset: &DatasetModel, seed: u64) -> (f64, f64,
     let policy = zoo::default_policy(model.name());
     let ctrl = RampController::all_enabled(model.num_ramps(), policy.ramp_style());
     let infer = InferenceSim::with_accuracy(dataset.base_accuracy);
+    let sampler = ExitSampler::new(&infer, model, &policy, &ctrl);
     let lm = LatencyModel::new();
     let mut rng = StdRng::seed_from_u64(seed);
     let n = 5000;
@@ -50,7 +51,7 @@ fn batch1_cost(model: &EeModel, dataset: &DatasetModel, seed: u64) -> (f64, f64,
     let mut correct = 0usize;
     for _ in 0..n {
         let h = dataset.sample_hardness(&mut rng);
-        let out = infer.run_sample(model, &policy, &ctrl, h, &mut rng);
+        let out = sampler.sample(h, &mut rng);
         // Time the exact executed prefix at batch 1, ramps included.
         let mut c = 0.0;
         for k in 0..out.layers_executed {
@@ -60,7 +61,7 @@ fn batch1_cost(model: &EeModel, dataset: &DatasetModel, seed: u64) -> (f64, f64,
                 .as_millis_f64();
         }
         let mut sync = 0.0;
-        for &ri in &out.ramps_paid {
+        for ri in ctrl.paid_through(out.exited_at_ramp) {
             let r = model.ramps()[ri];
             c += lm
                 .layer_time(r.work_us + r.fixed_us, 1.0, GpuKind::V100)

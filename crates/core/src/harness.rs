@@ -3,8 +3,8 @@
 //! The evaluation compares three system shapes per model family at fixed
 //! batch sizes: the stock model (vanilla serving), the EE model served
 //! naively, and the EE model under E3. This module packages that recipe
-//! so every figure's bench binary is a few lines: pick a
-//! [`ModelFamily`], a cluster, a batch size, and a dataset.
+//! so a figure (an experiment-registry function returning its report)
+//! only picks a [`ModelFamily`], a cluster, a batch size, and a dataset.
 
 use e3_hardware::{ClusterSpec, ExitOverheads, LatencyModel, TransferModel};
 use e3_model::{zoo, EeModel, ExitPolicy, InferenceSim, RampController};

@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 use rand::rngs::StdRng;
 
 use e3_hardware::{ClusterSpec, GpuKind, LatencyModel};
-use e3_model::{zoo, EeModel, ExitPolicy, InferenceSim, RampController};
+use e3_model::{zoo, EeModel, ExitPolicy, ExitSampler, InferenceSim, RampController};
 use e3_optimizer::EdgeSplitTables;
 use e3_runtime::report::ExitEvent;
 use e3_runtime::{RobustnessStats, RunReport, ShedBreakdown};
@@ -340,6 +340,7 @@ impl EdgeFleet {
                 .iter()
                 .map(|r| lm.layer_time(r.work_us + r.fixed_us, 1.0, class.tier))
                 .collect();
+            let sampler = ExitSampler::new(&sim, &cfg.model, &cfg.policy, &ctrl);
             let return_allow = class.wan.result_return();
             let spacing = cfg.window / class.requests_per_device_window as u64;
 
@@ -382,8 +383,7 @@ impl EdgeFleet {
                         acc.requests += 1;
 
                         let hardness = class.dataset.sample_hardness(&mut rng);
-                        let outcome =
-                            sim.run_sample(&cfg.model, &cfg.policy, &ctrl, hardness, &mut rng);
+                        let outcome = sampler.sample(hardness, &mut rng);
 
                         while queue.front().is_some_and(|&t| t <= arrival) {
                             queue.pop_front();
@@ -414,7 +414,7 @@ impl EdgeFleet {
 
                         let executed = outcome.layers_executed.min(boundary);
                         let mut device_time = cum_layer[executed];
-                        for &r in &outcome.ramps_paid {
+                        for r in ctrl.paid_through(outcome.exited_at_ramp) {
                             if cfg.model.ramps()[r].after_layer < executed {
                                 device_time += ramp_t[r];
                             }

@@ -38,7 +38,7 @@ pub mod wrapper;
 pub mod zoo;
 
 pub use builder::EeModelBuilder;
-pub use inference::{InferenceOutcome, InferenceSim};
+pub use inference::{ExitSampler, InferenceOutcome, InferenceSim};
 pub use model::{AutoRegSpec, EeModel, LayerSpec, ModelError, RampSpec, Task};
 pub use policy::{ExitPolicy, SampleExitState};
 pub use profile::BatchProfile;

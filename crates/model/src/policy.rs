@@ -121,22 +121,37 @@ impl SampleExitState {
             ExitPolicy::Entropy { threshold } => obs.entropy <= threshold,
             ExitPolicy::Confidence { threshold } => obs.confidence >= threshold,
             ExitPolicy::Learned { threshold } => obs.gate_score >= threshold,
+            ExitPolicy::Patience { .. } | ExitPolicy::Voting { .. } => {
+                self.observe_class(policy, obs.predicted_class)
+            }
+        }
+    }
+
+    /// Evaluates a class-reading policy (patience or voting) at one ramp
+    /// from the ramp's predicted class alone. Returns `true` if the
+    /// sample exits here; always `false` for the threshold policies,
+    /// which read no class.
+    pub(crate) fn observe_class(&mut self, policy: &ExitPolicy, predicted_class: usize) -> bool {
+        match *policy {
             ExitPolicy::Patience { patience } => {
-                if self.last_class == Some(obs.predicted_class) {
+                if self.last_class == Some(predicted_class) {
                     self.streak += 1;
                 } else {
                     self.streak = 1;
-                    self.last_class = Some(obs.predicted_class);
+                    self.last_class = Some(predicted_class);
                 }
                 self.streak >= patience
             }
             ExitPolicy::Voting { quorum } => {
-                if obs.predicted_class >= self.votes.len() {
-                    self.votes.resize(obs.predicted_class + 1, 0);
+                if predicted_class >= self.votes.len() {
+                    self.votes.resize(predicted_class + 1, 0);
                 }
-                self.votes[obs.predicted_class] += 1;
-                self.votes[obs.predicted_class] >= quorum
+                self.votes[predicted_class] += 1;
+                self.votes[predicted_class] >= quorum
             }
+            ExitPolicy::Entropy { .. }
+            | ExitPolicy::Confidence { .. }
+            | ExitPolicy::Learned { .. } => false,
         }
     }
 }

@@ -82,6 +82,14 @@ impl RampController {
         self.pays_cost_at(i)
     }
 
+    /// The ramps whose checking cost a sample pays when it exits at ramp
+    /// `exit` (`None`: it ran to completion) — every paid ramp up to and
+    /// including the exit ramp, in order.
+    pub fn paid_through(&self, exit: Option<usize>) -> impl Iterator<Item = usize> + '_ {
+        let end = exit.map_or(self.num_ramps(), |r| r + 1);
+        (0..end).filter(|&i| self.pays_cost_at(i))
+    }
+
     /// Disables ramp `i`.
     pub fn disable(&mut self, i: usize) {
         self.enabled[i] = false;
@@ -148,6 +156,17 @@ mod tests {
         assert_eq!(c.enabled_ramps(), vec![5, 11]);
         assert!(!c.can_exit_at(0));
         assert!(c.can_exit_at(5));
+    }
+
+    #[test]
+    fn paid_through_stops_at_the_exit_ramp() {
+        let mut c = RampController::all_enabled(4, RampStyle::Independent);
+        c.disable(1);
+        assert_eq!(c.paid_through(Some(2)).collect::<Vec<_>>(), vec![0, 2]);
+        assert_eq!(c.paid_through(None).collect::<Vec<_>>(), vec![0, 2, 3]);
+        let mut d = RampController::all_enabled(4, RampStyle::Dependent);
+        d.disable(1);
+        assert_eq!(d.paid_through(Some(1)).collect::<Vec<_>>(), vec![0, 1]);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use e3_hardware::{GpuKind, LatencyModel};
-use e3_model::{EeModel, ExitPolicy, InferenceSim, RampController};
+use e3_model::{EeModel, ExitPolicy, ExitSampler, InferenceSim, RampController};
 use e3_simcore::{stats, SimDuration, SimTime};
 use e3_workload::DatasetModel;
 
@@ -80,13 +80,14 @@ pub fn materialize_sequences(
     seed: u64,
 ) -> Vec<SequenceSpec> {
     let mut rng = StdRng::seed_from_u64(seed);
+    let sampler = ExitSampler::new(infer, model, policy, ctrl);
     let mut specs = Vec::with_capacity(n_requests);
     for i in 0..n_requests {
         let len = dataset.output_len.sample(&mut rng).max(1) as usize;
         let mut tokens = Vec::with_capacity(len);
         for _ in 0..len {
             let h = dataset.sample_hardness(&mut rng);
-            let out = infer.run_sample(model, policy, ctrl, h, &mut rng);
+            let out = sampler.sample(h, &mut rng);
             tokens.push(TokenJourney {
                 layers_executed: out.layers_executed,
             });
@@ -292,11 +293,12 @@ pub fn pick_boundary(
 ) -> usize {
     let enc = model.autoreg().map_or(0, |a| a.encoder_layers);
     let mut rng = StdRng::seed_from_u64(seed);
+    let sampler = ExitSampler::new(infer, model, policy, ctrl);
     let n = 2000;
     let mut exits = vec![0usize; model.num_layers() + 1];
     for _ in 0..n {
         let h = dataset.sample_hardness(&mut rng);
-        let out = infer.run_sample(model, policy, ctrl, h, &mut rng);
+        let out = sampler.sample(h, &mut rng);
         exits[out.layers_executed] += 1;
     }
     let mut alive = n;

@@ -31,7 +31,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use e3_hardware::{LatencyModel, TransferModel};
-use e3_model::{EeModel, ExitPolicy, InferenceSim, RampController};
+use e3_model::{EeModel, ExitPolicy, ExitSampler, InferenceSim, RampController};
 use e3_profiler::HealthConfig;
 use e3_simcore::{EventQueue, ReferenceQueue, SimDuration, SimQueue, SimTime};
 use e3_workload::Request;
@@ -372,18 +372,10 @@ impl<'a> ServingSim<'a> {
     /// sampling cost.
     pub fn materialize_backlog(&self, requests: &[Request], seed: u64) -> Vec<SimSample> {
         let mut rng = StdRng::seed_from_u64(seed);
+        let sampler = ExitSampler::new(&self.infer, self.model, &self.policy, &self.ctrl);
         requests
             .iter()
-            .map(|r| {
-                SimSample::materialize(
-                    r,
-                    self.model,
-                    &self.infer,
-                    &self.policy,
-                    &self.ctrl,
-                    &mut rng,
-                )
-            })
+            .map(|r| SimSample::materialize(r, &sampler, &mut rng))
             .collect()
     }
 

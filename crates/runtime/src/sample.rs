@@ -8,7 +8,7 @@
 
 use rand::rngs::StdRng;
 
-use e3_model::{EeModel, ExitPolicy, InferenceSim, RampController};
+use e3_model::ExitSampler;
 use e3_simcore::SimTime;
 use e3_workload::Request;
 
@@ -32,16 +32,10 @@ pub struct SimSample {
 }
 
 impl SimSample {
-    /// Materializes a request's journey under `(model, policy, ctrl)`.
-    pub fn materialize(
-        req: &Request,
-        model: &EeModel,
-        sim: &InferenceSim,
-        policy: &ExitPolicy,
-        ctrl: &RampController,
-        rng: &mut StdRng,
-    ) -> Self {
-        let out = sim.run_sample(model, policy, ctrl, req.hardness, rng);
+    /// Materializes a request's journey with `sampler`, the
+    /// `(model, policy, ctrl)` it was built for.
+    pub fn materialize(req: &Request, sampler: &ExitSampler, rng: &mut StdRng) -> Self {
+        let out = sampler.sample(req.hardness, rng);
         SimSample {
             id: req.id,
             arrival: req.arrival,
@@ -67,7 +61,7 @@ impl SimSample {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use e3_model::{zoo, RampStyle};
+    use e3_model::{zoo, ExitPolicy, InferenceSim, RampController, RampStyle};
     use rand::SeedableRng;
 
     #[test]
@@ -76,9 +70,10 @@ mod tests {
         let sim = InferenceSim::new();
         let pol = ExitPolicy::Entropy { threshold: 0.4 };
         let ctrl = RampController::all_enabled(m.num_ramps(), RampStyle::Independent);
+        let sampler = ExitSampler::new(&sim, &m, &pol, &ctrl);
         let req = Request::classification(1, SimTime::ZERO, 0.3);
-        let a = SimSample::materialize(&req, &m, &sim, &pol, &ctrl, &mut StdRng::seed_from_u64(5));
-        let b = SimSample::materialize(&req, &m, &sim, &pol, &ctrl, &mut StdRng::seed_from_u64(5));
+        let a = SimSample::materialize(&req, &sampler, &mut StdRng::seed_from_u64(5));
+        let b = SimSample::materialize(&req, &sampler, &mut StdRng::seed_from_u64(5));
         assert_eq!(a, b);
     }
 

@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use e3_hardware::{GpuKind, LatencyModel, LinkKind, TransferModel};
-use e3_model::{EeModel, ExitPolicy, InferenceSim, RampController};
+use e3_model::{EeModel, ExitPolicy, ExitSampler, InferenceSim, RampController};
 use e3_simcore::{EventQueue, SimDuration, SimTime};
 use e3_workload::Request;
 
@@ -49,9 +49,10 @@ pub fn run_serial_barrier(
     assert!(!gpus.is_empty(), "need at least one GPU");
     assert!(b0 >= 1, "batch must be at least 1");
     let mut rng = StdRng::seed_from_u64(seed);
+    let sampler = ExitSampler::new(infer, model, &policy, ctrl);
     let samples: Vec<SimSample> = requests
         .iter()
-        .map(|r| SimSample::materialize(r, model, infer, &policy, ctrl, &mut rng))
+        .map(|r| SimSample::materialize(r, &sampler, &mut rng))
         .collect();
 
     // Stage ranges from the boundary list.

@@ -93,6 +93,13 @@ pub fn exp_sample<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
 pub fn normal_sample<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
+    box_muller(u1, u2)
+}
+
+/// The Box–Muller transform [`normal_sample`] applies to its two
+/// uniforms, for callers that draw them themselves (and may skip the
+/// transcendentals when a bound on the result suffices).
+pub fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 

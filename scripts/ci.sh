@@ -66,10 +66,11 @@ expect fig_scale "10k-GPU horizon PASS"
 
 # Kernel event-throughput microbenchmark, archived as BENCH_kernel.json.
 # The committed baseline is the regression bar: fail if the windowed or
-# the continuous-batching kernel section drops more than 30% below it.
+# the continuous-batching kernel section, or the per-request exit
+# materialization, drops more than 30% below it.
 ./target/release/bench_kernel | tee /tmp/bench_kernel.out
 grep -q "events_per_sec" /tmp/bench_kernel.out
-for section in kernel kernel_continuous; do
+for section in kernel kernel_continuous materialize; do
     scripts/bench_floor.sh "$section" BENCH_kernel.json /tmp/bench_kernel.out
 done
 cp /tmp/bench_kernel.out BENCH_kernel.json

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use e3_hardware::{GpuKind, LatencyModel, TransferModel};
 use e3_model::{zoo, BatchProfile, EeModel, LayerSpec, RampController, RampSpec, Task};
-use e3_model::{ExitPolicy, InferenceSim};
+use e3_model::{ExitPolicy, ExitSampler, InferenceSim};
 use e3_optimizer::{optimize_heterogeneous, optimize_homogeneous, OptimizerConfig};
 use e3_profiler::{ArimaModel, BatchProfileEstimator, EstimatorConfig};
 use e3_runtime::autoreg::materialize_sequences;
@@ -312,12 +312,11 @@ proptest! {
         let ctrl = RampController::all_enabled(model.num_ramps(), e3_model::RampStyle::Independent);
         let sim = InferenceSim::new();
         let depth = |t: f64| -> f64 {
+            let sampler = ExitSampler::new(&sim, &model, &ExitPolicy::Entropy { threshold: t }, &ctrl);
             let mut rng = StdRng::seed_from_u64(seed);
             let n = 64;
-            (0..n).map(|_| {
-                sim.run_sample(&model, &ExitPolicy::Entropy { threshold: t }, &ctrl, hardness, &mut rng)
-                    .layers_executed as f64
-            }).sum::<f64>() / n as f64
+            (0..n).map(|_| sampler.sample(hardness, &mut rng).layers_executed as f64)
+                .sum::<f64>() / n as f64
         };
         prop_assert!(depth(0.5) <= depth(0.3) + 0.75);
     }
