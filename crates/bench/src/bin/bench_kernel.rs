@@ -27,7 +27,8 @@
 
 use std::time::Instant;
 
-use e3::harness::{build_closed_loop_sim, HarnessOpts, ModelFamily, SystemKind};
+use e3::harness::{ModelFamily, SystemKind};
+use e3_bench::exp::experiment;
 use e3_bench::{RUN_N, SEED};
 use e3_hardware::{ClusterSpec, GpuKind, LatencyModel};
 use e3_model::{InferenceSim, RampController};
@@ -55,17 +56,12 @@ impl RunObserver for CountingObserver {
 
 /// Section 1: windowed kernel loop over a pre-materialized backlog.
 fn bench_windowed() {
-    let family = ModelFamily::nlp();
-    let (sim, reqs, run_seed) = build_closed_loop_sim(
-        SystemKind::E3,
-        &family,
-        &ClusterSpec::paper_homogeneous_v100(),
-        8,
-        &DatasetModel::sst2(),
-        RUN_N,
-        &HarnessOpts::default(),
-        SEED,
+    let exp = experiment(
+        ModelFamily::nlp(),
+        ClusterSpec::paper_homogeneous_v100(),
+        DatasetModel::sst2(),
     );
+    let (sim, reqs, run_seed) = exp.deployment(SystemKind::E3, 8);
     let backlog = sim.materialize_backlog(&reqs, run_seed);
     // Warm-up pass: faults caches and sizes the arena before timing.
     let mut obs = CountingObserver { events: 0 };
@@ -202,17 +198,12 @@ fn bench_multi_tenant() {
 /// Section 4: per-request exit materialization for the `kernel`
 /// section's configuration.
 fn bench_materialize() {
-    let family = ModelFamily::nlp();
-    let (sim, reqs, run_seed) = build_closed_loop_sim(
-        SystemKind::E3,
-        &family,
-        &ClusterSpec::paper_homogeneous_v100(),
-        8,
-        &DatasetModel::sst2(),
-        RUN_N,
-        &HarnessOpts::default(),
-        SEED,
+    let exp = experiment(
+        ModelFamily::nlp(),
+        ClusterSpec::paper_homogeneous_v100(),
+        DatasetModel::sst2(),
     );
+    let (sim, reqs, run_seed) = exp.deployment(SystemKind::E3, 8);
     let layers: usize = sim
         .materialize_backlog(&reqs, run_seed)
         .iter()

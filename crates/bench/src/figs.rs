@@ -7,9 +7,7 @@
 
 use std::fmt::Write as _;
 
-use e3::harness::{
-    build_e3_plan, run_closed_loop, run_open_loop, HarnessOpts, ModelFamily, SystemKind,
-};
+use e3::harness::{Experiment, HarnessOpts, ModelFamily, SystemKind};
 use e3::{E3Config, E3System};
 use e3_hardware::{ClusterSpec, ExitOverheads, GpuKind, LatencyModel, TransferModel};
 use e3_model::{zoo, BatchProfile, EeModel, ExitPolicy, ExitSampler, InferenceSim, RampController};
@@ -18,7 +16,7 @@ use e3_optimizer::{
     run_ablations, OptimizerConfig, PlanCache, SplitPlan,
 };
 use e3_runtime::autoreg::{materialize_sequences, AutoRegStrategy};
-use e3_runtime::kernel::EventLog;
+use e3_runtime::kernel::{EventLog, NullObserver};
 use e3_runtime::{
     run_continuous, ContinuousConfig, FaultPlan, JoinPolicy, KernelEvent, KvPlan, PreemptMode,
 };
@@ -32,7 +30,7 @@ use e3_workload::{ArrivalProcess, BurstyTraceConfig, DatasetModel, Phase, Worklo
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::exp::{goodput_sweep_report, Experiment};
+use crate::exp::{experiment, goodput_sweep_report};
 use crate::par::par_map;
 use crate::{takeaway_line, Table, RUN_N, SEED};
 
@@ -263,11 +261,13 @@ pub fn fig09_report() -> String {
 fn max_batch_for_slo(exp: &Experiment, slo_ms: u64) -> usize {
     let mut best = 1usize;
     for b in [1usize, 2, 4, 8, 16, 32, 64] {
-        let opts = HarnessOpts {
-            slo: SimDuration::from_millis(slo_ms),
-            ..Default::default()
-        };
-        let plan = build_e3_plan(&exp.family, &exp.cluster, b, &exp.dataset, &opts, SEED);
+        let plan = exp
+            .clone()
+            .with_opts(HarnessOpts {
+                slo: SimDuration::from_millis(slo_ms),
+                ..Default::default()
+            })
+            .plan(b);
         let budget = SimDuration::from_millis(slo_ms).mul_f64(0.8);
         if plan.worst_case_latency <= budget {
             best = b;
@@ -284,7 +284,7 @@ pub fn fig24_report() -> String {
         out,
         "Figure 24: goodput as the SLO (and thus max batch) varies, 16 x V100\n"
     );
-    let mut exp = Experiment::new(
+    let mut exp = experiment(
         ModelFamily::nlp(),
         ClusterSpec::paper_homogeneous_v100(),
         DatasetModel::sst2(),
@@ -303,7 +303,7 @@ pub fn fig24_report() -> String {
             .zip(&batches)
             .map(|(&s, &b)| {
                 exp.opts.slo = SimDuration::from_millis(s);
-                exp.goodput(kind, b)
+                exp.run(kind, b, &mut NullObserver).goodput()
             })
             .collect();
         t.row(name, &gs);
@@ -339,12 +339,13 @@ pub fn fig16_report() -> String {
         let gs: Vec<f64> = mixes
             .iter()
             .map(|&easy| {
-                Experiment::new(
+                experiment(
                     family.clone(),
                     cluster.clone(),
                     DatasetModel::with_mix(easy),
                 )
-                .goodput(kind, 8)
+                .run(kind, 8, &mut NullObserver)
+                .goodput()
             })
             .collect();
         t.row(name, &gs);
@@ -366,7 +367,7 @@ pub fn fig16_report() -> String {
         .iter()
         .flat_map(|&easy| vec![DatasetModel::with_mix(easy); 3])
         .collect();
-    let report = sys.run_windows(&phases);
+    let report = sys.run_windows_observed(&phases, &[], &mut NullObserver);
     let e3: Vec<f64> = (0..3)
         .map(|p| report.windows[p * 3 + 2].run.goodput())
         .collect();
@@ -420,10 +421,10 @@ pub fn fig17_report() -> String {
             ClusterSpec::paper_heterogeneous(),
         ),
     ] {
-        let exp = Experiment::new(ModelFamily::nlp(), cluster, DatasetModel::with_mix(0.5));
+        let exp = experiment(ModelFamily::nlp(), cluster, DatasetModel::with_mix(0.5));
         let mut t = Table::new(cluster_name, &["min", "p25", "median", "p75", "max"]);
         for (name, kind) in exp.systems() {
-            let s = exp.run(kind, 8).latency_summary_ms();
+            let s = exp.run(kind, 8, &mut NullObserver).latency_summary_ms();
             t.row_fmt(name, &[s.min, s.p25, s.median, s.p75, s.max], 1);
         }
         out.push_str(&t.render());
@@ -473,7 +474,7 @@ pub fn fig19_report() -> String {
         "Figure 19: bursty open-loop serving (Twitter-like trace, 1000 req/s mean)\n"
     );
     // Few GPUs so the mean load is substantial but bursts overwhelm.
-    let exp = Experiment::new(
+    let exp = experiment(
         ModelFamily::nlp(),
         ClusterSpec::homogeneous(GpuKind::V100, 4, 2),
         DatasetModel::sst2(),
@@ -494,7 +495,7 @@ pub fn fig19_report() -> String {
         ("DeeBERT", SystemKind::NaiveEe),
         ("E3", SystemKind::E3),
     ] {
-        let r = exp.run_open(kind, 8, &generator);
+        let r = exp.run_open(kind, 8, &generator, &mut NullObserver);
         t.row_fmt(
             name,
             &[
@@ -609,7 +610,7 @@ pub fn fig21_report() -> String {
     let phases: Vec<DatasetModel> = (0..12)
         .map(|w| DatasetModel::with_mix(0.6 + 0.02 * w as f64))
         .collect();
-    let report = sys.run_windows(&phases);
+    let report = sys.run_windows_observed(&phases, &[], &mut NullObserver);
 
     // Cut points at one-third and two-thirds of the model.
     for cut in [4usize, 8] {
@@ -651,7 +652,7 @@ pub fn fig22_report() -> String {
         out,
         "Figure 22: goodput under profile misprediction (16 x V100, SST-2-like)\n"
     );
-    let mut exp = Experiment::new(
+    let mut exp = experiment(
         ModelFamily::nlp(),
         ClusterSpec::paper_homogeneous_v100(),
         DatasetModel::sst2(),
@@ -669,7 +670,7 @@ pub fn fig22_report() -> String {
             .iter()
             .map(|&e| {
                 exp.opts.profile_error = e;
-                exp.goodput(SystemKind::E3, batch)
+                exp.run(SystemKind::E3, batch, &mut NullObserver).goodput()
             })
             .collect();
         t.row(format!("input batch = {batch}"), &gs);
@@ -714,13 +715,15 @@ pub fn fig23_report() -> String {
         out,
         "Figure 23: goodput vs exit-entropy tolerance (16 x V100, b in {{1,2,4,8}})\n"
     );
-    let cluster = ClusterSpec::paper_homogeneous_v100();
-    let ds = DatasetModel::sst2();
-    let opts = HarnessOpts::default();
     let batches = [1usize, 2, 4, 8];
     for entropy in [0.3, 0.4, 0.5] {
         let mut family = ModelFamily::nlp();
         family.policy = ExitPolicy::Entropy { threshold: entropy };
+        let exp = experiment(
+            family,
+            ClusterSpec::paper_homogeneous_v100(),
+            DatasetModel::sst2(),
+        );
         let cols: Vec<String> = batches.iter().map(|b| format!("b={b}")).collect();
         let mut t = Table::new(format!("entropy threshold {entropy}"), &cols);
         let mut acc_row = Vec::new();
@@ -731,7 +734,7 @@ pub fn fig23_report() -> String {
         ] {
             let mut gs = Vec::new();
             for &b in &batches {
-                let r = run_closed_loop(kind, &family, &cluster, b, &ds, RUN_N, &opts, SEED);
+                let r = exp.run(kind, b, &mut NullObserver);
                 if kind == SystemKind::E3 {
                     acc_row.push(r.accuracy() * 100.0);
                 }
@@ -758,27 +761,22 @@ pub fn fig25_report() -> String {
         out,
         "Figure 25: goodput improvement from the exit-wrapper (16 x V100)\n"
     );
-    let family = ModelFamily::nlp();
-    let cluster = ClusterSpec::paper_homogeneous_v100();
-    let ds = DatasetModel::sst2();
+    let exp = experiment(
+        ModelFamily::nlp(),
+        ClusterSpec::paper_homogeneous_v100(),
+        DatasetModel::sst2(),
+    );
     let batches = [1usize, 2, 4, 8];
     let cols: Vec<String> = batches.iter().map(|b| format!("b={b}")).collect();
     let mut t = Table::new("E3 goodput with and without the wrapper", &cols);
-    let run = |wrapper: bool, b: usize| {
-        run_closed_loop(
-            SystemKind::E3,
-            &family,
-            &cluster,
-            b,
-            &ds,
-            RUN_N,
-            &HarnessOpts {
-                use_wrapper: wrapper,
+    let run = |use_wrapper: bool, b: usize| {
+        exp.clone()
+            .with_opts(HarnessOpts {
+                use_wrapper,
                 ..Default::default()
-            },
-            SEED,
-        )
-        .goodput()
+            })
+            .run(SystemKind::E3, b, &mut NullObserver)
+            .goodput()
     };
     let without: Vec<f64> = batches.iter().map(|&b| run(false, b)).collect();
     let with: Vec<f64> = batches.iter().map(|&b| run(true, b)).collect();
@@ -804,7 +802,7 @@ pub fn fig25_report() -> String {
 pub fn fig26_report() -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Figure 26: model parallelism ON vs OFF (16 x V100)\n");
-    let mut exp = Experiment::new(
+    let mut exp = experiment(
         ModelFamily::nlp(),
         ClusterSpec::paper_homogeneous_v100(),
         DatasetModel::sst2(),
@@ -816,7 +814,10 @@ pub fn fig26_report() -> String {
     for (label, pipelining) in [("MP OFF", false), ("MP ON", true)] {
         exp.opts.pipelining = pipelining;
         for (name, kind) in exp.systems() {
-            let gs: Vec<f64> = batches.iter().map(|&b| exp.goodput(kind, b)).collect();
+            let gs: Vec<f64> = batches
+                .iter()
+                .map(|&b| exp.run(kind, b, &mut NullObserver).goodput())
+                .collect();
             t.row(format!("{label:6} {name}"), &gs);
         }
     }
@@ -860,18 +861,18 @@ pub fn generality_policies_report() -> String {
         out,
         "Generality: E3 across five EE architectures (16 x V100, SST-2-like, b=8)\n"
     );
-    let cluster = ClusterSpec::paper_homogeneous_v100();
-    let ds = DatasetModel::sst2();
-    let opts = HarnessOpts::default();
     let mut t = Table::new(
         "goodput by architecture (batch 8)",
         &["stock", "naive EE", "E3", "E3/naive"],
     );
     let mut worst = f64::INFINITY;
     for name in ["DeeBERT", "FastBERT", "BERxiT", "ELBERT", "PABEE"] {
-        let fam = architecture_family(name);
-        let goodput =
-            |kind| run_closed_loop(kind, &fam, &cluster, 8, &ds, RUN_N, &opts, SEED).goodput();
+        let exp = experiment(
+            architecture_family(name),
+            ClusterSpec::paper_homogeneous_v100(),
+            DatasetModel::sst2(),
+        );
+        let goodput = |kind| exp.run(kind, 8, &mut NullObserver).goodput();
         let stock = goodput(SystemKind::Vanilla);
         let naive = goodput(SystemKind::NaiveEe);
         let e3 = goodput(SystemKind::E3);
@@ -929,26 +930,25 @@ pub fn ablations_report() -> String {
 
     // Realized ablation: the stage realization penalty, measured in the
     // actual serving simulator rather than by the DP's own estimate.
-    let family = ModelFamily::nlp();
-    let cluster = ClusterSpec::paper_homogeneous_v100();
-    let ds = DatasetModel::sst2();
     let mut t2 = Table::new(
         "realized goodput: stage penalty on vs off (per seed)",
         &["penalty on", "penalty off", "splits on/off"],
     );
-    let on_opts = HarnessOpts::default();
-    let off_opts = HarnessOpts {
-        stage_overhead_frac: 0.0,
-        ..Default::default()
-    };
     for seed in [SEED, SEED + 1, SEED + 2] {
-        let goodput = |opts| {
-            run_closed_loop(SystemKind::E3, &family, &cluster, 8, &ds, RUN_N, opts, seed).goodput()
-        };
-        let on = goodput(&on_opts);
-        let off = goodput(&off_opts);
-        let plan_on = build_e3_plan(&family, &cluster, 8, &ds, &on_opts, seed);
-        let plan_off = build_e3_plan(&family, &cluster, 8, &ds, &off_opts, seed);
+        let on = experiment(
+            ModelFamily::nlp(),
+            ClusterSpec::paper_homogeneous_v100(),
+            DatasetModel::sst2(),
+        )
+        .with_seed(seed);
+        let off = on.clone().with_opts(HarnessOpts {
+            stage_overhead_frac: 0.0,
+            ..Default::default()
+        });
+        let plan_on = on.plan(8);
+        let plan_off = off.plan(8);
+        let on = on.run(SystemKind::E3, 8, &mut NullObserver).goodput();
+        let off = off.run(SystemKind::E3, 8, &mut NullObserver).goodput();
         t2.row_str(
             format!("seed {seed}"),
             &[
@@ -993,7 +993,7 @@ pub fn fig_degradation_report() -> String {
     let mut avail = Vec::new();
     let mut violations = Vec::new();
     for &c in &crash_counts {
-        let mut e = Experiment::new(
+        let r = experiment(
             ModelFamily::nlp(),
             ClusterSpec::homogeneous(GpuKind::V100, 8, 2),
             DatasetModel::sst2(),
@@ -1001,9 +1001,9 @@ pub fn fig_degradation_report() -> String {
         .with_opts(HarnessOpts {
             fault_plan: crash_plan(c),
             ..Default::default()
-        });
-        e.n = n;
-        let r = e.run(SystemKind::NaiveEe, 8);
+        })
+        .with_n(n)
+        .run(SystemKind::NaiveEe, 8, &mut NullObserver);
         goodputs.push(r.goodput());
         avail.push(r.mean_availability() * 100.0);
         violations.push((1.0 - r.within_slo as f64 / r.completed.max(1) as f64) * 100.0);
@@ -1029,8 +1029,11 @@ pub fn fig_degradation_report() -> String {
         "slowdown sweep (NaiveEe, b=8, open loop 2000 req/s, replica 0 slowed)",
         &cols,
     );
-    let family = ModelFamily::nlp();
-    let cluster = ClusterSpec::homogeneous(GpuKind::V100, 8, 2);
+    let exp = experiment(
+        ModelFamily::nlp(),
+        ClusterSpec::homogeneous(GpuKind::V100, 8, 2),
+        DatasetModel::sst2(),
+    );
     let generator = WorkloadGenerator::new(
         ArrivalProcess::Poisson { rate: 2000.0 },
         DatasetModel::sst2(),
@@ -1048,21 +1051,14 @@ pub fn fig_degradation_report() -> String {
                 SimTime::from_millis(200),
                 SimTime::from_secs(3600),
             );
-            let opts = HarnessOpts {
-                fault_plan: plan,
-                detect_stragglers: *detect,
-                ..Default::default()
-            };
-            let r = run_open_loop(
-                SystemKind::NaiveEe,
-                &family,
-                &cluster,
-                8,
-                &generator,
-                &DatasetModel::sst2(),
-                &opts,
-                SEED,
-            );
+            let r = exp
+                .clone()
+                .with_opts(HarnessOpts {
+                    fault_plan: plan,
+                    detect_stragglers: *detect,
+                    ..Default::default()
+                })
+                .run_open(SystemKind::NaiveEe, 8, &generator, &mut NullObserver);
             gs.push(r.goodput());
         }
     }
@@ -1116,7 +1112,8 @@ fn reconfig_goodput(severity: f64, guarded: bool) -> (f64, e3::E3Report) {
         ClusterSpec::paper_homogeneous_v100(),
         cfg,
     );
-    let report = sys.run_windows(&oscillating_phases(3, 8, severity));
+    let report =
+        sys.run_windows_observed(&oscillating_phases(3, 8, severity), &[], &mut NullObserver);
     (report.goodput(), report)
 }
 
@@ -1311,12 +1308,12 @@ pub fn fig13_report() -> String {
         out,
         "Figure 13: NLP goodput at fixed cost ($0.013/s), best of 16 V100 vs 6 V100 + 8 P100 + 15 K80\n"
     );
-    let homo = Experiment::new(
+    let homo = experiment(
         ModelFamily::nlp(),
         ClusterSpec::paper_homogeneous_v100(),
         DatasetModel::sst2(),
     );
-    let hetero = Experiment::new(
+    let hetero = experiment(
         ModelFamily::nlp(),
         ClusterSpec::paper_heterogeneous(),
         DatasetModel::sst2(),
@@ -1328,7 +1325,10 @@ pub fn fig13_report() -> String {
     for (name, kind) in homo.systems() {
         let gs: Vec<f64> = batches
             .iter()
-            .map(|&b| homo.goodput(kind, b).max(hetero.goodput(kind, b)))
+            .map(|&b| {
+                let homo = homo.run(kind, b, &mut NullObserver).goodput();
+                homo.max(hetero.run(kind, b, &mut NullObserver).goodput())
+            })
             .collect();
         t.row(name, &gs);
         results.push(gs);
@@ -1582,7 +1582,7 @@ pub fn fig10_report() -> String {
         "Figure 10: translation goodput (samples/s), T5/CALM/E3, 4 x A6000, WMT\n"
     );
     let fam = ModelFamily::llm_t5();
-    let exp = Experiment::new(
+    let exp = experiment(
         fam.clone(),
         ClusterSpec::paper_llm_cluster(),
         DatasetModel::wmt(),
@@ -1630,7 +1630,7 @@ pub fn fig11_report() -> String {
         "Figure 11: summarization goodput (samples/s), T5/CALM/E3, 4 x A6000, SAMSum\n"
     );
     let fam = ModelFamily::llm_t5();
-    let exp = Experiment::new(
+    let exp = experiment(
         fam.clone(),
         ClusterSpec::paper_llm_cluster(),
         DatasetModel::samsum(),
@@ -1678,7 +1678,7 @@ pub fn fig12_report() -> String {
         "Figure 12: Llama-3.1-8B goodput (samples/s), BoolQ, 4 x A6000\n"
     );
     let fam = ModelFamily::llm_llama();
-    let exp = Experiment::new(
+    let exp = experiment(
         fam.clone(),
         ClusterSpec::paper_llm_cluster(),
         DatasetModel::boolq(),
@@ -1909,7 +1909,7 @@ pub fn fig_brownout_report() -> String {
                 ..Default::default()
             },
         );
-        sys.run_windows_with_faults(&phases, &faults)
+        sys.run_windows_observed(&phases, &faults, &mut NullObserver)
     };
     let shed = run(None);
     let brown = run(Some(BrownoutConfig {

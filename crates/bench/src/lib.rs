@@ -10,6 +10,11 @@
 //! cargo run --release -p e3-bench --bin figures -- fig07_nlp_goodput
 //! ```
 //!
+//! Fixed-batch figures describe their runs as an [`e3::harness::Experiment`]
+//! built by [`exp::experiment`], which applies the registry's defaults
+//! ([`RUN_N`] requests per point, root seed [`SEED`]); the windowed
+//! figures drive `E3System::run_windows_observed`.
+//!
 //! `tests/golden.rs` pins every entry's report byte-for-byte against
 //! `golden/<name>.txt`. The two experiments that measure host time
 //! (`fig20_optimizer_overhead`, `fig_scale`) carry that part as a separate
@@ -214,172 +219,21 @@ mod tests {
 /// Experiment helpers shared by several figures.
 pub mod exp {
     use super::{Table, RUN_N, SEED};
-    use e3::harness::{run_closed_loop, run_open_loop, HarnessOpts, ModelFamily, SystemKind};
+    use e3::harness::{Experiment, HarnessOpts, ModelFamily, SystemKind};
     use e3_hardware::ClusterSpec;
-    use e3_model::{InferenceSim, RampController};
-    use e3_runtime::autoreg::{pick_boundary, simulate_autoreg, AutoRegReport, AutoRegStrategy};
-    use e3_runtime::RunReport;
-    use e3_workload::{DatasetModel, WorkloadGenerator};
+    use e3_runtime::kernel::NullObserver;
+    use e3_workload::DatasetModel;
 
-    /// A figure's fixed experimental context — family, cluster, dataset,
-    /// harness options, request count, seed — so each figure only states
-    /// what varies.
-    pub struct Experiment {
-        /// Model family under study.
-        pub family: ModelFamily,
-        /// The deployment cluster.
-        pub cluster: ClusterSpec,
-        /// Workload dataset.
-        pub dataset: DatasetModel,
-        /// Harness knobs (SLO, pipelining, wrapper, ...).
-        pub opts: HarnessOpts,
-        /// Requests per measurement point.
-        pub n: usize,
-        /// Root seed.
-        pub seed: u64,
-    }
-
-    impl Experiment {
-        /// A context with the shared defaults ([`RUN_N`], [`SEED`],
-        /// default [`HarnessOpts`]).
-        pub fn new(family: ModelFamily, cluster: ClusterSpec, dataset: DatasetModel) -> Self {
-            Experiment {
-                family,
-                cluster,
-                dataset,
-                opts: HarnessOpts::default(),
-                n: RUN_N,
-                seed: SEED,
-            }
-        }
-
-        /// Replaces the harness options.
-        pub fn with_opts(mut self, opts: HarnessOpts) -> Self {
-            self.opts = opts;
-            self
-        }
-
-        /// Replaces the request count per measurement point.
-        pub fn with_n(mut self, n: usize) -> Self {
-            self.n = n;
-            self
-        }
-
-        /// Replaces the root seed.
-        pub fn with_seed(mut self, seed: u64) -> Self {
-            self.seed = seed;
-            self
-        }
-
-        /// Runs one open-loop measurement point against `generator`'s
-        /// arrival process (the context's dataset still supplies the
-        /// planning profile).
-        pub fn run_open(
-            &self,
-            kind: SystemKind,
-            batch: usize,
-            generator: &WorkloadGenerator,
-        ) -> RunReport {
-            run_open_loop(
-                kind,
-                &self.family,
-                &self.cluster,
-                batch,
-                generator,
-                &self.dataset,
-                &self.opts,
-                self.seed,
-            )
-        }
-
-        /// Runs one closed-loop measurement point.
-        pub fn run(&self, kind: SystemKind, batch: usize) -> RunReport {
-            run_closed_loop(
-                kind,
-                &self.family,
-                &self.cluster,
-                batch,
-                &self.dataset,
-                self.n,
-                &self.opts,
-                self.seed,
-            )
-        }
-
-        /// Goodput of one measurement point.
-        pub fn goodput(&self, kind: SystemKind, batch: usize) -> f64 {
-            self.run(kind, batch).goodput()
-        }
-
-        /// Picks the E3 decoder boundary for the context's EE model: the
-        /// first decoder layer where token survival on this dataset falls
-        /// to `frac` (see [`pick_boundary`]).
-        pub fn pick_autoreg_boundary(&self, frac: f64) -> usize {
-            let ctrl = RampController::all_enabled(
-                self.family.ee.num_ramps(),
-                self.family.policy.ramp_style(),
-            );
-            let infer = InferenceSim::with_accuracy(self.dataset.base_accuracy);
-            pick_boundary(
-                &self.family.ee,
-                &self.family.policy,
-                &ctrl,
-                &infer,
-                &self.dataset,
-                frac,
-                self.seed,
-            )
-        }
-
-        /// Runs one closed-loop *autoregressive* measurement point
-        /// through the kernel's continuous-batching driver
-        /// ([`e3_runtime::run_continuous`] via
-        /// [`e3_runtime::autoreg::simulate_autoreg`]). The strategy picks
-        /// the model: vanilla static batching serves the stock model,
-        /// everything else the EE variant. Requires a homogeneous
-        /// cluster (the paper's LLM experiments use 4 identical A6000s).
-        pub fn run_autoreg(
-            &self,
-            strat: AutoRegStrategy,
-            ctrl: &RampController,
-            batch: usize,
-        ) -> AutoRegReport {
-            let kinds = self.cluster.kinds();
-            assert_eq!(
-                kinds.len(),
-                1,
-                "autoregressive serving expects a homogeneous cluster"
-            );
-            let model = self.family.model_for(match strat {
-                AutoRegStrategy::VanillaStatic => SystemKind::Vanilla,
-                _ => SystemKind::NaiveEe,
-            });
-            let infer = InferenceSim::with_accuracy(self.dataset.base_accuracy);
-            simulate_autoreg(
-                model,
-                &self.family.policy,
-                ctrl,
-                &infer,
-                &self.dataset,
-                strat,
-                kinds[0],
-                self.cluster.num_gpus(),
-                batch,
-                self.n,
-                &self.family.latency_model(),
-                self.seed,
-            )
-        }
-
-        /// The standard three-way comparison, labeled: the stock model
-        /// under vanilla serving, the EE model served naively, and E3.
-        pub fn systems(&self) -> [(String, SystemKind); 3] {
-            [
-                (self.family.stock.name().to_string(), SystemKind::Vanilla),
-                (self.family.ee.name().to_string(), SystemKind::NaiveEe),
-                ("E3".to_string(), SystemKind::E3),
-            ]
-        }
+    /// An [`Experiment`] with the registry's defaults: [`RUN_N`] requests
+    /// per point, root seed [`SEED`], default [`HarnessOpts`].
+    pub fn experiment(
+        family: ModelFamily,
+        cluster: ClusterSpec,
+        dataset: DatasetModel,
+    ) -> Experiment {
+        Experiment::new(family, cluster, dataset)
+            .with_n(RUN_N)
+            .with_seed(SEED)
     }
 
     /// Runs the three systems over a batch-size sweep; returns measured
@@ -399,8 +253,8 @@ pub mod exp {
         opts: &HarnessOpts,
         paper_rows: &[(&str, &[f64])],
     ) -> (Vec<(String, Vec<f64>)>, String) {
-        let exp = Experiment::new(family.clone(), cluster.clone(), dataset.clone())
-            .with_opts(opts.clone());
+        let exp =
+            experiment(family.clone(), cluster.clone(), dataset.clone()).with_opts(opts.clone());
         let cols: Vec<String> = batches.iter().map(|b| format!("b={b}")).collect();
         let mut t = Table::new(title, &cols);
         let systems = exp.systems();
@@ -408,7 +262,9 @@ pub mod exp {
             .iter()
             .flat_map(|(_, kind)| batches.iter().map(|&b| (*kind, b)))
             .collect();
-        let goodputs = crate::par::par_map(points, |_, (kind, b)| exp.goodput(kind, b));
+        let goodputs = crate::par::par_map(points, |_, (kind, b)| {
+            exp.run(kind, b, &mut NullObserver).goodput()
+        });
         let mut out = Vec::new();
         for (i, (name, _)) in systems.into_iter().enumerate() {
             let gs = goodputs[i * batches.len()..(i + 1) * batches.len()].to_vec();

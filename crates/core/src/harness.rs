@@ -2,22 +2,27 @@
 //!
 //! The evaluation compares three system shapes per model family at fixed
 //! batch sizes: the stock model (vanilla serving), the EE model served
-//! naively, and the EE model under E3. This module packages that recipe
-//! so a figure (an experiment-registry function returning its report)
-//! only picks a [`ModelFamily`], a cluster, a batch size, and a dataset.
+//! naively, and the EE model under E3. [`Experiment`] packages that
+//! recipe: a figure (an experiment-registry function returning its
+//! report) fixes a [`ModelFamily`], a cluster and a dataset once, then
+//! runs each [`SystemKind`] at each batch size through
+//! [`Experiment::run`] (closed loop) or [`Experiment::run_open`] (open
+//! loop). [`Experiment::plan`] and [`Experiment::deployment`] expose the
+//! E3 plan and the unrun kernel deployment behind those runs.
 
 use e3_hardware::{ClusterSpec, ExitOverheads, LatencyModel, TransferModel};
-use e3_model::{zoo, EeModel, ExitPolicy, InferenceSim, RampController};
+use e3_model::{zoo, BatchProfile, EeModel, ExitPolicy, InferenceSim, RampController};
 use e3_optimizer::auto::plan_for_cluster;
 use e3_optimizer::{OptimizerConfig, SplitPlan};
-use e3_runtime::{FaultPlan, RunReport, Strategy};
+use e3_runtime::autoreg::{pick_boundary, simulate_autoreg, AutoRegReport, AutoRegStrategy};
+use e3_runtime::{FaultPlan, RunObserver, RunReport, ServingSim, Strategy};
 use e3_simcore::{SeedSplitter, SimDuration};
 use e3_workload::{DatasetModel, Request, WorkloadGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::deploy::DeploymentBuilder;
-use crate::system::measure_profile;
+use crate::system::{measure_profile, useful_ramps};
 
 /// Which serving system to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,230 +177,292 @@ impl Default for HarnessOpts {
     }
 }
 
-/// Builds the E3 plan for a family on a cluster at a batch size, from a
-/// profile measured on `dataset`.
-pub fn build_e3_plan(
-    family: &ModelFamily,
-    cluster: &ClusterSpec,
-    batch: usize,
-    dataset: &DatasetModel,
-    opts: &HarnessOpts,
-    seed: u64,
-) -> SplitPlan {
-    let lm = family.latency_model();
-    let infer = InferenceSim::with_accuracy(dataset.base_accuracy);
-    let ctrl = RampController::all_enabled(family.ee.num_ramps(), family.policy.ramp_style());
-    let profile = measure_profile(
-        &family.ee,
-        &family.policy,
-        &ctrl,
-        &infer,
-        dataset,
-        opts.profile_samples,
-        SeedSplitter::new(seed).derive("profile"),
-    )
-    .with_shrinkage_error(opts.profile_error);
-    let cfg = OptimizerConfig {
-        slo: opts.slo,
-        pipelining: opts.pipelining,
-        max_splits: opts.max_splits,
-        stage_overhead_frac: opts.stage_overhead_frac,
-        ..Default::default()
-    };
-    plan_for_cluster(
-        &family.ee,
-        &ctrl,
-        &profile,
-        cluster,
-        batch.max(1) as f64,
-        &TransferModel::default(),
-        &lm,
-        &cfg,
-    )
+/// One fixed-batch experiment: a model family on a cluster, serving a
+/// dataset under [`HarnessOpts`], `n` requests per measurement point,
+/// deterministic in `seed`. Each method takes the parts that vary
+/// between points: the system kind and the batch size.
+#[derive(Debug, Clone)]
+pub struct Experiment {
+    /// Model family under study.
+    pub family: ModelFamily,
+    /// The deployment cluster.
+    pub cluster: ClusterSpec,
+    /// Workload dataset; open-loop runs still plan from its profile.
+    pub dataset: DatasetModel,
+    /// Harness knobs (SLO, pipelining, wrapper, faults, ...).
+    pub opts: HarnessOpts,
+    /// Requests per closed-loop measurement point.
+    pub n: usize,
+    /// Root seed.
+    pub seed: u64,
 }
 
-/// Runs a closed-loop experiment: `n` requests of `dataset` at `batch`
-/// on `cluster` under the chosen system. Deterministic in `seed`.
-#[allow(clippy::too_many_arguments)] // one knob per experiment axis
-pub fn run_closed_loop(
-    kind: SystemKind,
-    family: &ModelFamily,
-    cluster: &ClusterSpec,
-    batch: usize,
-    dataset: &DatasetModel,
-    n: usize,
-    opts: &HarnessOpts,
-    seed: u64,
-) -> RunReport {
-    run_closed_loop_observed(
-        kind,
-        family,
-        cluster,
-        batch,
-        dataset,
-        n,
-        opts,
-        seed,
-        &mut e3_runtime::kernel::NullObserver,
-    )
-}
-
-/// [`run_closed_loop`], streaming the kernel's typed events to
-/// `observer`. The serial (`pipelining == false`) E3 path runs outside
-/// the kernel and streams nothing.
-#[allow(clippy::too_many_arguments)]
-pub fn run_closed_loop_observed(
-    kind: SystemKind,
-    family: &ModelFamily,
-    cluster: &ClusterSpec,
-    batch: usize,
-    dataset: &DatasetModel,
-    n: usize,
-    opts: &HarnessOpts,
-    seed: u64,
-    observer: &mut dyn e3_runtime::RunObserver,
-) -> RunReport {
-    let model = family.model_for(kind);
-    let infer = InferenceSim::with_accuracy(dataset.base_accuracy);
-    if kind == SystemKind::E3 && !opts.pipelining {
-        // Model parallelism OFF (§5.8.7): splits run serially on the same
-        // data-parallel GPUs with a barrier at every boundary.
-        let plan = build_e3_plan(family, cluster, batch, dataset, opts, seed);
-        let ctrl = RampController::all_enabled(model.num_ramps(), family.policy.ramp_style());
-        let gpus: Vec<_> = cluster.gpus().iter().map(|g| g.kind).collect();
-        let reqs = closed_loop_requests(dataset, n, SeedSplitter::new(seed).derive("requests"));
-        return e3_runtime::serial::run_serial_barrier(
-            model,
-            family.policy,
-            &ctrl,
-            &infer,
-            &plan.boundaries(),
-            &gpus,
-            batch.max(1),
-            opts.slo,
-            &family.latency_model(),
-            &reqs,
-            SeedSplitter::new(seed).derive("run"),
-        );
-    }
-    let (sim, reqs, run_seed) =
-        build_closed_loop_sim(kind, family, cluster, batch, dataset, n, opts, seed);
-    sim.run_observed(&reqs, run_seed, observer)
-}
-
-/// Assembles the kernel-path closed-loop deployment without running it:
-/// the built simulator, the request backlog, and the derived run seed.
-/// Useful for drivers that want to separate workload materialization
-/// from the kernel event loop (e.g. `ServingSim::materialize_backlog` +
-/// repeated `run_backlog_observed` in benchmarks). The serial
-/// (`pipelining == false`) E3 path runs outside the kernel and is not
-/// expressible here; [`run_closed_loop_observed`] handles it.
-#[allow(clippy::too_many_arguments)]
-pub fn build_closed_loop_sim<'m>(
-    kind: SystemKind,
-    family: &'m ModelFamily,
-    cluster: &ClusterSpec,
-    batch: usize,
-    dataset: &DatasetModel,
-    n: usize,
-    opts: &HarnessOpts,
-    seed: u64,
-) -> (e3_runtime::ServingSim<'m>, Vec<Request>, u64) {
-    let model = family.model_for(kind);
-    let infer = InferenceSim::with_accuracy(dataset.base_accuracy);
-    let strategy = match kind {
-        SystemKind::Vanilla => Strategy::Vanilla { batch },
-        SystemKind::NaiveEe => Strategy::NaiveEe { batch },
-        SystemKind::E3 => {
-            Strategy::Plan(build_e3_plan(family, cluster, batch, dataset, opts, seed))
-        }
-    };
-    let mut ctrl = RampController::all_enabled(model.num_ramps(), family.policy.ramp_style());
-    if kind == SystemKind::E3 && opts.use_wrapper {
-        if let Strategy::Plan(plan) = &strategy {
-            let profile = measure_profile(
-                &family.ee,
-                &family.policy,
-                &ctrl,
-                &infer,
-                dataset,
-                opts.profile_samples,
-                SeedSplitter::new(seed).derive("profile"),
-            );
-            let keep = crate::system::useful_ramps(model, &profile, &plan.boundaries(), 0.04);
-            ctrl.keep_only(&keep);
-        }
-    }
-    let sim = DeploymentBuilder::new(model, family.policy, &strategy, cluster)
-        .with_ctrl(ctrl)
-        .with_inference(infer)
-        .with_latency_model(family.latency_model())
-        .with_slo(opts.slo)
-        .with_fault_plan(opts.fault_plan.clone())
-        .with_straggler_detection(opts.detect_stragglers)
-        .build();
-    let reqs = closed_loop_requests(dataset, n, SeedSplitter::new(seed).derive("requests"));
-    (sim, reqs, SeedSplitter::new(seed).derive("run"))
-}
-
-/// Runs an open-loop experiment over a pre-generated workload.
-#[allow(clippy::too_many_arguments)]
-pub fn run_open_loop(
-    kind: SystemKind,
-    family: &ModelFamily,
-    cluster: &ClusterSpec,
-    batch: usize,
-    generator: &WorkloadGenerator,
-    profile_dataset: &DatasetModel,
-    opts: &HarnessOpts,
-    seed: u64,
-) -> RunReport {
-    let model = family.model_for(kind);
-    let infer = InferenceSim::with_accuracy(profile_dataset.base_accuracy);
-    let strategy = match kind {
-        SystemKind::Vanilla => Strategy::Vanilla { batch },
-        SystemKind::NaiveEe => Strategy::NaiveEe { batch },
-        SystemKind::E3 => Strategy::Plan(build_e3_plan(
+impl Experiment {
+    /// An experiment with default [`HarnessOpts`], 20 000 requests per
+    /// point and seed 0.
+    pub fn new(family: ModelFamily, cluster: ClusterSpec, dataset: DatasetModel) -> Self {
+        Experiment {
             family,
             cluster,
-            batch,
-            profile_dataset,
-            opts,
-            seed,
-        )),
-    };
-    let sim = DeploymentBuilder::new(model, family.policy, &strategy, cluster)
-        .with_inference(infer)
-        .with_latency_model(family.latency_model())
-        .with_slo(opts.slo)
-        .with_fault_plan(opts.fault_plan.clone())
-        .with_straggler_detection(opts.detect_stragglers)
-        .open_loop(generator.horizon())
-        .build();
-    let mut rng = StdRng::seed_from_u64(SeedSplitter::new(seed).derive("open-reqs"));
-    let reqs = generator.generate(0, &mut rng);
-    sim.run(&reqs, SeedSplitter::new(seed).derive("open-run"))
-}
+            dataset,
+            opts: HarnessOpts::default(),
+            n: 20_000,
+            seed: 0,
+        }
+    }
 
-/// Convenience wrapper for the NLP family (used by the crate docs).
-pub fn run_nlp(
-    kind: SystemKind,
-    cluster: &ClusterSpec,
-    batch: usize,
-    dataset: &DatasetModel,
-    n: usize,
-    seed: u64,
-) -> RunReport {
-    run_closed_loop(
-        kind,
-        &ModelFamily::nlp(),
-        cluster,
-        batch,
-        dataset,
-        n,
-        &HarnessOpts::default(),
-        seed,
-    )
+    /// Replaces the harness options.
+    pub fn with_opts(mut self, opts: HarnessOpts) -> Self {
+        self.opts = opts;
+        self
+    }
+
+    /// Replaces the request count per measurement point.
+    pub fn with_n(mut self, n: usize) -> Self {
+        self.n = n;
+        self
+    }
+
+    /// Replaces the root seed.
+    pub fn with_seed(mut self, seed: u64) -> Self {
+        self.seed = seed;
+        self
+    }
+
+    /// The E3 plan at `batch`, from a profile measured on the dataset
+    /// (with [`HarnessOpts::profile_error`] injected).
+    pub fn plan(&self, batch: usize) -> SplitPlan {
+        self.plan_from(&self.profile(), batch)
+    }
+
+    /// The kernel-path closed-loop deployment, not yet run: the
+    /// simulator, the request backlog, and the derived run seed.
+    /// [`Experiment::run`] is `sim.run_observed(&reqs, run_seed, ..)` on
+    /// this; drivers that time materialization apart from the kernel use
+    /// `ServingSim::materialize_backlog` and `run_backlog_observed`
+    /// instead.
+    ///
+    /// # Panics
+    ///
+    /// On E3 with `pipelining: false`, which the kernel cannot serve (see
+    /// [`Experiment::run`]).
+    pub fn deployment(
+        &self,
+        kind: SystemKind,
+        batch: usize,
+    ) -> (ServingSim<'_>, Vec<Request>, u64) {
+        let seeds = SeedSplitter::new(self.seed);
+        let sim = self.sim(kind, batch, None);
+        let reqs = closed_loop_requests(&self.dataset, self.n, seeds.derive("requests"));
+        (sim, reqs, seeds.derive("run"))
+    }
+
+    /// Runs one closed-loop measurement point, streaming the kernel's
+    /// typed events to `observer`.
+    ///
+    /// E3 with `pipelining: false` is model parallelism OFF (§5.8.7):
+    /// its splits run serially on the same data-parallel GPUs with a
+    /// barrier at every boundary. That driver runs outside the kernel
+    /// and streams no events to `observer`.
+    pub fn run(&self, kind: SystemKind, batch: usize, observer: &mut dyn RunObserver) -> RunReport {
+        if kind == SystemKind::E3 && !self.opts.pipelining {
+            return self.run_serial_barrier(batch);
+        }
+        let (sim, reqs, run_seed) = self.deployment(kind, batch);
+        sim.run_observed(&reqs, run_seed, observer)
+    }
+
+    /// Runs one open-loop measurement point against `generator`'s
+    /// arrival process, streaming the kernel's typed events to
+    /// `observer`. The experiment's dataset still supplies the planning
+    /// profile.
+    ///
+    /// # Panics
+    ///
+    /// On E3 with `pipelining: false`: the serial-barrier driver behind
+    /// MP-OFF has no open-loop form.
+    pub fn run_open(
+        &self,
+        kind: SystemKind,
+        batch: usize,
+        generator: &WorkloadGenerator,
+        observer: &mut dyn RunObserver,
+    ) -> RunReport {
+        let seeds = SeedSplitter::new(self.seed);
+        let sim = self.sim(kind, batch, Some(generator.horizon()));
+        let mut rng = StdRng::seed_from_u64(seeds.derive("open-reqs"));
+        let reqs = generator.generate(0, &mut rng);
+        sim.run_observed(&reqs, seeds.derive("open-run"), observer)
+    }
+
+    /// Runs one closed-loop *autoregressive* measurement point
+    /// through the kernel's continuous-batching driver
+    /// ([`e3_runtime::run_continuous`] via [`simulate_autoreg`]). The
+    /// strategy picks the model: vanilla static batching serves the
+    /// stock model, everything else the EE variant. Requires a
+    /// homogeneous cluster (the paper's LLM experiments use 4 identical
+    /// A6000s).
+    pub fn run_autoreg(
+        &self,
+        strat: AutoRegStrategy,
+        ctrl: &RampController,
+        batch: usize,
+    ) -> AutoRegReport {
+        let kinds = self.cluster.kinds();
+        assert_eq!(
+            kinds.len(),
+            1,
+            "autoregressive serving expects a homogeneous cluster"
+        );
+        let model = self.family.model_for(match strat {
+            AutoRegStrategy::VanillaStatic => SystemKind::Vanilla,
+            _ => SystemKind::NaiveEe,
+        });
+        simulate_autoreg(
+            model,
+            &self.family.policy,
+            ctrl,
+            &self.inference(),
+            &self.dataset,
+            strat,
+            kinds[0],
+            self.cluster.num_gpus(),
+            batch,
+            self.n,
+            &self.family.latency_model(),
+            self.seed,
+        )
+    }
+
+    /// Picks the E3 decoder boundary for the family's EE model: the
+    /// first decoder layer where token survival on this dataset falls
+    /// to `frac` (see [`pick_boundary`]).
+    pub fn pick_autoreg_boundary(&self, frac: f64) -> usize {
+        pick_boundary(
+            &self.family.ee,
+            &self.family.policy,
+            &self.full_ctrl(),
+            &self.inference(),
+            &self.dataset,
+            frac,
+            self.seed,
+        )
+    }
+
+    /// The standard three-way comparison, labeled: the stock model
+    /// under vanilla serving, the EE model served naively, and E3.
+    pub fn systems(&self) -> [(String, SystemKind); 3] {
+        [
+            (self.family.stock.name().to_string(), SystemKind::Vanilla),
+            (self.family.ee.name().to_string(), SystemKind::NaiveEe),
+            ("E3".to_string(), SystemKind::E3),
+        ]
+    }
+
+    fn inference(&self) -> InferenceSim {
+        InferenceSim::with_accuracy(self.dataset.base_accuracy)
+    }
+
+    /// Every ramp of the EE model enabled.
+    fn full_ctrl(&self) -> RampController {
+        RampController::all_enabled(self.family.ee.num_ramps(), self.family.policy.ramp_style())
+    }
+
+    /// The exact batch profile measured on the dataset.
+    fn profile(&self) -> BatchProfile {
+        measure_profile(
+            &self.family.ee,
+            &self.family.policy,
+            &self.full_ctrl(),
+            &self.inference(),
+            &self.dataset,
+            self.opts.profile_samples,
+            SeedSplitter::new(self.seed).derive("profile"),
+        )
+    }
+
+    /// The E3 plan from a measured profile, after error injection.
+    fn plan_from(&self, profile: &BatchProfile, batch: usize) -> SplitPlan {
+        let cfg = OptimizerConfig {
+            slo: self.opts.slo,
+            pipelining: self.opts.pipelining,
+            max_splits: self.opts.max_splits,
+            stage_overhead_frac: self.opts.stage_overhead_frac,
+            ..Default::default()
+        };
+        plan_for_cluster(
+            &self.family.ee,
+            &self.full_ctrl(),
+            &profile.with_shrinkage_error(self.opts.profile_error),
+            &self.cluster,
+            batch.max(1) as f64,
+            &TransferModel::default(),
+            &self.family.latency_model(),
+            &cfg,
+        )
+    }
+
+    /// The kernel deployment both closed- and open-loop runs serve:
+    /// closed loop when `horizon` is `None`, open loop over `horizon`
+    /// otherwise. E3 measures its profile once; the plan sees the
+    /// error-injected copy and the exit wrapper the exact one.
+    fn sim(&self, kind: SystemKind, batch: usize, horizon: Option<SimDuration>) -> ServingSim<'_> {
+        assert!(
+            kind != SystemKind::E3 || self.opts.pipelining,
+            "E3 with pipelining off runs the serial-barrier driver, which has no kernel \
+             deployment and no open-loop form"
+        );
+        let model = self.family.model_for(kind);
+        let (strategy, wrapper_ramps) = match kind {
+            SystemKind::Vanilla => (Strategy::Vanilla { batch }, None),
+            SystemKind::NaiveEe => (Strategy::NaiveEe { batch }, None),
+            SystemKind::E3 => {
+                let profile = self.profile();
+                let plan = self.plan_from(&profile, batch);
+                let keep = self
+                    .opts
+                    .use_wrapper
+                    .then(|| useful_ramps(model, &profile, &plan.boundaries(), 0.04));
+                (Strategy::Plan(plan), keep)
+            }
+        };
+        let mut ctrl =
+            RampController::all_enabled(model.num_ramps(), self.family.policy.ramp_style());
+        if let Some(keep) = wrapper_ramps {
+            ctrl.keep_only(&keep);
+        }
+        let builder = DeploymentBuilder::new(model, self.family.policy, &strategy, &self.cluster)
+            .with_ctrl(ctrl)
+            .with_inference(self.inference())
+            .with_latency_model(self.family.latency_model())
+            .with_slo(self.opts.slo)
+            .with_fault_plan(self.opts.fault_plan.clone())
+            .with_straggler_detection(self.opts.detect_stragglers);
+        match horizon {
+            Some(h) => builder.open_loop(h).build(),
+            None => builder.build(),
+        }
+    }
+
+    /// E3 with model parallelism OFF: the serial-barrier driver.
+    fn run_serial_barrier(&self, batch: usize) -> RunReport {
+        let seeds = SeedSplitter::new(self.seed);
+        let gpus: Vec<_> = self.cluster.gpus().iter().map(|g| g.kind).collect();
+        let reqs = closed_loop_requests(&self.dataset, self.n, seeds.derive("requests"));
+        e3_runtime::serial::run_serial_barrier(
+            &self.family.ee,
+            self.family.policy,
+            &self.full_ctrl(),
+            &self.inference(),
+            &self.plan(batch).boundaries(),
+            &gpus,
+            batch.max(1),
+            self.opts.slo,
+            &self.family.latency_model(),
+            &reqs,
+            seeds.derive("run"),
+        )
+    }
 }
 
 fn closed_loop_requests(dataset: &DatasetModel, n: usize, seed: u64) -> Vec<Request> {
@@ -413,17 +480,25 @@ fn closed_loop_requests(dataset: &DatasetModel, n: usize, seed: u64) -> Vec<Requ
 #[cfg(test)]
 mod tests {
     use super::*;
+    use e3_runtime::kernel::NullObserver;
+    use e3_workload::ArrivalProcess;
+
+    /// DeeBERT on SST-2 and 16 V100s.
+    fn nlp(seed: u64) -> Experiment {
+        Experiment::new(
+            ModelFamily::nlp(),
+            ClusterSpec::paper_homogeneous_v100(),
+            DatasetModel::sst2(),
+        )
+        .with_seed(seed)
+    }
 
     #[test]
     fn fig7_shape_reproduces() {
         // The headline result: at b=8 on 16 V100s, E3 > BERT > DeeBERT;
         // at b=1, DeeBERT > BERT.
-        let family = ModelFamily::nlp();
-        let cluster = ClusterSpec::paper_homogeneous_v100();
-        let ds = DatasetModel::sst2();
-        let opts = HarnessOpts::default();
-        let g =
-            |kind, b| run_closed_loop(kind, &family, &cluster, b, &ds, 20_000, &opts, 1).goodput();
+        let exp = nlp(1);
+        let g = |kind, b| exp.run(kind, b, &mut NullObserver).goodput();
         let bert_8 = g(SystemKind::Vanilla, 8);
         let dee_8 = g(SystemKind::NaiveEe, 8);
         let e3_8 = g(SystemKind::E3, 8);
@@ -439,54 +514,64 @@ mod tests {
     #[test]
     fn compressed_family_benefits_too() {
         // fig. 9: E3 boosts DistilBERT-EE.
-        let family = ModelFamily::compressed();
-        let cluster = ClusterSpec::homogeneous(e3_hardware::GpuKind::V100, 4, 2);
-        let ds = DatasetModel::sst2();
-        let opts = HarnessOpts::default();
-        let e3 = run_closed_loop(SystemKind::E3, &family, &cluster, 8, &ds, 20_000, &opts, 2);
-        let naive = run_closed_loop(
-            SystemKind::NaiveEe,
-            &family,
-            &cluster,
-            8,
-            &ds,
-            20_000,
-            &opts,
-            2,
-        );
+        let exp = Experiment::new(
+            ModelFamily::compressed(),
+            ClusterSpec::homogeneous(e3_hardware::GpuKind::V100, 4, 2),
+            DatasetModel::sst2(),
+        )
+        .with_seed(2);
+        let e3 = exp.run(SystemKind::E3, 8, &mut NullObserver);
+        let naive = exp.run(SystemKind::NaiveEe, 8, &mut NullObserver);
         assert!(e3.goodput() > naive.goodput());
     }
 
     #[test]
     fn profile_error_degrades_gracefully() {
         // fig. 22: misprediction loses some goodput but nothing breaks.
-        let family = ModelFamily::nlp();
-        let cluster = ClusterSpec::paper_homogeneous_v100();
-        let ds = DatasetModel::sst2();
-        let exact = run_closed_loop(
-            SystemKind::E3,
-            &family,
-            &cluster,
-            8,
-            &ds,
-            20_000,
-            &HarnessOpts::default(),
-            3,
-        );
-        let wrong = run_closed_loop(
-            SystemKind::E3,
-            &family,
-            &cluster,
-            8,
-            &ds,
-            20_000,
-            &HarnessOpts {
-                profile_error: 0.8,
-                ..Default::default()
-            },
-            3,
-        );
+        let exact_exp = nlp(3);
+        let wrong_exp = exact_exp.clone().with_opts(HarnessOpts {
+            profile_error: 0.8,
+            ..Default::default()
+        });
+        let exact = exact_exp.run(SystemKind::E3, 8, &mut NullObserver);
+        let wrong = wrong_exp.run(SystemKind::E3, 8, &mut NullObserver);
         assert!(wrong.goodput() <= exact.goodput() * 1.02);
         assert!(wrong.goodput() > exact.goodput() * 0.3, "not catastrophic");
+    }
+
+    fn poisson(rate: f64) -> WorkloadGenerator {
+        WorkloadGenerator::new(
+            ArrivalProcess::Poisson { rate },
+            DatasetModel::sst2(),
+            SimDuration::from_secs(2),
+        )
+    }
+
+    #[test]
+    fn open_loop_honours_the_exit_wrapper() {
+        // §3.4's wrapper disables non-boundary ramps on open loop too,
+        // so the served ramps, and with them the report, change.
+        let g = poisson(4000.0);
+        let run = |use_wrapper| {
+            nlp(4)
+                .with_opts(HarnessOpts {
+                    use_wrapper,
+                    ..Default::default()
+                })
+                .run_open(SystemKind::E3, 8, &g, &mut NullObserver)
+        };
+        let fingerprint = |r: RunReport| (r.completed, r.within_slo, r.mean_depth().to_bits());
+        assert_ne!(fingerprint(run(false)), fingerprint(run(true)));
+    }
+
+    #[test]
+    #[should_panic(expected = "no open-loop form")]
+    fn open_loop_rejects_mp_off() {
+        nlp(5)
+            .with_opts(HarnessOpts {
+                pipelining: false,
+                ..Default::default()
+            })
+            .run_open(SystemKind::E3, 8, &poisson(1000.0), &mut NullObserver);
     }
 }

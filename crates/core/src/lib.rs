@@ -14,20 +14,26 @@
 //! This crate is the top of the workspace: it wires the online batch
 //! profiler (`e3-profiler`), the DP split optimizer (`e3-optimizer`), and
 //! the serving runtime (`e3-runtime`) into the closed control loop of the
-//! paper's fig. 4, and offers a one-shot [`harness`] for experiments.
+//! paper's fig. 4, and offers a one-shot experiment harness,
+//! [`harness::Experiment`].
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use e3::harness::{self, SystemKind};
+//! use e3::harness::{Experiment, ModelFamily, SystemKind};
 //! use e3_hardware::ClusterSpec;
+//! use e3_runtime::kernel::NullObserver;
 //! use e3_workload::DatasetModel;
 //!
 //! // Serve an easy-skewed NLP workload on 16 V100s at batch 8.
-//! let cluster = ClusterSpec::paper_homogeneous_v100();
-//! let dataset = DatasetModel::sst2();
-//! let e3 = harness::run_nlp(SystemKind::E3, &cluster, 8, &dataset, 20_000, 42);
-//! let bert = harness::run_nlp(SystemKind::Vanilla, &cluster, 8, &dataset, 20_000, 42);
+//! let exp = Experiment::new(
+//!     ModelFamily::nlp(),
+//!     ClusterSpec::paper_homogeneous_v100(),
+//!     DatasetModel::sst2(),
+//! )
+//! .with_seed(42);
+//! let e3 = exp.run(SystemKind::E3, 8, &mut NullObserver);
+//! let bert = exp.run(SystemKind::Vanilla, 8, &mut NullObserver);
 //! assert!(e3.goodput() > bert.goodput());
 //! ```
 

@@ -13,7 +13,6 @@ use e3_model::{BatchProfile, EeModel, ExitPolicy, InferenceSim, RampController};
 use e3_optimizer::auto::plan_for_cluster_cached;
 use e3_optimizer::{OptimizerConfig, PlanCache, SplitPlan};
 use e3_profiler::{BatchProfileEstimator, DriftWatchdog, WindowObserver};
-use e3_runtime::kernel::NullObserver;
 use e3_runtime::{
     FaultPlan, KernelEvent, OffsetObserver, RunObserver, RunReport, ServingSim, ShedCause, Strategy,
 };
@@ -83,36 +82,19 @@ impl E3System {
 
     /// Runs one scheduling window per entry of `phases` (fig. 16 switches
     /// the dataset between phases; pass the same dataset repeatedly for a
-    /// stationary workload).
-    ///
+    /// stationary workload), injecting `faults[w]` into window `w`'s
+    /// serving run (windows past the end of `faults` run fault-free).
     /// Returns per-window predictions, observations, plans, and serving
-    /// metrics.
-    pub fn run_windows(&self, phases: &[DatasetModel]) -> E3Report {
-        self.run_windows_with_faults(phases, &[])
-    }
-
-    /// Like [`E3System::run_windows`], injecting `faults[w]` into window
-    /// `w`'s serving run (windows past the end of `faults` run
-    /// fault-free).
+    /// metrics, and streams every kernel event — re-based onto one global
+    /// clock spanning all windows — plus the reconfiguration markers
+    /// (`ReconfigStarted`, `CanaryPromoted`, `RolledBack`) to `observer`.
     ///
-    /// This is the recovery path §3.3 sketches: replicas crashed by a
-    /// window's fault plan and never recovered within it are treated as
+    /// Faults drive the recovery path §3.3 sketches: replicas crashed by
+    /// a window's fault plan and never recovered within it are treated as
     /// permanently lost — the periodic re-optimization recomputes every
     /// subsequent window's plan against the shrunken cluster, so
     /// surviving replicas absorb the load in a configuration the DP
     /// optimizer actually chose for them.
-    pub fn run_windows_with_faults(
-        &self,
-        phases: &[DatasetModel],
-        faults: &[FaultPlan],
-    ) -> E3Report {
-        self.run_windows_observed(phases, faults, &mut NullObserver)
-    }
-
-    /// Like [`E3System::run_windows_with_faults`], streaming every kernel
-    /// event — re-based onto one global clock spanning all windows — plus
-    /// the reconfiguration markers (`ReconfigStarted`, `CanaryPromoted`,
-    /// `RolledBack`) to `observer`.
     ///
     /// When [`crate::reconfig::ReconfigConfig::guarded`] is set, plan
     /// changes go through the guarded state machine instead of swapping
@@ -537,12 +519,6 @@ impl E3System {
     pub fn model(&self) -> &EeModel {
         &self.model
     }
-
-    /// Convenience: a one-window run on a stationary dataset.
-    pub fn run_stationary(&self, dataset: &DatasetModel, windows: usize) -> E3Report {
-        let phases = vec![dataset.clone(); windows];
-        self.run_windows(&phases)
-    }
 }
 
 /// Selects the ramps worth keeping under the exit-wrapper (§3.4): a ramp
@@ -594,6 +570,11 @@ pub fn measure_profile(
 mod tests {
     use super::*;
     use e3_model::zoo;
+    use e3_runtime::kernel::NullObserver;
+
+    fn stationary(sys: &E3System, dataset: DatasetModel, windows: usize) -> E3Report {
+        sys.run_windows_observed(&vec![dataset; windows], &[], &mut NullObserver)
+    }
 
     fn small_cfg() -> E3Config {
         E3Config {
@@ -610,7 +591,7 @@ mod tests {
             ClusterSpec::paper_homogeneous_v100(),
             small_cfg(),
         );
-        let report = sys.run_stationary(&DatasetModel::sst2(), 3);
+        let report = stationary(&sys, DatasetModel::sst2(), 3);
         assert_eq!(report.windows.len(), 3);
         // Window 0 predicts no exits -> single split.
         assert_eq!(report.windows[0].plan.num_splits(), 1);
@@ -646,7 +627,7 @@ mod tests {
             DatasetModel::with_mix(0.2),
             DatasetModel::with_mix(0.2),
         ];
-        let report = sys.run_windows(&phases);
+        let report = sys.run_windows_observed(&phases, &[], &mut NullObserver);
         // Drift spikes at the regime change (window 3) relative to the
         // settled easy phase (window 2).
         assert!(
@@ -676,7 +657,7 @@ mod tests {
                     ..small_cfg()
                 },
             );
-            let r = sys.run_stationary(&DatasetModel::sst2(), 4);
+            let r = stationary(&sys, DatasetModel::sst2(), 4);
             r.windows.last().expect("windows").run.goodput()
         };
         let with = mk(true);
@@ -709,7 +690,7 @@ mod tests {
             FaultPlan::default(),
             FaultPlan::default().crash(0, e3_simcore::SimTime::from_millis(5)),
         ];
-        let report = sys.run_windows_with_faults(&phases, &faults);
+        let report = sys.run_windows_observed(&phases, &faults, &mut NullObserver);
         let full_ctrl = RampController::all_enabled(sys.model.num_ramps(), sys.policy.ramp_style());
         let mut gpus_seen = std::collections::BTreeSet::new();
         for w in &report.windows {
@@ -802,7 +783,7 @@ mod tests {
 
         // The disabled-control run is byte-identical to the pre-brownout
         // loop and reports level 0 everywhere.
-        let off = mk(None).run_windows_with_faults(&phases, &faults);
+        let off = mk(None).run_windows_observed(&phases, &faults, &mut NullObserver);
         assert_eq!(off.max_brownout_level(), 0);
         assert_eq!(off.brownout_windows(), 0);
     }

@@ -61,12 +61,6 @@ pub struct ServingConfig {
     /// stage's survival fraction) and need proportionally longer waits.
     /// Empty = use `fusion_max_wait` everywhere.
     pub fusion_waits: Vec<SimDuration>,
-    /// Drop requests at dispatch when their deadline is unmeetable.
-    pub drop_late: bool,
-    /// Record per-completion exit events (needed by the profiler loop).
-    pub record_exit_events: bool,
-    /// Injected straggler slowdowns: `(global replica id, factor)`.
-    pub straggler_slowdowns: Vec<(usize, f64)>,
     /// Enable straggler detection/exclusion.
     pub detect_stragglers: bool,
     /// Deterministic fault schedule applied by the kernel (crashes,
@@ -120,9 +114,6 @@ impl Default for ServingConfig {
             closed_loop: true,
             fusion_max_wait: SimDuration::from_millis(5),
             fusion_waits: Vec::new(),
-            drop_late: true,
-            record_exit_events: true,
-            straggler_slowdowns: Vec::new(),
             detect_stragglers: false,
             fault_plan: FaultPlan::new(),
             horizon: None,
@@ -289,19 +280,18 @@ impl<'a> ServingSim<'a> {
     /// in open-loop drop mode (closed-loop backlogs admit everything);
     /// relative-slowdown straggler detection when enabled.
     pub fn default_policies(&self) -> KernelPolicies<'static> {
-        let admission: Box<dyn crate::kernel::AdmissionPolicy> =
-            if self.cfg.drop_late && !self.cfg.closed_loop {
-                Box::new(SloSlackAdmission::for_stages(
-                    self.model,
-                    &self.ctrl,
-                    &self.lm,
-                    &self.tm,
-                    &self.stages,
-                    self.cfg.slo,
-                ))
-            } else {
-                Box::new(AdmitAll)
-            };
+        let admission: Box<dyn crate::kernel::AdmissionPolicy> = if !self.cfg.closed_loop {
+            Box::new(SloSlackAdmission::for_stages(
+                self.model,
+                &self.ctrl,
+                &self.lm,
+                &self.tm,
+                &self.stages,
+                self.cfg.slo,
+            ))
+        } else {
+            Box::new(AdmitAll)
+        };
         let targets: Vec<usize> = self.stages.iter().map(|s| s.target_batch).collect();
         let batching = Box::new(FusionBatching::new(
             &targets,
@@ -637,7 +627,13 @@ mod tests {
             LatencyModel::new(),
             TransferModel::default(),
             ServingConfig {
-                straggler_slowdowns: vec![(2, 3.0)],
+                // Replica 2 runs 3x slow for the whole run.
+                fault_plan: FaultPlan::new().slowdown(
+                    2,
+                    3.0,
+                    SimTime::ZERO,
+                    SimTime::from_secs(3600),
+                ),
                 detect_stragglers: true,
                 ..Default::default()
             },

@@ -133,7 +133,6 @@ struct Replica {
     queue: VecDeque<Batch>,
     busy: bool,
     running: Option<Batch>,
-    slowdown: f64,
     excluded: bool,
     /// True while crashed: unlike a straggler (which may finish queued
     /// work), a crashed replica executes nothing until recovered.
@@ -224,19 +223,12 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
             let mut ids = Vec::new();
             for &gpu in &st.replicas {
                 let id = replicas.len();
-                let slowdown = sim
-                    .cfg
-                    .straggler_slowdowns
-                    .iter()
-                    .find(|(r, _)| *r == id)
-                    .map_or(1.0, |(_, f)| *f);
                 replicas.push(Replica {
                     stage: si,
                     gpu,
                     queue: VecDeque::new(),
                     busy: false,
                     running: None,
-                    slowdown,
                     excluded: false,
                     crashed: false,
                     epoch: 0,
@@ -270,12 +262,7 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
             stalled: vec![0; num_stages],
             link_down: vec![0; num_stages],
             consumed: 0,
-            acc: RunAccumulator::new(
-                num_stages,
-                num_replicas,
-                sim.cfg.slo,
-                sim.cfg.record_exit_events,
-            ),
+            acc: RunAccumulator::new(num_stages, num_replicas, sim.cfg.slo, true),
             sample_pool: Vec::new(),
             perf_scratch: Vec::new(),
             health: sim
@@ -648,9 +635,8 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
     fn start_exec(&mut self, rid: usize, batch: Batch) {
         let stage = self.replicas[rid].stage;
         let spec = &self.sim.stages[stage];
-        // Active transient slowdowns stack multiplicatively on top of the
-        // replica's configured base factor.
-        let mut slowdown = self.replicas[rid].slowdown;
+        // Active transient slowdowns stack multiplicatively.
+        let mut slowdown = 1.0;
         for f in &self.replicas[rid].transient {
             slowdown *= f;
         }

@@ -32,7 +32,8 @@ pub trait AdmissionPolicy {
     }
 }
 
-/// Admits everything (closed-loop runs, or `drop_late = false`).
+/// Admits everything: the default for closed-loop runs, where each
+/// request arrives as it is dispatched.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AdmitAll;
 

@@ -6,8 +6,9 @@
 //! cargo run --release -p e3-examples --example bursty_trace
 //! ```
 
-use e3::harness::{run_open_loop, HarnessOpts, ModelFamily, SystemKind};
+use e3::harness::{Experiment, ModelFamily, SystemKind};
 use e3_hardware::{ClusterSpec, GpuKind};
+use e3_runtime::kernel::NullObserver;
 use e3_simcore::SimDuration;
 use e3_workload::trace::{peak_to_mean, per_second_counts};
 use e3_workload::{ArrivalProcess, BurstyTraceConfig, DatasetModel, WorkloadGenerator};
@@ -35,17 +36,19 @@ fn main() {
         peak_to_mean(&counts)
     );
 
-    let family = ModelFamily::nlp();
-    let cluster = ClusterSpec::homogeneous(GpuKind::V100, 4, 2);
-    let ds = DatasetModel::sst2();
-    let opts = HarnessOpts::default();
+    let exp = Experiment::new(
+        ModelFamily::nlp(),
+        ClusterSpec::homogeneous(GpuKind::V100, 4, 2),
+        DatasetModel::sst2(),
+    )
+    .with_seed(11);
     println!("\nserving on 4 x V100, batch 8, 100 ms SLO:");
     for (name, kind) in [
         ("vanilla BERT", SystemKind::Vanilla),
         ("naive DeeBERT", SystemKind::NaiveEe),
         ("E3", SystemKind::E3),
     ] {
-        let r = run_open_loop(kind, &family, &cluster, 8, &generator, &ds, &opts, 11);
+        let r = exp.run_open(kind, 8, &generator, &mut NullObserver);
         println!(
             "  {name:14} goodput {:>5.0}/s  drops {:>4.1}%  p99 latency {:>5.1} ms  util {:>4.1}%",
             r.goodput(),

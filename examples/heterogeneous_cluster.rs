@@ -9,17 +9,17 @@
 
 use std::collections::BTreeMap;
 
-use e3::harness::{run_closed_loop, HarnessOpts, ModelFamily, SystemKind};
+use e3::harness::{Experiment, ModelFamily, SystemKind};
 use e3::system::measure_profile;
 use e3_hardware::{ClusterSpec, GpuKind, LatencyModel, TransferModel};
 use e3_model::{InferenceSim, RampController};
 use e3_optimizer::{min_cost_for_goodput, OptimizerConfig};
+use e3_runtime::kernel::NullObserver;
 use e3_workload::DatasetModel;
 
 fn main() {
     let family = ModelFamily::nlp();
     let ds = DatasetModel::sst2();
-    let opts = HarnessOpts::default();
 
     // Two equal-cost clusters ($0.013/s).
     let homo = ClusterSpec::paper_homogeneous_v100();
@@ -27,10 +27,14 @@ fn main() {
     println!("equal-cost clusters: 16 x V100  vs  6 x V100 + 8 x P100 + 15 x K80\n");
     println!("goodput at fixed cost (E3, samples/s):");
     for b in [1usize, 8] {
-        let gh =
-            run_closed_loop(SystemKind::E3, &family, &homo, b, &ds, 15_000, &opts, 3).goodput();
-        let gx =
-            run_closed_loop(SystemKind::E3, &family, &hetero, b, &ds, 15_000, &opts, 3).goodput();
+        let goodput = |cluster: &ClusterSpec| {
+            Experiment::new(family.clone(), cluster.clone(), ds.clone())
+                .with_n(15_000)
+                .with_seed(3)
+                .run(SystemKind::E3, b, &mut NullObserver)
+                .goodput()
+        };
+        let (gh, gx) = (goodput(&homo), goodput(&hetero));
         println!("  b={b}: homogeneous {gh:>6.0}  heterogeneous {gx:>6.0}");
     }
 

@@ -9,6 +9,7 @@
 use e3::{E3Config, E3System};
 use e3_hardware::ClusterSpec;
 use e3_model::zoo;
+use e3_runtime::kernel::NullObserver;
 use e3_workload::DatasetModel;
 
 fn main() {
@@ -29,7 +30,7 @@ fn main() {
         .iter()
         .map(|&e| DatasetModel::with_mix(e))
         .collect();
-    let report = sys.run_windows(&phases);
+    let report = sys.run_windows_observed(&phases, &[], &mut NullObserver);
 
     println!("window  mix      splits  goodput/s  drift   plan");
     for (w, win) in report.windows.iter().enumerate() {

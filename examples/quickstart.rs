@@ -5,8 +5,9 @@
 //! cargo run --release -p e3-examples --example quickstart
 //! ```
 
-use e3::harness::{build_e3_plan, run_closed_loop, HarnessOpts, ModelFamily, SystemKind};
+use e3::harness::{Experiment, ModelFamily, SystemKind};
 use e3_hardware::ClusterSpec;
+use e3_runtime::kernel::NullObserver;
 use e3_workload::DatasetModel;
 
 fn main() {
@@ -18,12 +19,15 @@ fn main() {
     let cluster = ClusterSpec::paper_homogeneous_v100(); // 16 x V100
     let dataset = DatasetModel::sst2(); // easy-skewed NLP inputs
     let batch = 8;
-    let opts = HarnessOpts::default(); // 100 ms SLO, pipelining on
+
+    // Default harness options: 100 ms SLO, pipelining on; 20k requests
+    // per measurement point.
+    let exp = Experiment::new(family, cluster, dataset).with_seed(42);
 
     // 3. Look at the plan E3's optimizer produces: it measures the
     //    batch-shrinkage profile, then splits and replicates the model so
     //    every layer runs at a full batch.
-    let plan = build_e3_plan(&family, &cluster, batch, &dataset, &opts, 42);
+    let plan = exp.plan(batch);
     println!("E3 plan: {plan}\n");
 
     // 4. Serve 20k requests under each system and compare.
@@ -32,7 +36,7 @@ fn main() {
         ("naive DeeBERT     ", SystemKind::NaiveEe),
         ("E3                ", SystemKind::E3),
     ] {
-        let r = run_closed_loop(kind, &family, &cluster, batch, &dataset, 20_000, &opts, 42);
+        let r = exp.run(kind, batch, &mut NullObserver);
         println!(
             "{name} goodput {:>6.0}/s  median latency {:>5.1} ms  accuracy {:.1}%  mean depth {:>4.1}/12 layers",
             r.goodput(),

@@ -64,6 +64,20 @@ expect fig_edge "zero violations"
 # cluster inside the budget (its wall-clock section self-judges).
 expect fig_scale "10k-GPU horizon PASS"
 
+# The host-time benchmark is its own package under benchmark/ and
+# builds against the crates' public API, so a breaking change shows
+# here. One short run per workload; its last stdout line reports
+# whether iterations 0-7 matched the pinned digests.
+for workload in closed_drift open_bursty tenants_skewed llm_kv_sweep; do
+    cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 227 --seconds 1 --trace 0 > /tmp/benchmark.out
+    last=$(tail -n 1 /tmp/benchmark.out)
+    if [[ "$last" != *'"correct": true'* ]]; then
+        echo "benchmark $workload: $last" >&2
+        exit 1
+    fi
+done
+
 # Kernel event-throughput microbenchmark, archived as BENCH_kernel.json.
 # The committed baseline is the regression bar: fail if the windowed or
 # the continuous-batching kernel section, or the per-request exit

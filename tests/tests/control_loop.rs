@@ -1,9 +1,10 @@
 //! The fig. 4 control loop: profiler → optimizer → runtime, across
 //! scheduling windows, including regime changes.
 
-use e3::{E3Config, E3System};
+use e3::{E3Config, E3Report, E3System};
 use e3_hardware::ClusterSpec;
 use e3_model::zoo;
+use e3_runtime::kernel::NullObserver;
 use e3_runtime::FaultPlan;
 use e3_simcore::{stats::mape, SimTime};
 use e3_workload::DatasetModel;
@@ -21,9 +22,17 @@ fn system(seed: u64) -> E3System {
     )
 }
 
+fn run(seed: u64, phases: &[DatasetModel], faults: &[FaultPlan]) -> E3Report {
+    system(seed).run_windows_observed(phases, faults, &mut NullObserver)
+}
+
+fn stationary(seed: u64, dataset: DatasetModel, windows: usize) -> E3Report {
+    run(seed, &vec![dataset; windows], &[])
+}
+
 #[test]
 fn stationary_predictions_converge_tightly() {
-    let report = system(1).run_stationary(&DatasetModel::sst2(), 8);
+    let report = stationary(1, DatasetModel::sst2(), 8);
     // After warm-up, predicted vs observed survival at mid-model should
     // be within a few percent (fig. 21).
     let series = report.profile_series(6);
@@ -41,7 +50,7 @@ fn warmup_discovers_splits_without_losing_goodput() {
     // The cold-start plan (no-exit forecast) is a single data-parallel
     // split; exits still fire in it, so it is already decent. Warming up
     // must discover a multi-split plan and never regress goodput.
-    let report = system(2).run_stationary(&DatasetModel::sst2(), 5);
+    let report = stationary(2, DatasetModel::sst2(), 5);
     assert_eq!(report.windows[0].plan.num_splits(), 1, "cold start");
     let settled = report.windows.last().expect("windows");
     assert!(settled.plan.num_splits() >= 2, "{}", settled.plan);
@@ -63,7 +72,7 @@ fn regime_change_recovers_within_two_windows() {
         DatasetModel::with_mix(0.2),
         DatasetModel::with_mix(0.2),
     ];
-    let report = system(3).run_windows(&phases);
+    let report = run(3, &phases, &[]);
     // The drift spike at the switch settles by the second window after.
     assert!(report.windows[3].drift > report.windows[2].drift);
     assert!(
@@ -82,8 +91,8 @@ fn regime_change_recovers_within_two_windows() {
 
 #[test]
 fn easy_mixes_produce_more_splits_than_hard() {
-    let easy = system(4).run_stationary(&DatasetModel::with_mix(0.9), 4);
-    let hard = system(4).run_stationary(&DatasetModel::with_mix(0.05), 4);
+    let easy = stationary(4, DatasetModel::with_mix(0.9), 4);
+    let hard = stationary(4, DatasetModel::with_mix(0.05), 4);
     let easy_splits = easy.windows.last().expect("windows").plan.num_splits();
     let hard_splits = hard.windows.last().expect("windows").plan.num_splits();
     assert!(
@@ -106,7 +115,7 @@ fn control_loop_replans_around_permanent_crashes() {
             .crash(0, SimTime::from_millis(40))
             .crash(1, SimTime::from_millis(60)),
     ];
-    let report = system(6).run_windows_with_faults(&phases, &faults);
+    let report = run(6, &phases, &faults);
 
     // The planner saw 16 GPUs through the faulted window, 14 after.
     assert_eq!(report.windows[2].cluster_gpus, 16);
@@ -131,10 +140,10 @@ fn control_loop_replans_around_permanent_crashes() {
 }
 
 #[test]
-fn run_windows_is_run_windows_with_no_faults() {
+fn windows_past_the_fault_list_run_fault_free() {
     let phases = vec![DatasetModel::sst2(); 2];
-    let plain = system(7).run_windows(&phases);
-    let empty = system(7).run_windows_with_faults(&phases, &[]);
+    let plain = run(7, &phases, &[FaultPlan::new(), FaultPlan::new()]);
+    let empty = run(7, &phases, &[]);
     assert_eq!(plain.windows.len(), empty.windows.len());
     for (a, b) in plain.windows.iter().zip(&empty.windows) {
         assert_eq!(a.run.goodput().to_bits(), b.run.goodput().to_bits());
@@ -144,7 +153,7 @@ fn run_windows_is_run_windows_with_no_faults() {
 
 #[test]
 fn report_aggregates_are_consistent() {
-    let report = system(5).run_stationary(&DatasetModel::sst2(), 3);
+    let report = stationary(5, DatasetModel::sst2(), 3);
     let manual: u64 = report.windows.iter().map(|w| w.run.within_slo).sum();
     let dur: f64 = report
         .windows

@@ -2,35 +2,35 @@
 //! deterministic in its seed — the property that makes the experiment
 //! tables in `EXPERIMENTS.md` regenerable.
 
-use e3::harness::{build_e3_plan, run_closed_loop, HarnessOpts, ModelFamily, SystemKind};
+use e3::harness::{Experiment, ModelFamily, SystemKind};
 use e3::{DeploymentBuilder, E3Config, E3System};
 use e3_hardware::{ClusterSpec, GpuKind};
 use e3_model::zoo;
+use e3_runtime::kernel::NullObserver;
 use e3_runtime::Strategy;
 use e3_simcore::SimDuration;
 use e3_workload::{ArrivalProcess, DatasetModel, WorkloadGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// DeeBERT on SST-2, 8000 requests per point.
+fn nlp(cluster: ClusterSpec, seed: u64) -> Experiment {
+    Experiment::new(ModelFamily::nlp(), cluster, DatasetModel::sst2())
+        .with_n(8000)
+        .with_seed(seed)
+}
+
 #[test]
 fn plans_are_deterministic() {
-    let family = ModelFamily::nlp();
-    let cluster = ClusterSpec::paper_heterogeneous();
-    let ds = DatasetModel::sst2();
-    let opts = HarnessOpts::default();
-    let a = build_e3_plan(&family, &cluster, 8, &ds, &opts, 21);
-    let b = build_e3_plan(&family, &cluster, 8, &ds, &opts, 21);
-    assert_eq!(a, b);
+    let exp = nlp(ClusterSpec::paper_heterogeneous(), 21);
+    assert_eq!(exp.plan(8), exp.plan(8));
 }
 
 #[test]
 fn serving_runs_are_deterministic() {
-    let family = ModelFamily::nlp();
-    let cluster = ClusterSpec::paper_homogeneous_v100();
-    let ds = DatasetModel::sst2();
-    let opts = HarnessOpts::default();
-    let a = run_closed_loop(SystemKind::E3, &family, &cluster, 8, &ds, 8000, &opts, 22);
-    let b = run_closed_loop(SystemKind::E3, &family, &cluster, 8, &ds, 8000, &opts, 22);
+    let exp = nlp(ClusterSpec::paper_homogeneous_v100(), 22);
+    let a = exp.run(SystemKind::E3, 8, &mut NullObserver);
+    let b = exp.run(SystemKind::E3, 8, &mut NullObserver);
     assert_eq!(a.completed, b.completed);
     assert_eq!(a.within_slo, b.within_slo);
     assert_eq!(a.correct, b.correct);
@@ -39,12 +39,10 @@ fn serving_runs_are_deterministic() {
 
 #[test]
 fn different_seeds_differ() {
-    let family = ModelFamily::nlp();
-    let cluster = ClusterSpec::paper_homogeneous_v100();
-    let ds = DatasetModel::sst2();
-    let opts = HarnessOpts::default();
-    let a = run_closed_loop(SystemKind::E3, &family, &cluster, 8, &ds, 8000, &opts, 1);
-    let b = run_closed_loop(SystemKind::E3, &family, &cluster, 8, &ds, 8000, &opts, 2);
+    let run = |seed| {
+        nlp(ClusterSpec::paper_homogeneous_v100(), seed).run(SystemKind::E3, 8, &mut NullObserver)
+    };
+    let (a, b) = (run(1), run(2));
     assert_ne!(a.latency.samples_ms(), b.latency.samples_ms());
 }
 
@@ -61,7 +59,7 @@ fn control_loop_is_deterministic() {
                 ..Default::default()
             },
         );
-        sys.run_stationary(&DatasetModel::sst2(), 3)
+        sys.run_windows_observed(&vec![DatasetModel::sst2(); 3], &[], &mut NullObserver)
     };
     let a = mk();
     let b = mk();
@@ -81,7 +79,7 @@ fn kernel_reruns_produce_identical_reports() {
     let family = ModelFamily::nlp();
     let cluster = ClusterSpec::homogeneous(GpuKind::V100, 2, 2);
     let ds = DatasetModel::sst2();
-    let plan = build_e3_plan(&family, &cluster, 8, &ds, &HarnessOpts::default(), 24);
+    let plan = nlp(cluster.clone(), 24).plan(8);
     let strategy = Strategy::Plan(plan);
     let g = WorkloadGenerator::new(
         ArrivalProcess::Poisson { rate: 8000.0 },

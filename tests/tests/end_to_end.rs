@@ -2,24 +2,24 @@
 //! every crate — workload → model → profiler → optimizer → runtime —
 //! runs together.
 
-use e3::harness::{build_e3_plan, run_closed_loop, HarnessOpts, ModelFamily, SystemKind};
+use e3::harness::{Experiment, HarnessOpts, ModelFamily, SystemKind};
 use e3_hardware::{ClusterSpec, GpuKind};
+use e3_runtime::kernel::NullObserver;
 use e3_workload::DatasetModel;
 
 const N: usize = 15_000;
 
+/// `N` SST-2 requests per point.
+fn experiment(family: &ModelFamily, cluster: &ClusterSpec, seed: u64) -> Experiment {
+    Experiment::new(family.clone(), cluster.clone(), DatasetModel::sst2())
+        .with_n(N)
+        .with_seed(seed)
+}
+
 fn goodput(kind: SystemKind, family: &ModelFamily, cluster: &ClusterSpec, b: usize) -> f64 {
-    run_closed_loop(
-        kind,
-        family,
-        cluster,
-        b,
-        &DatasetModel::sst2(),
-        N,
-        &HarnessOpts::default(),
-        99,
-    )
-    .goodput()
+    experiment(family, cluster, 99)
+        .run(kind, b, &mut NullObserver)
+        .goodput()
 }
 
 #[test]
@@ -65,12 +65,13 @@ fn all_families_keep_ordering_at_batch_8() {
 fn e3_accuracy_matches_naive_ee() {
     // E3 changes scheduling, never predictions: accuracy must match the
     // naive EE baseline's within noise.
-    let family = ModelFamily::nlp();
-    let cluster = ClusterSpec::paper_homogeneous_v100();
-    let opts = HarnessOpts::default();
-    let ds = DatasetModel::sst2();
-    let e3 = run_closed_loop(SystemKind::E3, &family, &cluster, 8, &ds, N, &opts, 5);
-    let naive = run_closed_loop(SystemKind::NaiveEe, &family, &cluster, 8, &ds, N, &opts, 5);
+    let exp = experiment(
+        &ModelFamily::nlp(),
+        &ClusterSpec::paper_homogeneous_v100(),
+        5,
+    );
+    let e3 = exp.run(SystemKind::E3, 8, &mut NullObserver);
+    let naive = exp.run(SystemKind::NaiveEe, 8, &mut NullObserver);
     assert!(
         (e3.accuracy() - naive.accuracy()).abs() < 0.01,
         "e3 {} naive {}",
@@ -81,8 +82,6 @@ fn e3_accuracy_matches_naive_ee() {
 
 #[test]
 fn plan_is_structurally_valid_everywhere() {
-    let ds = DatasetModel::sst2();
-    let opts = HarnessOpts::default();
     for cluster in [
         ClusterSpec::paper_homogeneous_v100(),
         ClusterSpec::paper_heterogeneous(),
@@ -91,7 +90,7 @@ fn plan_is_structurally_valid_everywhere() {
     ] {
         for b in [1usize, 8, 32] {
             let family = ModelFamily::nlp();
-            let plan = build_e3_plan(&family, &cluster, b, &ds, &opts, 11);
+            let plan = experiment(&family, &cluster, 11).plan(b);
             plan.assert_valid(family.ee.num_layers());
             assert!(plan.gpus_used() <= cluster.num_gpus());
             assert!(plan.goodput > 0.0);
@@ -125,35 +124,22 @@ fn heterogeneous_cluster_helps_at_small_batch() {
 
 #[test]
 fn wrapper_never_hurts_materially() {
-    let family = ModelFamily::nlp();
-    let cluster = ClusterSpec::paper_homogeneous_v100();
-    let ds = DatasetModel::sst2();
+    let plain_exp = experiment(
+        &ModelFamily::nlp(),
+        &ClusterSpec::paper_homogeneous_v100(),
+        13,
+    );
+    let wrapped_exp = plain_exp.clone().with_opts(HarnessOpts {
+        use_wrapper: true,
+        ..Default::default()
+    });
     for b in [2usize, 8] {
-        let plain = run_closed_loop(
-            SystemKind::E3,
-            &family,
-            &cluster,
-            b,
-            &ds,
-            N,
-            &HarnessOpts::default(),
-            13,
-        )
-        .goodput();
-        let wrapped = run_closed_loop(
-            SystemKind::E3,
-            &family,
-            &cluster,
-            b,
-            &ds,
-            N,
-            &HarnessOpts {
-                use_wrapper: true,
-                ..Default::default()
-            },
-            13,
-        )
-        .goodput();
+        let plain = plain_exp
+            .run(SystemKind::E3, b, &mut NullObserver)
+            .goodput();
+        let wrapped = wrapped_exp
+            .run(SystemKind::E3, b, &mut NullObserver)
+            .goodput();
         assert!(
             wrapped > plain * 0.98,
             "b={b}: wrapped {wrapped} plain {plain}"

@@ -2,10 +2,10 @@
 //! operation and recovery, event-stream ordering with faults interleaved,
 //! and the straggler-detection payoff.
 
-use e3::harness::{run_open_loop, HarnessOpts, ModelFamily, SystemKind};
+use e3::harness::{Experiment, HarnessOpts, ModelFamily, SystemKind};
 use e3_hardware::{ClusterSpec, GpuKind, LatencyModel, TransferModel};
 use e3_model::{zoo, EeModel, InferenceSim, RampController, RampStyle};
-use e3_runtime::kernel::EventLog;
+use e3_runtime::kernel::{EventLog, NullObserver};
 use e3_runtime::strategy::StageSpec;
 use e3_runtime::{
     ExclusionReason, FaultPlan, KernelEvent, RunReport, ServingConfig, ServingSim, Strategy,
@@ -329,29 +329,24 @@ fn straggler_detection_beats_none_under_injected_slowdown() {
     // Without detection a trickle of batches keeps landing on the
     // straggler and blows the SLO; with detection it is excluded and the
     // survivors have headroom.
-    let family = ModelFamily::nlp();
-    let cluster = ClusterSpec::homogeneous(GpuKind::V100, 8, 2);
     let generator = WorkloadGenerator::new(
         ArrivalProcess::Poisson { rate: 2000.0 },
         DatasetModel::sst2(),
         SimDuration::from_secs(4),
     );
-    let run = |detect: bool| {
-        let opts = HarnessOpts {
-            fault_plan: FaultPlan::new().slowdown(0, 4.0, ms(200), SimTime::from_secs(3600)),
-            detect_stragglers: detect,
-            ..Default::default()
-        };
-        run_open_loop(
-            SystemKind::NaiveEe,
-            &family,
-            &cluster,
-            8,
-            &generator,
-            &DatasetModel::sst2(),
-            &opts,
-            0xE3,
+    let run = |detect_stragglers: bool| {
+        Experiment::new(
+            ModelFamily::nlp(),
+            ClusterSpec::homogeneous(GpuKind::V100, 8, 2),
+            DatasetModel::sst2(),
         )
+        .with_opts(HarnessOpts {
+            fault_plan: FaultPlan::new().slowdown(0, 4.0, ms(200), SimTime::from_secs(3600)),
+            detect_stragglers,
+            ..Default::default()
+        })
+        .with_seed(0xE3)
+        .run_open(SystemKind::NaiveEe, 8, &generator, &mut NullObserver)
     };
     let none = run(false);
     let detected = run(true);

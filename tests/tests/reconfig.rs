@@ -8,11 +8,11 @@
 //! abort deterministically across link outages, and every path stays
 //! bit-for-bit deterministic.
 
-use e3::harness::{build_e3_plan, HarnessOpts, ModelFamily};
+use e3::harness::{Experiment, ModelFamily};
 use e3::{DeploymentBuilder, E3Config, E3System};
 use e3_hardware::{ClusterSpec, GpuKind, LatencyModel, TransferModel};
 use e3_model::{zoo, InferenceSim, RampController};
-use e3_runtime::kernel::EventLog;
+use e3_runtime::kernel::{EventLog, NullObserver};
 use e3_runtime::strategy::StageSpec;
 use e3_runtime::{FaultPlan, KernelEvent, ServingConfig, ServingSim, Strategy};
 use e3_simcore::{SimDuration, SimTime};
@@ -50,8 +50,8 @@ fn burst_phases() -> Vec<DatasetModel> {
 #[test]
 fn guarded_beats_naive_under_misprediction_burst() {
     let phases = burst_phases();
-    let naive = burst_system(false).run_windows(&phases);
-    let guarded = burst_system(true).run_windows(&phases);
+    let naive = burst_system(false).run_windows_observed(&phases, &[], &mut NullObserver);
+    let guarded = burst_system(true).run_windows_observed(&phases, &[], &mut NullObserver);
 
     // The headline: strictly higher aggregate goodput.
     assert!(
@@ -90,8 +90,8 @@ fn guarded_beats_naive_under_misprediction_burst() {
 #[test]
 fn guarded_loop_is_deterministic() {
     let phases = burst_phases();
-    let a = burst_system(true).run_windows(&phases);
-    let b = burst_system(true).run_windows(&phases);
+    let a = burst_system(true).run_windows_observed(&phases, &[], &mut NullObserver);
+    let b = burst_system(true).run_windows_observed(&phases, &[], &mut NullObserver);
     assert_eq!(a.goodput().to_bits(), b.goodput().to_bits());
     for (wa, wb) in a.windows.iter().zip(&b.windows) {
         assert_eq!(wa.plan, wb.plan);
@@ -167,8 +167,8 @@ fn guarded_off_matches_naive_bit_for_bit() {
     // The master switch truly is one: with `guarded` off the new loop is
     // the old loop, including under oscillating workloads.
     let phases = burst_phases();
-    let a = burst_system(false).run_windows(&phases);
-    let b = burst_system(false).run_windows(&phases);
+    let a = burst_system(false).run_windows_observed(&phases, &[], &mut NullObserver);
+    let b = burst_system(false).run_windows_observed(&phases, &[], &mut NullObserver);
     for (wa, wb) in a.windows.iter().zip(&b.windows) {
         assert_eq!(wa.plan, wb.plan);
         assert_eq!(wa.run.latency.samples_ms(), wb.run.latency.samples_ms());
@@ -182,7 +182,9 @@ fn overload_run(queue_cap: Option<usize>) -> e3_runtime::RunReport {
     let family = ModelFamily::nlp();
     let cluster = ClusterSpec::homogeneous(GpuKind::V100, 2, 2);
     let ds = DatasetModel::sst2();
-    let plan = build_e3_plan(&family, &cluster, 8, &ds, &HarnessOpts::default(), 31);
+    let plan = Experiment::new(family.clone(), cluster.clone(), ds.clone())
+        .with_seed(31)
+        .plan(8);
     let strategy = Strategy::Plan(plan);
     let g = WorkloadGenerator::new(
         ArrivalProcess::Poisson { rate: 12_000.0 },

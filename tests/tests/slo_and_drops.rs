@@ -1,30 +1,25 @@
 //! SLO handling, admission drops, and open-loop behaviour across crates.
 
-use e3::harness::{run_open_loop, HarnessOpts, ModelFamily, SystemKind};
+use e3::harness::{Experiment, HarnessOpts, ModelFamily, SystemKind};
 use e3_hardware::{ClusterSpec, GpuKind};
+use e3_runtime::kernel::NullObserver;
 use e3_simcore::SimDuration;
 use e3_workload::{ArrivalProcess, BurstyTraceConfig, DatasetModel, WorkloadGenerator};
 
+fn nlp(cluster: ClusterSpec, seed: u64) -> Experiment {
+    Experiment::new(ModelFamily::nlp(), cluster, DatasetModel::sst2()).with_seed(seed)
+}
+
 #[test]
 fn under_capacity_open_loop_serves_all() {
-    let family = ModelFamily::nlp();
-    let cluster = ClusterSpec::paper_homogeneous_v100();
+    let exp = nlp(ClusterSpec::paper_homogeneous_v100(), 41);
     let g = WorkloadGenerator::new(
         ArrivalProcess::Poisson { rate: 3000.0 },
         DatasetModel::sst2(),
         SimDuration::from_secs(5),
     );
     for kind in [SystemKind::Vanilla, SystemKind::E3] {
-        let r = run_open_loop(
-            kind,
-            &family,
-            &cluster,
-            8,
-            &g,
-            &DatasetModel::sst2(),
-            &HarnessOpts::default(),
-            41,
-        );
+        let r = exp.run_open(kind, 8, &g, &mut NullObserver);
         assert!(r.drop_rate() < 0.02, "{kind:?}: drops {}", r.drop_rate());
         assert!(
             r.within_slo as f64 / r.completed.max(1) as f64 > 0.98,
@@ -35,22 +30,16 @@ fn under_capacity_open_loop_serves_all() {
 
 #[test]
 fn overload_sheds_load_but_served_requests_meet_slo() {
-    let family = ModelFamily::nlp();
-    let cluster = ClusterSpec::homogeneous(GpuKind::V100, 2, 2);
     let g = WorkloadGenerator::new(
         ArrivalProcess::Poisson { rate: 8000.0 },
         DatasetModel::sst2(),
         SimDuration::from_secs(3),
     );
-    let r = run_open_loop(
+    let r = nlp(ClusterSpec::homogeneous(GpuKind::V100, 2, 2), 42).run_open(
         SystemKind::E3,
-        &family,
-        &cluster,
         8,
         &g,
-        &DatasetModel::sst2(),
-        &HarnessOpts::default(),
-        42,
+        &mut NullObserver,
     );
     assert!(r.drop_rate() > 0.3, "drops {}", r.drop_rate());
     assert!(
@@ -61,26 +50,13 @@ fn overload_sheds_load_but_served_requests_meet_slo() {
 
 #[test]
 fn e3_survives_bursty_trace_better_than_baselines() {
-    let family = ModelFamily::nlp();
-    let cluster = ClusterSpec::homogeneous(GpuKind::V100, 4, 2);
+    let exp = nlp(ClusterSpec::homogeneous(GpuKind::V100, 4, 2), 43);
     let g = WorkloadGenerator::new(
         ArrivalProcess::Bursty(BurstyTraceConfig::twitter_like(1000.0)),
         DatasetModel::sst2(),
         SimDuration::from_secs(60),
     );
-    let goodput = |kind| {
-        run_open_loop(
-            kind,
-            &family,
-            &cluster,
-            8,
-            &g,
-            &DatasetModel::sst2(),
-            &HarnessOpts::default(),
-            43,
-        )
-        .goodput()
-    };
+    let goodput = |kind| exp.run_open(kind, 8, &g, &mut NullObserver).goodput();
     let e3 = goodput(SystemKind::E3);
     let vanilla = goodput(SystemKind::Vanilla);
     let naive = goodput(SystemKind::NaiveEe);
@@ -90,19 +66,15 @@ fn e3_survives_bursty_trace_better_than_baselines() {
 
 #[test]
 fn looser_slo_admits_larger_feasible_batches() {
-    use e3::harness::build_e3_plan;
-    let family = ModelFamily::nlp();
-    let cluster = ClusterSpec::paper_homogeneous_v100();
-    let ds = DatasetModel::sst2();
     let feasible = |slo_ms: u64| -> usize {
-        let opts = HarnessOpts {
+        let exp = nlp(ClusterSpec::paper_homogeneous_v100(), 44).with_opts(HarnessOpts {
             slo: SimDuration::from_millis(slo_ms),
             ..Default::default()
-        };
+        });
         [1usize, 2, 4, 8, 16, 32, 64]
             .into_iter()
             .filter(|&b| {
-                let plan = build_e3_plan(&family, &cluster, b, &ds, &opts, 44);
+                let plan = exp.plan(b);
                 plan.worst_case_latency <= SimDuration::from_millis(slo_ms).mul_f64(0.8)
             })
             .max()
@@ -116,7 +88,8 @@ fn looser_slo_admits_larger_feasible_batches() {
 #[test]
 fn straggler_detection_protects_goodput() {
     use e3_model::{zoo, InferenceSim, RampController, RampStyle};
-    use e3_runtime::{ServingConfig, ServingSim, Strategy};
+    use e3_runtime::{FaultPlan, ServingConfig, ServingSim, Strategy};
+    use e3_simcore::SimTime;
     let model = zoo::bert_base();
     let cluster = ClusterSpec::homogeneous(GpuKind::V100, 4, 2);
     let stages = Strategy::Vanilla { batch: 8 }.realize(&model, &cluster);
@@ -130,7 +103,13 @@ fn straggler_detection_protects_goodput() {
             e3_hardware::LatencyModel::new(),
             e3_hardware::TransferModel::default(),
             ServingConfig {
-                straggler_slowdowns: vec![(1, 6.0)],
+                // Replica 1 runs 6x slow for the whole run.
+                fault_plan: FaultPlan::new().slowdown(
+                    1,
+                    6.0,
+                    SimTime::ZERO,
+                    SimTime::from_secs(3600),
+                ),
                 detect_stragglers: detect,
                 ..Default::default()
             },
