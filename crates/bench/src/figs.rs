@@ -7,7 +7,7 @@
 
 use std::fmt::Write as _;
 
-use e3::harness::{Experiment, HarnessOpts, ModelFamily, SystemKind};
+use e3::harness::{AutoRegStrategy, Experiment, HarnessOpts, ModelFamily, SystemKind};
 use e3::{E3Config, E3System};
 use e3_hardware::{ClusterSpec, ExitOverheads, GpuKind, LatencyModel, TransferModel};
 use e3_model::{zoo, BatchProfile, EeModel, ExitPolicy, ExitSampler, InferenceSim, RampController};
@@ -15,7 +15,7 @@ use e3_optimizer::{
     min_cost_for_goodput, min_gpus_for_goodput, optimize_homogeneous, optimize_homogeneous_cached,
     run_ablations, OptimizerConfig, PlanCache, SplitPlan,
 };
-use e3_runtime::autoreg::{materialize_sequences, AutoRegStrategy};
+use e3_runtime::autoreg::materialize_sequences;
 use e3_runtime::kernel::{EventLog, NullObserver};
 use e3_runtime::{
     run_continuous, ContinuousConfig, FaultPlan, JoinPolicy, KernelEvent, KvPlan, PreemptMode,
@@ -1986,7 +1986,7 @@ pub fn fig_brownout_report() -> String {
                 ..Default::default()
             },
         );
-        let r = sim.run(&reqs, SEED);
+        let r = sim.run(&reqs, SEED, &mut NullObserver);
         r.latency.quantile_ms(0.99)
     };
     let healthy = gray_run(None, None);

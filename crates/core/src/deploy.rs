@@ -10,7 +10,7 @@
 
 use e3_hardware::{ClusterSpec, LatencyModel, TransferModel};
 use e3_model::{EeModel, ExitPolicy, InferenceSim, RampController};
-use e3_runtime::{FaultPlan, ServingConfig, ServingSim, ShedCause, Strategy};
+use e3_runtime::{FaultPlan, ServingConfig, ServingSim, ShedCause, Strategy, FUSION_MAX_WAIT};
 use e3_simcore::SimDuration;
 
 /// Builds a [`ServingSim`] from the deployment triple (model, strategy,
@@ -155,9 +155,9 @@ impl<'m, 's> DeploymentBuilder<'m, 's> {
 
 /// Per-stage fusion waits: a stage that only a fraction `s_in` of the
 /// batch reaches fills its buffer once per `cycle / s_in`, so it must be
-/// allowed to wait about that long before flushing a partial batch.
+/// allowed to wait about that long before flushing a partial batch, but
+/// never less than [`FUSION_MAX_WAIT`].
 pub fn fusion_waits(strategy: &Strategy, slo: SimDuration) -> Vec<SimDuration> {
-    let base = SimDuration::from_millis(5);
     match strategy {
         Strategy::Plan(plan) => plan
             .splits
@@ -172,7 +172,7 @@ pub fn fusion_waits(strategy: &Strategy, slo: SimDuration) -> Vec<SimDuration> {
                 };
                 plan.cycle_time
                     .mul_f64(1.5 / s_in)
-                    .max(base)
+                    .max(FUSION_MAX_WAIT)
                     .min(slo.mul_f64(0.6))
             })
             .collect(),
@@ -209,7 +209,7 @@ mod tests {
                 output_tokens: 1,
             })
             .collect();
-        let r = sim.run(&reqs, 1);
+        let r = sim.run(&reqs, 1, &mut e3_runtime::kernel::NullObserver);
         assert_eq!(r.completed, 2000);
     }
 

@@ -9,14 +9,25 @@
 //! [`Experiment::run`] (closed loop) or [`Experiment::run_open`] (open
 //! loop). [`Experiment::plan`] and [`Experiment::deployment`] expose the
 //! E3 plan and the unrun kernel deployment behind those runs.
+//!
+//! The autoregressive figures (10–12) follow the same recipe with an
+//! [`AutoRegStrategy`] in place of the system kind:
+//! [`Experiment::run_autoreg`] maps the strategy onto the kernel's
+//! continuous-batching driver, and [`Experiment::pick_autoreg_boundary`]
+//! chooses E3's decoder cut.
 
 use e3_hardware::{ClusterSpec, ExitOverheads, LatencyModel, TransferModel};
-use e3_model::{zoo, BatchProfile, EeModel, ExitPolicy, InferenceSim, RampController};
+use e3_model::{zoo, BatchProfile, EeModel, ExitPolicy, ExitSampler, InferenceSim, RampController};
 use e3_optimizer::auto::plan_for_cluster;
+use e3_optimizer::autoreg_split::replica_split;
 use e3_optimizer::{OptimizerConfig, SplitPlan};
-use e3_runtime::autoreg::{pick_boundary, simulate_autoreg, AutoRegReport, AutoRegStrategy};
-use e3_runtime::{FaultPlan, RunObserver, RunReport, ServingSim, Strategy};
-use e3_simcore::{SeedSplitter, SimDuration};
+use e3_runtime::autoreg::materialize_sequences;
+use e3_runtime::kernel::NullObserver;
+use e3_runtime::{
+    run_continuous, ContinuousConfig, FaultPlan, JoinPolicy, RunObserver, RunReport, SequenceSpec,
+    ServingSim, Strategy,
+};
+use e3_simcore::{stats, SeedSplitter, SimDuration};
 use e3_workload::{DatasetModel, Request, WorkloadGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,6 +44,37 @@ pub enum SystemKind {
     NaiveEe,
     /// EE model under E3 (profile → DP splits → fused execution).
     E3,
+}
+
+/// How an autoregressive model is served (§5.1.3).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum AutoRegStrategy {
+    /// Stock model, static batching, decode until the longest member ends.
+    VanillaStatic,
+    /// Per-token exits, batch processed one request at a time (CALM).
+    NaiveEeSequential,
+    /// Per-token exits with batching; every ramp checked. Only supported
+    /// for single-token tasks (BoolQ).
+    NaiveEeBatched,
+    /// E3: decoder split at `boundary` (absolute layer index), re-fused
+    /// batches, GPUs allocated across the two stage groups.
+    E3 {
+        /// Absolute layer index where the decoder is cut.
+        boundary: usize,
+    },
+}
+
+/// Results of an autoregressive serving run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AutoRegReport {
+    /// Completed requests per second.
+    pub goodput: f64,
+    /// Generated tokens per second.
+    pub tokens_per_sec: f64,
+    /// Mean decoder layers executed per token.
+    pub mean_decoder_depth: f64,
+    /// Fraction of tokens crossing the E3 boundary (0 for baselines).
+    pub boundary_survival: f64,
 }
 
 /// A model family under study: the stock model, its EE variant, and the
@@ -237,7 +279,7 @@ impl Experiment {
 
     /// The kernel-path closed-loop deployment, not yet run: the
     /// simulator, the request backlog, and the derived run seed.
-    /// [`Experiment::run`] is `sim.run_observed(&reqs, run_seed, ..)` on
+    /// [`Experiment::run`] is `sim.run(&reqs, run_seed, ..)` on
     /// this; drivers that time materialization apart from the kernel use
     /// `ServingSim::materialize_backlog` and `run_backlog_observed`
     /// instead.
@@ -269,7 +311,7 @@ impl Experiment {
             return self.run_serial_barrier(batch);
         }
         let (sim, reqs, run_seed) = self.deployment(kind, batch);
-        sim.run_observed(&reqs, run_seed, observer)
+        sim.run(&reqs, run_seed, observer)
     }
 
     /// Runs one open-loop measurement point against `generator`'s
@@ -292,16 +334,31 @@ impl Experiment {
         let sim = self.sim(kind, batch, Some(generator.horizon()));
         let mut rng = StdRng::seed_from_u64(seeds.derive("open-reqs"));
         let reqs = generator.generate(0, &mut rng);
-        sim.run_observed(&reqs, seeds.derive("open-run"), observer)
+        sim.run(&reqs, seeds.derive("open-run"), observer)
     }
 
-    /// Runs one closed-loop *autoregressive* measurement point
-    /// through the kernel's continuous-batching driver
-    /// ([`e3_runtime::run_continuous`] via [`simulate_autoreg`]). The
-    /// strategy picks the model: vanilla static batching serves the
-    /// stock model, everything else the EE variant. Requires a
-    /// homogeneous cluster (the paper's LLM experiments use 4 identical
-    /// A6000s).
+    /// Runs one closed-loop *autoregressive* measurement point on the
+    /// kernel's continuous-batching driver ([`run_continuous`]), with
+    /// `batch` as the input batch. The strategy picks the model and the
+    /// driver's shape:
+    ///
+    /// * vanilla static batching serves the stock model in padded
+    ///   windows: a window decodes until its longest member finishes;
+    /// * CALM-style sequential serving joins continuously at width 1
+    ///   (the CALM paper disables batching);
+    /// * naive batched EE runs unpadded windows with every ramp checked
+    ///   (the Llama-EE construction, slower than vanilla);
+    /// * E3 cuts the decoder at its boundary, defers exits to it, re-fuses
+    ///   full batches before the deep layers, and splits the GPUs across
+    ///   the two stages by the optimizer's pipeline model
+    ///   ([`replica_split`]) on the run's token profile.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a heterogeneous cluster (the paper's LLM experiments use
+    /// 4 identical A6000s), a model without an [`e3_model::AutoRegSpec`],
+    /// a boundary outside the decoder, or
+    /// [`AutoRegStrategy::NaiveEeBatched`] with multi-token outputs.
     pub fn run_autoreg(
         &self,
         strat: AutoRegStrategy,
@@ -314,39 +371,129 @@ impl Experiment {
             1,
             "autoregressive serving expects a homogeneous cluster"
         );
+        let (gpu, n_gpus) = (kinds[0], self.cluster.num_gpus());
+        assert!(batch >= 1 && self.n >= 1);
         let model = self.family.model_for(match strat {
             AutoRegStrategy::VanillaStatic => SystemKind::Vanilla,
             _ => SystemKind::NaiveEe,
         });
-        simulate_autoreg(
+        let lm = self.family.latency_model();
+        let enc = model
+            .autoreg()
+            .expect("autoregressive model required")
+            .encoder_layers;
+        let specs = materialize_sequences(
             model,
             &self.family.policy,
             ctrl,
             &self.inference(),
             &self.dataset,
-            strat,
-            kinds[0],
-            self.cluster.num_gpus(),
-            batch,
             self.n,
-            &self.family.latency_model(),
             self.seed,
-        )
+        );
+        let total_tokens: usize = specs.iter().map(|s| s.tokens.len()).sum();
+        let depths: Vec<f64> = specs
+            .iter()
+            .flat_map(|s| s.tokens.iter())
+            .map(|t| (t.layers_executed - enc) as f64)
+            .collect();
+
+        if matches!(strat, AutoRegStrategy::NaiveEeBatched) {
+            assert!(
+                specs.iter().all(|s| s.tokens.len() == 1),
+                "batched naive EE supports single-token outputs only"
+            );
+        }
+        let (join, b_eff, boundary, deferred) = match strat {
+            AutoRegStrategy::VanillaStatic => {
+                (JoinPolicy::Window { padded: true }, batch, None, false)
+            }
+            AutoRegStrategy::NaiveEeSequential => (JoinPolicy::Continuous, 1, None, false),
+            AutoRegStrategy::NaiveEeBatched => {
+                (JoinPolicy::Window { padded: false }, batch, None, false)
+            }
+            AutoRegStrategy::E3 { boundary } => {
+                assert!(
+                    boundary > enc && boundary < model.num_layers(),
+                    "boundary must cut the decoder"
+                );
+                (JoinPolicy::Continuous, batch, Some(boundary), true)
+            }
+        };
+        let (survival, m_a, m_b, boundary) = match boundary {
+            Some(cut) => {
+                let profile = token_profile(model.num_layers(), &specs, total_tokens);
+                let (m_a, m_b) = replica_split(
+                    model,
+                    ctrl,
+                    &profile,
+                    cut,
+                    batch as f64,
+                    total_tokens as f64 / specs.len() as f64,
+                    gpu,
+                    n_gpus,
+                    &lm,
+                );
+                // One GPU cannot host a pipeline: serve single-stage.
+                (profile.survival_at(cut), m_a, m_b, (m_b > 0).then_some(cut))
+            }
+            None => (0.0, n_gpus, 0, None),
+        };
+
+        let cfg = ContinuousConfig {
+            model,
+            ctrl,
+            gpu,
+            lm: &lm,
+            join,
+            b0: b_eff,
+            replicas_a: m_a,
+            boundary,
+            replicas_b: m_b,
+            deferred_exits: deferred,
+            kv: None,
+            slo: SimDuration::from_secs(86_400),
+            fault_plan: FaultPlan::new(),
+            b_max_wait: None,
+        };
+        let out = run_continuous(&cfg, &specs, &mut NullObserver);
+        debug_assert_eq!(out.leftover, 0, "no faults: every sequence completes");
+        AutoRegReport {
+            goodput: out.report.goodput(),
+            tokens_per_sec: out.report.tokens_per_sec(),
+            mean_decoder_depth: stats::mean(&depths),
+            boundary_survival: survival,
+        }
     }
 
     /// Picks the E3 decoder boundary for the family's EE model: the
     /// first decoder layer where token survival on this dataset falls
-    /// to `frac` (see [`pick_boundary`]).
+    /// to `frac` or below, estimated from 2000 Monte-Carlo tokens.
     pub fn pick_autoreg_boundary(&self, frac: f64) -> usize {
-        pick_boundary(
-            &self.family.ee,
-            &self.family.policy,
-            &self.full_ctrl(),
-            &self.inference(),
-            &self.dataset,
-            frac,
-            self.seed,
-        )
+        let model = &self.family.ee;
+        let enc = model.autoreg().map_or(0, |a| a.encoder_layers);
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let (infer, ctrl) = (self.inference(), self.full_ctrl());
+        let sampler = ExitSampler::new(&infer, model, &self.family.policy, &ctrl);
+        let n = 2000;
+        let mut exits = vec![0usize; model.num_layers() + 1];
+        for _ in 0..n {
+            let h = self.dataset.sample_hardness(&mut rng);
+            exits[sampler.sample(h, &mut rng).layers_executed] += 1;
+        }
+        let mut alive = n;
+        for (k, &exited) in exits
+            .iter()
+            .enumerate()
+            .take(model.num_layers())
+            .skip(enc + 1)
+        {
+            alive -= exited;
+            if (alive as f64 / n as f64) <= frac {
+                return k;
+            }
+        }
+        model.num_layers() - 1
     }
 
     /// The standard three-way comparison, labeled: the stock model
@@ -463,6 +610,25 @@ impl Experiment {
             seeds.derive("run"),
         )
     }
+}
+
+/// Per-token survival over `layers` layers: entry `k` is the fraction of
+/// the `total` tokens that run layer `k` (execute more than `k` layers).
+fn token_profile(layers: usize, specs: &[SequenceSpec], total: usize) -> BatchProfile {
+    let mut ended = vec![0usize; layers + 1];
+    for t in specs.iter().flat_map(|s| s.tokens.iter()) {
+        ended[t.layers_executed] += 1;
+    }
+    let mut alive = total;
+    let mut survival: Vec<f64> = (0..layers)
+        .map(|k| {
+            alive -= ended[k];
+            alive as f64 / total as f64
+        })
+        .collect();
+    // The final entry counts tokens that completed the whole model.
+    survival.push(survival[layers - 1]);
+    BatchProfile::new(survival)
 }
 
 fn closed_loop_requests(dataset: &DatasetModel, n: usize, seed: u64) -> Vec<Request> {

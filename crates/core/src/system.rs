@@ -257,7 +257,7 @@ impl E3System {
                 let sim =
                     self.deployment(&strategy, &cluster, serve_ctrl, fault_plan.clone(), &knobs);
                 let mut off = OffsetObserver::new(clock, observer);
-                let run = sim.run_observed(
+                let run = sim.run(
                     &requests,
                     seeds.derive_indexed("window-run", w as u64),
                     &mut off,
@@ -468,27 +468,24 @@ impl E3System {
         observer.on_event(clock, &KernelEvent::ReconfigStarted { epoch });
         let probe = {
             let mut off = OffsetObserver::new(clock, observer);
-            inc_sim.run_segment(
+            inc_sim.run(
                 &requests[..k],
                 seeds.derive_indexed("reconfig-probe", w as u64),
                 &mut off,
             )
         };
-        let t1 = clock + probe.report.duration;
+        let t1 = clock + probe.duration;
         let canary = {
             let mut off = OffsetObserver::new(t1, observer);
-            cand_sim.run_segment(
+            cand_sim.run(
                 &requests[k..2 * k],
                 seeds.derive_indexed("reconfig-canary", w as u64),
                 &mut off,
             )
         };
-        let t2 = t1 + canary.report.duration;
+        let t2 = t1 + canary.duration;
 
-        let promote = self
-            .cfg
-            .reconfig
-            .should_promote(&probe.report, &canary.report);
+        let promote = self.cfg.reconfig.should_promote(&probe, &canary);
         let decision = if promote {
             observer.on_event(t2, &KernelEvent::CanaryPromoted { epoch });
             ReconfigDecision::Promoted
@@ -496,7 +493,7 @@ impl E3System {
             observer.on_event(t2, &KernelEvent::RolledBack { epoch });
             ReconfigDecision::RolledBack
         };
-        let report = ReconfigReport::new(epoch, decision, &probe.report, &canary.report, k);
+        let report = ReconfigReport::new(epoch, decision, &probe, &canary, k);
         let (winner_sim, winner_plan) = if promote {
             (&cand_sim, candidate)
         } else {
@@ -505,13 +502,13 @@ impl E3System {
 
         let rest = {
             let mut off = OffsetObserver::new(t2, observer);
-            winner_sim.run_segment(
+            winner_sim.run(
                 &requests[2 * k..],
                 seeds.derive_indexed("reconfig-rest", w as u64),
                 &mut off,
             )
         };
-        let run = RunReport::concat(vec![probe.report, canary.report, rest.report]);
+        let run = RunReport::concat(vec![probe, canary, rest]);
         (run, winner_plan.clone(), report)
     }
 

@@ -23,6 +23,10 @@
 //! single-stage (no-cut) deployment is always a candidate; if nothing is
 //! memory-feasible the planner still returns the best-effort plan with
 //! [`AutoRegSplitPlan::memory_feasible`] set to `false`.
+//!
+//! The same pricing splits the replicas of E3's LLM deployments, whose
+//! cut is chosen elsewhere: [`replica_split`] runs the planner's
+//! replica-split search at one fixed cut, without the memory checks.
 
 use std::ops::Range;
 
@@ -153,6 +157,53 @@ fn stage_times(
     (t_a, t_b)
 }
 
+/// The `(m_a, m_b)` split of `n_gpus >= 2` replicas minimizing the
+/// pipeline bottleneck `max(t_a/m_a, f·t_b/m_b)` for stage times
+/// `(t_a, t_b)` and crossing fraction `f`, with that bottleneck. Ties go
+/// to the smallest `m_a`.
+fn best_split(t_a: f64, t_b: f64, f: f64, n_gpus: usize) -> (usize, usize, f64) {
+    let mut best = (1, n_gpus - 1, f64::INFINITY);
+    for m_a in 1..n_gpus {
+        let m_b = n_gpus - m_a;
+        let bn = (t_a / m_a as f64).max(f * t_b / m_b as f64);
+        if bn < best.2 {
+            best = (m_a, m_b, bn);
+        }
+    }
+    best
+}
+
+/// Splits `n_gpus` identical devices between the two stages of a
+/// deployment cut at `cut`, pricing the stages as
+/// [`plan_autoreg_split`] does. `profile` is per-token survival and
+/// `mean_tokens` the mean output length. Returns `(m_a, m_b)`; on one
+/// GPU, `(1, 0)`: the device cannot host a pipeline.
+///
+/// # Panics
+///
+/// Panics if the model lacks an [`AutoRegSpec`].
+#[allow(clippy::too_many_arguments)]
+pub fn replica_split(
+    model: &EeModel,
+    ctrl: &RampController,
+    profile: &BatchProfile,
+    cut: usize,
+    b0: f64,
+    mean_tokens: f64,
+    gpu: GpuKind,
+    n_gpus: usize,
+    lm: &LatencyModel,
+) -> (usize, usize) {
+    if n_gpus < 2 {
+        return (1, 0);
+    }
+    let ar = model.autoreg().expect("autoregressive model required");
+    let f = profile.survival_at(cut).max(1e-9);
+    let (t_a, t_b) = stage_times(model, ctrl, profile, ar, cut, b0, mean_tokens, gpu, lm);
+    let (m_a, m_b, _) = best_split(t_a, t_b, f, n_gpus);
+    (m_a, m_b)
+}
+
 /// Plans an autoregressive two-stage (or single-stage) deployment.
 ///
 /// `profile` is per-*token* survival: `survival_at(k)` is the fraction
@@ -208,25 +259,18 @@ pub fn plan_autoreg_split(
         };
         let f = profile.survival_at(cut).max(1e-9);
         let (t_a, t_b) = stage_times(model, ctrl, profile, &ar, cut, b0, mean_tokens, gpu, lm);
-        for m_a in 1..n_gpus {
-            let m_b = n_gpus - m_a;
-            let bn = (t_a / m_a as f64).max(f * t_b / m_b as f64);
-            let wins = if best.memory_feasible {
-                bn < best.bottleneck_secs
-            } else {
-                true // any feasible plan beats an infeasible one
+        let (m_a, m_b, bn) = best_split(t_a, t_b, f, n_gpus);
+        // Any feasible plan beats an infeasible one.
+        if !best.memory_feasible || bn < best.bottleneck_secs {
+            best = AutoRegSplitPlan {
+                boundary: Some(cut),
+                replicas_a: m_a,
+                replicas_b: m_b,
+                kv_capacity_a: cap_a,
+                kv_capacity_b: cap_b,
+                bottleneck_secs: bn,
+                memory_feasible: true,
             };
-            if wins {
-                best = AutoRegSplitPlan {
-                    boundary: Some(cut),
-                    replicas_a: m_a,
-                    replicas_b: m_b,
-                    kv_capacity_a: cap_a,
-                    kv_capacity_b: cap_b,
-                    bottleneck_secs: bn,
-                    memory_feasible: true,
-                };
-            }
         }
     }
     best
@@ -315,5 +359,25 @@ mod tests {
         assert!(!plan.memory_feasible);
         assert_eq!(plan.boundary, None);
         assert_eq!(plan.kv_capacity_a, 0);
+    }
+
+    #[test]
+    fn replica_split_prices_the_fraction_crossing_the_cut() {
+        // Every exit falls at the ramp right before the cut, so only 10%
+        // of tokens cross it, while all of them run the layer before it.
+        // Stage B then runs full re-fused batches a tenth of the time and
+        // needs one replica of four. Pricing the cut with the survival one
+        // layer early (1.0) would see every token cross and split 2 + 2.
+        let m = zoo::calm_t5();
+        let ctrl = RampController::all_enabled(m.num_ramps(), RampStyle::Independent);
+        let l = m.num_layers();
+        let cut = 10;
+        let profile = drop_to(l, cut - 1, 0.1);
+        assert_eq!(profile.survival_at(cut - 1), 1.0);
+        let lm = LatencyModel::new();
+        let split = |n| replica_split(&m, &ctrl, &profile, cut, 16.0, 20.0, GpuKind::A6000, n, &lm);
+        assert_eq!(split(4), (3, 1));
+        // One device cannot host a pipeline.
+        assert_eq!(split(1), (1, 0));
     }
 }

@@ -24,8 +24,11 @@
 //!   exclusion from future assignment (§3.3) —
 //!   [`crate::kernel::RelativeSlowdown`].
 //!
-//! [`ServingSim::run`] uses the defaults derived from [`ServingConfig`];
-//! [`ServingSim::run_with`] injects arbitrary policies and an observer.
+//! [`ServingSim::run`] serves a request stream with the defaults derived
+//! from [`ServingConfig`], streaming the kernel's typed events to an
+//! observer. [`ServingSim::materialize_backlog`] and
+//! [`ServingSim::run_backlog_observed`] are the same run split in two, so
+//! a caller can time the Monte-Carlo draw apart from the event loop.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,12 +36,12 @@ use rand::SeedableRng;
 use e3_hardware::{LatencyModel, TransferModel};
 use e3_model::{EeModel, ExitPolicy, ExitSampler, InferenceSim, RampController};
 use e3_profiler::HealthConfig;
-use e3_simcore::{EventQueue, ReferenceQueue, SimDuration, SimQueue, SimTime};
+use e3_simcore::{EventQueue, SimDuration, SimQueue, SimTime};
 use e3_workload::Request;
 
 use crate::kernel::{
     AdmitAll, Ev, FaultPlan, FusionBatching, Kernel, KernelPolicies, NoStragglerDetection,
-    NullObserver, RelativeSlowdown, RunObserver, SloSlackAdmission,
+    RelativeSlowdown, RunObserver, SloSlackAdmission,
 };
 use crate::report::{RunReport, ShedCause};
 use crate::sample::SimSample;
@@ -53,13 +56,10 @@ pub struct ServingConfig {
     /// backlog (arrival time = dispatch time). Open-loop mode replays the
     /// requests' arrival timestamps.
     pub closed_loop: bool,
-    /// Maximum time a sample may wait in a fusion buffer (or the frontend
-    /// batcher) before a partial batch is flushed.
-    pub fusion_max_wait: SimDuration,
     /// Per-stage overrides for the fusion wait: later stages receive
     /// survivors slowly (their fill time is one cycle divided by the
     /// stage's survival fraction) and need proportionally longer waits.
-    /// Empty = use `fusion_max_wait` everywhere.
+    /// Empty = use [`crate::kernel::FUSION_MAX_WAIT`] everywhere.
     pub fusion_waits: Vec<SimDuration>,
     /// Enable straggler detection/exclusion.
     pub detect_stragglers: bool,
@@ -79,11 +79,6 @@ pub struct ServingConfig {
     /// ([`crate::kernel::FaultEvent::LinkDown`]). Inert without link
     /// faults.
     pub transfer_retry: TransferRetryConfig,
-    /// Stop ingesting new work at this instant and let in-flight batches
-    /// drain (the guarded-reconfiguration segment boundary). Closed loop:
-    /// feeders stop pulling; open loop: later arrivals stay in the
-    /// backlog. `None` serves everything.
-    pub drain_at: Option<SimTime>,
     /// Per-replica circuit breakers over a wall-clock health estimator
     /// (catches gray failures the self-reported straggler statistics
     /// miss). `None` (the default) disables the estimator entirely —
@@ -112,14 +107,12 @@ impl Default for ServingConfig {
         ServingConfig {
             slo: SimDuration::from_millis(100),
             closed_loop: true,
-            fusion_max_wait: SimDuration::from_millis(5),
             fusion_waits: Vec::new(),
             detect_stragglers: false,
             fault_plan: FaultPlan::new(),
             horizon: None,
             queue_cap: None,
             transfer_retry: TransferRetryConfig::default(),
-            drain_at: None,
             breaker: None,
             hedge: None,
             retry_budget: None,
@@ -205,18 +198,6 @@ impl Default for TransferRetryConfig {
     }
 }
 
-/// The outcome of one [`ServingSim::run_segment`] call: the segment's
-/// metrics plus how far into the request slice it got before the drain
-/// point (callers feed `requests[consumed..]` to the next segment).
-#[derive(Debug, Clone)]
-pub struct SegmentRun {
-    /// Metrics of the segment.
-    pub report: RunReport,
-    /// Requests ingested by the segment (completed or dropped); the rest
-    /// of the slice was never started.
-    pub consumed: usize,
-}
-
 /// The serving simulator. Construct once, then [`ServingSim::run`].
 pub struct ServingSim<'a> {
     pub(crate) model: &'a EeModel,
@@ -275,82 +256,21 @@ impl<'a> ServingSim<'a> {
         }
     }
 
-    /// The default policy set derived from this simulator's
-    /// [`ServingConfig`]: fusion batching everywhere; SLO-slack admission
-    /// in open-loop drop mode (closed-loop backlogs admit everything);
-    /// relative-slowdown straggler detection when enabled.
-    pub fn default_policies(&self) -> KernelPolicies<'static> {
-        let admission: Box<dyn crate::kernel::AdmissionPolicy> = if !self.cfg.closed_loop {
-            Box::new(SloSlackAdmission::for_stages(
-                self.model,
-                &self.ctrl,
-                &self.lm,
-                &self.tm,
-                &self.stages,
-                self.cfg.slo,
-            ))
-        } else {
-            Box::new(AdmitAll)
-        };
-        let targets: Vec<usize> = self.stages.iter().map(|s| s.target_batch).collect();
-        let batching = Box::new(FusionBatching::new(
-            &targets,
-            self.cfg.fusion_max_wait,
-            self.cfg.fusion_waits.clone(),
-        ));
-        let straggler: Box<dyn crate::kernel::StragglerPolicy> = if self.cfg.detect_stragglers {
-            Box::new(RelativeSlowdown::default())
-        } else {
-            Box::new(NoStragglerDetection)
-        };
-        KernelPolicies {
-            admission,
-            batching,
-            straggler,
-        }
-    }
-
-    /// Runs the simulation over `requests` with the given seed, using the
-    /// default policies and no observer.
-    pub fn run(&self, requests: &[Request], seed: u64) -> RunReport {
-        self.run_observed(requests, seed, &mut NullObserver)
-    }
-
-    /// Runs with the default policies, streaming kernel events to
-    /// `observer`.
-    pub fn run_observed(
+    /// Serves `requests`, drawing their outcomes from `seed`, and streams
+    /// the kernel's typed events to `observer`. The same as
+    /// [`ServingSim::materialize_backlog`] followed by
+    /// [`ServingSim::run_backlog_observed`].
+    pub fn run(
         &self,
         requests: &[Request],
         seed: u64,
         observer: &mut dyn RunObserver,
     ) -> RunReport {
-        self.run_with(requests, seed, self.default_policies(), observer)
-    }
-
-    /// Runs with explicit policies and an observer — the full seam.
-    pub fn run_with(
-        &self,
-        requests: &[Request],
-        seed: u64,
-        policies: KernelPolicies<'_>,
-        observer: &mut dyn RunObserver,
-    ) -> RunReport {
-        self.run_inner(requests, seed, policies, observer).report
-    }
-
-    /// Runs one *segment* of a logical window with the default policies:
-    /// honors [`ServingConfig::drain_at`] and reports how many requests
-    /// the segment ingested, so a caller can serve the remainder under a
-    /// different plan (guarded reconfiguration's probe/canary/remainder
-    /// split). Without a `drain_at` this ingests everything and is
-    /// equivalent to [`ServingSim::run_observed`].
-    pub fn run_segment(
-        &self,
-        requests: &[Request],
-        seed: u64,
-        observer: &mut dyn RunObserver,
-    ) -> SegmentRun {
-        self.run_inner(requests, seed, self.default_policies(), observer)
+        // Policies before the backlog: the allocation order sets the heap
+        // layout the event loop runs on, and with it the run's speed.
+        let policies = self.default_policies();
+        let backlog = self.materialize_backlog(requests, seed);
+        self.run_backlog::<EventQueue<Ev>>(backlog, policies, observer)
     }
 
     /// Materializes the per-request outcomes (the RNG-bound Monte-Carlo
@@ -369,66 +289,69 @@ impl<'a> ServingSim<'a> {
             .collect()
     }
 
-    /// Runs the kernel event loop over an already-materialized backlog
-    /// with the default policies. [`ServingSim::run_observed`] is exactly
-    /// [`ServingSim::materialize_backlog`] followed by this.
+    /// Runs the kernel event loop over an already-materialized backlog,
+    /// streaming its events to `observer`.
     pub fn run_backlog_observed(
         &self,
         backlog: Vec<SimSample>,
         observer: &mut dyn RunObserver,
     ) -> RunReport {
         self.run_backlog::<EventQueue<Ev>>(backlog, self.default_policies(), observer)
-            .report
     }
 
-    /// [`ServingSim::run_observed`] on the binary-heap
-    /// [`e3_simcore::ReferenceQueue`] instead of the calendar queue — the
-    /// entry point for differential tests that demand byte-identical
-    /// event streams from both queue implementations.
-    pub fn run_observed_reference(
-        &self,
-        requests: &[Request],
-        seed: u64,
-        observer: &mut dyn RunObserver,
-    ) -> RunReport {
-        let backlog = self.materialize_backlog(requests, seed);
-        self.run_backlog::<ReferenceQueue<Ev>>(backlog, self.default_policies(), observer)
-            .report
+    /// The policy set derived from this simulator's [`ServingConfig`]:
+    /// fusion batching everywhere; SLO-slack admission in open-loop drop
+    /// mode (closed-loop backlogs admit everything); relative-slowdown
+    /// straggler detection when enabled.
+    fn default_policies(&self) -> KernelPolicies<'static> {
+        let admission: Box<dyn crate::kernel::AdmissionPolicy> = if !self.cfg.closed_loop {
+            Box::new(SloSlackAdmission::for_stages(
+                self.model,
+                &self.ctrl,
+                &self.lm,
+                &self.tm,
+                &self.stages,
+                self.cfg.slo,
+            ))
+        } else {
+            Box::new(AdmitAll)
+        };
+        let targets: Vec<usize> = self.stages.iter().map(|s| s.target_batch).collect();
+        let batching = Box::new(FusionBatching::new(&targets, self.cfg.fusion_waits.clone()));
+        let straggler: Box<dyn crate::kernel::StragglerPolicy> = if self.cfg.detect_stragglers {
+            Box::new(RelativeSlowdown::default())
+        } else {
+            Box::new(NoStragglerDetection)
+        };
+        KernelPolicies {
+            admission,
+            batching,
+            straggler,
+        }
     }
 
-    fn run_inner(
-        &self,
-        requests: &[Request],
-        seed: u64,
-        policies: KernelPolicies<'_>,
-        observer: &mut dyn RunObserver,
-    ) -> SegmentRun {
-        let backlog = self.materialize_backlog(requests, seed);
-        self.run_backlog::<EventQueue<Ev>>(backlog, policies, observer)
-    }
-
+    /// The kernel over `backlog` on event queue `Q`: the calendar queue
+    /// in every run, the binary-heap reference in the differential test.
     fn run_backlog<Q: SimQueue<Ev>>(
         &self,
         backlog: Vec<SimSample>,
         policies: KernelPolicies<'_>,
         observer: &mut dyn RunObserver,
-    ) -> SegmentRun {
-        let (acc, consumed) = Kernel::<Q>::new(self, backlog, policies, observer).run();
+    ) -> RunReport {
+        let acc = Kernel::<Q>::new(self, backlog, policies, observer).run();
         let last = acc.last_completion();
         let duration = match self.cfg.horizon {
             Some(h) => last.saturating_since(SimTime::ZERO).max(h),
             None => last.saturating_since(SimTime::ZERO),
         };
-        SegmentRun {
-            report: acc.finish(duration),
-            consumed,
-        }
+        acc.finish(duration)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::NullObserver;
     use crate::strategy::Strategy;
     use e3_hardware::{ClusterSpec, GpuKind};
     use e3_model::{zoo, RampStyle};
@@ -473,7 +396,7 @@ mod tests {
             cfg,
         );
         let reqs = requests_closed(n, &DatasetModel::sst2(), seed);
-        sim.run(&reqs, seed)
+        sim.run(&reqs, seed, &mut NullObserver)
     }
 
     #[test]
@@ -571,7 +494,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let r = sim.run(&reqs, 4);
+        let r = sim.run(&reqs, 4, &mut NullObserver);
         assert!(r.drop_rate() < 0.01, "drop rate {}", r.drop_rate());
         let served_frac = r.completed as f64 / reqs.len() as f64;
         assert!(served_frac > 0.99, "served {served_frac}");
@@ -606,7 +529,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let r = sim.run(&reqs, 5);
+        let r = sim.run(&reqs, 5, &mut NullObserver);
         assert!(r.drop_rate() > 0.5, "drop rate {}", r.drop_rate());
         // Whatever was served met the SLO (drops protect goodput).
         assert!(r.within_slo as f64 / r.completed.max(1) as f64 > 0.95);
@@ -639,7 +562,7 @@ mod tests {
             },
         );
         let reqs = requests_closed(5000, &DatasetModel::sst2(), 6);
-        let r = sim.run(&reqs, 6);
+        let r = sim.run(&reqs, 6, &mut NullObserver);
         assert_eq!(r.stragglers_detected, vec![2]);
     }
 
@@ -707,7 +630,7 @@ mod tests {
         );
         let reqs = requests_closed(4000, &DatasetModel::sst2(), 7);
         let mut log = EventLog::new();
-        let r = sim.run_observed(&reqs, 7, &mut log);
+        let r = sim.run(&reqs, 7, &mut log);
         assert_eq!(r.completed, 4000);
 
         // The stream is emitted in execution order: time never rewinds.
@@ -881,7 +804,7 @@ mod tests {
         );
         let reqs = requests_closed(5000, &DatasetModel::sst2(), 22);
         let mut log = EventLog::new();
-        let r = sim.run_observed(&reqs, 22, &mut log);
+        let r = sim.run(&reqs, 22, &mut log);
         // The self-reported watchdog still misses the gray failure...
         assert!(r.stragglers_detected.is_empty());
         // ...but the wall-clock breaker trips, probes, and — once the
@@ -940,7 +863,7 @@ mod tests {
                 },
             );
             let mut log = EventLog::new();
-            let r = sim.run_observed(&reqs, 23, &mut log);
+            let r = sim.run(&reqs, 23, &mut log);
             (r, log)
         };
         let (hedged, log) = run(Some(HedgeConfig::default()));
@@ -1028,7 +951,7 @@ mod tests {
                 },
             );
             let reqs = requests_closed(4000, &DatasetModel::sst2(), 24);
-            sim.run(&reqs, 24)
+            sim.run(&reqs, 24, &mut NullObserver)
         };
         let unbudgeted = run(None);
         assert_eq!(unbudgeted.transfer_aborts, 0);
@@ -1088,7 +1011,7 @@ mod tests {
                     ..Default::default()
                 },
             );
-            sim.run(&reqs, 25)
+            sim.run(&reqs, 25, &mut NullObserver)
         };
         let organic = run(ShedCause::QueueCap);
         assert!(
@@ -1160,5 +1083,119 @@ mod tests {
         assert!(r.accuracy() > 0.88, "accuracy {}", r.accuracy());
         // And samples do exit early.
         assert!(r.mean_depth() < 10.0, "mean depth {}", r.mean_depth());
+    }
+
+    /// Decodes raw entropy words into a fault plan that is valid for
+    /// `num_replicas` replicas and `num_stages` stages: each word yields one
+    /// fault (crash, crash + delayed recovery, transient slowdown, or stage
+    /// stall) with millisecond-grid times inside the run, so any word vector
+    /// produces a well-formed plan and ties abound.
+    fn decoded_fault_plan(words: &[u64], num_replicas: usize, num_stages: usize) -> FaultPlan {
+        let mut plan = FaultPlan::new();
+        for &w in words {
+            let replica = ((w >> 3) % num_replicas as u64) as usize;
+            let stage = ((w >> 7) % num_stages as u64) as usize;
+            let from = SimTime::from_millis((w >> 16) % 150);
+            let until = from + SimDuration::from_millis(1 + (w >> 24) % 60);
+            match w % 4 {
+                0 => plan = plan.crash(replica, from),
+                1 => plan = plan.crash(replica, from).recover(replica, until),
+                2 => {
+                    let factor = 1.5 + ((w >> 32) % 5) as f64 * 0.5;
+                    plan = plan.slowdown(replica, factor, from, until);
+                }
+                _ => plan = plan.stall(stage, from, until),
+            }
+        }
+        plan
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The arena-backed calendar queue must be observationally
+        /// indistinguishable from the binary-heap
+        /// [`e3_simcore::ReferenceQueue`] it replaced. Both queues drive the
+        /// same kernel over the same materialized backlog; the *entire*
+        /// kernel event stream — every event, timestamp, and ordering
+        /// decision, under arbitrary decoded fault plans — must come out
+        /// identical. Duplicate-timestamp FIFO ties are where heap and
+        /// calendar orderings could legally diverge, so fault times are
+        /// drawn from a coarse grid to force plenty of simultaneous events.
+        #[test]
+        fn calendar_queue_replays_reference_event_stream(
+            words in proptest::collection::vec(0u64..u64::MAX, 1..6),
+            seed in 0u64..u64::MAX,
+        ) {
+            use crate::kernel::EventLog;
+            use e3_model::BatchProfile;
+            use proptest::prop_assert_eq;
+
+            // A multi-stage E3 plan on a small cluster: stage faults and
+            // transfer events only exist with at least two stages.
+            let model = zoo::deebert();
+            let ctrl = RampController::all_enabled(model.num_ramps(), RampStyle::Independent);
+            let policy = zoo::default_policy("DeeBERT");
+            let profile = BatchProfile::new(vec![
+                1.0, 0.97, 0.83, 0.65, 0.49, 0.36, 0.27, 0.22, 0.21, 0.19, 0.16, 0.11, 0.11,
+            ]);
+            let (tm, lm) = (TransferModel::default(), LatencyModel::new());
+            let plan = optimize_homogeneous(
+                &model,
+                &ctrl,
+                &profile,
+                GpuKind::V100,
+                6,
+                8.0,
+                &tm,
+                &lm,
+                &OptimizerConfig::default(),
+            );
+            let cluster = ClusterSpec::homogeneous(GpuKind::V100, 6, 4);
+            let stages = Strategy::Plan(plan).realize(&model, &cluster);
+            let num_replicas: usize = stages.iter().map(|s| s.replicas.len()).sum();
+            let fault_plan = decoded_fault_plan(&words, num_replicas, stages.len());
+            fault_plan.validate(num_replicas, stages.len());
+
+            let sim = ServingSim::new(
+                &model,
+                policy,
+                ctrl.clone(),
+                InferenceSim::new(),
+                stages,
+                lm,
+                tm,
+                ServingConfig {
+                    fault_plan,
+                    ..Default::default()
+                },
+            );
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dataset = DatasetModel::sst2();
+            let requests: Vec<Request> = (0..1500u64)
+                .map(|id| Request {
+                    id,
+                    arrival: SimTime::ZERO,
+                    hardness: dataset.sample_hardness(&mut rng),
+                    output_tokens: 1,
+                })
+                .collect();
+
+            let mut calendar_log = EventLog::new();
+            let calendar = sim.run(&requests, seed, &mut calendar_log);
+            let mut reference_log = EventLog::new();
+            let reference = sim.run_backlog::<e3_simcore::ReferenceQueue<Ev>>(
+                sim.materialize_backlog(&requests, seed),
+                sim.default_policies(),
+                &mut reference_log,
+            );
+
+            prop_assert_eq!(calendar_log.events.len(), reference_log.events.len());
+            prop_assert_eq!(&calendar_log.events, &reference_log.events);
+            prop_assert_eq!(calendar.completed, reference.completed);
+            prop_assert_eq!(calendar.within_slo, reference.within_slo);
+            prop_assert_eq!(calendar.dropped, reference.dropped);
+            prop_assert_eq!(calendar.duration, reference.duration);
+        }
     }
 }

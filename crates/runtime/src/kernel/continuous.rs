@@ -319,9 +319,14 @@ struct Driver<'a, 'o> {
     reps: Vec<Rep>,
     pool: ContinuousBatching,
     bbuf: FusionBuffer,
+    /// Boundary crossers waiting out a link outage.
     held: Vec<SimSample>,
-    link_down: bool,
-    stall: [bool; 2],
+    /// Active [`FaultEvent::LinkDown`] windows; crossers are held while
+    /// positive.
+    link_down: u32,
+    /// Per-stage count of active [`FaultEvent::StageStall`] windows; no
+    /// pass may begin on a stage while its count is positive.
+    stall: [u32; 2],
     q: EventQueue<CEv>,
     acc: RunAccumulator,
     obs: &'o mut dyn RunObserver,
@@ -630,8 +635,8 @@ impl<'a, 'o> Driver<'a, 'o> {
             pool: ContinuousBatching::new(&[cfg.b0]),
             bbuf: FusionBuffer::new(cfg.b0),
             held: Vec::new(),
-            link_down: false,
-            stall: [false; 2],
+            link_down: 0,
+            stall: [0; 2],
             q: EventQueue::new(),
             acc: RunAccumulator::new(num_stages, num_replicas, cfg.slo, false),
             obs,
@@ -716,7 +721,7 @@ impl<'a, 'o> Driver<'a, 'o> {
     }
 
     fn try_start_a(&mut self, r: usize) {
-        if self.reps[r].busy || self.reps[r].crashed || self.stall[0] {
+        if self.reps[r].busy || self.reps[r].crashed || self.stall[0] > 0 {
             return;
         }
         // Admission: refill free slots from the pool.
@@ -894,7 +899,7 @@ impl<'a, 'o> Driver<'a, 'o> {
                     correct: true,
                     output_tokens: 1,
                 };
-                if self.link_down {
+                if self.link_down > 0 {
                     self.held.push(job);
                 } else {
                     transfers += 1;
@@ -1025,7 +1030,7 @@ impl<'a, 'o> Driver<'a, 'o> {
             return;
         }
         for r in self.cfg.replicas_a..self.reps.len() {
-            if self.reps[r].busy || self.reps[r].crashed || self.stall[1] {
+            if self.reps[r].busy || self.reps[r].crashed || self.stall[1] > 0 {
                 continue;
             }
             if self.bbuf.is_empty() {
@@ -1134,7 +1139,10 @@ impl<'a, 'o> Driver<'a, 'o> {
                 }
             }
             FaultAction::ExpireStall { stage } => {
-                self.stall[stage] = false;
+                self.stall[stage] -= 1;
+                if self.stall[stage] > 0 {
+                    return; // a later window still holds the stage
+                }
                 if stage == 0 {
                     self.kick_stage_a();
                 } else {
@@ -1142,7 +1150,10 @@ impl<'a, 'o> Driver<'a, 'o> {
                 }
             }
             FaultAction::ExpireLink => {
-                self.link_down = false;
+                self.link_down -= 1;
+                if self.link_down > 0 {
+                    return; // a later outage still holds the link
+                }
                 let held = std::mem::take(&mut self.held);
                 let n = held.len();
                 for job in held {
@@ -1231,7 +1242,7 @@ impl<'a, 'o> Driver<'a, 'o> {
             FaultEvent::StageStall { stage, until, .. } => {
                 self.acc.record_fault();
                 self.emit(KernelEvent::FaultInjected { fault: ev });
-                self.stall[stage] = true;
+                self.stall[stage] += 1;
                 self.q
                     .schedule(until, CEv::Fault(FaultAction::ExpireStall { stage }));
             }
@@ -1253,7 +1264,7 @@ impl<'a, 'o> Driver<'a, 'o> {
             FaultEvent::LinkDown { until, .. } => {
                 self.acc.record_fault();
                 self.emit(KernelEvent::FaultInjected { fault: ev });
-                self.link_down = true;
+                self.link_down += 1;
                 self.q.schedule(until, CEv::Fault(FaultAction::ExpireLink));
             }
             FaultEvent::GrayDegradation {
@@ -1802,5 +1813,59 @@ mod tests {
         let out = run_continuous(&cfg, &seqs(6, 4, t5.num_layers()), &mut EventLog::new());
         assert_eq!(out.report.completed + out.leftover, 6);
         assert!(out.leftover > 0, "the lone replica died; work must strand");
+    }
+
+    #[test]
+    fn overlapping_stalls_hold_the_stage_until_the_last_one_ends() {
+        let t5 = zoo::t5();
+        let ctrl = RampController::all_enabled(0, RampStyle::Independent);
+        let l = lm();
+        let mut cfg = base_cfg(&t5, &ctrl, &l, JoinPolicy::Continuous, 4, 2);
+        cfg.fault_plan = FaultPlan::new()
+            .stall(0, SimTime::from_millis(10), SimTime::from_millis(50))
+            .stall(0, SimTime::from_millis(20), SimTime::from_millis(80));
+        let mut log = EventLog::new();
+        let out = run_continuous(&cfg, &seqs(16, 12, t5.num_layers()), &mut log);
+        assert_eq!(out.report.completed, 16);
+        let starts: Vec<SimTime> = log
+            .events
+            .iter()
+            .filter(|(_, e)| matches!(e, KernelEvent::ExecStart { stage: 0, .. }))
+            .map(|(t, _)| *t)
+            .collect();
+        let held = SimTime::from_millis(50)..SimTime::from_millis(80);
+        assert!(
+            starts.iter().all(|t| !held.contains(t)),
+            "a pass began while the second stall still held the stage"
+        );
+        assert!(starts.iter().any(|t| *t >= held.end), "work resumes after");
+    }
+
+    #[test]
+    fn overlapping_link_outages_hold_crossers_until_the_last_one_ends() {
+        let calm = zoo::calm_t5();
+        let ctrl = RampController::all_enabled(calm.num_ramps(), RampStyle::Independent);
+        let l = lm();
+        let mut cfg = base_cfg(&calm, &ctrl, &l, JoinPolicy::Continuous, 4, 3);
+        cfg.boundary = Some(11);
+        cfg.replicas_b = 1;
+        cfg.deferred_exits = true;
+        cfg.fault_plan = FaultPlan::new()
+            .link_down(0, SimTime::ZERO, SimTime::from_millis(40))
+            .link_down(0, SimTime::from_millis(10), SimTime::from_millis(90));
+        let mut log = EventLog::new();
+        let out = run_continuous(&cfg, &seqs(16, 12, calm.num_layers()), &mut log);
+        assert_eq!(out.report.completed, 16);
+        let transfers: Vec<SimTime> = log
+            .events
+            .iter()
+            .filter(|(_, e)| matches!(e, KernelEvent::StageTransfer { .. }))
+            .map(|(t, _)| *t)
+            .collect();
+        assert!(!transfers.is_empty());
+        assert!(
+            transfers.iter().all(|t| *t >= SimTime::from_millis(90)),
+            "a crosser moved while the second outage held the link: {transfers:?}"
+        );
     }
 }

@@ -10,7 +10,7 @@
 //! * [`AdmissionPolicy`] — admit or drop a sample at dispatch time
 //!   ([`AdmitAll`], [`SloSlackAdmission`]);
 //! * [`BatchingPolicy`] — how batches form from waiting samples
-//!   ([`FusionBatching`], [`StaticBatching`]);
+//!   ([`FusionBatching`]);
 //! * [`StragglerPolicy`] — which replicas get excluded
 //!   ([`NoStragglerDetection`], [`RelativeSlowdown`]).
 //!
@@ -39,7 +39,7 @@ pub use observer::{
 };
 pub use policy::{
     AdmissionPolicy, AdmitAll, BatchingPolicy, FusionBatching, NoStragglerDetection,
-    RelativeSlowdown, ReplicaPerf, SloSlackAdmission, StaticBatching, StragglerPolicy,
+    RelativeSlowdown, ReplicaPerf, SloSlackAdmission, StragglerPolicy, FUSION_MAX_WAIT,
 };
 
 use std::collections::VecDeque;
@@ -57,14 +57,14 @@ use crate::sample::SimSample;
 /// fault burst strands many batches at once.
 const SAMPLE_POOL_CAP: usize = 64;
 
-/// The three policy seams of one kernel run, boxed for injection.
-pub struct KernelPolicies<'p> {
+/// The three policy seams of one kernel run, boxed.
+pub(crate) struct KernelPolicies<'p> {
     /// Admit-or-drop decisions at dispatch time.
-    pub admission: Box<dyn AdmissionPolicy + 'p>,
+    pub(crate) admission: Box<dyn AdmissionPolicy + 'p>,
     /// Batch formation at the frontend and at fusion points.
-    pub batching: Box<dyn BatchingPolicy + 'p>,
+    pub(crate) batching: Box<dyn BatchingPolicy + 'p>,
     /// Straggler exclusion.
-    pub straggler: Box<dyn StragglerPolicy + 'p>,
+    pub(crate) straggler: Box<dyn StragglerPolicy + 'p>,
 }
 
 #[derive(Debug, Clone)]
@@ -190,10 +190,6 @@ pub(crate) struct Kernel<'a, 'p, Q: SimQueue<Ev> = EventQueue<Ev>> {
     /// Per-stage count of active [`FaultEvent::LinkDown`] windows on the
     /// stage's outbound link; transfers retry with backoff while positive.
     link_down: Vec<u32>,
-    /// Backlog entries ingested by this run (closed loop: pulled; open
-    /// loop: arrival scheduled before `drain_at`). The engine reports it
-    /// so segmented windows know where the next segment resumes.
-    consumed: usize,
     acc: RunAccumulator,
     /// Recycled sample buffers: batches formed on the hot path draw their
     /// `Vec<SimSample>` here instead of the allocator, and fully-completed
@@ -261,7 +257,6 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
             in_flight_cap: (5 * num_replicas * sim.stages[0].target_batch).div_ceil(4),
             stalled: vec![0; num_stages],
             link_down: vec![0; num_stages],
-            consumed: 0,
             acc: RunAccumulator::new(num_stages, num_replicas, sim.cfg.slo, true),
             sample_pool: Vec::new(),
             perf_scratch: Vec::new(),
@@ -286,11 +281,8 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         }
     }
 
-    /// Drains the event queue; returns the filled accumulator and the
-    /// number of backlog entries the run ingested (always the full
-    /// backlog unless [`crate::engine::ServingConfig::drain_at`] cut the
-    /// segment short).
-    pub(crate) fn run(mut self) -> (RunAccumulator, usize) {
+    /// Drains the event queue; returns the filled accumulator.
+    pub(crate) fn run(mut self) -> RunAccumulator {
         // Fault actions go on the queue first: at equal timestamps the
         // stable FIFO tie-break then applies a fault before any arrival
         // scheduled at the same instant, independent of plan contents.
@@ -301,16 +293,8 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
                 self.feed_closed_loop(r);
             }
         } else {
-            // Open loop: arrivals at or past the drain point stay in the
-            // backlog for the next segment (arrivals are time-sorted, so
-            // the ingested set is a prefix).
             for i in 0..self.backlog.len() {
-                let at = self.backlog[i].arrival;
-                if self.sim.cfg.drain_at.is_some_and(|d| at >= d) {
-                    continue;
-                }
-                self.q.schedule(at, Ev::Arrival(i));
-                self.consumed += 1;
+                self.q.schedule(self.backlog[i].arrival, Ev::Arrival(i));
             }
         }
         while let Some(ev) = self.q.pop() {
@@ -329,10 +313,7 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
                 Ev::HedgeCheck { replica, epoch } => self.on_hedge_check(replica, epoch),
             }
         }
-        if self.sim.cfg.closed_loop {
-            self.consumed = self.backlog_cursor;
-        }
-        (self.acc, self.consumed)
+        self.acc
     }
 
     /// Materializes the configured [`FaultPlan`] onto the event queue.
@@ -579,9 +560,6 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         }
         if self.stalled[0] > 0 {
             return; // stage stalled: nothing dispatches until it lifts
-        }
-        if self.sim.cfg.drain_at.is_some_and(|d| self.now() >= d) {
-            return; // draining: in-flight work finishes, nothing new starts
         }
         let target = self.sim.stages[0].target_batch;
         if self.backlog_cursor >= self.backlog.len() {

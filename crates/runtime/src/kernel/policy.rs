@@ -4,9 +4,9 @@
 //! the paper treats as a *mechanism knob* — who gets admitted, how batches
 //! form, which replicas are stragglers — is delegated through one of the
 //! three traits here. [`crate::engine::ServingSim`] assembles the paper's
-//! defaults from its [`crate::engine::ServingConfig`]; tests and
-//! experiments can inject alternatives through
-//! [`crate::engine::ServingSim::run_with`].
+//! defaults from its [`crate::engine::ServingConfig`] for every run; the
+//! traits stay seams so a new discipline plugs in without touching the
+//! event loop.
 
 use e3_hardware::{LatencyModel, TransferModel};
 use e3_model::{EeModel, RampController};
@@ -160,29 +160,36 @@ pub trait BatchingPolicy {
     fn is_empty(&self, stage: usize) -> bool;
 }
 
+/// Longest a sample waits in a fusion buffer (or the frontend batcher)
+/// before a partial batch is flushed, wherever
+/// [`crate::engine::ServingConfig::fusion_waits`] sets no per-stage wait.
+/// Also the floor of the per-stage waits a deployment derives from its
+/// plan.
+pub const FUSION_MAX_WAIT: SimDuration = SimDuration::from_millis(5);
+
 /// The paper's batching: per-stage [`FusionBuffer`]s with a bounded wait —
 /// dynamic batching at the frontend and batch fusion at split boundaries
 /// (§3.3, §4).
 #[derive(Debug, Clone)]
 pub struct FusionBatching {
     buffers: Vec<FusionBuffer>,
-    max_wait: SimDuration,
-    /// Per-stage wait overrides; empty = `max_wait` everywhere.
+    /// Per-stage waits; empty = [`FUSION_MAX_WAIT`] everywhere.
     waits: Vec<SimDuration>,
 }
 
 impl FusionBatching {
-    /// Creates buffers targeting `targets[s]` samples at stage `s`.
-    pub fn new(targets: &[usize], max_wait: SimDuration, waits: Vec<SimDuration>) -> Self {
+    /// Creates buffers targeting `targets[s]` samples at stage `s`, each
+    /// flushing a partial batch after `waits[s]` (default
+    /// [`FUSION_MAX_WAIT`]).
+    pub fn new(targets: &[usize], waits: Vec<SimDuration>) -> Self {
         FusionBatching {
             buffers: targets.iter().map(|&t| FusionBuffer::new(t)).collect(),
-            max_wait,
             waits,
         }
     }
 
     fn wait_for(&self, stage: usize) -> SimDuration {
-        self.waits.get(stage).copied().unwrap_or(self.max_wait)
+        self.waits.get(stage).copied().unwrap_or(FUSION_MAX_WAIT)
     }
 }
 
@@ -210,45 +217,6 @@ impl BatchingPolicy for FusionBatching {
         self.buffers[stage]
             .oldest_enqueue()
             .map(|oldest| (oldest + self.wait_for(stage)).max(now))
-    }
-
-    fn is_empty(&self, stage: usize) -> bool {
-        self.buffers[stage].is_empty()
-    }
-}
-
-/// Strictly-full static batching: batches dispatch only at the target
-/// size, never on a deadline. The vanilla baseline's discipline; also
-/// exercises the kernel's policy seam in tests.
-#[derive(Debug, Clone)]
-pub struct StaticBatching {
-    buffers: Vec<FusionBuffer>,
-}
-
-impl StaticBatching {
-    /// Creates buffers targeting `targets[s]` samples at stage `s`.
-    pub fn new(targets: &[usize]) -> Self {
-        StaticBatching {
-            buffers: targets.iter().map(|&t| FusionBuffer::new(t)).collect(),
-        }
-    }
-}
-
-impl BatchingPolicy for StaticBatching {
-    fn push(&mut self, stage: usize, sample: SimSample, now: SimTime) {
-        self.buffers[stage].push(sample, now);
-    }
-
-    fn take_full(&mut self, stage: usize, now: SimTime) -> Option<Batch> {
-        self.buffers[stage].take_full(now)
-    }
-
-    fn take_due(&mut self, _stage: usize, _now: SimTime) -> Option<Batch> {
-        None
-    }
-
-    fn next_flush_at(&self, _stage: usize, _now: SimTime) -> Option<SimTime> {
-        None
     }
 
     fn is_empty(&self, stage: usize) -> bool {
@@ -456,7 +424,7 @@ mod tests {
         // A stage whose buffer empties between flushes (a full batch
         // drains it) must disarm its timer, then re-arm from the *next*
         // push's enqueue time — not the stale pre-drain oldest.
-        let mut b = FusionBatching::new(&[2], SimDuration::from_millis(5), Vec::new());
+        let mut b = FusionBatching::new(&[2], Vec::new());
         b.push(0, sample(0), SimTime::from_millis(1));
         b.push(0, sample(0), SimTime::from_millis(2));
         assert!(b.take_full(0, SimTime::from_millis(2)).is_some());
@@ -495,7 +463,7 @@ mod tests {
 
     #[test]
     fn empty_fusion_buffer_never_schedules_a_flush() {
-        let mut b = FusionBatching::new(&[4], SimDuration::from_millis(5), Vec::new());
+        let mut b = FusionBatching::new(&[4], Vec::new());
         assert!(b.is_empty(0));
         assert!(b.take_due(0, SimTime::from_secs(1)).is_none());
         assert!(b.next_flush_at(0, SimTime::from_secs(1)).is_none());
@@ -508,15 +476,5 @@ mod tests {
         assert!(b.take_due(0, at).is_some());
         assert!(b.is_empty(0));
         assert!(b.next_flush_at(0, at).is_none());
-    }
-
-    #[test]
-    fn static_batching_never_flushes_partials() {
-        let mut b = StaticBatching::new(&[4]);
-        b.push(0, sample(0), SimTime::ZERO);
-        assert!(b.take_full(0, SimTime::ZERO).is_none());
-        assert!(b.take_due(0, SimTime::from_secs(100)).is_none());
-        assert!(b.next_flush_at(0, SimTime::from_secs(100)).is_none());
-        assert!(!b.is_empty(0));
     }
 }

@@ -29,26 +29,28 @@
 //!   per-layer surviving batch sizes and ramp costs;
 //! * [`kernel`] — the unified event loop plus its seams:
 //!   [`kernel::AdmissionPolicy`] (admit/drop at dispatch),
-//!   [`kernel::BatchingPolicy`] (dynamic batching, fusion buffers, static
-//!   batching), [`kernel::StragglerPolicy`] (exclusion), the
+//!   [`kernel::BatchingPolicy`] (dynamic batching and fusion buffers),
+//!   [`kernel::StragglerPolicy`] (exclusion), the
 //!   [`kernel::RunObserver`] hook receiving typed [`kernel::KernelEvent`]s,
 //!   and the shared [`kernel::RunAccumulator`];
 //! * [`engine`] — the [`engine::ServingSim`] facade: validates the stage
-//!   layout, materializes requests, assembles the default policies from
-//!   [`engine::ServingConfig`], and drives the kernel;
+//!   layout, materializes requests, assembles the policies from
+//!   [`engine::ServingConfig`], and drives the kernel through one
+//!   [`engine::ServingSim::run`] (or its two halves,
+//!   [`engine::ServingSim::materialize_backlog`] and
+//!   [`engine::ServingSim::run_backlog_observed`]);
 //! * [`serial`] — the "model parallelism OFF" barrier mode, on the same
 //!   clock and accumulator;
 //! * [`report`] — run metrics: goodput, latency quartiles, utilization,
 //!   drops, accuracy, per-window exit observations;
 //! * [`strategy`] — strategy construction, including the data-parallel
 //!   pseudo-plans for the baselines;
-//! * [`autoreg`] — the autoregressive serving strategies of the T5/CALM
-//!   and Llama experiments (figs. 10–12), expressed as a thin shim over
-//!   the kernel's continuous-batching driver
-//!   ([`kernel::run_continuous`]): per-token scheduling where finished or
-//!   early-exited sequences leave the batch immediately, queued requests
-//!   join mid-flight, and per-replica KV-cache budgets drive admission
-//!   and preemption.
+//! * [`autoreg`] — per-token exit journeys for the T5/CALM and Llama
+//!   experiments (figs. 10–12), the input of the kernel's
+//!   continuous-batching driver ([`kernel::run_continuous`]): per-token
+//!   scheduling where finished or early-exited sequences leave the batch
+//!   immediately, queued requests join mid-flight, and per-replica
+//!   KV-cache budgets drive admission and preemption.
 
 pub mod autoreg;
 pub mod batch;
@@ -60,14 +62,12 @@ pub mod sample;
 pub mod serial;
 pub mod strategy;
 
-pub use engine::{
-    BreakerConfig, HedgeConfig, SegmentRun, ServingConfig, ServingSim, TransferRetryConfig,
-};
+pub use engine::{BreakerConfig, HedgeConfig, ServingConfig, ServingSim, TransferRetryConfig};
 pub use kernel::{
     run_continuous, AdmissionPolicy, BatchingPolicy, ContinuousBatching, ContinuousConfig,
-    ContinuousOutcome, ExclusionReason, FaultEvent, FaultPlan, JoinPolicy, KernelEvent,
-    KernelPolicies, KvPlan, OffsetObserver, PreemptMode, RunObserver, SequenceSpec,
-    StragglerPolicy, TagObserver, TaggedEventLog, TokenJourney,
+    ContinuousOutcome, ExclusionReason, FaultEvent, FaultPlan, JoinPolicy, KernelEvent, KvPlan,
+    OffsetObserver, PreemptMode, RunObserver, SequenceSpec, StragglerPolicy, TagObserver,
+    TaggedEventLog, TokenJourney, FUSION_MAX_WAIT,
 };
 pub use report::{RobustnessStats, RunReport, ShedBreakdown, ShedCause};
 pub use strategy::Strategy;

@@ -251,7 +251,7 @@ mod tests {
                 kv_capacity_tokens: None,
                 queue_cap: None,
             });
-            let r = sim.run_observed(&reqs, seed, &mut checker);
+            let r = sim.run(&reqs, seed, &mut checker);
             assert!(checker.events_seen() > 0, "seed {seed}: silent run");
             let violations = checker.finish();
             assert!(

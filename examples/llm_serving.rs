@@ -6,23 +6,27 @@
 //! cargo run --release -p e3-examples --example llm_serving
 //! ```
 
-use e3_hardware::{GpuKind, LatencyModel};
-use e3_model::{zoo, InferenceSim, RampController};
-use e3_runtime::autoreg::{pick_boundary, simulate_autoreg, AutoRegStrategy};
+use e3::harness::{AutoRegStrategy, Experiment, ModelFamily};
+use e3_hardware::ClusterSpec;
+use e3_model::RampController;
 use e3_workload::DatasetModel;
 
 fn main() {
-    let t5 = zoo::t5();
-    let calm = zoo::calm_t5();
-    let policy = zoo::default_policy("CALM");
-    let ctrl0 = RampController::all_enabled(0, policy.ramp_style());
-    let ctrl = RampController::all_enabled(calm.num_ramps(), policy.ramp_style());
-    let ds = DatasetModel::wmt();
-    let infer = InferenceSim::with_accuracy(ds.base_accuracy);
-    let lm = LatencyModel::new();
+    // T5 and CALM-T5 on 4 x A6000, 500 WMT requests per point.
+    let exp = Experiment::new(
+        ModelFamily::llm_t5(),
+        ClusterSpec::paper_llm_cluster(),
+        DatasetModel::wmt(),
+    )
+    .with_n(500)
+    .with_seed(9);
+    let calm = &exp.family.ee;
+    let style = exp.family.policy.ramp_style();
+    let ctrl0 = RampController::all_enabled(0, style);
+    let ctrl = RampController::all_enabled(calm.num_ramps(), style);
 
     // E3 cuts the decoder where token survival drops to 50%.
-    let boundary = pick_boundary(&calm, &policy, &ctrl, &infer, &ds, 0.5, 9);
+    let boundary = exp.pick_autoreg_boundary(0.5);
     let enc = calm.autoreg().expect("autoregressive").encoder_layers;
     println!(
         "profiled token exits: 50% of tokens stop by decoder layer {} of {}\n",
@@ -33,25 +37,9 @@ fn main() {
     println!("translation goodput on 4 x A6000 (requests/s):");
     println!("batch   T5(static)   CALM(no batching)   E3(split decoder)");
     for b in [1usize, 4, 16, 32] {
-        let run = |model: &e3_model::EeModel, c: &RampController, strat| {
-            simulate_autoreg(
-                model,
-                &policy,
-                c,
-                &infer,
-                &ds,
-                strat,
-                GpuKind::A6000,
-                4,
-                b,
-                500,
-                &lm,
-                9,
-            )
-        };
-        let v = run(&t5, &ctrl0, AutoRegStrategy::VanillaStatic);
-        let c = run(&calm, &ctrl, AutoRegStrategy::NaiveEeSequential);
-        let e = run(&calm, &ctrl, AutoRegStrategy::E3 { boundary });
+        let v = exp.run_autoreg(AutoRegStrategy::VanillaStatic, &ctrl0, b);
+        let c = exp.run_autoreg(AutoRegStrategy::NaiveEeSequential, &ctrl, b);
+        let e = exp.run_autoreg(AutoRegStrategy::E3 { boundary }, &ctrl, b);
         println!(
             "{b:>5}   {:>10.0}   {:>17.0}   {:>17.0}",
             v.goodput, c.goodput, e.goodput

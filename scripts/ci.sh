@@ -8,6 +8,14 @@ cargo build --release --locked
 cargo test -q
 cargo clippy --all-targets -- -D warnings
 
+# The examples: `cargo test` only builds them, so run each release
+# binary too. An example that panics or exits non-zero fails the gate
+# (all five take about a second together).
+cargo build --release --locked -p e3-examples --examples
+for src in examples/*.rs; do
+    ./target/release/examples/"$(basename "$src" .rs)" > /dev/null
+done
+
 # The whole experiment registry, run once in-process, with per-figure
 # wall time archived as BENCH_figures.json. It catches a figure quietly
 # becoming 10x slower, and `figures` exits non-zero if any figure's

@@ -91,8 +91,8 @@ fn kernel_reruns_produce_identical_reports() {
         .with_latency_model(family.latency_model())
         .open_loop(g.horizon())
         .build();
-    let a = sim.run(&reqs, 24);
-    let b = sim.run(&reqs, 24);
+    let a = sim.run(&reqs, 24, &mut NullObserver);
+    let b = sim.run(&reqs, 24, &mut NullObserver);
     assert!(a.dropped > 0, "overload must shed load");
     assert_eq!(a.goodput().to_bits(), b.goodput().to_bits());
     assert_eq!(a.dropped, b.dropped);

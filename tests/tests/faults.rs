@@ -81,7 +81,7 @@ fn run_stages(
     );
     let reqs = requests(n, seed);
     let mut log = EventLog::new();
-    let r = sim.run_observed(&reqs, seed, &mut log);
+    let r = sim.run(&reqs, seed, &mut log);
     (r, log)
 }
 

@@ -10,11 +10,11 @@ use e3_model::{ExitPolicy, ExitSampler, InferenceSim};
 use e3_optimizer::{optimize_heterogeneous, optimize_homogeneous, OptimizerConfig};
 use e3_profiler::{ArimaModel, BatchProfileEstimator, EstimatorConfig};
 use e3_runtime::autoreg::materialize_sequences;
-use e3_runtime::kernel::{AdmitAll, EventLog, NoStragglerDetection, StaticBatching};
+use e3_runtime::kernel::EventLog;
 use e3_runtime::strategy::StageSpec;
 use e3_runtime::{
-    run_continuous, ContinuousConfig, FaultPlan, JoinPolicy, KernelEvent, KernelPolicies, KvPlan,
-    PreemptMode, RunReport, ServingConfig, ServingSim,
+    run_continuous, ContinuousConfig, FaultPlan, JoinPolicy, KernelEvent, KvPlan, PreemptMode,
+    RunReport, ServingConfig, ServingSim,
 };
 use e3_simcore::{SimDuration, SimTime};
 use e3_workload::{ArrivalProcess, DatasetModel, WorkloadGenerator};
@@ -52,14 +52,8 @@ fn decoded_fault_plan(words: &[u64]) -> FaultPlan {
     plan
 }
 
-/// Runs DeeBERT on a hand-built 2-stage, 4-replica pipeline under `plan`,
-/// with either the default fusion batching or strict static batching.
-fn run_two_stage_faulted(
-    plan: &FaultPlan,
-    static_batching: bool,
-    n: usize,
-    seed: u64,
-) -> (RunReport, EventLog) {
+/// Runs DeeBERT on a hand-built 2-stage, 4-replica pipeline under `plan`.
+fn run_two_stage_faulted(plan: &FaultPlan, n: usize, seed: u64) -> (RunReport, EventLog) {
     let model = zoo::deebert();
     let stages = vec![
         StageSpec {
@@ -96,16 +90,7 @@ fn run_two_stage_faulted(
     let mut rng = StdRng::seed_from_u64(seed);
     let reqs = g.generate(n, &mut rng);
     let mut log = EventLog::new();
-    let r = if static_batching {
-        let policies = KernelPolicies {
-            admission: Box::new(AdmitAll),
-            batching: Box::new(StaticBatching::new(&[4, 4])),
-            straggler: Box::new(NoStragglerDetection),
-        };
-        sim.run_with(&reqs, seed, policies, &mut log)
-    } else {
-        sim.run_observed(&reqs, seed, &mut log)
-    };
+    let r = sim.run(&reqs, seed, &mut log);
     (r, log)
 }
 
@@ -326,48 +311,46 @@ proptest! {
         words in proptest::collection::vec(0u64..u64::MAX, 0..8),
         seed in 0u64..1000,
     ) {
-        // Satellite invariant: under any generated FaultPlan, against both
-        // batching policies, every arrival is exactly one of completed /
-        // dropped / in-flight-at-horizon, and the clock never rewinds.
+        // Satellite invariant: under any generated FaultPlan, every
+        // arrival is exactly one of completed / dropped /
+        // in-flight-at-horizon, and the clock never rewinds.
         let n = 400usize;
         let plan = decoded_fault_plan(&words);
-        for static_batching in [false, true] {
-            let (r, log) = run_two_stage_faulted(&plan, static_batching, n, seed);
-            // The log and the report agree on the terminal counts.
-            let arrivals = log.count(|e| matches!(e, KernelEvent::Arrival { .. })) as u64;
-            let completions =
-                log.count(|e| matches!(e, KernelEvent::Completion { .. })) as u64;
-            let drops = log.count(|e| matches!(e, KernelEvent::Dropped { .. })) as u64;
-            prop_assert_eq!(completions, r.completed);
-            prop_assert_eq!(drops, r.dropped);
-            // Conservation: no sample is invented, every terminal had an
-            // arrival; the remainder is in flight (stranded on a crashed
-            // queue or waiting in a never-flushed static buffer).
-            prop_assert!(arrivals <= n as u64);
-            prop_assert!(completions + drops <= arrivals);
-            let mut arrived = vec![0u32; n];
-            let mut terminated = vec![0u32; n];
-            for (_, e) in &log.events {
-                match e {
-                    KernelEvent::Arrival { sample } => arrived[*sample as usize] += 1,
-                    KernelEvent::Dropped { sample, .. }
-                    | KernelEvent::Completion { sample, .. } => {
-                        terminated[*sample as usize] += 1;
-                    }
-                    _ => {}
+        let (r, log) = run_two_stage_faulted(&plan, n, seed);
+        // The log and the report agree on the terminal counts.
+        let arrivals = log.count(|e| matches!(e, KernelEvent::Arrival { .. })) as u64;
+        let completions =
+            log.count(|e| matches!(e, KernelEvent::Completion { .. })) as u64;
+        let drops = log.count(|e| matches!(e, KernelEvent::Dropped { .. })) as u64;
+        prop_assert_eq!(completions, r.completed);
+        prop_assert_eq!(drops, r.dropped);
+        // Conservation: no sample is invented, every terminal had an
+        // arrival; the remainder is in flight (stranded on a crashed
+        // queue).
+        prop_assert!(arrivals <= n as u64);
+        prop_assert!(completions + drops <= arrivals);
+        let mut arrived = vec![0u32; n];
+        let mut terminated = vec![0u32; n];
+        for (_, e) in &log.events {
+            match e {
+                KernelEvent::Arrival { sample } => arrived[*sample as usize] += 1,
+                KernelEvent::Dropped { sample, .. }
+                | KernelEvent::Completion { sample, .. } => {
+                    terminated[*sample as usize] += 1;
                 }
+                _ => {}
             }
-            for i in 0..n {
-                prop_assert!(arrived[i] <= 1, "sample {} arrived {} times", i, arrived[i]);
-                prop_assert!(
-                    terminated[i] <= arrived[i],
-                    "sample {} terminated without arriving", i
-                );
-            }
-            // Clocks never go backwards, faults included.
-            prop_assert!(log.events.windows(2).all(|w| w[0].0 <= w[1].0));
-            prop_assert_eq!(r.faults_injected, plan.len() as u64);
         }
+        for i in 0..n {
+            prop_assert!(arrived[i] <= 1, "sample {} arrived {} times", i, arrived[i]);
+            prop_assert!(
+                terminated[i] <= arrived[i],
+                "sample {} terminated without arriving", i
+            );
+        }
+        // Clocks never go backwards, faults included.
+        prop_assert!(log.events.windows(2).all(|w| w[0].0 <= w[1].0));
+        prop_assert_eq!(r.faults_injected, plan.len() as u64);
     }
 
     #[test]
@@ -403,21 +386,17 @@ proptest! {
         let mut clock = SimTime::ZERO;
         let mut completed = 0u64;
         let mut dropped = 0u64;
-        let mut consumed = 0usize;
         for (i, pair) in bounds.windows(2).enumerate() {
             let sim = &sims[which[i % which.len()]];
             let seg = {
                 let mut off = e3_runtime::OffsetObserver::new(clock, &mut log);
-                sim.run_segment(&reqs[pair[0]..pair[1]], seed ^ i as u64, &mut off)
+                sim.run(&reqs[pair[0]..pair[1]], seed ^ i as u64, &mut off)
             };
-            clock += seg.report.duration;
-            completed += seg.report.completed;
-            dropped += seg.report.dropped;
-            consumed += seg.consumed;
+            clock += seg.duration;
+            completed += seg.completed;
+            dropped += seg.dropped;
         }
 
-        // Each segment drains fully: everything handed to it was ingested.
-        prop_assert_eq!(consumed, n);
         // Conservation across swaps: every request terminates exactly once.
         prop_assert_eq!(completed + dropped, n as u64);
         let mut arrived = vec![0u32; n];

@@ -197,7 +197,7 @@ fn overload_run(queue_cap: Option<usize>) -> e3_runtime::RunReport {
         .open_loop(g.horizon())
         .with_queue_cap(queue_cap)
         .build();
-    sim.run(&reqs, 31)
+    sim.run(&reqs, 31, &mut NullObserver)
 }
 
 #[test]
@@ -262,7 +262,7 @@ fn two_stage_run(plan: FaultPlan, n: usize) -> e3_runtime::RunReport {
         SimDuration::from_secs(60),
     );
     let reqs = g.generate(n, &mut StdRng::seed_from_u64(3));
-    sim.run(&reqs, 3)
+    sim.run(&reqs, 3, &mut NullObserver)
 }
 
 #[test]

@@ -124,7 +124,7 @@ fn straggler_detection_protects_goodput() {
                 output_tokens: 1,
             })
             .collect();
-        sim.run(&reqs, 45)
+        sim.run(&reqs, 45, &mut NullObserver)
     };
     let with = run(true);
     let without = run(false);
