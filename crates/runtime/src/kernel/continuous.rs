@@ -3,12 +3,14 @@
 //! Generative models run their decoder once per output token, so batch
 //! membership must be renegotiated *every iteration*: sequences that
 //! finish (or exit early) leave the running batch immediately and queued
-//! sequences join mid-flight. [`ContinuousBatching`] is that discipline
-//! expressed as a [`BatchingPolicy`] — a buffer that never waits — and
+//! sequences join mid-flight from a FIFO pool that never waits.
 //! [`run_continuous`] is the iteration-level driver built on the kernel's
-//! primitives: the [`EventQueue`] clock, the typed
-//! [`KernelEvent`] observer stream, the shared [`RunAccumulator`], and
-//! the deterministic [`FaultPlan`] vocabulary.
+//! primitives: the [`EventQueue`] clock, the typed [`KernelEvent`]
+//! observer stream, the shared [`RunAccumulator`], and the kernel's fault
+//! state, which schedules, counts and tracks every [`FaultPlan`] entry
+//! for both loops. The driver keeps only its reactions: a crash requeues
+//! the replica's sequences, a lifted stall kicks the stage, and a
+//! restored link releases held boundary crossers.
 //!
 //! The driver also owns the runtime half of the KV-cache model
 //! ([`e3_hardware::KvCacheSpec`] supplies the capacity math): every
@@ -61,8 +63,9 @@
 //! The tables are exact, not an approximation. Each entry is the same
 //! [`SimDuration`] the layer-by-layer computation adds, and a
 //! `SimDuration` is an integer count of nanoseconds, so regrouping the
-//! sum gives the same integer. Per-replica transient slowdown factors
-//! still scale the summed pass, in the same order.
+//! sum gives the same integer. The replica's active slowdown factors,
+//! then its gray factors, still scale the summed pass, each in start
+//! order.
 
 use std::collections::VecDeque;
 
@@ -71,94 +74,11 @@ use e3_model::{EeModel, RampController};
 use e3_simcore::{EventQueue, SimDuration, SimTime};
 
 use super::accounting::RunAccumulator;
-use super::faults::{ExclusionReason, FaultEvent, FaultPlan};
+use super::faults::{ExclusionReason, FaultAction, FaultPlan, FaultReaction, FaultState};
 use super::observer::{KernelEvent, RunObserver};
-use super::policy::BatchingPolicy;
-use crate::batch::{Batch, FusionBuffer};
+use crate::batch::FusionBuffer;
 use crate::report::RunReport;
 use crate::sample::SimSample;
-
-/// Iteration-level batching: a per-stage buffer that *never waits*.
-///
-/// Whatever is queued when the scheduler asks is dispatched immediately
-/// (up to the stage's target width); there is no flush deadline because
-/// nothing is ever held back. Plugged into the generic kernel it turns
-/// batch formation eager; the continuous driver uses it as the admission
-/// queue that sequences join from and are preempted back onto.
-#[derive(Debug, Clone)]
-pub struct ContinuousBatching {
-    queues: Vec<VecDeque<(SimSample, SimTime)>>,
-    targets: Vec<usize>,
-}
-
-impl ContinuousBatching {
-    /// Creates per-stage queues dispatching at most `targets[s]` samples
-    /// at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any target is zero.
-    pub fn new(targets: &[usize]) -> Self {
-        assert!(targets.iter().all(|&t| t >= 1), "batch target must be >= 1");
-        ContinuousBatching {
-            queues: targets.iter().map(|_| VecDeque::new()).collect(),
-            targets: targets.to_vec(),
-        }
-    }
-
-    /// Removes and returns up to `n` samples from `stage`, oldest first.
-    pub fn take_up_to(&mut self, stage: usize, n: usize, _now: SimTime) -> Vec<SimSample> {
-        let take = self.queues[stage].len().min(n);
-        self.queues[stage].drain(..take).map(|(s, _)| s).collect()
-    }
-
-    /// Removes and returns the oldest queued sample of `stage`, if any —
-    /// the allocation-free single-admission path.
-    pub fn take_front(&mut self, stage: usize) -> Option<SimSample> {
-        self.queues[stage].pop_front().map(|(s, _)| s)
-    }
-
-    /// Re-queues a sample at the *front* of `stage` — preempted sequences
-    /// resume before fresh arrivals.
-    pub fn push_front(&mut self, stage: usize, sample: SimSample, now: SimTime) {
-        self.queues[stage].push_front((sample, now));
-    }
-
-    /// Queued samples at `stage`.
-    pub fn len(&self, stage: usize) -> usize {
-        self.queues[stage].len()
-    }
-}
-
-impl BatchingPolicy for ContinuousBatching {
-    fn push(&mut self, stage: usize, sample: SimSample, now: SimTime) {
-        self.queues[stage].push_back((sample, now));
-    }
-
-    fn take_full(&mut self, stage: usize, now: SimTime) -> Option<Batch> {
-        if self.queues[stage].is_empty() {
-            return None;
-        }
-        let samples = self.take_up_to(stage, self.targets[stage], now);
-        Some(Batch {
-            samples,
-            formed_at: now,
-        })
-    }
-
-    fn take_due(&mut self, _stage: usize, _now: SimTime) -> Option<Batch> {
-        // Nothing ever waits: `take_full` already drains eagerly.
-        None
-    }
-
-    fn next_flush_at(&self, _stage: usize, _now: SimTime) -> Option<SimTime> {
-        None
-    }
-
-    fn is_empty(&self, stage: usize) -> bool {
-        self.queues[stage].is_empty()
-    }
-}
 
 /// When queued sequences may join a replica's running batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -293,7 +213,6 @@ struct Rep {
     epoch: u32,
     crashed: bool,
     kv_used: usize,
-    transient: Vec<f64>,
     carry: SimDuration,
 }
 
@@ -304,29 +223,19 @@ enum CEv {
     Fault(FaultAction),
 }
 
-#[derive(Debug, Clone)]
-enum FaultAction {
-    Apply(FaultEvent),
-    ExpireSlowdown { replica: usize, factor: f64 },
-    ExpireStall { stage: usize },
-    ExpireLink,
-}
-
 struct Driver<'a, 'o> {
     cfg: &'a ContinuousConfig<'a>,
     specs: &'a [SequenceSpec],
     rt: Vec<SeqRt>,
     reps: Vec<Rep>,
-    pool: ContinuousBatching,
+    /// Queued sequence indices, oldest first; preempted and orphaned
+    /// sequences go back at the front.
+    pool: VecDeque<usize>,
     bbuf: FusionBuffer,
     /// Boundary crossers waiting out a link outage.
     held: Vec<SimSample>,
-    /// Active [`FaultEvent::LinkDown`] windows; crossers are held while
-    /// positive.
-    link_down: u32,
-    /// Per-stage count of active [`FaultEvent::StageStall`] windows; no
-    /// pass may begin on a stage while its count is positive.
-    stall: [u32; 2],
+    /// The fault plan's schedule, counts and open windows.
+    faults: FaultState<'a>,
     q: EventQueue<CEv>,
     acc: RunAccumulator,
     obs: &'o mut dyn RunObserver,
@@ -530,11 +439,9 @@ pub fn run_continuous(
     for (i, s) in specs.iter().enumerate() {
         d.obs
             .on_event(SimTime::ZERO, &KernelEvent::Arrival { sample: s.id });
-        d.pool.push(0, d.seq_sample(i), s.arrival);
+        d.pool.push_back(i);
     }
-    for ev in cfg.fault_plan.events() {
-        d.q.schedule(ev.starts_at(), CEv::Fault(FaultAction::Apply(*ev)));
-    }
+    d.faults.schedule(&mut d.q, CEv::Fault);
     d.kick_stage_a();
 
     while let Some(ev) = d.q.pop() {
@@ -583,7 +490,6 @@ impl<'a, 'o> Driver<'a, 'o> {
         }
         let num_stages = 1 + usize::from(two_stage);
         let num_replicas = cfg.replicas_a + cfg.replicas_b;
-        cfg.fault_plan.validate(num_replicas, num_stages);
 
         let mut max_tokens = 0;
         let rt = specs
@@ -612,7 +518,6 @@ impl<'a, 'o> Driver<'a, 'o> {
                 epoch: 0,
                 crashed: false,
                 kv_used: 0,
-                transient: Vec::new(),
                 carry: SimDuration::ZERO,
             })
             .collect();
@@ -632,11 +537,10 @@ impl<'a, 'o> Driver<'a, 'o> {
             specs,
             rt,
             reps,
-            pool: ContinuousBatching::new(&[cfg.b0]),
+            pool: VecDeque::new(),
             bbuf: FusionBuffer::new(cfg.b0),
             held: Vec::new(),
-            link_down: 0,
-            stall: [0; 2],
+            faults: FaultState::new(&cfg.fault_plan, num_replicas, num_stages),
             q: EventQueue::new(),
             acc: RunAccumulator::new(num_stages, num_replicas, cfg.slo, false),
             obs,
@@ -651,18 +555,6 @@ impl<'a, 'o> Driver<'a, 'o> {
 
     fn two_stage(&self) -> bool {
         self.cfg.boundary.is_some()
-    }
-
-    fn seq_sample(&self, idx: usize) -> SimSample {
-        let s = &self.specs[idx];
-        SimSample {
-            id: idx as u64,
-            arrival: s.arrival,
-            layers_executed: 0,
-            exited_at_ramp: None,
-            correct: true,
-            output_tokens: s.tokens.len() as u32,
-        }
     }
 
     fn emit(&mut self, ev: KernelEvent) {
@@ -721,32 +613,31 @@ impl<'a, 'o> Driver<'a, 'o> {
     }
 
     fn try_start_a(&mut self, r: usize) {
-        if self.reps[r].busy || self.reps[r].crashed || self.stall[0] > 0 {
+        if self.reps[r].busy || self.reps[r].crashed || self.faults.stalled(0) {
             return;
         }
         // Admission: refill free slots from the pool.
         match self.cfg.join {
             JoinPolicy::Continuous => {
                 let mut running = self.running_count(r);
-                while running < self.cfg.b0 && self.pool.len(0) > 0 {
-                    let idx = self.pool.queues_peek_front();
+                while running < self.cfg.b0 {
+                    let Some(&idx) = self.pool.front() else { break };
                     if !self.kv_admits(r, idx) {
                         break;
                     }
-                    let s = self.pool.take_front(0).expect("peeked nonempty");
-                    debug_assert_eq!(s.id as usize, idx);
+                    self.pool.pop_front();
                     self.admit_to(r, idx);
                     running += 1;
                 }
             }
             JoinPolicy::Window { .. } => {
                 if self.reps[r].resident.is_empty() {
-                    while self.reps[r].resident.len() < self.cfg.b0 && self.pool.len(0) > 0 {
-                        let idx = self.pool.queues_peek_front();
+                    while self.reps[r].resident.len() < self.cfg.b0 {
+                        let Some(&idx) = self.pool.front() else { break };
                         if !self.kv_admits(r, idx) {
                             break;
                         }
-                        let _ = self.pool.take_front(0);
+                        self.pool.pop_front();
                         self.admit_to(r, idx);
                     }
                 }
@@ -814,9 +705,7 @@ impl<'a, 'o> Driver<'a, 'o> {
             cost += costs.head(padded_width.unwrap_or(hist[cut - enc]));
         }
         self.hist = hist;
-        for f in &self.reps[r].transient {
-            cost = cost.mul_f64(*f);
-        }
+        let cost = self.stretch(r, cost);
 
         let width = padded_width.unwrap_or(pass.len()) as f64;
         self.acc.record_dispatch(0, width);
@@ -899,7 +788,7 @@ impl<'a, 'o> Driver<'a, 'o> {
                     correct: true,
                     output_tokens: 1,
                 };
-                if self.link_down > 0 {
+                if self.faults.link_down(0) {
                     self.held.push(job);
                 } else {
                     transfers += 1;
@@ -1010,15 +899,14 @@ impl<'a, 'o> Driver<'a, 'o> {
                 replica: r,
                 sample: id,
             });
-            self.pool
-                .push_front(0, self.seq_sample(victim), self.q.now());
+            self.pool.push_front(victim);
         }
     }
 
     /// True when stage A cannot feed the boundary any further: nothing is
     /// queued and every unfinished sequence is blocked at stage B.
     fn draining(&self) -> bool {
-        self.pool.is_empty(0)
+        self.pool.is_empty()
             && self
                 .rt
                 .iter()
@@ -1030,7 +918,7 @@ impl<'a, 'o> Driver<'a, 'o> {
             return;
         }
         for r in self.cfg.replicas_a..self.reps.len() {
-            if self.reps[r].busy || self.reps[r].crashed || self.stall[1] > 0 {
+            if self.reps[r].busy || self.reps[r].crashed || self.faults.stalled(1) {
                 continue;
             }
             if self.bbuf.is_empty() {
@@ -1069,11 +957,9 @@ impl<'a, 'o> Driver<'a, 'o> {
                 hist[j.layers_executed.clamp(cut, full) - cut] += 1;
             }
             let costs = &self.costs;
-            let mut cost = costs.layers(&costs.stage_b, &hist, size) + costs.head(size);
+            let cost = costs.layers(&costs.stage_b, &hist, size) + costs.head(size);
             self.hist = hist;
-            for f in &self.reps[r].transient {
-                cost = cost.mul_f64(*f);
-            }
+            let cost = self.stretch(r, cost);
             self.acc.record_dispatch(1, size as f64);
             self.emit(KernelEvent::ExecStart {
                 replica: r,
@@ -1121,7 +1007,7 @@ impl<'a, 'o> Driver<'a, 'o> {
                     self.rt[idx].debt = self.rt[idx].next_token;
                     self.rt[idx].kv_tokens = 0;
                     self.rt[idx].state = SState::Queued;
-                    self.pool.push_front(0, self.seq_sample(idx), self.q.now());
+                    self.pool.push_front(idx);
                 }
             }
         }
@@ -1129,35 +1015,33 @@ impl<'a, 'o> Driver<'a, 'o> {
         self.kick_stage_a();
     }
 
+    /// Scales a pass by `r`'s active slowdown factors, then its gray
+    /// factors, one `mul_f64` each in start order. This driver keeps no
+    /// self-reported service statistics for a gray fault to fool, so it
+    /// slows the pass exactly like a transient slowdown.
+    fn stretch(&self, r: usize, mut cost: SimDuration) -> SimDuration {
+        for f in self.faults.slowdowns(r).chain(self.faults.grays(r)) {
+            cost = cost.mul_f64(f);
+        }
+        cost
+    }
+
+    /// Applies one scheduled fault action and reacts to what it changed.
     fn on_fault(&mut self, action: FaultAction) {
-        match action {
-            FaultAction::Apply(ev) => self.apply_fault(ev),
-            FaultAction::ExpireSlowdown { replica, factor } => {
-                let t = &mut self.reps[replica].transient;
-                if let Some(pos) = t.iter().position(|f| *f == factor) {
-                    t.remove(pos);
-                }
-            }
-            FaultAction::ExpireStall { stage } => {
-                self.stall[stage] -= 1;
-                if self.stall[stage] > 0 {
-                    return; // a later window still holds the stage
-                }
-                if stage == 0 {
-                    self.kick_stage_a();
-                } else {
-                    self.try_start_b();
-                }
-            }
-            FaultAction::ExpireLink => {
-                self.link_down -= 1;
-                if self.link_down > 0 {
-                    return; // a later outage still holds the link
-                }
+        let now = self.q.now();
+        match self
+            .faults
+            .apply(action, now, &mut self.acc, &mut *self.obs)
+        {
+            Some(FaultReaction::Crash(replica)) => self.crash(replica),
+            Some(FaultReaction::Recover(replica)) => self.recover(replica),
+            Some(FaultReaction::StallLifted(0)) => self.kick_stage_a(),
+            Some(FaultReaction::StallLifted(_)) => self.try_start_b(),
+            Some(FaultReaction::LinkRestored(_)) => {
                 let held = std::mem::take(&mut self.held);
                 let n = held.len();
                 for job in held {
-                    self.bbuf.push(job, self.q.now());
+                    self.bbuf.push(job, now);
                 }
                 if n > 0 {
                     self.emit(KernelEvent::StageTransfer {
@@ -1169,135 +1053,75 @@ impl<'a, 'o> Driver<'a, 'o> {
                 }
                 self.try_start_b();
             }
+            None => {}
         }
     }
 
-    fn apply_fault(&mut self, ev: FaultEvent) {
-        match ev {
-            FaultEvent::ReplicaCrash { replica, .. } => {
-                if self.reps[replica].crashed {
-                    return;
+    /// Crashes `replica` (a crashed one stays as it is): its pass is
+    /// lost, a stage-A replica's sequences drop their caches and requeue
+    /// at the front, and a stage-B replica's jobs return to the fusion
+    /// buffer.
+    fn crash(&mut self, replica: usize) {
+        if self.reps[replica].crashed {
+            return;
+        }
+        self.acc.record_exclusion(replica, self.q.now());
+        self.emit(KernelEvent::ReplicaExcluded {
+            replica,
+            reason: ExclusionReason::Crash,
+        });
+        self.reps[replica].crashed = true;
+        self.reps[replica].epoch += 1;
+        self.reps[replica].busy = false;
+        if self.reps[replica].stage == 0 {
+            self.reps[replica].pass.clear();
+            let resident = std::mem::take(&mut self.reps[replica].resident);
+            // Requeue in reverse so push_front restores join order.
+            for &idx in resident.iter().rev() {
+                let s = &mut self.rt[idx];
+                if s.state == SState::Done {
+                    continue;
                 }
-                self.acc.record_fault();
-                self.emit(KernelEvent::FaultInjected { fault: ev });
-                self.acc.record_exclusion(replica, self.q.now());
-                self.emit(KernelEvent::ReplicaExcluded {
-                    replica,
-                    reason: ExclusionReason::Crash,
-                });
-                self.reps[replica].crashed = true;
-                self.reps[replica].epoch += 1;
-                self.reps[replica].busy = false;
-                if self.reps[replica].stage == 0 {
-                    self.reps[replica].pass.clear();
-                    let resident = std::mem::take(&mut self.reps[replica].resident);
-                    // Requeue in reverse so push_front restores join order.
-                    for &idx in resident.iter().rev() {
-                        match self.rt[idx].state {
-                            SState::Done => {}
-                            SState::Blocked { .. } => {
-                                let t = self.rt[idx].kv_tokens;
-                                self.rt[idx].debt = t;
-                                self.rt[idx].kv_tokens = 0;
-                                self.rt[idx].state = SState::Blocked { home: None };
-                            }
-                            _ => {
-                                let id = self.specs[idx].id;
-                                let t = self.rt[idx].kv_tokens;
-                                self.rt[idx].debt = t;
-                                self.rt[idx].kv_tokens = 0;
-                                self.rt[idx].state = SState::Queued;
-                                self.emit(KernelEvent::SequenceLeft {
-                                    replica,
-                                    sample: id,
-                                });
-                                self.pool.push_front(0, self.seq_sample(idx), self.q.now());
-                            }
-                        }
-                    }
-                    self.reps[replica].kv_used = 0;
-                    self.kick_stage_a();
+                s.debt = std::mem::take(&mut s.kv_tokens);
+                if matches!(s.state, SState::Blocked { .. }) {
+                    s.state = SState::Blocked { home: None };
                 } else {
-                    let jobs = std::mem::take(&mut self.reps[replica].bpass);
-                    for job in jobs.into_iter().rev() {
-                        self.bbuf_push_front(job);
-                    }
-                    self.try_start_b();
+                    s.state = SState::Queued;
+                    let id = self.specs[idx].id;
+                    self.emit(KernelEvent::SequenceLeft {
+                        replica,
+                        sample: id,
+                    });
+                    self.pool.push_front(idx);
                 }
             }
-            FaultEvent::TransientSlowdown {
-                replica,
-                factor,
-                until,
-                ..
-            } => {
-                self.acc.record_fault();
-                self.emit(KernelEvent::FaultInjected { fault: ev });
-                self.reps[replica].transient.push(factor);
-                self.q.schedule(
-                    until,
-                    CEv::Fault(FaultAction::ExpireSlowdown { replica, factor }),
-                );
+            self.reps[replica].kv_used = 0;
+            self.kick_stage_a();
+        } else {
+            // The jobs rejoin the fusion buffer's head; its wait clock
+            // restarts now.
+            let jobs = std::mem::take(&mut self.reps[replica].bpass);
+            for job in jobs.into_iter().rev() {
+                self.bbuf.push_front(job, self.q.now());
             }
-            FaultEvent::StageStall { stage, until, .. } => {
-                self.acc.record_fault();
-                self.emit(KernelEvent::FaultInjected { fault: ev });
-                self.stall[stage] += 1;
-                self.q
-                    .schedule(until, CEv::Fault(FaultAction::ExpireStall { stage }));
-            }
-            FaultEvent::DelayedRecovery { replica, .. } => {
-                if !self.reps[replica].crashed {
-                    return;
-                }
-                self.acc.record_fault();
-                self.emit(KernelEvent::FaultInjected { fault: ev });
-                self.reps[replica].crashed = false;
-                self.acc.record_recovery(replica, self.q.now());
-                self.emit(KernelEvent::ReplicaRecovered { replica });
-                if self.reps[replica].stage == 0 {
-                    self.try_start_a(replica);
-                } else {
-                    self.try_start_b();
-                }
-            }
-            FaultEvent::LinkDown { until, .. } => {
-                self.acc.record_fault();
-                self.emit(KernelEvent::FaultInjected { fault: ev });
-                self.link_down += 1;
-                self.q.schedule(until, CEv::Fault(FaultAction::ExpireLink));
-            }
-            FaultEvent::GrayDegradation {
-                replica,
-                factor,
-                until,
-                ..
-            } => {
-                self.acc.record_fault();
-                self.emit(KernelEvent::FaultInjected { fault: ev });
-                // This driver keeps no self-reported service statistics
-                // to fool, so a gray degradation degenerates to a
-                // transient slowdown of the same window.
-                self.reps[replica].transient.push(factor);
-                self.q.schedule(
-                    until,
-                    CEv::Fault(FaultAction::ExpireSlowdown { replica, factor }),
-                );
-            }
+            self.try_start_b();
         }
     }
 
-    /// Restores a stage-B job to the head of the fusion buffer (crash
-    /// recovery); the buffer's wait clock restarts at `now`.
-    fn bbuf_push_front(&mut self, job: SimSample) {
-        self.bbuf.push_front(job, self.q.now());
-    }
-}
-
-impl ContinuousBatching {
-    /// Internal: index (SimSample id) of the front-of-queue sequence.
-    fn queues_peek_front(&self) -> usize {
-        self.queues[0].front().expect("nonempty").0.id as usize
+    /// Returns a crashed `replica` to service (a live one stays as it
+    /// is).
+    fn recover(&mut self, replica: usize) {
+        if !self.reps[replica].crashed {
+            return;
+        }
+        self.reps[replica].crashed = false;
+        self.acc.record_recovery(replica, self.q.now());
+        self.emit(KernelEvent::ReplicaRecovered { replica });
+        if self.reps[replica].stage == 0 {
+            self.try_start_a(replica);
+        } else {
+            self.try_start_b();
+        }
     }
 }
 
@@ -1427,10 +1251,7 @@ mod tests {
                     cost += lm.layer_time(self.reference_head_cost(), head_width, gpu);
                 }
             }
-            for f in &self.reps[r].transient {
-                cost = cost.mul_f64(*f);
-            }
-            Some((pass, cost))
+            Some((pass, self.stretch(r, cost)))
         }
 
         /// The cost of stage-B replica `r`'s dispatched batch.
@@ -1444,10 +1265,7 @@ mod tests {
                 batch.len() as f64,
                 self.cfg.gpu,
             );
-            for f in &self.reps[r].transient {
-                cost = cost.mul_f64(*f);
-            }
-            cost
+            self.stretch(r, cost)
         }
     }
 
@@ -1500,12 +1318,21 @@ mod tests {
                 })
                 .collect();
             let longest = specs.iter().map(|s| s.tokens.len()).max().expect("nonempty");
-            let slowdowns = |rng: &mut StdRng| -> Vec<f64> {
-                (0..rng.gen_range(0usize..4)).map(|_| rng.gen_range(0.5..4.0)).collect()
-            };
+            // Stacked slowdowns on replica 0 and, when split, on stage-B
+            // replica 1, all open from the start.
+            let (on, off) = (SimTime::ZERO, SimTime::from_secs(1));
+            for r in 0..1 + cfg.replicas_b {
+                for _ in 0..rng.gen_range(0usize..4) {
+                    let f = rng.gen_range(0.5..4.0);
+                    cfg.fault_plan = std::mem::take(&mut cfg.fault_plan).slowdown(r, f, on, off);
+                }
+            }
 
             let mut obs = NullObserver;
             let mut d = Driver::new(&cfg, &specs, &mut obs);
+            for i in 0..cfg.fault_plan.len() {
+                d.faults.apply(FaultAction::Start(i), on, &mut d.acc, &mut *d.obs);
+            }
             // Stage A: a random resident set on replica 0 (at most b0
             // members in a window, as admission keeps it), with fresh
             // joiners and debts up to the longest sequence.
@@ -1531,7 +1358,6 @@ mod tests {
                 }
             }
             d.reps[0].carry = SimDuration::from_nanos(rng.gen_range(0u64..2_000_000));
-            d.reps[0].transient = slowdowns(&mut rng);
             let expected = d.reference_pass_a(0);
             d.try_start_a(0);
             let got = d.reps[0].busy.then(|| (d.reps[0].pass.clone(), d.reps[0].pass_cost));
@@ -1556,7 +1382,6 @@ mod tests {
                     };
                     d.bbuf.push(job, SimTime::ZERO);
                 }
-                d.reps[1].transient = slowdowns(&mut rng);
                 d.try_start_b();
                 prop_assert!(d.reps[1].busy);
                 prop_assert_eq!(d.reps[1].pass_cost, d.reference_cost_b(1));
@@ -1607,37 +1432,6 @@ mod tests {
             fault_plan: FaultPlan::new(),
             b_max_wait: None,
         }
-    }
-
-    #[test]
-    fn continuous_policy_never_waits() {
-        let mut p = ContinuousBatching::new(&[4]);
-        let s = SimSample {
-            id: 1,
-            arrival: SimTime::ZERO,
-            layers_executed: 2,
-            exited_at_ramp: None,
-            correct: true,
-            output_tokens: 1,
-        };
-        p.push(0, s, SimTime::ZERO);
-        assert!(p.next_flush_at(0, SimTime::ZERO).is_none());
-        assert!(p.take_due(0, SimTime::from_secs(9)).is_none());
-        // A single queued sample dispatches immediately as a partial.
-        let b = p.take_full(0, SimTime::ZERO).expect("eager dispatch");
-        assert_eq!(b.len(), 1);
-        assert!(p.is_empty(0));
-        // push_front resumes before fresh arrivals.
-        p.push(0, SimSample { id: 2, ..s }, SimTime::ZERO);
-        p.push_front(0, s, SimTime::ZERO);
-        let order: Vec<u64> = p
-            .take_full(0, SimTime::ZERO)
-            .expect("batch")
-            .samples
-            .iter()
-            .map(|x| x.id)
-            .collect();
-        assert_eq!(order, vec![1, 2]);
     }
 
     #[test]
@@ -1820,25 +1614,31 @@ mod tests {
         let t5 = zoo::t5();
         let ctrl = RampController::all_enabled(0, RampStyle::Independent);
         let l = lm();
-        let mut cfg = base_cfg(&t5, &ctrl, &l, JoinPolicy::Continuous, 4, 2);
-        cfg.fault_plan = FaultPlan::new()
-            .stall(0, SimTime::from_millis(10), SimTime::from_millis(50))
-            .stall(0, SimTime::from_millis(20), SimTime::from_millis(80));
-        let mut log = EventLog::new();
-        let out = run_continuous(&cfg, &seqs(16, 12, t5.num_layers()), &mut log);
-        assert_eq!(out.report.completed, 16);
-        let starts: Vec<SimTime> = log
-            .events
-            .iter()
-            .filter(|(_, e)| matches!(e, KernelEvent::ExecStart { stage: 0, .. }))
-            .map(|(t, _)| *t)
-            .collect();
-        let held = SimTime::from_millis(50)..SimTime::from_millis(80);
-        assert!(
-            starts.iter().all(|t| !held.contains(t)),
-            "a pass began while the second stall still held the stage"
-        );
-        assert!(starts.iter().any(|t| *t >= held.end), "work resumes after");
+        let ms = SimTime::from_millis;
+        // Overlapping windows, and back-to-back ones whose shared instant
+        // must not let a pass slip in between.
+        for (second_from, held_from) in [(20, 50), (50, 10)] {
+            let mut cfg = base_cfg(&t5, &ctrl, &l, JoinPolicy::Continuous, 4, 2);
+            cfg.fault_plan =
+                FaultPlan::new()
+                    .stall(0, ms(10), ms(50))
+                    .stall(0, ms(second_from), ms(80));
+            let mut log = EventLog::new();
+            let out = run_continuous(&cfg, &seqs(16, 12, t5.num_layers()), &mut log);
+            assert_eq!(out.report.completed, 16);
+            let starts: Vec<SimTime> = log
+                .events
+                .iter()
+                .filter(|(_, e)| matches!(e, KernelEvent::ExecStart { stage: 0, .. }))
+                .map(|(t, _)| *t)
+                .collect();
+            let held = ms(held_from)..ms(80);
+            assert!(
+                starts.iter().all(|t| !held.contains(t)),
+                "a pass began while the second stall still held the stage"
+            );
+            assert!(starts.iter().any(|t| *t >= held.end), "work resumes after");
+        }
     }
 
     #[test]

@@ -7,6 +7,18 @@
 //! exactly as deterministic as one without: the same seed and the same
 //! plan produce a bit-identical event stream and report.
 //!
+//! Both runtime loops — the batch kernel and the continuous-batching
+//! driver — read the plan through one crate-private `FaultState`, which
+//! fixes three rules for both:
+//!
+//! * **Order.** Every entry's start, then every windowed entry's end, in
+//!   plan order, goes on the queue before any other event, so at one
+//!   instant a window that opens takes effect before one that closes.
+//! * **Windows ignore crash state.** A crash or a recovery neither opens
+//!   nor clears a slowdown, gray, stall or link window.
+//! * **Counting.** Every entry counts once, at its start, whether or not
+//!   the loop has anything to react to (a crash of a crashed replica).
+//!
 //! The fault vocabulary mirrors the failure modes §3.3 claims robustness
 //! to:
 //!
@@ -18,8 +30,9 @@
 //! * [`FaultEvent::StageStall`] — no replica of a stage may begin a batch
 //!   during the window (an interconnect or driver hiccup); queued batches
 //!   wait and dispatch resumes when the stall lifts;
-//! * [`FaultEvent::DelayedRecovery`] — a crashed (or straggler-excluded)
-//!   replica rejoins with fresh service statistics;
+//! * [`FaultEvent::DelayedRecovery`] — a crashed replica (in the batch
+//!   kernel, also a straggler- or breaker-excluded one) rejoins with
+//!   fresh service statistics;
 //! * [`FaultEvent::LinkDown`] — the interconnect out of a stage drops
 //!   transfers over a time window; the kernel retries them with
 //!   exponential backoff and aborts (dropping the samples) when the
@@ -37,7 +50,10 @@
 //! correlated replica set.
 
 use e3_hardware::FaultDomain;
-use e3_simcore::SimTime;
+use e3_simcore::{SimQueue, SimTime};
+
+use super::accounting::RunAccumulator;
+use super::observer::{KernelEvent, RunObserver};
 
 /// One scheduled fault.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -141,6 +157,18 @@ impl FaultEvent {
             | FaultEvent::StageStall { from, .. }
             | FaultEvent::LinkDown { from, .. }
             | FaultEvent::GrayDegradation { from, .. } => *from,
+        }
+    }
+
+    /// When a windowed fault is lifted; `None` for the instantaneous
+    /// crash and recovery.
+    pub(crate) fn ends_at(&self) -> Option<SimTime> {
+        match self {
+            FaultEvent::ReplicaCrash { .. } | FaultEvent::DelayedRecovery { .. } => None,
+            FaultEvent::TransientSlowdown { until, .. }
+            | FaultEvent::StageStall { until, .. }
+            | FaultEvent::LinkDown { until, .. }
+            | FaultEvent::GrayDegradation { until, .. } => Some(*until),
         }
     }
 }
@@ -336,39 +364,174 @@ impl FaultPlan {
                     "fault targets stage {s} but the deployment has {num_stages}"
                 );
             }
-            match e {
-                FaultEvent::TransientSlowdown {
-                    factor,
-                    from,
-                    until,
-                    ..
+            if let Some(until) = e.ends_at() {
+                assert!(until >= e.starts_at(), "fault window ends before it starts");
+            }
+            match *e {
+                FaultEvent::TransientSlowdown { factor, .. }
+                | FaultEvent::GrayDegradation { factor, .. } => {
+                    assert!(factor > 0.0, "slowdown factor must be positive");
                 }
-                | FaultEvent::GrayDegradation {
-                    factor,
-                    from,
-                    until,
-                    ..
-                } => {
-                    assert!(*factor > 0.0, "slowdown factor must be positive");
-                    assert!(until >= from, "slowdown window ends before it starts");
-                }
-                FaultEvent::StageStall { from, until, .. } => {
-                    assert!(until >= from, "stall window ends before it starts");
-                }
-                FaultEvent::LinkDown {
-                    from_stage,
-                    from,
-                    until,
-                } => {
+                FaultEvent::LinkDown { from_stage, .. } => {
                     assert!(
                         from_stage + 1 < num_stages,
                         "link-down fault targets stage {from_stage}, which has no outbound link"
                     );
-                    assert!(until >= from, "link-down window ends before it starts");
                 }
                 _ => {}
             }
         }
+    }
+}
+
+/// One edge of a plan entry on a loop's event queue: the entry's start,
+/// or a windowed entry's end. Each indexes the plan.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum FaultAction {
+    Start(usize),
+    End(usize),
+}
+
+/// What a loop must react to once [`FaultState::apply`] has updated the
+/// window state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FaultReaction {
+    /// The replica crashed (possibly again).
+    Crash(usize),
+    /// The replica was told to recover (possibly while already live).
+    Recover(usize),
+    /// The stage's last stall window ended: kick its replicas.
+    StallLifted(usize),
+    /// The link out of the stage came back from its last outage.
+    LinkRestored(usize),
+}
+
+/// The one fault model both runtime loops share: it schedules a
+/// [`FaultPlan`], counts and narrates each entry, and holds the windows
+/// in effect. A loop keeps only its reactions and its crash flags (the
+/// two loops react to a crash differently).
+pub(crate) struct FaultState<'a> {
+    plan: &'a [FaultEvent],
+    /// Per-stage count of active [`FaultEvent::StageStall`] windows.
+    stalls: Vec<u32>,
+    /// Per-stage count of active [`FaultEvent::LinkDown`] windows on the
+    /// stage's outbound link.
+    outages: Vec<u32>,
+    /// Per-replica `(entry, factor)` of active slowdowns, in start order.
+    slowdowns: Vec<Vec<(usize, f64)>>,
+    /// Per-replica `(entry, factor)` of active gray degradations, in
+    /// start order.
+    grays: Vec<Vec<(usize, f64)>>,
+}
+
+impl<'a> FaultState<'a> {
+    /// Validates `plan` against the deployment shape (see
+    /// [`FaultPlan::validate`]) and starts with no window open.
+    pub(crate) fn new(plan: &'a FaultPlan, num_replicas: usize, num_stages: usize) -> Self {
+        plan.validate(num_replicas, num_stages);
+        FaultState {
+            plan: plan.events(),
+            stalls: vec![0; num_stages],
+            outages: vec![0; num_stages],
+            slowdowns: vec![Vec::new(); num_replicas],
+            grays: vec![Vec::new(); num_replicas],
+        }
+    }
+
+    /// Puts every entry's start, then every windowed entry's end, on `q`
+    /// in plan order. Called before any other event is scheduled, so the
+    /// queue's FIFO tie-break applies a fault before anything else due at
+    /// the same instant, and a window opening before one closing.
+    pub(crate) fn schedule<E, Q: SimQueue<E>>(&self, q: &mut Q, wrap: impl Fn(FaultAction) -> E) {
+        for (i, f) in self.plan.iter().enumerate() {
+            q.schedule(f.starts_at(), wrap(FaultAction::Start(i)));
+        }
+        for (i, f) in self.plan.iter().enumerate() {
+            if let Some(until) = f.ends_at() {
+                q.schedule(until, wrap(FaultAction::End(i)));
+            }
+        }
+    }
+
+    /// Applies one action at `now`. A start is counted and narrated as
+    /// [`KernelEvent::FaultInjected`]; the return value is what the loop
+    /// must react to, if anything.
+    pub(crate) fn apply(
+        &mut self,
+        action: FaultAction,
+        now: SimTime,
+        acc: &mut RunAccumulator,
+        obs: &mut dyn RunObserver,
+    ) -> Option<FaultReaction> {
+        match action {
+            FaultAction::Start(i) => {
+                let fault = self.plan[i];
+                acc.record_fault();
+                obs.on_event(now, &KernelEvent::FaultInjected { fault });
+                match fault {
+                    FaultEvent::ReplicaCrash { replica, .. } => {
+                        return Some(FaultReaction::Crash(replica))
+                    }
+                    FaultEvent::DelayedRecovery { replica, .. } => {
+                        return Some(FaultReaction::Recover(replica))
+                    }
+                    FaultEvent::TransientSlowdown {
+                        replica, factor, ..
+                    } => self.slowdowns[replica].push((i, factor)),
+                    FaultEvent::GrayDegradation {
+                        replica, factor, ..
+                    } => self.grays[replica].push((i, factor)),
+                    FaultEvent::StageStall { stage, .. } => self.stalls[stage] += 1,
+                    FaultEvent::LinkDown { from_stage, .. } => self.outages[from_stage] += 1,
+                }
+                None
+            }
+            // An end lifts its own entry's factor, not the first equal
+            // one, so the rest keep the start order the continuous driver
+            // multiplies in.
+            FaultAction::End(i) => match self.plan[i] {
+                FaultEvent::TransientSlowdown { replica, .. } => {
+                    self.slowdowns[replica].retain(|&(e, _)| e != i);
+                    None
+                }
+                FaultEvent::GrayDegradation { replica, .. } => {
+                    self.grays[replica].retain(|&(e, _)| e != i);
+                    None
+                }
+                FaultEvent::StageStall { stage, .. } => {
+                    self.stalls[stage] -= 1;
+                    (self.stalls[stage] == 0).then_some(FaultReaction::StallLifted(stage))
+                }
+                FaultEvent::LinkDown { from_stage, .. } => {
+                    self.outages[from_stage] -= 1;
+                    (self.outages[from_stage] == 0)
+                        .then_some(FaultReaction::LinkRestored(from_stage))
+                }
+                FaultEvent::ReplicaCrash { .. } | FaultEvent::DelayedRecovery { .. } => {
+                    unreachable!("instantaneous faults have no end")
+                }
+            },
+        }
+    }
+
+    /// True while a stall window holds `stage`: no batch may begin there.
+    pub(crate) fn stalled(&self, stage: usize) -> bool {
+        self.stalls[stage] > 0
+    }
+
+    /// True while an outage holds the link out of `from_stage`.
+    pub(crate) fn link_down(&self, from_stage: usize) -> bool {
+        self.outages[from_stage] > 0
+    }
+
+    /// `replica`'s active slowdown factors, in start order.
+    pub(crate) fn slowdowns(&self, replica: usize) -> impl Iterator<Item = f64> + '_ {
+        self.slowdowns[replica].iter().map(|&(_, f)| f)
+    }
+
+    /// `replica`'s active gray factors, in start order.
+    pub(crate) fn grays(&self, replica: usize) -> impl Iterator<Item = f64> + '_ {
+        self.grays[replica].iter().map(|&(_, f)| f)
     }
 }
 
@@ -386,6 +549,7 @@ pub enum ExclusionReason {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use e3_simcore::SimDuration;
 
     fn ms(n: u64) -> SimTime {
         SimTime::from_millis(n)
@@ -474,6 +638,27 @@ mod tests {
     #[should_panic(expected = "factor must be positive")]
     fn validate_rejects_nonpositive_gray_factor() {
         FaultPlan::new().gray(0, 0.0, ms(1), ms(2)).validate(1, 1);
+    }
+
+    #[test]
+    fn an_end_lifts_its_own_factor_and_keeps_start_order() {
+        use crate::kernel::NullObserver;
+        // Three overlapping slowdowns; the last-started one ends first.
+        let plan = FaultPlan::new()
+            .slowdown(0, 2.0, ms(0), ms(90))
+            .slowdown(0, 3.0, ms(0), ms(90))
+            .slowdown(0, 2.0, ms(0), ms(60));
+        let mut state = FaultState::new(&plan, 1, 1);
+        let mut acc = RunAccumulator::new(1, 1, SimDuration::from_secs(1), true);
+        for (at, action) in [
+            (ms(0), FaultAction::Start(0)),
+            (ms(0), FaultAction::Start(1)),
+            (ms(0), FaultAction::Start(2)),
+            (ms(60), FaultAction::End(2)),
+        ] {
+            assert_eq!(state.apply(action, at, &mut acc, &mut NullObserver), None);
+        }
+        assert_eq!(state.slowdowns(0).collect::<Vec<_>>(), vec![2.0, 3.0]);
     }
 
     #[test]

@@ -20,6 +20,13 @@
 //! scheduling. Metrics funnel through the shared [`RunAccumulator`],
 //! which the serial barrier driver ([`crate::serial`]) reuses so both
 //! execution modes account identically.
+//!
+//! A [`FaultPlan`] reaches this loop and the continuous-batching driver
+//! ([`run_continuous`]) through one fault state in [`faults`]: it
+//! schedules every start and end, counts each entry, and holds the open
+//! stall, outage, slowdown and gray windows. Each loop keeps only its
+//! reactions. Here a crash re-routes the replica's batches, a recovery
+//! re-admits it, and a lifted stall kicks the stage's replicas.
 
 mod accounting;
 mod continuous;
@@ -29,8 +36,8 @@ mod policy;
 
 pub use accounting::RunAccumulator;
 pub use continuous::{
-    run_continuous, ContinuousBatching, ContinuousConfig, ContinuousOutcome, JoinPolicy, KvPlan,
-    PreemptMode, SequenceSpec, TokenJourney,
+    run_continuous, ContinuousConfig, ContinuousOutcome, JoinPolicy, KvPlan, PreemptMode,
+    SequenceSpec, TokenJourney,
 };
 pub use faults::{ExclusionReason, FaultEvent, FaultPlan};
 pub use observer::{
@@ -52,6 +59,7 @@ use crate::batch::Batch;
 use crate::engine::ServingSim;
 use crate::executor::execute_batch;
 use crate::sample::SimSample;
+use faults::{FaultAction, FaultReaction, FaultState};
 
 /// Recycled sample buffers kept per kernel run; bounds pool growth when a
 /// fault burst strands many batches at once.
@@ -102,17 +110,6 @@ pub(crate) enum Ev {
     },
 }
 
-/// A fault-plan entry materialized on the event queue. `Apply` fires at a
-/// fault's start time; the `Expire*` variants close windowed faults.
-#[derive(Debug, Clone)]
-pub(crate) enum FaultAction {
-    Apply(FaultEvent),
-    ExpireSlowdown { replica: usize, factor: f64 },
-    ExpireStall { stage: usize },
-    ExpireLink { from_stage: usize },
-    ExpireGray { replica: usize, factor: f64 },
-}
-
 /// State of a replica's circuit breaker (inert unless
 /// [`crate::engine::ServingConfig::breaker`] is set).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,13 +139,6 @@ struct Replica {
     /// cancellation — so a pending `ExecDone` or `HedgeCheck` for a
     /// superseded execution is recognized as stale and ignored.
     epoch: u32,
-    /// Multiplicative factors of the transient slowdowns currently in
-    /// effect (empty almost always; faults only).
-    transient: Vec<f64>,
-    /// Multiplicative wall-clock factors of active gray degradations:
-    /// they stretch real execution time but are *not* reflected in the
-    /// self-reported service statistics below.
-    gray: Vec<f64>,
     /// When the current execution began (wall-clock health accounting).
     exec_started: SimTime,
     /// Circuit-breaker state (always `Closed` when breakers are off).
@@ -184,12 +174,8 @@ pub(crate) struct Kernel<'a, 'p, Q: SimQueue<Ev> = EventQueue<Ev>> {
     /// of unbounded ones).
     in_flight: usize,
     in_flight_cap: usize,
-    /// Per-stage count of active [`FaultEvent::StageStall`] windows; no
-    /// batch may begin on a stage while its count is positive.
-    stalled: Vec<u32>,
-    /// Per-stage count of active [`FaultEvent::LinkDown`] windows on the
-    /// stage's outbound link; transfers retry with backoff while positive.
-    link_down: Vec<u32>,
+    /// The fault plan's schedule, counts and open windows.
+    faults: FaultState<'a>,
     acc: RunAccumulator,
     /// Recycled sample buffers: batches formed on the hot path draw their
     /// `Vec<SimSample>` here instead of the allocator, and fully-completed
@@ -228,8 +214,6 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
                     excluded: false,
                     crashed: false,
                     epoch: 0,
-                    transient: Vec::new(),
-                    gray: Vec::new(),
                     exec_started: SimTime::ZERO,
                     breaker: BreakerState::Closed,
                     hedge_partner: None,
@@ -242,7 +226,6 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         }
         let num_stages = sim.stages.len();
         let num_replicas = replicas.len();
-        sim.cfg.fault_plan.validate(num_replicas, num_stages);
         Kernel {
             sim,
             policies,
@@ -255,8 +238,7 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
             backlog_cursor: 0,
             in_flight: 0,
             in_flight_cap: (5 * num_replicas * sim.stages[0].target_batch).div_ceil(4),
-            stalled: vec![0; num_stages],
-            link_down: vec![0; num_stages],
+            faults: FaultState::new(&sim.cfg.fault_plan, num_replicas, num_stages),
             acc: RunAccumulator::new(num_stages, num_replicas, sim.cfg.slo, true),
             sample_pool: Vec::new(),
             perf_scratch: Vec::new(),
@@ -286,7 +268,7 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         // Fault actions go on the queue first: at equal timestamps the
         // stable FIFO tie-break then applies a fault before any arrival
         // scheduled at the same instant, independent of plan contents.
-        self.schedule_faults();
+        self.faults.schedule(&mut self.q, Ev::Fault);
         if self.sim.cfg.closed_loop {
             for k in 0..self.stage_replicas[0].len() {
                 let r = self.stage_replicas[0][k];
@@ -314,52 +296,6 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
             }
         }
         self.acc
-    }
-
-    /// Materializes the configured [`FaultPlan`] onto the event queue.
-    fn schedule_faults(&mut self) {
-        // `sim` is a shared reference with its own lifetime; copying it out
-        // lets the loop borrow the plan while scheduling through `self`.
-        let sim = self.sim;
-        for &f in sim.cfg.fault_plan.events() {
-            self.q
-                .schedule(f.starts_at(), Ev::Fault(FaultAction::Apply(f)));
-            match f {
-                FaultEvent::TransientSlowdown {
-                    replica,
-                    factor,
-                    until,
-                    ..
-                } => {
-                    self.q.schedule(
-                        until,
-                        Ev::Fault(FaultAction::ExpireSlowdown { replica, factor }),
-                    );
-                }
-                FaultEvent::StageStall { stage, until, .. } => {
-                    self.q
-                        .schedule(until, Ev::Fault(FaultAction::ExpireStall { stage }));
-                }
-                FaultEvent::LinkDown {
-                    from_stage, until, ..
-                } => {
-                    self.q
-                        .schedule(until, Ev::Fault(FaultAction::ExpireLink { from_stage }));
-                }
-                FaultEvent::GrayDegradation {
-                    replica,
-                    factor,
-                    until,
-                    ..
-                } => {
-                    self.q.schedule(
-                        until,
-                        Ev::Fault(FaultAction::ExpireGray { replica, factor }),
-                    );
-                }
-                _ => {}
-            }
-        }
     }
 
     fn now(&self) -> SimTime {
@@ -501,7 +437,7 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
     /// contrast, may still drain work already queued on it).
     fn try_begin(&mut self, rid: usize) {
         let stage = self.replicas[rid].stage;
-        if self.replicas[rid].busy || self.replicas[rid].crashed || self.stalled[stage] > 0 {
+        if self.replicas[rid].busy || self.replicas[rid].crashed || self.faults.stalled(stage) {
             return;
         }
         let now = self.now();
@@ -558,7 +494,7 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         if self.replicas[rid].excluded {
             return; // stragglers and crashed replicas get no new work (§3.3)
         }
-        if self.stalled[0] > 0 {
+        if self.faults.stalled(0) {
             return; // stage stalled: nothing dispatches until it lifts
         }
         let target = self.sim.stages[0].target_batch;
@@ -601,7 +537,7 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
     fn start_next(&mut self, rid: usize) {
         if self.replicas[rid].busy
             || self.replicas[rid].crashed
-            || self.stalled[self.replicas[rid].stage] > 0
+            || self.faults.stalled(self.replicas[rid].stage)
         {
             return;
         }
@@ -614,10 +550,7 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         let stage = self.replicas[rid].stage;
         let spec = &self.sim.stages[stage];
         // Active transient slowdowns stack multiplicatively.
-        let mut slowdown = 1.0;
-        for f in &self.replicas[rid].transient {
-            slowdown *= f;
-        }
+        let slowdown: f64 = self.faults.slowdowns(rid).product();
         let out = execute_batch(
             self.sim.model,
             &self.sim.ctrl,
@@ -634,10 +567,7 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         // the straggler watchdog keeps seeing a healthy replica while
         // completions genuinely drift late. The guard keeps gray-free
         // runs byte-identical (no float round-trip through mul_f64).
-        let mut gray = 1.0;
-        for f in &self.replicas[rid].gray {
-            gray *= f;
-        }
+        let gray: f64 = self.faults.grays(rid).product();
         let wall = if gray != 1.0 {
             out.duration.mul_f64(gray)
         } else {
@@ -887,7 +817,7 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
             return; // the batch finished, or is already hedged
         }
         let stage = self.replicas[rid].stage;
-        if self.stalled[stage] > 0 {
+        if self.faults.stalled(stage) {
             return;
         }
         // Deterministic backup choice: the lowest-id idle, healthy,
@@ -962,7 +892,7 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
             next < self.sim.stages.len(),
             "survivors past the last stage"
         );
-        if self.link_down[from_stage] > 0 {
+        if self.faults.link_down(from_stage) {
             let retry = self.sim.cfg.transfer_retry;
             let batch = Batch {
                 samples: survivors,
@@ -1025,7 +955,7 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
     fn on_transfer_retry(&mut self, from_stage: usize, batch: Batch, attempt: u32) {
         let now = self.now();
         let retry = self.sim.cfg.transfer_retry;
-        if self.link_down[from_stage] == 0 {
+        if !self.faults.link_down(from_stage) {
             self.send_downstream(from_stage, batch.samples, now);
             return;
         }
@@ -1165,64 +1095,24 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         }
     }
 
-    /// Applies one scheduled fault action at its due time.
+    /// Applies one scheduled fault action and reacts to what it changed.
     fn on_fault(&mut self, action: FaultAction) {
         let now = self.now();
-        match action {
-            FaultAction::Apply(fault) => {
-                self.acc.record_fault();
-                self.observer
-                    .on_event(now, &KernelEvent::FaultInjected { fault });
-                match fault {
-                    FaultEvent::ReplicaCrash { replica, .. } => self.crash_replica(replica),
-                    FaultEvent::TransientSlowdown {
-                        replica, factor, ..
-                    } => {
-                        self.replicas[replica].transient.push(factor);
-                    }
-                    FaultEvent::StageStall { stage, .. } => {
-                        self.stalled[stage] += 1;
-                    }
-                    FaultEvent::DelayedRecovery { replica, .. } => self.recover_replica(replica),
-                    FaultEvent::LinkDown { from_stage, .. } => {
-                        self.link_down[from_stage] += 1;
-                    }
-                    FaultEvent::GrayDegradation {
-                        replica, factor, ..
-                    } => {
-                        self.replicas[replica].gray.push(factor);
-                    }
+        match self
+            .faults
+            .apply(action, now, &mut self.acc, &mut *self.observer)
+        {
+            Some(FaultReaction::Crash(rid)) => self.crash_replica(rid),
+            Some(FaultReaction::Recover(rid)) => self.recover_replica(rid),
+            Some(FaultReaction::StallLifted(stage)) => {
+                for k in 0..self.stage_replicas[stage].len() {
+                    let rid = self.stage_replicas[stage][k];
+                    self.try_begin(rid);
                 }
             }
-            FaultAction::ExpireSlowdown { replica, factor } => {
-                // Remove one instance of the factor; overlapping windows
-                // with the same factor expire one at a time.
-                let t = &mut self.replicas[replica].transient;
-                if let Some(pos) = t.iter().position(|&f| f == factor) {
-                    t.remove(pos);
-                }
-            }
-            FaultAction::ExpireStall { stage } => {
-                self.stalled[stage] = self.stalled[stage].saturating_sub(1);
-                if self.stalled[stage] == 0 {
-                    // Dispatch resumes: kick every replica of the stage.
-                    for k in 0..self.stage_replicas[stage].len() {
-                        let rid = self.stage_replicas[stage][k];
-                        self.try_begin(rid);
-                    }
-                }
-            }
-            FaultAction::ExpireLink { from_stage } => {
-                // Parked transfers notice on their next retry timer; no
-                // proactive kick keeps the retry cadence deterministic.
-                self.link_down[from_stage] = self.link_down[from_stage].saturating_sub(1);
-            }
-            FaultAction::ExpireGray { replica, factor } => {
-                let g = &mut self.replicas[replica].gray;
-                if let Some(pos) = g.iter().position(|&f| f == factor) {
-                    g.remove(pos);
-                }
-            }
+            // Parked transfers notice on their next retry timer; no
+            // proactive kick keeps the retry cadence deterministic.
+            Some(FaultReaction::LinkRestored(_)) | None => {}
         }
     }
 
@@ -1280,7 +1170,8 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
     }
 
     /// Returns `rid` to service with fresh straggler statistics and pulls
-    /// work orphaned on still-crashed stage peers.
+    /// work orphaned on still-crashed stage peers. Fault windows on the
+    /// replica stay as they are.
     fn recover_replica(&mut self, rid: usize) {
         if !self.replicas[rid].excluded {
             return;
@@ -1291,8 +1182,6 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         self.replicas[rid].excluded = false;
         self.replicas[rid].batches_done = 0;
         self.replicas[rid].per_sample_secs_sum = 0.0;
-        self.replicas[rid].transient.clear();
-        self.replicas[rid].gray.clear();
         self.replicas[rid].breaker = BreakerState::Closed;
         if let Some(h) = self.health.as_mut() {
             h.reset(rid);

@@ -32,7 +32,8 @@
 //!   [`kernel::BatchingPolicy`] (dynamic batching and fusion buffers),
 //!   [`kernel::StragglerPolicy`] (exclusion), the
 //!   [`kernel::RunObserver`] hook receiving typed [`kernel::KernelEvent`]s,
-//!   and the shared [`kernel::RunAccumulator`];
+//!   the shared [`kernel::RunAccumulator`], and the one fault model both
+//!   runtime loops read ([`kernel::faults`]);
 //! * [`engine`] — the [`engine::ServingSim`] facade: validates the stage
 //!   layout, materializes requests, assembles the policies from
 //!   [`engine::ServingConfig`], and drives the kernel through one
@@ -64,10 +65,10 @@ pub mod strategy;
 
 pub use engine::{BreakerConfig, HedgeConfig, ServingConfig, ServingSim, TransferRetryConfig};
 pub use kernel::{
-    run_continuous, AdmissionPolicy, BatchingPolicy, ContinuousBatching, ContinuousConfig,
-    ContinuousOutcome, ExclusionReason, FaultEvent, FaultPlan, JoinPolicy, KernelEvent, KvPlan,
-    OffsetObserver, PreemptMode, RunObserver, SequenceSpec, StragglerPolicy, TagObserver,
-    TaggedEventLog, TokenJourney, FUSION_MAX_WAIT,
+    run_continuous, AdmissionPolicy, BatchingPolicy, ContinuousConfig, ContinuousOutcome,
+    ExclusionReason, FaultEvent, FaultPlan, JoinPolicy, KernelEvent, KvPlan, OffsetObserver,
+    PreemptMode, RunObserver, SequenceSpec, StragglerPolicy, TagObserver, TaggedEventLog,
+    TokenJourney, FUSION_MAX_WAIT,
 };
 pub use report::{RobustnessStats, RunReport, ShedBreakdown, ShedCause};
 pub use strategy::Strategy;

@@ -74,11 +74,14 @@ expect fig_scale "10k-GPU horizon PASS"
 
 # The host-time benchmark is its own package under benchmark/ and
 # builds against the crates' public API, so a breaking change shows
-# here. One short run per workload; its last stdout line reports
-# whether iterations 0-7 matched the pinned digests.
+# here. One short traced run per workload: traced iterations run the
+# invariant checker over every event stream (closed_drift's slowdown
+# and crash windows included) and must match the untraced digests. The
+# last stdout line reports whether iterations 0-7 matched the pinned
+# digests.
 for workload in closed_drift open_bursty tenants_skewed llm_kv_sweep; do
     cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- \
-        --workload "$workload" --seed 227 --seconds 1 --trace 0 > /tmp/benchmark.out
+        --workload "$workload" --seed 227 --seconds 1 --trace 1 > /tmp/benchmark.out
     last=$(tail -n 1 /tmp/benchmark.out)
     if [[ "$last" != *'"correct": true'* ]]; then
         echo "benchmark $workload: $last" >&2

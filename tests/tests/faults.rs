@@ -201,38 +201,126 @@ fn recovery_reclaims_work_stranded_on_a_dead_stage() {
     assert!(r.replica_availability[2] < 1.0);
 }
 
+/// Vanilla BERT-base at batch 8 on one V100: a single replica, so every
+/// batch's duration shows in the event stream.
+fn one_v100_specs(model: &EeModel) -> Vec<StageSpec> {
+    let cluster = ClusterSpec::homogeneous(GpuKind::V100, 1, 1);
+    Strategy::Vanilla { batch: 8 }.realize(model, &cluster)
+}
+
 #[test]
 fn stage_stall_pauses_dispatch_for_the_window() {
-    let model = zoo::deebert();
-    let n = 2000;
-    let (from, until) = (ms(300), ms(500));
+    let deebert = zoo::deebert();
+    let bert = zoo::bert_base();
+    // (model, stages, stalled stage, stalls, window no batch may begin
+    // in, samples, seed).
+    let cases = [
+        // One stall on the second stage of a split pipeline.
+        (
+            &deebert,
+            two_stage_specs(),
+            1,
+            FaultPlan::new().stall(1, ms(300), ms(500)),
+            (ms(300), ms(500)),
+            2000,
+            17,
+        ),
+        // Back-to-back stalls: the first one's end and the second one's
+        // start share an instant, and no batch may begin at it.
+        (
+            &bert,
+            one_v100_specs(&bert),
+            0,
+            FaultPlan::new()
+                .stall(0, ms(10), ms(50))
+                .stall(0, ms(50), ms(80)),
+            (ms(10), ms(80)),
+            4000,
+            6,
+        ),
+    ];
+    for (model, stages, stage, plan, (from, until), n, seed) in cases {
+        let cfg = ServingConfig {
+            fault_plan: plan,
+            ..Default::default()
+        };
+        let (r, log) = run_stages(model, stages, cfg, n, seed);
+        assert_eq!(r.completed + r.dropped, n as u64);
+        let starts_in = |lo: SimTime, hi: SimTime| {
+            log.events
+                .iter()
+                .filter(|(t, e)| {
+                    *t >= lo
+                        && *t < hi
+                        && matches!(e, KernelEvent::ExecStart { stage: s, .. } if *s == stage)
+                })
+                .count()
+        };
+        assert_eq!(
+            starts_in(from, until),
+            0,
+            "stage {stage} dispatched while stalled"
+        );
+        assert!(
+            starts_in(SimTime::ZERO, from) > 0,
+            "no stage-{stage} work before stall"
+        );
+        assert!(
+            starts_in(until, ms(60_000)) > 0,
+            "stage {stage} never resumed after the stall"
+        );
+    }
+}
+
+#[test]
+fn recovery_keeps_a_later_slowdown_window() {
+    // A crash and recovery between two equal-factor slowdown windows on
+    // the same replica: the first window's end must lift only its own
+    // factor, so batches inside the second window stay slow.
+    let model = zoo::bert_base();
     let cfg = ServingConfig {
-        fault_plan: FaultPlan::new().stall(1, from, until),
+        fault_plan: FaultPlan::new()
+            .slowdown(0, 2.0, ms(0), ms(100))
+            .crash(0, ms(10))
+            .recover(0, ms(20))
+            .slowdown(0, 2.0, ms(30), ms(200)),
         ..Default::default()
     };
-    let (r, log) = run_stages(&model, two_stage_specs(), cfg, n, 17);
-    assert_eq!(r.completed + r.dropped, n as u64);
-    let starts_in = |lo: SimTime, hi: SimTime| {
-        log.events
-            .iter()
-            .filter(|(t, e)| {
-                *t >= lo && *t < hi && matches!(e, KernelEvent::ExecStart { stage: 1, .. })
-            })
-            .count()
-    };
-    assert_eq!(
-        starts_in(from, until),
-        0,
-        "stage 1 dispatched while stalled"
-    );
+    let (_, log) = run_stages(&model, one_v100_specs(&model), cfg, 4000, 6);
+    // (start, duration) of every batch that ran to completion.
+    let mut batches = Vec::new();
+    let mut started = None;
+    for (t, e) in &log.events {
+        match e {
+            KernelEvent::ExecStart { .. } => started = Some(*t),
+            KernelEvent::ExecDone { .. } => {
+                let at = started.take().expect("done without a start");
+                batches.push((at, t.saturating_since(at)));
+            }
+            KernelEvent::ReplicaExcluded { .. } => started = None,
+            _ => {}
+        }
+    }
+    let healthy = batches
+        .iter()
+        .find(|(at, _)| *at >= ms(200))
+        .expect("a batch after both windows")
+        .1;
+    let inside: Vec<SimDuration> = batches
+        .iter()
+        .filter(|(at, _)| *at >= ms(100) && *at < ms(190))
+        .map(|&(_, d)| d)
+        .collect();
     assert!(
-        starts_in(SimTime::ZERO, from) > 0,
-        "no stage-1 work before stall"
+        !inside.is_empty(),
+        "no batch started inside the second window"
     );
-    assert!(
-        starts_in(until, ms(60_000)) > 0,
-        "stage 1 never resumed after the stall"
-    );
+    for d in inside {
+        assert!(
+            d.as_secs_f64() > 1.5 * healthy.as_secs_f64(),
+            "a batch inside the second window took {d:?}, healthy {healthy:?}"
+        );
+    }
 }
 
 #[test]

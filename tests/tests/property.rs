@@ -444,6 +444,7 @@ proptest! {
         let (boundary, replicas_a, replicas_b) =
             if two_stage { (Some(12), 2, 2) } else { (None, 4, 0) };
         let stages = 1 + usize::from(two_stage);
+        let plan = decoded_continuous_faults(&words, replicas_a + replicas_b, stages);
         let cfg = ContinuousConfig {
             model: &model,
             ctrl: &ctrl,
@@ -461,7 +462,7 @@ proptest! {
                 mode: if swap { PreemptMode::Swap } else { PreemptMode::Recompute },
             }),
             slo: SimDuration::from_secs(86_400),
-            fault_plan: decoded_continuous_faults(&words, replicas_a + replicas_b, stages),
+            fault_plan: plan.clone(),
             b_max_wait: None,
         };
         let mut log = EventLog::new();
@@ -516,6 +517,7 @@ proptest! {
         prop_assert_eq!(preempts, out.report.kv_preemptions);
         // The merged stream sits on one monotone clock.
         prop_assert!(log.events.windows(2).all(|w| w[0].0 <= w[1].0));
+        prop_assert_eq!(out.report.faults_injected, plan.len() as u64);
     }
 
     #[test]
