@@ -25,39 +25,13 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use e3_hardware::{GpuKind, LatencyModel, TransferModel};
-use e3_model::{zoo, BatchProfile, RampController, RampStyle};
-use e3_optimizer::{
-    optimize_heterogeneous_with_stats, optimize_homogeneous_cached, OptimizerConfig, PlanCache,
-};
+use e3_bench::figs::{scale_hetero_solver, scale_solver, SCALE_SIZES};
+use e3_hardware::GpuKind;
+use e3_optimizer::PlanCache;
 
 fn main() {
-    let model = zoo::deebert();
-    let ctrl = RampController::all_enabled(model.num_ramps(), RampStyle::Independent);
-    let profile = BatchProfile::new(vec![
-        1.0, 0.97, 0.83, 0.65, 0.49, 0.36, 0.27, 0.22, 0.21, 0.19, 0.16, 0.11, 0.11,
-    ]);
-    let (tm, lm) = (TransferModel::default(), LatencyModel::new());
-    let cfg = OptimizerConfig {
-        max_splits: 4,
-        ..Default::default()
-    };
-    let solve = |m: usize, cache: &mut PlanCache| {
-        optimize_homogeneous_cached(
-            &model,
-            &ctrl,
-            &profile,
-            GpuKind::V100,
-            m,
-            8.0,
-            &tm,
-            &lm,
-            &cfg,
-            cache,
-        )
-    };
-
-    for &m in &[16usize, 100, 1000, 10_000] {
+    let solve = scale_solver();
+    for &m in &SCALE_SIZES {
         let mut cache = PlanCache::new();
         let start = Instant::now();
         let cold_plan = solve(m, &mut cache);
@@ -88,9 +62,9 @@ fn main() {
     }
 
     let pool = BTreeMap::from([(GpuKind::V100, 6), (GpuKind::P100, 8), (GpuKind::K80, 15)]);
+    let solve_hetero = scale_hetero_solver();
     let start = Instant::now();
-    let (plan, stats) =
-        optimize_heterogeneous_with_stats(&model, &ctrl, &profile, &pool, 8.0, &tm, &lm, &cfg);
+    let (plan, stats) = solve_hetero(&pool);
     let secs = start.elapsed().as_secs_f64();
     println!(
         "{{\"bench\":\"optimizer_hetero\",\"gpus\":{},\"splits\":{},\"cold_secs\":{:.6},\"assignments\":{},\"pruned\":{}}}",

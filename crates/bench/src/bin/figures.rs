@@ -3,7 +3,7 @@
 //! run is the source for `EXPERIMENTS.md`.
 //!
 //! ```text
-//! cargo run --release -p e3-bench --bin figures | tee experiments_output.txt
+//! cargo run --release -p e3-bench --bin figures
 //! cargo run --release -p e3-bench --bin figures -- fig07_nlp_goodput fig24_slo
 //! ```
 //!

@@ -5,6 +5,7 @@
 //! `tests/golden.rs` locks it byte-for-byte against `golden/<name>.txt`.
 //! [`crate::FIGURES`] names them.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use e3::harness::{AutoRegStrategy, Experiment, HarnessOpts, ModelFamily, SystemKind};
@@ -12,8 +13,9 @@ use e3::{E3Config, E3System};
 use e3_hardware::{ClusterSpec, ExitOverheads, GpuKind, LatencyModel, TransferModel};
 use e3_model::{zoo, BatchProfile, EeModel, ExitPolicy, ExitSampler, InferenceSim, RampController};
 use e3_optimizer::{
-    min_cost_for_goodput, min_gpus_for_goodput, optimize_homogeneous, optimize_homogeneous_cached,
-    run_ablations, OptimizerConfig, PlanCache, SplitPlan,
+    min_cost_for_goodput, min_gpus_for_goodput, optimize_heterogeneous_with_stats,
+    optimize_homogeneous_cached, plan_feasible, run_ablations, OptimizerConfig, PlanCache,
+    SearchStats, SplitPlan,
 };
 use e3_runtime::autoreg::materialize_sequences;
 use e3_runtime::kernel::{EventLog, NullObserver};
@@ -259,17 +261,21 @@ pub fn fig09_report() -> String {
 /// optimizer's own feasibility rule (§3.2): formation + serial path +
 /// pipeline occupancy <= SLO - slack.
 fn max_batch_for_slo(exp: &Experiment, slo_ms: u64) -> usize {
+    let slo = SimDuration::from_millis(slo_ms);
+    let cfg = OptimizerConfig {
+        slo,
+        ..Default::default()
+    };
     let mut best = 1usize;
     for b in [1usize, 2, 4, 8, 16, 32, 64] {
         let plan = exp
             .clone()
             .with_opts(HarnessOpts {
-                slo: SimDuration::from_millis(slo_ms),
+                slo,
                 ..Default::default()
             })
             .plan(b);
-        let budget = SimDuration::from_millis(slo_ms).mul_f64(0.8);
-        if plan.worst_case_latency <= budget {
+        if plan_feasible(&plan, &cfg) {
             best = b;
         }
     }
@@ -1403,7 +1409,7 @@ fn fixed_goodput(label: &str, target: f64) -> FixedGoodput {
     let dee = FIXED_GOODPUT_BATCHES
         .iter()
         .map(|&b| {
-            let per_gpu = optimize_homogeneous(
+            let per_gpu = optimize_homogeneous_cached(
                 &family.ee,
                 &ee_ctrl,
                 &profile,
@@ -1417,6 +1423,7 @@ fn fixed_goodput(label: &str, target: f64) -> FixedGoodput {
                     max_splits: 1,
                     ..cfg
                 },
+                &mut PlanCache::new(),
             )
             .goodput;
             (target / (per_gpu * 0.8)).ceil()
@@ -1486,11 +1493,7 @@ pub fn fig14_report() -> String {
 pub fn fig15_report() -> String {
     const TARGET: f64 = 6000.0;
     // A generous heterogeneous pool to allocate from.
-    let pool = std::collections::BTreeMap::from([
-        (GpuKind::V100, 48),
-        (GpuKind::P100, 48),
-        (GpuKind::K80, 64),
-    ]);
+    let pool = BTreeMap::from([(GpuKind::V100, 48), (GpuKind::P100, 48), (GpuKind::K80, 64)]);
 
     let mut out = String::new();
     let _ = writeln!(
@@ -2038,19 +2041,26 @@ pub fn fig_matrix_full_report() -> String {
     matrix_report(&ScenarioMatrix::full_cells(), "full")
 }
 
-/// Fixed shape of the planning-at-scale study: DeeBERT on V100 at b=8
-/// with up to four splits, solved cold into a fresh `cache` at `m` GPUs.
-fn scale_solver() -> impl Fn(usize, &mut PlanCache) -> SplitPlan {
+/// Fixed shape of the planning-at-scale study: DeeBERT at b=8 with up
+/// to four splits, under one measured-shape exit profile.
+fn scale_problem() -> (EeModel, RampController, BatchProfile, OptimizerConfig) {
     let model = zoo::deebert();
     let ctrl = RampController::all_enabled(model.num_ramps(), e3_model::RampStyle::Independent);
     let profile = BatchProfile::new(vec![
         1.0, 0.97, 0.83, 0.65, 0.49, 0.36, 0.27, 0.22, 0.21, 0.19, 0.16, 0.11, 0.11,
     ]);
-    let (tm, lm) = (TransferModel::default(), LatencyModel::new());
     let cfg = OptimizerConfig {
         max_splits: 4,
         ..Default::default()
     };
+    (model, ctrl, profile, cfg)
+}
+
+/// The planning-at-scale study's homogeneous solve: `m` V100s, through
+/// `cache` (a fresh one is a cold solve).
+pub fn scale_solver() -> impl Fn(usize, &mut PlanCache) -> SplitPlan {
+    let (model, ctrl, profile, cfg) = scale_problem();
+    let (tm, lm) = (TransferModel::default(), LatencyModel::new());
     move |m, cache| {
         optimize_homogeneous_cached(
             &model,
@@ -2067,9 +2077,19 @@ fn scale_solver() -> impl Fn(usize, &mut PlanCache) -> SplitPlan {
     }
 }
 
+/// The planning-at-scale study's cold heterogeneous solve on a mixed
+/// pool, with the search's assignment and pruning counts.
+pub fn scale_hetero_solver() -> impl Fn(&BTreeMap<GpuKind, usize>) -> (SplitPlan, SearchStats) {
+    let (model, ctrl, profile, cfg) = scale_problem();
+    let (tm, lm) = (TransferModel::default(), LatencyModel::new());
+    move |pool| {
+        optimize_heterogeneous_with_stats(&model, &ctrl, &profile, pool, 8.0, &tm, &lm, &cfg)
+    }
+}
+
 /// Cluster sizes of the planning-at-scale study, up to the 10k-GPU
 /// horizon.
-const SCALE_SIZES: [usize; 4] = [16, 100, 1000, 10_000];
+pub const SCALE_SIZES: [usize; 4] = [16, 100, 1000, 10_000];
 
 fn scale_columns() -> Vec<String> {
     SCALE_SIZES.iter().map(|m| format!("m={m}")).collect()

@@ -9,7 +9,6 @@ use std::collections::BTreeMap;
 
 use crate::gpu::GpuKind;
 use crate::interconnect::LinkKind;
-use crate::memory::{KvCacheSpec, MemoryFootprint};
 
 /// One GPU in the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,24 +178,6 @@ impl ClusterSpec {
     /// True if the cluster contains more than one GPU kind.
     pub fn is_heterogeneous(&self) -> bool {
         self.kinds().len() > 1
-    }
-
-    /// Per-kind KV-cache token budgets: on each device kind present, how
-    /// many cached tokens one replica of a split with footprint `fp`
-    /// running batch `batch` can keep resident. This is how a plan turns
-    /// the cluster's finite device memory into the admission budget a
-    /// continuous-batching scheduler enforces. Kinds whose devices cannot
-    /// even hold the split map to 0.
-    pub fn kv_capacity_tokens(
-        &self,
-        fp: &MemoryFootprint,
-        batch: f64,
-        kv: KvCacheSpec,
-    ) -> BTreeMap<GpuKind, usize> {
-        self.kinds()
-            .into_iter()
-            .map(|k| (k, fp.kv_capacity_tokens(batch, k, kv)))
-            .collect()
     }
 
     /// The cluster with `count` GPUs of `kind` removed (from the
@@ -398,24 +379,6 @@ mod tests {
     #[should_panic(expected = "empty cluster")]
     fn empty_cluster_rejected() {
         let _ = ClusterSpec::homogeneous(GpuKind::V100, 0, 2);
-    }
-
-    #[test]
-    fn kv_budgets_follow_device_memory() {
-        let c = ClusterSpec::paper_full_testbed();
-        // A T5-class decoder split: small weights, tiny per-token cache.
-        let fp = MemoryFootprint::new(120e6, 512.0 * 4.0);
-        let kv = KvCacheSpec::new(49_152.0);
-        let budgets = c.kv_capacity_tokens(&fp, 16.0, kv);
-        // Bigger devices hold strictly more cache.
-        assert!(budgets[&GpuKind::A6000] > budgets[&GpuKind::V100]);
-        assert!(budgets[&GpuKind::V100] > 0);
-        // An 8B-param split squeezes every kind but the A6000 to zero.
-        let big = MemoryFootprint::new(8e9, 2048.0 * 4096.0 * 2.0);
-        let tight = c.kv_capacity_tokens(&big, 8.0, KvCacheSpec::new(524_288.0));
-        assert!(tight[&GpuKind::A6000] > 0);
-        assert_eq!(tight[&GpuKind::V100], 0);
-        assert_eq!(tight[&GpuKind::K80], 0);
     }
 
     #[test]

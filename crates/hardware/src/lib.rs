@@ -32,4 +32,4 @@ pub use domains::{DomainTopology, FaultDomain, FaultDomainKind};
 pub use gpu::GpuKind;
 pub use interconnect::{JitteredLink, LinkKind, LinkOutages, TransferModel};
 pub use latency::{ExitOverheads, LatencyModel};
-pub use memory::{KvCacheSpec, MemoryFootprint};
+pub use memory::MemoryFootprint;

@@ -1,4 +1,4 @@
-//! Device-memory feasibility, including the KV cache.
+//! Device-memory feasibility.
 //!
 //! A split's replicas must hold the split's weights plus double-buffered
 //! activations for the batches in flight. The paper's optimizer includes
@@ -6,13 +6,9 @@
 //! maximum possible batch sizes that can be supported by the resources"
 //! (§3.1); this module supplies that bound for the simulator's devices.
 //!
-//! For autoregressive models the dominant per-request cost is the KV
-//! cache, which grows with every generated token rather than being fixed
-//! per sample. [`KvCacheSpec`] models that growth, and
-//! [`MemoryFootprint::kv_capacity_tokens`] converts whatever memory is
-//! left after weights and activations into a finite token budget — the
-//! quantity a continuous-batching scheduler admits against and preempts
-//! over.
+//! The KV cache of an autoregressive deployment is budgeted by the
+//! caller: a continuous-batching run admits against the token budget its
+//! deployment is given, not one derived here.
 
 use crate::gpu::GpuKind;
 
@@ -67,53 +63,6 @@ impl MemoryFootprint {
         let budget = gpu.memory_gib() * 1024.0 * 1024.0 * 1024.0 * USABLE_FRACTION;
         self.bytes_for_batch(b) <= budget
     }
-
-    /// Bytes left for the KV cache on `gpu` after weights and the
-    /// activation buffers for batch `b`. Zero when the batch itself does
-    /// not fit.
-    pub fn kv_budget_bytes(&self, b: f64, gpu: GpuKind) -> f64 {
-        let budget = gpu.memory_gib() * 1024.0 * 1024.0 * 1024.0 * USABLE_FRACTION;
-        (budget - self.bytes_for_batch(b)).max(0.0)
-    }
-
-    /// The replica's KV token budget on `gpu` at batch `b`: how many
-    /// cached tokens (summed across resident sequences) fit in the memory
-    /// left over. `usize::MAX` when the cache is not modeled.
-    pub fn kv_capacity_tokens(&self, b: f64, gpu: GpuKind, kv: KvCacheSpec) -> usize {
-        kv.capacity_tokens(self.kv_budget_bytes(b, gpu))
-    }
-}
-
-/// KV-cache growth model for an autoregressive split: every generated
-/// token pins `bytes_per_token` more device memory for as long as its
-/// sequence stays resident. A zero rate means "not modeled" and yields
-/// unbounded capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct KvCacheSpec {
-    /// Cache bytes appended per generated token (K and V across all
-    /// decoder layers held by the split).
-    pub bytes_per_token: f64,
-}
-
-impl KvCacheSpec {
-    /// A cache growing by `bytes_per_token` per generated token.
-    pub fn new(bytes_per_token: f64) -> Self {
-        KvCacheSpec { bytes_per_token }
-    }
-
-    /// Cache bytes pinned by `tokens` resident tokens.
-    pub fn bytes_for(&self, tokens: f64) -> f64 {
-        self.bytes_per_token * tokens.max(0.0)
-    }
-
-    /// How many resident tokens fit in `budget_bytes`; `usize::MAX` when
-    /// growth is not modeled (`bytes_per_token <= 0`).
-    pub fn capacity_tokens(&self, budget_bytes: f64) -> usize {
-        if self.bytes_per_token <= 0.0 {
-            return usize::MAX;
-        }
-        (budget_bytes.max(0.0) / self.bytes_per_token).floor() as usize
-    }
 }
 
 /// Rough parameter count from calibrated compute cost: transformer-class
@@ -161,33 +110,6 @@ mod tests {
                 assert!(!fp.fits(mb as f64 + 1.0, gpu));
             }
         }
-    }
-
-    #[test]
-    fn kv_capacity_shrinks_with_weights_and_batch() {
-        // Llama-8B-class split on an A6000: ~512 KiB/token KV growth.
-        let fp = MemoryFootprint::new(8e9, 2048.0 * 4096.0 * 2.0);
-        let kv = KvCacheSpec::new(524_288.0);
-        let at8 = fp.kv_capacity_tokens(8.0, GpuKind::A6000, kv);
-        let at32 = fp.kv_capacity_tokens(32.0, GpuKind::A6000, kv);
-        // Tens of thousands of tokens fit, and bigger batches leave less.
-        assert!(at8 > 10_000, "{at8}");
-        assert!(at32 < at8, "{at32} vs {at8}");
-        // On a 16 GiB V100 the weights alone overflow: zero cache budget.
-        assert_eq!(fp.kv_capacity_tokens(1.0, GpuKind::V100, kv), 0);
-        // An unmodeled cache is unbounded.
-        assert_eq!(
-            fp.kv_capacity_tokens(8.0, GpuKind::A6000, KvCacheSpec::default()),
-            usize::MAX
-        );
-    }
-
-    #[test]
-    fn kv_spec_arithmetic() {
-        let kv = KvCacheSpec::new(1024.0);
-        assert_eq!(kv.bytes_for(10.0), 10_240.0);
-        assert_eq!(kv.capacity_tokens(10_240.0), 10);
-        assert_eq!(kv.capacity_tokens(-5.0), 0);
     }
 
     #[test]

@@ -126,7 +126,7 @@ impl EeModelBuilder {
     }
 
     /// Sets the KV-cache growth per generated token (bytes across the
-    /// whole decoder). Requires [`ModelBuilder::autoregressive`] first.
+    /// whole decoder). Requires [`EeModelBuilder::autoregressive`] first.
     ///
     /// # Panics
     ///

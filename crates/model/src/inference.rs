@@ -244,10 +244,10 @@ struct Radius {
 /// The sampler makes exactly the RNG draws of the full computation, in
 /// the same order, but bounds `x` from the binade of `u1` and the cell
 /// of `u2` and settles each decision from precomputed tables when the
-/// bound clears it by [`MARGIN`]. Only an ambiguous decision computes `x` and
-/// evaluates the decision's own expression, so every outcome and every
-/// RNG position equal the full computation's (DESIGN.md, "Exact filtered
-/// materialization").
+/// bound clears it by a fixed margin (`1e-9`). Only an ambiguous
+/// decision computes `x` and evaluates the decision's own expression, so
+/// every outcome and every RNG position equal the full computation's
+/// (DESIGN.md, "Exact filtered materialization").
 #[derive(Debug, Clone)]
 pub struct ExitSampler {
     sim: InferenceSim,

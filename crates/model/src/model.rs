@@ -66,29 +66,9 @@ pub struct AutoRegSpec {
     /// what makes naive Llama-EE slow — fig. 12).
     pub lm_head: LayerSpec,
     /// KV-cache bytes a sequence accumulates per generated token across
-    /// the whole decoder (keys + values, every attention layer). Zero
-    /// means "not modeled" and disables KV-capacity accounting.
+    /// the whole decoder (keys + values, every attention layer); the
+    /// runtime prices cache swaps with it. Zero means "not modeled".
     pub kv_bytes_per_token: f64,
-}
-
-impl AutoRegSpec {
-    /// KV bytes per token attributable to the decoder layer range
-    /// `layers ∩ [enc, total)`, assuming the cache is spread evenly over
-    /// the decoder layers — how a split plan apportions a sequence's
-    /// cache across stages.
-    pub fn kv_bytes_per_token_in(
-        &self,
-        layers: std::ops::Range<usize>,
-        total_layers: usize,
-    ) -> f64 {
-        let dec_total = total_layers.saturating_sub(self.encoder_layers);
-        if dec_total == 0 {
-            return 0.0;
-        }
-        let start = layers.start.max(self.encoder_layers);
-        let dec_in = layers.end.saturating_sub(start);
-        self.kv_bytes_per_token * dec_in as f64 / dec_total as f64
-    }
 }
 
 /// Errors raised while constructing or validating a model.

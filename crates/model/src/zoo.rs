@@ -456,16 +456,5 @@ mod tests {
             calm_t5().autoreg().expect("autoreg").kv_bytes_per_token,
             t5_ar.kv_bytes_per_token
         );
-        // Per-stage apportioning: half the Llama decoder holds half the
-        // cache; the T5 encoder prefix holds none.
-        assert_eq!(
-            llama.kv_bytes_per_token_in(0..16, 32),
-            llama.kv_bytes_per_token / 2.0
-        );
-        assert_eq!(t5_ar.kv_bytes_per_token_in(0..8, 16), 0.0);
-        assert_eq!(
-            t5_ar.kv_bytes_per_token_in(8..16, 16),
-            t5_ar.kv_bytes_per_token
-        );
     }
 }

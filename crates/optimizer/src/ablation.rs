@@ -17,8 +17,9 @@
 use e3_hardware::{GpuKind, LatencyModel, TransferModel};
 use e3_model::{BatchProfile, EeModel, RampController};
 
+use crate::cache::PlanCache;
 use crate::config::OptimizerConfig;
-use crate::dp::optimize_homogeneous;
+use crate::dp::optimize_homogeneous_cached;
 use crate::plan::SplitPlan;
 use crate::stage::boundary_transfer;
 
@@ -57,7 +58,10 @@ pub fn run_ablations(
     cfg: &OptimizerConfig,
 ) -> Vec<AblationResult> {
     let tm = TransferModel::default();
-    let base = optimize_homogeneous(model, ctrl, profile, gpu, num_gpus, b0, &tm, lm, cfg);
+    let mut cache = PlanCache::new();
+    let base = optimize_homogeneous_cached(
+        model, ctrl, profile, gpu, num_gpus, b0, &tm, lm, cfg, &mut cache,
+    );
 
     let mut out = Vec::new();
 
@@ -69,7 +73,7 @@ pub fn run_ablations(
     out.push(AblationResult {
         name: "pipelined-objective",
         with_choice: base.clone(),
-        without_choice: optimize_homogeneous(
+        without_choice: optimize_homogeneous_cached(
             model,
             ctrl,
             profile,
@@ -79,6 +83,7 @@ pub fn run_ablations(
             &tm,
             lm,
             &serial_cfg,
+            &mut cache,
         ),
     });
 
@@ -87,7 +92,7 @@ pub fn run_ablations(
         stage_overhead_frac: 0.0,
         ..*cfg
     };
-    let unpenalized = optimize_homogeneous(
+    let unpenalized = optimize_homogeneous_cached(
         model,
         ctrl,
         profile,
@@ -97,6 +102,7 @@ pub fn run_ablations(
         &tm,
         lm,
         &no_penalty,
+        &mut cache,
     );
     // The unpenalized plan's *predicted* goodput is not comparable (it
     // ignores the jitter); re-cost it under the shipped assumptions by

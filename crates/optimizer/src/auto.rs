@@ -1,25 +1,56 @@
-//! Batch-size selection and resource minimization.
+//! The planning entry points, and the one place a solver is chosen.
 //!
-//! §3.2: "Since the request rate is R, we can estimate the largest batch
-//! size B0 that does not violate the SLA" — [`best_plan_over_batches`]
-//! sweeps candidate batch sizes, keeps SLO-feasible plans, and returns
-//! the goodput-best. §5.3 fixes goodput and minimizes resources instead:
-//! [`min_gpus_for_goodput`] (homogeneous, fig. 14) and
-//! [`min_cost_for_goodput`] (heterogeneous, fig. 15).
-
-use std::collections::BTreeMap;
+//! * [`plan_for_cluster`] and [`plan_for_cluster_cached`] return the
+//!   goodput-best plan for a cluster at batch `b0` (§3.2); the cached
+//!   form warm-starts the homogeneous DP across re-plans.
+//! * §5.3 fixes goodput and minimizes resources instead:
+//!   [`min_gpus_for_goodput`] finds the fewest homogeneous GPUs
+//!   (fig. 14), and [`crate::min_cost_for_goodput`] the cheapest
+//!   heterogeneous allocation (fig. 15).
+//! * [`plan_feasible`] is the one SLO, cost and goodput feasibility rule.
+//!
+//! The crate-private `solve` is the only code that picks between the
+//! homogeneous DP ([`crate::optimize_homogeneous_cached`]) and the
+//! heterogeneous search of [`crate::hetero`] from the kind count. Both
+//! [`plan_for_cluster_cached`] and [`crate::ValueOracle`] plan through it.
 
 use e3_hardware::{ClusterSpec, GpuKind, LatencyModel, TransferModel};
 use e3_model::{BatchProfile, EeModel, RampController};
 
 use crate::cache::PlanCache;
 use crate::config::OptimizerConfig;
-use crate::dp::{optimize_homogeneous, optimize_homogeneous_cached};
-use crate::hetero::{min_cost_plan, optimize_heterogeneous};
+use crate::dp::optimize_homogeneous_cached;
+use crate::hetero::{optimize_tabled, StageTables};
 use crate::plan::SplitPlan;
 
-/// Optimizes a plan for `cluster` at batch `b0`, dispatching to the
-/// homogeneous DP or the heterogeneity-aware solver as appropriate.
+/// Best plan on the nonzero per-kind GPU counts `kinds`: the homogeneous
+/// DP through `plans` for one kind, the tabled heterogeneous search for
+/// several. `tables` must be `None` or built for this model, profile,
+/// batch and transfer model; it is filled on the first mixed-kind solve.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn solve(
+    model: &EeModel,
+    ctrl: &RampController,
+    profile: &BatchProfile,
+    kinds: &[(GpuKind, usize)],
+    b0: f64,
+    tm: &TransferModel,
+    lm: &LatencyModel,
+    cfg: &OptimizerConfig,
+    plans: &mut PlanCache,
+    tables: &mut Option<StageTables>,
+) -> SplitPlan {
+    if let [(kind, n)] = kinds {
+        return optimize_homogeneous_cached(
+            model, ctrl, profile, *kind, *n, b0, tm, lm, cfg, plans,
+        );
+    }
+    let tables = tables.get_or_insert_with(|| StageTables::new(model, profile, b0, tm));
+    optimize_tabled(model, ctrl, profile, kinds, b0, tm, lm, cfg, tables).0
+}
+
+/// The goodput-best plan for `cluster` at batch `b0`: a cold
+/// [`plan_for_cluster_cached`].
 #[allow(clippy::too_many_arguments)] // the DP inputs of fig. 6
 pub fn plan_for_cluster(
     model: &EeModel,
@@ -35,12 +66,12 @@ pub fn plan_for_cluster(
     plan_for_cluster_cached(model, ctrl, profile, cluster, b0, tm, lm, cfg, &mut cache)
 }
 
-/// [`plan_for_cluster`] with warm starting: homogeneous solves run
-/// through `cache` (see [`PlanCache`]), so a control loop re-planning
-/// every window pays for the DP only when its inputs actually change.
-/// Heterogeneous clusters bypass the cache: each call builds its own
+/// The goodput-best plan for `cluster` at batch `b0`, with warm
+/// starting: homogeneous solves run through `cache` (see [`PlanCache`]),
+/// so a control loop re-planning every window pays for the DP only when
+/// its inputs actually change. A mixed-kind cluster builds its own
 /// per-kind stage tables and runs the pruned boundary × kind search of
-/// [`crate::hetero`]. Plans are bit-identical to the cold path.
+/// [`crate::hetero`]. Plans are bit-identical to a cold solve.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_for_cluster_cached(
     model: &EeModel,
@@ -53,23 +84,10 @@ pub fn plan_for_cluster_cached(
     cfg: &OptimizerConfig,
     cache: &mut PlanCache,
 ) -> SplitPlan {
-    if cluster.is_heterogeneous() {
-        optimize_heterogeneous(model, ctrl, profile, &cluster.gpu_counts(), b0, tm, lm, cfg)
-    } else {
-        let kind = cluster.kinds()[0];
-        optimize_homogeneous_cached(
-            model,
-            ctrl,
-            profile,
-            kind,
-            cluster.num_gpus(),
-            b0,
-            tm,
-            lm,
-            cfg,
-            cache,
-        )
-    }
+    let kinds: Vec<(GpuKind, usize)> = cluster.gpu_counts().into_iter().collect();
+    solve(
+        model, ctrl, profile, &kinds, b0, tm, lm, cfg, cache, &mut None,
+    )
 }
 
 /// True if the plan satisfies the SLO budget and the optional cost and
@@ -91,37 +109,9 @@ pub fn plan_feasible(plan: &SplitPlan, cfg: &OptimizerConfig) -> bool {
     true
 }
 
-/// Sweeps candidate batch sizes and returns the goodput-best feasible
-/// `(b0, plan)`, or `None` if no batch size fits the SLO.
-#[allow(clippy::too_many_arguments)]
-pub fn best_plan_over_batches(
-    model: &EeModel,
-    ctrl: &RampController,
-    profile: &BatchProfile,
-    cluster: &ClusterSpec,
-    batches: &[f64],
-    tm: &TransferModel,
-    lm: &LatencyModel,
-    cfg: &OptimizerConfig,
-) -> Option<(f64, SplitPlan)> {
-    let mut best: Option<(f64, SplitPlan)> = None;
-    for &b0 in batches {
-        let plan = plan_for_cluster(model, ctrl, profile, cluster, b0, tm, lm, cfg);
-        if !plan_feasible(&plan, cfg) {
-            continue;
-        }
-        let better = best
-            .as_ref()
-            .is_none_or(|(_, bp)| plan.goodput > bp.goodput);
-        if better {
-            best = Some((b0, plan));
-        }
-    }
-    best
-}
-
 /// Smallest homogeneous GPU count achieving `target` goodput at batch
-/// `b0` (fig. 14). Linear scan — goodput is monotone in the GPU count.
+/// `b0` (fig. 14). Linear scan — goodput is monotone in the GPU count —
+/// through one [`PlanCache`], so each step extends the DP by one column.
 #[allow(clippy::too_many_arguments)]
 pub fn min_gpus_for_goodput(
     model: &EeModel,
@@ -135,30 +125,15 @@ pub fn min_gpus_for_goodput(
     lm: &LatencyModel,
     cfg: &OptimizerConfig,
 ) -> Option<(usize, SplitPlan)> {
+    let mut cache = PlanCache::new();
     for n in 1..=max_gpus {
-        let plan = optimize_homogeneous(model, ctrl, profile, gpu, n, b0, tm, lm, cfg);
+        let plan =
+            optimize_homogeneous_cached(model, ctrl, profile, gpu, n, b0, tm, lm, cfg, &mut cache);
         if plan.goodput >= target {
             return Some((n, plan));
         }
     }
     None
-}
-
-/// Cheapest heterogeneous allocation achieving `target` goodput at batch
-/// `b0` (fig. 15). Returns `None` when the pool cannot reach the target.
-#[allow(clippy::too_many_arguments)]
-pub fn min_cost_for_goodput(
-    model: &EeModel,
-    ctrl: &RampController,
-    profile: &BatchProfile,
-    counts: &BTreeMap<GpuKind, usize>,
-    b0: f64,
-    target: f64,
-    tm: &TransferModel,
-    lm: &LatencyModel,
-    cfg: &OptimizerConfig,
-) -> Option<SplitPlan> {
-    min_cost_plan(model, ctrl, profile, counts, b0, target, tm, lm, cfg)
 }
 
 #[cfg(test)]
@@ -204,56 +179,42 @@ mod tests {
         assert!(p1.splits.iter().all(|s| s.gpu == GpuKind::V100));
     }
 
-    #[test]
-    fn slo_filters_large_batches() {
+    /// The goodput-best batch among `batches` whose plan passes
+    /// [`plan_feasible`] under an SLO of `slo`, if any does.
+    fn best_feasible_batch(slo: SimDuration, batches: &[f64]) -> Option<f64> {
         let (m, c, lm, tm) = setup();
-        // A tight SLO must select a small batch.
         let cfg = OptimizerConfig {
-            slo: SimDuration::from_millis(30),
+            slo,
             ..Default::default()
         };
         let cluster = ClusterSpec::paper_homogeneous_v100();
+        let mut best: Option<(f64, f64)> = None;
+        for &b0 in batches {
+            let plan = plan_for_cluster(&m, &c, &half_by_six(), &cluster, b0, &tm, &lm, &cfg);
+            if plan_feasible(&plan, &cfg) && best.is_none_or(|(_, g)| plan.goodput > g) {
+                best = Some((b0, plan.goodput));
+            }
+        }
+        best.map(|(b0, _)| b0)
+    }
+
+    #[test]
+    fn slo_filters_large_batches() {
+        // A tight SLO must select a small batch.
         let batches = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
-        let (b_tight, _) =
-            best_plan_over_batches(&m, &c, &half_by_six(), &cluster, &batches, &tm, &lm, &cfg)
-                .expect("feasible");
-        let cfg_loose = OptimizerConfig {
-            slo: SimDuration::from_millis(1000),
-            ..Default::default()
-        };
-        let (b_loose, _) = best_plan_over_batches(
-            &m,
-            &c,
-            &half_by_six(),
-            &cluster,
-            &batches,
-            &tm,
-            &lm,
-            &cfg_loose,
-        )
-        .expect("feasible");
+        let b_tight =
+            best_feasible_batch(SimDuration::from_millis(30), &batches).expect("feasible");
+        let b_loose =
+            best_feasible_batch(SimDuration::from_millis(1000), &batches).expect("feasible");
         assert!(b_loose > b_tight, "loose {b_loose} tight {b_tight}");
     }
 
     #[test]
     fn impossible_slo_returns_none() {
-        let (m, c, lm, tm) = setup();
-        let cfg = OptimizerConfig {
-            slo: SimDuration::from_micros(10),
-            ..Default::default()
-        };
-        let cluster = ClusterSpec::paper_homogeneous_v100();
-        assert!(best_plan_over_batches(
-            &m,
-            &c,
-            &half_by_six(),
-            &cluster,
-            &[1.0, 2.0],
-            &tm,
-            &lm,
-            &cfg
-        )
-        .is_none());
+        assert_eq!(
+            best_feasible_batch(SimDuration::from_micros(10), &[1.0, 2.0]),
+            None
+        );
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!
 //! Within a solve, the DP's inner argmin over the last stage's replica
 //! count is found by binary search instead of a linear scan (see
-//! [`DpTables::extend_to`]): the candidate bottleneck
+//! `DpTables::extend_to`): the candidate bottleneck
 //! `max(prefix(g − m'), H/m')` is the max of a non-decreasing and a
 //! strictly decreasing function of `m'`, so the scan's first argmin
 //! always sits at their crossing. This drops a solve from
@@ -315,7 +315,7 @@ impl PlanCache {
 mod tests {
     use super::*;
     use crate::config::OptimizerConfig;
-    use crate::dp::{optimize_homogeneous, optimize_homogeneous_cached};
+    use crate::dp::optimize_homogeneous_cached;
     use e3_hardware::{ClusterSpec, GpuKind, LatencyModel, TransferModel};
     use e3_model::{zoo, BatchProfile, EeModel, RampController, RampStyle};
 
@@ -372,8 +372,18 @@ mod tests {
                 &cfg,
                 &mut cache,
             );
-            let cold =
-                optimize_homogeneous(&m, &c, profile, GpuKind::V100, gpus, 8.0, &tm, &lm, &cfg);
+            let cold = optimize_homogeneous_cached(
+                &m,
+                &c,
+                profile,
+                GpuKind::V100,
+                gpus,
+                8.0,
+                &tm,
+                &lm,
+                &cfg,
+                &mut PlanCache::new(),
+            );
             assert_eq!(warm, cold, "gpus={gpus}");
         }
         assert_eq!(

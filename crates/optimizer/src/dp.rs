@@ -34,36 +34,10 @@ use crate::stage::{boundary_transfer_surviving, stage_cost, stage_fits};
 /// `worst_case_latency` is reported for SLO filtering by the caller; this
 /// function itself always returns the best plan it can construct.
 ///
-/// This is the cold-solve entry point; repeated planners should hold a
-/// [`PlanCache`] and call [`optimize_homogeneous_cached`], which returns
-/// identical plans while skipping or shrinking the DP on re-plans.
-///
-/// # Panics
-///
-/// Panics if `num_gpus == 0` or `b0 <= 0`.
-#[allow(clippy::too_many_arguments)] // the DP inputs of fig. 6
-pub fn optimize_homogeneous(
-    model: &EeModel,
-    ctrl: &RampController,
-    profile: &BatchProfile,
-    gpu: GpuKind,
-    num_gpus: usize,
-    b0: f64,
-    tm: &TransferModel,
-    lm: &LatencyModel,
-    cfg: &OptimizerConfig,
-) -> SplitPlan {
-    let mut cache = PlanCache::new();
-    optimize_homogeneous_cached(
-        model, ctrl, profile, gpu, num_gpus, b0, tm, lm, cfg, &mut cache,
-    )
-}
-
-/// [`optimize_homogeneous`] with warm starting: DP tables live in
-/// `cache` across calls, keyed by the exact stage-latency inputs, so a
-/// re-plan whose profile/batch/GPU kind are unchanged reuses (or merely
-/// extends) the previous solve. Returns plans bit-identical to the cold
-/// path in every case.
+/// DP tables live in `cache` across calls, keyed by the exact
+/// stage-latency inputs, so a re-plan whose profile/batch/GPU kind are
+/// unchanged reuses (or merely extends) the previous solve; a fresh
+/// [`PlanCache`] gives a cold solve. Plans are bit-identical either way.
 ///
 /// # Panics
 ///
@@ -384,7 +358,7 @@ mod tests {
         let stock = zoo::bert_base();
         let ctrl = RampController::all_enabled(0, RampStyle::Independent);
         let profile = BatchProfile::no_exits(12);
-        let plan = optimize_homogeneous(
+        let plan = optimize_homogeneous_cached(
             &stock,
             &ctrl,
             &profile,
@@ -394,6 +368,7 @@ mod tests {
             &tm,
             &lm,
             &OptimizerConfig::default(),
+            &mut PlanCache::new(),
         );
         assert_eq!(plan.num_splits(), 1, "{plan}");
         assert_eq!(plan.gpus_used(), 16);
@@ -408,7 +383,7 @@ mod tests {
     #[test]
     fn ee_profile_induces_multiple_splits() {
         let (m, c, lm, tm) = setup();
-        let plan = optimize_homogeneous(
+        let plan = optimize_homogeneous_cached(
             &m,
             &c,
             &half_by_six(),
@@ -418,6 +393,7 @@ mod tests {
             &tm,
             &lm,
             &OptimizerConfig::default(),
+            &mut PlanCache::new(),
         );
         assert!(plan.num_splits() >= 2, "{plan}");
         // Early splits should hold at least as many replicas as late ones
@@ -431,7 +407,7 @@ mod tests {
     fn e3_beats_stock_on_ee_profile() {
         let (m, c, lm, tm) = setup();
         let cfg = OptimizerConfig::default();
-        let plan = optimize_homogeneous(
+        let plan = optimize_homogeneous_cached(
             &m,
             &c,
             &half_by_six(),
@@ -441,10 +417,11 @@ mod tests {
             &tm,
             &lm,
             &cfg,
+            &mut PlanCache::new(),
         );
         let stock = zoo::bert_base();
         let ctrl0 = RampController::all_enabled(0, RampStyle::Independent);
-        let stock_plan = optimize_homogeneous(
+        let stock_plan = optimize_homogeneous_cached(
             &stock,
             &ctrl0,
             &BatchProfile::no_exits(12),
@@ -454,6 +431,7 @@ mod tests {
             &tm,
             &lm,
             &cfg,
+            &mut PlanCache::new(),
         );
         assert!(
             plan.goodput > stock_plan.goodput,
@@ -466,7 +444,7 @@ mod tests {
     #[test]
     fn pipelining_beats_serial() {
         let (m, c, lm, tm) = setup();
-        let on = optimize_homogeneous(
+        let on = optimize_homogeneous_cached(
             &m,
             &c,
             &half_by_six(),
@@ -476,8 +454,9 @@ mod tests {
             &tm,
             &lm,
             &OptimizerConfig::default(),
+            &mut PlanCache::new(),
         );
-        let off = optimize_homogeneous(
+        let off = optimize_homogeneous_cached(
             &m,
             &c,
             &half_by_six(),
@@ -490,6 +469,7 @@ mod tests {
                 pipelining: false,
                 ..Default::default()
             },
+            &mut PlanCache::new(),
         );
         assert!(
             on.goodput > off.goodput,
@@ -502,7 +482,7 @@ mod tests {
     #[test]
     fn single_gpu_single_split() {
         let (m, c, lm, tm) = setup();
-        let plan = optimize_homogeneous(
+        let plan = optimize_homogeneous_cached(
             &m,
             &c,
             &half_by_six(),
@@ -512,6 +492,7 @@ mod tests {
             &tm,
             &lm,
             &OptimizerConfig::default(),
+            &mut PlanCache::new(),
         );
         assert_eq!(plan.num_splits(), 1);
         assert_eq!(plan.gpus_used(), 1);
@@ -521,7 +502,7 @@ mod tests {
     fn max_splits_respected() {
         let (m, c, lm, tm) = setup();
         for k in 1..=3 {
-            let plan = optimize_homogeneous(
+            let plan = optimize_homogeneous_cached(
                 &m,
                 &c,
                 &half_by_six(),
@@ -534,6 +515,7 @@ mod tests {
                     max_splits: k,
                     ..Default::default()
                 },
+                &mut PlanCache::new(),
             );
             assert!(plan.num_splits() <= k, "k={k} {plan}");
         }
@@ -545,7 +527,7 @@ mod tests {
         let cfg = OptimizerConfig::default();
         let mut prev = 0.0;
         for g in [2usize, 4, 8, 16] {
-            let plan = optimize_homogeneous(
+            let plan = optimize_homogeneous_cached(
                 &m,
                 &c,
                 &half_by_six(),
@@ -555,6 +537,7 @@ mod tests {
                 &tm,
                 &lm,
                 &cfg,
+                &mut PlanCache::new(),
             );
             assert!(
                 plan.goodput >= prev,
@@ -580,9 +563,19 @@ mod tests {
             enforce_memory: false,
             ..cfg
         };
-        let constrained =
-            optimize_homogeneous(&m, &ctrl, &profile, GpuKind::K80, 4, 1000.0, &tm, &lm, &cfg);
-        let unconstrained = optimize_homogeneous(
+        let constrained = optimize_homogeneous_cached(
+            &m,
+            &ctrl,
+            &profile,
+            GpuKind::K80,
+            4,
+            1000.0,
+            &tm,
+            &lm,
+            &cfg,
+            &mut PlanCache::new(),
+        );
+        let unconstrained = optimize_homogeneous_cached(
             &m,
             &ctrl,
             &profile,
@@ -592,6 +585,7 @@ mod tests {
             &tm,
             &lm,
             &free,
+            &mut PlanCache::new(),
         );
         assert!(
             constrained.memory_feasible(&m),
@@ -622,9 +616,19 @@ mod tests {
             enforce_memory: false,
             ..cfg
         };
-        let fallback =
-            optimize_homogeneous(&m, &ctrl, &profile, GpuKind::K80, 4, 3000.0, &tm, &lm, &cfg);
-        let unconstrained = optimize_homogeneous(
+        let fallback = optimize_homogeneous_cached(
+            &m,
+            &ctrl,
+            &profile,
+            GpuKind::K80,
+            4,
+            3000.0,
+            &tm,
+            &lm,
+            &cfg,
+            &mut PlanCache::new(),
+        );
+        let unconstrained = optimize_homogeneous_cached(
             &m,
             &ctrl,
             &profile,
@@ -634,6 +638,7 @@ mod tests {
             &tm,
             &lm,
             &free,
+            &mut PlanCache::new(),
         );
         assert_eq!(fallback, unconstrained);
     }
@@ -648,8 +653,18 @@ mod tests {
             pipelining: false,
             ..Default::default()
         };
-        let plan =
-            optimize_homogeneous(&m, &ctrl, &profile, GpuKind::K80, 4, 1000.0, &tm, &lm, &cfg);
+        let plan = optimize_homogeneous_cached(
+            &m,
+            &ctrl,
+            &profile,
+            GpuKind::K80,
+            4,
+            1000.0,
+            &tm,
+            &lm,
+            &cfg,
+            &mut PlanCache::new(),
+        );
         assert!(plan.num_splits() >= 2, "{plan}");
         assert!(plan.memory_feasible(&m), "{plan}");
     }
@@ -659,8 +674,19 @@ mod tests {
         let (m, c, lm, tm) = setup();
         let cfg = OptimizerConfig::default();
         let wc = |b: f64| {
-            optimize_homogeneous(&m, &c, &half_by_six(), GpuKind::V100, 16, b, &tm, &lm, &cfg)
-                .worst_case_latency
+            optimize_homogeneous_cached(
+                &m,
+                &c,
+                &half_by_six(),
+                GpuKind::V100,
+                16,
+                b,
+                &tm,
+                &lm,
+                &cfg,
+                &mut PlanCache::new(),
+            )
+            .worst_case_latency
         };
         assert!(wc(16.0) > wc(4.0));
     }
@@ -795,7 +821,7 @@ mod tests {
                         max_splits,
                         ..Default::default()
                     };
-                    let fast = optimize_homogeneous(
+                    let fast = optimize_homogeneous_cached(
                         &m,
                         &c,
                         profile,
@@ -805,6 +831,7 @@ mod tests {
                         &tm,
                         &lm,
                         &cfg,
+                        &mut PlanCache::new(),
                     );
                     let slow = reference_pipelined(
                         &m,
@@ -834,8 +861,18 @@ mod tests {
         let profile = BatchProfile::no_exits(m.num_layers());
         let cfg = OptimizerConfig::default();
         for (gpus, b0) in [(4usize, 1000.0), (6, 1000.0), (4, 3000.0)] {
-            let fast =
-                optimize_homogeneous(&m, &ctrl, &profile, GpuKind::K80, gpus, b0, &tm, &lm, &cfg);
+            let fast = optimize_homogeneous_cached(
+                &m,
+                &ctrl,
+                &profile,
+                GpuKind::K80,
+                gpus,
+                b0,
+                &tm,
+                &lm,
+                &cfg,
+                &mut PlanCache::new(),
+            );
             let slow =
                 reference_pipelined(&m, &ctrl, &profile, GpuKind::K80, gpus, b0, &tm, &lm, &cfg);
             assert_eq!(fast, slow, "gpus={gpus} b0={b0}");

@@ -17,8 +17,8 @@
 //! boundary sets and 14,952 kind assignments, yet only 234 distinct
 //! (layer range, kind) stage costs. Three things keep the walk cheap:
 //!
-//! * **Stage tables** ([`StageTables`]). Each kind's one-replica times
-//!   `t1[a][b]` come from [`fill_t1`] (without the memory check: this
+//! * **Stage tables** (`StageTables`). Each kind's one-replica times
+//!   `t1[a][b]` come from `fill_t1` (without the memory check: this
 //!   search has never enforced memory), and `tx[a]` holds the
 //!   surviving-batch transfer entering a stage that starts at layer `a`.
 //!   A cold solve builds them once; [`crate::ValueOracle`] builds them
@@ -56,8 +56,9 @@ use std::collections::BTreeMap;
 use e3_hardware::{GpuKind, LatencyModel, TransferModel};
 use e3_model::{BatchProfile, EeModel, RampController};
 
+use crate::cache::PlanCache;
 use crate::config::OptimizerConfig;
-use crate::dp::{build_plan_hetero, fill_t1};
+use crate::dp::{build_plan_hetero, fill_t1, optimize_homogeneous_cached};
 use crate::plan::SplitPlan;
 use crate::stage::boundary_transfer_surviving;
 
@@ -205,27 +206,12 @@ fn available(counts: &BTreeMap<GpuKind, usize>) -> Vec<(GpuKind, usize)> {
 
 /// Maximizes goodput on a heterogeneous pool: `counts` gives the number
 /// of available GPUs per kind. Returns the bottleneck-optimal plan (ties
-/// broken by lower cost).
+/// broken by lower cost), and how many kind assignments the search space
+/// held and how many of them the lower bound pruned.
 ///
 /// With `cfg.pipelining == false`, heterogeneous placement offers no
 /// advantage (all splits run serially on the same devices), so the best
 /// single-kind serial plan is returned instead.
-#[allow(clippy::too_many_arguments)]
-pub fn optimize_heterogeneous(
-    model: &EeModel,
-    ctrl: &RampController,
-    profile: &BatchProfile,
-    counts: &BTreeMap<GpuKind, usize>,
-    b0: f64,
-    tm: &TransferModel,
-    lm: &LatencyModel,
-    cfg: &OptimizerConfig,
-) -> SplitPlan {
-    optimize_heterogeneous_with_stats(model, ctrl, profile, counts, b0, tm, lm, cfg).0
-}
-
-/// [`optimize_heterogeneous`], also reporting how many kind assignments
-/// the search space held and how many of them the lower bound pruned.
 #[allow(clippy::too_many_arguments)]
 pub fn optimize_heterogeneous_with_stats(
     model: &EeModel,
@@ -272,10 +258,11 @@ pub(crate) fn optimize_tabled(
     if !cfg.pipelining {
         // Serial mode cannot exploit heterogeneity; take the best
         // homogeneous serial plan over the available kinds.
+        let mut cache = PlanCache::new();
         let plan = kinds
             .iter()
             .map(|&(k, n)| {
-                crate::dp::optimize_homogeneous(model, ctrl, profile, k, n, b0, tm, lm, cfg)
+                optimize_homogeneous_cached(model, ctrl, profile, k, n, b0, tm, lm, cfg, &mut cache)
             })
             .max_by(|a, b| a.goodput.partial_cmp(&b.goodput).expect("finite"))
             .expect("nonempty kinds");
@@ -480,10 +467,10 @@ fn bottleneck_search(
 }
 
 /// Minimizes dollar cost subject to a goodput target on a heterogeneous
-/// pool. Returns `None` when the target is unreachable even using every
-/// GPU.
+/// pool (fig. 15). Returns `None` when the target is unreachable even
+/// using every GPU.
 #[allow(clippy::too_many_arguments)]
-pub fn min_cost_plan(
+pub fn min_cost_for_goodput(
     model: &EeModel,
     ctrl: &RampController,
     profile: &BatchProfile,
@@ -647,7 +634,7 @@ mod tests {
     #[test]
     fn hetero_plan_is_valid_and_productive() {
         let (m, c, lm, tm) = setup();
-        let plan = optimize_heterogeneous(
+        let plan = optimize_heterogeneous_with_stats(
             &m,
             &c,
             &half_by_six(),
@@ -656,7 +643,8 @@ mod tests {
             &tm,
             &lm,
             &OptimizerConfig::default(),
-        );
+        )
+        .0;
         plan.assert_valid(12);
         assert!(plan.goodput > 0.0);
         assert!(plan.gpus_used() >= 6, "{plan}");
@@ -667,7 +655,7 @@ mod tests {
         let (m, c, lm, tm) = setup();
         let cfg = OptimizerConfig::default();
         let profile = half_by_six();
-        let hetero = optimize_heterogeneous(
+        let hetero = optimize_heterogeneous_with_stats(
             &m,
             &c,
             &profile,
@@ -676,8 +664,9 @@ mod tests {
             &tm,
             &lm,
             &cfg,
-        );
-        let v100_only = crate::dp::optimize_homogeneous(
+        )
+        .0;
+        let v100_only = optimize_homogeneous_cached(
             &m,
             &c,
             &profile,
@@ -687,6 +676,7 @@ mod tests {
             &tm,
             &lm,
             &cfg,
+            &mut PlanCache::new(),
         );
         assert!(
             hetero.goodput >= v100_only.goodput - 1e-6,
@@ -702,8 +692,10 @@ mod tests {
         let cfg = OptimizerConfig::default();
         let mut counts = BTreeMap::new();
         counts.insert(GpuKind::V100, 16);
-        let hetero = optimize_heterogeneous(&m, &c, &half_by_six(), &counts, 8.0, &tm, &lm, &cfg);
-        let homo = crate::dp::optimize_homogeneous(
+        let hetero =
+            optimize_heterogeneous_with_stats(&m, &c, &half_by_six(), &counts, 8.0, &tm, &lm, &cfg)
+                .0;
+        let homo = optimize_homogeneous_cached(
             &m,
             &c,
             &half_by_six(),
@@ -713,6 +705,7 @@ mod tests {
             &tm,
             &lm,
             &cfg,
+            &mut PlanCache::new(),
         );
         assert!(
             (hetero.goodput - homo.goodput).abs() / homo.goodput < 0.05,
@@ -727,10 +720,13 @@ mod tests {
         let (m, c, lm, tm) = setup();
         let cfg = OptimizerConfig::default();
         let counts = paper_hetero_counts();
-        let full = optimize_heterogeneous(&m, &c, &half_by_six(), &counts, 8.0, &tm, &lm, &cfg);
+        let full =
+            optimize_heterogeneous_with_stats(&m, &c, &half_by_six(), &counts, 8.0, &tm, &lm, &cfg)
+                .0;
         let target = full.goodput * 0.5;
-        let cheap = min_cost_plan(&m, &c, &half_by_six(), &counts, 8.0, target, &tm, &lm, &cfg)
-            .expect("target reachable");
+        let cheap =
+            min_cost_for_goodput(&m, &c, &half_by_six(), &counts, 8.0, target, &tm, &lm, &cfg)
+                .expect("target reachable");
         assert!(cheap.goodput >= target * 0.99, "{}", cheap.goodput);
         assert!(
             cheap.cost_per_sec() < full.cost_per_sec(),
@@ -746,7 +742,8 @@ mod tests {
         let cfg = OptimizerConfig::default();
         let mut counts = BTreeMap::new();
         counts.insert(GpuKind::K80, 1);
-        let plan = min_cost_plan(&m, &c, &half_by_six(), &counts, 8.0, 1.0e9, &tm, &lm, &cfg);
+        let plan =
+            min_cost_for_goodput(&m, &c, &half_by_six(), &counts, 8.0, 1.0e9, &tm, &lm, &cfg);
         assert!(plan.is_none());
     }
 
@@ -757,7 +754,7 @@ mod tests {
             pipelining: false,
             ..Default::default()
         };
-        let plan = optimize_heterogeneous(
+        let plan = optimize_heterogeneous_with_stats(
             &m,
             &c,
             &half_by_six(),
@@ -766,7 +763,8 @@ mod tests {
             &tm,
             &lm,
             &cfg,
-        );
+        )
+        .0;
         let kinds: std::collections::BTreeSet<_> = plan.splits.iter().map(|s| s.gpu).collect();
         assert_eq!(kinds.len(), 1);
         assert!(!plan.pipelined);
@@ -833,7 +831,18 @@ mod tests {
             return kinds
                 .iter()
                 .map(|&(k, n)| {
-                    crate::dp::optimize_homogeneous(model, ctrl, profile, k, n, b0, tm, lm, cfg)
+                    optimize_homogeneous_cached(
+                        model,
+                        ctrl,
+                        profile,
+                        k,
+                        n,
+                        b0,
+                        tm,
+                        lm,
+                        cfg,
+                        &mut PlanCache::new(),
+                    )
                 })
                 .max_by(|a, b| a.goodput.partial_cmp(&b.goodput).expect("finite"))
                 .expect("nonempty kinds");
@@ -931,7 +940,7 @@ mod tests {
         build_plan_hetero(model, ctrl, profile, b0, tm, lm, cfg, &stages, true)
     }
 
-    /// The plain enumeration behind [`min_cost_plan`], kept verbatim.
+    /// The plain enumeration behind [`min_cost_for_goodput`], kept verbatim.
     #[allow(clippy::too_many_arguments)]
     fn reference_min_cost_plan(
         model: &EeModel,
@@ -1104,7 +1113,9 @@ mod tests {
                 ..Default::default()
             };
 
-            let fast = optimize_heterogeneous(&model, &ctrl, &profile, &counts, b0, &tm, &lm, &cfg);
+            let (fast, _) = optimize_heterogeneous_with_stats(
+                &model, &ctrl, &profile, &counts, b0, &tm, &lm, &cfg,
+            );
             let slow = reference_optimize_heterogeneous(
                 &model, &ctrl, &profile, &counts, b0, &tm, &lm, &cfg,
             );
@@ -1112,8 +1123,10 @@ mod tests {
 
             let target = slow.goodput * target_frac;
             prop_assert_eq!(
-                min_cost_plan(&model, &ctrl, &profile, &counts, b0, target, &tm, &lm, &cfg),
-                reference_min_cost_plan(&model, &ctrl, &profile, &counts, b0, target, &tm, &lm, &cfg)
+                min_cost_for_goodput(&model, &ctrl, &profile, &counts, b0, target, &tm, &lm, &cfg),
+                reference_min_cost_plan(
+                    &model, &ctrl, &profile, &counts, b0, target, &tm, &lm, &cfg
+                )
             );
         }
     }

@@ -34,6 +34,23 @@
 //! 4-dimensional GPU-count state space (see `DESIGN.md`). The search
 //! reads per-kind stage tables and skips assignments an exact lower
 //! bound rules out (see [`hetero`]).
+//!
+//! One public function answers each planning question:
+//!
+//! * the best plan for a cluster: [`plan_for_cluster`], or
+//!   [`plan_for_cluster_cached`] to warm-start across re-plans;
+//! * the fewest GPUs, or the cheapest pool, reaching a goodput target
+//!   (§5.3): [`min_gpus_for_goodput`] and [`min_cost_for_goodput`];
+//! * whether a plan meets its SLO, cost and goodput bounds:
+//!   [`plan_feasible`];
+//! * the design-choice ablations: [`run_ablations`].
+//!
+//! [`optimize_homogeneous_cached`] and
+//! [`optimize_heterogeneous_with_stats`] expose the two solvers directly,
+//! for timing them and for the search's pruning counts. The choice
+//! between them lives in one place, in [`auto`]: a single GPU kind runs
+//! the DP, several run the heterogeneous search. The cluster planner and
+//! [`ValueOracle`] both plan through it.
 
 pub mod ablation;
 pub mod auto;
@@ -48,16 +65,12 @@ pub mod plan;
 pub mod stage;
 
 pub use ablation::{run_ablations, AblationResult};
-pub use auto::{
-    best_plan_over_batches, min_cost_for_goodput, min_gpus_for_goodput, plan_feasible,
-    plan_for_cluster, plan_for_cluster_cached,
-};
-pub use autoreg_split::{plan_autoreg_split, AutoRegSplitPlan};
+pub use auto::{min_gpus_for_goodput, plan_feasible, plan_for_cluster, plan_for_cluster_cached};
 pub use cache::{CacheStats, PlanCache};
 pub use config::OptimizerConfig;
-pub use dp::{optimize_homogeneous, optimize_homogeneous_cached};
+pub use dp::optimize_homogeneous_cached;
 pub use edge::{EdgeSplitPlanner, EdgeSplitTables, LinkEstimate, SplitCandidate};
-pub use hetero::{optimize_heterogeneous, optimize_heterogeneous_with_stats, SearchStats};
+pub use hetero::{min_cost_for_goodput, optimize_heterogeneous_with_stats, SearchStats};
 pub use marginal::{SubsetValue, ValueOracle};
 pub use plan::{Split, SplitPlan};
 pub use stage::StageCost;

@@ -6,10 +6,10 @@
 //! the same subsets, many times per allocation round. [`ValueOracle`]
 //! wraps the split optimizer as a value function over per-kind GPU
 //! counts and memoizes every subset it has ever solved, so the greedy
-//! outer loop pays for each distinct subset exactly once. Single-kind
-//! subsets additionally skip the heterogeneous boundary/kind enumeration
-//! and go straight to the homogeneous DP; mixed subsets share one set of
-//! per-kind stage tables, built once per oracle.
+//! outer loop pays for each distinct subset exactly once. Each solve
+//! goes through the crate's one solver dispatch: single-kind subsets run
+//! the homogeneous DP through the oracle's plan cache, and mixed subsets
+//! share one set of per-kind stage tables, built once per oracle.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -17,12 +17,10 @@ use std::collections::HashMap;
 use e3_hardware::{GpuKind, LatencyModel, TransferModel};
 use e3_model::{BatchProfile, EeModel, RampController};
 
-use crate::auto::plan_feasible;
+use crate::auto::{plan_feasible, solve};
 use crate::cache::PlanCache;
 use crate::config::OptimizerConfig;
-use crate::dp::optimize_homogeneous_cached;
-use crate::hetero::{optimize_tabled, StageTables};
-use crate::plan::SplitPlan;
+use crate::hetero::StageTables;
 
 /// The optimizer's verdict on one GPU-count subset.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,8 +54,9 @@ pub struct ValueOracle<'a> {
     /// of re-solving.
     plans: PlanCache,
     /// Stage costs for the heterogeneous search behind mixed subsets:
-    /// they depend on the planning context, not on the subset.
-    tables: StageTables,
+    /// they depend on the planning context, not on the subset, so the
+    /// first mixed subset builds them for the oracle's lifetime.
+    tables: Option<StageTables>,
 }
 
 impl<'a> ValueOracle<'a> {
@@ -82,7 +81,7 @@ impl<'a> ValueOracle<'a> {
             cfg,
             cache: HashMap::new(),
             plans: PlanCache::new(),
-            tables: StageTables::new(model, profile, b0, tm),
+            tables: None,
         }
     }
 
@@ -104,7 +103,18 @@ impl<'a> ValueOracle<'a> {
         if let Some(v) = self.cache.get(&key) {
             return *v;
         }
-        let plan = self.solve(&key);
+        let plan = solve(
+            self.model,
+            self.ctrl,
+            self.profile,
+            &key,
+            self.b0,
+            self.tm,
+            self.lm,
+            self.cfg,
+            &mut self.plans,
+            &mut self.tables,
+        );
         let v = SubsetValue {
             goodput: plan.goodput,
             feasible: plan_feasible(&plan, self.cfg),
@@ -129,41 +139,14 @@ impl<'a> ValueOracle<'a> {
     pub fn subsets_solved(&self) -> usize {
         self.cache.len()
     }
-
-    fn solve(&mut self, key: &[(GpuKind, usize)]) -> SplitPlan {
-        if let [(kind, n)] = key {
-            return optimize_homogeneous_cached(
-                self.model,
-                self.ctrl,
-                self.profile,
-                *kind,
-                *n,
-                self.b0,
-                self.tm,
-                self.lm,
-                self.cfg,
-                &mut self.plans,
-            );
-        }
-        optimize_tabled(
-            self.model,
-            self.ctrl,
-            self.profile,
-            key,
-            self.b0,
-            self.tm,
-            self.lm,
-            self.cfg,
-            &mut self.tables,
-        )
-        .0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dp::optimize_homogeneous;
+    use crate::auto::plan_for_cluster;
+    use crate::dp::optimize_homogeneous_cached;
+    use e3_hardware::ClusterSpec;
     use e3_model::{zoo, RampStyle};
 
     fn profile() -> BatchProfile {
@@ -187,7 +170,18 @@ mod tests {
         let mut oracle = ValueOracle::new(&m, &ctrl, &p, 8.0, &tm, &lm, &cfg);
 
         let counts = BTreeMap::from([(GpuKind::V100, 6)]);
-        let direct = optimize_homogeneous(&m, &ctrl, &p, GpuKind::V100, 6, 8.0, &tm, &lm, &cfg);
+        let direct = optimize_homogeneous_cached(
+            &m,
+            &ctrl,
+            &p,
+            GpuKind::V100,
+            6,
+            8.0,
+            &tm,
+            &lm,
+            &cfg,
+            &mut PlanCache::new(),
+        );
         let v = oracle.value(&counts);
         assert_eq!(v.goodput, direct.goodput);
         assert_eq!(v.cost_per_sec, direct.cost_per_sec());
@@ -198,6 +192,15 @@ mod tests {
         let gain = oracle.marginal_gain(&counts, GpuKind::V100);
         assert_eq!(oracle.subsets_solved(), 2);
         assert!(gain > 0.0, "an extra V100 must help: {gain}");
+
+        // A mixed-kind subset takes the heterogeneous side of the same
+        // dispatch as the cluster planner, so both report the same plan.
+        let cluster = ClusterSpec::paper_heterogeneous();
+        let direct = plan_for_cluster(&m, &ctrl, &p, &cluster, 8.0, &tm, &lm, &cfg);
+        let v = oracle.value(&cluster.gpu_counts());
+        assert_eq!(v.goodput.to_bits(), direct.goodput.to_bits());
+        assert_eq!(v.cost_per_sec.to_bits(), direct.cost_per_sec().to_bits());
+        assert_eq!(oracle.subsets_solved(), 3);
     }
 
     #[test]

@@ -355,7 +355,7 @@ mod tests {
     use crate::strategy::Strategy;
     use e3_hardware::{ClusterSpec, GpuKind};
     use e3_model::{zoo, RampStyle};
-    use e3_optimizer::{optimize_homogeneous, OptimizerConfig};
+    use e3_optimizer::{optimize_homogeneous_cached, OptimizerConfig, PlanCache};
     use e3_simcore::SeedSplitter;
     use e3_workload::{ArrivalProcess, DatasetModel, WorkloadGenerator};
 
@@ -446,7 +446,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let hs = DatasetModel::sst2().sample_hardnesses(4000, &mut rng);
         let profile = infer.exit_profile(&dee, &policy, &ctrl, &hs, &mut rng);
-        let plan = optimize_homogeneous(
+        let plan = optimize_homogeneous_cached(
             &dee,
             &ctrl,
             &profile,
@@ -456,6 +456,7 @@ mod tests {
             &TransferModel::default(),
             &LatencyModel::new(),
             &OptimizerConfig::default(),
+            &mut PlanCache::new(),
         );
         let run = |m: &EeModel, s: Strategy| {
             run_strategy(m, &s, &cluster, ServingConfig::default(), 40_000, 3).goodput()
@@ -604,7 +605,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let hs = DatasetModel::sst2().sample_hardnesses(4000, &mut rng);
         let profile = infer.exit_profile(&dee, &policy, &ctrl, &hs, &mut rng);
-        let plan = optimize_homogeneous(
+        let plan = optimize_homogeneous_cached(
             &dee,
             &ctrl,
             &profile,
@@ -614,6 +615,7 @@ mod tests {
             &TransferModel::default(),
             &LatencyModel::new(),
             &OptimizerConfig::default(),
+            &mut PlanCache::new(),
         );
         assert!(plan.num_splits() >= 2, "{plan}");
         let strategy = Strategy::Plan(plan);
@@ -911,7 +913,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let hs = DatasetModel::sst2().sample_hardnesses(4000, &mut rng);
         let profile = infer.exit_profile(&dee, &policy, &ctrl, &hs, &mut rng);
-        let plan = optimize_homogeneous(
+        let plan = optimize_homogeneous_cached(
             &dee,
             &ctrl,
             &profile,
@@ -921,6 +923,7 @@ mod tests {
             &TransferModel::default(),
             &LatencyModel::new(),
             &OptimizerConfig::default(),
+            &mut PlanCache::new(),
         );
         assert!(plan.num_splits() >= 2, "{plan}");
         let strategy = Strategy::Plan(plan);
@@ -1140,7 +1143,7 @@ mod tests {
                 1.0, 0.97, 0.83, 0.65, 0.49, 0.36, 0.27, 0.22, 0.21, 0.19, 0.16, 0.11, 0.11,
             ]);
             let (tm, lm) = (TransferModel::default(), LatencyModel::new());
-            let plan = optimize_homogeneous(
+            let plan = optimize_homogeneous_cached(
                 &model,
                 &ctrl,
                 &profile,
@@ -1149,8 +1152,7 @@ mod tests {
                 8.0,
                 &tm,
                 &lm,
-                &OptimizerConfig::default(),
-            );
+                &OptimizerConfig::default(), &mut PlanCache::new());
             let cluster = ClusterSpec::homogeneous(GpuKind::V100, 6, 4);
             let stages = Strategy::Plan(plan).realize(&model, &cluster);
             let num_replicas: usize = stages.iter().map(|s| s.replicas.len()).sum();

@@ -12,13 +12,13 @@
 //! the replica's sequences, a lifted stall kicks the stage, and a
 //! restored link releases held boundary crossers.
 //!
-//! The driver also owns the runtime half of the KV-cache model
-//! ([`e3_hardware::KvCacheSpec`] supplies the capacity math): every
-//! generated token pins one more cache token on its sequence's replica,
-//! admission is refused when a joiner's cache cannot fit, and overflow
-//! preempts the youngest resident sequence — releasing its cache and
-//! re-queuing it with a rebuild debt that is repaid by recomputation or a
-//! PCIe swap-in when it rejoins. Both transitions are narrated through
+//! [`run_continuous`] also owns the KV-cache model, against the per-replica
+//! token budget its [`KvPlan`] is given: every generated token pins one
+//! more cache token on its sequence's replica, admission is refused when
+//! a joiner's cache cannot fit, and overflow preempts the youngest
+//! resident sequence — releasing its cache and re-queuing it with a
+//! rebuild debt that is repaid by recomputation or a PCIe swap-in when
+//! it rejoins. Both transitions are narrated through
 //! [`KernelEvent::KvAdmitted`] / [`KernelEvent::KvPreempted`].
 //!
 //! Two join disciplines are supported so the window-batching baselines of
@@ -106,8 +106,8 @@ pub enum PreemptMode {
     Swap,
 }
 
-/// Per-replica KV-cache budget, as planned from device memory
-/// (see [`e3_hardware::MemoryFootprint::kv_capacity_tokens`]).
+/// Per-replica KV-cache budget. The capacity is the caller's constant:
+/// each experiment that bounds the cache picks its own token budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KvPlan {
     /// Cache tokens one replica may keep resident.

@@ -2,7 +2,7 @@
 //!
 //! Everything the runtime serves — the Vanilla/NaiveEe/Plan strategies of
 //! [`crate::engine::ServingSim`], open and closed loop — runs through the
-//! single [`Kernel`] event loop here, driven by
+//! single `Kernel` event loop here, driven by
 //! [`e3_simcore::EventQueue`]. The loop owns only *mechanism*: queues,
 //! replicas, timers, transfers, backpressure. Every *decision* is
 //! delegated through a policy seam:

@@ -42,7 +42,7 @@ pub struct TenantSpec {
     /// Explicit cap on how deep the operator's brownout ladder may
     /// degrade this tenant (the tenant's service floor). `None` (the
     /// default) derives the cap from priority weight — see
-    /// [`e3_tenancy::MultiTenantSystem::brownout_cap`]. Ignored unless
+    /// [`crate::MultiTenantSystem::brownout_cap`]. Ignored unless
     /// the run's `TenancyConfig::brownout` is set.
     pub brownout_cap: Option<u8>,
 }

@@ -8,6 +8,10 @@ cargo build --release --locked
 cargo test -q
 cargo clippy --all-targets -- -D warnings
 
+# Rustdoc: broken or private intra-doc links fail the gate, so a
+# deleted item cannot leave a dangling link behind (a few seconds).
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --locked
+
 # The examples: `cargo test` only builds them, so run each release
 # binary too. An example that panics or exits non-zero fails the gate
 # (all five take about a second together).

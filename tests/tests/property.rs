@@ -7,7 +7,9 @@ use proptest::prelude::*;
 use e3_hardware::{GpuKind, LatencyModel, TransferModel};
 use e3_model::{zoo, BatchProfile, EeModel, LayerSpec, RampController, RampSpec, Task};
 use e3_model::{ExitPolicy, ExitSampler, InferenceSim};
-use e3_optimizer::{optimize_heterogeneous, optimize_homogeneous, OptimizerConfig};
+use e3_optimizer::{
+    optimize_heterogeneous_with_stats, optimize_homogeneous_cached, OptimizerConfig, PlanCache,
+};
 use e3_profiler::{ArimaModel, BatchProfileEstimator, EstimatorConfig};
 use e3_runtime::autoreg::materialize_sequences;
 use e3_runtime::kernel::EventLog;
@@ -201,10 +203,10 @@ proptest! {
     ) {
         let model = zoo::deebert();
         let ctrl = RampController::all_enabled(model.num_ramps(), e3_model::RampStyle::Independent);
-        let plan = optimize_homogeneous(
+        let plan = optimize_homogeneous_cached(
             &model, &ctrl, &profile, GpuKind::V100, gpus, f64::from(b0),
             &TransferModel::default(), &LatencyModel::new(), &OptimizerConfig::default(),
-        );
+            &mut PlanCache::new());
         plan.assert_valid(12);
         prop_assert!(plan.gpus_used() <= gpus);
         prop_assert!(plan.goodput >= 0.0);
@@ -224,7 +226,7 @@ proptest! {
         counts.insert(GpuKind::V100, v100);
         counts.insert(GpuKind::P100, p100);
         counts.insert(GpuKind::K80, k80);
-        let plan = optimize_heterogeneous(
+        let (plan, _) = optimize_heterogeneous_with_stats(
             &model, &ctrl, &profile, &counts, 8.0,
             &TransferModel::default(), &LatencyModel::new(),
             &OptimizerConfig { max_splits: 3, ..Default::default() },
