@@ -22,7 +22,7 @@ use e3_runtime::kernel::{EventLog, NullObserver};
 use e3_runtime::{
     run_continuous, ContinuousConfig, FaultPlan, JoinPolicy, KernelEvent, KvPlan, PreemptMode,
 };
-use e3_scenarios::{run_edge_cell, DeadlineTightness, EdgeCell, LinkQuality, ScenarioMatrix};
+use e3_scenarios::ScenarioMatrix;
 use e3_simcore::{SeedSplitter, SimDuration, SimTime};
 use e3_tenancy::{
     ClusterAllocator, DemandProportional, MarginalGoodput, MultiTenantSystem, StaticEven,
@@ -796,9 +796,20 @@ pub fn fig25_report() -> String {
     t.row_fmt("improvement %", &gain, 1);
     t.row_fmt("paper improvement %", &[6.99, 10.87, 13.99, 16.0], 2);
     out.push_str(&t.render());
-    out.push_str(&takeaway_line(
-        "disabling not-useful ramps saves checking overhead; gains grow with batch size",
-    ));
+    let lo = gain.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = gain.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let peak = batches[gain
+        .iter()
+        .position(|&g| g == hi)
+        .expect("gain row non-empty")];
+    let negatives = if lo < 0.0 {
+        "some negative"
+    } else {
+        "none negative"
+    };
+    out.push_str(&takeaway_line(&format!(
+        "disabling not-useful ramps saves checking overhead: gains {lo:.1}% to {hi:.1}% ({negatives}), peaking at b={peak}"
+    )));
     out
 }
 
@@ -2031,12 +2042,12 @@ pub fn fig_brownout_report() -> String {
 /// Scenario-matrix smoke: the pruned cell subset of the composed stress
 /// space ({arrival} × {drift} × {faults} × {skew} × {guarded} × {exit
 /// policy} × {brownout}), every cell's kernel streams validated online
-/// by the invariant checker, then the edge smoke cell.
+/// by the invariant checker.
 pub fn fig_matrix_report() -> String {
     matrix_report(&ScenarioMatrix::smoke_cells(), "smoke")
 }
 
-/// The full 320-cell cross product, then the edge smoke cell.
+/// The full 320-cell cross product.
 pub fn fig_matrix_full_report() -> String {
     matrix_report(&ScenarioMatrix::full_cells(), "full")
 }
@@ -2160,146 +2171,6 @@ pub fn fig_scale_wall_clock() -> String {
     out
 }
 
-/// One measured point of the edge split-policy sweep.
-#[derive(Debug, Clone)]
-pub struct EdgePoint {
-    /// Split policy the fleet ran under.
-    pub policy: &'static str,
-    /// The {link quality} × {deadline tightness} cell.
-    pub cell: e3_scenarios::EdgeCell,
-    /// Fleet-wide deadline attainment.
-    pub attainment: f64,
-    /// Fraction of requests completing on-device.
-    pub local_fraction: f64,
-    /// Edge events the conservation checker validated.
-    pub events_checked: u64,
-    /// Offload-conservation violations (must be 0).
-    pub violations: usize,
-}
-
-/// The edge sweep behind `fig_edge`: {StaticSplit@6, ExitFirst(50%),
-/// DeadlineAware} × the 6 edge scenario cells, every run's event stream
-/// validated by the offload-conservation checker. Points are
-/// deterministic from (policy, cell) alone.
-pub fn edge_sweep() -> Vec<EdgePoint> {
-    use e3_edge::{DeadlineAware, ExitFirst, StaticSplit};
-    use e3_scenarios::edge::edge_fleet_for;
-    use e3_scenarios::{check_offload_conservation, edge_cells};
-
-    let mut combos = Vec::new();
-    for policy in 0..3usize {
-        for cell in edge_cells() {
-            combos.push((policy, cell));
-        }
-    }
-    par_map(combos, |_, (policy, cell)| {
-        let fleet = edge_fleet_for(cell, SEED);
-        let (name, report) = match policy {
-            0 => (
-                "StaticSplit@6",
-                fleet.run(&mut |_, _| Box::new(StaticSplit { boundary: 6 })),
-            ),
-            1 => (
-                "ExitFirst(50%)",
-                fleet.run(&mut |_, tables| Box::new(ExitFirst::new(tables, 0.5))),
-            ),
-            _ => (
-                "DeadlineAware",
-                fleet.run(&mut |_, tables| Box::new(DeadlineAware::new(tables))),
-            ),
-        };
-        EdgePoint {
-            policy: name,
-            cell,
-            attainment: report.attainment(),
-            local_fraction: report.local_fraction(),
-            events_checked: report.events.len() as u64,
-            violations: check_offload_conservation(&report.events).len(),
-        }
-    })
-}
-
-/// Edge–cloud split serving: deadline attainment across split policies
-/// as WAN quality and deadline tightness vary. An Orin-class tier plus a
-/// memory-starved Coral-class tier serve DeeBERT prefixes on-device and
-/// offload the hard remainder to a 4×V100 cluster; `DeadlineAware`
-/// re-prices the cut per request from link EWMA and deadline slack,
-/// retreating on-device when the WAN degrades.
-pub fn fig_edge_report() -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Edge-cloud split serving: DeeBERT prefixes on OrinNX+CoralNPU fleets, suffix on 4 x V100\n"
-    );
-    let points = edge_sweep();
-    let cells = e3_scenarios::edge_cells();
-    let cols: Vec<String> = cells.iter().map(|c| c.label()).collect();
-    let policies = ["StaticSplit@6", "ExitFirst(50%)", "DeadlineAware"];
-
-    let row_of = |metric: &dyn Fn(&EdgePoint) -> f64, policy: &str| -> Vec<f64> {
-        cells
-            .iter()
-            .map(|cell| {
-                let p = points
-                    .iter()
-                    .find(|p| p.policy == policy && p.cell == *cell)
-                    .expect("every (policy, cell) point ran");
-                metric(p)
-            })
-            .collect()
-    };
-    let mut t = Table::new(
-        "deadline attainment (%) by split policy, {link quality} x {deadline}",
-        &cols,
-    );
-    for policy in policies {
-        t.row_fmt(policy, &row_of(&|p| p.attainment * 100.0, policy), 1);
-    }
-    out.push_str(&t.render());
-
-    let mut l = Table::new("fraction served fully on-device (%)", &cols);
-    for policy in policies {
-        l.row_fmt(policy, &row_of(&|p| p.local_fraction * 100.0, policy), 1);
-    }
-    out.push_str(&l.render());
-
-    // Acceptance: under every degraded-WAN cell, the deadline-driven
-    // policy strictly beats the profile-once static cut.
-    let degraded: Vec<&e3_scenarios::EdgeCell> = cells
-        .iter()
-        .filter(|c| c.link != e3_scenarios::LinkQuality::Fiber)
-        .collect();
-    let mean = |policy: &str| -> f64 {
-        degraded
-            .iter()
-            .map(|cell| {
-                points
-                    .iter()
-                    .find(|p| p.policy == policy && p.cell == **cell)
-                    .expect("point")
-                    .attainment
-            })
-            .sum::<f64>()
-            / degraded.len() as f64
-    };
-    let aware = mean("DeadlineAware");
-    let static_ = mean("StaticSplit@6");
-    let events: u64 = points.iter().map(|p| p.events_checked).sum();
-    let violations: usize = points.iter().map(|p| p.violations).sum();
-    let conservation = if violations == 0 {
-        format!("{events} edge events conserve offloads (zero violations)")
-    } else {
-        format!("{violations} offload-conservation VIOLATIONS in {events} events")
-    };
-    out.push_str(&takeaway_line(&format!(
-        "re-pricing the cut per request pays off where it must: mean attainment over degraded-WAN cells {:.1}% (DeadlineAware) vs {:.1}% (StaticSplit@6), a {:+.1} pp swing; {conservation}",
-        aware * 100.0,
-        static_ * 100.0,
-        (aware - static_) * 100.0,
-    )));
-    out
-}
-
 fn matrix_report(cells: &[e3_scenarios::ScenarioCell], which: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -2326,23 +2197,5 @@ fn matrix_report(cells: &[e3_scenarios::ScenarioCell], which: &str) -> String {
             outcome.cells.len()
         )));
     }
-
-    // The nastiest pairing of the edge axes rides along, checked for
-    // offload conservation.
-    let cell = EdgeCell {
-        link: LinkQuality::FlakyCellular,
-        deadline: DeadlineTightness::Tight,
-    };
-    let edge = run_edge_cell(cell, SEED);
-    let _ = writeln!(
-        out,
-        "edge smoke cell {}: {} requests, {} edge events, {} violations, attainment {:.1}% -- {}",
-        cell.label(),
-        edge.requests,
-        edge.events_checked,
-        edge.violations.len(),
-        edge.attainment * 100.0,
-        if edge.pass() { "pass" } else { "FAIL" },
-    );
     out
 }

@@ -96,7 +96,6 @@ pub const FIGURES: &[Figure] = &[
     Figure::new("fig_multitenant", figs::fig_multitenant_report),
     Figure::new("fig_matrix", figs::fig_matrix_report),
     Figure::new("fig_matrix_full", figs::fig_matrix_full_report),
-    Figure::new("fig_edge", figs::fig_edge_report),
     Figure::new("fig_scale", figs::fig_scale_report).with_wall_clock(figs::fig_scale_wall_clock),
 ];
 

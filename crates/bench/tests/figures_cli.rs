@@ -17,7 +17,7 @@ fn golden(name: &str) -> String {
 
 #[test]
 fn unknown_name_exits_before_running_anything() {
-    let out = figures(&["fig_edge", "no_such_figure"]);
+    let out = figures(&["fig03_batch_shrinkage", "no_such_figure"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(
         out.stdout.is_empty(),
@@ -29,9 +29,12 @@ fn unknown_name_exits_before_running_anything() {
 
 #[test]
 fn one_name_prints_exactly_its_report() {
-    let out = figures(&["fig_edge"]);
+    let out = figures(&["fig03_batch_shrinkage"]);
     assert!(out.status.success());
-    assert_eq!(String::from_utf8_lossy(&out.stdout), golden("fig_edge"));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        golden("fig03_batch_shrinkage")
+    );
 }
 
 #[test]
@@ -49,15 +52,17 @@ fn wall_clock_section_follows_the_report() {
 fn several_names_print_banners_timings_and_a_count() {
     let json = std::env::temp_dir().join(format!("figures_cli_{}.json", std::process::id()));
     let out = Command::new(env!("CARGO_BIN_EXE_figures"))
-        .args(["fig_matrix", "fig_edge"])
+        .args(["fig_matrix", "fig03_batch_shrinkage"])
         .env("BENCH_FIGURES_JSON", &json)
         .output()
         .expect("run figures");
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     let matrix = stdout.find(" fig_matrix ").expect("fig_matrix banner");
-    let edge = stdout.find(" fig_edge ").expect("fig_edge banner");
-    assert!(matrix < edge, "figures ran out of order");
+    let batch = stdout
+        .find(" fig03_batch_shrinkage ")
+        .expect("fig03_batch_shrinkage banner");
+    assert!(matrix < batch, "figures ran out of order");
     assert!(
         stdout.ends_with("all 2 experiments completed\n"),
         "{stdout}"
@@ -65,6 +70,9 @@ fn several_names_print_banners_timings_and_a_count() {
     let timings = std::fs::read_to_string(&json).expect("timings written");
     let _ = std::fs::remove_file(&json);
     assert!(timings.contains("\"name\": \"fig_matrix\""), "{timings}");
-    assert!(timings.contains("\"name\": \"fig_edge\""), "{timings}");
+    assert!(
+        timings.contains("\"name\": \"fig03_batch_shrinkage\""),
+        "{timings}"
+    );
     assert!(timings.contains("\"total_wall_s\""), "{timings}");
 }

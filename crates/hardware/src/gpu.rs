@@ -28,31 +28,11 @@ pub enum GpuKind {
     P100,
     /// NVIDIA K80 — the cheapest, slowest device.
     K80,
-    /// Jetson-Orin-class edge module: a capable embedded NPU with enough
-    /// memory for a full encoder model, but no batching headroom — its
-    /// cores saturate at batch 1, so there is nothing for pipelining to
-    /// hide. Edge-fleet only; never appears in cluster allocations.
-    OrinNx,
-    /// USB-accelerator-class NPU: very cheap, very slow, and so memory
-    /// starved that a full BERT-class model does not fit — the deepest
-    /// feasible on-device prefix stops short of the last layer, forcing
-    /// non-exiting samples to offload. Edge-fleet only.
-    CoralNpu,
 }
 
 impl GpuKind {
-    /// All *cluster* kinds, ordered from most to least capable. Edge
-    /// tiers are deliberately excluded: allocators and share formatting
-    /// iterate this list, and edge devices are never pooled.
+    /// All kinds, ordered from most to least capable.
     pub const ALL: [GpuKind; 4] = [GpuKind::A6000, GpuKind::V100, GpuKind::P100, GpuKind::K80];
-
-    /// Edge device tiers, ordered from most to least capable.
-    pub const EDGE: [GpuKind; 2] = [GpuKind::OrinNx, GpuKind::CoralNpu];
-
-    /// True for NPU-class edge tiers (members of [`GpuKind::EDGE`]).
-    pub fn is_edge(self) -> bool {
-        matches!(self, GpuKind::OrinNx | GpuKind::CoralNpu)
-    }
 
     /// Latency multiple relative to a V100 for sub-saturation batches.
     pub fn base_latency_factor(self) -> f64 {
@@ -61,12 +41,6 @@ impl GpuKind {
             GpuKind::V100 => 1.0,
             GpuKind::P100 => 1.25,
             GpuKind::K80 => 1.60,
-            // Edge NPUs sit an order of magnitude behind a V100 even at
-            // batch 1 — slow enough that a full encoder pass strains a
-            // real-time deadline, which is what makes the offload
-            // tradeoff live at all.
-            GpuKind::OrinNx => 12.0,
-            GpuKind::CoralNpu => 25.0,
         }
     }
 
@@ -78,10 +52,6 @@ impl GpuKind {
             GpuKind::V100 => 4.0,
             GpuKind::P100 => 2.0,
             GpuKind::K80 => 1.0,
-            // NPUs have no batching headroom at all: batch 2 costs twice
-            // batch 1, so device-local work is strictly per-sample.
-            GpuKind::OrinNx => 1.0,
-            GpuKind::CoralNpu => 1.0,
         }
     }
 
@@ -95,11 +65,6 @@ impl GpuKind {
             GpuKind::V100 => 8.125e-4,
             GpuKind::P100 => 6.500e-4,
             GpuKind::K80 => 1.950e-4,
-            // Edge modules are amortized customer hardware, not rented
-            // cloud capacity; the nominal figures below only matter for
-            // cost-weighted comparisons against cluster offload.
-            GpuKind::OrinNx => 6.0e-5,
-            GpuKind::CoralNpu => 2.0e-5,
         }
     }
 
@@ -110,11 +75,6 @@ impl GpuKind {
             GpuKind::V100 => 16.0,
             GpuKind::P100 => 12.0,
             GpuKind::K80 => 12.0,
-            GpuKind::OrinNx => 8.0,
-            // Deliberately too small for a full BERT-class model (~0.94
-            // GiB of fp16 weights vs. a 0.9 GiB usable budget): the
-            // split planner must stop the on-device prefix early.
-            GpuKind::CoralNpu => 1.0,
         }
     }
 
@@ -126,8 +86,6 @@ impl GpuKind {
             GpuKind::V100 => 10.0,
             GpuKind::P100 => 12.0,
             GpuKind::K80 => 15.0,
-            GpuKind::OrinNx => 25.0,
-            GpuKind::CoralNpu => 40.0,
         }
     }
 
@@ -146,8 +104,6 @@ impl fmt::Display for GpuKind {
             GpuKind::V100 => "V100",
             GpuKind::P100 => "P100",
             GpuKind::K80 => "K80",
-            GpuKind::OrinNx => "OrinNX",
-            GpuKind::CoralNpu => "CoralNPU",
         };
         f.write_str(s)
     }
@@ -206,27 +162,5 @@ mod tests {
     fn display_names() {
         assert_eq!(GpuKind::V100.to_string(), "V100");
         assert_eq!(GpuKind::K80.to_string(), "K80");
-        assert_eq!(GpuKind::OrinNx.to_string(), "OrinNX");
-        assert_eq!(GpuKind::CoralNpu.to_string(), "CoralNPU");
-    }
-
-    #[test]
-    fn edge_tiers_are_weak_and_excluded_from_cluster_pool() {
-        for g in GpuKind::EDGE {
-            assert!(g.is_edge());
-            assert!(!GpuKind::ALL.contains(&g), "{g} must not be pooled");
-            // No batching headroom: NPUs saturate at batch 1.
-            assert_eq!(g.saturation_batch(), 1.0, "{g}");
-            // Slower than every cluster part at batch 1.
-            assert!(g.base_latency_factor() > GpuKind::K80.base_latency_factor());
-            assert!(g.cost_per_sec() < GpuKind::K80.cost_per_sec());
-        }
-        for g in GpuKind::ALL {
-            assert!(!g.is_edge(), "{g}");
-        }
-        // The tiers are memory-tiered: Orin holds a full encoder model,
-        // the USB-class NPU cannot.
-        assert!(GpuKind::OrinNx.memory_gib() > GpuKind::CoralNpu.memory_gib());
-        assert!(GpuKind::CoralNpu.memory_gib() < 1.5);
     }
 }

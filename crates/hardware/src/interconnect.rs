@@ -5,15 +5,8 @@
 //! GPUs on the same machine over shared PCIe and machines over 10 Gbps
 //! Ethernet; E3's DP formulation charges each split boundary a transfer
 //! term `Tx(s, s+1)` and pipelining hides it when possible (§3.2.2).
-//!
-//! Edge–cloud split serving stretches the same boundary over a WAN: the
-//! [`LinkKind::WanFiber`] and [`LinkKind::WanCellular`] kinds carry
-//! tens-of-ms base latency and megabyte-per-second bandwidth, a
-//! [`JitteredLink`] perturbs bandwidth with deterministic seeded jitter,
-//! and [`LinkOutages`] schedules LinkDown bursts during which nothing
-//! moves at all.
 
-use e3_simcore::{SimDuration, SimTime};
+use e3_simcore::SimDuration;
 
 /// Kind of link between two GPUs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -26,12 +19,6 @@ pub enum LinkKind {
     Ethernet10G,
     /// NVLink, mentioned by the paper as a would-only-help upgrade.
     NvLink,
-    /// Fixed broadband WAN between an edge site and the cluster:
-    /// tens-of-ms propagation, ~100 Mbps usable.
-    WanFiber,
-    /// Cellular WAN: higher latency, single-digit MB/s, and the link
-    /// most likely to be wrapped in [`LinkOutages`].
-    WanCellular,
 }
 
 impl LinkKind {
@@ -42,8 +29,6 @@ impl LinkKind {
             LinkKind::NvLink => SimDuration::from_micros(2),
             LinkKind::Pcie => SimDuration::from_micros(5),
             LinkKind::Ethernet10G => SimDuration::from_micros(50),
-            LinkKind::WanFiber => SimDuration::from_millis(15),
-            LinkKind::WanCellular => SimDuration::from_millis(45),
         }
     }
 
@@ -55,17 +40,7 @@ impl LinkKind {
             LinkKind::Pcie => 12.0e9,
             // 10 Gbps line rate with ~10% framing/TCP overhead.
             LinkKind::Ethernet10G => 1.125e9,
-            // ~100 Mbps fiber and ~48 Mbps cellular after protocol
-            // overhead — a 384 KiB activation boundary costs ~31 ms and
-            // ~66 ms of serialization respectively.
-            LinkKind::WanFiber => 12.5e6,
-            LinkKind::WanCellular => 6.0e6,
         }
-    }
-
-    /// True for WAN-grade links (edge–cloud, not intra-cluster).
-    pub fn is_wan(self) -> bool {
-        matches!(self, LinkKind::WanFiber | LinkKind::WanCellular)
     }
 
     /// Time to move `bytes` across this link.
@@ -115,180 +90,6 @@ impl TransferModel {
     }
 }
 
-/// SplitMix64 finalizer over a (seed, sequence) pair — the same
-/// counter-keyed construction the workload layer uses, so one link can
-/// hand out an independent deterministic draw per transfer.
-fn mix64(seed: u64, sequence: u64) -> u64 {
-    let mut z = seed ^ sequence.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Uniform draw in [0, 1) from a hash.
-fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// A link whose *bandwidth* varies per transfer with deterministic
-/// seeded jitter. Transfer `sequence` numbers key the draw, so the same
-/// (seed, sequence, bytes) always costs the same — replays are exact —
-/// while distinct transfers see independently perturbed bandwidth in
-/// `[1 - jitter_frac, 1 + jitter_frac]` of nominal. Base latency is not
-/// jittered: propagation delay is physics, queueing lives in the
-/// bandwidth term.
-///
-/// With `jitter_frac == 0.0` the wrapper returns
-/// [`LinkKind::transfer_time`] verbatim — byte-identical to the fixed
-/// path, not merely close.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JitteredLink {
-    /// Underlying link kind.
-    pub link: LinkKind,
-    /// Half-width of the relative bandwidth perturbation, in [0, 1).
-    pub jitter_frac: f64,
-    /// Seed for the per-transfer draws.
-    pub seed: u64,
-}
-
-impl JitteredLink {
-    /// A jitter-free wrapper — behaves exactly like the bare link.
-    pub fn fixed(link: LinkKind) -> Self {
-        JitteredLink {
-            link,
-            jitter_frac: 0.0,
-            seed: 0,
-        }
-    }
-
-    /// A link with seeded bandwidth jitter.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= jitter_frac < 1.0`.
-    pub fn new(link: LinkKind, jitter_frac: f64, seed: u64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&jitter_frac),
-            "jitter_frac must be in [0, 1): {jitter_frac}"
-        );
-        JitteredLink {
-            link,
-            jitter_frac,
-            seed,
-        }
-    }
-
-    /// Time to move `bytes` on transfer number `sequence`.
-    pub fn transfer_time(&self, bytes: u64, sequence: u64) -> SimDuration {
-        if self.jitter_frac == 0.0 {
-            return self.link.transfer_time(bytes);
-        }
-        if matches!(self.link, LinkKind::Local) {
-            return SimDuration::ZERO;
-        }
-        let u = unit(mix64(self.seed, sequence));
-        let scale = 1.0 + self.jitter_frac * (2.0 * u - 1.0);
-        let serialize = bytes as f64 / (self.link.bandwidth_bytes_per_sec() * scale);
-        self.link.base_latency() + SimDuration::from_secs_f64(serialize)
-    }
-}
-
-/// A deterministic schedule of LinkDown bursts: half-open `[start,
-/// start + len)` intervals during which the link moves nothing. Loss on
-/// a WAN link is modeled as these bursts — a sender that hits one waits
-/// the burst out (a retry) or gives up (an abort); per-packet loss is
-/// below the simulator's resolution.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct LinkOutages {
-    /// Sorted, non-overlapping bursts as `(start, length)`.
-    bursts: Vec<(SimTime, SimDuration)>,
-}
-
-impl LinkOutages {
-    /// A link that is never down.
-    pub fn none() -> Self {
-        LinkOutages::default()
-    }
-
-    /// Periodic bursts: down for `down_for` starting at `first`, then
-    /// every `every` after that, up to `horizon`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every` is zero or shorter than `down_for` (the bursts
-    /// would overlap).
-    pub fn periodic(
-        first: SimTime,
-        every: SimDuration,
-        down_for: SimDuration,
-        horizon: SimDuration,
-    ) -> Self {
-        assert!(every > SimDuration::ZERO, "zero outage period");
-        assert!(every > down_for, "outage period must exceed burst length");
-        let mut bursts = Vec::new();
-        let mut at = first;
-        let end = SimTime::ZERO + horizon;
-        while at < end {
-            bursts.push((at, down_for));
-            at += every;
-        }
-        LinkOutages { bursts }
-    }
-
-    /// Seeded bursts: about `horizon / mean_gap` bursts with jittered
-    /// spacing and lengths around `mean_down`. Deterministic in `seed`.
-    pub fn seeded(
-        seed: u64,
-        mean_gap: SimDuration,
-        mean_down: SimDuration,
-        horizon: SimDuration,
-    ) -> Self {
-        assert!(mean_gap > SimDuration::ZERO, "zero mean gap");
-        let mut bursts = Vec::new();
-        let mut at = SimTime::ZERO;
-        let end = SimTime::ZERO + horizon;
-        let mut i = 0u64;
-        loop {
-            // Gap in [0.5, 1.5) x mean, length in [0.5, 1.5) x mean.
-            let gap = mean_gap.mul_f64(0.5 + unit(mix64(seed, 2 * i)));
-            let len = mean_down.mul_f64(0.5 + unit(mix64(seed, 2 * i + 1)));
-            at += gap;
-            if at >= end {
-                break;
-            }
-            // Keep bursts disjoint even under extreme draws.
-            if let Some(&(ps, pl)) = bursts.last() {
-                if at < ps + pl {
-                    at = ps + pl;
-                }
-            }
-            bursts.push((at, len));
-            at += len;
-            i += 1;
-        }
-        LinkOutages { bursts }
-    }
-
-    /// If the link is down at `at`, the time the current burst ends;
-    /// `None` when the link is up.
-    pub fn down_until(&self, at: SimTime) -> Option<SimTime> {
-        // Bursts are sorted: find the last burst starting at or before
-        // `at` and check whether it still covers it.
-        let idx = self.bursts.partition_point(|&(s, _)| s <= at);
-        if idx == 0 {
-            return None;
-        }
-        let (start, len) = self.bursts[idx - 1];
-        let end = start + len;
-        (at < end).then_some(end)
-    }
-
-    /// The burst schedule, sorted by start time.
-    pub fn bursts(&self) -> &[(SimTime, SimDuration)] {
-        &self.bursts
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,132 +134,5 @@ mod tests {
         let t = tm.batch_transfer_time(1_000_000, 2.5);
         assert!(t > tm.batch_transfer_time(1_000_000, 2.0));
         assert!(t < tm.batch_transfer_time(1_000_000, 3.0));
-    }
-
-    #[test]
-    fn wan_links_are_tens_of_ms_and_flagged() {
-        // A 384 KiB activation boundary: dominated by serialization on
-        // both WAN kinds, and both sit orders of magnitude above the
-        // datacenter fabric.
-        let bytes = 128 * 768 * 4u64;
-        let fiber = LinkKind::WanFiber.transfer_time(bytes).as_millis_f64();
-        let cell = LinkKind::WanCellular.transfer_time(bytes).as_millis_f64();
-        assert!((40.0..60.0).contains(&fiber), "fiber={fiber}ms");
-        assert!((100.0..130.0).contains(&cell), "cell={cell}ms");
-        assert!(LinkKind::WanFiber.is_wan() && LinkKind::WanCellular.is_wan());
-        for k in [
-            LinkKind::Local,
-            LinkKind::NvLink,
-            LinkKind::Pcie,
-            LinkKind::Ethernet10G,
-        ] {
-            assert!(!k.is_wan(), "{k:?}");
-        }
-    }
-
-    #[test]
-    fn zero_jitter_is_byte_identical_to_fixed_path() {
-        // The satellite contract: jitter=0 must reproduce the bare
-        // link's nanosecond values exactly, for every link kind, byte
-        // size, and sequence number — not merely approximately.
-        for link in [
-            LinkKind::Local,
-            LinkKind::NvLink,
-            LinkKind::Pcie,
-            LinkKind::Ethernet10G,
-            LinkKind::WanFiber,
-            LinkKind::WanCellular,
-        ] {
-            let j = JitteredLink::fixed(link);
-            for bytes in [0u64, 1, 1337, 393_216, 1 << 20, 1 << 30] {
-                for seq in [0u64, 1, 7, 1_000_003] {
-                    assert_eq!(
-                        j.transfer_time(bytes, seq).as_nanos(),
-                        link.transfer_time(bytes).as_nanos(),
-                        "{link:?} bytes={bytes} seq={seq}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn jitter_is_bounded_deterministic_and_sequence_keyed() {
-        let j = JitteredLink::new(LinkKind::WanCellular, 0.4, 42);
-        let bytes = 393_216u64;
-        let nominal = LinkKind::WanCellular.transfer_time(bytes);
-        let base = LinkKind::WanCellular.base_latency();
-        let serial = nominal - base;
-        let mut distinct = std::collections::BTreeSet::new();
-        for seq in 0..64 {
-            let t = j.transfer_time(bytes, seq);
-            // Bandwidth scaled by [0.6, 1.4] bounds serialization time.
-            assert!(t >= base + serial.mul_f64(1.0 / 1.4), "seq={seq}");
-            assert!(t <= base + serial.mul_f64(1.0 / 0.6), "seq={seq}");
-            // Same (seed, seq) replays exactly.
-            assert_eq!(t, j.transfer_time(bytes, seq));
-            distinct.insert(t.as_nanos());
-        }
-        assert!(distinct.len() > 32, "draws barely vary: {}", distinct.len());
-        // A different seed reshuffles the draws.
-        let other = JitteredLink::new(LinkKind::WanCellular, 0.4, 43);
-        assert_ne!(j.transfer_time(bytes, 0), other.transfer_time(bytes, 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "jitter_frac")]
-    fn full_jitter_rejected() {
-        let _ = JitteredLink::new(LinkKind::WanFiber, 1.0, 0);
-    }
-
-    #[test]
-    fn outage_schedule_covers_bursts_half_open() {
-        let o = LinkOutages::periodic(
-            SimTime::from_secs(1),
-            SimDuration::from_secs(4),
-            SimDuration::from_millis(500),
-            SimDuration::from_secs(10),
-        );
-        assert_eq!(o.bursts().len(), 3); // t = 1s, 5s, 9s
-        assert_eq!(o.down_until(SimTime::ZERO), None);
-        assert_eq!(
-            o.down_until(SimTime::from_secs(1)),
-            Some(SimTime::from_millis(1500))
-        );
-        assert_eq!(
-            o.down_until(SimTime::from_millis(1499)),
-            Some(SimTime::from_millis(1500))
-        );
-        // Half-open: the burst end itself is up.
-        assert_eq!(o.down_until(SimTime::from_millis(1500)), None);
-        assert_eq!(
-            o.down_until(SimTime::from_millis(5100)),
-            Some(SimTime::from_millis(5500))
-        );
-        assert_eq!(LinkOutages::none().down_until(SimTime::from_secs(3)), None);
-    }
-
-    #[test]
-    fn seeded_outages_are_deterministic_sorted_and_disjoint() {
-        let mk = || {
-            LinkOutages::seeded(
-                7,
-                SimDuration::from_secs(2),
-                SimDuration::from_millis(400),
-                SimDuration::from_secs(60),
-            )
-        };
-        let a = mk();
-        assert_eq!(a, mk());
-        assert!(!a.bursts().is_empty());
-        for w in a.bursts().windows(2) {
-            assert!(w[0].0 + w[0].1 <= w[1].0, "bursts overlap: {w:?}");
-        }
-        // Roughly horizon / (gap + down) bursts.
-        assert!(
-            (15..=40).contains(&a.bursts().len()),
-            "{}",
-            a.bursts().len()
-        );
     }
 }

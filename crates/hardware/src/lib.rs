@@ -30,6 +30,6 @@ pub mod memory;
 pub use cluster::{ClusterSpec, GpuInstance, MachineSpec};
 pub use domains::{DomainTopology, FaultDomain, FaultDomainKind};
 pub use gpu::GpuKind;
-pub use interconnect::{JitteredLink, LinkKind, LinkOutages, TransferModel};
+pub use interconnect::{LinkKind, TransferModel};
 pub use latency::{ExitOverheads, LatencyModel};
 pub use memory::MemoryFootprint;

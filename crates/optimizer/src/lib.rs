@@ -58,7 +58,6 @@ pub mod autoreg_split;
 pub mod cache;
 pub mod config;
 pub mod dp;
-pub mod edge;
 pub mod hetero;
 pub mod marginal;
 pub mod plan;
@@ -69,7 +68,6 @@ pub use auto::{min_gpus_for_goodput, plan_feasible, plan_for_cluster, plan_for_c
 pub use cache::{CacheStats, PlanCache};
 pub use config::OptimizerConfig;
 pub use dp::optimize_homogeneous_cached;
-pub use edge::{EdgeSplitPlanner, EdgeSplitTables, LinkEstimate, SplitCandidate};
 pub use hetero::{min_cost_for_goodput, optimize_heterogeneous_with_stats, SearchStats};
 pub use marginal::{SubsetValue, ValueOracle};
 pub use plan::{Split, SplitPlan};

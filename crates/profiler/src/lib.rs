@@ -32,13 +32,11 @@
 pub mod arima;
 pub mod estimator;
 pub mod health;
-pub mod selection;
 pub mod watchdog;
 pub mod window;
 
 pub use arima::{ArimaError, ArimaModel};
 pub use estimator::{BatchProfileEstimator, EstimatorConfig};
 pub use health::{HealthConfig, HealthEstimator};
-pub use selection::{ljung_box, select_order, OrderScore};
 pub use watchdog::{DriftWatchdog, SafeModeReason, WatchdogConfig, WatchdogState, WatchdogVerdict};
 pub use window::WindowObserver;

@@ -65,14 +65,6 @@ pub enum InvariantClass {
     /// with a crash-side `HedgeCancelled` alone; no orphan wins or
     /// cancellations, and no replica holds two hedges at once.
     HedgeCancellationConservation,
-    /// Edge-serving sample conservation: every admitted sample reaches
-    /// exactly one terminal (on-device exit/completion, cluster
-    /// completion, or an accounted abort/drop — never both, never
-    /// neither), and the offload lifecycle is well-formed (no cloud
-    /// events without an upload, no device terminal after the sample
-    /// left the device). Checked over the [`e3_edge::EdgeEventLog`]
-    /// stream by [`crate::edge::check_offload_conservation`].
-    OffloadConservation,
 }
 
 impl fmt::Display for InvariantClass {
@@ -89,7 +81,6 @@ impl fmt::Display for InvariantClass {
             InvariantClass::BrownoutLevelPairing => "brownout-level-pairing",
             InvariantClass::CircuitBreakerStateMachine => "circuit-breaker-state-machine",
             InvariantClass::HedgeCancellationConservation => "hedge-cancellation-conservation",
-            InvariantClass::OffloadConservation => "offload-conservation",
         };
         f.write_str(s)
     }

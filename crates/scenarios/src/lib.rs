@@ -21,15 +21,10 @@
 //!   the continuous-batching kernel, checks every cell's streams, and
 //!   shrinks any failure to a minimal repro cell.
 
-pub mod edge;
 pub mod fuzz;
 pub mod invariant;
 pub mod matrix;
 
-pub use edge::{
-    check_offload_conservation, edge_cells, run_edge_cell, DeadlineTightness, EdgeCell,
-    EdgeCellOutcome, LinkQuality,
-};
 pub use fuzz::{decode_fault_plan, RECORD_BYTES};
 pub use invariant::{CheckerConfig, InvariantChecker, InvariantClass, StreamScope, Violation};
 pub use matrix::{

@@ -63,11 +63,6 @@ impl SeedSplitter {
     pub fn rng(&self, label: &str) -> StdRng {
         StdRng::seed_from_u64(self.derive(label))
     }
-
-    /// Builds an RNG for `label` + `index`.
-    pub fn rng_indexed(&self, label: &str, index: u64) -> StdRng {
-        StdRng::seed_from_u64(self.derive_indexed(label, index))
-    }
 }
 
 fn splitmix64(mut z: u64) -> u64 {

@@ -47,29 +47,6 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Lag-`k` sample autocovariance of a series (biased, divides by `n`).
-pub fn autocovariance(xs: &[f64], k: usize) -> f64 {
-    let n = xs.len();
-    if n == 0 || k >= n {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (0..n - k)
-        .map(|i| (xs[i] - m) * (xs[i + k] - m))
-        .sum::<f64>()
-        / n as f64
-}
-
-/// Lag-`k` sample autocorrelation.
-pub fn autocorrelation(xs: &[f64], k: usize) -> f64 {
-    let c0 = autocovariance(xs, 0);
-    if c0 == 0.0 {
-        0.0
-    } else {
-        autocovariance(xs, k) / c0
-    }
-}
-
 /// Mean absolute percentage error between predictions and actuals.
 /// Pairs whose actual value is zero are skipped.
 pub fn mape(predicted: &[f64], actual: &[f64]) -> f64 {
@@ -218,21 +195,6 @@ mod tests {
         assert_eq!(quantile(&xs, 1.0), 4.0);
         assert_eq!(quantile(&xs, 0.5), 2.5);
         assert!((quantile(&xs, 0.25) - 1.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn autocorrelation_of_constant_is_zero() {
-        let xs = [5.0; 10];
-        assert_eq!(autocorrelation(&xs, 1), 0.0);
-    }
-
-    #[test]
-    fn autocorrelation_of_alternating_is_negative() {
-        let xs: Vec<f64> = (0..100)
-            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
-            .collect();
-        assert!(autocorrelation(&xs, 1) < -0.9);
-        assert!(autocorrelation(&xs, 2) > 0.9);
     }
 
     #[test]

@@ -108,11 +108,6 @@ impl SimDuration {
         SimDuration(secs_f64_to_nanos(s))
     }
 
-    /// Creates a duration from fractional milliseconds.
-    pub fn from_millis_f64(ms: f64) -> Self {
-        Self::from_secs_f64(ms / 1e3)
-    }
-
     /// Creates a duration from fractional microseconds.
     pub fn from_micros_f64(us: f64) -> Self {
         Self::from_secs_f64(us / 1e6)
@@ -285,10 +280,7 @@ mod tests {
         assert_eq!(SimTime::from_secs(1), SimTime::from_millis(1_000));
         assert_eq!(SimTime::from_millis(1), SimTime::from_micros(1_000));
         assert_eq!(SimTime::from_micros(1), SimTime::from_nanos(1_000));
-        assert_eq!(
-            SimDuration::from_secs(2),
-            SimDuration::from_millis_f64(2_000.0)
-        );
+        assert_eq!(SimDuration::from_secs(2), SimDuration::from_secs_f64(2.0));
     }
 
     #[test]

@@ -97,12 +97,6 @@ impl TenantSpec {
         self
     }
 
-    /// Sets the latency SLO.
-    pub fn with_slo(mut self, slo: SimDuration) -> Self {
-        self.slo = slo;
-        self
-    }
-
     /// Caps the brownout ladder's depth for this tenant (its service
     /// floor under overload degradation).
     ///
@@ -146,10 +140,8 @@ mod tests {
     fn builders_and_demand_rate() {
         let t = TenantSpec::nlp_stationary("a", DatasetModel::sst2(), SimDuration::from_secs(60))
             .with_weight(2.0)
-            .with_demand(4000)
-            .with_slo(SimDuration::from_millis(50));
+            .with_demand(4000);
         assert_eq!(t.requests_per_window, 4000);
-        assert_eq!(t.slo, SimDuration::from_millis(50));
         let rate = t.demand_rate(SimDuration::from_secs(2));
         assert!((rate - 2000.0).abs() < 1e-9, "rate={rate}");
     }
