@@ -10,10 +10,13 @@
 //! * `extend` — the cache holds tables for a smaller cluster (7/8 of
 //!   `m`); only the missing GPU columns are filled.
 //!
-//! A final `optimizer_hetero` line times one cold heterogeneous solve on
-//! the paper's 6 V100 + 8 P100 + 15 K80 pool at `max_splits = 4`, with
-//! the kind assignments its search space held and how many the lower
-//! bound pruned.
+//! A final `optimizer_hetero` line times the heterogeneous solve on the
+//! paper's 6 V100 + 8 P100 + 15 K80 pool at `max_splits = 4`, each the
+//! fastest of 200 runs: `cold_secs` builds its stage tables, and
+//! `tabled_secs` is a value-oracle query on tables an earlier query
+//! built, which is what each query of the tenant allocator pays. It also
+//! reports the kind assignments the search space held and how many the
+//! lower bound pruned.
 //!
 //! One JSON line per measurement so CI can archive the output as
 //! `BENCH_optimizer.json`:
@@ -25,9 +28,9 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use e3_bench::figs::{scale_hetero_solver, scale_solver, SCALE_SIZES};
-use e3_hardware::GpuKind;
-use e3_optimizer::PlanCache;
+use e3_bench::figs::{scale_hetero_solver, scale_problem, scale_solver, SCALE_SIZES};
+use e3_hardware::{GpuKind, LatencyModel, TransferModel};
+use e3_optimizer::{PlanCache, ValueOracle};
 
 fn main() {
     let solve = scale_solver();
@@ -63,15 +66,52 @@ fn main() {
 
     let pool = BTreeMap::from([(GpuKind::V100, 6), (GpuKind::P100, 8), (GpuKind::K80, 15)]);
     let solve_hetero = scale_hetero_solver();
-    let start = Instant::now();
     let (plan, stats) = solve_hetero(&pool);
-    let secs = start.elapsed().as_secs_f64();
+    let cold = fastest(
+        || (),
+        |()| assert_eq!(solve_hetero(&pool).0, plan, "every cold solve plans alike"),
+    );
+
+    // What each value-oracle query pays: an oracle builds its stage
+    // tables on its first mixed subset, so solve a smaller pool first.
+    let (model, ctrl, profile, cfg) = scale_problem();
+    let (tm, lm) = (TransferModel::default(), LatencyModel::new());
+    let mut warm = pool.clone();
+    *warm.get_mut(&GpuKind::K80).expect("K80 in the pool") -= 1;
+    let tabled = fastest(
+        || {
+            let mut oracle = ValueOracle::new(&model, &ctrl, &profile, 8.0, &tm, &lm, &cfg);
+            oracle.value(&warm);
+            oracle
+        },
+        |mut oracle| {
+            assert_eq!(oracle.value(&pool).goodput, plan.goodput);
+        },
+    );
+
     println!(
-        "{{\"bench\":\"optimizer_hetero\",\"gpus\":{},\"splits\":{},\"cold_secs\":{:.6},\"assignments\":{},\"pruned\":{}}}",
+        "{{\"bench\":\"optimizer_hetero\",\"gpus\":{},\"splits\":{},\"cold_secs\":{:.6},\"tabled_secs\":{:.6},\"assignments\":{},\"pruned\":{}}}",
         pool.values().sum::<usize>(),
         plan.splits.len(),
-        secs,
+        cold,
+        tabled,
         stats.assignments,
         stats.pruned
     );
+}
+
+/// Repetitions behind each heterogeneous timing; the fastest is reported.
+const HETERO_REPS: usize = 200;
+
+/// The fastest of [`HETERO_REPS`] runs of `f`, each on a fresh, untimed
+/// `setup()`, in seconds.
+fn fastest<T>(mut setup: impl FnMut() -> T, mut f: impl FnMut(T)) -> f64 {
+    (0..HETERO_REPS)
+        .map(|_| {
+            let input = setup();
+            let start = Instant::now();
+            f(input);
+            start.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
 }

@@ -2054,7 +2054,7 @@ pub fn fig_matrix_full_report() -> String {
 
 /// Fixed shape of the planning-at-scale study: DeeBERT at b=8 with up
 /// to four splits, under one measured-shape exit profile.
-fn scale_problem() -> (EeModel, RampController, BatchProfile, OptimizerConfig) {
+pub fn scale_problem() -> (EeModel, RampController, BatchProfile, OptimizerConfig) {
     let model = zoo::deebert();
     let ctrl = RampController::all_enabled(model.num_ramps(), e3_model::RampStyle::Independent);
     let profile = BatchProfile::new(vec![

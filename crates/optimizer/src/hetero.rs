@@ -24,32 +24,47 @@
 //!   A cold solve builds them once; [`crate::ValueOracle`] builds them
 //!   once per planning context and shares them across every subset it
 //!   solves.
-//! * **Allocation-free enumeration.** Scratch buffers are reused across
-//!   boundary sets and assignments. A kind holding one stage gives it all
-//!   of its GPUs, which is what waterfilling would do; multi-stage groups
-//!   waterfill in place.
-//! * **Exact lower-bound pruning.** When `n_k` stages share kind `k`,
-//!   each holds at most `avail_k − n_k + 1` replicas, so the maximum over
-//!   stages of `max(t1, tx) / cap`, times the stage penalty, bounds the
-//!   penalized bottleneck from below. An assignment whose bound exceeds
-//!   the incumbent by more than the tie tolerance is skipped unevaluated;
-//!   so is a whole boundary set whose bound, with every stage on its best
-//!   kind and every GPU of that kind, does.
+//! * **Allocation-free enumeration.** Boundary sets are generated in one
+//!   buffer and scratch buffers are reused across sets and assignments.
+//!   A kind holding one stage gives it all of its GPUs, which is what
+//!   waterfilling would do; multi-stage groups waterfill in place.
+//! * **Branch and bound over stage kinds.** When `n_k` stages share kind
+//!   `k`, each holds at most `avail_k − n_k + 1` replicas, so the maximum
+//!   over stages of `max(t1, tx) / cap`, times the stage penalty, bounds
+//!   the penalized bottleneck from below. A whole boundary set is skipped
+//!   when its bound, with every stage on its best kind and every GPU of
+//!   that kind, exceeds the incumbent by more than the tie tolerance.
+//!   Otherwise kinds are assigned depth first, from the last stage down
+//!   to stage 0, and every node applies the same bound to the stages
+//!   assigned so far, counting only those stages per kind. Assigning
+//!   more stages only shrinks caps and adds terms, so a node's bound
+//!   never exceeds that of any leaf below it; a node that cannot win
+//!   cuts its subtree, and a node that oversubscribes a kind cuts a
+//!   subtree with no feasible leaf.
 //!
 //! Plans are bit-identical to the plain enumeration. The tables hold the
-//! values it recomputed on every visit. Boundary sets and assignments are
-//! visited in the same order, so first-found tie-breaks hold, and
-//! waterfilling keeps `max_by`'s last-maximum tie-break and the same
-//! cost summation order. IEEE rounding is monotone, so the bound as
-//! computed never exceeds the bottleneck as computed: a skipped
-//! assignment would have failed the acceptance test against the same
-//! incumbent, leaving the search's trajectory unchanged. The plain
-//! enumeration survives as a `#[cfg(test)]` reference that a property
-//! test compares against.
+//! values it recomputed on every visit. Boundary sets are visited in the
+//! same order, and the walk reaches leaves in the order of the plain
+//! enumeration's odometer (stage 0's kind turns fastest), so first-found
+//! tie-breaks hold; waterfilling keeps `max_by`'s last-maximum tie-break
+//! and the same cost summation order. IEEE rounding is monotone, so a
+//! bound as computed never exceeds the bottleneck as computed. Nothing is
+//! evaluated inside a cut subtree, so the incumbent cannot change there,
+//! and every leaf the cut skips is one that an assignment-by-assignment
+//! bound would also have skipped against the same incumbent. The
+//! search's trajectory is unchanged and so are its [`SearchStats`]: a
+//! cut adds the subtree's leaves that fit the GPU counts to `pruned`.
+//! The plain enumeration and the assignment-by-assignment odometer
+//! survive as `#[cfg(test)]` references that a property test compares
+//! plans and statistics against.
 //!
 //! The same machinery answers the cost question of §5.3: given a target
 //! goodput, each stage needs `ceil(t_eff / λ*)` replicas where
 //! `λ* = b0 / goodput`, and we take the cheapest feasible assignment.
+//! Its walk cuts a subtree whose assigned stages already oversubscribe a
+//! kind or cost at least the incumbent: every further stage adds need
+//! and at least one replica's price, far above the rounding of either
+//! sum. At a leaf the same test is the plain enumeration's.
 
 use std::collections::BTreeMap;
 
@@ -136,30 +151,32 @@ impl StageTables {
     }
 }
 
-/// Enumerates boundary sets: sorted interior cut positions in `1..l`,
-/// with at most `max_stages - 1` cuts. Includes the empty set (1 stage).
-pub(crate) fn boundary_sets(l: usize, max_stages: usize) -> Vec<Vec<usize>> {
-    fn rec(
-        l: usize,
-        start: usize,
-        left: usize,
-        current: &mut Vec<usize>,
-        out: &mut Vec<Vec<usize>>,
-    ) {
-        if left == 0 {
-            return;
+/// Calls `f` on every boundary set: sorted interior cut positions in
+/// `1..l`, with at most `max_stages - 1` cuts, in lexicographic
+/// pre-order from the empty set (1 stage). One buffer holds every set.
+fn for_each_boundary_set(l: usize, max_stages: usize, mut f: impl FnMut(&[usize])) {
+    let max_cuts = max_stages.saturating_sub(1);
+    let mut cuts = Vec::with_capacity(max_cuts);
+    loop {
+        f(&cuts);
+        // Extend by the next position; else bump the last cut, dropping
+        // the ones that have run out of layers.
+        let next = cuts.last().map_or(1, |&c| c + 1);
+        if cuts.len() < max_cuts && next < l {
+            cuts.push(next);
+            continue;
         }
-        for b in start..l {
-            current.push(b);
-            out.push(current.clone());
-            rec(l, b + 1, left - 1, current, out);
-            current.pop();
+        loop {
+            match cuts.pop() {
+                Some(c) if c + 1 < l => {
+                    cuts.push(c + 1);
+                    break;
+                }
+                Some(_) => {}
+                None => return,
+            }
         }
     }
-    let mut out = vec![vec![]];
-    let mut current = Vec::new();
-    rec(l, 1, max_stages.saturating_sub(1), &mut current, &mut out);
-    out
 }
 
 /// The layer range `(start, end)` of stage `i` under the cuts `cuts`.
@@ -183,16 +200,53 @@ fn waterfill(work: &[f64], m: &mut [usize], mut extra: usize) {
     }
 }
 
-/// Advances an odometer over `base^len`; returns `false` on wrap-around.
-fn next_assignment(assign: &mut [usize], base: usize) -> bool {
-    for slot in assign.iter_mut() {
-        *slot += 1;
-        if *slot < base {
-            return true;
+/// Walks the kind assignments of `assign.len()` stages depth first, in
+/// the order of an odometer whose slot 0 turns fastest: the last stage's
+/// kind is chosen first and stage 0's last. Each node gets a copy of its
+/// parent's state (`root` at the top); `node(assign, i, state)` runs once
+/// slots `i..` hold kinds and says whether to descend into slot `i - 1`.
+/// At a leaf (`i == 0`) its answer is ignored.
+fn walk<S: Copy>(
+    assign: &mut [usize],
+    nk: usize,
+    root: S,
+    node: &mut impl FnMut(&[usize], usize, &mut S) -> bool,
+) {
+    fn descend<S: Copy>(
+        assign: &mut [usize],
+        i: usize,
+        nk: usize,
+        parent: S,
+        node: &mut impl FnMut(&[usize], usize, &mut S) -> bool,
+    ) {
+        for k in 0..nk {
+            assign[i] = k;
+            let mut state = parent;
+            if node(assign, i, &mut state) && i > 0 {
+                descend(assign, i - 1, nk, state, node);
+            }
         }
-        *slot = 0;
     }
-    false
+    if let Some(last) = assign.len().checked_sub(1) {
+        descend(assign, last, nk, root, node);
+    }
+}
+
+/// Kind assignments of `free` further stages that keep every kind within
+/// its GPUs, when `on_kind[k]` stages already sit on kind `k`.
+fn completions(kinds: &[(GpuKind, usize)], on_kind: &[usize], free: usize) -> u64 {
+    let Some((&(_, avail), rest)) = kinds.split_first() else {
+        return u64::from(free == 0);
+    };
+    let room = avail - on_kind[0];
+    let mut ways = 0;
+    // `choose` is C(free, c): which of the free stages take this kind.
+    let mut choose = 1u64;
+    for c in 0..=free.min(room) {
+        ways += choose * completions(rest, &on_kind[1..], free - c);
+        choose = choose * (free - c) as u64 / (c + 1) as u64;
+    }
+    ways
 }
 
 /// The pool's kinds with at least one GPU, in `GpuKind` order.
@@ -284,6 +338,40 @@ fn cannot_win(best: Option<(f64, f64)>, bound: f64, pen: f64) -> bool {
     pen > 0.0 && best.is_some_and(|(bb, _)| bound * pen - bb > 2.0 * TIE)
 }
 
+/// The most kinds one pool holds.
+const KINDS: usize = GpuKind::ALL.len();
+
+/// The bound's view of a node of the walk: per kind, how many assigned
+/// stages sit on it, the largest `max(t1, tx)` among them, and that over
+/// the kind's replica cap.
+///
+/// A stage sharing kind `k` with `n − 1` others holds at most
+/// `avail_k − n + 1` replicas, and all of them share that cap. Division
+/// by one cap is monotone, so the largest term is exactly the maximum
+/// over assigned stages of `max(t1, tx) / cap`. More stages only shrink
+/// caps and add terms, so no leaf below a node bounds lower than it.
+#[derive(Clone, Copy, Default)]
+struct Placed {
+    on_kind: [usize; KINDS],
+    top: [f64; KINDS],
+    term: [f64; KINDS],
+}
+
+impl Placed {
+    /// Places a stage whose `max(t1, tx)` is `x` on kind `k` with `avail`
+    /// GPUs. Returns the bound over the placed stages, or `None` if the
+    /// kind has no GPU left for it.
+    fn place(&mut self, k: usize, avail: usize, x: f64) -> Option<f64> {
+        self.on_kind[k] += 1;
+        if self.on_kind[k] > avail {
+            return None;
+        }
+        self.top[k] = self.top[k].max(x);
+        self.term[k] = self.top[k] / (avail - self.on_kind[k] + 1) as f64;
+        Some(self.term.iter().copied().fold(0.0, f64::max))
+    }
+}
+
 /// Buffers the bottleneck search reuses across boundary sets and
 /// assignments, for `nk` kinds.
 struct Scratch {
@@ -294,8 +382,6 @@ struct Scratch {
     tx: Vec<f64>,
     /// `m[i]`: stage i's replica count.
     m: Vec<usize>,
-    /// Stages on each kind under the current assignment.
-    on_kind: Vec<usize>,
     /// One kind's stage times and replica counts while it waterfills.
     group_w: Vec<f64>,
     group_m: Vec<usize>,
@@ -308,7 +394,6 @@ impl Scratch {
             w: vec![0.0; max_stages * nk],
             tx: vec![0.0; max_stages],
             m: vec![0; max_stages],
-            on_kind: vec![0; nk],
             group_w: Vec::with_capacity(max_stages),
             group_m: Vec::with_capacity(max_stages),
         }
@@ -339,41 +424,26 @@ impl Scratch {
         set_bound
     }
 
-    /// Counts stages per kind; returns whether every kind has a GPU for
-    /// each of its stages.
-    fn count(&mut self, kinds: &[(GpuKind, usize)], assign: &[usize]) -> bool {
-        self.on_kind.fill(0);
-        for &k in assign {
-            self.on_kind[k] += 1;
-        }
-        kinds
-            .iter()
-            .zip(&self.on_kind)
-            .all(|(&(_, avail), &n)| n <= avail)
+    /// Stage `i`'s `max(t1, tx)` on kind `k`.
+    fn demand(&self, i: usize, k: usize) -> f64 {
+        self.w[i * self.nk + k].max(self.tx[i])
     }
 
-    /// The assignment's bound: a stage sharing kind `k` with `n − 1`
-    /// others holds at most `avail_k − n + 1` replicas.
-    fn bound(&self, kinds: &[(GpuKind, usize)], assign: &[usize]) -> f64 {
-        assign
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| {
-                let cap = kinds[k].1 - self.on_kind[k] + 1;
-                self.w[i * self.nk + k].max(self.tx[i]) / cap as f64
-            })
-            .fold(0.0, f64::max)
-    }
-
-    /// Allocates replicas within each kind and returns the plan's
-    /// (bottleneck, cost), summed kind by kind in stage order. A kind
-    /// holding one stage gives it all of its GPUs, as waterfilling would.
-    fn allocate(&mut self, kinds: &[(GpuKind, usize)], assign: &[usize]) -> (f64, f64) {
+    /// Allocates replicas within each kind, `on_kind[k]` stages sharing
+    /// kind `k`, and returns the plan's (bottleneck, cost), summed kind by
+    /// kind in stage order. A kind holding one stage gives it all of its
+    /// GPUs, as waterfilling would.
+    fn allocate(
+        &mut self,
+        kinds: &[(GpuKind, usize)],
+        assign: &[usize],
+        on_kind: &[usize],
+    ) -> (f64, f64) {
         let nk = self.nk;
         let mut bottleneck = 0.0f64;
         let mut cost = 0.0;
         for (k, &(kind, avail)) in kinds.iter().enumerate() {
-            let n = self.on_kind[k];
+            let n = on_kind[k];
             let members = || (0..assign.len()).filter(move |&i| assign[i] == k);
             match n {
                 0 => continue,
@@ -410,6 +480,7 @@ fn bottleneck_search(
     cfg: &OptimizerConfig,
 ) -> (Vec<StageAssignment>, SearchStats) {
     let nk = kinds.len();
+    assert!(nk <= KINDS, "kinds are distinct");
     let t1: Vec<&[Vec<f64>]> = kinds.iter().map(|&(k, _)| tables.t1(k)).collect();
     let max_stages = cfg.max_splits.max(1);
     let mut sc = Scratch::new(nk, max_stages);
@@ -419,48 +490,55 @@ fn bottleneck_search(
     let mut best: Option<(f64, f64)> = None;
     let mut best_stages = Vec::new();
 
-    for cuts in boundary_sets(l, max_stages) {
+    for_each_boundary_set(l, max_stages, |cuts| {
         let s = cuts.len() + 1;
         // Same realization penalty per extra stage as the homogeneous DP
         // (see OptimizerConfig::stage_overhead_frac).
         let pen = 1.0 + cfg.stage_overhead_frac * (s as f64 - 1.0);
         let space = (nk as u64).pow(s as u32);
         stats.assignments += space;
-        if cannot_win(best, sc.load(&cuts, l, kinds, &t1, &tables.tx), pen) {
+        if cannot_win(best, sc.load(cuts, l, kinds, &t1, &tables.tx), pen) {
             stats.pruned += space;
-            continue;
+            return;
         }
-        let assign = &mut assign[..s];
-        assign.fill(0);
-        loop {
-            if sc.count(kinds, assign) {
-                if cannot_win(best, sc.bound(kinds, assign), pen) {
-                    stats.pruned += 1;
-                } else {
-                    let (bottleneck, cost) = sc.allocate(kinds, assign);
-                    let within_cap = cfg.max_cost_per_sec.is_none_or(|cap| cost <= cap + TIE);
-                    let penalized = bottleneck * pen;
-                    let better = match best {
-                        None => true,
-                        Some((bb, bc)) => {
-                            penalized < bb - TIE || ((penalized - bb).abs() <= TIE && cost < bc)
-                        }
-                    };
-                    if within_cap && better {
-                        best = Some((penalized, cost));
-                        best_stages.clear();
-                        best_stages.extend(assign.iter().enumerate().map(|(i, &k)| {
-                            let (a, b) = stage_range(&cuts, l, i);
-                            (a, b, sc.m[i], kinds[k].0)
-                        }));
-                    }
+        walk(
+            &mut assign[..s],
+            nk,
+            Placed::default(),
+            &mut |assign, i, placed| {
+                let k = assign[i];
+                // An oversubscribed subtree holds no leaf the counts admit.
+                let Some(bound) = placed.place(k, kinds[k].1, sc.demand(i, k)) else {
+                    return false;
+                };
+                if cannot_win(best, bound, pen) {
+                    stats.pruned += completions(kinds, &placed.on_kind, i);
+                    return false;
                 }
-            }
-            if !next_assignment(assign, nk) {
-                break;
-            }
-        }
-    }
+                if i > 0 {
+                    return true;
+                }
+                let (bottleneck, cost) = sc.allocate(kinds, assign, &placed.on_kind);
+                let within_cap = cfg.max_cost_per_sec.is_none_or(|cap| cost <= cap + TIE);
+                let penalized = bottleneck * pen;
+                let better = match best {
+                    None => true,
+                    Some((bb, bc)) => {
+                        penalized < bb - TIE || ((penalized - bb).abs() <= TIE && cost < bc)
+                    }
+                };
+                if within_cap && better {
+                    best = Some((penalized, cost));
+                    best_stages.clear();
+                    best_stages.extend(assign.iter().enumerate().map(|(i, &k)| {
+                        let (a, b) = stage_range(cuts, l, i);
+                        (a, b, sc.m[i], kinds[k].0)
+                    }));
+                }
+                true
+            },
+        );
+    });
 
     assert!(best.is_some(), "at least the single-stage plan is feasible");
     (best_stages, stats)
@@ -516,43 +594,45 @@ fn cost_search(
     let mut best: Option<f64> = None;
     let mut best_stages = Vec::new();
 
-    for cuts in boundary_sets(l, max_stages) {
+    for_each_boundary_set(l, max_stages, |cuts| {
         let s = cuts.len() + 1;
         for i in 0..s {
-            let (a, b) = stage_range(&cuts, l, i);
+            let (a, b) = stage_range(cuts, l, i);
             for k in 0..nk {
                 let t = t1[k][a][b].max(tables.tx[a]);
                 need[i * nk + k] = (t / lambda).ceil().max(1.0) as usize;
             }
         }
-        let assign = &mut assign[..s];
-        assign.fill(0);
-        loop {
+        walk(&mut assign[..s], nk, (), &mut |assign, i, ()| {
+            // The slots `i..` in stage order; at a leaf this is the whole
+            // plan's feasibility and cost. Further stages only add need
+            // and at least one replica's price, so a subtree whose slots
+            // already oversubscribe a kind or reach the incumbent's cost
+            // holds nothing the leaf test would accept.
             used.fill(0);
-            let mut feasible = true;
             let mut cost = 0.0;
-            for (i, &k) in assign.iter().enumerate() {
-                let n = need[i * nk + k];
+            for (j, &k) in assign.iter().enumerate().skip(i) {
+                let n = need[j * nk + k];
                 used[k] += n;
                 if used[k] > kinds[k].1 {
-                    feasible = false;
-                    break;
+                    return false;
                 }
                 cost += n as f64 * kinds[k].0.cost_per_sec();
             }
-            if feasible && best.is_none_or(|bc| cost < bc) {
+            if !best.is_none_or(|bc| cost < bc) {
+                return false;
+            }
+            if i == 0 {
                 best = Some(cost);
                 best_stages.clear();
                 best_stages.extend((0..s).map(|i| {
-                    let (a, b) = stage_range(&cuts, l, i);
+                    let (a, b) = stage_range(cuts, l, i);
                     (a, b, need[i * nk + assign[i]], kinds[assign[i]].0)
                 }));
             }
-            if !next_assignment(assign, nk) {
-                break;
-            }
-        }
-    }
+            true
+        });
+    });
 
     best.map(|_| best_stages)
 }
@@ -563,6 +643,44 @@ mod tests {
     use crate::stage::stage_cost;
     use e3_model::{zoo, RampStyle};
     use proptest::prelude::*;
+
+    /// The boundary sets as owned vectors, in the order the search visits
+    /// them: the generator it used before it walked them in place.
+    fn boundary_sets(l: usize, max_stages: usize) -> Vec<Vec<usize>> {
+        fn rec(
+            l: usize,
+            start: usize,
+            left: usize,
+            current: &mut Vec<usize>,
+            out: &mut Vec<Vec<usize>>,
+        ) {
+            if left == 0 {
+                return;
+            }
+            for b in start..l {
+                current.push(b);
+                out.push(current.clone());
+                rec(l, b + 1, left - 1, current, out);
+                current.pop();
+            }
+        }
+        let mut out = vec![vec![]];
+        let mut current = Vec::new();
+        rec(l, 1, max_stages.saturating_sub(1), &mut current, &mut out);
+        out
+    }
+
+    /// Advances an odometer over `base^len`; returns `false` on wrap-around.
+    fn next_assignment(assign: &mut [usize], base: usize) -> bool {
+        for slot in assign.iter_mut() {
+            *slot += 1;
+            if *slot < base {
+                return true;
+            }
+            *slot = 0;
+        }
+        false
+    }
 
     fn half_by_six() -> BatchProfile {
         let mut surv = vec![1.0];
@@ -606,6 +724,64 @@ mod tests {
         for s in &sets {
             assert!(s.windows(2).all(|w| w[0] < w[1]));
             assert!(s.iter().all(|&b| (1..4).contains(&b)));
+        }
+    }
+
+    #[test]
+    fn boundary_sets_are_walked_in_generator_order() {
+        for l in 0..8 {
+            for max_stages in 0..6 {
+                let mut walked = Vec::new();
+                for_each_boundary_set(l, max_stages, |cuts| walked.push(cuts.to_vec()));
+                assert_eq!(
+                    walked,
+                    boundary_sets(l, max_stages),
+                    "l {l} stages {max_stages}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn walk_visits_leaves_in_odometer_order() {
+        for (len, base) in [(1, 3), (3, 2), (4, 3), (2, 1)] {
+            let mut walked = Vec::new();
+            walk(&mut vec![0; len], base, (), &mut |assign, i, ()| {
+                if i == 0 {
+                    walked.push(assign.to_vec());
+                }
+                true
+            });
+            let mut odometer = vec![vec![0; len]];
+            let mut assign = vec![0; len];
+            while next_assignment(&mut assign, base) {
+                odometer.push(assign.clone());
+            }
+            assert_eq!(walked, odometer, "len {len} base {base}");
+        }
+    }
+
+    #[test]
+    fn completions_count_the_leaves_within_each_kind() {
+        let kinds = [(GpuKind::V100, 2), (GpuKind::P100, 1), (GpuKind::K80, 3)];
+        for free in 0..5 {
+            for on_kind in [[0, 0, 0], [1, 0, 2], [2, 1, 3], [0, 1, 0]] {
+                let mut brute = 0;
+                let mut assign = vec![0; free];
+                loop {
+                    let mut n = on_kind;
+                    assign.iter().for_each(|&k| n[k] += 1);
+                    brute += u64::from(n.iter().zip(&kinds).all(|(n, (_, a))| n <= a));
+                    if !next_assignment(&mut assign, kinds.len()) {
+                        break;
+                    }
+                }
+                assert_eq!(
+                    completions(&kinds, &on_kind, free),
+                    brute,
+                    "{free} {on_kind:?}"
+                );
+            }
         }
     }
 
@@ -774,6 +950,7 @@ mod tests {
     fn bound_prunes_most_of_the_paper_search() {
         // 232 boundary sets of DeeBERT's 12 layers at max_splits 4, with
         // 3 + 11·9 + 55·27 + 165·81 = 14,952 kind assignments among them.
+        // The walk's counts are the odometer's, pinned exactly.
         let (m, c, lm, tm) = setup();
         let (plan, stats) = optimize_heterogeneous_with_stats(
             &m,
@@ -786,12 +963,18 @@ mod tests {
             &OptimizerConfig::default(),
         );
         assert_eq!(stats.assignments, 14_952);
-        assert!(
-            stats.pruned * 2 > stats.assignments,
-            "pruned only {} of {}",
-            stats.pruned,
-            stats.assignments
+        assert_eq!(stats.pruned, 14_586);
+        let [walked, odometer] = walk_and_odometer(
+            &m,
+            &c,
+            &half_by_six(),
+            &paper_hetero_counts(),
+            8.0,
+            &tm,
+            &lm,
+            &OptimizerConfig::default(),
         );
+        assert_eq!(walked, odometer);
         let reference = reference_optimize_heterogeneous(
             &m,
             &c,
@@ -938,6 +1121,102 @@ mod tests {
 
         let (_, _, stages) = best.expect("at least the single-stage plan is feasible");
         build_plan_hetero(model, ctrl, profile, b0, tm, lm, cfg, &stages, true)
+    }
+
+    /// The odometer walk the branch and bound replaced, kept as the
+    /// reference for its plans and [`SearchStats`]: every assignment the
+    /// GPU counts admit is bounded one at a time, and the survivors are
+    /// waterfilled.
+    fn odometer_bottleneck_search(
+        kinds: &[(GpuKind, usize)],
+        tables: &StageTables,
+        l: usize,
+        cfg: &OptimizerConfig,
+    ) -> (Vec<StageAssignment>, SearchStats) {
+        let nk = kinds.len();
+        let t1: Vec<&[Vec<f64>]> = kinds.iter().map(|&(k, _)| tables.t1(k)).collect();
+        let max_stages = cfg.max_splits.max(1);
+        let mut sc = Scratch::new(nk, max_stages);
+        let mut stats = SearchStats::default();
+        let mut best: Option<(f64, f64)> = None;
+        let mut best_stages = Vec::new();
+
+        for cuts in boundary_sets(l, max_stages) {
+            let s = cuts.len() + 1;
+            let pen = 1.0 + cfg.stage_overhead_frac * (s as f64 - 1.0);
+            let space = (nk as u64).pow(s as u32);
+            stats.assignments += space;
+            if cannot_win(best, sc.load(&cuts, l, kinds, &t1, &tables.tx), pen) {
+                stats.pruned += space;
+                continue;
+            }
+            let mut assign = vec![0usize; s];
+            let mut on_kind = vec![0; nk];
+            loop {
+                on_kind.fill(0);
+                for &k in &assign {
+                    on_kind[k] += 1;
+                }
+                let fits = kinds.iter().zip(&on_kind).all(|(&(_, a), &n)| n <= a);
+                if fits {
+                    let bound = assign
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &k)| {
+                            let cap = kinds[k].1 - on_kind[k] + 1;
+                            sc.demand(i, k) / cap as f64
+                        })
+                        .fold(0.0, f64::max);
+                    if cannot_win(best, bound, pen) {
+                        stats.pruned += 1;
+                    } else {
+                        let (bottleneck, cost) = sc.allocate(kinds, &assign, &on_kind);
+                        let within_cap = cfg.max_cost_per_sec.is_none_or(|cap| cost <= cap + TIE);
+                        let penalized = bottleneck * pen;
+                        let better = match best {
+                            None => true,
+                            Some((bb, bc)) => {
+                                penalized < bb - TIE || ((penalized - bb).abs() <= TIE && cost < bc)
+                            }
+                        };
+                        if within_cap && better {
+                            best = Some((penalized, cost));
+                            best_stages.clear();
+                            best_stages.extend(assign.iter().enumerate().map(|(i, &k)| {
+                                let (a, b) = stage_range(&cuts, l, i);
+                                (a, b, sc.m[i], kinds[k].0)
+                            }));
+                        }
+                    }
+                }
+                if !next_assignment(&mut assign, nk) {
+                    break;
+                }
+            }
+        }
+        (best_stages, stats)
+    }
+
+    /// The walk's and the odometer's (stages, stats) on one pool.
+    #[allow(clippy::too_many_arguments)]
+    fn walk_and_odometer(
+        model: &EeModel,
+        ctrl: &RampController,
+        profile: &BatchProfile,
+        counts: &BTreeMap<GpuKind, usize>,
+        b0: f64,
+        tm: &TransferModel,
+        lm: &LatencyModel,
+        cfg: &OptimizerConfig,
+    ) -> [(Vec<StageAssignment>, SearchStats); 2] {
+        let kinds = available(counts);
+        let mut tables = StageTables::new(model, profile, b0, tm);
+        tables.add_kinds(model, ctrl, profile, b0, lm, &kinds);
+        let l = model.num_layers();
+        [
+            bottleneck_search(&kinds, &tables, l, cfg),
+            odometer_bottleneck_search(&kinds, &tables, l, cfg),
+        ]
     }
 
     /// The plain enumeration behind [`min_cost_for_goodput`], kept verbatim.
@@ -1120,6 +1399,9 @@ mod tests {
                 &model, &ctrl, &profile, &counts, b0, &tm, &lm, &cfg,
             );
             prop_assert_eq!(&fast, &slow);
+            let [walked, odometer] =
+                walk_and_odometer(&model, &ctrl, &profile, &counts, b0, &tm, &lm, &cfg);
+            prop_assert_eq!(walked, odometer);
 
             let target = slow.goodput * target_frac;
             prop_assert_eq!(

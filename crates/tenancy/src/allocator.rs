@@ -182,11 +182,16 @@ impl ClusterAllocator for MarginalGoodput {
         // (tenant, kind) pair with the highest weighted, demand-capped
         // goodput gain per dollar. Stops when every tenant's demand is
         // met (all gains ≈ 0) — surplus GPUs stay unallocated rather
-        // than burning cost on capacity nobody can consume.
+        // than burning cost on capacity nobody can consume. A tenant
+        // already at its cap gains exactly zero from any kind, which never
+        // beats a non-negative `epsilon`, so its grown subsets go unsolved.
         while pool.values().any(|&c| c > 0) {
             let mut best: Option<(f64, usize, GpuKind)> = None;
             for t in 0..n {
                 let base = self.capped_value(&mut oracles[t], &shares[t], &demands[t]);
+                if self.epsilon >= 0.0 && base == self.headroom * demands[t].demand_rate {
+                    continue;
+                }
                 for &kind in GpuKind::ALL.iter() {
                     if pool.get(&kind).copied().unwrap_or(0) == 0 {
                         continue;
@@ -442,6 +447,83 @@ mod tests {
             total(&shares) < cluster.num_gpus(),
             "surplus GPUs left idle: {shares:?}"
         );
+    }
+
+    /// `MarginalGoodput::allocate` as it was before phase 2 skipped
+    /// capped tenants: every tenant's grown subsets are valued each round.
+    fn allocate_without_skip(
+        policy: &MarginalGoodput,
+        cluster: &ClusterSpec,
+        demands: &[TenantDemand],
+        oracles: &mut [ValueOracle<'_>],
+    ) -> Shares {
+        let n = demands.len();
+        let mut pool = cluster.gpu_counts();
+        let mut shares: Shares = vec![BTreeMap::new(); n];
+        let fair = cluster.num_gpus().div_ceil(n);
+        for t in 0..n {
+            while shares[t].values().sum::<usize>() < fair {
+                let have = shares[t].values().sum::<usize>();
+                if have > 0 && oracles[t].value(&shares[t]).feasible {
+                    break;
+                }
+                let Some(kind) = best_kind_for(&mut oracles[t], &shares[t], &pool) else {
+                    break;
+                };
+                grant(&mut shares[t], &mut pool, kind);
+            }
+        }
+        while pool.values().any(|&c| c > 0) {
+            let mut best: Option<(f64, usize, GpuKind)> = None;
+            for t in 0..n {
+                let base = policy.capped_value(&mut oracles[t], &shares[t], &demands[t]);
+                for &kind in GpuKind::ALL.iter() {
+                    if pool.get(&kind).copied().unwrap_or(0) == 0 {
+                        continue;
+                    }
+                    let mut grown = shares[t].clone();
+                    *grown.entry(kind).or_insert(0) += 1;
+                    let gain =
+                        (policy.capped_value(&mut oracles[t], &grown, &demands[t]) - base).max(0.0);
+                    let score = demands[t].weight * gain / kind.cost_per_sec();
+                    if score > policy.epsilon && best.is_none_or(|(s, _, _)| score > s) {
+                        best = Some((score, t, kind));
+                    }
+                }
+            }
+            let Some((_, t, kind)) = best else { break };
+            grant(&mut shares[t], &mut pool, kind);
+        }
+        shares
+    }
+
+    /// The policy's and the unskipped loop's shares, and the subsets each
+    /// had its oracles solve.
+    fn with_and_without_skip(demands: &[TenantDemand]) -> [(Shares, usize); 2] {
+        let cluster = ClusterSpec::paper_heterogeneous();
+        let ps: Vec<OracleParts> = demands.iter().map(|_| parts()).collect();
+        let solved = |os: &[ValueOracle<'_>]| os.iter().map(ValueOracle::subsets_solved).sum();
+        let mut os = oracles(&ps);
+        let skipped = MarginalGoodput::default().allocate(&cluster, demands, &mut os);
+        let skipped = (skipped, solved(&os));
+        let mut os = oracles(&ps);
+        let full = allocate_without_skip(&MarginalGoodput::default(), &cluster, demands, &mut os);
+        [skipped, (full, solved(&os))]
+    }
+
+    #[test]
+    fn capped_tenants_are_skipped_without_moving_shares() {
+        let [(skipped, fewer), (full, all)] =
+            with_and_without_skip(&[demand(6000.0), demand(2000.0), demand(1000.0)]);
+        assert_eq!(skipped, full);
+        assert!(fewer < all, "skipping solved {fewer} of {all} subsets");
+
+        // Every tenant meets its demand on one GPU: nothing is granted
+        // past the floor either way.
+        let [(skipped, _), (full, _)] =
+            with_and_without_skip(&[demand(50.0), demand(50.0), demand(50.0)]);
+        assert_eq!(skipped, full);
+        assert_eq!(total(&skipped), 3, "{skipped:?}");
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!
 //! Tenants are independent given their partitions, but all their serving
 //! happens on one shared time axis: each tenant's kernel events are
-//! re-based onto its cumulative clock ([`OffsetObserver`]) and written
-//! into one tenant-tagged [`TaggedEventLog`], whose time-ordered merge is
-//! the cluster-wide trace.
+//! re-based onto its cumulative clock ([`OffsetObserver`]). Under
+//! [`MultiTenantSystem::run_observed`] they are written into one
+//! tenant-tagged [`TaggedEventLog`], whose time-ordered merge is the
+//! cluster-wide trace; [`MultiTenantSystem::run`] keeps none of them.
 //!
 //! **Reconfiguration across epochs is guarded conservatively.** When an
 //! epoch boundary leaves a tenant's partition unchanged, its control
@@ -33,8 +34,8 @@ use e3::{BrownoutConfig, E3Config, E3System, ReconfigConfig};
 use e3_hardware::{ClusterSpec, LatencyModel, TransferModel};
 use e3_model::{InferenceSim, RampController};
 use e3_optimizer::{OptimizerConfig, ValueOracle};
-use e3_runtime::kernel::FaultPlan;
-use e3_runtime::{OffsetObserver, TaggedEventLog};
+use e3_runtime::kernel::{FaultPlan, NullObserver};
+use e3_runtime::{OffsetObserver, RunObserver, TaggedEventLog};
 use e3_simcore::{SeedSplitter, SimDuration, SimTime};
 use e3_workload::DatasetModel;
 
@@ -130,10 +131,12 @@ impl MultiTenantSystem {
         &self.tenants
     }
 
-    /// Runs the deployment under `allocator`, discarding kernel events.
+    /// Runs the deployment under `allocator`, keeping no kernel events:
+    /// each tenant's events are re-based onto the shared clock and then
+    /// dropped, so segment bases and the report are those of
+    /// [`Self::run_observed`].
     pub fn run(&self, allocator: &dyn ClusterAllocator) -> MultiTenantReport {
-        let mut log = TaggedEventLog::new();
-        self.run_observed(allocator, &mut log)
+        self.serve(allocator, None)
     }
 
     /// Runs the deployment, streaming every tenant's kernel events —
@@ -143,6 +146,16 @@ impl MultiTenantSystem {
         &self,
         allocator: &dyn ClusterAllocator,
         log: &mut TaggedEventLog,
+    ) -> MultiTenantReport {
+        self.serve(allocator, Some(log))
+    }
+
+    /// Allocates every epoch, then serves each tenant, writing its events
+    /// into `log` when there is one.
+    fn serve(
+        &self,
+        allocator: &dyn ClusterAllocator,
+        mut log: Option<&mut TaggedEventLog>,
     ) -> MultiTenantReport {
         let seeds = SeedSplitter::new(self.cfg.seed);
         let step = if self.cfg.realloc_every == 0 {
@@ -206,8 +219,18 @@ impl MultiTenantSystem {
                     let segment_faults: Vec<FaultPlan> = (ws..we)
                         .map(|w| spec.faults.get(w).cloned().unwrap_or_default())
                         .collect();
-                    let mut tag = log.tagged(t as u32);
-                    let mut off = OffsetObserver::new(base, &mut tag);
+                    let mut tag;
+                    let mut null = NullObserver;
+                    let sink: &mut dyn RunObserver = match log.as_deref_mut() {
+                        Some(log) => {
+                            tag = log.tagged(t as u32);
+                            &mut tag
+                        }
+                        None => &mut null,
+                    };
+                    // The high-water mark is the offset observer's own, so
+                    // the next segment's base does not depend on the sink.
+                    let mut off = OffsetObserver::new(base, sink);
                     let report = sys.run_windows_observed(&phases, &segment_faults, &mut off);
                     let high_water = off.high_water();
                     for (i, mut w) in report.windows.into_iter().enumerate() {

@@ -5,7 +5,9 @@
 //! below the SLO-attainment floor.
 
 use e3_hardware::ClusterSpec;
+use e3_runtime::kernel::FaultPlan;
 use e3_runtime::{KernelEvent, TaggedEventLog};
+use e3_simcore::SimTime;
 use e3_tenancy::{
     DemandProportional, MarginalGoodput, MultiTenantSystem, StaticEven, TenancyConfig, TenantSpec,
 };
@@ -97,6 +99,31 @@ fn multitenant_runs_are_bit_identical() {
         assert_eq!(ta.offered(), tb.offered());
     }
     assert_eq!(a.aggregate_goodput(), b.aggregate_goodput());
+}
+
+#[test]
+fn run_keeps_no_events_yet_reports_as_run_observed() {
+    // The heavy tenant's window-1 slowdown outlasts the window, so its
+    // expiry lands past the segment's duration and sets the next base;
+    // window 2 follows the reallocation and crashes a replica.
+    let c = cfg();
+    let mut roster = skewed_roster(&c);
+    let ms = SimTime::from_millis;
+    roster[0] = roster[0].clone().with_faults(vec![
+        FaultPlan::new(),
+        FaultPlan::new().slowdown(0, 3.0, ms(500), ms(60_000)),
+        FaultPlan::new().crash(0, ms(300)).recover(0, ms(1_000)),
+    ]);
+    let sys = MultiTenantSystem::new(roster, ClusterSpec::paper_heterogeneous(), c);
+    let mut log = TaggedEventLog::new();
+    let observed = sys.run_observed(&MarginalGoodput::default(), &mut log);
+    let kept = sys.run(&MarginalGoodput::default());
+    assert_eq!(observed.allocations.len(), 2, "a reallocation at window 2");
+    assert!(
+        log.count_for(0, |e| matches!(e, KernelEvent::FaultInjected { .. })) >= 3,
+        "every fault fired"
+    );
+    assert_eq!(format!("{observed:?}"), format!("{kept:?}"));
 }
 
 #[test]
