@@ -1853,201 +1853,15 @@ pub fn fig_kv_pressure_report() -> String {
     out
 }
 
-/// Brownout control plane under duress. Part A: a correlated rack crash
-/// plus a fleet-wide overload, served once with shed-only overload
-/// control (a queue cap) and once with the brownout ladder layered on
-/// top — degrading exit depth keeps requests inside the SLO instead of
-/// dropping them. Part B: a gray-degradation sweep served with and
-/// without hedged dispatch — first-response-wins re-dispatch recovers
-/// most of the attainment a silently slow replica costs.
-pub fn fig_brownout_report() -> String {
-    use e3::BrownoutConfig;
-    use e3_hardware::DomainTopology;
-    use e3_model::RampStyle;
-    use e3_runtime::{HedgeConfig, ServingConfig, ServingSim, Strategy};
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Brownout: exit-depth degradation vs shed-only under correlated crash + overload, DeeBERT, 16 x V100\n"
-    );
-
-    // Part A — windows 1-3 lose rack 0 (4 correlated replicas) and the
-    // 12 survivors run 4x slow; windows 4-5 are the recovery tail. Both
-    // runs shed via the same queue cap; the brownout run may also walk
-    // the degradation ladder.
-    let cluster = ClusterSpec::paper_homogeneous_v100();
-    let topology = DomainTopology::derive(&cluster, 2);
-    let rack = &topology.racks()[0];
-    let slow_all = |mut p: FaultPlan, replicas: usize| {
-        for r in 0..replicas {
-            p = p.slowdown(r, 8.0, SimTime::from_millis(1), SimTime::from_secs(600));
-        }
-        p
-    };
-    // Window 1: rack 0's four replicas die together and the twelve
-    // survivors run 8x slow. The control loop writes the rack off, so
-    // windows 2-3 plan over twelve replicas — the sustained-overload
-    // plans index only those.
-    let onset = {
-        let mut p = FaultPlan::new().crash_domain(rack, SimTime::from_millis(1));
-        for r in rack.num_gpus()..cluster.gpus().len() {
-            p = p.slowdown(r, 8.0, SimTime::from_millis(1), SimTime::from_secs(600));
-        }
-        p
-    };
-    let survivors = cluster.gpus().len() - rack.num_gpus();
-    let faults = vec![
-        FaultPlan::default(),
-        onset,
-        slow_all(FaultPlan::new(), survivors),
-        slow_all(FaultPlan::new(), survivors),
-        FaultPlan::default(),
-        FaultPlan::default(),
-    ];
-    let phases = vec![DatasetModel::sst2(); 6];
-    let run = |brownout| {
-        let sys = E3System::new(
-            zoo::deebert(),
-            zoo::default_policy("DeeBERT"),
-            cluster.clone(),
-            E3Config {
-                seed: SEED,
-                requests_per_window: 4000,
-                queue_cap: Some(4),
-                // Single-split plans keep the deployment data-parallel
-                // over all 16 GPUs every window, so the fault plan's
-                // replica indices stay valid as the loop re-plans.
-                max_splits: 1,
-                brownout,
-                ..Default::default()
-            },
-        );
-        sys.run_windows_observed(&phases, &faults, &mut NullObserver)
-    };
-    let shed = run(None);
-    let brown = run(Some(BrownoutConfig {
-        dwell_windows: 0,
-        ..Default::default()
-    }));
-
-    let mut t = Table::new(
-        "rack crash + 8x overload, windows 1-3 of 6 (queue cap 4)",
-        &["shed-only", "brownout"],
-    );
-    t.row("goodput (samples/s)", &[shed.goodput(), brown.goodput()]);
-    t.row_fmt(
-        "SLO attainment (%)",
-        &[
-            shed.slo_attainment() * 100.0,
-            brown.slo_attainment() * 100.0,
-        ],
-        1,
-    );
-    t.row(
-        "samples shed",
-        &[shed.sheds().total() as f64, brown.sheds().total() as f64],
-    );
-    t.row(
-        "degraded windows",
-        &[
-            shed.brownout_windows() as f64,
-            brown.brownout_windows() as f64,
-        ],
-    );
-    t.row(
-        "deepest rung",
-        &[
-            shed.max_brownout_level() as f64,
-            brown.max_brownout_level() as f64,
-        ],
-    );
-    out.push_str(&t.render());
-
-    // Part B — one replica of three turns gray (silently slow); the
-    // watchdog sees clean self-reports, so only hedged re-dispatch of
-    // late batches can rescue the tail.
-    let model = zoo::bert_base();
-    let small = ClusterSpec::homogeneous(GpuKind::V100, 3, 1);
-    let gen = WorkloadGenerator::new(
-        ArrivalProcess::Poisson { rate: 300.0 },
-        DatasetModel::sst2(),
-        SimDuration::from_secs(2),
-    );
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let reqs = gen.generate(0, &mut rng);
-    let gray_run = |factor: Option<f64>, hedge: Option<HedgeConfig>| {
-        let stages = Strategy::Vanilla { batch: 8 }.realize(&model, &small);
-        let ctrl = RampController::all_enabled(0, RampStyle::Independent);
-        let plan = match factor {
-            Some(f) => FaultPlan::new().gray(2, f, SimTime::from_millis(5), SimTime::from_secs(2)),
-            None => FaultPlan::new(),
-        };
-        let sim = ServingSim::new(
-            &model,
-            ExitPolicy::Entropy { threshold: 0.4 },
-            ctrl,
-            InferenceSim::new(),
-            stages,
-            LatencyModel::new(),
-            TransferModel::default(),
-            ServingConfig {
-                closed_loop: false,
-                horizon: Some(SimDuration::from_secs(2)),
-                slo: SimDuration::from_millis(30),
-                hedge,
-                fault_plan: plan,
-                ..Default::default()
-            },
-        );
-        let r = sim.run(&reqs, SEED, &mut NullObserver);
-        r.latency.quantile_ms(0.99)
-    };
-    let healthy = gray_run(None, None);
-    let factors = [6.0, 10.0, 16.0];
-    let cols: Vec<String> = factors.iter().map(|f| format!("gray {f}x")).collect();
-    let mut g = Table::new(
-        "gray replica sweep: p99 completion latency (ms), 1 of 3 x V100 silently slow",
-        &cols,
-    );
-    let unhedged: Vec<f64> = factors.iter().map(|&f| gray_run(Some(f), None)).collect();
-    let hedged: Vec<f64> = factors
-        .iter()
-        .map(|&f| gray_run(Some(f), Some(HedgeConfig::default())))
-        .collect();
-    let recovered: Vec<f64> = factors
-        .iter()
-        .enumerate()
-        .map(|(i, _)| (unhedged[i] - hedged[i]) / (unhedged[i] - healthy).max(1e-9) * 100.0)
-        .collect();
-    g.row_fmt("no hedge", &unhedged, 1);
-    g.row_fmt("hedged", &hedged, 1);
-    g.row_fmt("tail inflation recovered (%)", &recovered, 1);
-    out.push_str(&g.render());
-
-    let cap = hedged.iter().fold(0.0f64, |a, &b| a.max(b));
-    let worst = unhedged.iter().fold(0.0f64, |a, &b| a.max(b));
-    out.push_str(&takeaway_line(&format!(
-        "browning out exit depth beats shedding: attainment {:.1}% -> {:.1}% at {:.2}x goodput; hedged re-dispatch pins p99 near {:.0} ms however sick the gray replica gets (unhedged: up to {:.0} ms, healthy: {:.1} ms)",
-        shed.slo_attainment() * 100.0,
-        brown.slo_attainment() * 100.0,
-        brown.goodput() / shed.goodput(),
-        cap,
-        worst,
-        healthy
-    )));
-    out
-}
-
 /// Scenario-matrix smoke: the pruned cell subset of the composed stress
 /// space ({arrival} × {drift} × {faults} × {skew} × {guarded} × {exit
-/// policy} × {brownout}), every cell's kernel streams validated online
-/// by the invariant checker.
+/// policy}), every cell's kernel streams validated online by the
+/// invariant checker.
 pub fn fig_matrix_report() -> String {
     matrix_report(&ScenarioMatrix::smoke_cells(), "smoke")
 }
 
-/// The full 320-cell cross product.
+/// The full 96-cell cross product.
 pub fn fig_matrix_full_report() -> String {
     matrix_report(&ScenarioMatrix::full_cells(), "full")
 }

@@ -91,7 +91,6 @@ pub const FIGURES: &[Figure] = &[
     Figure::new("generality_policies", figs::generality_policies_report),
     Figure::new("ablations", figs::ablations_report),
     Figure::new("fig_degradation", figs::fig_degradation_report),
-    Figure::new("fig_brownout", figs::fig_brownout_report),
     Figure::new("fig_reconfig", figs::fig_reconfig_report),
     Figure::new("fig_multitenant", figs::fig_multitenant_report),
     Figure::new("fig_matrix", figs::fig_matrix_report),

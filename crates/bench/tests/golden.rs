@@ -77,7 +77,6 @@ named_golden_tests! {
     fig13_report_matches_golden => "fig13_heterogeneous",
     fig15_report_matches_golden => "fig15_cost",
     fig24_report_matches_golden => "fig24_slo",
-    fig_brownout_report_matches_golden => "fig_brownout",
     fig_degradation_report_matches_golden => "fig_degradation",
     fig_kv_pressure_report_matches_golden => "fig_kv_pressure",
     fig_matrix_report_matches_golden => "fig_matrix",

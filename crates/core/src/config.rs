@@ -3,7 +3,6 @@
 use e3_profiler::EstimatorConfig;
 use e3_simcore::SimDuration;
 
-use crate::brownout::BrownoutConfig;
 use crate::reconfig::ReconfigConfig;
 
 /// Configuration of a full E3 deployment.
@@ -40,12 +39,6 @@ pub struct E3Config {
     /// Bound on queued batches per replica in the serving runtime;
     /// routing sheds batches past it. `None` keeps queues unbounded.
     pub queue_cap: Option<usize>,
-    /// Brownout control plane: under sustained SLO-attainment misses the
-    /// loop walks a degradation ladder — shallower exit thresholds, then
-    /// admission tightening, then deliberate shed — instead of failing
-    /// open. Disabled by default; the plain loop is preserved
-    /// bit-for-bit.
-    pub brownout: Option<BrownoutConfig>,
 }
 
 impl Default for E3Config {
@@ -63,7 +56,6 @@ impl Default for E3Config {
             requests_per_window: 10_000,
             reconfig: ReconfigConfig::default(),
             queue_cap: None,
-            brownout: None,
         }
     }
 }
@@ -84,6 +76,5 @@ mod tests {
         );
         assert!(!c.reconfig.guarded, "guarded reconfiguration is opt-in");
         assert_eq!(c.queue_cap, None, "queues unbounded unless asked");
-        assert_eq!(c.brownout, None, "brownout control is opt-in");
     }
 }

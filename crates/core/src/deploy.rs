@@ -10,7 +10,7 @@
 
 use e3_hardware::{ClusterSpec, LatencyModel, TransferModel};
 use e3_model::{EeModel, ExitPolicy, InferenceSim, RampController};
-use e3_runtime::{FaultPlan, ServingConfig, ServingSim, ShedCause, Strategy, FUSION_MAX_WAIT};
+use e3_runtime::{FaultPlan, ServingConfig, ServingSim, Strategy, FUSION_MAX_WAIT};
 use e3_simcore::SimDuration;
 
 /// Builds a [`ServingSim`] from the deployment triple (model, strategy,
@@ -32,7 +32,6 @@ pub struct DeploymentBuilder<'m, 's> {
     fault_plan: FaultPlan,
     detect_stragglers: bool,
     queue_cap: Option<usize>,
-    shed_cause: ShedCause,
 }
 
 impl<'m, 's> DeploymentBuilder<'m, 's> {
@@ -60,7 +59,6 @@ impl<'m, 's> DeploymentBuilder<'m, 's> {
             fault_plan: FaultPlan::new(),
             detect_stragglers: false,
             queue_cap: None,
-            shed_cause: ShedCause::QueueCap,
         }
     }
 
@@ -120,13 +118,6 @@ impl<'m, 's> DeploymentBuilder<'m, 's> {
         self
     }
 
-    /// Attributes queue-bound sheds to `cause` in the run's shed
-    /// breakdown (the brownout controller tags its deliberate sheds).
-    pub fn with_shed_cause(mut self, cause: ShedCause) -> Self {
-        self.shed_cause = cause;
-        self
-    }
-
     /// Realizes the strategy and assembles the simulator.
     pub fn build(self) -> ServingSim<'m> {
         let stages = self.strategy.realize(self.model, self.cluster);
@@ -146,7 +137,6 @@ impl<'m, 's> DeploymentBuilder<'m, 's> {
                 fault_plan: self.fault_plan,
                 detect_stragglers: self.detect_stragglers,
                 queue_cap: self.queue_cap,
-                shed_cause: self.shed_cause,
                 ..Default::default()
             },
         )

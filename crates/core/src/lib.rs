@@ -37,7 +37,6 @@
 //! assert!(e3.goodput() > bert.goodput());
 //! ```
 
-pub mod brownout;
 pub mod config;
 pub mod deploy;
 pub mod harness;
@@ -46,7 +45,6 @@ pub mod reconfig;
 pub mod report;
 pub mod system;
 
-pub use brownout::{BrownoutConfig, BrownoutController, BrownoutTransition};
 pub use config::E3Config;
 pub use deploy::DeploymentBuilder;
 pub use policy::{AdaptiveExitPolicy, FixedExitPolicy, OnlineThresholdTuner};

@@ -2,7 +2,7 @@
 
 use e3_model::BatchProfile;
 use e3_optimizer::SplitPlan;
-use e3_runtime::{RunReport, ShedBreakdown};
+use e3_runtime::RunReport;
 
 use crate::reconfig::{ReconfigDecision, ReconfigReport};
 
@@ -34,19 +34,12 @@ pub struct WindowReport {
     /// True when the watchdog entered safe mode *at* this window (the
     /// trigger edge).
     pub watchdog_triggered: bool,
-    /// The brownout rung in force while this window served (0 = normal
-    /// operation; see [`crate::brownout::BrownoutController`]).
+    /// Brownout rung: always 0; kept because the benchmark digests this
+    /// report's Debug text; goes with the next `benchmark/` change.
     pub brownout_level: u8,
 }
 
 impl WindowReport {
-    /// This window's dropped samples broken down by cause — queue-bound
-    /// sheds, admission rejections, transfer aborts, and the brownout
-    /// controller's deliberate sheds.
-    pub fn sheds(&self) -> &ShedBreakdown {
-        &self.run.robustness.sheds
-    }
-
     /// This window's SLO attainment over all arrivals (completions that
     /// met the SLO divided by completed + dropped); 1.0 for an empty
     /// window. Dropped samples count against attainment — a shed request
@@ -134,29 +127,6 @@ impl E3Report {
             .iter()
             .find(|w| w.watchdog_triggered)
             .map(|w| w.window)
-    }
-
-    /// Windows served under an active brownout rung (level >= 1).
-    pub fn brownout_windows(&self) -> usize {
-        self.windows.iter().filter(|w| w.brownout_level > 0).count()
-    }
-
-    /// The deepest brownout rung any window served under.
-    pub fn max_brownout_level(&self) -> u8 {
-        self.windows
-            .iter()
-            .map(|w| w.brownout_level)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Total sheds-by-cause across all windows.
-    pub fn sheds(&self) -> ShedBreakdown {
-        let mut total = ShedBreakdown::default();
-        for w in &self.windows {
-            total.merge(w.sheds());
-        }
-        total
     }
 
     /// Mean SLO attainment over windows, each weighted by its arrivals.

@@ -14,29 +14,17 @@ use e3_optimizer::auto::plan_for_cluster_cached;
 use e3_optimizer::{OptimizerConfig, PlanCache, SplitPlan};
 use e3_profiler::{BatchProfileEstimator, DriftWatchdog, WindowObserver};
 use e3_runtime::{
-    FaultPlan, KernelEvent, OffsetObserver, RunObserver, RunReport, ServingSim, ShedCause, Strategy,
+    FaultPlan, KernelEvent, OffsetObserver, RunObserver, RunReport, ServingSim, Strategy,
 };
 use e3_simcore::{SeedSplitter, SimTime};
 use e3_workload::{DatasetModel, Request};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::brownout::{BrownoutController, BrownoutTransition};
 use crate::config::E3Config;
 use crate::deploy::DeploymentBuilder;
-use crate::policy::{AdaptiveExitPolicy, FixedExitPolicy};
 use crate::reconfig::{ReconfigDecision, ReconfigReport};
 use crate::report::{E3Report, WindowReport};
-
-/// The per-window serving knobs the brownout ladder may override: the
-/// frozen exit policy, the queue bound, and how queue-bound sheds are
-/// attributed.
-#[derive(Debug, Clone, Copy)]
-struct ServeKnobs {
-    policy: ExitPolicy,
-    queue_cap: Option<usize>,
-    shed_cause: ShedCause,
-}
 
 /// A running E3 deployment: model + cluster + control loop.
 pub struct E3System {
@@ -142,14 +130,6 @@ impl E3System {
         let mut clock = SimTime::ZERO;
         // Was *this* window planned with the safe-mode profile?
         let mut safe_mode = false;
-        // The brownout ladder (opt-in): observes each window's SLO
-        // attainment and queue pressure, and degrades the next window's
-        // exit policy / planner profile / queue bound one rung at a time.
-        let mut brownout = self
-            .cfg
-            .brownout
-            .map(|b| BrownoutController::new(FixedExitPolicy::new(self.policy), b));
-
         for (w, dataset) in phases.iter().enumerate() {
             let fault_plan = faults.get(w).cloned().unwrap_or_default();
             let predicted = estimator.forecast();
@@ -161,24 +141,6 @@ impl E3System {
                 predicted.clone()
             };
             let planned_safe = guarded && safe_mode;
-            // Brownout composes with re-planning: the DP optimizer plans
-            // against the *degraded* exit-rate profile, so splits land
-            // where batches will actually shrink under the loosened
-            // thresholds.
-            let brownout_level = brownout.as_ref().map_or(0, |b| b.level());
-            let planning = match &brownout {
-                Some(b) => b.degrade_profile(&planning),
-                None => planning,
-            };
-            let knobs = ServeKnobs {
-                policy: brownout.as_ref().map_or(self.policy, |b| b.policy()),
-                queue_cap: brownout
-                    .as_ref()
-                    .map_or(self.cfg.queue_cap, |b| b.queue_cap(self.cfg.queue_cap)),
-                shed_cause: brownout
-                    .as_ref()
-                    .map_or(ShedCause::QueueCap, |b| b.shed_cause()),
-            };
             let full_ctrl =
                 RampController::all_enabled(self.model.num_ramps(), self.policy.ramp_style());
             let plan = plan_for_cluster_cached(
@@ -248,14 +210,12 @@ impl E3System {
                     &cluster,
                     epoch,
                     clock,
-                    &knobs,
                     observer,
                 );
                 (run, winner, Some(report))
             } else {
                 let strategy = Strategy::Plan(plan.clone());
-                let sim =
-                    self.deployment(&strategy, &cluster, serve_ctrl, fault_plan.clone(), &knobs);
+                let sim = self.deployment(&strategy, &cluster, serve_ctrl, fault_plan.clone());
                 let mut off = OffsetObserver::new(clock, observer);
                 let run = sim.run(
                     &requests,
@@ -300,84 +260,28 @@ impl E3System {
             }
             let observed = obs.profile();
             let drift = observed.as_ref().map_or(0.0, |o| estimator.drift(o));
-            // Windows served under an active brownout rung reflect the
-            // *deliberately* degraded exit behaviour; keeping them out of
-            // the estimator means forecasts keep tracking the nominal
-            // regime and the planner composes brownout through
-            // `degrade_profile` instead of learning it as the new normal.
-            let feed_estimator = brownout_level == 0;
             let mut watchdog_triggered = false;
             if guarded {
                 // The watchdog decides: instant single-window spikes are
                 // absorbed; only confirmed drift resets the estimator, and
                 // entering safe mode pessimizes the *next* window's plan.
-                let drift_obs = if feed_estimator {
-                    observed.as_ref().map(|_| drift)
-                } else {
-                    None
-                };
-                let verdict = watchdog.observe(w, drift_obs);
+                let verdict = watchdog.observe(w, observed.as_ref().map(|_| drift));
                 if verdict.reset_estimator {
                     estimator.reset_history();
                 }
                 watchdog_triggered = verdict.entered_safe_mode.is_some();
                 safe_mode = watchdog.in_safe_mode();
-                if feed_estimator {
-                    if let Some(o) = &observed {
-                        estimator.observe_window(o);
-                    }
-                }
-            } else if feed_estimator {
                 if let Some(o) = &observed {
-                    // Reactive correction (§3.1): a drastic mismatch means
-                    // the workload regime changed; forget the dead trend so
-                    // the next forecast tracks the new one immediately.
-                    if estimator.drift_exceeds(o) {
-                        estimator.reset_history();
-                    }
                     estimator.observe_window(o);
                 }
-            }
-
-            // Feed the brownout ladder and mirror any rung change onto
-            // the event stream at the window boundary, so invariant
-            // checkers see Entered/Level/Exited paired and in order.
-            if let Some(b) = brownout.as_mut() {
-                if feed_estimator {
-                    let total = (run.completed + run.dropped).max(1) as f64;
-                    let exited = run.exit_events.iter().filter(|e| e.exited_early).count();
-                    AdaptiveExitPolicy::observe_window(b, exited as f64 / total);
+            } else if let Some(o) = &observed {
+                // Reactive correction (§3.1): a drastic mismatch means
+                // the workload regime changed; forget the dead trend so
+                // the next forecast tracks the new one immediately.
+                if estimator.drift_exceeds(o) {
+                    estimator.reset_history();
                 }
-                // Judge the *underlying* service health: samples the
-                // controller itself shed are excluded from the attainment
-                // it steers on, otherwise its own load shedding holds
-                // measured attainment below the exit threshold and the
-                // ladder latches at the shedding rung forever.
-                let arrivals =
-                    (run.completed + run.dropped).saturating_sub(run.robustness.sheds.brownout);
-                let attainment = if arrivals == 0 {
-                    1.0
-                } else {
-                    run.within_slo as f64 / arrivals as f64
-                };
-                let peak_queue = run
-                    .peak_replica_queue_depth
-                    .iter()
-                    .copied()
-                    .max()
-                    .unwrap_or(0);
-                match b.observe_attainment(attainment, peak_queue) {
-                    Some(BrownoutTransition::Entered(level)) => {
-                        observer.on_event(clock, &KernelEvent::BrownoutEntered { level })
-                    }
-                    Some(BrownoutTransition::Level(level)) => {
-                        observer.on_event(clock, &KernelEvent::BrownoutLevel { level })
-                    }
-                    Some(BrownoutTransition::Exited) => {
-                        observer.on_event(clock, &KernelEvent::BrownoutExited)
-                    }
-                    None => {}
-                }
+                estimator.observe_window(o);
             }
 
             windows.push(WindowReport {
@@ -391,32 +295,29 @@ impl E3System {
                 reconfig,
                 safe_mode: planned_safe,
                 watchdog_triggered,
-                brownout_level,
+                brownout_level: 0,
             });
         }
         E3Report { windows }
     }
 
     /// Assembles the serving simulator for one window (or one guarded
-    /// segment) of the control loop, honoring the window's brownout
-    /// knobs (degraded policy, tightened queue bound, shed attribution).
+    /// segment) of the control loop.
     fn deployment<'a>(
         &'a self,
         strategy: &'a Strategy,
         cluster: &'a ClusterSpec,
         ctrl: RampController,
         fault_plan: FaultPlan,
-        knobs: &ServeKnobs,
     ) -> ServingSim<'a> {
-        DeploymentBuilder::new(&self.model, knobs.policy, strategy, cluster)
+        DeploymentBuilder::new(&self.model, self.policy, strategy, cluster)
             .with_ctrl(ctrl)
             .with_inference(self.infer)
             .with_latency_model(self.lm)
             .with_transfer_model(self.tm)
             .with_slo(self.cfg.slo)
             .with_fault_plan(fault_plan)
-            .with_queue_cap(knobs.queue_cap)
-            .with_shed_cause(knobs.shed_cause)
+            .with_queue_cap(self.cfg.queue_cap)
             .build()
     }
 
@@ -442,7 +343,6 @@ impl E3System {
         cluster: &ClusterSpec,
         epoch: u32,
         clock: SimTime,
-        knobs: &ServeKnobs,
         observer: &mut dyn RunObserver,
     ) -> (RunReport, SplitPlan, ReconfigReport) {
         let n = requests.len();
@@ -450,19 +350,12 @@ impl E3System {
         debug_assert!(k > 0 && 2 * k < n, "caller checked segment_len");
         let inc_strategy = Strategy::Plan(incumbent.clone());
         let cand_strategy = Strategy::Plan(candidate.clone());
-        let inc_sim = self.deployment(
-            &inc_strategy,
-            cluster,
-            serve_ctrl.clone(),
-            FaultPlan::new(),
-            knobs,
-        );
+        let inc_sim = self.deployment(&inc_strategy, cluster, serve_ctrl.clone(), FaultPlan::new());
         let cand_sim = self.deployment(
             &cand_strategy,
             cluster,
             serve_ctrl.clone(),
             FaultPlan::new(),
-            knobs,
         );
 
         observer.on_event(clock, &KernelEvent::ReconfigStarted { epoch });
@@ -706,83 +599,6 @@ mod tests {
             assert_eq!(w.plan, cold, "window {}", w.window);
         }
         assert!(gpus_seen.len() > 1, "crash should shrink the cluster");
-    }
-
-    #[test]
-    fn brownout_degrades_under_overload_and_recovers() {
-        use crate::brownout::BrownoutConfig;
-        use e3_runtime::kernel::EventLog;
-
-        let mk = |brownout| {
-            E3System::new(
-                zoo::deebert(),
-                zoo::default_policy("DeeBERT"),
-                ClusterSpec::paper_homogeneous_v100(),
-                E3Config {
-                    brownout,
-                    ..small_cfg()
-                },
-            )
-        };
-        // Windows 1-2 suffer a fleet-wide 8x slowdown: every batch blows
-        // the 100 ms SLO, attainment collapses, and the ladder engages.
-        let overload = || {
-            let mut p = FaultPlan::new();
-            for r in 0..16 {
-                p = p.slowdown(
-                    r,
-                    8.0,
-                    e3_simcore::SimTime::from_millis(1),
-                    e3_simcore::SimTime::from_secs(600),
-                );
-            }
-            p
-        };
-        let faults = vec![FaultPlan::default(), overload(), overload()];
-        let phases = vec![DatasetModel::sst2(); 7];
-
-        let sys = mk(Some(BrownoutConfig {
-            dwell_windows: 0,
-            ..Default::default()
-        }));
-        let mut log = EventLog::new();
-        let r = sys.run_windows_observed(&phases, &faults, &mut log);
-
-        // The ladder engaged while overloaded and fully unwound once the
-        // fault cleared.
-        assert!(r.max_brownout_level() >= 1, "never engaged");
-        assert!(r.brownout_windows() >= 1);
-        assert_eq!(
-            r.windows.last().expect("windows").brownout_level,
-            0,
-            "ladder should unwind after recovery"
-        );
-        // Degraded windows really serve shallower: loosened thresholds
-        // push samples out earlier than the nominal window 0.
-        let nominal_depth = r.windows[0].run.mean_depth();
-        let degraded = r
-            .windows
-            .iter()
-            .find(|w| w.brownout_level > 0)
-            .expect("some degraded window");
-        assert!(
-            degraded.run.mean_depth() < nominal_depth,
-            "degraded {} nominal {}",
-            degraded.run.mean_depth(),
-            nominal_depth
-        );
-        // Every entry is paired with an exit on the event stream, and
-        // level moves only happen in between.
-        let entered = log.count(|e| matches!(e, KernelEvent::BrownoutEntered { .. }));
-        let exited = log.count(|e| matches!(e, KernelEvent::BrownoutExited));
-        assert_eq!(entered, exited, "entered {entered} exited {exited}");
-        assert!(entered >= 1);
-
-        // The disabled-control run is byte-identical to the pre-brownout
-        // loop and reports level 0 everywhere.
-        let off = mk(None).run_windows_observed(&phases, &faults, &mut NullObserver);
-        assert_eq!(off.max_brownout_level(), 0);
-        assert_eq!(off.brownout_windows(), 0);
     }
 
     #[test]

@@ -21,14 +21,12 @@
 //! 6×V100 + 8×P100 + 15×K80 cluster both cost $0.013/s, matching §5.2.
 
 pub mod cluster;
-pub mod domains;
 pub mod gpu;
 pub mod interconnect;
 pub mod latency;
 pub mod memory;
 
 pub use cluster::{ClusterSpec, GpuInstance, MachineSpec};
-pub use domains::{DomainTopology, FaultDomain, FaultDomainKind};
 pub use gpu::GpuKind;
 pub use interconnect::{LinkKind, TransferModel};
 pub use latency::{ExitOverheads, LatencyModel};

@@ -450,7 +450,8 @@ impl Scratch {
                 1 => self.m[members().next().expect("one stage")] = avail,
                 _ => {
                     self.group_w.clear();
-                    self.group_w.extend(members().map(|i| self.w[i * nk + k]));
+                    self.group_w
+                        .extend(members().map(|i| self.w[i * nk + k].max(self.tx[i])));
                     self.group_m.clear();
                     self.group_m.resize(n, 1);
                     waterfill(&self.group_w, &mut self.group_m, avail - n);
@@ -1078,7 +1079,7 @@ mod tests {
                         feasible = false;
                         break;
                     }
-                    let work: Vec<f64> = group.iter().map(|&i| t1[i][ki]).collect();
+                    let work: Vec<f64> = group.iter().map(|&i| t1[i][ki].max(tx_in[i])).collect();
                     let ms = reference_waterfill(&work, avail - group.len());
                     for (gi, &i) in group.iter().enumerate() {
                         stage_m[i] = ms[gi];
@@ -1409,6 +1410,94 @@ mod tests {
                 reference_min_cost_plan(
                     &model, &ctrl, &profile, &counts, b0, target, &tm, &lm, &cfg
                 )
+            );
+        }
+    }
+
+    /// The single-kind search against the homogeneous DP on one
+    /// `(model, profile, kind, n, b0)` case: it answers the same
+    /// question, so it must reach the DP's planned goodput (a tie may
+    /// pick another plan of equal goodput).
+    #[allow(clippy::too_many_arguments)]
+    fn single_kind_plans(
+        model: &EeModel,
+        profile: &BatchProfile,
+        kind: GpuKind,
+        n: usize,
+        b0: f64,
+        cfg: &OptimizerConfig,
+    ) -> (SplitPlan, SplitPlan) {
+        let ctrl = RampController::all_enabled(model.num_ramps(), RampStyle::Independent);
+        let (lm, tm) = (LatencyModel::new(), TransferModel::default());
+        let counts = BTreeMap::from([(kind, n)]);
+        let (search, _) =
+            optimize_heterogeneous_with_stats(model, &ctrl, profile, &counts, b0, &tm, &lm, cfg);
+        let dp = optimize_homogeneous_cached(
+            model,
+            &ctrl,
+            profile,
+            kind,
+            n,
+            b0,
+            &tm,
+            &lm,
+            cfg,
+            &mut PlanCache::new(),
+        );
+        (search, dp)
+    }
+
+    #[test]
+    fn transfer_bound_stage_gets_its_replicas() {
+        // The transfer into stage 2 dominates its compute. Waterfilling on
+        // compute alone starved that stage, so the search kept one stage
+        // (29320/s) where the DP cuts at layer 8 with 22 + 7 replicas.
+        let model = zoo::branchy_resnet50();
+        let l = model.num_layers();
+        let profile = BatchProfile::new((0..=l).map(|i| 0.85f64.powi(i as i32)).collect());
+        let (search, dp) = single_kind_plans(
+            &model,
+            &profile,
+            GpuKind::V100,
+            29,
+            8.0,
+            &OptimizerConfig::default(),
+        );
+        let replicas: Vec<usize> = dp.splits.iter().map(|s| s.replicas).collect();
+        assert_eq!(replicas, [22, 7], "{dp}");
+        assert_eq!(dp.boundaries(), [8]);
+        assert!((dp.goodput - 34877.0).abs() < 1.0, "{}", dp.goodput);
+        assert_eq!(search, dp);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn single_kind_search_matches_the_dp(
+            model_idx in 0usize..3,
+            u in proptest::collection::vec(0.0f64..1.0, 16),
+            kind_idx in 0usize..4,
+            n in 1usize..30,
+            b0_idx in 0usize..4,
+            overhead_idx in 0usize..3,
+            memory_idx in 0usize..2,
+        ) {
+            let model = [zoo::deebert, zoo::distilbert_ee, zoo::branchy_resnet50][model_idx]();
+            let profile = decoded_profile(&u, model.num_layers());
+            let cfg = OptimizerConfig {
+                stage_overhead_frac: [0.0, 0.05, 0.1][overhead_idx],
+                enforce_memory: memory_idx == 1,
+                ..Default::default()
+            };
+            let b0 = [1.0, 4.0, 8.0, 32.0][b0_idx];
+            let (search, dp) =
+                single_kind_plans(&model, &profile, GpuKind::ALL[kind_idx], n, b0, &cfg);
+            prop_assert!(
+                (search.goodput - dp.goodput).abs() <= 1e-9 * dp.goodput,
+                "search {} vs dp {}",
+                search,
+                dp
             );
         }
     }

@@ -24,19 +24,13 @@
 //! * [`watchdog`] — the guarded-reconfiguration front end over the raw
 //!   drift signal: hysteresis, consecutive-window confirmation, and a
 //!   pessimistic safe-mode profile for stale or confirmed-bad forecasts.
-//! * [`health`] — deterministic phi-accrual-style replica health
-//!   estimation over pooled wall-clock service times; catches gray
-//!   failures the self-reported straggler statistics hide, and feeds
-//!   the kernel's per-replica circuit breakers.
 
 pub mod arima;
 pub mod estimator;
-pub mod health;
 pub mod watchdog;
 pub mod window;
 
 pub use arima::{ArimaError, ArimaModel};
 pub use estimator::{BatchProfileEstimator, EstimatorConfig};
-pub use health::{HealthConfig, HealthEstimator};
 pub use watchdog::{DriftWatchdog, SafeModeReason, WatchdogConfig, WatchdogState, WatchdogVerdict};
 pub use window::WindowObserver;

@@ -35,7 +35,6 @@ use rand::SeedableRng;
 
 use e3_hardware::{LatencyModel, TransferModel};
 use e3_model::{EeModel, ExitPolicy, ExitSampler, InferenceSim, RampController};
-use e3_profiler::HealthConfig;
 use e3_simcore::{EventQueue, SimDuration, SimQueue, SimTime};
 use e3_workload::Request;
 
@@ -43,7 +42,7 @@ use crate::kernel::{
     AdmitAll, Ev, FaultPlan, FusionBatching, Kernel, KernelPolicies, NoStragglerDetection,
     RelativeSlowdown, RunObserver, SloSlackAdmission,
 };
-use crate::report::{RunReport, ShedCause};
+use crate::report::RunReport;
 use crate::sample::SimSample;
 use crate::strategy::StageSpec;
 
@@ -79,27 +78,6 @@ pub struct ServingConfig {
     /// ([`crate::kernel::FaultEvent::LinkDown`]). Inert without link
     /// faults.
     pub transfer_retry: TransferRetryConfig,
-    /// Per-replica circuit breakers over a wall-clock health estimator
-    /// (catches gray failures the self-reported straggler statistics
-    /// miss). `None` (the default) disables the estimator entirely —
-    /// byte-identical to the pre-breaker kernel.
-    pub breaker: Option<BreakerConfig>,
-    /// Hedged dispatch of straggling batches: a batch still running past
-    /// `multiplier`× its expected service time is re-dispatched to an
-    /// idle healthy peer, first copy to finish wins. `None` disables.
-    pub hedge: Option<HedgeConfig>,
-    /// Per-run token pool bounding the *total* number of transfer
-    /// retries across all outages. Each scheduled retry spends a token;
-    /// once the pool is empty, interrupted transfers abort immediately
-    /// instead of backing off. `None` (the default) keeps retries
-    /// bounded only per-transfer by `transfer_retry.max_attempts`.
-    pub retry_budget: Option<u32>,
-    /// Cause tag for queue-bound sheds, surfaced in the run's
-    /// [`crate::report::ShedBreakdown`]. The brownout controller sets
-    /// this to [`ShedCause::Brownout`] while its shed rung tightens
-    /// `queue_cap`, so deliberate sheds are told apart from organic
-    /// overload.
-    pub shed_cause: ShedCause,
 }
 
 impl Default for ServingConfig {
@@ -113,57 +91,7 @@ impl Default for ServingConfig {
             horizon: None,
             queue_cap: None,
             transfer_retry: TransferRetryConfig::default(),
-            breaker: None,
-            hedge: None,
-            retry_budget: None,
-            shed_cause: ShedCause::QueueCap,
         }
-    }
-}
-
-/// Per-replica circuit-breaker tuning. The breaker sits on top of the
-/// [`e3_profiler::HealthEstimator`]: a replica whose phi-accrual score
-/// crosses `phi_trip` is excluded (state *open*), re-enters service
-/// after `cooldown` in a *half-open* probe phase with fresh health
-/// history, and closes after `probe_batches` clean batches — or trips
-/// again if a probe already looks implausibly slow.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BreakerConfig {
-    /// Phi score at which a closed breaker trips (2 = the observed
-    /// slowness has probability 10⁻² under the healthy-fleet model).
-    pub phi_trip: f64,
-    /// Time an open breaker waits before probing the replica again.
-    pub cooldown: SimDuration,
-    /// Clean probe batches required to close a half-open breaker.
-    pub probe_batches: u32,
-    /// Health-estimator tuning (EWMA weight, warmup, variance floor).
-    pub health: HealthConfig,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            phi_trip: 2.0,
-            cooldown: SimDuration::from_millis(50),
-            probe_batches: 3,
-            health: HealthConfig::default(),
-        }
-    }
-}
-
-/// Hedged-dispatch tuning.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HedgeConfig {
-    /// A batch still running past `multiplier`× its expected service
-    /// time is re-dispatched to an idle healthy stage peer. Must be
-    /// strictly above 1 — hedging at or below the expected time would
-    /// duplicate every batch.
-    pub multiplier: f64,
-}
-
-impl Default for HedgeConfig {
-    fn default() -> Self {
-        HedgeConfig { multiplier: 2.0 }
     }
 }
 
@@ -739,49 +667,16 @@ mod tests {
     }
 
     #[test]
-    fn gray_degradation_evades_the_straggler_watchdog() {
-        // A gray-degraded replica stretches wall clock but self-reports
-        // clean per-sample service times, so the relative-slowdown
-        // watchdog never fires — yet fleet progress measurably slows.
+    fn sheds_are_attributed_to_their_cause() {
         let model = zoo::bert_base();
-        let cluster = ClusterSpec::homogeneous(GpuKind::V100, 4, 2);
-        let run = |plan: FaultPlan| {
-            run_strategy(
-                &model,
-                &Strategy::Vanilla { batch: 8 },
-                &cluster,
-                ServingConfig {
-                    detect_stragglers: true,
-                    fault_plan: plan,
-                    ..Default::default()
-                },
-                5000,
-                21,
-            )
-        };
-        let clean = run(FaultPlan::new());
-        let gray =
-            run(FaultPlan::new().gray(2, 3.0, SimTime::from_millis(5), SimTime::from_secs(60)));
-        assert!(
-            gray.stragglers_detected.is_empty(),
-            "self-reported stats should look clean: {:?}",
-            gray.stragglers_detected
+        let cluster = ClusterSpec::homogeneous(GpuKind::V100, 1, 1);
+        let g = WorkloadGenerator::new(
+            ArrivalProcess::Poisson { rate: 5000.0 },
+            DatasetModel::sst2(),
+            SimDuration::from_secs(2),
         );
-        assert_eq!(gray.completed, clean.completed);
-        assert!(
-            gray.goodput() < clean.goodput() * 0.97,
-            "gray {} clean {}",
-            gray.goodput(),
-            clean.goodput()
-        );
-    }
-
-    #[test]
-    fn breaker_trips_on_gray_and_closes_after_it_clears() {
-        use crate::kernel::{EventLog, KernelEvent};
-
-        let model = zoo::bert_base();
-        let cluster = ClusterSpec::homogeneous(GpuKind::V100, 4, 2);
+        let mut rng = StdRng::seed_from_u64(25);
+        let reqs = g.generate(0, &mut rng);
         let stages = Strategy::Vanilla { batch: 8 }.realize(&model, &cluster);
         let ctrl = RampController::all_enabled(0, RampStyle::Independent);
         let sim = ServingSim::new(
@@ -793,281 +688,17 @@ mod tests {
             LatencyModel::new(),
             TransferModel::default(),
             ServingConfig {
-                detect_stragglers: true,
-                breaker: Some(BreakerConfig::default()),
-                fault_plan: FaultPlan::new().gray(
-                    2,
-                    3.0,
-                    SimTime::from_millis(5),
-                    SimTime::from_millis(800),
-                ),
+                closed_loop: false,
+                horizon: Some(SimDuration::from_secs(2)),
+                queue_cap: Some(1),
                 ..Default::default()
             },
         );
-        let reqs = requests_closed(5000, &DatasetModel::sst2(), 22);
-        let mut log = EventLog::new();
-        let r = sim.run(&reqs, 22, &mut log);
-        // The self-reported watchdog still misses the gray failure...
-        assert!(r.stragglers_detected.is_empty());
-        // ...but the wall-clock breaker trips, probes, and — once the
-        // degradation clears — closes again. Nothing is lost meanwhile.
-        assert!(r.robustness.breaker_trips >= 1, "{:?}", r.robustness);
-        assert!(r.robustness.breaker_probes >= 1, "{:?}", r.robustness);
-        assert!(r.robustness.breaker_closes >= 1, "{:?}", r.robustness);
-        assert_eq!(r.completed, 5000);
-        assert_eq!(r.dropped, 0);
-        // The event stream carries the same story, scoped to replica 2.
-        let trips = log.count(|e| matches!(e, KernelEvent::BreakerTripped { replica: 2 }));
-        let probes = log.count(|e| matches!(e, KernelEvent::BreakerProbe { replica: 2 }));
-        let closes = log.count(|e| matches!(e, KernelEvent::BreakerClosed { replica: 2 }));
-        assert_eq!(trips as u64, r.robustness.breaker_trips);
-        assert_eq!(probes as u64, r.robustness.breaker_probes);
-        assert_eq!(closes as u64, r.robustness.breaker_closes);
-        assert!(log.count(|e| matches!(e, KernelEvent::BreakerTripped { .. })) == trips);
-    }
-
-    #[test]
-    fn hedged_dispatch_rescues_batches_from_a_gray_replica() {
-        use crate::kernel::{EventLog, KernelEvent};
-
-        let model = zoo::bert_base();
-        let cluster = ClusterSpec::homogeneous(GpuKind::V100, 3, 1);
-        let g = WorkloadGenerator::new(
-            ArrivalProcess::Poisson { rate: 300.0 },
-            DatasetModel::sst2(),
-            SimDuration::from_secs(2),
-        );
-        let mut rng = StdRng::seed_from_u64(23);
-        let reqs = g.generate(0, &mut rng);
-        let run = |hedge: Option<HedgeConfig>| {
-            let stages = Strategy::Vanilla { batch: 8 }.realize(&model, &cluster);
-            let ctrl = RampController::all_enabled(0, RampStyle::Independent);
-            let sim = ServingSim::new(
-                &model,
-                ExitPolicy::Entropy { threshold: 0.4 },
-                ctrl,
-                InferenceSim::new(),
-                stages,
-                LatencyModel::new(),
-                TransferModel::default(),
-                ServingConfig {
-                    closed_loop: false,
-                    horizon: Some(SimDuration::from_secs(2)),
-                    slo: SimDuration::from_millis(30),
-                    hedge,
-                    fault_plan: FaultPlan::new().gray(
-                        2,
-                        8.0,
-                        SimTime::from_millis(5),
-                        SimTime::from_secs(2),
-                    ),
-                    ..Default::default()
-                },
-            );
-            let mut log = EventLog::new();
-            let r = sim.run(&reqs, 23, &mut log);
-            (r, log)
-        };
-        let (hedged, log) = run(Some(HedgeConfig::default()));
-        let (unhedged, _) = run(None);
-        assert_eq!(unhedged.robustness.hedges_dispatched, 0);
-        assert!(
-            hedged.robustness.hedges_dispatched > 0,
-            "{:?}",
-            hedged.robustness
-        );
-        // First-response-wins conservation: every hedged pair resolves to
-        // exactly one win plus one cancellation, and no sample is lost or
-        // double-counted along the way.
-        assert_eq!(
-            hedged.robustness.hedges_won,
-            hedged.robustness.hedges_dispatched
-        );
-        assert_eq!(
-            hedged.robustness.hedges_cancelled,
-            hedged.robustness.hedges_dispatched
-        );
-        assert_eq!(hedged.completed + hedged.dropped, reqs.len() as u64);
-        let d = log.count(|e| matches!(e, KernelEvent::HedgeDispatched { .. }));
-        let w = log.count(|e| matches!(e, KernelEvent::HedgeWon { .. }));
-        let c = log.count(|e| matches!(e, KernelEvent::HedgeCancelled { .. }));
-        assert_eq!(d, w);
-        assert_eq!(d, c);
-        // Rescuing stragglers slashes the completion tail: the gray
-        // replica's 8x batches dominate the unhedged p99.
-        assert!(
-            hedged.latency.quantile_ms(0.99) < unhedged.latency.quantile_ms(0.99) * 0.6,
-            "hedged p99 {} unhedged p99 {}",
-            hedged.latency.quantile_ms(0.99),
-            unhedged.latency.quantile_ms(0.99)
-        );
-    }
-
-    #[test]
-    fn retry_budget_bounds_total_transfer_retries() {
-        let dee = zoo::deebert();
-        let cluster = ClusterSpec::paper_homogeneous_v100();
-        let ctrl = RampController::all_enabled(dee.num_ramps(), RampStyle::Independent);
-        let policy = zoo::default_policy("DeeBERT");
-        let infer = InferenceSim::new();
-        let mut rng = StdRng::seed_from_u64(11);
-        let hs = DatasetModel::sst2().sample_hardnesses(4000, &mut rng);
-        let profile = infer.exit_profile(&dee, &policy, &ctrl, &hs, &mut rng);
-        let plan = optimize_homogeneous_cached(
-            &dee,
-            &ctrl,
-            &profile,
-            GpuKind::V100,
-            16,
-            8.0,
-            &TransferModel::default(),
-            &LatencyModel::new(),
-            &OptimizerConfig::default(),
-            &mut PlanCache::new(),
-        );
-        assert!(plan.num_splits() >= 2, "{plan}");
-        let strategy = Strategy::Plan(plan);
-        let run = |budget: Option<u32>| {
-            let stages = strategy.realize(&dee, &cluster);
-            let sim = ServingSim::new(
-                &dee,
-                policy,
-                ctrl.clone(),
-                InferenceSim::new(),
-                stages,
-                LatencyModel::new(),
-                TransferModel::default(),
-                ServingConfig {
-                    fault_plan: FaultPlan::new().link_down(
-                        0,
-                        SimTime::from_millis(5),
-                        SimTime::from_millis(600),
-                    ),
-                    // Patient per-transfer schedule: without a budget the
-                    // retries ride out the outage and nothing is lost.
-                    transfer_retry: TransferRetryConfig {
-                        max_attempts: 30,
-                        base_backoff: SimDuration::from_millis(1),
-                    },
-                    retry_budget: budget,
-                    ..Default::default()
-                },
-            );
-            let reqs = requests_closed(4000, &DatasetModel::sst2(), 24);
-            sim.run(&reqs, 24, &mut NullObserver)
-        };
-        let unbudgeted = run(None);
-        assert_eq!(unbudgeted.transfer_aborts, 0);
-        assert_eq!(unbudgeted.robustness.retry_budget_exhausted, 0);
-        assert_eq!(unbudgeted.dropped, 0);
-        assert!(
-            unbudgeted.transfer_retries > 4,
-            "{}",
-            unbudgeted.transfer_retries
-        );
-
-        let budgeted = run(Some(4));
-        // The pool bounds retries *across* transfers; once empty, aborts
-        // happen immediately and are attributed to the budget.
-        assert!(
-            budgeted.transfer_retries <= 4,
-            "{}",
-            budgeted.transfer_retries
-        );
-        assert!(
-            budgeted.robustness.retry_budget_exhausted >= 1,
-            "{:?}",
-            budgeted.robustness
-        );
-        assert!(budgeted.dropped > 0);
-        assert_eq!(budgeted.robustness.sheds.transfer_abort, budgeted.dropped);
-        assert_eq!(budgeted.robustness.sheds.total(), budgeted.dropped);
-    }
-
-    #[test]
-    fn sheds_are_attributed_to_their_cause() {
-        let model = zoo::bert_base();
-        let cluster = ClusterSpec::homogeneous(GpuKind::V100, 1, 1);
-        let g = WorkloadGenerator::new(
-            ArrivalProcess::Poisson { rate: 5000.0 },
-            DatasetModel::sst2(),
-            SimDuration::from_secs(2),
-        );
-        let mut rng = StdRng::seed_from_u64(25);
-        let reqs = g.generate(0, &mut rng);
-        let run = |cause: ShedCause| {
-            let stages = Strategy::Vanilla { batch: 8 }.realize(&model, &cluster);
-            let ctrl = RampController::all_enabled(0, RampStyle::Independent);
-            let sim = ServingSim::new(
-                &model,
-                ExitPolicy::Entropy { threshold: 0.4 },
-                ctrl,
-                InferenceSim::new(),
-                stages,
-                LatencyModel::new(),
-                TransferModel::default(),
-                ServingConfig {
-                    closed_loop: false,
-                    horizon: Some(SimDuration::from_secs(2)),
-                    queue_cap: Some(1),
-                    shed_cause: cause,
-                    ..Default::default()
-                },
-            );
-            sim.run(&reqs, 25, &mut NullObserver)
-        };
-        let organic = run(ShedCause::QueueCap);
-        assert!(
-            organic.robustness.sheds.queue_cap > 0,
-            "{:?}",
-            organic.robustness
-        );
-        assert_eq!(organic.robustness.sheds.brownout, 0);
-        assert_eq!(organic.robustness.sheds.total(), organic.dropped);
-        // Same run with the brownout tag: identical losses, different
-        // attribution — deliberate sheds are told apart from organic ones.
-        let deliberate = run(ShedCause::Brownout);
-        assert_eq!(deliberate.robustness.sheds.queue_cap, 0);
-        assert_eq!(
-            deliberate.robustness.sheds.brownout,
-            organic.robustness.sheds.queue_cap
-        );
-        assert_eq!(deliberate.dropped, organic.dropped);
-        assert_eq!(deliberate.robustness.sheds.total(), deliberate.dropped);
-    }
-
-    #[test]
-    fn idle_robustness_machinery_leaves_runs_untouched() {
-        // Breaker + hedging + retry budget enabled but never provoked:
-        // outcomes must be identical to the machinery-free run, with every
-        // robustness counter still at zero.
-        let model = zoo::bert_base();
-        let cluster = ClusterSpec::homogeneous(GpuKind::V100, 4, 2);
-        let base = run_strategy(
-            &model,
-            &Strategy::Vanilla { batch: 8 },
-            &cluster,
-            ServingConfig::default(),
-            3000,
-            26,
-        );
-        let armed = run_strategy(
-            &model,
-            &Strategy::Vanilla { batch: 8 },
-            &cluster,
-            ServingConfig {
-                breaker: Some(BreakerConfig::default()),
-                hedge: Some(HedgeConfig::default()),
-                retry_budget: Some(1_000),
-                ..Default::default()
-            },
-            3000,
-            26,
-        );
-        assert_eq!(base.completed, armed.completed);
-        assert_eq!(base.within_slo, armed.within_slo);
-        assert_eq!(base.latency.samples_ms(), armed.latency.samples_ms());
-        assert_eq!(armed.robustness, crate::report::RobustnessStats::default());
+        let r = sim.run(&reqs, 25, &mut NullObserver);
+        let sheds = r.robustness.sheds;
+        assert!(sheds.queue_cap > 0, "{sheds:?}");
+        assert_eq!(sheds.queue_cap, r.shed);
+        assert_eq!(sheds.total(), r.dropped);
     }
 
     #[test]

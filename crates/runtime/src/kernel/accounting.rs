@@ -8,7 +8,7 @@
 use e3_simcore::metrics::{DurationHistogram, UtilizationTracker};
 use e3_simcore::{SimDuration, SimTime};
 
-use crate::report::{ExitEvent, RobustnessStats, RunReport, ShedCause};
+use crate::report::{ExitEvent, RobustnessStats, RunReport};
 use crate::sample::SimSample;
 
 /// Accumulates the metrics of one serving run; [`RunAccumulator::finish`]
@@ -119,14 +119,11 @@ impl RunAccumulator {
     }
 
     /// Records `n` samples shed at routing time by the per-replica queue
-    /// bound, attributed to `cause`. Shed samples also count as drops.
-    pub fn record_shed(&mut self, n: usize, cause: ShedCause) {
+    /// bound. Shed samples also count as drops.
+    pub fn record_shed(&mut self, n: usize) {
         self.shed += n as u64;
         self.dropped += n as u64;
-        match cause {
-            ShedCause::QueueCap => self.robustness.sheds.queue_cap += n as u64,
-            ShedCause::Brownout => self.robustness.sheds.brownout += n as u64,
-        }
+        self.robustness.sheds.queue_cap += n as u64;
     }
 
     /// Records one transfer retry scheduled while a link was down.
@@ -134,47 +131,12 @@ impl RunAccumulator {
         self.transfer_retries += 1;
     }
 
-    /// Records a transfer abort that dropped `n` samples after the retry
-    /// budget ran out. `budget_exhausted` marks aborts forced by the
-    /// per-run retry budget rather than the transfer's own attempt
-    /// limit.
-    pub fn record_transfer_abort(&mut self, n: usize, budget_exhausted: bool) {
+    /// Records a transfer abort that dropped `n` samples after its retry
+    /// attempts ran out.
+    pub fn record_transfer_abort(&mut self, n: usize) {
         self.transfer_aborts += 1;
         self.dropped += n as u64;
         self.robustness.sheds.transfer_abort += n as u64;
-        if budget_exhausted {
-            self.robustness.retry_budget_exhausted += 1;
-        }
-    }
-
-    /// Records a straggling batch re-dispatched to a healthy peer.
-    pub fn record_hedge_dispatch(&mut self) {
-        self.robustness.hedges_dispatched += 1;
-    }
-
-    /// Records a hedged pair resolved by one copy finishing first.
-    pub fn record_hedge_win(&mut self) {
-        self.robustness.hedges_won += 1;
-    }
-
-    /// Records a hedge copy cancelled (pair resolution or crash).
-    pub fn record_hedge_cancel(&mut self) {
-        self.robustness.hedges_cancelled += 1;
-    }
-
-    /// Records a circuit-breaker trip.
-    pub fn record_breaker_trip(&mut self) {
-        self.robustness.breaker_trips += 1;
-    }
-
-    /// Records a breaker entering its half-open probe phase.
-    pub fn record_breaker_probe(&mut self) {
-        self.robustness.breaker_probes += 1;
-    }
-
-    /// Records a breaker closing after a clean probe phase.
-    pub fn record_breaker_close(&mut self) {
-        self.robustness.breaker_closes += 1;
     }
 
     /// Records a replica flagged as a straggler.
@@ -382,20 +344,13 @@ mod tests {
     #[test]
     fn sheds_by_cause_partition_the_drops() {
         let mut acc = RunAccumulator::new(1, 2, SimDuration::from_millis(20), false);
-        acc.record_shed(4, ShedCause::QueueCap);
-        acc.record_shed(3, ShedCause::Brownout);
+        acc.record_shed(4);
+        acc.record_shed(3);
         acc.record_drop(); // admission rejection
-        acc.record_transfer_abort(2, false);
-        acc.record_transfer_abort(5, true);
-        acc.record_hedge_dispatch();
-        acc.record_hedge_win();
-        acc.record_hedge_cancel();
-        acc.record_breaker_trip();
-        acc.record_breaker_probe();
-        acc.record_breaker_close();
+        acc.record_transfer_abort(2);
+        acc.record_transfer_abort(5);
         let r = acc.finish(SimDuration::from_secs(1));
-        assert_eq!(r.robustness.sheds.queue_cap, 4);
-        assert_eq!(r.robustness.sheds.brownout, 3);
+        assert_eq!(r.robustness.sheds.queue_cap, 7);
         assert_eq!(r.robustness.sheds.admission, 1);
         assert_eq!(r.robustness.sheds.transfer_abort, 7);
         // The breakdown partitions `dropped` exactly.
@@ -403,13 +358,6 @@ mod tests {
         // Legacy aggregates keep their meaning.
         assert_eq!(r.shed, 7);
         assert_eq!(r.transfer_aborts, 2);
-        assert_eq!(r.robustness.retry_budget_exhausted, 1);
-        assert_eq!(r.robustness.hedges_dispatched, 1);
-        assert_eq!(r.robustness.hedges_won, 1);
-        assert_eq!(r.robustness.hedges_cancelled, 1);
-        assert_eq!(r.robustness.breaker_trips, 1);
-        assert_eq!(r.robustness.breaker_probes, 1);
-        assert_eq!(r.robustness.breaker_closes, 1);
     }
 
     #[test]

@@ -63,9 +63,8 @@
 //! The tables are exact, not an approximation. Each entry is the same
 //! [`SimDuration`] the layer-by-layer computation adds, and a
 //! `SimDuration` is an integer count of nanoseconds, so regrouping the
-//! sum gives the same integer. The replica's active slowdown factors,
-//! then its gray factors, still scale the summed pass, each in start
-//! order.
+//! sum gives the same integer. The replica's active slowdown factors
+//! still scale the summed pass, in start order.
 
 use std::collections::VecDeque;
 
@@ -1015,12 +1014,10 @@ impl<'a, 'o> Driver<'a, 'o> {
         self.kick_stage_a();
     }
 
-    /// Scales a pass by `r`'s active slowdown factors, then its gray
-    /// factors, one `mul_f64` each in start order. This driver keeps no
-    /// self-reported service statistics for a gray fault to fool, so it
-    /// slows the pass exactly like a transient slowdown.
+    /// Scales a pass by `r`'s active slowdown factors, one `mul_f64`
+    /// each in start order.
     fn stretch(&self, r: usize, mut cost: SimDuration) -> SimDuration {
-        for f in self.faults.slowdowns(r).chain(self.faults.grays(r)) {
+        for f in self.faults.slowdowns(r) {
             cost = cost.mul_f64(f);
         }
         cost

@@ -15,7 +15,7 @@
 //!   plan order, goes on the queue before any other event, so at one
 //!   instant a window that opens takes effect before one that closes.
 //! * **Windows ignore crash state.** A crash or a recovery neither opens
-//!   nor clears a slowdown, gray, stall or link window.
+//!   nor clears a slowdown, stall or link window.
 //! * **Counting.** Every entry counts once, at its start, whether or not
 //!   the loop has anything to react to (a crash of a crashed replica).
 //!
@@ -31,25 +31,13 @@
 //!   during the window (an interconnect or driver hiccup); queued batches
 //!   wait and dispatch resumes when the stall lifts;
 //! * [`FaultEvent::DelayedRecovery`] — a crashed replica (in the batch
-//!   kernel, also a straggler- or breaker-excluded one) rejoins with
+//!   kernel, also a straggler-excluded one) rejoins with
 //!   fresh service statistics;
 //! * [`FaultEvent::LinkDown`] — the interconnect out of a stage drops
 //!   transfers over a time window; the kernel retries them with
 //!   exponential backoff and aborts (dropping the samples) when the
-//!   retry budget runs out;
-//! * [`FaultEvent::GrayDegradation`] — a partial slowdown the replica
-//!   does not *report*: execution genuinely takes longer, but the
-//!   replica's self-reported service statistics (what the straggler
-//!   watchdog reads) stay clean. Only an external wall-clock health
-//!   estimator can catch it.
-//!
-//! Faults need not be independent: the `*_domain` builders expand one
-//! infrastructure event over an [`e3_hardware::FaultDomain`] (a rack,
-//! switch, or PDU grouping from [`e3_hardware::DomainTopology`]) into
-//! per-replica events, so a single injected failure takes out a
-//! correlated replica set.
+//!   transfer runs out of retry attempts.
 
-use e3_hardware::FaultDomain;
 use e3_simcore::{SimQueue, SimTime};
 
 use super::accounting::RunAccumulator;
@@ -111,21 +99,6 @@ pub enum FaultEvent {
         /// Outage end.
         until: SimTime,
     },
-    /// Replica `replica` silently runs `factor` times slower between
-    /// `from` and `until`. Unlike [`FaultEvent::TransientSlowdown`],
-    /// the replica's self-reported per-sample service statistics are
-    /// *not* inflated — the straggler watchdog sees a healthy replica
-    /// while wall-clock completions drift late (a gray failure).
-    GrayDegradation {
-        /// Global replica id.
-        replica: usize,
-        /// Multiplicative wall-clock factor (> 1 slows the replica).
-        factor: f64,
-        /// Degradation onset.
-        from: SimTime,
-        /// Degradation end.
-        until: SimTime,
-    },
 }
 
 impl FaultEvent {
@@ -134,8 +107,7 @@ impl FaultEvent {
         match self {
             FaultEvent::ReplicaCrash { replica, .. }
             | FaultEvent::TransientSlowdown { replica, .. }
-            | FaultEvent::DelayedRecovery { replica, .. }
-            | FaultEvent::GrayDegradation { replica, .. } => Some(*replica),
+            | FaultEvent::DelayedRecovery { replica, .. } => Some(*replica),
             FaultEvent::StageStall { .. } | FaultEvent::LinkDown { .. } => None,
         }
     }
@@ -155,8 +127,7 @@ impl FaultEvent {
             FaultEvent::ReplicaCrash { at, .. } | FaultEvent::DelayedRecovery { at, .. } => *at,
             FaultEvent::TransientSlowdown { from, .. }
             | FaultEvent::StageStall { from, .. }
-            | FaultEvent::LinkDown { from, .. }
-            | FaultEvent::GrayDegradation { from, .. } => *from,
+            | FaultEvent::LinkDown { from, .. } => *from,
         }
     }
 
@@ -167,8 +138,7 @@ impl FaultEvent {
             FaultEvent::ReplicaCrash { .. } | FaultEvent::DelayedRecovery { .. } => None,
             FaultEvent::TransientSlowdown { until, .. }
             | FaultEvent::StageStall { until, .. }
-            | FaultEvent::LinkDown { until, .. }
-            | FaultEvent::GrayDegradation { until, .. } => Some(*until),
+            | FaultEvent::LinkDown { until, .. } => Some(*until),
         }
     }
 }
@@ -237,77 +207,6 @@ impl FaultPlan {
         self
     }
 
-    /// Schedules a watchdog-invisible `factor`× gray degradation of
-    /// `replica` over `[from, until)`.
-    pub fn gray(mut self, replica: usize, factor: f64, from: SimTime, until: SimTime) -> Self {
-        self.events.push(FaultEvent::GrayDegradation {
-            replica,
-            factor,
-            from,
-            until,
-        });
-        self
-    }
-
-    /// Schedules a correlated crash of every replica in `domain` at
-    /// `at` — one rack/switch/PDU event, many simultaneous crashes.
-    pub fn crash_domain(mut self, domain: &FaultDomain, at: SimTime) -> Self {
-        for &replica in &domain.gpus {
-            self.events.push(FaultEvent::ReplicaCrash { replica, at });
-        }
-        self
-    }
-
-    /// Schedules a correlated recovery of every replica in `domain` at
-    /// `at`.
-    pub fn recover_domain(mut self, domain: &FaultDomain, at: SimTime) -> Self {
-        for &replica in &domain.gpus {
-            self.events
-                .push(FaultEvent::DelayedRecovery { replica, at });
-        }
-        self
-    }
-
-    /// Schedules a correlated `factor`× slowdown of every replica in
-    /// `domain` over `[from, until)`.
-    pub fn slowdown_domain(
-        mut self,
-        domain: &FaultDomain,
-        factor: f64,
-        from: SimTime,
-        until: SimTime,
-    ) -> Self {
-        for &replica in &domain.gpus {
-            self.events.push(FaultEvent::TransientSlowdown {
-                replica,
-                factor,
-                from,
-                until,
-            });
-        }
-        self
-    }
-
-    /// Schedules a correlated gray degradation of every replica in
-    /// `domain` over `[from, until)`.
-    pub fn gray_domain(
-        mut self,
-        domain: &FaultDomain,
-        factor: f64,
-        from: SimTime,
-        until: SimTime,
-    ) -> Self {
-        for &replica in &domain.gpus {
-            self.events.push(FaultEvent::GrayDegradation {
-                replica,
-                factor,
-                from,
-                until,
-            });
-        }
-        self
-    }
-
     /// The scheduled events, in insertion order.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
@@ -368,8 +267,7 @@ impl FaultPlan {
                 assert!(until >= e.starts_at(), "fault window ends before it starts");
             }
             match *e {
-                FaultEvent::TransientSlowdown { factor, .. }
-                | FaultEvent::GrayDegradation { factor, .. } => {
+                FaultEvent::TransientSlowdown { factor, .. } => {
                     assert!(factor > 0.0, "slowdown factor must be positive");
                 }
                 FaultEvent::LinkDown { from_stage, .. } => {
@@ -419,9 +317,6 @@ pub(crate) struct FaultState<'a> {
     outages: Vec<u32>,
     /// Per-replica `(entry, factor)` of active slowdowns, in start order.
     slowdowns: Vec<Vec<(usize, f64)>>,
-    /// Per-replica `(entry, factor)` of active gray degradations, in
-    /// start order.
-    grays: Vec<Vec<(usize, f64)>>,
 }
 
 impl<'a> FaultState<'a> {
@@ -434,7 +329,6 @@ impl<'a> FaultState<'a> {
             stalls: vec![0; num_stages],
             outages: vec![0; num_stages],
             slowdowns: vec![Vec::new(); num_replicas],
-            grays: vec![Vec::new(); num_replicas],
         }
     }
 
@@ -478,9 +372,6 @@ impl<'a> FaultState<'a> {
                     FaultEvent::TransientSlowdown {
                         replica, factor, ..
                     } => self.slowdowns[replica].push((i, factor)),
-                    FaultEvent::GrayDegradation {
-                        replica, factor, ..
-                    } => self.grays[replica].push((i, factor)),
                     FaultEvent::StageStall { stage, .. } => self.stalls[stage] += 1,
                     FaultEvent::LinkDown { from_stage, .. } => self.outages[from_stage] += 1,
                 }
@@ -492,10 +383,6 @@ impl<'a> FaultState<'a> {
             FaultAction::End(i) => match self.plan[i] {
                 FaultEvent::TransientSlowdown { replica, .. } => {
                     self.slowdowns[replica].retain(|&(e, _)| e != i);
-                    None
-                }
-                FaultEvent::GrayDegradation { replica, .. } => {
-                    self.grays[replica].retain(|&(e, _)| e != i);
                     None
                 }
                 FaultEvent::StageStall { stage, .. } => {
@@ -528,11 +415,6 @@ impl<'a> FaultState<'a> {
     pub(crate) fn slowdowns(&self, replica: usize) -> impl Iterator<Item = f64> + '_ {
         self.slowdowns[replica].iter().map(|&(_, f)| f)
     }
-
-    /// `replica`'s active gray factors, in start order.
-    pub(crate) fn grays(&self, replica: usize) -> impl Iterator<Item = f64> + '_ {
-        self.grays[replica].iter().map(|&(_, f)| f)
-    }
 }
 
 /// Why a replica was excluded from assignment.
@@ -542,8 +424,6 @@ pub enum ExclusionReason {
     Straggler,
     /// An injected [`FaultEvent::ReplicaCrash`].
     Crash,
-    /// The replica's circuit breaker opened (health-estimator trip).
-    Breaker,
 }
 
 #[cfg(test)]
@@ -627,20 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn gray_degradation_is_replica_scoped_and_validated() {
-        let plan = FaultPlan::new().gray(2, 1.8, ms(5), ms(50));
-        assert_eq!(plan.events()[0].replica(), Some(2));
-        assert_eq!(plan.events()[0].starts_at(), ms(5));
-        plan.validate(3, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "factor must be positive")]
-    fn validate_rejects_nonpositive_gray_factor() {
-        FaultPlan::new().gray(0, 0.0, ms(1), ms(2)).validate(1, 1);
-    }
-
-    #[test]
     fn an_end_lifts_its_own_factor_and_keeps_start_order() {
         use crate::kernel::NullObserver;
         // Three overlapping slowdowns; the last-started one ends first.
@@ -659,36 +525,5 @@ mod tests {
             assert_eq!(state.apply(action, at, &mut acc, &mut NullObserver), None);
         }
         assert_eq!(state.slowdowns(0).collect::<Vec<_>>(), vec![2.0, 3.0]);
-    }
-
-    #[test]
-    fn domain_builders_expand_to_correlated_replica_sets() {
-        use e3_hardware::{ClusterSpec, DomainTopology, GpuKind};
-        // 6 GPUs / 3 machines; racks of 2 machines -> rack 0 = GPUs 0..4.
-        let c = ClusterSpec::homogeneous(GpuKind::V100, 6, 2);
-        let t = DomainTopology::derive(&c, 2);
-        let rack0 = &t.racks()[0];
-        let plan = FaultPlan::new()
-            .crash_domain(rack0, ms(10))
-            .recover_domain(rack0, ms(100));
-        assert_eq!(plan.len(), 2 * rack0.num_gpus());
-        // All crashes land at the same instant on the rack's replicas.
-        let crashed: Vec<usize> = plan
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                FaultEvent::ReplicaCrash { replica, at } if *at == ms(10) => Some(*replica),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(crashed, rack0.gpus);
-        assert!(plan.permanently_crashed().is_empty());
-        plan.validate(6, 1);
-        // Correlated slow + gray expand the same way.
-        let slow = FaultPlan::new()
-            .slowdown_domain(rack0, 2.0, ms(1), ms(9))
-            .gray_domain(rack0, 1.5, ms(1), ms(9));
-        assert_eq!(slow.len(), 2 * rack0.num_gpus());
-        slow.validate(6, 1);
     }
 }

@@ -24,7 +24,7 @@
 //! A [`FaultPlan`] reaches this loop and the continuous-batching driver
 //! ([`run_continuous`]) through one fault state in [`faults`]: it
 //! schedules every start and end, counts each entry, and holds the open
-//! stall, outage, slowdown and gray windows. Each loop keeps only its
+//! stall, outage and slowdown windows. Each loop keeps only its
 //! reactions. Here a crash re-routes the replica's batches, a recovery
 //! re-admits it, and a lifted stall kicks the stage's replicas.
 
@@ -52,7 +52,6 @@ pub use policy::{
 use std::collections::VecDeque;
 
 use e3_hardware::GpuKind;
-use e3_profiler::HealthEstimator;
 use e3_simcore::{EventQueue, SimQueue, SimTime};
 
 use crate::batch::Batch;
@@ -95,33 +94,6 @@ pub(crate) enum Ev {
         batch: Batch,
         attempt: u32,
     },
-    /// An open circuit breaker's cooldown elapsed: enter the half-open
-    /// probe phase (if still open).
-    BreakerCooldown {
-        replica: usize,
-    },
-    /// Check whether the batch `replica` started at `epoch` is still
-    /// running past its expected service time; hedge it if so. Stale
-    /// once the replica's epoch moves (completion, crash, or hedge
-    /// cancellation).
-    HedgeCheck {
-        replica: usize,
-        epoch: u32,
-    },
-}
-
-/// State of a replica's circuit breaker (inert unless
-/// [`crate::engine::ServingConfig::breaker`] is set).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BreakerState {
-    /// Normal operation; the health estimator is watched after every
-    /// batch.
-    Closed,
-    /// Tripped: the replica is excluded until the cooldown elapses.
-    Open,
-    /// Probing: back in service with fresh health history; closes after
-    /// `probes_left` more clean batches, re-trips on a slow probe.
-    HalfOpen { probes_left: u32 },
 }
 
 struct Replica {
@@ -134,18 +106,9 @@ struct Replica {
     /// True while crashed: unlike a straggler (which may finish queued
     /// work), a crashed replica executes nothing until recovered.
     crashed: bool,
-    /// Bumped whenever the current execution (if any) becomes invalid or
-    /// finishes — per completed batch, on crash, and on hedge
-    /// cancellation — so a pending `ExecDone` or `HedgeCheck` for a
-    /// superseded execution is recognized as stale and ignored.
+    /// Bumped on crash, so the pending `ExecDone` of the batch that died
+    /// with the replica is recognized as stale and ignored.
     epoch: u32,
-    /// When the current execution began (wall-clock health accounting).
-    exec_started: SimTime,
-    /// Circuit-breaker state (always `Closed` when breakers are off).
-    breaker: BreakerState,
-    /// The stage peer running the other copy of this replica's hedged
-    /// batch, while a hedge pair is in flight. Symmetric.
-    hedge_partner: Option<usize>,
     batches_done: u32,
     per_sample_secs_sum: f64,
 }
@@ -183,13 +146,6 @@ pub(crate) struct Kernel<'a, 'p, Q: SimQueue<Ev> = EventQueue<Ev>> {
     sample_pool: Vec<Vec<SimSample>>,
     /// Reused scratch for straggler peer comparisons.
     perf_scratch: Vec<ReplicaPerf>,
-    /// Wall-clock health estimator feeding the circuit breakers; `None`
-    /// (and zero-cost) unless [`crate::engine::ServingConfig::breaker`]
-    /// is set.
-    health: Option<HealthEstimator>,
-    /// Remaining per-run transfer-retry tokens; `None` = unbounded
-    /// (per-transfer attempt limits still apply).
-    retry_tokens: Option<u32>,
 }
 
 impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
@@ -214,9 +170,6 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
                     excluded: false,
                     crashed: false,
                     epoch: 0,
-                    exec_started: SimTime::ZERO,
-                    breaker: BreakerState::Closed,
-                    hedge_partner: None,
                     batches_done: 0,
                     per_sample_secs_sum: 0.0,
                 });
@@ -242,11 +195,6 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
             acc: RunAccumulator::new(num_stages, num_replicas, sim.cfg.slo, true),
             sample_pool: Vec::new(),
             perf_scratch: Vec::new(),
-            health: sim
-                .cfg
-                .breaker
-                .map(|b| HealthEstimator::new(num_replicas, b.health)),
-            retry_tokens: sim.cfg.retry_budget,
         }
     }
 
@@ -291,8 +239,6 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
                     batch,
                     attempt,
                 } => self.on_transfer_retry(from_stage, batch, attempt),
-                Ev::BreakerCooldown { replica } => self.on_breaker_cooldown(replica),
-                Ev::HedgeCheck { replica, epoch } => self.on_hedge_check(replica, epoch),
             }
         }
         self.acc
@@ -406,11 +352,10 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         self.try_begin(rid);
     }
 
-    /// Drops a whole batch at routing time (queue bound reached),
-    /// attributed to the configured shed cause.
+    /// Drops a whole batch at routing time (queue bound reached).
     fn shed_batch(&mut self, stage: usize, mut batch: Batch) {
         let now = self.now();
-        self.acc.record_shed(batch.len(), self.sim.cfg.shed_cause);
+        self.acc.record_shed(batch.len());
         self.observer.on_event(
             now,
             &KernelEvent::BatchShed {
@@ -562,23 +507,11 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
             spec.deferred_exits,
             slowdown,
         );
-        // An active gray degradation stretches the *wall-clock* execution
-        // time without touching the self-reported per-sample statistics:
-        // the straggler watchdog keeps seeing a healthy replica while
-        // completions genuinely drift late. The guard keeps gray-free
-        // runs byte-identical (no float round-trip through mul_f64).
-        let gray: f64 = self.faults.grays(rid).product();
-        let wall = if gray != 1.0 {
-            out.duration.mul_f64(gray)
-        } else {
-            out.duration
-        };
-        self.acc.record_busy(rid, wall, out.mean_occupancy);
+        self.acc.record_busy(rid, out.duration, out.mean_occupancy);
         let n = batch.samples.len().max(1) as f64;
         self.replicas[rid].per_sample_secs_sum += out.duration.as_secs_f64() / n;
         self.replicas[rid].busy = true;
         let now = self.now();
-        self.replicas[rid].exec_started = now;
         self.observer.on_event(
             now,
             &KernelEvent::ExecStart {
@@ -589,31 +522,17 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         );
         self.replicas[rid].running = Some(batch);
         self.q.schedule_after(
-            wall,
+            out.duration,
             Ev::ExecDone {
                 replica: rid,
                 epoch: self.replicas[rid].epoch,
             },
         );
-        // Hedged dispatch watches the *expected* service time: the check
-        // fires while this batch still runs exactly when its wall clock
-        // overran the prediction by more than the multiplier.
-        if let Some(h) = self.sim.cfg.hedge {
-            if self.replicas[rid].hedge_partner.is_none() && self.stage_replicas[stage].len() > 1 {
-                self.q.schedule_after(
-                    out.duration.mul_f64(h.multiplier),
-                    Ev::HedgeCheck {
-                        replica: rid,
-                        epoch: self.replicas[rid].epoch,
-                    },
-                );
-            }
-        }
     }
 
     fn on_exec_done(&mut self, rid: usize, epoch: u32) {
         if epoch != self.replicas[rid].epoch {
-            return; // stale: crashed or hedge-cancelled while this batch ran
+            return; // stale: the replica crashed while this batch ran
         }
         let now = self.now();
         let stage = self.replicas[rid].stage;
@@ -624,9 +543,6 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
             .expect("exec done without a running batch");
         self.replicas[rid].busy = false;
         self.replicas[rid].batches_done += 1;
-        // Each completed execution moves the epoch: a pending HedgeCheck
-        // for this batch is now stale.
-        self.replicas[rid].epoch += 1;
         self.observer.on_event(
             now,
             &KernelEvent::ExecDone {
@@ -635,44 +551,6 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
                 size: batch.len(),
             },
         );
-        // Feed the wall-clock health estimator — gray degradations show
-        // up here even though the self-reported statistics stay clean.
-        if self.health.is_some() {
-            let wall = now.saturating_since(self.replicas[rid].exec_started);
-            let per_sample = wall.as_secs_f64() / batch.samples.len().max(1) as f64;
-            if let Some(h) = self.health.as_mut() {
-                h.observe(rid, per_sample);
-            }
-        }
-        // First response wins: if this batch was half of a hedge pair,
-        // this copy finished first — cancel the partner's copy (its
-        // samples are the same requests and must count exactly once).
-        if let Some(p) = self.replicas[rid].hedge_partner.take() {
-            self.replicas[p].hedge_partner = None;
-            self.acc.record_hedge_win();
-            self.observer.on_event(
-                now,
-                &KernelEvent::HedgeWon {
-                    replica: rid,
-                    size: batch.len(),
-                },
-            );
-            if let Some(losing) = self.replicas[p].running.take() {
-                self.replicas[p].epoch += 1; // invalidate its ExecDone
-                self.replicas[p].busy = false;
-                self.acc.record_hedge_cancel();
-                self.observer.on_event(
-                    now,
-                    &KernelEvent::HedgeCancelled {
-                        replica: p,
-                        size: losing.samples.len(),
-                    },
-                );
-                self.pool_put(losing.samples);
-                self.try_begin(p);
-            }
-        }
-
         // Completions and survivor compaction in one in-place pass, in the
         // original sample order (samples are `Copy`). The surviving batch
         // reuses its own buffer downstream; a fully-completed batch returns
@@ -697,189 +575,10 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         if self.policies.straggler.enabled() {
             self.maybe_exclude_straggler(rid);
         }
-        if self.sim.cfg.breaker.is_some() {
-            self.breaker_after_batch(rid);
-        }
         self.try_begin(rid);
         // Completions may have released backpressure: wake idle stage-0
         // feeders.
         self.wake_feeders();
-    }
-
-    /// Advances `rid`'s circuit breaker after a completed batch: a
-    /// closed breaker trips when the health estimator's phi crosses the
-    /// threshold; a half-open breaker re-trips on an implausibly slow
-    /// probe (judged without the warmup floor — the probe phase starts
-    /// from reset history) or closes after enough clean ones.
-    fn breaker_after_batch(&mut self, rid: usize) {
-        let Some(bc) = self.sim.cfg.breaker else {
-            return;
-        };
-        let now = self.now();
-        match self.replicas[rid].breaker {
-            BreakerState::Closed => {
-                let phi = self.health.as_ref().map_or(0.0, |h| h.phi(rid));
-                if !self.replicas[rid].excluded && !self.replicas[rid].crashed && phi >= bc.phi_trip
-                {
-                    self.trip_breaker(rid);
-                }
-            }
-            BreakerState::HalfOpen { probes_left } => {
-                let phi = self.health.as_ref().map_or(0.0, |h| h.phi_unwarmed(rid));
-                if phi >= bc.phi_trip {
-                    self.trip_breaker(rid); // probe failed: back to open
-                } else if probes_left <= 1 {
-                    self.replicas[rid].breaker = BreakerState::Closed;
-                    self.acc.record_breaker_close();
-                    self.observer
-                        .on_event(now, &KernelEvent::BreakerClosed { replica: rid });
-                } else {
-                    self.replicas[rid].breaker = BreakerState::HalfOpen {
-                        probes_left: probes_left - 1,
-                    };
-                }
-            }
-            // A batch that was already running when the breaker tripped
-            // drained; no transition until the cooldown fires.
-            BreakerState::Open => {}
-        }
-    }
-
-    /// Trips `rid`'s breaker: exclude it, re-route its queued work, and
-    /// arm the cooldown timer. Its running batch (if any) may still
-    /// finish — exclusion only stops new assignments, like a straggler.
-    fn trip_breaker(&mut self, rid: usize) {
-        let bc = self
-            .sim
-            .cfg
-            .breaker
-            .expect("breaker tripped without config");
-        let now = self.now();
-        let stage = self.replicas[rid].stage;
-        self.replicas[rid].breaker = BreakerState::Open;
-        self.replicas[rid].excluded = true;
-        self.acc.record_breaker_trip();
-        self.acc.record_exclusion(rid, now);
-        self.observer
-            .on_event(now, &KernelEvent::BreakerTripped { replica: rid });
-        self.observer.on_event(
-            now,
-            &KernelEvent::ReplicaExcluded {
-                replica: rid,
-                reason: ExclusionReason::Breaker,
-            },
-        );
-        self.q
-            .schedule_after(bc.cooldown, Ev::BreakerCooldown { replica: rid });
-        let queued: Vec<Batch> = self.replicas[rid].queue.drain(..).collect();
-        for b in queued {
-            self.route(stage, b);
-        }
-    }
-
-    /// An open breaker's cooldown elapsed: re-admit the replica in the
-    /// half-open probe phase with fresh health history. A breaker the
-    /// meantime closed (crash superseded it) or already probing ignores
-    /// the stale timer.
-    fn on_breaker_cooldown(&mut self, rid: usize) {
-        let Some(bc) = self.sim.cfg.breaker else {
-            return;
-        };
-        if self.replicas[rid].breaker != BreakerState::Open || self.replicas[rid].crashed {
-            return;
-        }
-        let now = self.now();
-        self.replicas[rid].breaker = BreakerState::HalfOpen {
-            probes_left: bc.probe_batches,
-        };
-        if let Some(h) = self.health.as_mut() {
-            h.reset(rid);
-        }
-        self.replicas[rid].excluded = false;
-        self.acc.record_recovery(rid, now);
-        self.acc.record_breaker_probe();
-        self.observer
-            .on_event(now, &KernelEvent::BreakerProbe { replica: rid });
-        self.observer
-            .on_event(now, &KernelEvent::ReplicaRecovered { replica: rid });
-        self.try_begin(rid);
-        self.wake_feeders();
-    }
-
-    /// A hedge timer fired: if the batch `rid` started at `epoch` is
-    /// still running (it overran its expected service time), dispatch a
-    /// copy to an idle healthy stage peer. First copy to finish wins.
-    fn on_hedge_check(&mut self, rid: usize, epoch: u32) {
-        if self.replicas[rid].epoch != epoch
-            || !self.replicas[rid].busy
-            || self.replicas[rid].hedge_partner.is_some()
-        {
-            return; // the batch finished, or is already hedged
-        }
-        let stage = self.replicas[rid].stage;
-        if self.faults.stalled(stage) {
-            return;
-        }
-        // Deterministic backup choice: the lowest-id idle, healthy,
-        // unpaired stage peer. No idle peer: hedging would only queue a
-        // duplicate behind other work, so skip.
-        let backup = self.stage_replicas[stage]
-            .iter()
-            .copied()
-            .filter(|&r| {
-                r != rid
-                    && !self.replicas[r].busy
-                    && !self.replicas[r].excluded
-                    && !self.replicas[r].crashed
-                    && self.replicas[r].queue.is_empty()
-                    && self.replicas[r].hedge_partner.is_none()
-            })
-            .min();
-        let Some(backup) = backup else {
-            // No idle peer right now. The batch is still overrunning, so
-            // re-arm the check one more expected-service-time out — a peer
-            // freeing up later can still rescue it. The epoch guard stops
-            // the re-arm loop the moment the batch resolves.
-            if let Some(h) = self.sim.cfg.hedge {
-                let elapsed = self.now().saturating_since(self.replicas[rid].exec_started);
-                self.q.schedule_after(
-                    elapsed.mul_f64(1.0 / h.multiplier),
-                    Ev::HedgeCheck {
-                        replica: rid,
-                        epoch,
-                    },
-                );
-            }
-            return;
-        };
-        let now = self.now();
-        let mut samples = self.pool_get();
-        {
-            let src = self.replicas[rid]
-                .running
-                .as_ref()
-                .expect("busy replica without a running batch");
-            samples.extend_from_slice(&src.samples);
-        }
-        let size = samples.len();
-        self.acc.record_hedge_dispatch();
-        self.observer.on_event(
-            now,
-            &KernelEvent::HedgeDispatched {
-                primary: rid,
-                backup,
-                size,
-            },
-        );
-        self.replicas[rid].hedge_partner = Some(backup);
-        self.replicas[backup].hedge_partner = Some(rid);
-        self.start_exec(
-            backup,
-            Batch {
-                samples,
-                formed_at: now,
-            },
-        );
     }
 
     /// Hands survivors of `from_stage` to the interconnect. A healthy
@@ -898,10 +597,6 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
                 samples: survivors,
                 formed_at: now,
             };
-            if !self.take_retry_token() {
-                self.abort_transfer(from_stage, batch, true);
-                return;
-            }
             self.acc.record_transfer_retry();
             self.observer.on_event(
                 now,
@@ -950,8 +645,7 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
 
     /// A parked transfer's retry timer fired: send if the link is back,
     /// back off again if not, abort (dropping the samples) once the
-    /// per-transfer attempt limit — or the per-run retry budget — is
-    /// spent.
+    /// per-transfer attempt limit is spent.
     fn on_transfer_retry(&mut self, from_stage: usize, batch: Batch, attempt: u32) {
         let now = self.now();
         let retry = self.sim.cfg.transfer_retry;
@@ -960,11 +654,7 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
             return;
         }
         if attempt >= retry.max_attempts {
-            self.abort_transfer(from_stage, batch, false);
-            return;
-        }
-        if !self.take_retry_token() {
-            self.abort_transfer(from_stage, batch, true);
+            self.abort_transfer(from_stage, batch);
             return;
         }
         let next_attempt = attempt + 1;
@@ -987,26 +677,10 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         );
     }
 
-    /// Spends one transfer-retry token; always succeeds when no budget
-    /// is configured.
-    fn take_retry_token(&mut self) -> bool {
-        match self.retry_tokens.as_mut() {
-            None => true,
-            Some(t) if *t > 0 => {
-                *t -= 1;
-                true
-            }
-            Some(_) => false,
-        }
-    }
-
-    /// Aborts a parked (or about-to-park) transfer, dropping its
-    /// samples. `budget_exhausted` attributes the abort to the per-run
-    /// retry budget rather than the transfer's own attempt limit.
-    fn abort_transfer(&mut self, from_stage: usize, mut batch: Batch, budget_exhausted: bool) {
+    /// Aborts a parked transfer, dropping its samples.
+    fn abort_transfer(&mut self, from_stage: usize, mut batch: Batch) {
         let now = self.now();
-        self.acc
-            .record_transfer_abort(batch.len(), budget_exhausted);
+        self.acc.record_transfer_abort(batch.len());
         self.observer.on_event(
             now,
             &KernelEvent::TransferAborted {
@@ -1139,30 +813,7 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
                 reason: ExclusionReason::Crash,
             },
         );
-        // A crash supersedes whatever the breaker was doing; the replica
-        // is judged afresh after recovery.
-        self.replicas[rid].breaker = BreakerState::Closed;
-        let mut orphaned: Vec<Batch> = Vec::new();
-        if let Some(p) = self.replicas[rid].hedge_partner.take() {
-            // The dying replica's copy of a hedged batch is NOT
-            // re-routed: the partner's copy still runs and will account
-            // for the samples. Re-routing would double-count them.
-            self.replicas[p].hedge_partner = None;
-            if let Some(copy) = self.replicas[rid].running.take() {
-                self.acc.record_hedge_cancel();
-                self.observer.on_event(
-                    now,
-                    &KernelEvent::HedgeCancelled {
-                        replica: rid,
-                        size: copy.samples.len(),
-                    },
-                );
-                self.pool_put(copy.samples);
-            }
-        }
-        if let Some(b) = self.replicas[rid].running.take() {
-            orphaned.push(b);
-        }
+        let mut orphaned: Vec<Batch> = self.replicas[rid].running.take().into_iter().collect();
         orphaned.extend(self.replicas[rid].queue.drain(..));
         for b in orphaned {
             self.route(stage, b);
@@ -1182,10 +833,6 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         self.replicas[rid].excluded = false;
         self.replicas[rid].batches_done = 0;
         self.replicas[rid].per_sample_secs_sum = 0.0;
-        self.replicas[rid].breaker = BreakerState::Closed;
-        if let Some(h) = self.health.as_mut() {
-            h.reset(rid);
-        }
         self.acc.record_recovery(rid, now);
         self.observer
             .on_event(now, &KernelEvent::ReplicaRecovered { replica: rid });

@@ -123,7 +123,7 @@ pub enum KernelEvent {
         /// Samples waiting on the transfer.
         size: usize,
     },
-    /// A stage transfer exhausted its retry budget; its samples were
+    /// A stage transfer exhausted its retry attempts; its samples were
     /// dropped.
     TransferAborted {
         /// Sending stage.
@@ -177,66 +177,6 @@ pub enum KernelEvent {
         /// (rebuilt by swap-in); false when it will be recomputed.
         swapped: bool,
     },
-    /// A replica's circuit breaker tripped: the health estimator judged
-    /// its wall-clock service times implausibly slow against the fleet.
-    /// Always paired with a [`KernelEvent::ReplicaExcluded`] carrying
-    /// [`ExclusionReason::Breaker`].
-    BreakerTripped {
-        /// Global replica id.
-        replica: usize,
-    },
-    /// An open breaker's cooldown elapsed: the replica re-entered
-    /// service in the half-open probe phase with fresh health history.
-    BreakerProbe {
-        /// Global replica id.
-        replica: usize,
-    },
-    /// A half-open breaker finished its probe batches without a new
-    /// verdict and closed: the replica is fully back in service.
-    BreakerClosed {
-        /// Global replica id.
-        replica: usize,
-    },
-    /// A batch overran its expected service time and was re-dispatched
-    /// to an idle healthy peer; the first copy to finish wins.
-    HedgeDispatched {
-        /// Replica running the original (straggling) copy.
-        primary: usize,
-        /// Replica the backup copy was dispatched to.
-        backup: usize,
-        /// Samples in the hedged batch.
-        size: usize,
-    },
-    /// One copy of a hedged batch finished first and its samples were
-    /// counted; the losing copy is cancelled.
-    HedgeWon {
-        /// Replica whose copy finished first.
-        replica: usize,
-        /// Samples in the winning copy.
-        size: usize,
-    },
-    /// The losing (or orphaned) copy of a hedged batch was cancelled;
-    /// its samples are discarded without completion — the winning copy
-    /// already accounted for them.
-    HedgeCancelled {
-        /// Replica whose copy was cancelled.
-        replica: usize,
-        /// Samples in the cancelled copy.
-        size: usize,
-    },
-    /// The brownout controller entered degraded operation (level 1).
-    BrownoutEntered {
-        /// New degradation level (always >= 1).
-        level: u8,
-    },
-    /// The brownout controller moved between non-zero degradation
-    /// levels.
-    BrownoutLevel {
-        /// New degradation level (always >= 1).
-        level: u8,
-    },
-    /// The brownout controller returned to normal operation (level 0).
-    BrownoutExited,
     /// The control loop began a guarded plan transition: the incumbent
     /// plan drained and a canary of the candidate plan started.
     ReconfigStarted {

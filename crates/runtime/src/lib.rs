@@ -63,12 +63,12 @@ pub mod sample;
 pub mod serial;
 pub mod strategy;
 
-pub use engine::{BreakerConfig, HedgeConfig, ServingConfig, ServingSim, TransferRetryConfig};
+pub use engine::{ServingConfig, ServingSim, TransferRetryConfig};
 pub use kernel::{
     run_continuous, AdmissionPolicy, BatchingPolicy, ContinuousConfig, ContinuousOutcome,
     ExclusionReason, FaultEvent, FaultPlan, JoinPolicy, KernelEvent, KvPlan, OffsetObserver,
     PreemptMode, RunObserver, SequenceSpec, StragglerPolicy, TagObserver, TaggedEventLog,
     TokenJourney, FUSION_MAX_WAIT,
 };
-pub use report::{RobustnessStats, RunReport, ShedBreakdown, ShedCause};
+pub use report::{RobustnessStats, RunReport, ShedBreakdown};
 pub use strategy::Strategy;

@@ -4,25 +4,19 @@
 //! string to a valid, **live** [`FaultPlan`]: every byte string decodes
 //! (trailing partial records are ignored), every crash is paired with a
 //! recovery inside the active window, and a protected replica set — the
-//! first replica of each stage — is never crashed, individually or via
-//! a correlated domain. Liveness is what makes the conservation law
+//! first replica of each stage — is never crashed. Liveness is what makes the conservation law
 //! decidable: a plan that permanently kills a whole stage strands queued
 //! samples forever, and `completed + dropped == offered` would hang on
 //! the definition of "forever" instead of failing loudly.
 //!
-//! The decoder covers the full fault vocabulary, including the
-//! correlated [`e3_hardware::FaultDomain`] expansions: a domain-crash
-//! record whose rack holds a protected replica degrades to a gray
-//! domain failure (same correlation structure, recoverable by
-//! detection instead of by restart), so no byte string is wasted.
+//! The decoder covers the kernel's fault vocabulary: crash with
+//! recovery, transient slowdown, stage stall and link-down.
 //!
-//! The companion property test drives the full tail-tolerance stack —
-//! circuit breakers, hedged dispatch, and a finite retry budget — under
-//! hundreds of decoded plans and asserts, per run, that no sample is
-//! lost or double-counted and the kernel event stream passes the typed
-//! invariant checker.
+//! The companion property test serves hundreds of decoded plans with
+//! straggler detection and a finite transfer-retry schedule, and asserts,
+//! per run, that no sample is lost or double-counted and the kernel event
+//! stream passes the typed invariant checker.
 
-use e3_hardware::DomainTopology;
 use e3_runtime::kernel::FaultPlan;
 use e3_simcore::{SimDuration, SimTime};
 
@@ -33,14 +27,9 @@ pub const RECORD_BYTES: usize = 6;
 /// Decodes `bytes` into a live fault plan for a deployment of
 /// `num_replicas` replicas over `num_stages` stages.
 ///
-/// * `topology` supplies the correlated domains (racks); domain records
-///   index into `topology.racks()`. The caller must derive the topology
-///   from the same cluster the deployment was realized on, so rack GPU
-///   ids and kernel replica ids coincide.
 /// * `protected` replicas (typically the first replica of each stage)
 ///   are never crashed; crash records targeting them are re-aimed at
-///   the next unprotected replica, and domain crashes touching them
-///   soften to gray degradations of the whole domain.
+///   the next unprotected replica.
 /// * All fault onsets land in `[1ms, active)` and every window closes
 ///   by `active + 512ms`, so a run whose workload outlives `active`
 ///   always drains.
@@ -49,14 +38,12 @@ pub const RECORD_BYTES: usize = 6;
 /// that passes [`FaultPlan::validate`] for the given shape.
 pub fn decode_fault_plan(
     bytes: &[u8],
-    topology: &DomainTopology,
     protected: &[usize],
     num_replicas: usize,
     num_stages: usize,
     active: SimDuration,
 ) -> FaultPlan {
     assert!(num_replicas > 0 && num_stages > 0, "empty deployment");
-    let racks = topology.racks();
     let active_ms = (active.as_secs_f64() * 1e3) as u64;
     assert!(active_ms >= 2, "active window too short to place a fault");
 
@@ -88,19 +75,12 @@ pub fn decode_fault_plan(
             protected.len() < num_replicas,
             "every replica is protected; no crash target exists"
         );
-        let rack = &racks[usize::from(operand) % racks.len()];
-        let rack_is_protected = rack.gpus.iter().any(|g| protected.contains(g));
         let stage = usize::from(operand) % num_stages;
 
-        plan = match op % 8 {
+        plan = match op % 4 {
             0 => plan.crash(replica, from).recover(replica, until),
-            1 if rack_is_protected => plan.gray_domain(rack, factor, from, until),
-            1 => plan.crash_domain(rack, from).recover_domain(rack, until),
-            2 => plan.slowdown(replica, factor, from, until),
-            3 => plan.gray(replica, factor, from, until),
-            4 => plan.slowdown_domain(rack, factor, from, until),
-            5 => plan.gray_domain(rack, factor, from, until),
-            6 => plan.stall(stage, from, until),
+            1 => plan.slowdown(replica, factor, from, until),
+            2 => plan.stall(stage, from, until),
             // Only stages with an outbound link can lose one; a
             // single-stage deployment degrades the record to a stall.
             _ if num_stages > 1 => {
@@ -117,10 +97,10 @@ pub fn decode_fault_plan(
 mod tests {
     use super::*;
     use crate::invariant::{CheckerConfig, InvariantChecker, StreamScope};
-    use e3_hardware::{ClusterSpec, GpuKind, LatencyModel, TransferModel};
+    use e3_hardware::{GpuKind, LatencyModel, TransferModel};
     use e3_model::{zoo, ExitPolicy, InferenceSim, RampController, RampStyle};
     use e3_runtime::strategy::StageSpec;
-    use e3_runtime::{BreakerConfig, HedgeConfig, ServingConfig, ServingSim, TransferRetryConfig};
+    use e3_runtime::{ServingConfig, ServingSim, TransferRetryConfig};
     use e3_simcore::SimDuration;
     use e3_workload::{ArrivalProcess, DatasetModel, WorkloadGenerator};
     use rand::rngs::StdRng;
@@ -144,15 +124,10 @@ mod tests {
 
     #[test]
     fn decoder_is_total_and_plans_validate() {
-        // 6 GPUs, 1 machine each, racks of 1 machine -> racks {0,1},
-        // {2,3}, {4,5} in replica-id space.
-        let cluster = ClusterSpec::homogeneous(GpuKind::V100, 6, 2);
-        let topology = DomainTopology::derive(&cluster, 1);
         for seed in 0..200u64 {
             let n = RECORD_BYTES * (seed as usize % 7) + (seed as usize % RECORD_BYTES);
             let plan = decode_fault_plan(
                 &decoded_bytes(seed, n),
-                &topology,
                 &[0, 4],
                 6,
                 2,
@@ -181,14 +156,11 @@ mod tests {
     }
 
     #[test]
-    fn conservation_holds_under_decoded_plans_with_full_tail_tolerance() {
+    fn conservation_holds_under_decoded_plans() {
         // A 2-stage DeeBERT pipeline over 6 V100s: stage transfers exist
-        // (so link faults and the retry budget bite), each stage keeps a
-        // protected replica (0 and 4), and the rack domains {0,1} {2,3}
-        // {4,5} give the decoder real correlated sets to work with.
+        // (so link faults and transfer retries bite), and each stage keeps
+        // a protected replica (0 and 4).
         let model = zoo::deebert();
-        let cluster = ClusterSpec::homogeneous(GpuKind::V100, 6, 2);
-        let topology = DomainTopology::derive(&cluster, 1);
         let stages = || {
             vec![
                 StageSpec {
@@ -209,7 +181,6 @@ mod tests {
             let records = 3 + seed as usize % 5;
             let plan = decode_fault_plan(
                 &decoded_bytes(seed, RECORD_BYTES * records),
-                &topology,
                 &[0, 4],
                 6,
                 2,
@@ -235,13 +206,10 @@ mod tests {
                     closed_loop: false,
                     slo: SimDuration::from_millis(50),
                     detect_stragglers: true,
-                    breaker: Some(BreakerConfig::default()),
-                    hedge: Some(HedgeConfig::default()),
                     transfer_retry: TransferRetryConfig {
                         max_attempts: 5,
                         base_backoff: SimDuration::from_millis(1),
                     },
-                    retry_budget: Some(16),
                     fault_plan: plan,
                     ..Default::default()
                 },
@@ -276,8 +244,6 @@ mod tests {
                 r.robustness.sheds,
                 r.dropped
             );
-            // First-response-wins: hedges resolve exactly once each.
-            assert_eq!(r.robustness.hedges_won, r.robustness.hedges_cancelled);
         }
     }
 }

@@ -51,20 +51,6 @@ pub enum InvariantClass {
     SequenceResidency,
     /// Observed timestamps never move backwards.
     ClockMonotonic,
-    /// Brownout rung events pair and order correctly: `BrownoutEntered`
-    /// only from normal operation (at a level >= 1), `BrownoutLevel`
-    /// moves only inside an open episode and actually change the rung,
-    /// and `BrownoutExited` closes an open episode.
-    BrownoutLevelPairing,
-    /// Per-replica circuit breakers walk closed -> open (trip) ->
-    /// half-open (probe) -> closed; a probe may re-trip, and a crash
-    /// silently resets the machine to closed.
-    CircuitBreakerStateMachine,
-    /// Every hedged batch resolves exactly once: a dispatched pair ends
-    /// either with one `HedgeWon` plus the loser's `HedgeCancelled`, or
-    /// with a crash-side `HedgeCancelled` alone; no orphan wins or
-    /// cancellations, and no replica holds two hedges at once.
-    HedgeCancellationConservation,
 }
 
 impl fmt::Display for InvariantClass {
@@ -78,9 +64,6 @@ impl fmt::Display for InvariantClass {
             InvariantClass::QueueBound => "queue-bound",
             InvariantClass::SequenceResidency => "sequence-residency",
             InvariantClass::ClockMonotonic => "clock-monotonic",
-            InvariantClass::BrownoutLevelPairing => "brownout-level-pairing",
-            InvariantClass::CircuitBreakerStateMachine => "circuit-breaker-state-machine",
-            InvariantClass::HedgeCancellationConservation => "hedge-cancellation-conservation",
         };
         f.write_str(s)
     }
@@ -152,29 +135,12 @@ struct SampleState {
     crash_stale: bool,
 }
 
-/// The breaker state the checker believes a replica is in, mirroring the
-/// kernel's closed / open / half-open machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum BreakerTrack {
-    #[default]
-    Closed,
-    Open,
-    HalfOpen,
-}
-
 #[derive(Debug, Clone, Copy, Default)]
 struct ReplicaState {
     excluded: Option<ExclusionReason>,
     /// Number of cache-resident sequences (for the lone-runner
     /// overcommit exemption).
     kv_population: usize,
-    /// Mirrored circuit-breaker state.
-    breaker: BreakerTrack,
-    /// The peer this replica currently shares an open hedge pair with.
-    hedge_partner: Option<usize>,
-    /// The partner's copy won; this replica's cancellation is due (the
-    /// kernel emits it immediately after the win).
-    hedge_cancel_pending: bool,
 }
 
 /// The composable invariant-checking observer.
@@ -192,8 +158,6 @@ pub struct InvariantChecker {
     replicas: HashMap<usize, ReplicaState>,
     /// Open reconfiguration epoch, if any.
     open_epoch: Option<u32>,
-    /// Brownout rung currently in force (0 = no open episode).
-    brownout_level: u8,
     /// Last epoch that completed (promoted or rolled back).
     last_epoch: u32,
     last_now: SimTime,
@@ -219,31 +183,15 @@ impl InvariantChecker {
         self.events_seen
     }
 
-    /// Runs the end-of-stream checks (unclosed reconfiguration epochs,
-    /// hedge losers whose cancellation never arrived) and returns all
-    /// violations. Residual in-flight samples, open hedge pairs, and an
-    /// open brownout episode are *not* flagged: a run may legally end
-    /// stranded, mid-hedge, or still degraded.
+    /// Runs the end-of-stream check (unclosed reconfiguration epochs)
+    /// and returns all violations. Residual in-flight samples are *not*
+    /// flagged: a run may legally end stranded.
     pub fn finish(mut self) -> Vec<Violation> {
         if let Some(e) = self.open_epoch {
             self.report(
                 self.last_now,
                 InvariantClass::ReconfigEpochs,
                 format!("epoch {e} started but never promoted or rolled back"),
-            );
-        }
-        let mut pending: Vec<usize> = self
-            .replicas
-            .iter()
-            .filter(|(_, s)| s.hedge_cancel_pending)
-            .map(|(&r, _)| r)
-            .collect();
-        pending.sort_unstable();
-        for r in pending {
-            self.report(
-                self.last_now,
-                InvariantClass::HedgeCancellationConservation,
-                format!("replica {r} lost a hedge but its copy was never cancelled"),
             );
         }
         self.violations
@@ -439,22 +387,15 @@ impl InvariantChecker {
 
     fn on_excluded(&mut self, at: SimTime, r: usize, reason: ExclusionReason) {
         let windowed = self.cfg.scope == StreamScope::Windowed;
-        // Exclusion reasons escalate — Straggler < Breaker < Crash — and
-        // a harsher verdict may land on an already-excluded replica
-        // without an intervening recovery: a crash upgrades either
-        // detector's verdict (the kernel guards on `crashed`, not
-        // `excluded`), and a failed half-open probe trips the breaker on
-        // a replica the straggler watchdog had already excluded. Only a
-        // same-or-milder re-exclusion is a pairing breach in a single
-        // run. Windowed streams reset replica state between kernel runs,
-        // so re-exclusion there is a fresh run, not a breach.
+        // A crash may land on a straggler-excluded replica without an
+        // intervening recovery (the kernel guards on `crashed`, not
+        // `excluded`); any other re-exclusion is a pairing breach in a
+        // single run. Windowed streams reset replica state between
+        // kernel runs, so re-exclusion there is a fresh run, not a
+        // breach.
         if let Some(p) = self.replica(r).excluded {
-            let severity = |e: ExclusionReason| match e {
-                ExclusionReason::Straggler => 0,
-                ExclusionReason::Breaker => 1,
-                ExclusionReason::Crash => 2,
-            };
-            if !windowed && severity(reason) <= severity(p) {
+            let upgrade = p == ExclusionReason::Straggler && reason == ExclusionReason::Crash;
+            if !windowed && !upgrade {
                 self.report(
                     at,
                     InvariantClass::ReplicaLifecycle,
@@ -475,12 +416,6 @@ impl InvariantChecker {
                 }
             }
             self.replica(r).kv_population = 0;
-            // A crash supersedes whatever the breaker was doing — the
-            // kernel resets the machine to closed without an event. The
-            // replica's hedge pair (if any) is torn down by the
-            // HedgeCancelled the kernel emits right after this event, so
-            // hedge state is left alone here.
-            self.replica(r).breaker = BreakerTrack::Closed;
         }
     }
 
@@ -522,168 +457,6 @@ impl InvariantChecker {
                 format!("stage {stage} shed {size} sample(s) with no queue cap configured"),
             );
         }
-    }
-
-    fn on_breaker_tripped(&mut self, at: SimTime, r: usize) {
-        let windowed = self.cfg.scope == StreamScope::Windowed;
-        // Legal from closed (health trip) and from half-open (a probe
-        // batch failed); an open breaker assigns no work, so there is
-        // nothing left to trip on.
-        if self.replica(r).breaker == BreakerTrack::Open && !windowed {
-            self.report(
-                at,
-                InvariantClass::CircuitBreakerStateMachine,
-                format!("replica {r} breaker tripped while already open"),
-            );
-        }
-        self.replica(r).breaker = BreakerTrack::Open;
-    }
-
-    fn on_breaker_probe(&mut self, at: SimTime, r: usize) {
-        let windowed = self.cfg.scope == StreamScope::Windowed;
-        if self.replica(r).breaker != BreakerTrack::Open && !windowed {
-            self.report(
-                at,
-                InvariantClass::CircuitBreakerStateMachine,
-                format!("replica {r} entered the probe phase without an open breaker"),
-            );
-        }
-        self.replica(r).breaker = BreakerTrack::HalfOpen;
-    }
-
-    fn on_breaker_closed(&mut self, at: SimTime, r: usize) {
-        let windowed = self.cfg.scope == StreamScope::Windowed;
-        if self.replica(r).breaker != BreakerTrack::HalfOpen && !windowed {
-            self.report(
-                at,
-                InvariantClass::CircuitBreakerStateMachine,
-                format!("replica {r} breaker closed without a probe phase"),
-            );
-        }
-        self.replica(r).breaker = BreakerTrack::Closed;
-    }
-
-    fn on_hedge_dispatched(&mut self, at: SimTime, primary: usize, backup: usize) {
-        let windowed = self.cfg.scope == StreamScope::Windowed;
-        for r in [primary, backup] {
-            if let Some(p) = self.replica(r).hedge_partner {
-                if windowed {
-                    // A fresh kernel run reset the pair without events.
-                    self.replica(p).hedge_partner = None;
-                    self.replica(r).hedge_partner = None;
-                } else {
-                    self.report(
-                        at,
-                        InvariantClass::HedgeCancellationConservation,
-                        format!(
-                            "replica {r} hedge-dispatched while already paired with replica {p}"
-                        ),
-                    );
-                }
-            }
-        }
-        if primary == backup {
-            self.report(
-                at,
-                InvariantClass::HedgeCancellationConservation,
-                format!("replica {primary} hedged onto itself"),
-            );
-            return;
-        }
-        self.replica(primary).hedge_partner = Some(backup);
-        self.replica(backup).hedge_partner = Some(primary);
-    }
-
-    fn on_hedge_won(&mut self, at: SimTime, r: usize) {
-        match self.replica(r).hedge_partner {
-            Some(p) => {
-                // First response wins; the loser's cancellation must
-                // follow (checked at end of stream).
-                self.replica(r).hedge_partner = None;
-                self.replica(p).hedge_partner = None;
-                self.replica(p).hedge_cancel_pending = true;
-            }
-            None => self.report(
-                at,
-                InvariantClass::HedgeCancellationConservation,
-                format!("replica {r} won a hedge it is not part of"),
-            ),
-        }
-    }
-
-    fn on_hedge_cancelled(&mut self, at: SimTime, r: usize) {
-        if self.replica(r).hedge_cancel_pending {
-            // The loser of a first-response race.
-            self.replica(r).hedge_cancel_pending = false;
-        } else if let Some(p) = self.replica(r).hedge_partner {
-            // A crash tore the pair down without a winner: the partner's
-            // copy silently continues as an ordinary batch.
-            self.replica(r).hedge_partner = None;
-            self.replica(p).hedge_partner = None;
-        } else {
-            self.report(
-                at,
-                InvariantClass::HedgeCancellationConservation,
-                format!("replica {r} cancelled a hedge it is not part of"),
-            );
-        }
-    }
-
-    fn on_brownout_entered(&mut self, at: SimTime, level: u8) {
-        if level == 0 {
-            self.report(
-                at,
-                InvariantClass::BrownoutLevelPairing,
-                "brownout entered at level 0 (level 0 is normal operation)".to_string(),
-            );
-        }
-        // A windowed stream may restart its control loop (partition
-        // change) while degraded — the fresh loop's first entry is a
-        // reset, not a double entry.
-        if self.brownout_level != 0 && self.cfg.scope != StreamScope::Windowed {
-            let open = self.brownout_level;
-            self.report(
-                at,
-                InvariantClass::BrownoutLevelPairing,
-                format!("brownout entered at level {level} while already at level {open}"),
-            );
-        }
-        self.brownout_level = level.max(1);
-    }
-
-    fn on_brownout_level(&mut self, at: SimTime, level: u8) {
-        if self.brownout_level == 0 {
-            self.report(
-                at,
-                InvariantClass::BrownoutLevelPairing,
-                format!("brownout level moved to {level} with no episode open"),
-            );
-        } else if level == 0 {
-            self.report(
-                at,
-                InvariantClass::BrownoutLevelPairing,
-                "brownout level moved to 0 (leaving degraded operation is BrownoutExited)"
-                    .to_string(),
-            );
-        } else if level == self.brownout_level {
-            self.report(
-                at,
-                InvariantClass::BrownoutLevelPairing,
-                format!("brownout level re-announced unchanged level {level}"),
-            );
-        }
-        self.brownout_level = level.max(1);
-    }
-
-    fn on_brownout_exited(&mut self, at: SimTime) {
-        if self.brownout_level == 0 {
-            self.report(
-                at,
-                InvariantClass::BrownoutLevelPairing,
-                "brownout exited with no episode open".to_string(),
-            );
-        }
-        self.brownout_level = 0;
     }
 
     fn on_reconfig_started(&mut self, at: SimTime, epoch: u32) {
@@ -772,17 +545,6 @@ impl RunObserver for InvariantChecker {
                 self.on_reconfig_closed(now, epoch, "CanaryPromoted")
             }
             KernelEvent::RolledBack { epoch } => self.on_reconfig_closed(now, epoch, "RolledBack"),
-            KernelEvent::BreakerTripped { replica } => self.on_breaker_tripped(now, replica),
-            KernelEvent::BreakerProbe { replica } => self.on_breaker_probe(now, replica),
-            KernelEvent::BreakerClosed { replica } => self.on_breaker_closed(now, replica),
-            KernelEvent::HedgeDispatched {
-                primary, backup, ..
-            } => self.on_hedge_dispatched(now, primary, backup),
-            KernelEvent::HedgeWon { replica, .. } => self.on_hedge_won(now, replica),
-            KernelEvent::HedgeCancelled { replica, .. } => self.on_hedge_cancelled(now, replica),
-            KernelEvent::BrownoutEntered { level } => self.on_brownout_entered(now, level),
-            KernelEvent::BrownoutLevel { level } => self.on_brownout_level(now, level),
-            KernelEvent::BrownoutExited => self.on_brownout_exited(now),
             // Batch-granularity bookkeeping events carry no per-sample
             // obligations the stream can contradict.
             KernelEvent::Admitted { .. }
@@ -1058,214 +820,6 @@ mod tests {
         c.on_event(t(0), &KernelEvent::ReconfigStarted { epoch: 1 });
         let v = c.finish();
         assert_eq!(classes(&v), vec![InvariantClass::ReconfigEpochs]);
-    }
-
-    #[test]
-    fn breaker_lifecycle_passes_and_mutations_fire() {
-        // Clean: trip -> probe -> close, then trip -> failed probe ->
-        // re-trip -> probe -> close.
-        let mut c = InvariantChecker::new(CheckerConfig::default());
-        for r in [
-            KernelEvent::BreakerTripped { replica: 0 },
-            KernelEvent::BreakerProbe { replica: 0 },
-            KernelEvent::BreakerClosed { replica: 0 },
-            KernelEvent::BreakerTripped { replica: 0 },
-            KernelEvent::BreakerProbe { replica: 0 },
-            KernelEvent::BreakerTripped { replica: 0 },
-            KernelEvent::BreakerProbe { replica: 0 },
-            KernelEvent::BreakerClosed { replica: 0 },
-        ] {
-            c.on_event(t(0), &r);
-        }
-        assert!(c.finish().is_empty());
-
-        // Mutation: a probe with no open breaker.
-        let mut c = InvariantChecker::new(CheckerConfig::default());
-        c.on_event(t(0), &KernelEvent::BreakerProbe { replica: 0 });
-        assert_eq!(
-            classes(&c.finish()),
-            vec![InvariantClass::CircuitBreakerStateMachine]
-        );
-
-        // Mutation: closing without a probe phase.
-        let mut c = InvariantChecker::new(CheckerConfig::default());
-        c.on_event(t(0), &KernelEvent::BreakerTripped { replica: 0 });
-        c.on_event(t(1), &KernelEvent::BreakerClosed { replica: 0 });
-        assert_eq!(
-            classes(&c.finish()),
-            vec![InvariantClass::CircuitBreakerStateMachine]
-        );
-
-        // Mutation: double trip with the breaker already open.
-        let mut c = InvariantChecker::new(CheckerConfig::default());
-        c.on_event(t(0), &KernelEvent::BreakerTripped { replica: 0 });
-        c.on_event(t(1), &KernelEvent::BreakerTripped { replica: 0 });
-        assert_eq!(
-            classes(&c.finish()),
-            vec![InvariantClass::CircuitBreakerStateMachine]
-        );
-    }
-
-    #[test]
-    fn crash_resets_the_breaker_machine() {
-        // Breaker open -> crash (kernel silently closes the machine) ->
-        // recovery -> a fresh trip is legal without an intervening probe.
-        let mut c = InvariantChecker::new(CheckerConfig::default());
-        c.on_event(t(0), &KernelEvent::BreakerTripped { replica: 0 });
-        c.on_event(
-            t(0),
-            &KernelEvent::ReplicaExcluded {
-                replica: 0,
-                reason: ExclusionReason::Breaker,
-            },
-        );
-        // The crash upgrades the breaker exclusion (kernel guards on
-        // `crashed`, not `excluded`).
-        c.on_event(
-            t(1),
-            &KernelEvent::ReplicaExcluded {
-                replica: 0,
-                reason: ExclusionReason::Crash,
-            },
-        );
-        c.on_event(t(2), &KernelEvent::ReplicaRecovered { replica: 0 });
-        c.on_event(t(3), &KernelEvent::BreakerTripped { replica: 0 });
-        c.on_event(
-            t(3),
-            &KernelEvent::ReplicaExcluded {
-                replica: 0,
-                reason: ExclusionReason::Breaker,
-            },
-        );
-        assert!(c.finish().is_empty());
-    }
-
-    #[test]
-    fn hedge_pairs_resolve_exactly_once_and_mutations_fire() {
-        let won = |replica| KernelEvent::HedgeWon { replica, size: 4 };
-        let cancelled = |replica| KernelEvent::HedgeCancelled { replica, size: 4 };
-        let dispatched = KernelEvent::HedgeDispatched {
-            primary: 0,
-            backup: 1,
-            size: 4,
-        };
-
-        // Clean: first-response race (either side may win).
-        let mut c = InvariantChecker::new(CheckerConfig::default());
-        c.on_event(t(0), &dispatched);
-        c.on_event(t(1), &won(1));
-        c.on_event(t(1), &cancelled(0));
-        assert!(c.finish().is_empty());
-
-        // Clean: a crash cancels one copy with no winner.
-        let mut c = InvariantChecker::new(CheckerConfig::default());
-        c.on_event(t(0), &dispatched);
-        c.on_event(
-            t(1),
-            &KernelEvent::ReplicaExcluded {
-                replica: 1,
-                reason: ExclusionReason::Crash,
-            },
-        );
-        c.on_event(t(1), &cancelled(1));
-        assert!(c.finish().is_empty());
-
-        // Mutation: a win out of thin air.
-        let mut c = InvariantChecker::new(CheckerConfig::default());
-        c.on_event(t(0), &won(0));
-        assert_eq!(
-            classes(&c.finish()),
-            vec![InvariantClass::HedgeCancellationConservation]
-        );
-
-        // Mutation: a cancellation out of thin air.
-        let mut c = InvariantChecker::new(CheckerConfig::default());
-        c.on_event(t(0), &cancelled(0));
-        assert_eq!(
-            classes(&c.finish()),
-            vec![InvariantClass::HedgeCancellationConservation]
-        );
-
-        // Mutation: the loser's copy is never cancelled after a win.
-        let mut c = InvariantChecker::new(CheckerConfig::default());
-        c.on_event(t(0), &dispatched);
-        c.on_event(t(1), &won(1));
-        assert_eq!(
-            classes(&c.finish()),
-            vec![InvariantClass::HedgeCancellationConservation]
-        );
-
-        // Mutation: a replica dispatched into a second hedge while its
-        // first is still open.
-        let mut c = InvariantChecker::new(CheckerConfig::default());
-        c.on_event(t(0), &dispatched);
-        c.on_event(
-            t(1),
-            &KernelEvent::HedgeDispatched {
-                primary: 2,
-                backup: 1,
-                size: 4,
-            },
-        );
-        let v = c.finish();
-        assert!(v
-            .iter()
-            .any(|x| x.class == InvariantClass::HedgeCancellationConservation));
-    }
-
-    #[test]
-    fn brownout_episodes_pair_and_mutations_fire() {
-        // Clean: enter -> deepen -> shallow -> exit, twice.
-        let mut c = InvariantChecker::new(CheckerConfig::default());
-        for (ms, e) in [
-            (0, KernelEvent::BrownoutEntered { level: 1 }),
-            (1, KernelEvent::BrownoutLevel { level: 2 }),
-            (2, KernelEvent::BrownoutLevel { level: 1 }),
-            (3, KernelEvent::BrownoutExited),
-            (4, KernelEvent::BrownoutEntered { level: 1 }),
-            (5, KernelEvent::BrownoutExited),
-        ] {
-            c.on_event(t(ms), &e);
-        }
-        assert!(c.finish().is_empty());
-
-        // A run may legally end still degraded.
-        let mut c = InvariantChecker::new(CheckerConfig::default());
-        c.on_event(t(0), &KernelEvent::BrownoutEntered { level: 2 });
-        assert!(c.finish().is_empty());
-
-        // Mutation: a level move with no episode open.
-        let mut c = InvariantChecker::new(CheckerConfig::default());
-        c.on_event(t(0), &KernelEvent::BrownoutLevel { level: 2 });
-        assert_eq!(
-            classes(&c.finish()),
-            vec![InvariantClass::BrownoutLevelPairing]
-        );
-
-        // Mutation: an exit with no episode open.
-        let mut c = InvariantChecker::new(CheckerConfig::default());
-        c.on_event(t(0), &KernelEvent::BrownoutExited);
-        assert_eq!(
-            classes(&c.finish()),
-            vec![InvariantClass::BrownoutLevelPairing]
-        );
-
-        // Mutation: re-entering an episode that is already open.
-        let mut c = InvariantChecker::new(CheckerConfig::default());
-        c.on_event(t(0), &KernelEvent::BrownoutEntered { level: 1 });
-        c.on_event(t(1), &KernelEvent::BrownoutEntered { level: 2 });
-        assert_eq!(
-            classes(&c.finish()),
-            vec![InvariantClass::BrownoutLevelPairing]
-        );
-
-        // Mutation: entering at level 0.
-        let mut c = InvariantChecker::new(CheckerConfig::default());
-        c.on_event(t(0), &KernelEvent::BrownoutEntered { level: 0 });
-        assert_eq!(
-            classes(&c.finish()),
-            vec![InvariantClass::BrownoutLevelPairing]
-        );
     }
 
     #[test]

@@ -68,14 +68,6 @@ pub enum FaultSeverity {
     CrashRecover,
     /// A transient slowdown plus a dispatch stall.
     SlowdownStall,
-    /// A correlated fault-domain outage: the tenancy leg's partition
-    /// flaps across consecutive windows, and the continuous leg loses
-    /// both replicas of its (single-rack) stage at once.
-    CorrelatedOutage,
-    /// A gray degradation: wall-clock service stretches while
-    /// self-reported statistics stay clean, so only wall-clock health
-    /// accounting can see it.
-    GrayDegrade,
 }
 
 /// Priority skew across tenants.
@@ -112,10 +104,6 @@ pub struct ScenarioCell {
     pub guarded: bool,
     /// Exit-policy regime on the continuous leg.
     pub exit: ExitPolicyMode,
-    /// Brownout control on the tenancy leg: every tenant's control loop
-    /// runs under the operator's default degradation ladder (the
-    /// continuous leg has no windowed control loop to degrade).
-    pub brownout: bool,
 }
 
 impl ScenarioCell {
@@ -128,13 +116,10 @@ impl ScenarioCell {
             skew: TenancySkew::Even,
             guarded: false,
             exit: ExitPolicyMode::Fixed,
-            brownout: false,
         }
     }
 
-    /// Compact display label, one token per axis (the brownout token
-    /// only appears when the axis is off-baseline, so pre-brownout cell
-    /// labels are unchanged).
+    /// Compact display label, one token per axis.
     pub fn label(&self) -> String {
         format!(
             "{}/{}/{}/{}/{}/{}",
@@ -150,8 +135,6 @@ impl ScenarioCell {
                 FaultSeverity::None => "no-fault",
                 FaultSeverity::CrashRecover => "crash",
                 FaultSeverity::SlowdownStall => "slow+stall",
-                FaultSeverity::CorrelatedOutage => "corr-crash",
-                FaultSeverity::GrayDegrade => "gray",
             },
             match self.skew {
                 TenancySkew::Even => "even",
@@ -162,7 +145,7 @@ impl ScenarioCell {
                 ExitPolicyMode::Fixed => "fixed",
                 ExitPolicyMode::Adaptive => "adaptive",
             },
-        ) + if self.brownout { "/brownout" } else { "" }
+        )
     }
 
     /// Every cell one axis-step closer to the baseline (the shrink
@@ -203,12 +186,6 @@ impl ScenarioCell {
         if self.exit != base.exit {
             out.push(ScenarioCell {
                 exit: base.exit,
-                ..*self
-            });
-        }
-        if self.brownout != base.brownout {
-            out.push(ScenarioCell {
-                brownout: base.brownout,
                 ..*self
             });
         }
@@ -332,7 +309,6 @@ impl ScenarioMatrix {
             skew,
             guarded,
             exit,
-            brownout: false,
         };
         vec![
             ScenarioCell::baseline(),
@@ -343,21 +319,10 @@ impl ScenarioMatrix {
             cell(Steady, Drifting, SlowdownStall, Skewed, false, Adaptive),
             cell(Bursty, Drifting, CrashRecover, Even, true, Adaptive),
             cell(Bursty, Stationary, SlowdownStall, Skewed, true, Fixed),
-            // Brownout control composed with the correlated outage it is
-            // built to ride out, and the gray degradation that evades
-            // self-reported statistics — both paired with bursty demand.
-            ScenarioCell {
-                brownout: true,
-                ..cell(Bursty, Stationary, CorrelatedOutage, Skewed, false, Fixed)
-            },
-            ScenarioCell {
-                brownout: true,
-                ..cell(Bursty, Drifting, GrayDegrade, Even, true, Adaptive)
-            },
         ]
     }
 
-    /// The full cross product: 2 × 2 × 5 × 2 × 2 × 2 × 2 = 320 cells.
+    /// The full cross product: 2 × 2 × 3 × 2 × 2 × 2 = 96 cells.
     pub fn full_cells() -> Vec<ScenarioCell> {
         let mut out = Vec::new();
         for arrival in [ArrivalPattern::Steady, ArrivalPattern::Bursty] {
@@ -366,23 +331,18 @@ impl ScenarioMatrix {
                     FaultSeverity::None,
                     FaultSeverity::CrashRecover,
                     FaultSeverity::SlowdownStall,
-                    FaultSeverity::CorrelatedOutage,
-                    FaultSeverity::GrayDegrade,
                 ] {
                     for skew in [TenancySkew::Even, TenancySkew::Skewed] {
                         for guarded in [false, true] {
                             for exit in [ExitPolicyMode::Fixed, ExitPolicyMode::Adaptive] {
-                                for brownout in [false, true] {
-                                    out.push(ScenarioCell {
-                                        arrival,
-                                        drift,
-                                        faults,
-                                        skew,
-                                        guarded,
-                                        exit,
-                                        brownout,
-                                    });
-                                }
+                                out.push(ScenarioCell {
+                                    arrival,
+                                    drift,
+                                    faults,
+                                    skew,
+                                    guarded,
+                                    exit,
+                                });
                             }
                         }
                     }
@@ -465,7 +425,6 @@ impl ScenarioMatrix {
             seed: SeedSplitter::new(self.seed).derive("matrix-tenancy"),
             profile_samples: 400,
             max_splits: 2,
-            brownout: cell.brownout.then(e3::BrownoutConfig::default),
             ..Default::default()
         };
         let horizon = cfg.window * cfg.windows as u64;
@@ -659,23 +618,6 @@ fn tenancy_faults(severity: FaultSeverity) -> Vec<FaultPlan> {
             FaultPlan::new().slowdown(0, 2.5, SimTime::from_millis(100), SimTime::from_millis(700)),
             FaultPlan::new().stall(0, SimTime::from_millis(100), SimTime::from_millis(400)),
         ],
-        // Partition-local plans may only assume replica 0 exists, so the
-        // correlation is expressed in time: the tenant's (single-rack)
-        // partition flaps in two consecutive windows.
-        FaultSeverity::CorrelatedOutage => vec![
-            FaultPlan::new(),
-            FaultPlan::new()
-                .crash(0, SimTime::from_millis(100))
-                .recover(0, SimTime::from_millis(900)),
-            FaultPlan::new()
-                .crash(0, SimTime::from_millis(100))
-                .recover(0, SimTime::from_millis(900)),
-        ],
-        FaultSeverity::GrayDegrade => vec![
-            FaultPlan::new(),
-            FaultPlan::new().gray(0, 3.0, SimTime::from_millis(100), SimTime::from_millis(900)),
-            FaultPlan::new().gray(0, 3.0, SimTime::from_millis(100), SimTime::from_millis(900)),
-        ],
     }
 }
 
@@ -689,16 +631,6 @@ fn continuous_faults(severity: FaultSeverity) -> FaultPlan {
         FaultSeverity::SlowdownStall => FaultPlan::new()
             .slowdown(1, 3.0, SimTime::from_millis(1), SimTime::from_millis(10))
             .stall(0, SimTime::from_millis(2), SimTime::from_millis(6)),
-        // Both stage-A replicas share a rack: the whole stage goes down
-        // at once and comes back together.
-        FaultSeverity::CorrelatedOutage => FaultPlan::new()
-            .crash(0, SimTime::from_millis(1))
-            .crash(1, SimTime::from_millis(1))
-            .recover(0, SimTime::from_millis(10))
-            .recover(1, SimTime::from_millis(10)),
-        FaultSeverity::GrayDegrade => {
-            FaultPlan::new().gray(1, 3.0, SimTime::from_millis(1), SimTime::from_millis(10))
-        }
     }
 }
 
@@ -720,24 +652,18 @@ mod tests {
         assert!(cells
             .iter()
             .any(|c| c.faults == FaultSeverity::SlowdownStall));
-        assert!(cells
-            .iter()
-            .any(|c| c.faults == FaultSeverity::CorrelatedOutage));
-        assert!(cells.iter().any(|c| c.faults == FaultSeverity::GrayDegrade));
         assert!(cells.iter().any(|c| c.skew == TenancySkew::Even));
         assert!(cells.iter().any(|c| c.skew == TenancySkew::Skewed));
         assert!(cells.iter().any(|c| c.guarded));
         assert!(cells.iter().any(|c| !c.guarded));
         assert!(cells.iter().any(|c| c.exit == ExitPolicyMode::Fixed));
         assert!(cells.iter().any(|c| c.exit == ExitPolicyMode::Adaptive));
-        assert!(cells.iter().any(|c| c.brownout));
-        assert!(cells.iter().any(|c| !c.brownout));
     }
 
     #[test]
     fn full_matrix_is_the_cross_product() {
         let cells = ScenarioMatrix::full_cells();
-        assert_eq!(cells.len(), 320);
+        assert_eq!(cells.len(), 96);
         // All distinct.
         for (i, a) in cells.iter().enumerate() {
             assert!(!cells[i + 1..].contains(a), "duplicate cell {}", a.label());
@@ -753,9 +679,8 @@ mod tests {
             skew: TenancySkew::Skewed,
             guarded: true,
             exit: ExitPolicyMode::Adaptive,
-            brownout: true,
         };
-        assert_eq!(worst.reductions().len(), 7);
+        assert_eq!(worst.reductions().len(), 6);
         assert!(ScenarioCell::baseline().reductions().is_empty());
     }
 
@@ -769,7 +694,6 @@ mod tests {
             skew: TenancySkew::Skewed,
             guarded: true,
             exit: ExitPolicyMode::Adaptive,
-            brownout: true,
         });
         assert!(
             out.pass(),
@@ -777,28 +701,5 @@ mod tests {
             out.violations.iter().take(5).collect::<Vec<_>>()
         );
         assert!(out.events_checked > 0);
-    }
-
-    #[test]
-    fn new_fault_severities_run_clean_under_brownout() {
-        // The correlated-outage and gray-degrade plans index replicas in
-        // two coordinate systems (partition-local for the tenancy leg,
-        // deployment-global for the continuous leg); FaultPlan::validate
-        // panics on any index past the deployment shape, so actually
-        // running both cells is the test.
-        let m = ScenarioMatrix::new(0xE3);
-        for faults in [FaultSeverity::CorrelatedOutage, FaultSeverity::GrayDegrade] {
-            let out = m.run_cell(ScenarioCell {
-                faults,
-                brownout: true,
-                ..ScenarioCell::baseline()
-            });
-            assert!(
-                out.pass(),
-                "{faults:?} violations: {:?}",
-                out.violations.iter().take(5).collect::<Vec<_>>()
-            );
-            assert!(out.events_checked > 0, "{faults:?} produced no events");
-        }
     }
 }

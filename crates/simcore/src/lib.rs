@@ -32,11 +32,9 @@ pub mod linalg;
 pub mod metrics;
 pub mod rng;
 pub mod stats;
-pub mod streaming;
 pub mod time;
 
 pub use calendar::EventQueue;
 pub use event::{ReferenceQueue, ScheduledEvent, SimQueue};
 pub use rng::SeedSplitter;
-pub use streaming::{P2Quantile, StreamingMoments};
 pub use time::{SimDuration, SimTime};

@@ -86,90 +86,6 @@ mod tests {
     }
 
     #[test]
-    fn brownout_floors_shield_priority_tenants() {
-        use e3::BrownoutConfig;
-        use e3_runtime::kernel::FaultPlan;
-        use e3_simcore::SimTime;
-
-        // Both tenants suffer the same partition-wide 8x slowdown for
-        // windows 1-3 (StaticEven on 2 GPUs gives each tenant exactly
-        // replica 0, so one slowdown saturates the whole partition). The
-        // operator's ladder allows 3 rungs; priority derives the floors:
-        // "gold" (above-mean weight) stops one rung shy.
-        let overload =
-            || FaultPlan::new().slowdown(0, 8.0, SimTime::from_millis(1), SimTime::from_secs(600));
-        let horizon = SimDuration::from_secs(12);
-        let tenants = || {
-            vec![
-                TenantSpec::nlp_stationary("gold", DatasetModel::sst2(), horizon)
-                    .with_weight(4.0)
-                    .with_demand(1000)
-                    .with_faults(vec![FaultPlan::new(), overload(), overload(), overload()]),
-                TenantSpec::nlp_stationary("basic", DatasetModel::sst2(), horizon)
-                    .with_demand(1000)
-                    .with_faults(vec![FaultPlan::new(), overload(), overload(), overload()]),
-            ]
-        };
-        let run = |brownout| {
-            let sys = MultiTenantSystem::new(
-                tenants(),
-                ClusterSpec::homogeneous(e3_hardware::GpuKind::V100, 2, 1),
-                TenancyConfig {
-                    windows: 6,
-                    realloc_every: 0,
-                    profile_samples: 500,
-                    brownout,
-                    ..Default::default()
-                },
-            );
-            sys.run(&StaticEven)
-        };
-
-        let degraded = run(Some(BrownoutConfig {
-            dwell_windows: 0,
-            ..Default::default()
-        }));
-        let gold = &degraded.tenants[0];
-        let basic = &degraded.tenants[1];
-        assert!(
-            basic.max_brownout_level() >= 1,
-            "best-effort tenant never degraded"
-        );
-        assert!(
-            gold.max_brownout_level() <= 2,
-            "priority floor breached: gold reached rung {}",
-            gold.max_brownout_level()
-        );
-        assert!(
-            gold.max_brownout_level() < basic.max_brownout_level(),
-            "gold {} should stay shallower than basic {}",
-            gold.max_brownout_level(),
-            basic.max_brownout_level()
-        );
-
-        // An explicit cap overrides the weight-derived floor.
-        let sys = MultiTenantSystem::new(
-            tenants(),
-            ClusterSpec::homogeneous(e3_hardware::GpuKind::V100, 2, 1),
-            TenancyConfig {
-                realloc_every: 0,
-                brownout: Some(BrownoutConfig::default()),
-                ..Default::default()
-            },
-        );
-        let pinned = TenantSpec::nlp_stationary("pinned", DatasetModel::sst2(), horizon)
-            .with_brownout_cap(1);
-        assert_eq!(sys.brownout_cap(&pinned, BrownoutConfig::default()), 1);
-
-        // With brownout off, nobody is ever degraded.
-        let nominal = run(None);
-        for t in &nominal.tenants {
-            assert_eq!(t.max_brownout_level(), 0);
-            assert_eq!(t.brownout_windows(), 0);
-        }
-    }
-
-    #[test]
     fn unchanged_allocation_matches_no_realloc_bit_for_bit() {
         // StaticEven never changes shares, so reallocating every 2
         // windows must serve exactly what a single up-front allocation

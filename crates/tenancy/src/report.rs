@@ -67,29 +67,6 @@ impl TenantReport {
             self.within_slo() as f64 / offered as f64
         }
     }
-
-    /// Windows this tenant served under an active brownout rung.
-    pub fn brownout_windows(&self) -> usize {
-        self.windows.iter().filter(|w| w.brownout_level > 0).count()
-    }
-
-    /// The deepest brownout rung this tenant was degraded to.
-    pub fn max_brownout_level(&self) -> u8 {
-        self.windows
-            .iter()
-            .map(|w| w.brownout_level)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// This tenant's dropped samples broken down by cause.
-    pub fn sheds(&self) -> e3_runtime::ShedBreakdown {
-        let mut total = e3_runtime::ShedBreakdown::default();
-        for w in &self.windows {
-            total.merge(w.sheds());
-        }
-        total
-    }
 }
 
 /// One full multi-tenant run under one allocation policy.

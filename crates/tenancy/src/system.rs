@@ -30,7 +30,7 @@
 //! plan swap through the probe/canary/rollback state machine.
 
 use e3::system::measure_profile;
-use e3::{BrownoutConfig, E3Config, E3System, ReconfigConfig};
+use e3::{E3Config, E3System, ReconfigConfig};
 use e3_hardware::{ClusterSpec, LatencyModel, TransferModel};
 use e3_model::{InferenceSim, RampController};
 use e3_optimizer::{OptimizerConfig, ValueOracle};
@@ -65,12 +65,6 @@ pub struct TenancyConfig {
     pub profile_samples: usize,
     /// Split bound passed to every tenant's optimizer.
     pub max_splits: usize,
-    /// The operator's cluster-wide brownout policy, applied to every
-    /// tenant's control loop. Each tenant's ladder depth is then capped
-    /// by its priority floor (see [`MultiTenantSystem::brownout_cap`]):
-    /// high-priority tenants are never degraded as deep as best-effort
-    /// ones. `None` (the default) disables brownout control everywhere.
-    pub brownout: Option<BrownoutConfig>,
 }
 
 impl Default for TenancyConfig {
@@ -84,7 +78,6 @@ impl Default for TenancyConfig {
             seed: 0,
             profile_samples: 2000,
             max_splits: 4,
-            brownout: None,
         }
     }
 }
@@ -325,26 +318,6 @@ impl MultiTenantSystem {
         allocator.allocate(&self.cluster, &demands, &mut oracles)
     }
 
-    /// The deepest brownout rung the operator lets `spec` reach — the
-    /// tenant's degradation floor. An explicit
-    /// [`TenantSpec::with_brownout_cap`] wins; otherwise priority
-    /// shields: a tenant weighted above the roster mean degrades one
-    /// rung shallower than the operator maximum. No tenant's ladder
-    /// collapses below rung 1 (exit-depth loosening costs accuracy, not
-    /// availability, so even protected tenants contribute that much).
-    pub fn brownout_cap(&self, spec: &TenantSpec, b: BrownoutConfig) -> u8 {
-        let cap = spec.brownout_cap.unwrap_or_else(|| {
-            let mean: f64 =
-                self.tenants.iter().map(|t| t.weight).sum::<f64>() / self.tenants.len() as f64;
-            if spec.weight > mean {
-                b.max_level.saturating_sub(1)
-            } else {
-                b.max_level
-            }
-        });
-        cap.clamp(1, b.max_level)
-    }
-
     /// The per-tenant control-loop configuration for one run segment.
     fn tenant_config(
         &self,
@@ -364,10 +337,6 @@ impl MultiTenantSystem {
                 guarded: self.cfg.guarded,
                 ..Default::default()
             },
-            brownout: self.cfg.brownout.map(|b| BrownoutConfig {
-                max_level: self.brownout_cap(spec, b),
-                ..b
-            }),
             ..Default::default()
         }
     }

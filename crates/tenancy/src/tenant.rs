@@ -39,12 +39,6 @@ pub struct TenantSpec {
     /// against the tenant's *partition* shape at run time, so replica and
     /// stage indices are partition-local.
     pub faults: Vec<FaultPlan>,
-    /// Explicit cap on how deep the operator's brownout ladder may
-    /// degrade this tenant (the tenant's service floor). `None` (the
-    /// default) derives the cap from priority weight — see
-    /// [`crate::MultiTenantSystem::brownout_cap`]. Ignored unless
-    /// the run's `TenancyConfig::brownout` is set.
-    pub brownout_cap: Option<u8>,
 }
 
 impl TenantSpec {
@@ -69,7 +63,6 @@ impl TenantSpec {
                 phases,
             ),
             faults: Vec::new(),
-            brownout_cap: None,
         }
     }
 
@@ -94,20 +87,6 @@ impl TenantSpec {
     /// Sets the per-window demand.
     pub fn with_demand(mut self, requests_per_window: usize) -> Self {
         self.requests_per_window = requests_per_window;
-        self
-    }
-
-    /// Caps the brownout ladder's depth for this tenant (its service
-    /// floor under overload degradation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is 0 — rung 0 is normal operation, so a zero cap
-    /// would exempt the tenant from brownout entirely; leave the cap
-    /// unset and disable `TenancyConfig::brownout` for that.
-    pub fn with_brownout_cap(mut self, cap: u8) -> Self {
-        assert!(cap >= 1, "brownout cap must be >= 1");
-        self.brownout_cap = Some(cap);
         self
     }
 

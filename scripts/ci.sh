@@ -54,14 +54,10 @@ expect fig07_nlp_goodput "goodput vs batch size"
 expect fig10_llm_translation "goodput vs batch size"
 expect fig_kv_pressure "continuous batching beats window batching"
 
-# Brownout smoke: the golden-pinned small grid must show the ladder
-# beating shed-only overload control and hedging capping the gray tail.
-expect fig_brownout "browning out exit depth beats shedding"
-
-# Scenario-matrix smoke: the pruned composed-stress subset (incl.
-# correlated-outage and gray-degradation cells under brownout) must pass
-# invariant checking with zero violations. The full 320-cell cross
-# product runs as `fig_matrix_full`.
+# Scenario-matrix smoke: the pruned composed-stress subset (crash and
+# slowdown-plus-stall cells among them) must pass invariant checking
+# with zero violations. The full 96-cell cross product runs as
+# `fig_matrix_full`.
 expect fig_matrix "zero invariant violations"
 
 # Planning-at-scale smoke: the warm-started DP must plan a 10k-GPU
@@ -97,6 +93,12 @@ done
 # materialization, drops more than 30% below it.
 ./target/release/bench_kernel | tee /tmp/bench_kernel.out
 grep -q "events_per_sec" /tmp/bench_kernel.out
+# The sections' event and layer counts depend on the code, not the host:
+# a kernel change that alters how many events a run emits shows here.
+grep -q '"bench":"kernel",.*"events":55934,' /tmp/bench_kernel.out
+grep -q '"bench":"kernel_continuous",.*"events":594756,' /tmp/bench_kernel.out
+grep -q '"bench":"kernel_multi_tenant",.*"events":8568,' /tmp/bench_kernel.out
+grep -q '"bench":"materialize",.*"layers":109136,' /tmp/bench_kernel.out
 for section in kernel kernel_continuous materialize; do
     scripts/bench_floor.sh "$section" BENCH_kernel.json /tmp/bench_kernel.out
 done

@@ -283,7 +283,7 @@ fn short_link_outage_retries_through() {
 
 #[test]
 fn long_link_outage_aborts_and_conserves() {
-    // An outage longer than the full retry budget: transfers caught in it
+    // An outage longer than the full retry schedule: transfers caught in it
     // exhaust their attempts and abort, dropping their samples — but
     // every sample is still exactly completed or dropped.
     let plan = FaultPlan::new().link_down(0, SimTime::from_millis(5), SimTime::from_secs(2));
