@@ -1,6 +1,6 @@
 //! Kernel event-throughput microbenchmark.
 //!
-//! Four sections, one JSON line each, so CI can archive the output as
+//! Five sections, one JSON line each, so CI can archive the output as
 //! `BENCH_kernel.json` and diff `events_per_sec` against the committed
 //! baseline:
 //!
@@ -20,6 +20,11 @@
 //!    section excludes: `ServingSim::materialize_backlog` over the same
 //!    20k DeeBERT/SST-2 requests, reported as the fastest of [`REPS`]
 //!    passes. Its `events_per_sec` counts materialized samples.
+//! 5. `kernel_open` — the open-loop path, the only one that runs
+//!    SLO-slack admission: DeeBERT/SST-2 on 4×2 V100s at b=8 under one
+//!    Twitter-like bursty rate over a 30 s horizon, in the shape of the
+//!    benchmark's `open_bursty` workload. The backlog is materialized
+//!    once and the timed region is the kernel alone.
 //!
 //! ```text
 //! cargo run --release -p e3-bench --bin bench_kernel > BENCH_kernel.json
@@ -28,6 +33,7 @@
 use std::time::Instant;
 
 use e3::harness::{ModelFamily, SystemKind};
+use e3::DeploymentBuilder;
 use e3_bench::exp::experiment;
 use e3_bench::{RUN_N, SEED};
 use e3_hardware::{ClusterSpec, GpuKind, LatencyModel};
@@ -35,11 +41,13 @@ use e3_model::{InferenceSim, RampController};
 use e3_runtime::autoreg::materialize_sequences;
 use e3_runtime::{
     run_continuous, ContinuousConfig, FaultPlan, JoinPolicy, KernelEvent, KvPlan, PreemptMode,
-    RunObserver, TaggedEventLog,
+    RunObserver, Strategy, TaggedEventLog,
 };
 use e3_simcore::{SimDuration, SimTime};
 use e3_tenancy::{MarginalGoodput, MultiTenantSystem, TenancyConfig, TenantSpec};
-use e3_workload::DatasetModel;
+use e3_workload::{ArrivalProcess, BurstyTraceConfig, DatasetModel, WorkloadGenerator};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Timed repetitions per section (event counts are per repetition).
 const REPS: usize = 5;
@@ -224,9 +232,58 @@ fn bench_materialize() {
     );
 }
 
+/// Section 5: the open-loop kernel, SLO-slack drops included, over a
+/// pre-materialized bursty backlog.
+fn bench_open() {
+    const RATE: f64 = 700.0;
+    const BATCH: usize = 8;
+    let horizon = SimDuration::from_secs(30);
+    let exp = experiment(
+        ModelFamily::nlp(),
+        ClusterSpec::homogeneous(GpuKind::V100, 4, 2),
+        DatasetModel::sst2(),
+    );
+    let strategy = Strategy::Plan(exp.plan(BATCH));
+    let generator = WorkloadGenerator::new(
+        ArrivalProcess::Bursty(BurstyTraceConfig::twitter_like(RATE)),
+        exp.dataset.clone(),
+        horizon,
+    );
+    let reqs = generator.generate(0, &mut StdRng::seed_from_u64(SEED));
+    let fam = &exp.family;
+    let sim = DeploymentBuilder::new(&fam.ee, fam.policy, &strategy, &exp.cluster)
+        .with_inference(InferenceSim::with_accuracy(exp.dataset.base_accuracy))
+        .with_latency_model(fam.latency_model())
+        .with_slo(exp.opts.slo)
+        .open_loop(horizon)
+        .build();
+    let backlog = sim.materialize_backlog(&reqs, SEED);
+    // Warm-up pass: counts the events of one run.
+    let mut obs = CountingObserver { events: 0 };
+    let report = sim.run_backlog_observed(backlog.clone(), &mut obs);
+    let per_run = obs.events;
+
+    let mut obs = CountingObserver { events: 0 };
+    let start = Instant::now();
+    for _ in 0..REPS {
+        sim.run_backlog_observed(backlog.clone(), &mut obs);
+    }
+    let wall = start.elapsed().as_secs_f64();
+    println!(
+        "{{\"bench\":\"kernel_open\",\"requests\":{},\"completed\":{},\"dropped\":{},\"events\":{},\"wall_secs\":{:.3},\"events_per_sec\":{:.0}}}",
+        reqs.len(),
+        report.completed,
+        report.dropped,
+        per_run,
+        wall,
+        obs.events as f64 / wall.max(1e-9)
+    );
+}
+
 fn main() {
     bench_windowed();
     bench_continuous();
     bench_multi_tenant();
     bench_materialize();
+    bench_open();
 }

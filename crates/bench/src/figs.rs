@@ -83,7 +83,7 @@ fn batch1_cost(model: &EeModel, dataset: &DatasetModel, seed: u64) -> (f64, f64,
 /// accuracy loss, including atop distilled models (batch size 1): BERT,
 /// BERT-EE, DistilBERT and DistilBERT-EE on SST-2 and QNLI, accuracy and
 /// average latency normalized to vanilla BERT.
-pub fn fig02_report() -> String {
+pub(crate) fn fig02_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -120,7 +120,7 @@ pub fn fig02_report() -> String {
 
 /// Fig. 3 — samples exit DeeBERT early as a batch passes its ramps,
 /// shrinking the batch and cutting GPU utilization.
-pub fn fig03_report() -> String {
+pub(crate) fn fig03_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -157,7 +157,7 @@ pub fn fig03_report() -> String {
 
 /// Fig. 7 — NLP goodput vs batch size on 16 homogeneous V100s:
 /// BERT-BASE vs DeeBERT vs E3.
-pub fn fig07_report() -> String {
+pub(crate) fn fig07_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -190,7 +190,7 @@ pub fn fig07_report() -> String {
 
 /// Fig. 8 — vision goodput vs batch size on 16 V100s: ResNet50 vs
 /// B-ResNet50 (BranchyNet) vs E3.
-pub fn fig08_report() -> String {
+pub(crate) fn fig08_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -227,7 +227,7 @@ pub fn fig08_report() -> String {
 /// E3 (the paper develops DistilBERT-EE in house, §2.2). The paper runs
 /// this on a smaller resource slice than fig. 7; two V100s match the
 /// scale of its reported goodputs.
-pub fn fig09_report() -> String {
+pub(crate) fn fig09_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -284,7 +284,7 @@ fn max_batch_for_slo(exp: &Experiment, slo_ms: u64) -> usize {
 
 /// Fig. 24 — impact of the SLO: stricter SLOs cap the feasible batch
 /// size; as the SLO loosens, batching opportunity (and E3's edge) grows.
-pub fn fig24_report() -> String {
+pub(crate) fn fig24_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -324,7 +324,7 @@ pub fn fig24_report() -> String {
 /// Fig. 16 — workload adaptability: the easy:hard mix switches
 /// 80:20 → 50:50 → 20:80 while the systems run; E3's online profiler and
 /// optimizer re-plan each window.
-pub fn fig16_report() -> String {
+pub(crate) fn fig16_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -411,7 +411,7 @@ pub fn fig16_report() -> String {
 /// E3's counter-intuitive result: despite split execution, it attains
 /// the lowest min/median/quartiles — only hard inputs pay the full path,
 /// which lands in the tail.
-pub fn fig17_report() -> String {
+pub(crate) fn fig17_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -444,7 +444,7 @@ pub fn fig17_report() -> String {
 
 /// Fig. 18 — generality to other EE architectures: PABEE (BERT-LARGE
 /// with patience-counter ramps, a *dependent* ramp style) under E3.
-pub fn fig18_report() -> String {
+pub(crate) fn fig18_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -473,7 +473,7 @@ pub fn fig18_report() -> String {
 
 /// Fig. 19 — extremely bursty open-loop workload: Twitter-like arrivals
 /// scaled to a 1,000 req/s mean, GPU utilization under 50%.
-pub fn fig19_report() -> String {
+pub(crate) fn fig19_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -529,7 +529,7 @@ pub fn fig19_report() -> String {
 /// report is the paper's reference table; the measured times are
 /// [`fig20_wall_clock`], and `bench_optimizer` times planning with
 /// repetitions into `BENCH_optimizer.json`.
-pub fn fig20_report() -> String {
+pub(crate) fn fig20_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -548,7 +548,7 @@ pub fn fig20_report() -> String {
 
 /// Wall-clock half of fig. 20: mean host time of five full optimization
 /// passes per model and cluster.
-pub fn fig20_wall_clock() -> String {
+pub(crate) fn fig20_wall_clock() -> String {
     use e3_optimizer::auto::plan_for_cluster;
     use std::time::Instant;
 
@@ -595,7 +595,7 @@ pub fn fig20_wall_clock() -> String {
 /// Fig. 21 — the online batch-profile estimation closely matches
 /// reality: predicted vs actual batch size at two cut points over 10
 /// scheduling windows (input batch 8).
-pub fn fig21_report() -> String {
+pub(crate) fn fig21_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -652,7 +652,7 @@ pub fn fig21_report() -> String {
 /// section runs a live misprediction *burst* through the windowed
 /// control loop with the drift watchdog armed, and reports the guard's
 /// decisions next to the goodput delta it buys.
-pub fn fig22_report() -> String {
+pub(crate) fn fig22_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -715,7 +715,7 @@ pub fn fig22_report() -> String {
 /// Fig. 23 — impact of error tolerance: sweeping DeeBERT's exit-entropy
 /// threshold over {0.3, 0.4, 0.5}. Looser tolerance → earlier exits →
 /// more E3 headroom (and more accuracy loss).
-pub fn fig23_report() -> String {
+pub(crate) fn fig23_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -761,7 +761,7 @@ pub fn fig23_report() -> String {
 /// Fig. 25 — relaxing E3's assumptions: granting E3 the exit-wrapper
 /// (§3.4) lets it disable ramps that are not useful, avoiding their
 /// checking overheads (paper: 7–16% goodput improvement).
-pub fn fig25_report() -> String {
+pub(crate) fn fig25_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -816,7 +816,7 @@ pub fn fig25_report() -> String {
 /// Fig. 26 — impact of model parallelism: with it OFF, E3's splits run
 /// serially on the same data-parallel GPUs (eq. 1); with it ON, splits
 /// pipeline across GPUs (§3.2.1–2).
-pub fn fig26_report() -> String {
+pub(crate) fn fig26_report() -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Figure 26: model parallelism ON vs OFF (16 x V100)\n");
     let mut exp = experiment(
@@ -872,7 +872,7 @@ fn architecture_family(name: &str) -> ModelFamily {
 /// extra architecture (PABEE, fig. 18); this sweeps the whole taxonomy
 /// of its §6 to stress E3's black-box claim: only batch sizes at ramps
 /// matter.
-pub fn generality_policies_report() -> String {
+pub(crate) fn generality_policies_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -907,7 +907,7 @@ pub fn generality_policies_report() -> String {
 /// pipelined vs serial objective, surviving-batch transfer accounting,
 /// the stage realization penalty, and the fusion-wait policy — each
 /// evaluated by predicted *and* realized goodput.
-pub fn ablations_report() -> String {
+pub(crate) fn ablations_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -991,9 +991,9 @@ fn crash_plan(crashes: usize) -> FaultPlan {
 
 /// Degradation study — serving under injected faults (§3.3's robustness
 /// claim, demonstrated): goodput/SLO-violation curves as replicas crash,
-/// and `RelativeSlowdown` vs `NoStragglerDetection` under injected
-/// slowdowns.
-pub fn fig_degradation_report() -> String {
+/// and relative-slowdown straggler detection against none under
+/// injected slowdowns.
+pub(crate) fn fig_degradation_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -1099,7 +1099,7 @@ pub fn fig_degradation_report() -> String {
 /// `severity` controlling how far apart the two regimes sit (0 = no
 /// flip, 1 = full swing). The one-window-lagged forecast is wrong by
 /// roughly `severity` for the whole burst.
-pub fn oscillating_phases(settle: usize, burst: usize, severity: f64) -> Vec<DatasetModel> {
+pub(crate) fn oscillating_phases(settle: usize, burst: usize, severity: f64) -> Vec<DatasetModel> {
     let easy = 0.8;
     let mut phases = vec![DatasetModel::with_mix(easy); settle];
     for i in 0..burst {
@@ -1139,7 +1139,7 @@ fn reconfig_goodput(severity: f64, guarded: bool) -> (f64, e3::E3Report) {
 /// drift watchdog confirms the regime change and plans conservatively,
 /// and the probe/canary comparison rolls back candidate plans built from
 /// stale forecasts before they can take a window.
-pub fn fig_reconfig_report() -> String {
+pub(crate) fn fig_reconfig_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -1238,7 +1238,7 @@ fn multitenant_roster(n: usize, skewed: bool, cfg: &TenancyConfig) -> Vec<Tenant
 /// skew × allocator, reporting cluster-wide goodput over the shared
 /// horizon, Jain fairness of per-tenant goodputs, and the worst
 /// per-tenant SLO attainment against the configured floor.
-pub fn fig_multitenant_report() -> String {
+pub(crate) fn fig_multitenant_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -1319,7 +1319,7 @@ pub fn fig_multitenant_report() -> String {
 /// ($0.013/s) and lets each system use whichever equal-cost cluster —
 /// 16 V100 or 6 V100 + 8 P100 + 15 K80 — maximizes its goodput. Only E3
 /// can actually exploit the mix.
-pub fn fig13_report() -> String {
+pub(crate) fn fig13_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -1454,7 +1454,7 @@ fn fixed_goodput(label: &str, target: f64) -> FixedGoodput {
 
 /// Fig. 14 — resources for a fixed goodput: the number of V100s each
 /// system needs to sustain 6,000 samples/s.
-pub fn fig14_report() -> String {
+pub(crate) fn fig14_report() -> String {
     const TARGET: f64 = 6000.0;
     let mut out = String::new();
     let _ = writeln!(
@@ -1501,7 +1501,7 @@ pub fn fig14_report() -> String {
 
 /// Fig. 15 — dollar cost per minute to sustain 6,000 samples/s on the
 /// heterogeneous pool (E3 picks the cheapest GPU mix).
-pub fn fig15_report() -> String {
+pub(crate) fn fig15_report() -> String {
     const TARGET: f64 = 6000.0;
     // A generous heterogeneous pool to allocate from.
     let pool = BTreeMap::from([(GpuKind::V100, 48), (GpuKind::P100, 48), (GpuKind::K80, 64)]);
@@ -1589,7 +1589,7 @@ fn autoreg_sweep(
 
 /// Fig. 10 — autoregressive LLM translation (WMT) on 4 A6000s:
 /// T5 vs CALM vs E3, served as continuous batching on the kernel.
-pub fn fig10_report() -> String {
+pub(crate) fn fig10_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -1637,7 +1637,7 @@ pub fn fig10_report() -> String {
 /// Fig. 11 — autoregressive summarization (SAMSum) on 4 A6000s.
 /// Variable output lengths make vanilla static batching pay for
 /// stragglers, widening E3's lead (paper: up to 3.8x).
-pub fn fig11_report() -> String {
+pub(crate) fn fig11_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -1685,7 +1685,7 @@ pub fn fig11_report() -> String {
 /// the (large-vocabulary) lm head as a ramp after every layer, so naive
 /// per-layer checking is *slower* than the vanilla model; E3 checks
 /// exits only at its split boundary and beats both.
-pub fn fig12_report() -> String {
+pub(crate) fn fig12_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -1807,7 +1807,7 @@ pub fn kv_pressure_sweep() -> Vec<KvPressurePoint> {
 /// Memory-pressure sweep — goodput of window-level vs continuous
 /// batching as the per-replica KV budget shrinks (the new bench backing
 /// the KV-cache memory model).
-pub fn fig_kv_pressure_report() -> String {
+pub(crate) fn fig_kv_pressure_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -1862,7 +1862,7 @@ pub fn fig_matrix_report() -> String {
 }
 
 /// The full 96-cell cross product.
-pub fn fig_matrix_full_report() -> String {
+pub(crate) fn fig_matrix_full_report() -> String {
     matrix_report(&ScenarioMatrix::full_cells(), "full")
 }
 
@@ -1923,7 +1923,7 @@ fn scale_columns() -> Vec<String> {
 /// Planning at hyperscale: the split DP's plan shape at cluster sizes up
 /// to the 10k-GPU horizon. How long the solves take is
 /// [`fig_scale_wall_clock`].
-pub fn fig_scale_report() -> String {
+pub(crate) fn fig_scale_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -1947,7 +1947,7 @@ pub fn fig_scale_report() -> String {
 /// cold, then warm (cache hit → pure reconstruction). The takeaway
 /// judges the 10k-GPU solve against the acceptance budget (cold < 10 s,
 /// warm ≥ 10x faster) and says `FAIL` when it misses.
-pub fn fig_scale_wall_clock() -> String {
+pub(crate) fn fig_scale_wall_clock() -> String {
     use std::time::Instant;
 
     let solve = scale_solver();

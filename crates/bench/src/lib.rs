@@ -100,7 +100,7 @@ pub const FIGURES: &[Figure] = &[
 
 /// A simple aligned table printer for experiment output.
 #[derive(Debug, Clone)]
-pub struct Table {
+pub(crate) struct Table {
     title: String,
     columns: Vec<String>,
     rows: Vec<(String, Vec<String>)>,
@@ -122,7 +122,7 @@ impl Table {
     }
 
     /// Adds a row rendered with `decimals` decimal places.
-    pub fn row_fmt(
+    pub(crate) fn row_fmt(
         &mut self,
         label: impl Into<String>,
         values: &[f64],
@@ -137,7 +137,7 @@ impl Table {
     }
 
     /// Adds a row of pre-formatted strings.
-    pub fn row_str(&mut self, label: impl Into<String>, values: &[String]) -> &mut Self {
+    pub(crate) fn row_str(&mut self, label: impl Into<String>, values: &[String]) -> &mut Self {
         assert_eq!(values.len(), self.columns.len(), "row width mismatch");
         self.rows.push((label.into(), values.to_vec()));
         self
@@ -185,7 +185,7 @@ impl Table {
 
 /// Renders a one-line takeaway closing a section, with the blank line
 /// that separates it from the next.
-pub fn takeaway_line(msg: &str) -> String {
+pub(crate) fn takeaway_line(msg: &str) -> String {
     format!("  -> {msg}\n\n")
 }
 
@@ -242,7 +242,7 @@ pub mod exp {
     /// from its own derived seed), so they run through
     /// [`crate::par::par_map`] and merge back by sweep index — the
     /// rendered bytes are identical to the sequential loop.
-    pub fn goodput_sweep_report(
+    pub(crate) fn goodput_sweep_report(
         title: &str,
         family: &ModelFamily,
         cluster: &ClusterSpec,

@@ -3,7 +3,7 @@
 //! Every figure is a sweep over independent measurement points, each
 //! deterministic from its own derived seed — so points can run on any
 //! thread in any order as long as results are merged back *by sweep
-//! index*. [`par_map`] does exactly that with `std::thread::scope` (no
+//! index*. `par_map` does exactly that with `std::thread::scope` (no
 //! external thread-pool dependency): a shared atomic cursor hands out
 //! indices, workers write results into their own slot, and the returned
 //! vector is in input order. Output bytes are identical to the
@@ -24,7 +24,7 @@ const MAX_WORKERS: usize = 16;
 ///
 /// Propagates the first worker panic (the whole sweep is torn down, as
 /// the sequential loop would be).
-pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+pub(crate) fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,

@@ -21,9 +21,6 @@ pub struct E3Config {
     /// shorter windows to keep simulations fast — the dynamics are
     /// identical, only the wall-clock scale differs).
     pub window: SimDuration,
-    /// Whether splits pipeline across GPUs (§3.2.2). Disabling reproduces
-    /// the model-parallelism-OFF ablation (fig. 26).
-    pub pipelining: bool,
     /// Whether the exit-wrapper (§3.4) may disable non-boundary ramps.
     pub use_wrapper: bool,
     /// Maximum number of splits the optimizer may create.
@@ -49,7 +46,6 @@ impl Default for E3Config {
             slack_frac: 0.2,
             batch: 8,
             window: SimDuration::from_secs(2),
-            pipelining: true,
             use_wrapper: false,
             max_splits: 4,
             estimator: EstimatorConfig::default(),
@@ -69,7 +65,6 @@ mod tests {
         let c = E3Config::default();
         assert_eq!(c.slo, SimDuration::from_millis(100));
         assert!((c.slack_frac - 0.2).abs() < 1e-12);
-        assert!(c.pipelining);
         assert!(
             !c.use_wrapper,
             "paper's evaluation runs without the wrapper"

@@ -63,7 +63,7 @@ impl<'m, 's> DeploymentBuilder<'m, 's> {
     }
 
     /// Overrides the ramp controller (e.g. the exit-wrapper's pruned set).
-    pub fn with_ctrl(mut self, ctrl: RampController) -> Self {
+    pub(crate) fn with_ctrl(mut self, ctrl: RampController) -> Self {
         self.ctrl = ctrl;
         self
     }
@@ -81,7 +81,7 @@ impl<'m, 's> DeploymentBuilder<'m, 's> {
     }
 
     /// Overrides the transfer model.
-    pub fn with_transfer_model(mut self, tm: TransferModel) -> Self {
+    pub(crate) fn with_transfer_model(mut self, tm: TransferModel) -> Self {
         self.tm = tm;
         self
     }
@@ -107,7 +107,7 @@ impl<'m, 's> DeploymentBuilder<'m, 's> {
     }
 
     /// Enables straggler detection/exclusion (§3.3).
-    pub fn with_straggler_detection(mut self, on: bool) -> Self {
+    pub(crate) fn with_straggler_detection(mut self, on: bool) -> Self {
         self.detect_stragglers = on;
         self
     }
@@ -120,13 +120,13 @@ impl<'m, 's> DeploymentBuilder<'m, 's> {
 
     /// Realizes the strategy and assembles the simulator.
     pub fn build(self) -> ServingSim<'m> {
-        let stages = self.strategy.realize(self.model, self.cluster);
-        ServingSim::new(
+        ServingSim::for_strategy(
             self.model,
             self.policy,
             self.ctrl,
             self.infer,
-            stages,
+            self.strategy,
+            self.cluster,
             self.lm,
             self.tm,
             ServingConfig {

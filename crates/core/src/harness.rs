@@ -13,8 +13,8 @@
 //! The autoregressive figures (10–12) follow the same recipe with an
 //! [`AutoRegStrategy`] in place of the system kind:
 //! [`Experiment::run_autoreg`] maps the strategy onto the kernel's
-//! continuous-batching driver, and [`Experiment::pick_autoreg_boundary`]
-//! chooses E3's decoder cut.
+//! token serving (continuous batching), and
+//! [`Experiment::pick_autoreg_boundary`] chooses E3's decoder cut.
 
 use e3_hardware::{ClusterSpec, ExitOverheads, LatencyModel, TransferModel};
 use e3_model::{zoo, BatchProfile, EeModel, ExitPolicy, ExitSampler, InferenceSim, RampController};
@@ -169,7 +169,7 @@ impl ModelFamily {
     }
 
     /// The model a given system kind serves.
-    pub fn model_for(&self, kind: SystemKind) -> &EeModel {
+    pub(crate) fn model_for(&self, kind: SystemKind) -> &EeModel {
         match kind {
             SystemKind::Vanilla => &self.stock,
             SystemKind::NaiveEe | SystemKind::E3 => &self.ee,
@@ -277,17 +277,12 @@ impl Experiment {
         self.plan_from(&self.profile(), batch)
     }
 
-    /// The kernel-path closed-loop deployment, not yet run: the
-    /// simulator, the request backlog, and the derived run seed.
-    /// [`Experiment::run`] is `sim.run(&reqs, run_seed, ..)` on
-    /// this; drivers that time materialization apart from the kernel use
+    /// The closed-loop deployment, not yet run: the simulator, the
+    /// request backlog, and the derived run seed. [`Experiment::run`] is
+    /// `sim.run(&reqs, run_seed, ..)` on this; drivers that time
+    /// materialization apart from the kernel use
     /// `ServingSim::materialize_backlog` and `run_backlog_observed`
     /// instead.
-    ///
-    /// # Panics
-    ///
-    /// On E3 with `pipelining: false`, which the kernel cannot serve (see
-    /// [`Experiment::run`]).
     pub fn deployment(
         &self,
         kind: SystemKind,
@@ -303,13 +298,15 @@ impl Experiment {
     /// typed events to `observer`.
     ///
     /// E3 with `pipelining: false` is model parallelism OFF (§5.8.7):
-    /// its splits run serially on the same data-parallel GPUs with a
-    /// barrier at every boundary. That driver runs outside the kernel
-    /// and streams no events to `observer`.
+    /// the optimizer solves a serial plan, whose splits the simulator
+    /// runs on the same data-parallel GPUs with a barrier at every
+    /// boundary. That schedule streams no events to `observer`.
+    ///
+    /// # Panics
+    ///
+    /// On E3 with `pipelining: false` and a non-empty
+    /// [`HarnessOpts::fault_plan`]: the barrier schedule injects no faults.
     pub fn run(&self, kind: SystemKind, batch: usize, observer: &mut dyn RunObserver) -> RunReport {
-        if kind == SystemKind::E3 && !self.opts.pipelining {
-            return self.run_serial_barrier(batch);
-        }
         let (sim, reqs, run_seed) = self.deployment(kind, batch);
         sim.run(&reqs, run_seed, observer)
     }
@@ -321,8 +318,8 @@ impl Experiment {
     ///
     /// # Panics
     ///
-    /// On E3 with `pipelining: false`: the serial-barrier driver behind
-    /// MP-OFF has no open-loop form.
+    /// On E3 with `pipelining: false`: the barrier schedule behind MP-OFF
+    /// has no open-loop form.
     pub fn run_open(
         &self,
         kind: SystemKind,
@@ -338,9 +335,8 @@ impl Experiment {
     }
 
     /// Runs one closed-loop *autoregressive* measurement point on the
-    /// kernel's continuous-batching driver ([`run_continuous`]), with
-    /// `batch` as the input batch. The strategy picks the model and the
-    /// driver's shape:
+    /// kernel's token serving ([`run_continuous`]), with `batch` as the
+    /// input batch. The strategy picks the model and the run's shape:
     ///
     /// * vanilla static batching serves the stock model in padded
     ///   windows: a window decodes until its longest member finishes;
@@ -554,11 +550,6 @@ impl Experiment {
     /// otherwise. E3 measures its profile once; the plan sees the
     /// error-injected copy and the exit wrapper the exact one.
     fn sim(&self, kind: SystemKind, batch: usize, horizon: Option<SimDuration>) -> ServingSim<'_> {
-        assert!(
-            kind != SystemKind::E3 || self.opts.pipelining,
-            "E3 with pipelining off runs the serial-barrier driver, which has no kernel \
-             deployment and no open-loop form"
-        );
         let model = self.family.model_for(kind);
         let (strategy, wrapper_ramps) = match kind {
             SystemKind::Vanilla => (Strategy::Vanilla { batch }, None),
@@ -589,26 +580,6 @@ impl Experiment {
             Some(h) => builder.open_loop(h).build(),
             None => builder.build(),
         }
-    }
-
-    /// E3 with model parallelism OFF: the serial-barrier driver.
-    fn run_serial_barrier(&self, batch: usize) -> RunReport {
-        let seeds = SeedSplitter::new(self.seed);
-        let gpus: Vec<_> = self.cluster.gpus().iter().map(|g| g.kind).collect();
-        let reqs = closed_loop_requests(&self.dataset, self.n, seeds.derive("requests"));
-        e3_runtime::serial::run_serial_barrier(
-            &self.family.ee,
-            self.family.policy,
-            &self.full_ctrl(),
-            &self.inference(),
-            &self.plan(batch).boundaries(),
-            &gpus,
-            batch.max(1),
-            self.opts.slo,
-            &self.family.latency_model(),
-            &reqs,
-            seeds.derive("run"),
-        )
     }
 }
 

@@ -11,7 +11,7 @@
 //!    segments the kernel drains completely (a segment's event queue
 //!    empties before the next starts), so no batch straddles two plans.
 //! 3. **Verdict** — the candidate is promoted only if its canary did not
-//!    regress against the probe ([`ReconfigConfig::should_promote`]);
+//!    regress against the probe (`ReconfigConfig::should_promote`);
 //!    otherwise the loop rolls back to the incumbent deterministically.
 //! 4. **Remainder** — the winner serves the rest of the window.
 //!
@@ -62,7 +62,7 @@ impl ReconfigConfig {
     /// `canary_frac` of the window, at least `min_canary`, but never more
     /// than a third of the window (the remainder must dominate). Returns
     /// 0 when the window is too small to guard at all.
-    pub fn segment_len(&self, n: usize) -> usize {
+    pub(crate) fn segment_len(&self, n: usize) -> usize {
         ((n as f64 * self.canary_frac).ceil() as usize)
             .max(self.min_canary)
             .min(n / 3)
@@ -72,7 +72,7 @@ impl ReconfigConfig {
     /// and SLO attainment to within `regression_tol` (relative). Both
     /// sides are measured on slices of the same window's workload, so
     /// the comparison is paired and deterministic.
-    pub fn should_promote(&self, probe: &RunReport, canary: &RunReport) -> bool {
+    pub(crate) fn should_promote(&self, probe: &RunReport, canary: &RunReport) -> bool {
         let keep = 1.0 - self.regression_tol;
         let goodput_ok = canary.goodput() >= keep * probe.goodput();
         let attainment_ok = attainment(canary) >= keep * attainment(probe);

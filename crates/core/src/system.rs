@@ -62,7 +62,6 @@ impl E3System {
         OptimizerConfig {
             slo: self.cfg.slo,
             slack_frac: self.cfg.slack_frac,
-            pipelining: self.cfg.pipelining,
             max_splits: self.cfg.max_splits,
             ..Default::default()
         }
@@ -96,7 +95,7 @@ impl E3System {
     ///   three fully-drained segments — probe (incumbent), canary
     ///   (candidate), remainder (winner) — and the candidate is promoted
     ///   only if its canary held the probe's goodput and SLO attainment
-    ///   ([`crate::reconfig::ReconfigConfig::should_promote`]); otherwise
+    ///   (`ReconfigConfig::should_promote`); otherwise
     ///   the loop rolls back deterministically.
     ///
     /// With `guarded` off (the default) this is the naive instant-swap
@@ -265,7 +264,7 @@ impl E3System {
                 // The watchdog decides: instant single-window spikes are
                 // absorbed; only confirmed drift resets the estimator, and
                 // entering safe mode pessimizes the *next* window's plan.
-                let verdict = watchdog.observe(w, observed.as_ref().map(|_| drift));
+                let verdict = watchdog.observe(observed.as_ref().map(|_| drift));
                 if verdict.reset_estimator {
                     estimator.reset_history();
                 }
@@ -415,7 +414,7 @@ impl E3System {
 /// survives if at least `min_exit_frac` of the batch exits there per the
 /// profile, or if it sits at a split boundary (boundary ramps realize the
 /// batch profile the optimizer planned for and are always required).
-pub fn useful_ramps(
+pub(crate) fn useful_ramps(
     model: &EeModel,
     profile: &BatchProfile,
     boundaries: &[usize],

@@ -8,7 +8,6 @@
 use std::collections::BTreeMap;
 
 use crate::gpu::GpuKind;
-use crate::interconnect::LinkKind;
 
 /// One GPU in the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,11 +134,6 @@ impl ClusterSpec {
         &self.gpus
     }
 
-    /// All machines.
-    pub fn machines(&self) -> &[MachineSpec] {
-        &self.machines
-    }
-
     /// Total GPU count.
     pub fn num_gpus(&self) -> usize {
         self.gpus.len()
@@ -162,22 +156,6 @@ impl ClusterSpec {
     /// Total dollar cost per second of keeping every device allocated.
     pub fn cost_per_sec(&self) -> f64 {
         self.gpus.iter().map(|g| g.kind.cost_per_sec()).sum()
-    }
-
-    /// The link between two GPUs: local, PCIe (same machine), or Ethernet.
-    pub fn link_between(&self, a: usize, b: usize) -> LinkKind {
-        if a == b {
-            LinkKind::Local
-        } else if self.gpus[a].machine == self.gpus[b].machine {
-            LinkKind::Pcie
-        } else {
-            LinkKind::Ethernet10G
-        }
-    }
-
-    /// True if the cluster contains more than one GPU kind.
-    pub fn is_heterogeneous(&self) -> bool {
-        self.kinds().len() > 1
     }
 
     /// The cluster with `count` GPUs of `kind` removed (from the
@@ -332,9 +310,9 @@ mod tests {
     fn homogeneous_builder_counts() {
         let c = ClusterSpec::homogeneous(GpuKind::V100, 5, 2);
         assert_eq!(c.num_gpus(), 5);
-        assert_eq!(c.machines().len(), 3);
-        assert_eq!(c.machines()[2].gpus.len(), 1);
-        assert!(!c.is_heterogeneous());
+        assert_eq!(c.machines.len(), 3);
+        assert_eq!(c.machines[2].gpus.len(), 1);
+        assert_eq!(c.kinds().len(), 1);
     }
 
     #[test]
@@ -344,14 +322,14 @@ mod tests {
         assert!((homo.cost_per_sec() - 0.013).abs() < 1e-9);
         assert!((hetero.cost_per_sec() - 0.013).abs() < 1e-9);
         assert_eq!(hetero.num_gpus(), 29);
-        assert!(hetero.is_heterogeneous());
+        assert!(hetero.kinds().len() > 1);
     }
 
     #[test]
     fn full_testbed_matches_paper_scale() {
         let c = ClusterSpec::paper_full_testbed();
         assert_eq!(c.num_gpus(), 46);
-        assert!(c.machines().len() <= 26);
+        assert!(c.machines.len() <= 26);
         let counts = c.gpu_counts();
         assert_eq!(counts[&GpuKind::A6000], 4);
         assert_eq!(counts[&GpuKind::V100], 16);
@@ -362,9 +340,9 @@ mod tests {
     #[test]
     fn links_follow_topology() {
         let c = ClusterSpec::homogeneous(GpuKind::V100, 4, 2);
-        assert_eq!(c.link_between(0, 0), LinkKind::Local);
-        assert_eq!(c.link_between(0, 1), LinkKind::Pcie);
-        assert_eq!(c.link_between(0, 2), LinkKind::Ethernet10G);
+        let machine = |i: usize| c.gpus()[i].machine;
+        assert_eq!(machine(0), machine(1), "two per machine");
+        assert_ne!(machine(0), machine(2));
     }
 
     #[test]
@@ -386,7 +364,7 @@ mod tests {
         let c = ClusterSpec::homogeneous(GpuKind::V100, 6, 2);
         let s = c.without(GpuKind::V100, 2);
         assert_eq!(s.num_gpus(), 4);
-        assert_eq!(s.machines().len(), 2);
+        assert_eq!(s.machines.len(), 2);
         for (i, g) in s.gpus().iter().enumerate() {
             assert_eq!(g.id, i);
         }
@@ -440,8 +418,8 @@ mod tests {
             BTreeMap::from([(GpuKind::V100, 2)]),
         ]);
         for p in &parts {
-            assert_eq!(p.machines().len(), 1);
-            assert_eq!(p.link_between(0, 1), LinkKind::Pcie);
+            assert_eq!(p.machines.len(), 1);
+            assert_eq!(p.gpus()[0].machine, p.gpus()[1].machine);
         }
     }
 

@@ -46,7 +46,7 @@ impl GpuKind {
 
     /// Batch size at which the device saturates; latency is flat below
     /// this and grows linearly above it.
-    pub fn saturation_batch(self) -> f64 {
+    pub(crate) fn saturation_batch(self) -> f64 {
         match self {
             GpuKind::A6000 => 6.0,
             GpuKind::V100 => 4.0,
@@ -69,7 +69,7 @@ impl GpuKind {
     }
 
     /// Device memory in GiB; bounds the maximum batch a split can hold.
-    pub fn memory_gib(self) -> f64 {
+    pub(crate) fn memory_gib(self) -> f64 {
         match self {
             GpuKind::A6000 => 48.0,
             GpuKind::V100 => 16.0,
@@ -80,20 +80,13 @@ impl GpuKind {
 
     /// Per-kernel launch overhead in microseconds. Roughly constant across
     /// devices; slightly higher on older parts.
-    pub fn launch_overhead_us(self) -> f64 {
+    pub(crate) fn launch_overhead_us(self) -> f64 {
         match self {
             GpuKind::A6000 => 8.0,
             GpuKind::V100 => 10.0,
             GpuKind::P100 => 12.0,
             GpuKind::K80 => 15.0,
         }
-    }
-
-    /// Peak throughput relative to a V100 at saturation:
-    /// `saturation_batch / base_latency_factor`, normalized to V100.
-    pub fn relative_peak_throughput(self) -> f64 {
-        let v100 = GpuKind::V100.saturation_batch() / GpuKind::V100.base_latency_factor();
-        (self.saturation_batch() / self.base_latency_factor()) / v100
     }
 }
 
@@ -124,20 +117,21 @@ mod tests {
         assert!((hetero - 0.013).abs() < 1e-9, "hetero={hetero}");
     }
 
+    /// Peak throughput at saturation, in V100 batch-1 units.
+    fn peak(g: GpuKind) -> f64 {
+        g.saturation_batch() / g.base_latency_factor()
+    }
+
     #[test]
     fn capability_ordering() {
         // Peak throughput ordering must match reality: A6000 > V100 > P100 > K80.
-        let peaks: Vec<f64> = GpuKind::ALL
-            .iter()
-            .map(|g| g.relative_peak_throughput())
-            .collect();
+        let peaks: Vec<f64> = GpuKind::ALL.iter().map(|&g| peak(g)).collect();
         for w in peaks.windows(2) {
             assert!(
                 w[0] > w[1],
                 "peak throughput must strictly decrease: {peaks:?}"
             );
         }
-        assert!((GpuKind::V100.relative_peak_throughput() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -147,7 +141,7 @@ mod tests {
         // bound. This property drives the paper's heterogeneity wins.
         let k80 = GpuKind::K80;
         assert!(k80.base_latency_factor() < 2.0);
-        assert!(k80.relative_peak_throughput() < 0.2);
+        assert!(peak(k80) < 0.2 * peak(GpuKind::V100));
     }
 
     #[test]

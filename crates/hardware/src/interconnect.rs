@@ -23,7 +23,7 @@ pub enum LinkKind {
 
 impl LinkKind {
     /// One-way base latency of the link.
-    pub fn base_latency(self) -> SimDuration {
+    pub(crate) fn base_latency(self) -> SimDuration {
         match self {
             LinkKind::Local => SimDuration::ZERO,
             LinkKind::NvLink => SimDuration::from_micros(2),
@@ -33,7 +33,7 @@ impl LinkKind {
     }
 
     /// Usable bandwidth in bytes per second.
-    pub fn bandwidth_bytes_per_sec(self) -> f64 {
+    pub(crate) fn bandwidth_bytes_per_sec(self) -> f64 {
         match self {
             LinkKind::Local => f64::INFINITY,
             LinkKind::NvLink => 25.0e9,

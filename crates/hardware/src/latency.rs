@@ -50,16 +50,6 @@ impl LatencyModel {
         Self::default()
     }
 
-    /// Creates a model with a global latency multiplier (used for
-    /// straggler injection and sensitivity studies).
-    pub fn with_scale(speed_scale: f64) -> Self {
-        assert!(speed_scale > 0.0, "speed scale must be positive");
-        LatencyModel {
-            speed_scale,
-            ..Self::default()
-        }
-    }
-
     /// Execution time of one layer with calibrated work `work_us`
     /// (microseconds at batch 1 on a V100) for batch size `batch` on `gpu`.
     ///
@@ -103,21 +93,6 @@ impl LatencyModel {
     pub fn occupancy(&self, batch: f64, gpu: GpuKind) -> f64 {
         (batch / gpu.saturation_batch()).clamp(0.0, 1.0)
     }
-
-    /// Steady-state throughput (samples/sec) of repeatedly running the
-    /// given layer sequence at a constant batch size.
-    pub fn steady_throughput(&self, works_us: &[f64], batch: f64, gpu: GpuKind) -> f64 {
-        if batch == 0.0 {
-            return 0.0;
-        }
-        let batches = vec![batch; works_us.len()];
-        let cycle = self.layers_time(works_us, &batches, gpu);
-        if cycle.is_zero() {
-            0.0
-        } else {
-            batch / cycle.as_secs_f64()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -128,6 +103,13 @@ mod tests {
     /// See `e3-model`'s zoo for the authoritative value; duplicated here
     /// only to keep this crate's tests self-contained.
     const BERT_LAYER_US: f64 = 800.0;
+
+    /// Steady-state throughput (samples/sec) of repeatedly running
+    /// `works_us` at a constant `batch`.
+    fn steady_throughput(m: &LatencyModel, works_us: &[f64], batch: f64, gpu: GpuKind) -> f64 {
+        let cycle = m.layers_time(works_us, &vec![batch; works_us.len()], gpu);
+        batch / cycle.as_secs_f64()
+    }
 
     #[test]
     fn latency_flat_below_saturation() {
@@ -173,7 +155,6 @@ mod tests {
     fn zero_batch_costs_nothing() {
         let m = LatencyModel::new();
         assert_eq!(m.layer_time(1000.0, 0.0, GpuKind::K80), SimDuration::ZERO);
-        assert_eq!(m.steady_throughput(&[1000.0], 0.0, GpuKind::K80), 0.0);
     }
 
     #[test]
@@ -191,21 +172,25 @@ mod tests {
         // underutilized.
         let m = LatencyModel::new();
         let works = vec![BERT_LAYER_US; 12];
-        let v100 = m.steady_throughput(&works, 1.0, GpuKind::V100) / GpuKind::V100.cost_per_sec();
-        let k80 = m.steady_throughput(&works, 1.0, GpuKind::K80) / GpuKind::K80.cost_per_sec();
+        let v100 = steady_throughput(&m, &works, 1.0, GpuKind::V100) / GpuKind::V100.cost_per_sec();
+        let k80 = steady_throughput(&m, &works, 1.0, GpuKind::K80) / GpuKind::K80.cost_per_sec();
         assert!(
             k80 > v100,
             "K80 must win per-dollar at batch 1: k80={k80:.0} v100={v100:.0}"
         );
         // ... but lose badly at batch 8.
-        let v100_8 = m.steady_throughput(&works, 8.0, GpuKind::V100) / GpuKind::V100.cost_per_sec();
-        let k80_8 = m.steady_throughput(&works, 8.0, GpuKind::K80) / GpuKind::K80.cost_per_sec();
+        let v100_8 =
+            steady_throughput(&m, &works, 8.0, GpuKind::V100) / GpuKind::V100.cost_per_sec();
+        let k80_8 = steady_throughput(&m, &works, 8.0, GpuKind::K80) / GpuKind::K80.cost_per_sec();
         assert!(v100_8 > k80_8);
     }
 
     #[test]
     fn speed_scale_scales_latency() {
-        let slow = LatencyModel::with_scale(2.0);
+        let slow = LatencyModel {
+            speed_scale: 2.0,
+            ..LatencyModel::new()
+        };
         let fast = LatencyModel::new();
         let ts = slow.layer_time(1000.0, 4.0, GpuKind::V100).as_secs_f64();
         let tf = fast.layer_time(1000.0, 4.0, GpuKind::V100).as_secs_f64();
@@ -218,7 +203,7 @@ mod tests {
         let works = vec![BERT_LAYER_US; 12];
         let order: Vec<f64> = GpuKind::ALL
             .iter()
-            .map(|g| m.steady_throughput(&works, 32.0, *g))
+            .map(|g| steady_throughput(&m, &works, 32.0, *g))
             .collect();
         for w in order.windows(2) {
             assert!(w[0] > w[1], "throughput at b=32 must decrease: {order:?}");

@@ -40,22 +40,8 @@ impl MemoryFootprint {
     }
 
     /// Total bytes needed to run batch `b`.
-    pub fn bytes_for_batch(&self, b: f64) -> f64 {
+    pub(crate) fn bytes_for_batch(&self, b: f64) -> f64 {
         self.weights + ACTIVATION_BUFFERS * self.activation_per_sample * b.max(0.0)
-    }
-
-    /// The largest batch that fits on `gpu`, or 0 if even the weights do
-    /// not fit.
-    pub fn max_batch(&self, gpu: GpuKind) -> usize {
-        let budget = gpu.memory_gib() * 1024.0 * 1024.0 * 1024.0 * USABLE_FRACTION;
-        if self.weights >= budget {
-            return 0;
-        }
-        let per_sample = ACTIVATION_BUFFERS * self.activation_per_sample;
-        if per_sample <= 0.0 {
-            return usize::MAX;
-        }
-        ((budget - self.weights) / per_sample).floor() as usize
     }
 
     /// True if batch `b` fits on `gpu`.
@@ -83,7 +69,7 @@ mod tests {
         // ~110M params, 393 KiB activations/sample.
         let fp = MemoryFootprint::new(110e6, 393_216.0);
         for gpu in GpuKind::ALL {
-            assert!(fp.max_batch(gpu) >= 64, "{gpu}: {}", fp.max_batch(gpu));
+            assert!(fp.fits(64.0, gpu), "{gpu}");
         }
     }
 
@@ -92,24 +78,12 @@ mod tests {
         // 8B params at fp16 = 16 GB of weights: does not fit a 12 GiB
         // P100/K80 at all; fits an A6000 with room for large batches.
         let fp = MemoryFootprint::new(8e9, 2048.0 * 4096.0 * 2.0);
-        assert_eq!(fp.max_batch(GpuKind::P100), 0);
-        assert_eq!(fp.max_batch(GpuKind::K80), 0);
-        assert!(fp.max_batch(GpuKind::A6000) >= 32);
+        assert!(!fp.fits(0.0, GpuKind::P100));
+        assert!(!fp.fits(0.0, GpuKind::K80));
+        assert!(fp.fits(32.0, GpuKind::A6000));
         // A split of 1/4 of the model fits a V100.
         let quarter = MemoryFootprint::new(2e9, 2048.0 * 4096.0 * 2.0);
-        assert!(quarter.max_batch(GpuKind::V100) >= 8);
-    }
-
-    #[test]
-    fn fits_is_consistent_with_max_batch() {
-        let fp = MemoryFootprint::new(1e9, 1e6);
-        for gpu in GpuKind::ALL {
-            let mb = fp.max_batch(gpu);
-            if mb > 0 && mb < 1_000_000 {
-                assert!(fp.fits(mb as f64, gpu));
-                assert!(!fp.fits(mb as f64 + 1.0, gpu));
-            }
-        }
+        assert!(quarter.fits(8.0, GpuKind::V100));
     }
 
     #[test]

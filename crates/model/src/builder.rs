@@ -93,18 +93,6 @@ impl EeModelBuilder {
         self
     }
 
-    /// Adds ramps only after the listed layers.
-    pub fn ramps_after(mut self, layers: &[usize], work_us: f64, fixed_us: f64) -> Self {
-        for &l in layers {
-            self.ramps.push(RampSpec {
-                after_layer: l,
-                work_us,
-                fixed_us,
-            });
-        }
-        self
-    }
-
     /// Marks the model autoregressive with an `encoder_layers`-long
     /// prefix and the given lm-head cost.
     pub fn autoregressive(
@@ -194,7 +182,9 @@ mod tests {
         let m = EeModelBuilder::new("g", Task::Generation { vocab_size: 1000 })
             .uniform_layers(4, 100.0, 10.0, 64)
             .uniform_layers(4, 100.0, 10.0, 64)
-            .ramps_after(&[4, 5, 6], 20.0, 2.0)
+            .ramp(4, 20.0, 2.0)
+            .ramp(5, 20.0, 2.0)
+            .ramp(6, 20.0, 2.0)
             .autoregressive(4, 50.0, 5.0)
             .build()
             .expect("valid");

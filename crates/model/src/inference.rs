@@ -147,7 +147,8 @@ impl InferenceSim {
 
     /// Mean accuracy and mean executed-depth fraction over a hardness
     /// population — the two axes of fig. 2.
-    pub fn accuracy_and_depth(
+    #[cfg(test)]
+    fn accuracy_and_depth(
         &self,
         model: &EeModel,
         policy: &ExitPolicy,
@@ -712,7 +713,7 @@ mod tests {
                 }
                 let depth = (ramp.after_layer + 1).saturating_sub(prefix) as f64;
                 let obs = self.observe(depth, d_star, model.num_classes(), rng);
-                let wants_exit = if ctrl.advances_state_at(i) || ctrl.can_exit_at(i) {
+                let wants_exit = if ctrl.pays_cost_at(i) || ctrl.can_exit_at(i) {
                     state.observe(policy, &obs)
                 } else {
                     false

@@ -249,35 +249,9 @@ impl EeModel {
         }
     }
 
-    /// Indices (into [`EeModel::ramps`]) of ramps whose `after_layer` lies
-    /// in `layer_range` (half-open, e.g. `0..6` = first six layers).
-    pub fn ramps_in(&self, layer_range: std::ops::Range<usize>) -> Vec<usize> {
-        self.ramps
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| layer_range.contains(&r.after_layer))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// The ramp (index) directly after `layer`, if one exists.
     pub fn ramp_after(&self, layer: usize) -> Option<usize> {
         self.ramps.iter().position(|r| r.after_layer == layer)
-    }
-
-    /// Per-layer `work_us` values (used by latency computations).
-    pub fn layer_works(&self) -> Vec<f64> {
-        self.layers.iter().map(|l| l.work_us).collect()
-    }
-
-    /// Total model work (sum of per-layer `work_us`), excluding ramps.
-    pub fn total_work_us(&self) -> f64 {
-        self.layers.iter().map(|l| l.work_us).sum()
-    }
-
-    /// Total ramp-checking work if every ramp is evaluated.
-    pub fn total_ramp_work_us(&self) -> f64 {
-        self.ramps.iter().map(|r| r.work_us).sum()
     }
 
     /// Activation bytes per sample crossing the boundary *after* `layer`.
@@ -285,9 +259,10 @@ impl EeModel {
         self.layers[layer].output_bytes
     }
 
-    /// Returns a copy of this model with all ramps removed — the "stock"
-    /// variant used by the non-EE baselines.
-    pub fn without_exits(&self) -> EeModel {
+    /// Returns a copy of this model with all ramps removed — a stock
+    /// variant for tests.
+    #[cfg(test)]
+    pub(crate) fn without_exits(&self) -> EeModel {
         EeModel {
             name: format!("{}-stock", self.name),
             layers: self.layers.clone(),
@@ -335,8 +310,8 @@ mod tests {
         assert_eq!(m.num_layers(), 4);
         assert_eq!(m.num_ramps(), 3);
         assert!(m.has_exits());
-        assert_eq!(m.total_work_us(), 400.0);
-        assert_eq!(m.total_ramp_work_us(), 30.0);
+        assert_eq!(m.layers().iter().map(|l| l.work_us).sum::<f64>(), 400.0);
+        assert_eq!(m.ramps().iter().map(|r| r.work_us).sum::<f64>(), 30.0);
     }
 
     #[test]
@@ -407,8 +382,6 @@ mod tests {
             None,
         )
         .unwrap();
-        assert_eq!(m.ramps_in(0..3), vec![0, 1]);
-        assert_eq!(m.ramps_in(3..6), vec![2]);
         assert_eq!(m.ramp_after(2), Some(1));
         assert_eq!(m.ramp_after(3), None);
     }

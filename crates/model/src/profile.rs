@@ -87,25 +87,12 @@ impl BatchProfile {
         self.survival[k] * b0
     }
 
-    /// Expected per-layer batch sizes over `layers` (half-open range) for
-    /// an input batch `b0` *entering the model* (not the range).
-    pub fn batches_in(&self, layers: std::ops::Range<usize>, b0: f64) -> Vec<f64> {
-        layers.map(|k| self.batch_at(k, b0)).collect()
-    }
-
     /// Average depth: expected fraction of layers a sample executes.
     pub fn mean_depth_fraction(&self) -> f64 {
         // survival[k] is exactly P(sample executes layer k), so the mean
         // executed-layer count is the sum over layers.
         let layers = self.num_layers() as f64;
         self.survival[..self.num_layers()].iter().sum::<f64>() / layers
-    }
-
-    /// The earliest layer boundary `k >= 1` where survival drops to or
-    /// below `frac`, if any. This is where the paper's example cuts the
-    /// model ("the batch size shrunk to 50% by layer 6").
-    pub fn boundary_reaching(&self, frac: f64) -> Option<usize> {
-        (1..self.survival.len()).find(|&k| self.survival[k] <= frac + 1e-12)
     }
 
     /// Applies a multiplicative error to the *exit* amounts, as in the
@@ -143,7 +130,6 @@ mod tests {
         let p = BatchProfile::no_exits(12);
         assert_eq!(p.num_layers(), 12);
         assert_eq!(p.mean_depth_fraction(), 1.0);
-        assert_eq!(p.boundary_reaching(0.5), None);
     }
 
     #[test]
@@ -151,13 +137,6 @@ mod tests {
         // Everyone exits after the first of two layers.
         let p = BatchProfile::from_exit_counts(&[10.0, 0.0], 10.0);
         assert!((p.mean_depth_fraction() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn boundary_reaching_finds_split_point() {
-        let p = BatchProfile::new(vec![1.0, 0.9, 0.7, 0.45, 0.45, 0.2]);
-        assert_eq!(p.boundary_reaching(0.5), Some(3));
-        assert_eq!(p.boundary_reaching(0.05), None);
     }
 
     #[test]
@@ -180,6 +159,6 @@ mod tests {
     #[test]
     fn batches_in_range() {
         let p = BatchProfile::new(vec![1.0, 0.5, 0.5, 0.25]);
-        assert_eq!(p.batches_in(1..3, 8.0), vec![4.0, 4.0]);
+        assert_eq!([1, 2].map(|k| p.batch_at(k, 8.0)), [4.0, 4.0]);
     }
 }

@@ -61,7 +61,7 @@ impl RampController {
     }
 
     /// Whether samples may exit at ramp `i`.
-    pub fn can_exit_at(&self, i: usize) -> bool {
+    pub(crate) fn can_exit_at(&self, i: usize) -> bool {
         self.enabled[i]
     }
 
@@ -74,12 +74,6 @@ impl RampController {
             RampStyle::Independent => self.enabled[i],
             RampStyle::Dependent => true,
         }
-    }
-
-    /// Whether a dependent policy's state should be advanced at ramp `i`
-    /// even though exits are suppressed there.
-    pub fn advances_state_at(&self, i: usize) -> bool {
-        self.pays_cost_at(i)
     }
 
     /// The ramps whose checking cost a sample pays when it exits at ramp
@@ -95,11 +89,6 @@ impl RampController {
         self.enabled[i] = false;
     }
 
-    /// Enables ramp `i`.
-    pub fn enable(&mut self, i: usize) {
-        self.enabled[i] = true;
-    }
-
     /// Disables every ramp except those in `keep` (the §3.4 use case:
     /// keep only the ramps at split boundaries, which are required for the
     /// batch profile to hold).
@@ -107,16 +96,6 @@ impl RampController {
         for (i, e) in self.enabled.iter_mut().enumerate() {
             *e = keep.contains(&i);
         }
-    }
-
-    /// Indices of currently enabled ramps.
-    pub fn enabled_ramps(&self) -> Vec<usize> {
-        self.enabled
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| **e)
-            .map(|(i, _)| i)
-            .collect()
     }
 }
 
@@ -146,14 +125,14 @@ mod tests {
         c.disable(1);
         assert!(!c.can_exit_at(1));
         assert!(c.pays_cost_at(1), "dependent ramps must keep running");
-        assert!(c.advances_state_at(1));
     }
 
     #[test]
     fn keep_only_boundary_ramps() {
         let mut c = RampController::all_enabled(12, RampStyle::Independent);
         c.keep_only(&[5, 11]);
-        assert_eq!(c.enabled_ramps(), vec![5, 11]);
+        let enabled: Vec<usize> = (0..12).filter(|&i| c.can_exit_at(i)).collect();
+        assert_eq!(enabled, vec![5, 11]);
         assert!(!c.can_exit_at(0));
         assert!(c.can_exit_at(5));
     }
@@ -167,13 +146,5 @@ mod tests {
         let mut d = RampController::all_enabled(4, RampStyle::Dependent);
         d.disable(1);
         assert_eq!(d.paid_through(Some(1)).collect::<Vec<_>>(), vec![0, 1]);
-    }
-
-    #[test]
-    fn enable_after_disable() {
-        let mut c = RampController::all_enabled(2, RampStyle::Independent);
-        c.disable(0);
-        c.enable(0);
-        assert!(c.can_exit_at(0));
     }
 }

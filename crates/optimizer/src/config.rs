@@ -58,14 +58,14 @@ impl Default for OptimizerConfig {
 
 impl OptimizerConfig {
     /// The effective latency budget: `SLO · (1 − slack)`.
-    pub fn latency_budget(&self) -> SimDuration {
+    pub(crate) fn latency_budget(&self) -> SimDuration {
         self.slo.mul_f64((1.0 - self.slack_frac).max(0.0))
     }
 
     /// Worst-case batch-formation delay for batch size `b0`: the time for
     /// `b0 − 1` further requests to arrive after the first. Zero for
     /// closed-loop clients.
-    pub fn formation_delay(&self, b0: f64) -> SimDuration {
+    pub(crate) fn formation_delay(&self, b0: f64) -> SimDuration {
         match self.request_rate {
             Some(rate) if rate > 0.0 && b0 > 1.0 => SimDuration::from_secs_f64((b0 - 1.0) / rate),
             _ => SimDuration::ZERO,

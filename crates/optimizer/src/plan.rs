@@ -108,7 +108,8 @@ impl SplitPlan {
     /// Checks that every split's weights plus double-buffered activations
     /// fit its replicas' device memory (§3.1's resource safety check).
     /// Parameter counts are estimated from the calibrated compute costs.
-    pub fn memory_feasible(&self, model: &e3_model::EeModel) -> bool {
+    #[cfg(test)]
+    pub(crate) fn memory_feasible(&self, model: &e3_model::EeModel) -> bool {
         self.splits.iter().all(|split| {
             crate::stage::stage_fits(model, split.layers.clone(), split.batch, split.gpu)
         })

@@ -39,7 +39,7 @@ pub struct StageCost {
 /// stage is refused to `b0` regardless of upstream exits; within the
 /// stage the expected batch is `b0 · survival[k] / survival[start]`.
 #[allow(clippy::too_many_arguments)] // the DP inputs of fig. 6
-pub fn stage_cost(
+pub(crate) fn stage_cost(
     model: &EeModel,
     ctrl: &RampController,
     profile: &BatchProfile,
@@ -114,7 +114,7 @@ pub fn stage_cost(
 /// batch `b0`: estimated weights (from the calibrated compute costs) plus
 /// double-buffered activations, per the §3.1 resource safety check. The
 /// DP uses this to prune memory-infeasible transitions.
-pub fn stage_fits(model: &EeModel, layers: Range<usize>, b0: f64, gpu: GpuKind) -> bool {
+pub(crate) fn stage_fits(model: &EeModel, layers: Range<usize>, b0: f64, gpu: GpuKind) -> bool {
     use e3_hardware::memory::{params_from_work_us, MemoryFootprint};
     let params: f64 = layers
         .clone()
@@ -129,7 +129,7 @@ pub fn stage_fits(model: &EeModel, layers: Range<usize>, b0: f64, gpu: GpuKind) 
 /// The activation-transfer time charged at the boundary entering
 /// `next_start` (the paper's `Tx(s, s+1)`): one refused batch of `b0`
 /// samples of the boundary's activation size.
-pub fn boundary_transfer(
+pub(crate) fn boundary_transfer(
     model: &EeModel,
     next_start: usize,
     b0: f64,
@@ -144,7 +144,7 @@ pub fn boundary_transfer(
 /// carries only `b0 · survival[next_start]` samples. This is the payload
 /// that matters for the pipeline's steady state; the full-batch
 /// [`boundary_transfer`] matters for a single request's latency path.
-pub fn boundary_transfer_surviving(
+pub(crate) fn boundary_transfer_surviving(
     model: &EeModel,
     profile: &BatchProfile,
     next_start: usize,

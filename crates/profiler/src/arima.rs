@@ -206,11 +206,6 @@ impl ArimaModel {
         &self.ma
     }
 
-    /// The fitted intercept of the differenced process.
-    pub fn intercept(&self) -> f64 {
-        self.intercept
-    }
-
     /// Forecasts `h` steps ahead (in the original, undifferenced units).
     pub fn forecast(&self, h: usize) -> Vec<f64> {
         let mut values = self.tail_values.clone();
@@ -246,7 +241,7 @@ impl ArimaModel {
     }
 
     /// One-step-ahead forecast.
-    pub fn forecast_one(&self) -> f64 {
+    pub(crate) fn forecast_one(&self) -> f64 {
         self.forecast(1)[0]
     }
 }

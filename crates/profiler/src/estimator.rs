@@ -70,11 +70,6 @@ impl BatchProfileEstimator {
         }
     }
 
-    /// Number of windows observed so far.
-    pub fn windows_observed(&self) -> usize {
-        self.series[0].len()
-    }
-
     /// Ingests the observed profile of the window that just ended.
     pub fn observe_window(&mut self, observed: &BatchProfile) {
         assert_eq!(
@@ -252,7 +247,7 @@ mod tests {
             e.observe_window(&profile(&[0.8]));
         }
         e.reset_history();
-        assert_eq!(e.windows_observed(), 0);
+        assert_eq!(e.series[0].len(), 0);
         e.observe_window(&profile(&[0.2]));
         let f = e.forecast().survival_at(1);
         assert!((f - 0.2).abs() < 1e-9, "f={f}");
@@ -305,7 +300,7 @@ mod tests {
     fn reset_on_empty_history_is_harmless() {
         let mut e = BatchProfileEstimator::new(2, EstimatorConfig::default());
         e.reset_history();
-        assert_eq!(e.windows_observed(), 0);
+        assert_eq!(e.series[0].len(), 0);
         // Still boots conservatively after a vacuous reset.
         assert_eq!(e.forecast().survival(), &[1.0, 1.0, 1.0]);
     }

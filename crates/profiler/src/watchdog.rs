@@ -102,8 +102,6 @@ pub struct DriftWatchdog {
     state: WatchdogState,
     consecutive_over: usize,
     windows_without_obs: usize,
-    safe_entries: usize,
-    first_trigger: Option<usize>,
 }
 
 impl DriftWatchdog {
@@ -125,16 +123,14 @@ impl DriftWatchdog {
             state: WatchdogState::Nominal,
             consecutive_over: 0,
             windows_without_obs: 0,
-            safe_entries: 0,
-            first_trigger: None,
         }
     }
 
-    /// Feeds the drift measured at the end of window `window`. `None`
-    /// means the window produced no usable observation (counts toward
-    /// staleness); `Some(d)` is the estimator's mean absolute survival
-    /// error for the window.
-    pub fn observe(&mut self, window: usize, drift: Option<f64>) -> WatchdogVerdict {
+    /// Feeds the drift measured at the end of a window. `None` means the
+    /// window produced no usable observation (counts toward staleness);
+    /// `Some(d)` is the estimator's mean absolute survival error for the
+    /// window.
+    pub fn observe(&mut self, drift: Option<f64>) -> WatchdogVerdict {
         let mut entered = None;
         let mut cleared = false;
         let mut reset = false;
@@ -145,7 +141,6 @@ impl DriftWatchdog {
                     && self.state != WatchdogState::SafeMode
                 {
                     self.state = WatchdogState::SafeMode;
-                    self.safe_entries += 1;
                     entered = Some(SafeModeReason::StaleForecast);
                 }
             }
@@ -156,8 +151,6 @@ impl DriftWatchdog {
                     if self.consecutive_over >= self.cfg.confirm_windows {
                         if self.state != WatchdogState::SafeMode {
                             self.state = WatchdogState::SafeMode;
-                            self.safe_entries += 1;
-                            self.first_trigger.get_or_insert(window);
                             entered = Some(SafeModeReason::ConfirmedDrift);
                             reset = true;
                         }
@@ -192,16 +185,6 @@ impl DriftWatchdog {
         self.state == WatchdogState::SafeMode
     }
 
-    /// How many times safe mode has been entered.
-    pub fn safe_entries(&self) -> usize {
-        self.safe_entries
-    }
-
-    /// The window index of the first confirmed drift trigger, if any.
-    pub fn first_trigger(&self) -> Option<usize> {
-        self.first_trigger
-    }
-
     /// The pessimistic planning profile: every sample survives every
     /// layer (no early exits), under which the optimizer produces the
     /// stock single-split deployment.
@@ -221,46 +204,42 @@ mod tests {
     #[test]
     fn single_spike_does_not_confirm() {
         let mut w = wd();
-        let v = w.observe(0, Some(0.3));
+        let v = w.observe(Some(0.3));
         assert_eq!(v.state, WatchdogState::Suspect);
         assert!(v.entered_safe_mode.is_none());
         assert!(!v.reset_estimator);
         // Next window is healthy: back to nominal.
-        let v = w.observe(1, Some(0.01));
+        let v = w.observe(Some(0.01));
         assert_eq!(v.state, WatchdogState::Nominal);
         assert!(v.cleared);
-        assert_eq!(w.safe_entries(), 0);
-        assert_eq!(w.first_trigger(), None);
     }
 
     #[test]
     fn consecutive_windows_confirm_and_reset_once() {
         let mut w = wd();
-        assert!(w.observe(3, Some(0.2)).entered_safe_mode.is_none());
-        let v = w.observe(4, Some(0.25));
+        assert!(w.observe(Some(0.2)).entered_safe_mode.is_none());
+        let v = w.observe(Some(0.25));
         assert_eq!(v.entered_safe_mode, Some(SafeModeReason::ConfirmedDrift));
         assert!(v.reset_estimator);
-        assert_eq!(w.first_trigger(), Some(4));
         // Staying over the trigger keeps safe mode but never re-resets.
-        let v = w.observe(5, Some(0.4));
+        let v = w.observe(Some(0.4));
         assert_eq!(v.state, WatchdogState::SafeMode);
         assert!(v.entered_safe_mode.is_none());
         assert!(!v.reset_estimator);
-        assert_eq!(w.safe_entries(), 1);
     }
 
     #[test]
     fn dead_band_holds_state() {
         let mut w = wd();
-        w.observe(0, Some(0.2));
-        w.observe(1, Some(0.2)); // confirmed -> safe mode
+        w.observe(Some(0.2));
+        w.observe(Some(0.2)); // confirmed -> safe mode
         assert!(w.in_safe_mode());
         // Drift inside [clear, trigger]: neither clears nor re-arms.
-        let v = w.observe(2, Some(0.09));
+        let v = w.observe(Some(0.09));
         assert_eq!(v.state, WatchdogState::SafeMode);
         assert!(!v.cleared);
         // Only dropping below `clear` recovers.
-        let v = w.observe(3, Some(0.03));
+        let v = w.observe(Some(0.03));
         assert_eq!(v.state, WatchdogState::Nominal);
         assert!(v.cleared);
     }
@@ -271,30 +250,28 @@ mod tests {
             confirm_windows: 3,
             ..Default::default()
         });
-        w.observe(0, Some(0.2));
-        w.observe(1, Some(0.2));
-        w.observe(2, Some(0.01)); // streak broken
-        w.observe(3, Some(0.2));
-        let v = w.observe(4, Some(0.2));
+        w.observe(Some(0.2));
+        w.observe(Some(0.2));
+        w.observe(Some(0.01)); // streak broken
+        w.observe(Some(0.2));
+        let v = w.observe(Some(0.2));
         assert_eq!(v.state, WatchdogState::Suspect);
-        assert_eq!(w.safe_entries(), 0);
     }
 
     #[test]
     fn stale_forecast_enters_safe_mode() {
         let mut w = wd();
-        assert!(w.observe(0, None).entered_safe_mode.is_none());
-        assert!(w.observe(1, None).entered_safe_mode.is_none());
-        let v = w.observe(2, None);
+        assert!(w.observe(None).entered_safe_mode.is_none());
+        assert!(w.observe(None).entered_safe_mode.is_none());
+        let v = w.observe(None);
         assert_eq!(v.entered_safe_mode, Some(SafeModeReason::StaleForecast));
         // Staleness does not reset the estimator (there is nothing newer
         // to re-learn from).
         assert!(!v.reset_estimator);
         // A healthy observation recovers.
-        let v = w.observe(3, Some(0.02));
+        let v = w.observe(Some(0.02));
         assert_eq!(v.state, WatchdogState::Nominal);
         assert!(v.cleared);
-        assert_eq!(w.first_trigger(), None);
     }
 
     #[test]

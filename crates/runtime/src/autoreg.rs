@@ -4,10 +4,10 @@
 //! An autoregressive request is served token by token: each generated
 //! token runs the decoder until it exits. [`materialize_sequences`] draws,
 //! once and up front, each request's output length and every token's exit
-//! depth, in the form the kernel's continuous-batching driver
+//! depth, in the form the kernel's token serving
 //! ([`crate::kernel::run_continuous`]) consumes. The paper's four serving
 //! shapes (vanilla static batching, CALM-style sequential, naive batched
-//! EE, and E3's split decoder) are configurations of that driver, assembled
+//! EE, and E3's split decoder) are configurations of it, assembled
 //! by `e3::harness::Experiment::run_autoreg`.
 
 use rand::rngs::StdRng;

@@ -38,7 +38,7 @@ impl Batch {
 /// A target-size buffer with deadline-based partial flushing. Used both
 /// as the frontend batcher and as each stage's fusion buffer.
 #[derive(Debug, Clone)]
-pub struct FusionBuffer {
+pub(crate) struct FusionBuffer {
     target: usize,
     pending: VecDeque<(SimSample, SimTime)>, // (sample, enqueue time)
 }
@@ -57,16 +57,6 @@ impl FusionBuffer {
         }
     }
 
-    /// The target batch size.
-    pub fn target(&self) -> usize {
-        self.target
-    }
-
-    /// Number of queued samples.
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
@@ -82,7 +72,7 @@ impl FusionBuffer {
     /// in-flight job ahead of the waiting ones; the wait clock restarts
     /// for the whole rebuilt buffer, exactly as if it had been drained
     /// and re-filled at `now`.
-    pub fn push_front(&mut self, sample: SimSample, now: SimTime) {
+    pub(crate) fn push_front(&mut self, sample: SimSample, now: SimTime) {
         for (_, t) in &mut self.pending {
             *t = now;
         }
@@ -90,12 +80,12 @@ impl FusionBuffer {
     }
 
     /// Enqueue time of the oldest waiting sample.
-    pub fn oldest_enqueue(&self) -> Option<SimTime> {
+    pub(crate) fn oldest_enqueue(&self) -> Option<SimTime> {
         self.pending.front().map(|(_, t)| *t)
     }
 
     /// Takes a full batch if available.
-    pub fn take_full(&mut self, now: SimTime) -> Option<Batch> {
+    pub(crate) fn take_full(&mut self, now: SimTime) -> Option<Batch> {
         if self.pending.len() < self.target {
             return None;
         }
@@ -104,7 +94,7 @@ impl FusionBuffer {
 
     /// Takes whatever is queued (possibly fewer than target) — the
     /// deadline-flush path. Returns `None` when empty.
-    pub fn take_partial(&mut self, now: SimTime) -> Option<Batch> {
+    pub(crate) fn take_partial(&mut self, now: SimTime) -> Option<Batch> {
         if self.pending.is_empty() {
             return None;
         }
@@ -227,6 +217,6 @@ mod tests {
         }
         let batch = b.take_full(SimTime::ZERO).expect("full");
         assert_eq!(batch.len(), 2);
-        assert_eq!(b.len(), 3);
+        assert_eq!(b.pending.len(), 3);
     }
 }

@@ -2,16 +2,16 @@
 //!
 //! A [`ServingSim`] executes one request stream against one realized
 //! strategy (stage specs) on the calibrated hardware model, by assembling
-//! policies for the unified [`crate::kernel`] event loop. Everything is
+//! the paper's policies for the [`crate::kernel`] event loop. Everything is
 //! deterministic: a single seeded RNG materializes per-request outcomes
 //! at ingest, the event queue breaks ties FIFO, and replica selection is
 //! by (queue length, id).
 //!
-//! The kernel + default policies implement the paper's §3.3/§4 runtime
+//! The kernel and its policies implement the paper's §3.3/§4 runtime
 //! behaviours:
 //!
 //! * dynamic batching at the frontend (full batch or deadline flush) —
-//!   [`crate::kernel::FusionBatching`];
+//!   fusion batching;
 //! * per-replica private queues;
 //! * batch **fusion** between stages — surviving samples from multiple
 //!   upstream batches re-form full batches (the constant-batch-size
@@ -19,32 +19,38 @@
 //! * pipelining — transfers are events, so compute and communication
 //!   overlap naturally;
 //! * admission drops when a request's deadline is unmeetable (Clockwork
-//!   style) — [`crate::kernel::SloSlackAdmission`];
+//!   style) — SLO-slack admission, open loop only;
 //! * straggler detection by per-replica service-time monitoring, with
-//!   exclusion from future assignment (§3.3) —
-//!   [`crate::kernel::RelativeSlowdown`].
+//!   exclusion from future assignment (§3.3) — the relative-slowdown
+//!   monitor, when [`ServingConfig::detect_stragglers`] is set.
 //!
-//! [`ServingSim::run`] serves a request stream with the defaults derived
+//! [`ServingSim::run`] serves a request stream with the policies derived
 //! from [`ServingConfig`], streaming the kernel's typed events to an
 //! observer. [`ServingSim::materialize_backlog`] and
 //! [`ServingSim::run_backlog_observed`] are the same run split in two, so
 //! a caller can time the Monte-Carlo draw apart from the event loop.
+//!
+//! A deployment of a plan solved without pipelining
+//! ([`e3_optimizer::SplitPlan::pipelined`] false, model parallelism OFF,
+//! §5.8.7) runs every split on the same GPU set. Its
+//! [`ServingSim::run`] serves the backlog with the barrier schedule of
+//! [`crate::serial`] instead of the event loop.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use e3_hardware::{LatencyModel, TransferModel};
+use e3_hardware::{ClusterSpec, LatencyModel, TransferModel};
 use e3_model::{EeModel, ExitPolicy, ExitSampler, InferenceSim, RampController};
 use e3_simcore::{EventQueue, SimDuration, SimQueue, SimTime};
 use e3_workload::Request;
 
 use crate::kernel::{
-    AdmitAll, Ev, FaultPlan, FusionBatching, Kernel, KernelPolicies, NoStragglerDetection,
-    RelativeSlowdown, RunObserver, SloSlackAdmission,
+    Batches, Ev, Event, FaultPlan, FusionBatching, RunObserver, SloSlackAdmission,
 };
 use crate::report::RunReport;
 use crate::sample::SimSample;
-use crate::strategy::StageSpec;
+use crate::serial;
+use crate::strategy::{StageSpec, Strategy};
 
 /// Runtime configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,7 +117,7 @@ impl TransferRetryConfig {
     /// 2^(attempt-1)`, with the exponent clamped at 20 so an arbitrarily
     /// long outage saturates the backoff (~10⁶× base) instead of
     /// overflowing the shift.
-    pub fn backoff_for(&self, attempt: u32) -> SimDuration {
+    pub(crate) fn backoff_for(&self, attempt: u32) -> SimDuration {
         let exp = attempt.saturating_sub(1).min(20);
         self.base_backoff * (1u64 << exp)
     }
@@ -136,6 +142,9 @@ pub struct ServingSim<'a> {
     pub(crate) lm: LatencyModel,
     pub(crate) tm: TransferModel,
     pub(crate) cfg: ServingConfig,
+    /// False for a plan solved without pipelining: every stage runs on
+    /// the same GPU set, behind a barrier.
+    pub(crate) pipelined: bool,
 }
 
 impl<'a> ServingSim<'a> {
@@ -181,6 +190,34 @@ impl<'a> ServingSim<'a> {
             lm,
             tm,
             cfg,
+            pipelined: true,
+        }
+    }
+
+    /// Builds the simulator that serves `strategy` on `cluster`: its
+    /// realized stages, served behind barriers when the strategy is a
+    /// plan solved without pipelining.
+    ///
+    /// # Panics
+    ///
+    /// As [`ServingSim::new`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn for_strategy(
+        model: &'a EeModel,
+        policy: ExitPolicy,
+        ctrl: RampController,
+        infer: InferenceSim,
+        strategy: &Strategy,
+        cluster: &ClusterSpec,
+        lm: LatencyModel,
+        tm: TransferModel,
+        cfg: ServingConfig,
+    ) -> Self {
+        let stages = strategy.realize(model, cluster);
+        let sim = ServingSim::new(model, policy, ctrl, infer, stages, lm, tm, cfg);
+        ServingSim {
+            pipelined: !matches!(strategy, Strategy::Plan(p) if !p.pipelined),
+            ..sim
         }
     }
 
@@ -188,6 +225,11 @@ impl<'a> ServingSim<'a> {
     /// the kernel's typed events to `observer`. The same as
     /// [`ServingSim::materialize_backlog`] followed by
     /// [`ServingSim::run_backlog_observed`].
+    ///
+    /// # Panics
+    ///
+    /// A serial plan's barrier schedule panics in open loop, or with
+    /// faults planned: it has neither form.
     pub fn run(
         &self,
         requests: &[Request],
@@ -196,9 +238,9 @@ impl<'a> ServingSim<'a> {
     ) -> RunReport {
         // Policies before the backlog: the allocation order sets the heap
         // layout the event loop runs on, and with it the run's speed.
-        let policies = self.default_policies();
+        let policies = self.policies();
         let backlog = self.materialize_backlog(requests, seed);
-        self.run_backlog::<EventQueue<Ev>>(backlog, policies, observer)
+        self.serve::<EventQueue<_>>(backlog, policies, observer)
     }
 
     /// Materializes the per-request outcomes (the RNG-bound Monte-Carlo
@@ -219,54 +261,51 @@ impl<'a> ServingSim<'a> {
 
     /// Runs the kernel event loop over an already-materialized backlog,
     /// streaming its events to `observer`.
+    ///
+    /// # Panics
+    ///
+    /// As [`ServingSim::run`].
     pub fn run_backlog_observed(
         &self,
         backlog: Vec<SimSample>,
         observer: &mut dyn RunObserver,
     ) -> RunReport {
-        self.run_backlog::<EventQueue<Ev>>(backlog, self.default_policies(), observer)
+        self.serve::<EventQueue<_>>(backlog, self.policies(), observer)
     }
 
-    /// The policy set derived from this simulator's [`ServingConfig`]:
-    /// fusion batching everywhere; SLO-slack admission in open-loop drop
-    /// mode (closed-loop backlogs admit everything); relative-slowdown
-    /// straggler detection when enabled.
-    fn default_policies(&self) -> KernelPolicies<'static> {
-        let admission: Box<dyn crate::kernel::AdmissionPolicy> = if !self.cfg.closed_loop {
-            Box::new(SloSlackAdmission::for_stages(
+    /// The admission and batching policies derived from this simulator's
+    /// [`ServingConfig`]: SLO-slack admission in open-loop drop mode
+    /// (closed-loop backlogs admit everything), and fusion batching
+    /// everywhere.
+    fn policies(&self) -> (Option<SloSlackAdmission>, FusionBatching) {
+        let admission = (!self.cfg.closed_loop).then(|| {
+            SloSlackAdmission::for_stages(
                 self.model,
                 &self.ctrl,
                 &self.lm,
                 &self.tm,
                 &self.stages,
                 self.cfg.slo,
-            ))
-        } else {
-            Box::new(AdmitAll)
-        };
+            )
+        });
         let targets: Vec<usize> = self.stages.iter().map(|s| s.target_batch).collect();
-        let batching = Box::new(FusionBatching::new(&targets, self.cfg.fusion_waits.clone()));
-        let straggler: Box<dyn crate::kernel::StragglerPolicy> = if self.cfg.detect_stragglers {
-            Box::new(RelativeSlowdown::default())
-        } else {
-            Box::new(NoStragglerDetection)
-        };
-        KernelPolicies {
-            admission,
-            batching,
-            straggler,
-        }
+        let batching = FusionBatching::new(&targets, self.cfg.fusion_waits.clone());
+        (admission, batching)
     }
 
-    /// The kernel over `backlog` on event queue `Q`: the calendar queue
-    /// in every run, the binary-heap reference in the differential test.
-    fn run_backlog<Q: SimQueue<Ev>>(
+    /// Serves `backlog` on event queue `Q` (the calendar queue in every
+    /// run, the binary-heap reference in the differential test), or with
+    /// the barrier schedule when the plan is serial.
+    fn serve<Q: SimQueue<Event<Ev>>>(
         &self,
         backlog: Vec<SimSample>,
-        policies: KernelPolicies<'_>,
+        (admission, batching): (Option<SloSlackAdmission>, FusionBatching),
         observer: &mut dyn RunObserver,
     ) -> RunReport {
-        let acc = Kernel::<Q>::new(self, backlog, policies, observer).run();
+        if !self.pipelined {
+            return serial::run_barrier(self, &backlog);
+        }
+        let acc = Batches::<Q>::new(self, backlog, admission, batching, observer).run();
         let last = acc.last_completion();
         let duration = match self.cfg.horizon {
             Some(h) => last.saturating_since(SimTime::ZERO).max(h),
@@ -279,9 +318,9 @@ impl<'a> ServingSim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::faults::decoded_fault_plan;
     use crate::kernel::NullObserver;
-    use crate::strategy::Strategy;
-    use e3_hardware::{ClusterSpec, GpuKind};
+    use e3_hardware::GpuKind;
     use e3_model::{zoo, RampStyle};
     use e3_optimizer::{optimize_homogeneous_cached, OptimizerConfig, PlanCache};
     use e3_simcore::SeedSplitter;
@@ -719,31 +758,6 @@ mod tests {
         assert!(r.mean_depth() < 10.0, "mean depth {}", r.mean_depth());
     }
 
-    /// Decodes raw entropy words into a fault plan that is valid for
-    /// `num_replicas` replicas and `num_stages` stages: each word yields one
-    /// fault (crash, crash + delayed recovery, transient slowdown, or stage
-    /// stall) with millisecond-grid times inside the run, so any word vector
-    /// produces a well-formed plan and ties abound.
-    fn decoded_fault_plan(words: &[u64], num_replicas: usize, num_stages: usize) -> FaultPlan {
-        let mut plan = FaultPlan::new();
-        for &w in words {
-            let replica = ((w >> 3) % num_replicas as u64) as usize;
-            let stage = ((w >> 7) % num_stages as u64) as usize;
-            let from = SimTime::from_millis((w >> 16) % 150);
-            let until = from + SimDuration::from_millis(1 + (w >> 24) % 60);
-            match w % 4 {
-                0 => plan = plan.crash(replica, from),
-                1 => plan = plan.crash(replica, from).recover(replica, until),
-                2 => {
-                    let factor = 1.5 + ((w >> 32) % 5) as f64 * 0.5;
-                    plan = plan.slowdown(replica, factor, from, until);
-                }
-                _ => plan = plan.stall(stage, from, until),
-            }
-        }
-        plan
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
@@ -787,7 +801,7 @@ mod tests {
             let cluster = ClusterSpec::homogeneous(GpuKind::V100, 6, 4);
             let stages = Strategy::Plan(plan).realize(&model, &cluster);
             let num_replicas: usize = stages.iter().map(|s| s.replicas.len()).sum();
-            let fault_plan = decoded_fault_plan(&words, num_replicas, stages.len());
+            let fault_plan = decoded_fault_plan(&words, num_replicas, stages.len(), 150);
             fault_plan.validate(num_replicas, stages.len());
 
             let sim = ServingSim::new(
@@ -817,9 +831,9 @@ mod tests {
             let mut calendar_log = EventLog::new();
             let calendar = sim.run(&requests, seed, &mut calendar_log);
             let mut reference_log = EventLog::new();
-            let reference = sim.run_backlog::<e3_simcore::ReferenceQueue<Ev>>(
+            let reference = sim.serve::<e3_simcore::ReferenceQueue<Event<Ev>>>(
                 sim.materialize_backlog(&requests, seed),
-                sim.default_policies(),
+                sim.policies(),
                 &mut reference_log,
             );
 

@@ -18,7 +18,7 @@ use crate::sample::SimSample;
 
 /// Result of timing a batch through a stage.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExecOutcome {
+pub(crate) struct ExecOutcome {
     /// Wall time the replica is busy.
     pub duration: SimDuration,
     /// Time-weighted mean occupancy over the execution.
@@ -34,7 +34,7 @@ pub struct ExecOutcome {
 /// checked ramp; `true` (E3 split execution) pays it once at the stage
 /// boundary, where the gather re-forms the batch anyway.
 #[allow(clippy::too_many_arguments)]
-pub fn execute_batch(
+pub(crate) fn execute_batch(
     model: &EeModel,
     ctrl: &RampController,
     lm: &LatencyModel,

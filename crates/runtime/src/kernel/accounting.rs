@@ -1,7 +1,8 @@
 //! Shared run accounting.
 //!
-//! Every driver that produces a [`RunReport`] — the event-driven kernel,
-//! the serial barrier mode — funnels its measurements through one
+//! Every schedule that produces a [`RunReport`] — the event loop's two
+//! serving disciplines, the serial barrier schedule — funnels its
+//! measurements through one
 //! [`RunAccumulator`], so latency, utilization, drop, and dispatch
 //! accounting are defined in exactly one place.
 
@@ -87,7 +88,7 @@ impl RunAccumulator {
     }
 
     /// Records a batch of `n` samples dispatched to `stage`.
-    pub fn record_dispatch(&mut self, stage: usize, n: f64) {
+    pub(crate) fn record_dispatch(&mut self, stage: usize, n: f64) {
         self.dispatch_batch_sum[stage] += n;
         self.dispatch_batch_n[stage] += 1;
     }
@@ -98,13 +99,13 @@ impl RunAccumulator {
     }
 
     /// Records one admission drop.
-    pub fn record_drop(&mut self) {
+    pub(crate) fn record_drop(&mut self) {
         self.dropped += 1;
         self.robustness.sheds.admission += 1;
     }
 
     /// Updates the running queue-depth peak for `stage`.
-    pub fn observe_queue_depth(&mut self, stage: usize, depth: usize) {
+    pub(crate) fn observe_queue_depth(&mut self, stage: usize, depth: usize) {
         if depth > self.peak_queue_depth[stage] {
             self.peak_queue_depth[stage] = depth;
         }
@@ -112,7 +113,7 @@ impl RunAccumulator {
 
     /// Updates the running queue-depth peak for replica `rid` (queued
     /// batches, excluding the one executing).
-    pub fn observe_replica_queue_depth(&mut self, rid: usize, depth: usize) {
+    pub(crate) fn observe_replica_queue_depth(&mut self, rid: usize, depth: usize) {
         if depth > self.peak_replica_queue_depth[rid] {
             self.peak_replica_queue_depth[rid] = depth;
         }
@@ -120,48 +121,48 @@ impl RunAccumulator {
 
     /// Records `n` samples shed at routing time by the per-replica queue
     /// bound. Shed samples also count as drops.
-    pub fn record_shed(&mut self, n: usize) {
+    pub(crate) fn record_shed(&mut self, n: usize) {
         self.shed += n as u64;
         self.dropped += n as u64;
         self.robustness.sheds.queue_cap += n as u64;
     }
 
     /// Records one transfer retry scheduled while a link was down.
-    pub fn record_transfer_retry(&mut self) {
+    pub(crate) fn record_transfer_retry(&mut self) {
         self.transfer_retries += 1;
     }
 
     /// Records a transfer abort that dropped `n` samples after its retry
     /// attempts ran out.
-    pub fn record_transfer_abort(&mut self, n: usize) {
+    pub(crate) fn record_transfer_abort(&mut self, n: usize) {
         self.transfer_aborts += 1;
         self.dropped += n as u64;
         self.robustness.sheds.transfer_abort += n as u64;
     }
 
     /// Records a replica flagged as a straggler.
-    pub fn record_straggler(&mut self, rid: usize) {
+    pub(crate) fn record_straggler(&mut self, rid: usize) {
         self.stragglers_detected.push(rid);
     }
 
     /// Records one injected fault taking effect.
-    pub fn record_fault(&mut self) {
+    pub(crate) fn record_fault(&mut self) {
         self.faults_injected += 1;
     }
 
     /// Records `n` output tokens generated (autoregressive runs).
-    pub fn record_tokens(&mut self, n: u64) {
+    pub(crate) fn record_tokens(&mut self, n: u64) {
         self.tokens_generated += n;
     }
 
     /// Records one KV-pressure preemption.
-    pub fn record_kv_preemption(&mut self) {
+    pub(crate) fn record_kv_preemption(&mut self) {
         self.kv_preemptions += 1;
     }
 
     /// Marks `rid` excluded from assignment as of `now`; idempotent while
     /// the replica stays excluded.
-    pub fn record_exclusion(&mut self, rid: usize, now: SimTime) {
+    pub(crate) fn record_exclusion(&mut self, rid: usize, now: SimTime) {
         if self.excluded_since[rid].is_none() {
             self.excluded_since[rid] = Some(now);
             self.excluded_now += 1;
@@ -170,7 +171,7 @@ impl RunAccumulator {
 
     /// Marks `rid` back in service as of `now`, closing its exclusion
     /// interval; a no-op when the replica was not excluded.
-    pub fn record_recovery(&mut self, rid: usize, now: SimTime) {
+    pub(crate) fn record_recovery(&mut self, rid: usize, now: SimTime) {
         if let Some(since) = self.excluded_since[rid].take() {
             self.excluded_total[rid] += now.saturating_since(since);
             self.excluded_now -= 1;
@@ -213,7 +214,7 @@ impl RunAccumulator {
     }
 
     /// Time of the most recent completion.
-    pub fn last_completion(&self) -> SimTime {
+    pub(crate) fn last_completion(&self) -> SimTime {
         self.last_completion
     }
 

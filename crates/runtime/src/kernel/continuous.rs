@@ -4,13 +4,17 @@
 //! membership must be renegotiated *every iteration*: sequences that
 //! finish (or exit early) leave the running batch immediately and queued
 //! sequences join mid-flight from a FIFO pool that never waits.
-//! [`run_continuous`] is the iteration-level driver built on the kernel's
-//! primitives: the [`EventQueue`] clock, the typed [`KernelEvent`]
-//! observer stream, the shared [`RunAccumulator`], and the kernel's fault
-//! state, which schedules, counts and tracks every [`FaultPlan`] entry
-//! for both loops. The driver keeps only its reactions: a crash requeues
-//! the replica's sequences, a lifted stall kicks the stage, and a
-//! restored link releases held boundary crossers.
+//! [`run_continuous`] is token serving, one of the kernel's two
+//! disciplines: it runs on the kernel's one event loop, which owns the
+//! queue, the fault schedule, the accounting and each replica's
+//! lifecycle. Token serving keeps only its decisions: who joins a pass
+//! and what it costs, what a finished pass does, and where a crashed
+//! replica's work goes (its sequences requeue; a stage-B replica's jobs
+//! return to the fusion buffer). A lifted stall kicks the stage, and a
+//! restored link releases held boundary crossers. Busy time counts when
+//! a pass ends, and each slowdown factor scales the pass in start order
+//! (see the kernel's module docs for how this differs from batch
+//! serving).
 //!
 //! [`run_continuous`] also owns the KV-cache model, against the per-replica
 //! token budget its [`KvPlan`] is given: every generated token pins one
@@ -70,11 +74,11 @@ use std::collections::VecDeque;
 
 use e3_hardware::{GpuKind, LatencyModel, LinkKind};
 use e3_model::{EeModel, RampController};
-use e3_simcore::{EventQueue, SimDuration, SimTime};
+use e3_simcore::{EventQueue, SimDuration, SimQueue, SimTime};
 
-use super::accounting::RunAccumulator;
-use super::faults::{ExclusionReason, FaultAction, FaultPlan, FaultReaction, FaultState};
+use super::faults::FaultPlan;
 use super::observer::{KernelEvent, RunObserver};
+use super::{drive, Core, Discipline, Event};
 use crate::batch::FusionBuffer;
 use crate::report::RunReport;
 use crate::sample::SimSample;
@@ -202,29 +206,22 @@ struct SeqRt {
 }
 
 struct Rep {
-    stage: usize,
     resident: Vec<usize>,
     pass: Vec<usize>,
     bpass: Vec<SimSample>,
-    pass_width: f64,
     pass_cost: SimDuration,
-    busy: bool,
-    epoch: u32,
-    crashed: bool,
     kv_used: usize,
     carry: SimDuration,
 }
 
+/// Token serving's one event: stage B's fusion wait ran out.
 #[derive(Debug, Clone)]
-enum CEv {
-    StepDone { replica: usize, epoch: u32 },
-    BFlush,
-    Fault(FaultAction),
-}
+pub(crate) struct BFlush;
 
-struct Driver<'a, 'o> {
+struct Tokens<'a, Q> {
     cfg: &'a ContinuousConfig<'a>,
     specs: &'a [SequenceSpec],
+    core: Core<'a, BFlush, Q>,
     rt: Vec<SeqRt>,
     reps: Vec<Rep>,
     /// Queued sequence indices, oldest first; preempted and orphaned
@@ -233,11 +230,6 @@ struct Driver<'a, 'o> {
     bbuf: FusionBuffer,
     /// Boundary crossers waiting out a link outage.
     held: Vec<SimSample>,
-    /// The fault plan's schedule, counts and open windows.
-    faults: FaultState<'a>,
-    q: EventQueue<CEv>,
-    acc: RunAccumulator,
-    obs: &'o mut dyn RunObserver,
     crossings: u64,
     enc: usize,
     cut: usize,
@@ -434,39 +426,34 @@ pub fn run_continuous(
     specs: &[SequenceSpec],
     observer: &mut dyn RunObserver,
 ) -> ContinuousOutcome {
-    let mut d = Driver::new(cfg, specs, observer);
-    for (i, s) in specs.iter().enumerate() {
-        d.obs
-            .on_event(SimTime::ZERO, &KernelEvent::Arrival { sample: s.id });
-        d.pool.push_back(i);
-    }
-    d.faults.schedule(&mut d.q, CEv::Fault);
-    d.kick_stage_a();
+    run_on::<EventQueue<_>>(cfg, specs, observer)
+}
 
-    while let Some(ev) = d.q.pop() {
-        match ev.event {
-            CEv::StepDone { replica, epoch } => d.on_step_done(replica, epoch),
-            CEv::BFlush => d.try_start_b(),
-            CEv::Fault(action) => d.on_fault(action),
-        }
-    }
-
-    let duration = d.q.now().saturating_since(SimTime::ZERO);
+/// [`run_continuous`] on event queue `Q`: the calendar queue in every
+/// run, the binary-heap reference in the differential test.
+fn run_on<'a, Q: SimQueue<Event<BFlush>>>(
+    cfg: &'a ContinuousConfig<'a>,
+    specs: &'a [SequenceSpec],
+    observer: &'a mut dyn RunObserver,
+) -> ContinuousOutcome {
+    let mut d = Tokens::<Q>::new(cfg, specs, observer);
+    drive(&mut d);
+    let duration = d.core.now().saturating_since(SimTime::ZERO);
     let leftover = d.rt.iter().filter(|s| s.state != SState::Done).count() as u64;
     ContinuousOutcome {
-        report: d.acc.finish(duration),
+        report: d.core.acc.finish(duration),
         boundary_crossings: d.crossings,
         leftover,
     }
 }
 
-impl<'a, 'o> Driver<'a, 'o> {
-    /// Validates `cfg` and builds the driver's state with every sequence
+impl<'a, Q: SimQueue<Event<BFlush>>> Tokens<'a, Q> {
+    /// Validates `cfg` and builds the run's state with every sequence
     /// queued but nothing in the pool or on the clock yet.
     fn new(
         cfg: &'a ContinuousConfig<'a>,
         specs: &'a [SequenceSpec],
-        obs: &'o mut dyn RunObserver,
+        obs: &'a mut dyn RunObserver,
     ) -> Self {
         let ar = cfg.model.autoreg().expect("autoregressive model required");
         let enc = ar.encoder_layers;
@@ -506,16 +493,11 @@ impl<'a, 'o> Driver<'a, 'o> {
             })
             .collect();
         let reps = (0..num_replicas)
-            .map(|i| Rep {
-                stage: usize::from(i >= cfg.replicas_a),
+            .map(|_| Rep {
                 resident: Vec::new(),
                 pass: Vec::new(),
                 bpass: Vec::new(),
-                pass_width: 0.0,
                 pass_cost: SimDuration::ZERO,
-                busy: false,
-                epoch: 0,
-                crashed: false,
                 kv_used: 0,
                 carry: SimDuration::ZERO,
             })
@@ -531,7 +513,7 @@ impl<'a, 'o> Driver<'a, 'o> {
                 .prefill_direct(cfg.b0)
                 .mul_f64(1.0 / cfg.replicas_a as f64)
         });
-        Driver {
+        Tokens {
             cfg,
             specs,
             rt,
@@ -539,10 +521,14 @@ impl<'a, 'o> Driver<'a, 'o> {
             pool: VecDeque::new(),
             bbuf: FusionBuffer::new(cfg.b0),
             held: Vec::new(),
-            faults: FaultState::new(&cfg.fault_plan, num_replicas, num_stages),
-            q: EventQueue::new(),
-            acc: RunAccumulator::new(num_stages, num_replicas, cfg.slo, false),
-            obs,
+            core: Core::new(
+                &cfg.fault_plan,
+                (0..num_replicas).map(|i| usize::from(i >= cfg.replicas_a)),
+                num_stages,
+                cfg.slo,
+                false,
+                obs,
+            ),
             crossings: 0,
             enc,
             cut,
@@ -554,10 +540,6 @@ impl<'a, 'o> Driver<'a, 'o> {
 
     fn two_stage(&self) -> bool {
         self.cfg.boundary.is_some()
-    }
-
-    fn emit(&mut self, ev: KernelEvent) {
-        self.obs.on_event(self.q.now(), &ev);
     }
 
     fn kick_stage_a(&mut self) {
@@ -587,13 +569,13 @@ impl<'a, 'o> Driver<'a, 'o> {
         self.rt[idx].kv_tokens = debt;
         self.reps[r].resident.push(idx);
         self.reps[r].kv_used += debt;
-        self.emit(KernelEvent::SequenceJoined {
+        self.core.emit(KernelEvent::SequenceJoined {
             replica: r,
             sample: id,
         });
         if self.cfg.kv.is_some() {
             let resident_tokens = self.reps[r].kv_used;
-            self.emit(KernelEvent::KvAdmitted {
+            self.core.emit(KernelEvent::KvAdmitted {
                 replica: r,
                 sample: id,
                 resident_tokens,
@@ -612,7 +594,7 @@ impl<'a, 'o> Driver<'a, 'o> {
     }
 
     fn try_start_a(&mut self, r: usize) {
-        if self.reps[r].busy || self.reps[r].crashed || self.faults.stalled(0) {
+        if !self.core.ready(r) {
             return;
         }
         // Admission: refill free slots from the pool.
@@ -706,20 +688,13 @@ impl<'a, 'o> Driver<'a, 'o> {
         self.hist = hist;
         let cost = self.stretch(r, cost);
 
-        let width = padded_width.unwrap_or(pass.len()) as f64;
-        self.acc.record_dispatch(0, width);
-        self.emit(KernelEvent::ExecStart {
-            replica: r,
-            stage: 0,
-            size: pass.len(),
-        });
+        // A padded window reports its padded width when the pass ends.
+        let width = padded_width.unwrap_or(pass.len());
+        self.core.acc.record_dispatch(0, width as f64);
+        let size = pass.len();
         self.reps[r].pass = pass;
-        self.reps[r].pass_width = width;
         self.reps[r].pass_cost = cost;
-        self.reps[r].busy = true;
-        let epoch = self.reps[r].epoch;
-        self.q
-            .schedule_after(cost, CEv::StepDone { replica: r, epoch });
+        self.core.begin(r, size, width, cost);
     }
 
     fn token_layers(&self, idx: usize) -> usize {
@@ -737,12 +712,8 @@ impl<'a, 'o> Driver<'a, 'o> {
             correct: true,
             output_tokens: spec.tokens.len() as u32,
         };
-        let within = self.acc.complete(&s, self.q.now());
+        self.core.complete(&s);
         self.rt[idx].state = SState::Done;
-        self.emit(KernelEvent::Completion {
-            sample: spec.id,
-            within_slo: within,
-        });
     }
 
     fn free_kv(&mut self, idx: usize, home: usize) {
@@ -751,23 +722,7 @@ impl<'a, 'o> Driver<'a, 'o> {
         self.rt[idx].kv_tokens = 0;
     }
 
-    fn on_step_done(&mut self, r: usize, epoch: u32) {
-        if self.reps[r].epoch != epoch || !self.reps[r].busy {
-            return; // stale: the replica crashed since this was scheduled
-        }
-        if self.reps[r].stage == 1 {
-            self.on_b_done(r);
-            return;
-        }
-        self.reps[r].busy = false;
-        let (dur, width) = (self.reps[r].pass_cost, self.reps[r].pass_width);
-        self.acc
-            .record_busy(r, dur, self.cfg.lm.occupancy(width, self.cfg.gpu));
-        self.emit(KernelEvent::ExecDone {
-            replica: r,
-            stage: 0,
-            size: width as usize,
-        });
+    fn on_a_done(&mut self, r: usize) {
         // Take the pass buffer out so the loop can mutate `self`; it is
         // cleared and handed back below for the next step to reuse.
         let mut pass = std::mem::take(&mut self.reps[r].pass);
@@ -787,11 +742,11 @@ impl<'a, 'o> Driver<'a, 'o> {
                     correct: true,
                     output_tokens: 1,
                 };
-                if self.faults.link_down(0) {
+                if self.core.faults.link_down(0) {
                     self.held.push(job);
                 } else {
                     transfers += 1;
-                    self.bbuf.push(job, self.q.now());
+                    self.bbuf.push(job, self.core.now());
                 }
             } else {
                 self.finish_token(idx);
@@ -800,12 +755,12 @@ impl<'a, 'o> Driver<'a, 'o> {
         pass.clear();
         self.reps[r].pass = pass;
         if transfers > 0 {
-            self.emit(KernelEvent::StageTransfer {
+            self.core.emit(KernelEvent::StageTransfer {
                 from_stage: 0,
                 to_stage: 1,
                 size: transfers,
             });
-            self.q.schedule_after(self.bwait, CEv::BFlush);
+            self.core.serve_after(self.bwait, BFlush);
         }
         // Window drain: the next window may only form once every member
         // (including finished padding) is done.
@@ -817,7 +772,7 @@ impl<'a, 'o> Driver<'a, 'o> {
         {
             for idx in std::mem::take(&mut self.reps[r].resident) {
                 let id = self.specs[idx].id;
-                self.emit(KernelEvent::SequenceLeft {
+                self.core.emit(KernelEvent::SequenceLeft {
                     replica: r,
                     sample: id,
                 });
@@ -834,8 +789,9 @@ impl<'a, 'o> Driver<'a, 'o> {
     fn finish_token(&mut self, idx: usize) {
         let id = self.specs[idx].id;
         let index = self.rt[idx].next_token as u32;
-        self.emit(KernelEvent::TokenGenerated { sample: id, index });
-        self.acc.record_tokens(1);
+        self.core
+            .emit(KernelEvent::TokenGenerated { sample: id, index });
+        self.core.acc.record_tokens(1);
         self.rt[idx].next_token += 1;
         if self.rt[idx].next_token == self.specs[idx].tokens.len() {
             let home = match self.rt[idx].state {
@@ -847,7 +803,7 @@ impl<'a, 'o> Driver<'a, 'o> {
                 self.free_kv(idx, h);
                 if self.cfg.join == JoinPolicy::Continuous {
                     self.reps[h].resident.retain(|&i| i != idx);
-                    self.emit(KernelEvent::SequenceLeft {
+                    self.core.emit(KernelEvent::SequenceLeft {
                         replica: h,
                         sample: id,
                     });
@@ -887,14 +843,14 @@ impl<'a, 'o> Driver<'a, 'o> {
                 // Swapping out moves the same bytes as swapping back in.
                 self.reps[r].carry += self.costs.rebuild(tokens);
             }
-            self.acc.record_kv_preemption();
-            self.emit(KernelEvent::KvPreempted {
+            self.core.acc.record_kv_preemption();
+            self.core.emit(KernelEvent::KvPreempted {
                 replica: r,
                 sample: id,
                 tokens_freed: tokens,
                 swapped: kv.mode == PreemptMode::Swap,
             });
-            self.emit(KernelEvent::SequenceLeft {
+            self.core.emit(KernelEvent::SequenceLeft {
                 replica: r,
                 sample: id,
             });
@@ -917,13 +873,13 @@ impl<'a, 'o> Driver<'a, 'o> {
             return;
         }
         for r in self.cfg.replicas_a..self.reps.len() {
-            if self.reps[r].busy || self.reps[r].crashed || self.faults.stalled(1) {
+            if !self.core.ready(r) {
                 continue;
             }
             if self.bbuf.is_empty() {
                 break;
             }
-            let now = self.q.now();
+            let now = self.core.now();
             // A partial batch is due after the fusion wait — or at once
             // when stage A can produce no further crossers (drain mode:
             // every unfinished sequence is already at the boundary).
@@ -942,7 +898,7 @@ impl<'a, 'o> Driver<'a, 'o> {
                 break;
             };
             let size = batch.len();
-            self.emit(KernelEvent::BatchFormed {
+            self.core.emit(KernelEvent::BatchFormed {
                 stage: 1,
                 size,
                 partial: size < self.cfg.b0,
@@ -959,32 +915,14 @@ impl<'a, 'o> Driver<'a, 'o> {
             let cost = costs.layers(&costs.stage_b, &hist, size) + costs.head(size);
             self.hist = hist;
             let cost = self.stretch(r, cost);
-            self.acc.record_dispatch(1, size as f64);
-            self.emit(KernelEvent::ExecStart {
-                replica: r,
-                stage: 1,
-                size,
-            });
+            self.core.acc.record_dispatch(1, size as f64);
             self.reps[r].bpass = batch.samples;
-            self.reps[r].pass_width = size as f64;
             self.reps[r].pass_cost = cost;
-            self.reps[r].busy = true;
-            let epoch = self.reps[r].epoch;
-            self.q
-                .schedule_after(cost, CEv::StepDone { replica: r, epoch });
+            self.core.begin(r, size, size, cost);
         }
     }
 
     fn on_b_done(&mut self, r: usize) {
-        self.reps[r].busy = false;
-        let (dur, width) = (self.reps[r].pass_cost, self.reps[r].pass_width);
-        self.acc
-            .record_busy(r, dur, self.cfg.lm.occupancy(width, self.cfg.gpu));
-        self.emit(KernelEvent::ExecDone {
-            replica: r,
-            stage: 1,
-            size: width as usize,
-        });
         let jobs = std::mem::take(&mut self.reps[r].bpass);
         for job in jobs {
             let idx = job.id as usize;
@@ -997,7 +935,7 @@ impl<'a, 'o> Driver<'a, 'o> {
                 continue;
             }
             match home {
-                Some(h) if !self.reps[h].crashed => {
+                Some(h) if !self.core.reps[h].crashed => {
                     self.rt[idx].state = SState::Running { home: h };
                 }
                 _ => {
@@ -1017,60 +955,49 @@ impl<'a, 'o> Driver<'a, 'o> {
     /// Scales a pass by `r`'s active slowdown factors, one `mul_f64`
     /// each in start order.
     fn stretch(&self, r: usize, mut cost: SimDuration) -> SimDuration {
-        for f in self.faults.slowdowns(r) {
+        for f in self.core.faults.slowdowns(r) {
             cost = cost.mul_f64(f);
         }
         cost
     }
+}
 
-    /// Applies one scheduled fault action and reacts to what it changed.
-    fn on_fault(&mut self, action: FaultAction) {
-        let now = self.q.now();
-        match self
-            .faults
-            .apply(action, now, &mut self.acc, &mut *self.obs)
-        {
-            Some(FaultReaction::Crash(replica)) => self.crash(replica),
-            Some(FaultReaction::Recover(replica)) => self.recover(replica),
-            Some(FaultReaction::StallLifted(0)) => self.kick_stage_a(),
-            Some(FaultReaction::StallLifted(_)) => self.try_start_b(),
-            Some(FaultReaction::LinkRestored(_)) => {
-                let held = std::mem::take(&mut self.held);
-                let n = held.len();
-                for job in held {
-                    self.bbuf.push(job, now);
-                }
-                if n > 0 {
-                    self.emit(KernelEvent::StageTransfer {
-                        from_stage: 0,
-                        to_stage: 1,
-                        size: n,
-                    });
-                    self.q.schedule_after(self.bwait, CEv::BFlush);
-                }
-                self.try_start_b();
-            }
-            None => {}
+impl<'a, Q: SimQueue<Event<BFlush>>> Discipline<'a> for Tokens<'a, Q> {
+    type Ev = BFlush;
+    type Q = Q;
+
+    fn core(&mut self) -> &mut Core<'a, BFlush, Q> {
+        &mut self.core
+    }
+
+    fn start(&mut self) {
+        for (i, s) in self.specs.iter().enumerate() {
+            self.core.emit(KernelEvent::Arrival { sample: s.id });
+            self.pool.push_back(i);
+        }
+        self.kick_stage_a();
+    }
+
+    fn on_event(&mut self, _: BFlush) {
+        self.try_start_b();
+    }
+
+    /// Busy time counts here, when the pass ends.
+    fn on_done(&mut self, r: usize) {
+        let (cost, width) = (self.reps[r].pass_cost, self.core.reps[r].done_size);
+        let occupancy = self.cfg.lm.occupancy(width as f64, self.cfg.gpu);
+        self.core.acc.record_busy(r, cost, occupancy);
+        if self.core.reps[r].stage == 0 {
+            self.on_a_done(r);
+        } else {
+            self.on_b_done(r);
         }
     }
 
-    /// Crashes `replica` (a crashed one stays as it is): its pass is
-    /// lost, a stage-A replica's sequences drop their caches and requeue
-    /// at the front, and a stage-B replica's jobs return to the fusion
-    /// buffer.
-    fn crash(&mut self, replica: usize) {
-        if self.reps[replica].crashed {
-            return;
-        }
-        self.acc.record_exclusion(replica, self.q.now());
-        self.emit(KernelEvent::ReplicaExcluded {
-            replica,
-            reason: ExclusionReason::Crash,
-        });
-        self.reps[replica].crashed = true;
-        self.reps[replica].epoch += 1;
-        self.reps[replica].busy = false;
-        if self.reps[replica].stage == 0 {
+    /// A stage-A replica's sequences drop their caches and requeue at the
+    /// front; a stage-B replica's jobs return to the fusion buffer.
+    fn on_crash(&mut self, replica: usize) {
+        if self.core.reps[replica].stage == 0 {
             self.reps[replica].pass.clear();
             let resident = std::mem::take(&mut self.reps[replica].resident);
             // Requeue in reverse so push_front restores join order.
@@ -1085,7 +1012,7 @@ impl<'a, 'o> Driver<'a, 'o> {
                 } else {
                     s.state = SState::Queued;
                     let id = self.specs[idx].id;
-                    self.emit(KernelEvent::SequenceLeft {
+                    self.core.emit(KernelEvent::SequenceLeft {
                         replica,
                         sample: id,
                     });
@@ -1099,32 +1026,51 @@ impl<'a, 'o> Driver<'a, 'o> {
             // restarts now.
             let jobs = std::mem::take(&mut self.reps[replica].bpass);
             for job in jobs.into_iter().rev() {
-                self.bbuf.push_front(job, self.q.now());
+                self.bbuf.push_front(job, self.core.now());
             }
             self.try_start_b();
         }
     }
 
-    /// Returns a crashed `replica` to service (a live one stays as it
-    /// is).
-    fn recover(&mut self, replica: usize) {
-        if !self.reps[replica].crashed {
-            return;
-        }
-        self.reps[replica].crashed = false;
-        self.acc.record_recovery(replica, self.q.now());
-        self.emit(KernelEvent::ReplicaRecovered { replica });
-        if self.reps[replica].stage == 0 {
+    fn on_recover(&mut self, replica: usize) {
+        if self.core.reps[replica].stage == 0 {
             self.try_start_a(replica);
         } else {
             self.try_start_b();
         }
+    }
+
+    fn on_stall_lifted(&mut self, stage: usize) {
+        if stage == 0 {
+            self.kick_stage_a();
+        } else {
+            self.try_start_b();
+        }
+    }
+
+    fn on_link_restored(&mut self, _stage: usize) {
+        let held = std::mem::take(&mut self.held);
+        let n = held.len();
+        let now = self.core.now();
+        for job in held {
+            self.bbuf.push(job, now);
+        }
+        if n > 0 {
+            self.core.emit(KernelEvent::StageTransfer {
+                from_stage: 0,
+                to_stage: 1,
+                size: n,
+            });
+            self.core.serve_after(self.bwait, BFlush);
+        }
+        self.try_start_b();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::faults::{decoded_fault_plan, FaultAction};
     use crate::kernel::observer::EventLog;
     use crate::kernel::NullObserver;
     use e3_model::{zoo, RampStyle};
@@ -1135,7 +1081,7 @@ mod tests {
     /// The per-pass pricing the step-cost tables replaced, kept as the
     /// reference they are checked against: every layer re-derived from
     /// the latency model at a width found by filtering the members.
-    impl Driver<'_, '_> {
+    impl Tokens<'_, EventQueue<Event<BFlush>>> {
         fn reference_layer_cost(&self, k: usize) -> f64 {
             let l = self.cfg.model.layers()[k];
             l.work_us + l.fixed_us
@@ -1326,9 +1272,10 @@ mod tests {
             }
 
             let mut obs = NullObserver;
-            let mut d = Driver::new(&cfg, &specs, &mut obs);
+            let mut d = Tokens::<EventQueue<_>>::new(&cfg, &specs, &mut obs);
+            let core = &mut d.core;
             for i in 0..cfg.fault_plan.len() {
-                d.faults.apply(FaultAction::Start(i), on, &mut d.acc, &mut *d.obs);
+                core.faults.apply(FaultAction::Start(i), on, &mut core.acc, &mut *core.obs);
             }
             // Stage A: a random resident set on replica 0 (at most b0
             // members in a window, as admission keeps it), with fresh
@@ -1357,7 +1304,7 @@ mod tests {
             d.reps[0].carry = SimDuration::from_nanos(rng.gen_range(0u64..2_000_000));
             let expected = d.reference_pass_a(0);
             d.try_start_a(0);
-            let got = d.reps[0].busy.then(|| (d.reps[0].pass.clone(), d.reps[0].pass_cost));
+            let got = d.core.reps[0].busy.then(|| (d.reps[0].pass.clone(), d.reps[0].pass_cost));
             prop_assert_eq!(&got, &expected);
             for &i in &d.reps[0].pass {
                 prop_assert!(d.rt[i].encoded && d.rt[i].debt == 0);
@@ -1380,9 +1327,83 @@ mod tests {
                     d.bbuf.push(job, SimTime::ZERO);
                 }
                 d.try_start_b();
-                prop_assert!(d.reps[1].busy);
+                prop_assert!(d.core.reps[1].busy);
                 prop_assert_eq!(d.reps[1].pass_cost, d.reference_cost_b(1));
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Token serving on the calendar queue replays the binary-heap
+        /// reference queue event for event: single- and two-stage splits,
+        /// both joins, KV budgets that preempt, and decoded fault plans
+        /// with link outages. The token-side twin of
+        /// `engine::tests::calendar_queue_replays_reference_event_stream`.
+        #[test]
+        fn calendar_queue_replays_reference_token_stream(
+            words in proptest::collection::vec(0u64..u64::MAX, 0..6),
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let calm = zoo::calm_t5();
+            let ctrl = RampController::all_enabled(calm.num_ramps(), RampStyle::Independent);
+            let l = lm();
+            let layers = calm.num_layers();
+            let enc = calm.autoreg().expect("autoreg").encoder_layers;
+            let join = [
+                JoinPolicy::Continuous,
+                JoinPolicy::Window { padded: true },
+                JoinPolicy::Window { padded: false },
+            ][rng.gen_range(0usize..3)];
+            let mut cfg = base_cfg(&calm, &ctrl, &l, join, rng.gen_range(1usize..9), rng.gen_range(1usize..4));
+            if join == JoinPolicy::Continuous && rng.gen_bool(0.6) {
+                cfg.boundary = Some(rng.gen_range(enc + 1..layers));
+                cfg.replicas_b = rng.gen_range(1usize..3);
+                cfg.deferred_exits = true;
+            }
+            let mode = [PreemptMode::Recompute, PreemptMode::Swap][rng.gen_range(0usize..2)];
+            cfg.kv = rng.gen_bool(0.7).then(|| KvPlan {
+                capacity_tokens: rng.gen_range(4usize..48),
+                bytes_per_token: calm.autoreg().expect("autoreg").kv_bytes_per_token,
+                mode,
+            });
+            let stages = 1 + usize::from(cfg.boundary.is_some());
+            cfg.fault_plan =
+                decoded_fault_plan(&words, cfg.replicas_a + cfg.replicas_b, stages, 300);
+            let specs: Vec<SequenceSpec> = (0..rng.gen_range(1u64..24))
+                .map(|id| SequenceSpec {
+                    id,
+                    arrival: SimTime::ZERO,
+                    tokens: (0..rng.gen_range(1usize..10))
+                        .map(|_| TokenJourney {
+                            layers_executed: rng.gen_range(enc + 1..layers + 1),
+                        })
+                        .collect(),
+                })
+                .collect();
+
+            let mut calendar_log = EventLog::new();
+            let calendar = run_on::<EventQueue<_>>(&cfg, &specs, &mut calendar_log);
+            let mut reference_log = EventLog::new();
+            let reference =
+                run_on::<e3_simcore::ReferenceQueue<_>>(&cfg, &specs, &mut reference_log);
+
+            prop_assert_eq!(&calendar_log.events, &reference_log.events);
+            let outcome = |o: &ContinuousOutcome| {
+                let r = &o.report;
+                (
+                    r.completed,
+                    r.tokens_generated,
+                    r.kv_preemptions,
+                    r.faults_injected,
+                    r.duration,
+                    o.boundary_crossings,
+                    o.leftover,
+                )
+            };
+            prop_assert_eq!(outcome(&calendar), outcome(&reference));
         }
     }
 

@@ -7,9 +7,9 @@
 //! exactly as deterministic as one without: the same seed and the same
 //! plan produce a bit-identical event stream and report.
 //!
-//! Both runtime loops — the batch kernel and the continuous-batching
-//! driver — read the plan through one crate-private `FaultState`, which
-//! fixes three rules for both:
+//! The kernel's one event loop reads the plan through one crate-private
+//! `FaultState`, which fixes three rules for both serving disciplines
+//! (batch serving and token serving):
 //!
 //! * **Order.** Every entry's start, then every windowed entry's end, in
 //!   plan order, goes on the queue before any other event, so at one
@@ -122,7 +122,7 @@ impl FaultEvent {
     }
 
     /// When the fault first takes effect.
-    pub fn starts_at(&self) -> SimTime {
+    pub(crate) fn starts_at(&self) -> SimTime {
         match self {
             FaultEvent::ReplicaCrash { at, .. } | FaultEvent::DelayedRecovery { at, .. } => *at,
             FaultEvent::TransientSlowdown { from, .. }
@@ -158,11 +158,6 @@ impl FaultPlan {
     /// An empty plan (no faults).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Builds a plan from explicit events.
-    pub fn from_events(events: Vec<FaultEvent>) -> Self {
-        FaultPlan { events }
     }
 
     /// Schedules a crash of `replica` at `at`.
@@ -304,10 +299,10 @@ pub(crate) enum FaultReaction {
     LinkRestored(usize),
 }
 
-/// The one fault model both runtime loops share: it schedules a
-/// [`FaultPlan`], counts and narrates each entry, and holds the windows
-/// in effect. A loop keeps only its reactions and its crash flags (the
-/// two loops react to a crash differently).
+/// The one fault model of the event loop: it schedules a [`FaultPlan`],
+/// counts and narrates each entry, and holds the windows in effect. The
+/// loop keeps each replica's crash state, and each discipline its own
+/// reactions (the two react to a crash differently).
 pub(crate) struct FaultState<'a> {
     plan: &'a [FaultEvent],
     /// Per-stage count of active [`FaultEvent::StageStall`] windows.
@@ -378,7 +373,7 @@ impl<'a> FaultState<'a> {
                 None
             }
             // An end lifts its own entry's factor, not the first equal
-            // one, so the rest keep the start order the continuous driver
+            // one, so the rest keep the start order token serving
             // multiplies in.
             FaultAction::End(i) => match self.plan[i] {
                 FaultEvent::TransientSlowdown { replica, .. } => {
@@ -415,6 +410,36 @@ impl<'a> FaultState<'a> {
     pub(crate) fn slowdowns(&self, replica: usize) -> impl Iterator<Item = f64> + '_ {
         self.slowdowns[replica].iter().map(|&(_, f)| f)
     }
+}
+
+/// Decodes raw entropy words into a fault plan valid for `replicas`
+/// replicas over `stages` stages: each word yields a crash, a crash with
+/// a delayed recovery, a slowdown, a stage stall or (with two stages or
+/// more) a link outage out of stage 0, starting on a millisecond grid
+/// inside `horizon_ms`, so any word vector makes a well-formed plan and
+/// ties abound.
+#[cfg(test)]
+pub(crate) fn decoded_fault_plan(
+    words: &[u64],
+    replicas: usize,
+    stages: usize,
+    horizon_ms: u64,
+) -> FaultPlan {
+    let mut plan = FaultPlan::new();
+    for &w in words {
+        let replica = ((w >> 3) % replicas as u64) as usize;
+        let stage = ((w >> 7) % stages as u64) as usize;
+        let from = SimTime::from_millis((w >> 16) % horizon_ms);
+        let until = from + e3_simcore::SimDuration::from_millis(1 + (w >> 24) % 60);
+        plan = match w % 5 {
+            0 => plan.crash(replica, from),
+            1 => plan.crash(replica, from).recover(replica, until),
+            2 => plan.slowdown(replica, 1.5 + ((w >> 32) % 5) as f64 * 0.5, from, until),
+            3 if stages >= 2 => plan.link_down(0, from, until),
+            _ => plan.stall(stage, from, until),
+        };
+    }
+    plan
 }
 
 /// Why a replica was excluded from assignment.

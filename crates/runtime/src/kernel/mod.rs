@@ -1,32 +1,41 @@
-//! The serving kernel: one event-driven loop, policy-free.
+//! The serving kernel: the runtime's one event loop.
 //!
-//! Everything the runtime serves — the Vanilla/NaiveEe/Plan strategies of
-//! [`crate::engine::ServingSim`], open and closed loop — runs through the
-//! single `Kernel` event loop here, driven by
-//! [`e3_simcore::EventQueue`]. The loop owns only *mechanism*: queues,
-//! replicas, timers, transfers, backpressure. Every *decision* is
-//! delegated through a policy seam:
+//! Every run the runtime serves goes through `drive` here, driven by
+//! [`e3_simcore::EventQueue`]. The loop owns the *mechanism* both serving
+//! disciplines share, once:
 //!
-//! * [`AdmissionPolicy`] — admit or drop a sample at dispatch time
-//!   ([`AdmitAll`], [`SloSlackAdmission`]);
-//! * [`BatchingPolicy`] — how batches form from waiting samples
-//!   ([`FusionBatching`]);
-//! * [`StragglerPolicy`] — which replicas get excluded
-//!   ([`NoStragglerDetection`], [`RelativeSlowdown`]).
+//! * the queue drain, and the fault plan's schedule with the dispatch of
+//!   each fault reaction (one fault state in [`faults`]);
+//! * each replica's lifecycle: busy, crashed, excluded and epoch, the
+//!   stale-completion check, the `ExecStart`/`ExecDone` narration, and
+//!   the accounting and narration of crash exclusion and recovery.
+//!
+//! A discipline keeps only its *decisions*: what a replica runs next,
+//! what a finished pass does, and where crashed work goes. There are two:
+//!
+//! * batch serving (this module) — the Vanilla/NaiveEe/Plan strategies
+//!   of [`crate::engine::ServingSim`], open and closed loop: queues,
+//!   routing, fusion, transfers and backpressure, calling the paper's
+//!   `policy` types directly — SLO-slack admission, fusion batching
+//!   and relative-slowdown straggler detection;
+//! * token serving ([`run_continuous`]) — iteration-level continuous
+//!   batching with KV admission and preemption for autoregressive models.
+//!
+//! The two react to the same fault differently. Here a crash re-routes
+//! the replica's batches, a recovery re-admits it (a straggler-excluded
+//! one too) with fresh service statistics, and a lifted stall kicks the
+//! stage's replicas. Their arithmetic differs on purpose too: batch
+//! serving counts busy time when a batch starts (a batch lost to a crash
+//! still counts) and multiplies the active slowdowns into one factor;
+//! token serving counts it when a pass ends and applies each factor in
+//! start order, which rounds differently.
 //!
 //! A [`RunObserver`] receives the typed [`KernelEvent`] stream (arrival,
 //! admit, drop, batch-formed, fusion, exec start/done, stage transfer,
 //! completion) after each transition; observation cannot perturb
 //! scheduling. Metrics funnel through the shared [`RunAccumulator`],
-//! which the serial barrier driver ([`crate::serial`]) reuses so both
-//! execution modes account identically.
-//!
-//! A [`FaultPlan`] reaches this loop and the continuous-batching driver
-//! ([`run_continuous`]) through one fault state in [`faults`]: it
-//! schedules every start and end, counts each entry, and holds the open
-//! stall, outage and slowdown windows. Each loop keeps only its
-//! reactions. Here a crash re-routes the replica's batches, a recovery
-//! re-admits it, and a lifted stall kicks the stage's replicas.
+//! which the serial barrier schedule ([`crate::serial`]) reuses so every
+//! schedule accounts identically.
 
 mod accounting;
 mod continuous;
@@ -44,43 +53,269 @@ pub use observer::{
     EventLog, KernelEvent, NullObserver, OffsetObserver, RunObserver, TagObserver, TaggedEventLog,
     TeeObserver,
 };
-pub use policy::{
-    AdmissionPolicy, AdmitAll, BatchingPolicy, FusionBatching, NoStragglerDetection,
-    RelativeSlowdown, ReplicaPerf, SloSlackAdmission, StragglerPolicy, FUSION_MAX_WAIT,
-};
+pub use policy::FUSION_MAX_WAIT;
+pub(crate) use policy::{FusionBatching, SloSlackAdmission};
 
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 
 use e3_hardware::GpuKind;
-use e3_simcore::{EventQueue, SimQueue, SimTime};
+use e3_simcore::{EventQueue, SimDuration, SimQueue, SimTime};
 
 use crate::batch::Batch;
 use crate::engine::ServingSim;
 use crate::executor::execute_batch;
 use crate::sample::SimSample;
 use faults::{FaultAction, FaultReaction, FaultState};
+use policy::{RelativeSlowdown, ReplicaPerf};
+
+/// One entry on a run's event queue: the end of a replica's pass, one
+/// edge of a fault-plan entry, or an event of the serving discipline.
+#[derive(Debug, Clone)]
+pub(crate) enum Event<E> {
+    /// The pass `replica` began in `epoch` ended; stale if the replica
+    /// crashed since.
+    Done {
+        replica: usize,
+        epoch: u32,
+    },
+    Fault(FaultAction),
+    Serve(E),
+}
+
+/// One replica's lifecycle, which the loop owns for both disciplines.
+struct Life {
+    stage: usize,
+    busy: bool,
+    /// True while crashed: unlike a straggler (which may finish queued
+    /// work), a crashed replica starts nothing until recovered.
+    crashed: bool,
+    /// Receives no new work: crashed, or excluded as a straggler.
+    excluded: bool,
+    /// Bumped on crash, so the pending `Done` of the pass that died with
+    /// the replica is recognized as stale and ignored.
+    epoch: u32,
+    /// The width the running pass's `ExecDone` reports.
+    done_size: usize,
+}
+
+/// The mechanism of one run: the event queue and its clock, the fault
+/// windows, the accounting, the observer and every replica's lifecycle.
+///
+/// Generic over the event queue so differential tests can replay the
+/// identical run on the binary-heap [`e3_simcore::ReferenceQueue`] and
+/// compare event streams against the calendar-queue default.
+pub(crate) struct Core<'a, E, Q> {
+    q: Q,
+    faults: FaultState<'a>,
+    acc: RunAccumulator,
+    obs: &'a mut dyn RunObserver,
+    reps: Vec<Life>,
+    event: PhantomData<E>,
+}
+
+impl<'a, E, Q: SimQueue<Event<E>>> Core<'a, E, Q> {
+    /// A run over one replica per entry of `stage_of` (its stage), with
+    /// `plan` validated against that shape and an accumulator over `slo`.
+    fn new(
+        plan: &'a FaultPlan,
+        stage_of: impl Iterator<Item = usize>,
+        num_stages: usize,
+        slo: SimDuration,
+        record_exit_events: bool,
+        obs: &'a mut dyn RunObserver,
+    ) -> Self {
+        let reps: Vec<Life> = stage_of
+            .map(|stage| Life {
+                stage,
+                busy: false,
+                crashed: false,
+                excluded: false,
+                epoch: 0,
+                done_size: 0,
+            })
+            .collect();
+        Core {
+            q: Q::new(),
+            faults: FaultState::new(plan, reps.len(), num_stages),
+            acc: RunAccumulator::new(num_stages, reps.len(), slo, record_exit_events),
+            obs,
+            reps,
+            event: PhantomData,
+        }
+    }
+
+    fn now(&self) -> SimTime {
+        self.q.now()
+    }
+
+    fn emit(&mut self, event: KernelEvent) {
+        self.obs.on_event(self.q.now(), &event);
+    }
+
+    /// Accounts and narrates the completion of `sample` now.
+    fn complete(&mut self, sample: &SimSample) {
+        let within_slo = self.acc.complete(sample, self.q.now());
+        self.emit(KernelEvent::Completion {
+            sample: sample.id,
+            within_slo,
+        });
+    }
+
+    /// Schedules a discipline event at `at`.
+    fn serve_at(&mut self, at: SimTime, event: E) {
+        self.q.schedule(at, Event::Serve(event));
+    }
+
+    /// Schedules a discipline event `delay` from now.
+    fn serve_after(&mut self, delay: SimDuration, event: E) {
+        self.q.schedule_after(delay, Event::Serve(event));
+    }
+
+    /// True when `r` may start a pass: idle, live, and its stage not
+    /// stalled.
+    fn ready(&self, r: usize) -> bool {
+        let life = &self.reps[r];
+        !life.busy && !life.crashed && !self.faults.stalled(life.stage)
+    }
+
+    /// Starts a pass of `size` members on `r` that ends after `duration`
+    /// and reports `done_size` when it does.
+    fn begin(&mut self, r: usize, size: usize, done_size: usize, duration: SimDuration) {
+        let life = &mut self.reps[r];
+        life.busy = true;
+        life.done_size = done_size;
+        let (stage, epoch) = (life.stage, life.epoch);
+        self.emit(KernelEvent::ExecStart {
+            replica: r,
+            stage,
+            size,
+        });
+        self.q
+            .schedule_after(duration, Event::Done { replica: r, epoch });
+    }
+
+    /// Ends `r`'s pass begun in `epoch`: false (and nothing changes) when
+    /// it is stale.
+    fn finish(&mut self, r: usize, epoch: u32) -> bool {
+        let life = &mut self.reps[r];
+        if life.epoch != epoch || !life.busy {
+            return false; // stale: the replica crashed while this ran
+        }
+        life.busy = false;
+        let (stage, size) = (life.stage, life.done_size);
+        self.emit(KernelEvent::ExecDone {
+            replica: r,
+            stage,
+            size,
+        });
+        true
+    }
+
+    /// Excludes `r` from new work.
+    fn exclude(&mut self, r: usize, reason: ExclusionReason) {
+        self.reps[r].excluded = true;
+        self.acc.record_exclusion(r, self.q.now());
+        self.emit(KernelEvent::ReplicaExcluded { replica: r, reason });
+    }
+
+    /// Crashes `r`, invalidating its running pass; false when it already
+    /// was crashed.
+    fn crash(&mut self, r: usize) -> bool {
+        let life = &mut self.reps[r];
+        if life.crashed {
+            return false;
+        }
+        life.crashed = true;
+        life.epoch += 1;
+        life.busy = false;
+        self.exclude(r, ExclusionReason::Crash);
+        true
+    }
+
+    /// Returns an excluded `r` to service; false when it was not
+    /// excluded. Fault windows on the replica stay as they are.
+    fn recover(&mut self, r: usize) -> bool {
+        let life = &mut self.reps[r];
+        if !life.excluded {
+            return false;
+        }
+        life.crashed = false;
+        life.excluded = false;
+        self.acc.record_recovery(r, self.q.now());
+        self.emit(KernelEvent::ReplicaRecovered { replica: r });
+        true
+    }
+}
+
+/// A serving discipline: the decisions [`drive`] delegates. Each hook runs
+/// after the loop has applied the mechanism.
+pub(crate) trait Discipline<'a> {
+    /// The discipline's own events.
+    type Ev;
+    /// The event queue the run uses.
+    type Q: SimQueue<Event<Self::Ev>>;
+    fn core(&mut self) -> &mut Core<'a, Self::Ev, Self::Q>;
+    /// Seeds the run once the fault schedule is on the queue.
+    fn start(&mut self);
+    fn on_event(&mut self, event: Self::Ev);
+    /// `r`'s pass ended: it is idle and its `ExecDone` narrated.
+    fn on_done(&mut self, r: usize);
+    /// `r` crashed: its pass is lost; move its work.
+    fn on_crash(&mut self, r: usize);
+    /// `r` is back in service.
+    fn on_recover(&mut self, r: usize);
+    /// The last stall on `stage` lifted.
+    fn on_stall_lifted(&mut self, stage: usize);
+    /// The link out of `stage` came back from its last outage.
+    fn on_link_restored(&mut self, stage: usize);
+}
+
+/// The event loop: schedules the fault plan, seeds the discipline, and
+/// drains the queue.
+pub(crate) fn drive<'a, D: Discipline<'a>>(d: &mut D) {
+    // Fault actions go on the queue first: at equal timestamps the
+    // stable FIFO tie-break then applies a fault before any other event
+    // scheduled at the same instant, independent of plan contents.
+    let core = d.core();
+    core.faults.schedule(&mut core.q, Event::Fault);
+    d.start();
+    while let Some(ev) = d.core().q.pop() {
+        match ev.event {
+            Event::Done { replica, epoch } => {
+                if d.core().finish(replica, epoch) {
+                    d.on_done(replica);
+                }
+            }
+            Event::Fault(action) => {
+                let core = d.core();
+                let now = core.q.now();
+                match core
+                    .faults
+                    .apply(action, now, &mut core.acc, &mut *core.obs)
+                {
+                    // A crash of a crashed replica, or a recovery of one
+                    // in service, changes nothing.
+                    Some(FaultReaction::Crash(r)) if d.core().crash(r) => d.on_crash(r),
+                    Some(FaultReaction::Recover(r)) if d.core().recover(r) => d.on_recover(r),
+                    Some(FaultReaction::StallLifted(stage)) => d.on_stall_lifted(stage),
+                    Some(FaultReaction::LinkRestored(stage)) => d.on_link_restored(stage),
+                    _ => {}
+                }
+            }
+            Event::Serve(e) => d.on_event(e),
+        }
+    }
+}
 
 /// Recycled sample buffers kept per kernel run; bounds pool growth when a
 /// fault burst strands many batches at once.
 const SAMPLE_POOL_CAP: usize = 64;
 
-/// The three policy seams of one kernel run, boxed.
-pub(crate) struct KernelPolicies<'p> {
-    /// Admit-or-drop decisions at dispatch time.
-    pub(crate) admission: Box<dyn AdmissionPolicy + 'p>,
-    /// Batch formation at the frontend and at fusion points.
-    pub(crate) batching: Box<dyn BatchingPolicy + 'p>,
-    /// Straggler exclusion.
-    pub(crate) straggler: Box<dyn StragglerPolicy + 'p>,
-}
-
+/// Batch serving's own events.
 #[derive(Debug, Clone)]
 pub(crate) enum Ev {
     Arrival(usize),
-    ExecDone {
-        replica: usize,
-        epoch: u32,
-    },
     BatchReady {
         stage: usize,
         batch: Batch,
@@ -88,7 +323,6 @@ pub(crate) enum Ev {
     Flush {
         stage: usize,
     },
-    Fault(FaultAction),
     TransferRetry {
         from_stage: usize,
         batch: Batch,
@@ -97,35 +331,24 @@ pub(crate) enum Ev {
 }
 
 struct Replica {
-    stage: usize,
     gpu: GpuKind,
     queue: VecDeque<Batch>,
-    busy: bool,
     running: Option<Batch>,
-    excluded: bool,
-    /// True while crashed: unlike a straggler (which may finish queued
-    /// work), a crashed replica executes nothing until recovered.
-    crashed: bool,
-    /// Bumped on crash, so the pending `ExecDone` of the batch that died
-    /// with the replica is recognized as stale and ignored.
-    epoch: u32,
     batches_done: u32,
     per_sample_secs_sum: f64,
 }
 
-/// One run of the serving event loop. Built by
-/// [`crate::engine::ServingSim`] with the materialized backlog and the
-/// chosen policies; [`Kernel::run`] drains the event queue and returns
-/// the filled [`RunAccumulator`].
-///
-/// Generic over the event queue so differential tests can replay the
-/// identical run on the binary-heap [`e3_simcore::ReferenceQueue`] and
-/// compare event streams against the calendar-queue default.
-pub(crate) struct Kernel<'a, 'p, Q: SimQueue<Ev> = EventQueue<Ev>> {
+/// Batch serving: one run of a [`crate::engine::ServingSim`] deployment
+/// over its materialized backlog. [`Batches::run`] drives it through the
+/// loop and returns the filled [`RunAccumulator`].
+pub(crate) struct Batches<'a, Q: SimQueue<Event<Ev>> = EventQueue<Event<Ev>>> {
     sim: &'a ServingSim<'a>,
-    policies: KernelPolicies<'p>,
-    observer: &'p mut dyn RunObserver,
-    q: Q,
+    core: Core<'a, Ev, Q>,
+    /// SLO-slack admission; `None` admits everything (closed loop).
+    admission: Option<SloSlackAdmission>,
+    batching: FusionBatching,
+    /// Straggler detection; `None` when disabled.
+    straggler: Option<RelativeSlowdown>,
     replicas: Vec<Replica>,
     stage_replicas: Vec<Vec<usize>>,
     flush_pending: Vec<bool>,
@@ -137,9 +360,6 @@ pub(crate) struct Kernel<'a, 'p, Q: SimQueue<Ev> = EventQueue<Ev>> {
     /// of unbounded ones).
     in_flight: usize,
     in_flight_cap: usize,
-    /// The fault plan's schedule, counts and open windows.
-    faults: FaultState<'a>,
-    acc: RunAccumulator,
     /// Recycled sample buffers: batches formed on the hot path draw their
     /// `Vec<SimSample>` here instead of the allocator, and fully-completed
     /// batches return theirs. Keeps the steady-state loop allocation-free.
@@ -148,42 +368,50 @@ pub(crate) struct Kernel<'a, 'p, Q: SimQueue<Ev> = EventQueue<Ev>> {
     perf_scratch: Vec<ReplicaPerf>,
 }
 
-impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
+impl<'a, Q: SimQueue<Event<Ev>>> Batches<'a, Q> {
     pub(crate) fn new(
         sim: &'a ServingSim<'a>,
         backlog: Vec<SimSample>,
-        policies: KernelPolicies<'p>,
-        observer: &'p mut dyn RunObserver,
+        admission: Option<SloSlackAdmission>,
+        batching: FusionBatching,
+        observer: &'a mut dyn RunObserver,
     ) -> Self {
         let mut replicas = Vec::new();
         let mut stage_replicas = Vec::new();
-        for (si, st) in sim.stages.iter().enumerate() {
+        for st in &sim.stages {
             let mut ids = Vec::new();
             for &gpu in &st.replicas {
-                let id = replicas.len();
+                ids.push(replicas.len());
                 replicas.push(Replica {
-                    stage: si,
                     gpu,
                     queue: VecDeque::new(),
-                    busy: false,
                     running: None,
-                    excluded: false,
-                    crashed: false,
-                    epoch: 0,
                     batches_done: 0,
                     per_sample_secs_sum: 0.0,
                 });
-                ids.push(id);
             }
             stage_replicas.push(ids);
         }
         let num_stages = sim.stages.len();
         let num_replicas = replicas.len();
-        Kernel {
+        let stage_of = sim
+            .stages
+            .iter()
+            .enumerate()
+            .flat_map(|(si, st)| std::iter::repeat_n(si, st.replicas.len()));
+        Batches {
             sim,
-            policies,
-            observer,
-            q: Q::new(),
+            core: Core::new(
+                &sim.cfg.fault_plan,
+                stage_of,
+                num_stages,
+                sim.cfg.slo,
+                true,
+                observer,
+            ),
+            admission,
+            batching,
+            straggler: sim.cfg.detect_stragglers.then(RelativeSlowdown::default),
             replicas,
             stage_replicas,
             flush_pending: vec![false; num_stages],
@@ -191,11 +419,15 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
             backlog_cursor: 0,
             in_flight: 0,
             in_flight_cap: (5 * num_replicas * sim.stages[0].target_batch).div_ceil(4),
-            faults: FaultState::new(&sim.cfg.fault_plan, num_replicas, num_stages),
-            acc: RunAccumulator::new(num_stages, num_replicas, sim.cfg.slo, true),
             sample_pool: Vec::new(),
             perf_scratch: Vec::new(),
         }
+    }
+
+    /// Drives the run through the loop; returns the filled accumulator.
+    pub(crate) fn run(mut self) -> RunAccumulator {
+        drive(&mut self);
+        self.core.acc
     }
 
     /// Draws a cleared sample buffer from the pool (or the allocator).
@@ -211,63 +443,22 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         }
     }
 
-    /// Drains the event queue; returns the filled accumulator.
-    pub(crate) fn run(mut self) -> RunAccumulator {
-        // Fault actions go on the queue first: at equal timestamps the
-        // stable FIFO tie-break then applies a fault before any arrival
-        // scheduled at the same instant, independent of plan contents.
-        self.faults.schedule(&mut self.q, Ev::Fault);
-        if self.sim.cfg.closed_loop {
-            for k in 0..self.stage_replicas[0].len() {
-                let r = self.stage_replicas[0][k];
-                self.feed_closed_loop(r);
-            }
-        } else {
-            for i in 0..self.backlog.len() {
-                self.q.schedule(self.backlog[i].arrival, Ev::Arrival(i));
-            }
-        }
-        while let Some(ev) = self.q.pop() {
-            match ev.event {
-                Ev::Arrival(i) => self.on_arrival(i),
-                Ev::ExecDone { replica, epoch } => self.on_exec_done(replica, epoch),
-                Ev::BatchReady { stage, batch } => self.on_batch_ready(stage, batch),
-                Ev::Flush { stage } => self.on_flush(stage),
-                Ev::Fault(action) => self.on_fault(action),
-                Ev::TransferRetry {
-                    from_stage,
-                    batch,
-                    attempt,
-                } => self.on_transfer_retry(from_stage, batch, attempt),
-            }
-        }
-        self.acc
-    }
-
-    fn now(&self) -> SimTime {
-        self.q.now()
-    }
-
     fn on_arrival(&mut self, i: usize) {
         let s = self.backlog[i];
-        let now = self.now();
-        self.observer
-            .on_event(now, &KernelEvent::Arrival { sample: s.id });
-        self.policies.batching.push(0, s, now);
+        let now = self.core.now();
+        self.core.emit(KernelEvent::Arrival { sample: s.id });
+        self.batching.push(0, s, now);
         self.pump(0);
     }
 
     fn on_batch_ready(&mut self, stage: usize, mut batch: Batch) {
-        let now = self.now();
-        self.observer.on_event(
-            now,
-            &KernelEvent::Fusion {
-                stage,
-                size: batch.len(),
-            },
-        );
+        let now = self.core.now();
+        self.core.emit(KernelEvent::Fusion {
+            stage,
+            size: batch.len(),
+        });
         for s in batch.samples.drain(..) {
-            self.policies.batching.push(stage, s, now);
+            self.batching.push(stage, s, now);
         }
         self.pool_put(batch.samples);
         self.pump(stage);
@@ -275,26 +466,23 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
 
     /// Forms full batches and routes them; arms a flush timer otherwise.
     fn pump(&mut self, stage: usize) {
-        let now = self.now();
-        while let Some(b) = self.policies.batching.take_full(stage, now) {
-            self.observer.on_event(
-                now,
-                &KernelEvent::BatchFormed {
-                    stage,
-                    size: b.len(),
-                    partial: false,
-                },
-            );
+        let now = self.core.now();
+        while let Some(b) = self.batching.take_full(stage, now) {
+            self.core.emit(KernelEvent::BatchFormed {
+                stage,
+                size: b.len(),
+                partial: false,
+            });
             self.route(stage, b);
         }
         self.arm_flush(stage);
     }
 
     fn arm_flush(&mut self, stage: usize) {
-        let now = self.now();
-        if !self.policies.batching.is_empty(stage) && !self.flush_pending[stage] {
-            if let Some(at) = self.policies.batching.next_flush_at(stage, now) {
-                self.q.schedule(at, Ev::Flush { stage });
+        let now = self.core.now();
+        if !self.batching.is_empty(stage) && !self.flush_pending[stage] {
+            if let Some(at) = self.batching.next_flush_at(stage, now) {
+                self.core.serve_at(at, Ev::Flush { stage });
                 self.flush_pending[stage] = true;
             }
         }
@@ -302,16 +490,13 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
 
     fn on_flush(&mut self, stage: usize) {
         self.flush_pending[stage] = false;
-        let now = self.now();
-        if let Some(b) = self.policies.batching.take_due(stage, now) {
-            self.observer.on_event(
-                now,
-                &KernelEvent::BatchFormed {
-                    stage,
-                    size: b.len(),
-                    partial: true,
-                },
-            );
+        let now = self.core.now();
+        if let Some(b) = self.batching.take_due(stage, now) {
+            self.core.emit(KernelEvent::BatchFormed {
+                stage,
+                size: b.len(),
+                partial: true,
+            });
             self.route(stage, b);
         }
         self.arm_flush(stage);
@@ -323,16 +508,12 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
     /// shed instead — admission absorbs overload as drops rather than
     /// letting queues grow without limit.
     fn route(&mut self, stage: usize, batch: Batch) {
+        let reps = &self.core.reps;
         let rid = self.stage_replicas[stage]
             .iter()
             .copied()
-            .filter(|&r| !self.replicas[r].excluded)
-            .min_by_key(|&r| {
-                (
-                    self.replicas[r].queue.len() + usize::from(self.replicas[r].busy),
-                    r,
-                )
-            })
+            .filter(|&r| !reps[r].excluded)
+            .min_by_key(|&r| (self.replicas[r].queue.len() + usize::from(reps[r].busy), r))
             .unwrap_or(self.stage_replicas[stage][0]); // all excluded: fall back
         if let Some(cap) = self.sim.cfg.queue_cap {
             if self.replicas[rid].queue.len() >= cap {
@@ -340,52 +521,46 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
                 return;
             }
         }
-        self.acc.record_dispatch(stage, batch.len() as f64);
+        self.core.acc.record_dispatch(stage, batch.len() as f64);
         self.replicas[rid].queue.push_back(batch);
-        self.acc
+        self.core
+            .acc
             .observe_replica_queue_depth(rid, self.replicas[rid].queue.len());
         let depth: usize = self.stage_replicas[stage]
             .iter()
             .map(|&r| self.replicas[r].queue.len())
             .sum();
-        self.acc.observe_queue_depth(stage, depth);
+        self.core.acc.observe_queue_depth(stage, depth);
         self.try_begin(rid);
     }
 
     /// Drops a whole batch at routing time (queue bound reached).
     fn shed_batch(&mut self, stage: usize, mut batch: Batch) {
-        let now = self.now();
-        self.acc.record_shed(batch.len());
-        self.observer.on_event(
-            now,
-            &KernelEvent::BatchShed {
-                stage,
-                size: batch.len(),
-            },
-        );
+        self.core.acc.record_shed(batch.len());
+        self.core.emit(KernelEvent::BatchShed {
+            stage,
+            size: batch.len(),
+        });
         for s in batch.samples.drain(..) {
             self.in_flight = self.in_flight.saturating_sub(1);
-            self.observer.on_event(
-                now,
-                &KernelEvent::Dropped {
-                    sample: s.id,
-                    stage,
-                },
-            );
+            self.core.emit(KernelEvent::Dropped {
+                sample: s.id,
+                stage,
+            });
         }
         self.pool_put(batch.samples);
         self.wake_feeders();
     }
 
-    /// Starts the replica on its next queued batch, if idle. Crashed
-    /// replicas and stalled stages start nothing (a straggler, by
+    /// Starts the replica on its next queued batch, if it is ready.
+    /// Crashed replicas and stalled stages start nothing (a straggler, by
     /// contrast, may still drain work already queued on it).
     fn try_begin(&mut self, rid: usize) {
-        let stage = self.replicas[rid].stage;
-        if self.replicas[rid].busy || self.replicas[rid].crashed || self.faults.stalled(stage) {
+        if !self.core.ready(rid) {
             return;
         }
-        let now = self.now();
+        let stage = self.core.reps[rid].stage;
+        let now = self.core.now();
         loop {
             let Some(mut batch) = self.replicas[rid].queue.pop_front() else {
                 // Idle: closed-loop stage-0 replicas self-feed.
@@ -394,24 +569,21 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
                 }
                 return;
             };
-            if !self.policies.admission.is_permissive() {
+            if let Some(admission) = &self.admission {
                 // In-place compaction (samples are `Copy`): no per-batch
                 // allocation on the admission-filtered path.
                 let mut kept = 0;
                 for i in 0..batch.samples.len() {
                     let s = batch.samples[i];
-                    if self.policies.admission.admit(now, stage, &s) {
+                    if admission.admit(now, stage, &s) {
                         batch.samples[kept] = s;
                         kept += 1;
                     } else {
-                        self.acc.record_drop();
-                        self.observer.on_event(
-                            now,
-                            &KernelEvent::Dropped {
-                                sample: s.id,
-                                stage,
-                            },
-                        );
+                        self.core.acc.record_drop();
+                        self.core.emit(KernelEvent::Dropped {
+                            sample: s.id,
+                            stage,
+                        });
                     }
                 }
                 batch.samples.truncate(kept);
@@ -420,13 +592,10 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
                 self.pool_put(batch.samples);
                 continue;
             }
-            self.observer.on_event(
-                now,
-                &KernelEvent::Admitted {
-                    stage,
-                    size: batch.len(),
-                },
-            );
+            self.core.emit(KernelEvent::Admitted {
+                stage,
+                size: batch.len(),
+            });
             self.start_exec(rid, batch);
             return;
         }
@@ -434,12 +603,11 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
 
     /// Pulls the next closed-loop batch from the backlog onto `rid`.
     fn feed_closed_loop(&mut self, rid: usize) {
-        let stage = self.replicas[rid].stage;
-        debug_assert_eq!(stage, 0);
-        if self.replicas[rid].excluded {
+        debug_assert_eq!(self.core.reps[rid].stage, 0);
+        if self.core.reps[rid].excluded {
             return; // stragglers and crashed replicas get no new work (§3.3)
         }
-        if self.faults.stalled(0) {
+        if self.core.faults.stalled(0) {
             return; // stage stalled: nothing dispatches until it lifts
         }
         let target = self.sim.stages[0].target_batch;
@@ -449,53 +617,36 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         if self.in_flight + target > self.in_flight_cap {
             return; // backpressure: resume when completions drain
         }
-        let now = self.now();
+        let now = self.core.now();
         let end = (self.backlog_cursor + target).min(self.backlog.len());
         let mut samples = self.pool_get();
         samples.reserve(end - self.backlog_cursor);
         for i in self.backlog_cursor..end {
             let mut s = self.backlog[i];
             s.arrival = now; // closed loop: latency measured from dispatch
-            self.observer
-                .on_event(now, &KernelEvent::Arrival { sample: s.id });
+            self.core.emit(KernelEvent::Arrival { sample: s.id });
             samples.push(s);
         }
         self.backlog_cursor = end;
         self.in_flight += samples.len();
-        self.acc.record_dispatch(0, samples.len() as f64);
-        self.observer.on_event(
-            now,
-            &KernelEvent::BatchFormed {
-                stage: 0,
-                size: samples.len(),
-                partial: false,
-            },
-        );
+        self.core.acc.record_dispatch(0, samples.len() as f64);
+        self.core.emit(KernelEvent::BatchFormed {
+            stage: 0,
+            size: samples.len(),
+            partial: false,
+        });
         let batch = Batch {
             samples,
             formed_at: now,
         };
-        self.replicas[rid].queue.push_back(batch);
-        self.start_next(rid);
-    }
-
-    fn start_next(&mut self, rid: usize) {
-        if self.replicas[rid].busy
-            || self.replicas[rid].crashed
-            || self.faults.stalled(self.replicas[rid].stage)
-        {
-            return;
-        }
-        if let Some(batch) = self.replicas[rid].queue.pop_front() {
-            self.start_exec(rid, batch);
-        }
+        // The replica is idle with an empty queue: start right away.
+        self.start_exec(rid, batch);
     }
 
     fn start_exec(&mut self, rid: usize, batch: Batch) {
-        let stage = self.replicas[rid].stage;
-        let spec = &self.sim.stages[stage];
+        let spec = &self.sim.stages[self.core.reps[rid].stage];
         // Active transient slowdowns stack multiplicatively.
-        let slowdown: f64 = self.faults.slowdowns(rid).product();
+        let slowdown: f64 = self.core.faults.slowdowns(rid).product();
         let out = execute_batch(
             self.sim.model,
             &self.sim.ctrl,
@@ -507,50 +658,27 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
             spec.deferred_exits,
             slowdown,
         );
-        self.acc.record_busy(rid, out.duration, out.mean_occupancy);
+        // Busy time counts from the start, so a batch lost to a crash
+        // still counts.
+        self.core
+            .acc
+            .record_busy(rid, out.duration, out.mean_occupancy);
         let n = batch.samples.len().max(1) as f64;
         self.replicas[rid].per_sample_secs_sum += out.duration.as_secs_f64() / n;
-        self.replicas[rid].busy = true;
-        let now = self.now();
-        self.observer.on_event(
-            now,
-            &KernelEvent::ExecStart {
-                replica: rid,
-                stage,
-                size: batch.len(),
-            },
-        );
+        let size = batch.len();
         self.replicas[rid].running = Some(batch);
-        self.q.schedule_after(
-            out.duration,
-            Ev::ExecDone {
-                replica: rid,
-                epoch: self.replicas[rid].epoch,
-            },
-        );
+        self.core.begin(rid, size, size, out.duration);
     }
 
-    fn on_exec_done(&mut self, rid: usize, epoch: u32) {
-        if epoch != self.replicas[rid].epoch {
-            return; // stale: the replica crashed while this batch ran
-        }
-        let now = self.now();
-        let stage = self.replicas[rid].stage;
+    fn on_exec_done(&mut self, rid: usize) {
+        let now = self.core.now();
+        let stage = self.core.reps[rid].stage;
         let stage_end = self.sim.stages[stage].layers.end;
         let mut batch = self.replicas[rid]
             .running
             .take()
             .expect("exec done without a running batch");
-        self.replicas[rid].busy = false;
         self.replicas[rid].batches_done += 1;
-        self.observer.on_event(
-            now,
-            &KernelEvent::ExecDone {
-                replica: rid,
-                stage,
-                size: batch.len(),
-            },
-        );
         // Completions and survivor compaction in one in-place pass, in the
         // original sample order (samples are `Copy`). The surviving batch
         // reuses its own buffer downstream; a fully-completed batch returns
@@ -559,7 +687,8 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         for i in 0..batch.samples.len() {
             let s = batch.samples[i];
             if s.finishes_before(stage_end) {
-                self.complete(s, now);
+                self.in_flight = self.in_flight.saturating_sub(1);
+                self.core.complete(&s);
             } else {
                 batch.samples[survivors] = s;
                 survivors += 1;
@@ -572,8 +701,8 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
             self.send_downstream(stage, batch.samples, now);
         }
 
-        if self.policies.straggler.enabled() {
-            self.maybe_exclude_straggler(rid);
+        if let Some(policy) = self.straggler {
+            self.maybe_exclude_straggler(rid, policy);
         }
         self.try_begin(rid);
         // Completions may have released backpressure: wake idle stage-0
@@ -591,22 +720,19 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
             next < self.sim.stages.len(),
             "survivors past the last stage"
         );
-        if self.faults.link_down(from_stage) {
+        if self.core.faults.link_down(from_stage) {
             let retry = self.sim.cfg.transfer_retry;
             let batch = Batch {
                 samples: survivors,
                 formed_at: now,
             };
-            self.acc.record_transfer_retry();
-            self.observer.on_event(
-                now,
-                &KernelEvent::TransferRetried {
-                    from_stage,
-                    attempt: 1,
-                    size: batch.len(),
-                },
-            );
-            self.q.schedule_after(
+            self.core.acc.record_transfer_retry();
+            self.core.emit(KernelEvent::TransferRetried {
+                from_stage,
+                attempt: 1,
+                size: batch.len(),
+            });
+            self.core.serve_after(
                 retry.backoff_for(1),
                 Ev::TransferRetry {
                     from_stage,
@@ -622,19 +748,16 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
             .sim
             .tm
             .batch_transfer_time(bytes, survivors.len() as f64);
-        self.observer.on_event(
-            now,
-            &KernelEvent::StageTransfer {
-                from_stage,
-                to_stage: next,
-                size: survivors.len(),
-            },
-        );
+        self.core.emit(KernelEvent::StageTransfer {
+            from_stage,
+            to_stage: next,
+            size: survivors.len(),
+        });
         let b = Batch {
             samples: survivors,
             formed_at: now,
         };
-        self.q.schedule_after(
+        self.core.serve_after(
             tx,
             Ev::BatchReady {
                 stage: next,
@@ -647,9 +770,9 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
     /// back off again if not, abort (dropping the samples) once the
     /// per-transfer attempt limit is spent.
     fn on_transfer_retry(&mut self, from_stage: usize, batch: Batch, attempt: u32) {
-        let now = self.now();
+        let now = self.core.now();
         let retry = self.sim.cfg.transfer_retry;
-        if !self.faults.link_down(from_stage) {
+        if !self.core.faults.link_down(from_stage) {
             self.send_downstream(from_stage, batch.samples, now);
             return;
         }
@@ -658,16 +781,13 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
             return;
         }
         let next_attempt = attempt + 1;
-        self.acc.record_transfer_retry();
-        self.observer.on_event(
-            now,
-            &KernelEvent::TransferRetried {
-                from_stage,
-                attempt: next_attempt,
-                size: batch.len(),
-            },
-        );
-        self.q.schedule_after(
+        self.core.acc.record_transfer_retry();
+        self.core.emit(KernelEvent::TransferRetried {
+            from_stage,
+            attempt: next_attempt,
+            size: batch.len(),
+        });
+        self.core.serve_after(
             retry.backoff_for(next_attempt),
             Ev::TransferRetry {
                 from_stage,
@@ -679,24 +799,17 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
 
     /// Aborts a parked transfer, dropping its samples.
     fn abort_transfer(&mut self, from_stage: usize, mut batch: Batch) {
-        let now = self.now();
-        self.acc.record_transfer_abort(batch.len());
-        self.observer.on_event(
-            now,
-            &KernelEvent::TransferAborted {
-                from_stage,
-                size: batch.len(),
-            },
-        );
+        self.core.acc.record_transfer_abort(batch.len());
+        self.core.emit(KernelEvent::TransferAborted {
+            from_stage,
+            size: batch.len(),
+        });
         for s in batch.samples.drain(..) {
             self.in_flight = self.in_flight.saturating_sub(1);
-            self.observer.on_event(
-                now,
-                &KernelEvent::Dropped {
-                    sample: s.id,
-                    stage: from_stage,
-                },
-            );
+            self.core.emit(KernelEvent::Dropped {
+                sample: s.id,
+                stage: from_stage,
+            });
         }
         self.pool_put(batch.samples);
         self.wake_feeders();
@@ -708,31 +821,19 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         if self.sim.cfg.closed_loop {
             for k in 0..self.stage_replicas[0].len() {
                 let r = self.stage_replicas[0][k];
-                if !self.replicas[r].busy && self.replicas[r].queue.is_empty() {
+                if !self.core.reps[r].busy && self.replicas[r].queue.is_empty() {
                     self.feed_closed_loop(r);
                 }
             }
         }
     }
 
-    fn complete(&mut self, s: SimSample, now: SimTime) {
-        self.in_flight = self.in_flight.saturating_sub(1);
-        let in_slo = self.acc.complete(&s, now);
-        self.observer.on_event(
-            now,
-            &KernelEvent::Completion {
-                sample: s.id,
-                within_slo: in_slo,
-            },
-        );
-    }
-
     /// Judges the replica that just finished a batch against its stage
     /// peers; on a straggler verdict, excludes it and re-routes its queued
     /// work (§3.3 straggler handling).
-    fn maybe_exclude_straggler(&mut self, rid: usize) {
-        let stage = self.replicas[rid].stage;
-        if self.stage_replicas[stage].len() < 2 || self.replicas[rid].excluded {
+    fn maybe_exclude_straggler(&mut self, rid: usize, policy: RelativeSlowdown) {
+        let stage = self.core.reps[rid].stage;
+        if self.stage_replicas[stage].len() < 2 || self.core.reps[rid].excluded {
             return;
         }
         let perf = |r: &Replica| ReplicaPerf {
@@ -745,22 +846,14 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         peers.extend(
             self.stage_replicas[stage]
                 .iter()
-                .filter(|&&r| r != rid && !self.replicas[r].excluded)
+                .filter(|&&r| r != rid && !self.core.reps[r].excluded)
                 .map(|&r| perf(&self.replicas[r])),
         );
-        let exclude = self.policies.straggler.should_exclude(candidate, &peers);
+        let exclude = policy.should_exclude(candidate, &peers);
         self.perf_scratch = peers;
         if exclude {
-            self.replicas[rid].excluded = true;
-            self.acc.record_straggler(rid);
-            self.acc.record_exclusion(rid, self.now());
-            self.observer.on_event(
-                self.now(),
-                &KernelEvent::ReplicaExcluded {
-                    replica: rid,
-                    reason: ExclusionReason::Straggler,
-                },
-            );
+            self.core.acc.record_straggler(rid);
+            self.core.exclude(rid, ExclusionReason::Straggler);
             // Reassign its queued batches.
             let queued: Vec<Batch> = self.replicas[rid].queue.drain(..).collect();
             for b in queued {
@@ -768,86 +861,87 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
             }
         }
     }
+}
 
-    /// Applies one scheduled fault action and reacts to what it changed.
-    fn on_fault(&mut self, action: FaultAction) {
-        let now = self.now();
-        match self
-            .faults
-            .apply(action, now, &mut self.acc, &mut *self.observer)
-        {
-            Some(FaultReaction::Crash(rid)) => self.crash_replica(rid),
-            Some(FaultReaction::Recover(rid)) => self.recover_replica(rid),
-            Some(FaultReaction::StallLifted(stage)) => {
-                for k in 0..self.stage_replicas[stage].len() {
-                    let rid = self.stage_replicas[stage][k];
-                    self.try_begin(rid);
-                }
+impl<'a, Q: SimQueue<Event<Ev>>> Discipline<'a> for Batches<'a, Q> {
+    type Ev = Ev;
+    type Q = Q;
+
+    fn core(&mut self) -> &mut Core<'a, Ev, Q> {
+        &mut self.core
+    }
+
+    fn start(&mut self) {
+        if self.sim.cfg.closed_loop {
+            for k in 0..self.stage_replicas[0].len() {
+                let r = self.stage_replicas[0][k];
+                self.feed_closed_loop(r);
             }
-            // Parked transfers notice on their next retry timer; no
-            // proactive kick keeps the retry cadence deterministic.
-            Some(FaultReaction::LinkRestored(_)) | None => {}
+        } else {
+            for i in 0..self.backlog.len() {
+                self.core.serve_at(self.backlog[i].arrival, Ev::Arrival(i));
+            }
         }
     }
 
-    /// Crashes `rid`: it loses its running batch, its queue is re-routed
-    /// to surviving stage peers, and it receives no work until a
-    /// [`FaultEvent::DelayedRecovery`].
-    fn crash_replica(&mut self, rid: usize) {
-        if self.replicas[rid].crashed {
-            return;
+    fn on_event(&mut self, event: Ev) {
+        match event {
+            Ev::Arrival(i) => self.on_arrival(i),
+            Ev::BatchReady { stage, batch } => self.on_batch_ready(stage, batch),
+            Ev::Flush { stage } => self.on_flush(stage),
+            Ev::TransferRetry {
+                from_stage,
+                batch,
+                attempt,
+            } => self.on_transfer_retry(from_stage, batch, attempt),
         }
-        let now = self.now();
-        let stage = self.replicas[rid].stage;
-        self.replicas[rid].crashed = true;
-        self.replicas[rid].excluded = true;
-        // Invalidate the pending ExecDone for the batch dying with the
-        // replica; the batch itself is re-executed elsewhere.
-        self.replicas[rid].epoch += 1;
-        self.replicas[rid].busy = false;
-        self.acc.record_exclusion(rid, now);
-        self.observer.on_event(
-            now,
-            &KernelEvent::ReplicaExcluded {
-                replica: rid,
-                reason: ExclusionReason::Crash,
-            },
-        );
-        let mut orphaned: Vec<Batch> = self.replicas[rid].running.take().into_iter().collect();
-        orphaned.extend(self.replicas[rid].queue.drain(..));
+    }
+
+    fn on_done(&mut self, r: usize) {
+        self.on_exec_done(r);
+    }
+
+    /// The running batch and the queue re-route to surviving stage peers;
+    /// the replica receives no work until a
+    /// [`FaultEvent::DelayedRecovery`].
+    fn on_crash(&mut self, r: usize) {
+        let stage = self.core.reps[r].stage;
+        let mut orphaned: Vec<Batch> = self.replicas[r].running.take().into_iter().collect();
+        orphaned.extend(self.replicas[r].queue.drain(..));
         for b in orphaned {
             self.route(stage, b);
         }
     }
 
-    /// Returns `rid` to service with fresh straggler statistics and pulls
-    /// work orphaned on still-crashed stage peers. Fault windows on the
-    /// replica stay as they are.
-    fn recover_replica(&mut self, rid: usize) {
-        if !self.replicas[rid].excluded {
-            return;
-        }
-        let now = self.now();
-        let stage = self.replicas[rid].stage;
-        self.replicas[rid].crashed = false;
-        self.replicas[rid].excluded = false;
-        self.replicas[rid].batches_done = 0;
-        self.replicas[rid].per_sample_secs_sum = 0.0;
-        self.acc.record_recovery(rid, now);
-        self.observer
-            .on_event(now, &KernelEvent::ReplicaRecovered { replica: rid });
+    /// Fresh straggler statistics, and work orphaned on still-crashed
+    /// stage peers comes back.
+    fn on_recover(&mut self, r: usize) {
+        let stage = self.core.reps[r].stage;
+        self.replicas[r].batches_done = 0;
+        self.replicas[r].per_sample_secs_sum = 0.0;
         // Batches routed while every peer was down sit on a crashed
         // replica's queue (the route() fallback); reclaim them now.
         let mut stranded: Vec<Batch> = Vec::new();
         for k in 0..self.stage_replicas[stage].len() {
             let peer = self.stage_replicas[stage][k];
-            if self.replicas[peer].crashed {
+            if self.core.reps[peer].crashed {
                 stranded.extend(self.replicas[peer].queue.drain(..));
             }
         }
         for b in stranded {
             self.route(stage, b);
         }
-        self.try_begin(rid);
+        self.try_begin(r);
     }
+
+    fn on_stall_lifted(&mut self, stage: usize) {
+        for k in 0..self.stage_replicas[stage].len() {
+            let rid = self.stage_replicas[stage][k];
+            self.try_begin(rid);
+        }
+    }
+
+    /// Parked transfers notice on their next retry timer; no proactive
+    /// kick keeps the retry cadence deterministic.
+    fn on_link_restored(&mut self, _stage: usize) {}
 }

@@ -1,12 +1,13 @@
-//! Policy seams of the serving kernel.
+//! The paper's scheduling decisions, as the plain types the batch
+//! kernel calls.
 //!
-//! The kernel's event loop is policy-free: every scheduling decision that
-//! the paper treats as a *mechanism knob* — who gets admitted, how batches
-//! form, which replicas are stragglers — is delegated through one of the
-//! three traits here. [`crate::engine::ServingSim`] assembles the paper's
-//! defaults from its [`crate::engine::ServingConfig`] for every run; the
-//! traits stay seams so a new discipline plugs in without touching the
-//! event loop.
+//! Three decisions that §3.3 treats as mechanism knobs live here: who is
+//! admitted ([`SloSlackAdmission`]), how batches form
+//! ([`FusionBatching`]), and which replicas are stragglers
+//! ([`RelativeSlowdown`]). [`crate::engine::ServingSim`] builds them from
+//! its [`crate::engine::ServingConfig`] for every run. Admission and
+//! straggler detection are each `Option`al: closed-loop runs admit
+//! everything, and straggler detection is off unless configured.
 
 use e3_hardware::{LatencyModel, TransferModel};
 use e3_model::{EeModel, RampController};
@@ -16,42 +17,13 @@ use crate::batch::{Batch, FusionBuffer};
 use crate::sample::SimSample;
 use crate::strategy::StageSpec;
 
-/// Decides, at dispatch time, whether a queued sample may still execute.
-///
-/// Consulted for every sample of every batch a replica pops; samples that
-/// are refused are dropped and counted in
-/// [`crate::report::RunReport::dropped`].
-pub trait AdmissionPolicy {
-    /// True if `sample`, about to start `stage` at `now`, should run.
-    fn admit(&self, now: SimTime, stage: usize, sample: &SimSample) -> bool;
-
-    /// True if this policy never refuses anything — lets the kernel skip
-    /// the per-sample filter on the hot path.
-    fn is_permissive(&self) -> bool {
-        false
-    }
-}
-
-/// Admits everything: the default for closed-loop runs, where each
-/// request arrives as it is dispatched.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AdmitAll;
-
-impl AdmissionPolicy for AdmitAll {
-    fn admit(&self, _now: SimTime, _stage: usize, _sample: &SimSample) -> bool {
-        true
-    }
-
-    fn is_permissive(&self) -> bool {
-        true
-    }
-}
-
 /// Clockwork-style SLO-slack admission (§3.3): a sample is dropped when
 /// even the remaining worst-case service time cannot land it inside its
-/// deadline.
+/// deadline. Consulted for every sample of every batch a replica pops;
+/// refused samples are dropped and counted in
+/// [`crate::report::RunReport::dropped`].
 #[derive(Debug, Clone)]
-pub struct SloSlackAdmission {
+pub(crate) struct SloSlackAdmission {
     slo: SimDuration,
     /// Worst-case remaining service (no exits, full batch, slowest
     /// replica kind) from each stage's start to completion, including
@@ -63,7 +35,7 @@ impl SloSlackAdmission {
     /// Precomputes the worst-case remaining-service estimate for a stage
     /// pipeline: full target batch, no early exits, each stage on its
     /// slowest replica kind, plus the inter-stage transfers.
-    pub fn for_stages(
+    pub(crate) fn for_stages(
         model: &EeModel,
         ctrl: &RampController,
         lm: &LatencyModel,
@@ -118,46 +90,11 @@ impl SloSlackAdmission {
         SloSlackAdmission { slo, est_remaining }
     }
 
-    /// Builds a policy from explicit estimates (tests).
-    pub fn from_estimates(slo: SimDuration, est_remaining: Vec<SimDuration>) -> Self {
-        SloSlackAdmission { slo, est_remaining }
-    }
-
-    /// The worst-case remaining-service estimate for `stage`.
-    pub fn est_remaining(&self, stage: usize) -> SimDuration {
-        self.est_remaining[stage]
-    }
-}
-
-impl AdmissionPolicy for SloSlackAdmission {
-    fn admit(&self, now: SimTime, stage: usize, sample: &SimSample) -> bool {
+    /// True if `sample`, about to start `stage` at `now`, can still meet
+    /// its deadline.
+    pub(crate) fn admit(&self, now: SimTime, stage: usize, sample: &SimSample) -> bool {
         now + self.est_remaining[stage] <= sample.arrival + self.slo
     }
-}
-
-/// Forms batches from the per-stage streams of waiting samples.
-///
-/// The kernel pushes every sample that reaches a stage (fresh arrivals at
-/// stage 0, fused survivors downstream) and pulls batches back out: full
-/// batches eagerly, due partial batches when a flush timer fires. The
-/// policy owns the buffers; the kernel owns the timers.
-pub trait BatchingPolicy {
-    /// Accepts a sample arriving at `stage` at time `now`.
-    fn push(&mut self, stage: usize, sample: SimSample, now: SimTime);
-
-    /// Removes and returns a full batch for `stage`, if one can form.
-    fn take_full(&mut self, stage: usize, now: SimTime) -> Option<Batch>;
-
-    /// Removes and returns a partial batch if the stage's oldest waiter
-    /// has exceeded its wait bound (the deadline-flush path).
-    fn take_due(&mut self, stage: usize, now: SimTime) -> Option<Batch>;
-
-    /// When the stage's current contents should be force-flushed, if
-    /// ever. `None` disables the flush timer (strictly-full batching).
-    fn next_flush_at(&self, stage: usize, now: SimTime) -> Option<SimTime>;
-
-    /// True when nothing waits at `stage`.
-    fn is_empty(&self, stage: usize) -> bool;
 }
 
 /// Longest a sample waits in a fusion buffer (or the frontend batcher)
@@ -170,8 +107,13 @@ pub const FUSION_MAX_WAIT: SimDuration = SimDuration::from_millis(5);
 /// The paper's batching: per-stage [`FusionBuffer`]s with a bounded wait —
 /// dynamic batching at the frontend and batch fusion at split boundaries
 /// (§3.3, §4).
+///
+/// The kernel pushes every sample that reaches a stage (fresh arrivals at
+/// stage 0, fused survivors downstream) and pulls batches back out: full
+/// batches eagerly, due partial batches when a flush timer fires. The
+/// buffers live here; the kernel owns the timers.
 #[derive(Debug, Clone)]
-pub struct FusionBatching {
+pub(crate) struct FusionBatching {
     buffers: Vec<FusionBuffer>,
     /// Per-stage waits; empty = [`FUSION_MAX_WAIT`] everywhere.
     waits: Vec<SimDuration>,
@@ -181,7 +123,7 @@ impl FusionBatching {
     /// Creates buffers targeting `targets[s]` samples at stage `s`, each
     /// flushing a partial batch after `waits[s]` (default
     /// [`FUSION_MAX_WAIT`]).
-    pub fn new(targets: &[usize], waits: Vec<SimDuration>) -> Self {
+    pub(crate) fn new(targets: &[usize], waits: Vec<SimDuration>) -> Self {
         FusionBatching {
             buffers: targets.iter().map(|&t| FusionBuffer::new(t)).collect(),
             waits,
@@ -191,18 +133,20 @@ impl FusionBatching {
     fn wait_for(&self, stage: usize) -> SimDuration {
         self.waits.get(stage).copied().unwrap_or(FUSION_MAX_WAIT)
     }
-}
 
-impl BatchingPolicy for FusionBatching {
-    fn push(&mut self, stage: usize, sample: SimSample, now: SimTime) {
+    /// Accepts a sample arriving at `stage` at time `now`.
+    pub(crate) fn push(&mut self, stage: usize, sample: SimSample, now: SimTime) {
         self.buffers[stage].push(sample, now);
     }
 
-    fn take_full(&mut self, stage: usize, now: SimTime) -> Option<Batch> {
+    /// Removes and returns a full batch for `stage`, if one can form.
+    pub(crate) fn take_full(&mut self, stage: usize, now: SimTime) -> Option<Batch> {
         self.buffers[stage].take_full(now)
     }
 
-    fn take_due(&mut self, stage: usize, now: SimTime) -> Option<Batch> {
+    /// Removes and returns a partial batch if the stage's oldest waiter
+    /// has exceeded its wait bound (the deadline-flush path).
+    pub(crate) fn take_due(&mut self, stage: usize, now: SimTime) -> Option<Batch> {
         let due = self.buffers[stage]
             .oldest_enqueue()
             .is_some_and(|t| now >= t + self.wait_for(stage));
@@ -213,24 +157,27 @@ impl BatchingPolicy for FusionBatching {
         }
     }
 
-    fn next_flush_at(&self, stage: usize, now: SimTime) -> Option<SimTime> {
+    /// When the stage's current contents should be force-flushed; `None`
+    /// while nothing waits there.
+    pub(crate) fn next_flush_at(&self, stage: usize, now: SimTime) -> Option<SimTime> {
         self.buffers[stage]
             .oldest_enqueue()
             .map(|oldest| (oldest + self.wait_for(stage)).max(now))
     }
 
-    fn is_empty(&self, stage: usize) -> bool {
+    /// True when nothing waits at `stage`.
+    pub(crate) fn is_empty(&self, stage: usize) -> bool {
         self.buffers[stage].is_empty()
     }
 }
 
-/// Service statistics of one replica, as seen by the straggler policy.
+/// Service statistics of one replica, as seen by the straggler monitor.
 #[derive(Debug, Clone, Copy)]
-pub struct ReplicaPerf {
+pub(crate) struct ReplicaPerf {
     /// Batches the replica has finished.
-    pub batches_done: u32,
+    pub(crate) batches_done: u32,
     /// Sum over finished batches of (batch duration / batch size).
-    pub per_sample_secs_sum: f64,
+    pub(crate) per_sample_secs_sum: f64,
 }
 
 impl ReplicaPerf {
@@ -244,45 +191,18 @@ impl ReplicaPerf {
     }
 }
 
-/// Flags degraded replicas for exclusion from future assignment (§3.3).
-///
-/// Consulted after every batch a replica completes; a `true` verdict
-/// excludes it and re-routes its queued work. The kernel only offers
-/// non-excluded stage peers for comparison.
-pub trait StragglerPolicy {
-    /// False lets the kernel skip monitoring entirely.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// True if `candidate` should be excluded, judged against its peers.
-    fn should_exclude(&self, candidate: ReplicaPerf, peers: &[ReplicaPerf]) -> bool;
-}
-
-/// Straggler detection off (the default serving configuration).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoStragglerDetection;
-
-impl StragglerPolicy for NoStragglerDetection {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn should_exclude(&self, _candidate: ReplicaPerf, _peers: &[ReplicaPerf]) -> bool {
-        false
-    }
-}
-
-/// The paper's relative-slowdown monitor: a replica whose mean per-sample
-/// service time exceeds `slowdown_factor` times the best peer's, after a
-/// warm-up of `warmup_batches` batches, is a straggler.
+/// The paper's relative-slowdown monitor (§3.3): a replica whose mean
+/// per-sample service time exceeds `slowdown_factor` times the best
+/// peer's, after a warm-up of `warmup_batches` batches, is a straggler.
+/// Consulted after every batch a replica completes; a straggler is
+/// excluded and its queued work re-routed.
 #[derive(Debug, Clone, Copy)]
-pub struct RelativeSlowdown {
+pub(crate) struct RelativeSlowdown {
     /// Batches a replica must finish before it can be judged (or serve as
     /// a reference peer).
-    pub warmup_batches: u32,
+    pub(crate) warmup_batches: u32,
     /// Exclusion threshold relative to the best peer's mean.
-    pub slowdown_factor: f64,
+    pub(crate) slowdown_factor: f64,
 }
 
 impl Default for RelativeSlowdown {
@@ -294,8 +214,10 @@ impl Default for RelativeSlowdown {
     }
 }
 
-impl StragglerPolicy for RelativeSlowdown {
-    fn should_exclude(&self, candidate: ReplicaPerf, peers: &[ReplicaPerf]) -> bool {
+impl RelativeSlowdown {
+    /// True if `candidate` should be excluded, judged against its
+    /// non-excluded stage `peers`.
+    pub(crate) fn should_exclude(&self, candidate: ReplicaPerf, peers: &[ReplicaPerf]) -> bool {
         let Some(mine) = candidate.mean_after(self.warmup_batches) else {
             return false;
         };
@@ -323,21 +245,14 @@ mod tests {
     }
 
     #[test]
-    fn admit_all_is_permissive() {
-        let p = AdmitAll;
-        assert!(p.is_permissive());
-        assert!(p.admit(SimTime::from_millis(999), 0, &sample(0)));
-    }
-
-    #[test]
     fn slo_slack_zero_slack_boundary() {
         // est = 10ms, slo = 10ms: a sample dispatched the instant it
         // arrives has exactly zero slack — still admitted (<=), while one
         // nanosecond later it is dropped.
-        let p = SloSlackAdmission::from_estimates(
-            SimDuration::from_millis(10),
-            vec![SimDuration::from_millis(10)],
-        );
+        let p = SloSlackAdmission {
+            slo: SimDuration::from_millis(10),
+            est_remaining: vec![SimDuration::from_millis(10)],
+        };
         let s = sample(0);
         assert!(
             p.admit(SimTime::ZERO, 0, &s),
@@ -352,10 +267,10 @@ mod tests {
     #[test]
     fn slo_slack_batch_exactly_at_deadline() {
         // Worst-case service lands exactly on the deadline: admitted.
-        let p = SloSlackAdmission::from_estimates(
-            SimDuration::from_millis(40),
-            vec![SimDuration::from_millis(25)],
-        );
+        let p = SloSlackAdmission {
+            slo: SimDuration::from_millis(40),
+            est_remaining: vec![SimDuration::from_millis(25)],
+        };
         let s = sample(5); // deadline at 45ms
         assert!(p.admit(SimTime::from_millis(20), 0, &s));
         assert!(!p.admit(SimTime::from_millis(21), 0, &s));
@@ -363,10 +278,10 @@ mod tests {
 
     #[test]
     fn slo_slack_later_stage_uses_its_own_estimate() {
-        let p = SloSlackAdmission::from_estimates(
-            SimDuration::from_millis(30),
-            vec![SimDuration::from_millis(28), SimDuration::from_millis(3)],
-        );
+        let p = SloSlackAdmission {
+            slo: SimDuration::from_millis(30),
+            est_remaining: vec![SimDuration::from_millis(28), SimDuration::from_millis(3)],
+        };
         let s = sample(0);
         // At 10ms the full pipeline can no longer finish by 30ms…
         assert!(!p.admit(SimTime::from_millis(10), 0, &s));
@@ -406,15 +321,15 @@ mod tests {
             slo,
         );
         assert!(
-            p.est_remaining(0) > p.est_remaining(1),
+            p.est_remaining[0] > p.est_remaining[1],
             "no downstream cost"
         );
-        assert!(p.est_remaining(1) > SimDuration::ZERO);
-        assert!(p.est_remaining(0) < slo, "SLO infeasible for this test");
+        assert!(p.est_remaining[1] > SimDuration::ZERO);
+        assert!(p.est_remaining[0] < slo, "SLO infeasible for this test");
         // Slack exactly equal to the remaining estimate: still admitted;
         // one nanosecond later: dropped.
         let s = sample(0);
-        let boundary = SimTime::from_nanos(slo.as_nanos() - p.est_remaining(0).as_nanos());
+        let boundary = SimTime::from_nanos(slo.as_nanos() - p.est_remaining[0].as_nanos());
         assert!(p.admit(boundary, 0, &s));
         assert!(!p.admit(SimTime::from_nanos(boundary.as_nanos() + 1), 0, &s));
     }

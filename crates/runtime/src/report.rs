@@ -281,24 +281,6 @@ impl RunReport {
         self.replica_availability.iter().sum::<f64>() / self.replica_availability.len() as f64
     }
 
-    /// Goodput measured only over completions that happened while the
-    /// cluster was degraded (at least one replica excluded). Zero when
-    /// the run never degraded.
-    pub fn degraded_goodput(&self) -> f64 {
-        if self.duration.is_zero() {
-            return 0.0;
-        }
-        self.degraded_within_slo as f64 / self.duration.as_secs_f64()
-    }
-
-    /// SLO violation rate among degraded-mode completions.
-    pub fn degraded_violation_rate(&self) -> f64 {
-        if self.degraded_completed == 0 {
-            return 0.0;
-        }
-        (self.degraded_completed - self.degraded_within_slo) as f64 / self.degraded_completed as f64
-    }
-
     /// Mean executed layers over completed requests.
     pub fn mean_depth(&self) -> f64 {
         if self.exit_events.is_empty() {
@@ -368,8 +350,6 @@ mod tests {
         assert_eq!(r.drop_rate(), 0.5);
         assert_eq!(r.mean_depth(), 8.0);
         assert_eq!(r.mean_availability(), 1.0);
-        assert_eq!(r.degraded_goodput(), 0.0);
-        assert_eq!(r.degraded_violation_rate(), 0.0);
     }
 
     #[test]
@@ -466,8 +446,6 @@ mod tests {
         r.degraded_completed = 4;
         r.degraded_within_slo = 3;
         assert_eq!(r.mean_availability(), 0.75);
-        assert_eq!(r.degraded_goodput(), 1.5);
-        assert_eq!(r.degraded_violation_rate(), 0.25);
     }
 
     #[test]

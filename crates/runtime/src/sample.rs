@@ -47,13 +47,13 @@ impl SimSample {
     }
 
     /// True if this sample still needs layer `k`.
-    pub fn needs_layer(&self, k: usize) -> bool {
+    pub(crate) fn needs_layer(&self, k: usize) -> bool {
         self.layers_executed > k
     }
 
     /// True if the sample finishes (exits or completes) strictly before
     /// layer `end` — i.e. within a stage covering `..end`.
-    pub fn finishes_before(&self, end: usize) -> bool {
+    pub(crate) fn finishes_before(&self, end: usize) -> bool {
         self.layers_executed <= end
     }
 }

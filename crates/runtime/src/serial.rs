@@ -1,75 +1,55 @@
-//! Serial split execution — the "model parallelism OFF" mode (§5.8.7).
+//! Serial split execution — the "model parallelism OFF" schedule (§5.8.7).
 //!
 //! Without model parallelism, E3 "must execute the splits in the same
 //! GPU serially, waiting for all copies of a split to finish before it
-//! can start executing the next". This module simulates exactly that
-//! barrier discipline: the data-parallel GPU set runs stage `s` on every
-//! outstanding batch, idles at a barrier, gathers survivors over PCIe,
-//! re-forms full batches, and only then starts stage `s+1`. The idle
-//! time at each barrier (the max-minus-mean of the wave) is what the
+//! can start executing the next". The optimizer solves such a plan with
+//! `pipelined: false`, and its realized stages all run on the same
+//! data-parallel GPU set. [`crate::engine::ServingSim::run`] serves that
+//! deployment with the barrier schedule here: the GPU set runs stage `s`
+//! on every outstanding batch, idles at a barrier, gathers survivors over
+//! PCIe, re-forms full batches, and only then starts stage `s+1`. The
+//! idle time at each barrier (the max-minus-mean of the wave) is what the
 //! pipelined mode eliminates — the gap plotted in fig. 26.
 //!
-//! The driver shares the kernel's primitives: the clock is an
-//! [`EventQueue`] advanced in lockstep ([`EventQueue::advance`] — no
-//! events interleave between barriers, by construction), and metrics flow
-//! through the same [`RunAccumulator`] the event-driven kernel uses.
+//! The schedule is lockstep, so it drains no event queue: it only
+//! advances an [`EventQueue`]'s clock ([`EventQueue::advance`]), and its
+//! metrics flow through the same [`RunAccumulator`] the event loop uses.
+//! It narrates no kernel events.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use e3_hardware::{GpuKind, LatencyModel, LinkKind, TransferModel};
-use e3_model::{EeModel, ExitPolicy, ExitSampler, InferenceSim, RampController};
+use e3_hardware::{LinkKind, TransferModel};
 use e3_simcore::{EventQueue, SimDuration, SimTime};
-use e3_workload::Request;
 
+use crate::engine::ServingSim;
 use crate::executor::execute_batch;
 use crate::kernel::RunAccumulator;
 use crate::report::RunReport;
 use crate::sample::SimSample;
 
-/// Runs the serial-barrier mode over `requests`.
+/// Serves `samples` on `sim`'s stages with a barrier at every boundary.
+/// Every stage runs at the first stage's target batch, on the first
+/// stage's GPU set.
 ///
-/// `boundaries` are the interior split points (as from
-/// [`e3_optimizer::SplitPlan::boundaries`]); `gpus` is the data-parallel
-/// device set; every stage runs at target batch `b0`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_serial_barrier(
-    model: &EeModel,
-    policy: ExitPolicy,
-    ctrl: &RampController,
-    infer: &InferenceSim,
-    boundaries: &[usize],
-    gpus: &[GpuKind],
-    b0: usize,
-    slo: SimDuration,
-    lm: &LatencyModel,
-    requests: &[Request],
-    seed: u64,
-) -> RunReport {
-    assert!(!gpus.is_empty(), "need at least one GPU");
-    assert!(b0 >= 1, "batch must be at least 1");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let sampler = ExitSampler::new(infer, model, &policy, ctrl);
-    let samples: Vec<SimSample> = requests
-        .iter()
-        .map(|r| SimSample::materialize(r, &sampler, &mut rng))
-        .collect();
-
-    // Stage ranges from the boundary list.
-    let mut stages = Vec::new();
-    let mut prev = 0usize;
-    for &b in boundaries {
-        assert!(b > prev && b < model.num_layers(), "bad boundary {b}");
-        stages.push(prev..b);
-        prev = b;
-    }
-    stages.push(prev..model.num_layers());
-
+/// # Panics
+///
+/// Panics in open loop, or with faults planned: the barrier schedule has
+/// neither form.
+pub(crate) fn run_barrier(sim: &ServingSim<'_>, samples: &[SimSample]) -> RunReport {
+    assert!(
+        sim.cfg.closed_loop,
+        "the barrier schedule of a serial plan (model parallelism off) has no open-loop form"
+    );
+    assert!(
+        sim.cfg.fault_plan.is_empty(),
+        "the barrier schedule of a serial plan (model parallelism off) injects no faults"
+    );
+    let (model, stages) = (sim.model, &sim.stages);
+    let gpus = &stages[0].replicas;
+    let b0 = stages[0].target_batch;
     let gather = TransferModel::new(LinkKind::Pcie);
     let m = gpus.len();
     // Pure lockstep: the queue only lends its clock; nothing is scheduled.
     let mut q: EventQueue<()> = EventQueue::new();
-    let mut acc = RunAccumulator::new(stages.len(), m, slo, true);
+    let mut acc = RunAccumulator::new(stages.len(), m, sim.cfg.slo, true);
     // Every dispatch in this mode is exactly b0 wide, at every stage.
     for st in 0..stages.len() {
         acc.record_dispatch(st, b0 as f64);
@@ -79,10 +59,11 @@ pub fn run_serial_barrier(
     for chunk in samples.chunks(m * b0) {
         let round_start = q.now();
         let mut alive: Vec<SimSample> = chunk.to_vec();
-        for stage in &stages {
+        for stage in stages {
             if alive.is_empty() {
                 break;
             }
+            let end = stage.layers.end;
             // Re-form full batches from survivors and run them in waves
             // of m, with a barrier after each wave.
             let batches: Vec<&[SimSample]> = alive.chunks(b0).collect();
@@ -91,13 +72,13 @@ pub fn run_serial_barrier(
                 for (g, batch) in wave.iter().enumerate() {
                     let out = execute_batch(
                         model,
-                        ctrl,
-                        lm,
-                        &lm.exit,
+                        &sim.ctrl,
+                        &sim.lm,
+                        &sim.lm.exit,
                         gpus[g],
-                        stage.clone(),
+                        stage.layers.clone(),
                         batch,
-                        true,
+                        stage.deferred_exits,
                         1.0,
                     );
                     acc.record_busy(g, out.duration, out.mean_occupancy);
@@ -108,19 +89,19 @@ pub fn run_serial_barrier(
             // Gather survivors across GPUs over shared PCIe.
             let survivors: Vec<SimSample> = alive
                 .iter()
-                .filter(|s| !s.finishes_before(stage.end))
+                .filter(|s| !s.finishes_before(end))
                 .copied()
                 .collect();
             let finished: Vec<SimSample> = alive
                 .iter()
-                .filter(|s| s.finishes_before(stage.end))
+                .filter(|s| s.finishes_before(end))
                 .copied()
                 .collect();
-            if stage.end < model.num_layers() && !survivors.is_empty() {
-                q.advance(gather.batch_transfer_time(
-                    model.boundary_bytes(stage.end - 1),
-                    survivors.len() as f64,
-                ));
+            if end < model.num_layers() && !survivors.is_empty() {
+                q.advance(
+                    gather
+                        .batch_transfer_time(model.boundary_bytes(end - 1), survivors.len() as f64),
+                );
             }
             let clock = q.now();
             for mut s in finished {
@@ -139,8 +120,15 @@ pub fn run_serial_barrier(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use e3_model::{zoo, RampStyle};
+    use crate::engine::ServingConfig;
+    use crate::kernel::NullObserver;
+    use crate::strategy::StageSpec;
+    use e3_hardware::{GpuKind, LatencyModel};
+    use e3_model::{zoo, InferenceSim, RampController, RampStyle};
     use e3_simcore::SimTime;
+    use e3_workload::Request;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn requests(n: usize) -> Vec<Request> {
         let ds = e3_workload::DatasetModel::sst2();
@@ -155,23 +143,38 @@ mod tests {
             .collect()
     }
 
+    /// DeeBERT split at `boundaries`, every split on the same `gpus`
+    /// V100s at batch `b0`, served serially.
     fn run(boundaries: &[usize], gpus: usize, b0: usize) -> RunReport {
         let model = zoo::deebert();
-        let policy = zoo::default_policy("DeeBERT");
         let ctrl = RampController::all_enabled(model.num_ramps(), RampStyle::Independent);
-        run_serial_barrier(
-            &model,
-            policy,
-            &ctrl,
-            &InferenceSim::new(),
-            boundaries,
-            &vec![GpuKind::V100; gpus],
-            b0,
-            SimDuration::from_millis(100),
-            &LatencyModel::new(),
-            &requests(8000),
-            7,
-        )
+        let cuts: Vec<usize> = std::iter::once(0)
+            .chain(boundaries.iter().copied())
+            .chain(std::iter::once(model.num_layers()))
+            .collect();
+        let stages = cuts
+            .windows(2)
+            .map(|w| StageSpec {
+                layers: w[0]..w[1],
+                target_batch: b0,
+                replicas: vec![GpuKind::V100; gpus],
+                deferred_exits: true,
+            })
+            .collect();
+        let sim = ServingSim {
+            pipelined: false,
+            ..ServingSim::new(
+                &model,
+                zoo::default_policy("DeeBERT"),
+                ctrl,
+                InferenceSim::new(),
+                stages,
+                LatencyModel::new(),
+                TransferModel::default(),
+                ServingConfig::default(),
+            )
+        };
+        sim.run(&requests(8000), 7, &mut NullObserver)
     }
 
     #[test]

@@ -17,7 +17,6 @@ use std::collections::HashMap;
 use std::fmt;
 
 use e3_runtime::kernel::{EventLog, ExclusionReason, KernelEvent, RunObserver, TaggedEventLog};
-use e3_runtime::RunReport;
 use e3_simcore::SimTime;
 
 /// The invariant families the checker enforces.
@@ -195,22 +194,6 @@ impl InvariantChecker {
             );
         }
         self.violations
-    }
-
-    /// Report-level checks that need the run's aggregate counters: the
-    /// peak replica queue depth must respect the configured bound.
-    pub fn check_report(&mut self, report: &RunReport) {
-        if let Some(cap) = self.cfg.queue_cap {
-            for (r, &depth) in report.peak_replica_queue_depth.iter().enumerate() {
-                if depth > cap {
-                    self.report(
-                        self.last_now,
-                        InvariantClass::QueueBound,
-                        format!("replica {r} peak queue depth {depth} exceeds cap {cap}"),
-                    );
-                }
-            }
-        }
     }
 
     /// Replays a recorded log through a fresh checker.
@@ -820,42 +803,5 @@ mod tests {
         c.on_event(t(0), &KernelEvent::ReconfigStarted { epoch: 1 });
         let v = c.finish();
         assert_eq!(classes(&v), vec![InvariantClass::ReconfigEpochs]);
-    }
-
-    #[test]
-    fn report_level_queue_bound() {
-        use e3_simcore::metrics::DurationHistogram;
-        use e3_simcore::SimDuration;
-        let mut c = InvariantChecker::new(CheckerConfig {
-            queue_cap: Some(2),
-            ..Default::default()
-        });
-        let report = RunReport {
-            duration: SimDuration::from_secs(1),
-            completed: 0,
-            within_slo: 0,
-            dropped: 0,
-            correct: 0,
-            latency: DurationHistogram::new(),
-            replica_util: vec![],
-            mean_dispatch_batch: vec![],
-            exit_events: vec![],
-            slo: SimDuration::from_millis(100),
-            stragglers_detected: vec![],
-            peak_queue_depth: vec![],
-            peak_replica_queue_depth: vec![1, 3],
-            replica_availability: vec![],
-            faults_injected: 0,
-            degraded_completed: 0,
-            degraded_within_slo: 0,
-            shed: 0,
-            transfer_retries: 0,
-            transfer_aborts: 0,
-            tokens_generated: 0,
-            kv_preemptions: 0,
-            robustness: Default::default(),
-        };
-        c.check_report(&report);
-        assert_eq!(classes(c.violations()), vec![InvariantClass::QueueBound]);
     }
 }

@@ -285,13 +285,13 @@ impl<E> EventQueue<E> {
     }
 
     /// Timestamp of the next pending event, if any, without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.find_min().map(|k| SimTime::from_nanos(k.at))
     }
 
     /// Discards all pending events (the clock is left unchanged). Used when
     /// a simulation ends at a horizon with work still in flight.
-    pub fn clear_pending(&mut self) {
+    pub(crate) fn clear_pending(&mut self) {
         for bucket in &mut self.buckets {
             bucket.clear();
         }

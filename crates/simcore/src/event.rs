@@ -174,13 +174,13 @@ impl<E> ReferenceQueue<E> {
     }
 
     /// Timestamp of the next pending event, if any, without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
     }
 
     /// Discards all pending events (the clock is left unchanged). Used when
     /// a simulation ends at a horizon with work still in flight.
-    pub fn clear_pending(&mut self) {
+    pub(crate) fn clear_pending(&mut self) {
         self.heap.clear();
     }
 }

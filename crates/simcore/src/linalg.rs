@@ -43,7 +43,7 @@ impl std::error::Error for LinalgError {}
 
 impl Matrix {
     /// Creates a `rows x cols` matrix of zeros.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         Matrix {
             rows,
             cols,
@@ -61,15 +61,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// The identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -81,7 +72,7 @@ impl Matrix {
     }
 
     /// Matrix transpose.
-    pub fn transpose(&self) -> Matrix {
+    pub(crate) fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
         for i in 0..self.rows {
             for j in 0..self.cols {
@@ -96,7 +87,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if inner dimensions differ.
-    pub fn matmul(&self, other: &Matrix) -> Result<Matrix, LinalgError> {
+    pub(crate) fn matmul(&self, other: &Matrix) -> Result<Matrix, LinalgError> {
         if self.cols != other.rows {
             return Err(LinalgError::ShapeMismatch { context: "matmul" });
         }
@@ -120,7 +111,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `v.len() != cols`.
-    pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    pub(crate) fn matvec(&self, v: &[f64]) -> Result<Vec<f64>, LinalgError> {
         if v.len() != self.cols {
             return Err(LinalgError::ShapeMismatch { context: "matvec" });
         }
@@ -239,7 +230,7 @@ mod tests {
 
     #[test]
     fn identity_solve() {
-        let a = Matrix::identity(3);
+        let a = Matrix::from_rows(3, 3, vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]);
         let x = solve(a, vec![1.0, 2.0, 3.0]).unwrap();
         assert!(approx(&x, &[1.0, 2.0, 3.0], 1e-12));
     }

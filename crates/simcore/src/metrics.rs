@@ -1,11 +1,11 @@
 //! Metrics collection for simulated serving runs.
 //!
 //! The paper reports goodput (samples/sec completed within SLO), latency
-//! quartiles (fig. 17), GPU utilization (fig. 3), and per-window batch-size
-//! time series (fig. 21). These types collect exactly those measurements.
+//! quartiles (fig. 17) and GPU utilization (fig. 3). These types collect
+//! exactly those measurements.
 
 use crate::stats::{self, FiveNumber};
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// A monotonically increasing event counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -15,11 +15,6 @@ impl Counter {
     /// Creates a counter at zero.
     pub fn new() -> Self {
         Counter(0)
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
     }
 
     /// Adds `n`.
@@ -81,19 +76,6 @@ impl DurationHistogram {
         FiveNumber::from_samples(&self.samples_ms)
     }
 
-    /// Fraction of observations at or below `threshold_ms`.
-    pub fn fraction_within_ms(&self, threshold_ms: f64) -> f64 {
-        if self.samples_ms.is_empty() {
-            return 0.0;
-        }
-        let n = self
-            .samples_ms
-            .iter()
-            .filter(|&&x| x <= threshold_ms)
-            .count();
-        n as f64 / self.samples_ms.len() as f64
-    }
-
     /// Raw samples in milliseconds (for custom analyses).
     pub fn samples_ms(&self) -> &[f64] {
         &self.samples_ms
@@ -102,61 +84,6 @@ impl DurationHistogram {
     /// Merges another histogram's samples into this one.
     pub fn merge(&mut self, other: &DurationHistogram) {
         self.samples_ms.extend_from_slice(&other.samples_ms);
-    }
-}
-
-/// A timestamped numeric series (e.g., observed batch size per scheduling
-/// window, as in fig. 21).
-#[derive(Debug, Clone, Default)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a point. Points should be pushed in nondecreasing time
-    /// order; this is asserted in debug builds.
-    pub fn push(&mut self, t: SimTime, v: f64) {
-        debug_assert!(
-            self.points.last().is_none_or(|(last, _)| *last <= t),
-            "time series points must be pushed in order"
-        );
-        self.points.push((t, v));
-    }
-
-    /// All points.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Values only.
-    pub fn values(&self) -> Vec<f64> {
-        self.points.iter().map(|(_, v)| *v).collect()
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Mean of values in the half-open window `[from, to)`.
-    pub fn window_mean(&self, from: SimTime, to: SimTime) -> f64 {
-        let vals: Vec<f64> = self
-            .points
-            .iter()
-            .filter(|(t, _)| *t >= from && *t < to)
-            .map(|(_, v)| *v)
-            .collect();
-        stats::mean(&vals)
     }
 }
 
@@ -208,15 +135,6 @@ impl UtilizationTracker {
         }
         (self.weighted_busy_secs / elapsed.as_secs_f64()).min(1.0)
     }
-
-    /// Mean occupancy *while busy* (1.0 if never busy).
-    pub fn mean_occupancy_while_busy(&self) -> f64 {
-        if self.busy.is_zero() {
-            1.0
-        } else {
-            self.weighted_busy_secs / self.busy.as_secs_f64()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -226,7 +144,7 @@ mod tests {
     #[test]
     fn counter_counts() {
         let mut c = Counter::new();
-        c.incr();
+        c.add(1);
         c.add(4);
         assert_eq!(c.get(), 5);
     }
@@ -243,7 +161,6 @@ mod tests {
         let s = h.five_number_ms();
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 100.0);
-        assert!((h.fraction_within_ms(10.0) - 0.10).abs() < 1e-9);
     }
 
     #[test]
@@ -258,16 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn timeseries_window_mean() {
-        let mut ts = TimeSeries::new();
-        ts.push(SimTime::from_secs(0), 1.0);
-        ts.push(SimTime::from_secs(1), 3.0);
-        ts.push(SimTime::from_secs(2), 100.0);
-        let m = ts.window_mean(SimTime::ZERO, SimTime::from_secs(2));
-        assert_eq!(m, 2.0);
-    }
-
-    #[test]
     fn utilization_tracks_occupancy() {
         let mut u = UtilizationTracker::new();
         // Busy 2s of a 4s run: 1s at full occupancy, 1s at half.
@@ -276,7 +183,6 @@ mod tests {
         let elapsed = SimDuration::from_secs(4);
         assert!((u.busy_fraction(elapsed) - 0.5).abs() < 1e-9);
         assert!((u.effective_utilization(elapsed) - 0.375).abs() < 1e-9);
-        assert!((u.mean_occupancy_while_busy() - 0.75).abs() < 1e-9);
     }
 
     #[test]
@@ -284,6 +190,5 @@ mod tests {
         let u = UtilizationTracker::new();
         assert_eq!(u.busy_fraction(SimDuration::ZERO), 0.0);
         assert_eq!(u.effective_utilization(SimDuration::ZERO), 0.0);
-        assert_eq!(u.mean_occupancy_while_busy(), 1.0);
     }
 }

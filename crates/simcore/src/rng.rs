@@ -100,7 +100,7 @@ pub fn box_muller(u1: f64, u2: f64) -> f64 {
 
 /// Samples from a Gamma(shape, scale) distribution (Marsaglia–Tsang for
 /// shape >= 1, boost trick for shape < 1). Used to build Beta samples.
-pub fn gamma_sample<R: Rng + ?Sized>(rng: &mut R, shape: f64, scale: f64) -> f64 {
+pub(crate) fn gamma_sample<R: Rng + ?Sized>(rng: &mut R, shape: f64, scale: f64) -> f64 {
     assert!(shape > 0.0 && scale > 0.0, "gamma parameters must be > 0");
     if shape < 1.0 {
         // Boost: Gamma(a) = Gamma(a+1) * U^(1/a)

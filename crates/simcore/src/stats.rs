@@ -31,7 +31,7 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
 }
 
 /// Linear-interpolation quantile of an already-sorted slice.
-pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
+pub(crate) fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use e3::WindowReport;
 use e3_hardware::GpuKind;
-use e3_simcore::stats::{jain_fairness_index, weighted_jain_fairness_index};
+use e3_simcore::stats::jain_fairness_index;
 use e3_simcore::SimDuration;
 
 /// One allocation epoch's decision.
@@ -114,14 +114,6 @@ impl MultiTenantReport {
         jain_fairness_index(&xs)
     }
 
-    /// Weight-normalized Jain index: 1.0 means goodput proportional to
-    /// priority weight.
-    pub fn weighted_jain(&self) -> f64 {
-        let xs: Vec<f64> = self.tenants.iter().map(|t| t.goodput()).collect();
-        let ws: Vec<f64> = self.tenants.iter().map(|t| t.weight).collect();
-        weighted_jain_fairness_index(&xs, &ws)
-    }
-
     /// The worst per-tenant SLO attainment — the number an operator
     /// holds against the floor.
     pub fn min_attainment(&self) -> f64 {
@@ -136,15 +128,6 @@ impl MultiTenantReport {
     /// floor.
     pub fn floor_held(&self) -> bool {
         self.min_attainment() >= self.slo_floor
-    }
-
-    /// Human-readable per-tenant GPU grant for the final epoch, e.g.
-    /// `"4×V100+2×K80"`.
-    pub fn final_grant(&self, tenant: usize) -> String {
-        let Some(last) = self.allocations.last() else {
-            return String::new();
-        };
-        format_share(&last.shares[tenant])
     }
 }
 

@@ -98,14 +98,14 @@ impl TenantSpec {
     }
 
     /// Offered load in samples/s, given the scheduling-window length.
-    pub fn demand_rate(&self, window: SimDuration) -> f64 {
+    pub(crate) fn demand_rate(&self, window: SimDuration) -> f64 {
         self.requests_per_window as f64 / window.as_secs_f64()
     }
 
     /// The dataset active during window `w` of the tenant's timeline —
     /// sampled at the window's midpoint, so a phase switch takes effect
     /// in the first window that is mostly past it.
-    pub fn dataset_for_window(&self, w: usize, window: SimDuration) -> &DatasetModel {
+    pub(crate) fn dataset_for_window(&self, w: usize, window: SimDuration) -> &DatasetModel {
         let mid = SimTime::ZERO + window * w as u64 + window / 2;
         self.workload.dataset_at(mid)
     }

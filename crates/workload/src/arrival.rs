@@ -44,28 +44,6 @@ pub enum ArrivalProcess {
 }
 
 impl ArrivalProcess {
-    /// True for closed-loop (no timestamps).
-    pub fn is_closed_loop(&self) -> bool {
-        matches!(self, ArrivalProcess::ClosedLoop { .. })
-    }
-
-    /// Mean offered rate in requests/second (`None` for closed loop).
-    pub fn mean_rate(&self) -> Option<f64> {
-        match self {
-            ArrivalProcess::ClosedLoop { .. } => None,
-            ArrivalProcess::Uniform { rate, .. } | ArrivalProcess::Poisson { rate } => Some(*rate),
-            ArrivalProcess::Bursty(cfg) => Some(cfg.mean_rate),
-            ArrivalProcess::Replay(ts) => {
-                let span = ts.last()?.as_secs_f64();
-                if span <= 0.0 {
-                    None
-                } else {
-                    Some(ts.len() as f64 / span)
-                }
-            }
-        }
-    }
-
     /// Materializes arrival times in `[0, horizon)`.
     ///
     /// Returns an empty vector for closed-loop processes (the runtime
@@ -120,8 +98,6 @@ mod tests {
         let p = ArrivalProcess::ClosedLoop { concurrency: 64 };
         let mut rng = StdRng::seed_from_u64(1);
         assert!(p.generate(SimDuration::from_secs(10), &mut rng).is_empty());
-        assert!(p.is_closed_loop());
-        assert_eq!(p.mean_rate(), None);
     }
 
     #[test]
@@ -182,9 +158,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let out = p.generate(SimDuration::from_secs(1), &mut rng);
         assert_eq!(out.len(), 2);
-        // Mean rate derives from the recorded span.
-        let rate = p.mean_rate().expect("nonempty");
-        assert!((rate - 1.5).abs() < 1e-9, "rate={rate}");
     }
 
     #[test]

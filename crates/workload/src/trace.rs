@@ -49,21 +49,6 @@ impl BurstyTraceConfig {
         }
     }
 
-    /// A gentler, datacenter-style configuration: pronounced diurnal
-    /// swing, mild bursts — the shape of cloud inference traces (Azure
-    /// Functions-like) as opposed to the Twitter stream's spikes.
-    pub fn diurnal(mean_rate: f64) -> Self {
-        BurstyTraceConfig {
-            mean_rate,
-            burst_factor: 1.6,
-            lull_factor: 0.7,
-            mean_burst_secs: 8.0,
-            mean_lull_secs: 8.0,
-            diurnal_amplitude: 0.6,
-            diurnal_period_secs: 120.0,
-        }
-    }
-
     /// Expected rate multiplier before normalization (used to rescale so
     /// the realized mean matches `mean_rate`).
     fn raw_mean_factor(&self) -> f64 {
@@ -216,7 +201,18 @@ mod tests {
             horizon,
         );
         let diurnal = per_second_counts(
-            &BurstyTraceConfig::diurnal(1000.0).generate(horizon, &mut StdRng::seed_from_u64(9)),
+            // A gentler, datacenter-style shape: pronounced diurnal
+            // swing, mild bursts.
+            &BurstyTraceConfig {
+                burst_factor: 1.6,
+                lull_factor: 0.7,
+                mean_burst_secs: 8.0,
+                mean_lull_secs: 8.0,
+                diurnal_amplitude: 0.6,
+                diurnal_period_secs: 120.0,
+                ..BurstyTraceConfig::twitter_like(1000.0)
+            }
+            .generate(horizon, &mut StdRng::seed_from_u64(9)),
             horizon,
         );
         assert!(peak_to_mean(&diurnal) < peak_to_mean(&twitter));

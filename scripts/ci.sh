@@ -99,6 +99,10 @@ grep -q '"bench":"kernel",.*"events":55934,' /tmp/bench_kernel.out
 grep -q '"bench":"kernel_continuous",.*"events":594756,' /tmp/bench_kernel.out
 grep -q '"bench":"kernel_multi_tenant",.*"events":8568,' /tmp/bench_kernel.out
 grep -q '"bench":"materialize",.*"layers":109136,' /tmp/bench_kernel.out
+# The open-loop section is the one that runs SLO-slack admission, so its
+# drop count is gated too. No rate floor yet: its host-scale reading is
+# still open.
+grep -q '"bench":"kernel_open",.*"dropped":263,"events":87267,' /tmp/bench_kernel.out
 for section in kernel kernel_continuous materialize; do
     scripts/bench_floor.sh "$section" BENCH_kernel.json /tmp/bench_kernel.out
 done
