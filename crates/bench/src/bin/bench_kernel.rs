@@ -1,6 +1,6 @@
 //! Kernel event-throughput microbenchmark.
 //!
-//! Five sections, one JSON line each, so CI can archive the output as
+//! Six sections, one JSON line each, so CI can archive the output as
 //! `BENCH_kernel.json` and diff `events_per_sec` against the committed
 //! baseline:
 //!
@@ -25,6 +25,12 @@
 //!    Twitter-like bursty rate over a 30 s horizon, in the shape of the
 //!    benchmark's `open_bursty` workload. The backlog is materialized
 //!    once and the timed region is the kernel alone.
+//! 6. `generate` — the arrival and hardness generation the `kernel_open`
+//!    section excludes, at the `open_bursty` shape: SST-2 requests under
+//!    each of six Twitter-like bursty rates (400–1000 req/s) over 30 s,
+//!    reported as the fastest of [`REPS`] passes. Its `events_per_sec`
+//!    counts generated requests; `digest` is an FNV-1a hash of every
+//!    request's arrival and hardness bits, so CI pins the exact stream.
 //!
 //! ```text
 //! cargo run --release -p e3-bench --bin bench_kernel > BENCH_kernel.json
@@ -43,7 +49,7 @@ use e3_runtime::{
     run_continuous, ContinuousConfig, FaultPlan, JoinPolicy, KernelEvent, KvPlan, PreemptMode,
     RunObserver, Strategy, TaggedEventLog,
 };
-use e3_simcore::{SimDuration, SimTime};
+use e3_simcore::{SeedSplitter, SimDuration, SimTime};
 use e3_tenancy::{MarginalGoodput, MultiTenantSystem, TenancyConfig, TenantSpec};
 use e3_workload::{ArrivalProcess, BurstyTraceConfig, DatasetModel, WorkloadGenerator};
 use rand::rngs::StdRng;
@@ -280,10 +286,65 @@ fn bench_open() {
     );
 }
 
+/// Section 6: open-loop request generation at the benchmark's
+/// `open_bursty` shape.
+fn bench_generate() {
+    const RATES: [f64; 6] = [400.0, 500.0, 600.0, 700.0, 800.0, 1000.0];
+    let generators: Vec<WorkloadGenerator> = RATES
+        .iter()
+        .map(|&rate| {
+            WorkloadGenerator::new(
+                ArrivalProcess::Bursty(BurstyTraceConfig::twitter_like(rate)),
+                DatasetModel::sst2(),
+                SimDuration::from_secs(30),
+            )
+        })
+        .collect();
+    let seeds = SeedSplitter::new(SEED);
+    let generate = || {
+        generators.iter().zip(0u64..).map(|(g, rung)| {
+            g.generate(
+                0,
+                &mut StdRng::seed_from_u64(seeds.derive_indexed("requests", rung)),
+            )
+        })
+    };
+    // FNV-1a over each request's arrival and hardness bits.
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut requests = 0;
+    for reqs in generate() {
+        requests += reqs.len();
+        for r in &reqs {
+            for word in [r.arrival.as_nanos(), r.hardness.to_bits()] {
+                for byte in word.to_le_bytes() {
+                    digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+    }
+    let mut best = f64::INFINITY;
+    for _ in 0..REPS {
+        let start = Instant::now();
+        for reqs in generate() {
+            std::hint::black_box(reqs);
+        }
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    println!(
+        "{{\"bench\":\"generate\",\"rates\":{},\"requests\":{},\"digest\":\"{:016x}\",\"wall_secs\":{:.4},\"events_per_sec\":{:.0}}}",
+        RATES.len(),
+        requests,
+        digest,
+        best,
+        requests as f64 / best.max(1e-9)
+    );
+}
+
 fn main() {
     bench_windowed();
     bench_continuous();
     bench_multi_tenant();
     bench_materialize();
     bench_open();
+    bench_generate();
 }

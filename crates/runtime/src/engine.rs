@@ -45,7 +45,7 @@ use e3_simcore::{EventQueue, SimDuration, SimQueue, SimTime};
 use e3_workload::Request;
 
 use crate::kernel::{
-    Batches, Ev, Event, FaultPlan, FusionBatching, RunObserver, SloSlackAdmission,
+    Batches, Ev, Event, FaultPlan, FusionBatching, RunAccumulator, RunObserver, SloSlackAdmission,
 };
 use crate::report::RunReport;
 use crate::sample::SimSample;
@@ -305,7 +305,11 @@ impl<'a> ServingSim<'a> {
         if !self.pipelined {
             return serial::run_barrier(self, &backlog);
         }
-        let acc = Batches::<Q>::new(self, backlog, admission, batching, observer).run();
+        self.report(Batches::<Q>::new(self, backlog, admission, batching, observer).run())
+    }
+
+    /// The report of a finished event-loop run.
+    fn report(&self, acc: RunAccumulator) -> RunReport {
         let last = acc.last_completion();
         let duration = match self.cfg.horizon {
             Some(h) => last.saturating_since(SimTime::ZERO).max(h),
@@ -758,6 +762,71 @@ mod tests {
         assert!(r.mean_depth() < 10.0, "mean depth {}", r.mean_depth());
     }
 
+    /// The deployment the queue differential tests replay: a multi-stage
+    /// E3 plan on a small cluster (stage faults and transfer events only
+    /// exist with at least two stages), with `cfg`'s fault plan decoded
+    /// from `words` on a millisecond grid within the first 150 ms.
+    fn differential_sim<'a>(
+        model: &'a EeModel,
+        words: &[u64],
+        cfg: ServingConfig,
+    ) -> ServingSim<'a> {
+        use e3_model::BatchProfile;
+
+        let ctrl = RampController::all_enabled(model.num_ramps(), RampStyle::Independent);
+        let policy = zoo::default_policy("DeeBERT");
+        let profile = BatchProfile::new(vec![
+            1.0, 0.97, 0.83, 0.65, 0.49, 0.36, 0.27, 0.22, 0.21, 0.19, 0.16, 0.11, 0.11,
+        ]);
+        let (tm, lm) = (TransferModel::default(), LatencyModel::new());
+        let plan = optimize_homogeneous_cached(
+            model,
+            &ctrl,
+            &profile,
+            GpuKind::V100,
+            6,
+            8.0,
+            &tm,
+            &lm,
+            &OptimizerConfig::default(),
+            &mut PlanCache::new(),
+        );
+        let cluster = ClusterSpec::homogeneous(GpuKind::V100, 6, 4);
+        let stages = Strategy::Plan(plan).realize(model, &cluster);
+        let num_replicas: usize = stages.iter().map(|s| s.replicas.len()).sum();
+        let fault_plan = decoded_fault_plan(words, num_replicas, stages.len(), 150);
+        fault_plan.validate(num_replicas, stages.len());
+        ServingSim::new(
+            model,
+            policy,
+            ctrl,
+            InferenceSim::new(),
+            stages,
+            lm,
+            tm,
+            ServingConfig { fault_plan, ..cfg },
+        )
+    }
+
+    /// Serves `backlog` on queue `Q` with open-loop arrivals merged from
+    /// the backlog or, with `upfront`, all scheduled on the queue at the
+    /// start — the reference the merge must reproduce.
+    fn serve_open<Q: SimQueue<Event<Ev>>>(
+        sim: &ServingSim,
+        backlog: Vec<SimSample>,
+        upfront: bool,
+        observer: &mut dyn RunObserver,
+    ) -> RunReport {
+        let (admission, batching) = sim.policies();
+        let run = Batches::<Q>::new(sim, backlog, admission, batching, observer);
+        let run = if upfront {
+            run.scheduling_arrivals_upfront()
+        } else {
+            run
+        };
+        sim.report(run.run())
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
@@ -776,47 +845,10 @@ mod tests {
             seed in 0u64..u64::MAX,
         ) {
             use crate::kernel::EventLog;
-            use e3_model::BatchProfile;
             use proptest::prop_assert_eq;
 
-            // A multi-stage E3 plan on a small cluster: stage faults and
-            // transfer events only exist with at least two stages.
             let model = zoo::deebert();
-            let ctrl = RampController::all_enabled(model.num_ramps(), RampStyle::Independent);
-            let policy = zoo::default_policy("DeeBERT");
-            let profile = BatchProfile::new(vec![
-                1.0, 0.97, 0.83, 0.65, 0.49, 0.36, 0.27, 0.22, 0.21, 0.19, 0.16, 0.11, 0.11,
-            ]);
-            let (tm, lm) = (TransferModel::default(), LatencyModel::new());
-            let plan = optimize_homogeneous_cached(
-                &model,
-                &ctrl,
-                &profile,
-                GpuKind::V100,
-                6,
-                8.0,
-                &tm,
-                &lm,
-                &OptimizerConfig::default(), &mut PlanCache::new());
-            let cluster = ClusterSpec::homogeneous(GpuKind::V100, 6, 4);
-            let stages = Strategy::Plan(plan).realize(&model, &cluster);
-            let num_replicas: usize = stages.iter().map(|s| s.replicas.len()).sum();
-            let fault_plan = decoded_fault_plan(&words, num_replicas, stages.len(), 150);
-            fault_plan.validate(num_replicas, stages.len());
-
-            let sim = ServingSim::new(
-                &model,
-                policy,
-                ctrl.clone(),
-                InferenceSim::new(),
-                stages,
-                lm,
-                tm,
-                ServingConfig {
-                    fault_plan,
-                    ..Default::default()
-                },
-            );
+            let sim = differential_sim(&model, &words, ServingConfig::default());
             let mut rng = StdRng::seed_from_u64(seed);
             let dataset = DatasetModel::sst2();
             let requests: Vec<Request> = (0..1500u64)
@@ -843,6 +875,88 @@ mod tests {
             prop_assert_eq!(calendar.within_slo, reference.within_slo);
             prop_assert_eq!(calendar.dropped, reference.dropped);
             prop_assert_eq!(calendar.duration, reference.duration);
+        }
+
+        /// Open-loop arrivals are merged from the backlog, not put on the
+        /// queue. On both queues the merged run must replay, event for
+        /// event, the reference that schedules every arrival up front
+        /// after the fault actions. Arrivals sit on the faults'
+        /// millisecond grid, so they tie with fault edges, flush timers
+        /// and each other. A second backlog appends arrivals stamped at
+        /// the first run's `ExecDone` instants: it ties arrivals with
+        /// completions of passes, and it is not sorted by arrival.
+        #[test]
+        fn merged_arrivals_replay_upfront_reference(
+            words in proptest::collection::vec(0u64..u64::MAX, 1..6),
+            seed in 0u64..u64::MAX,
+        ) {
+            use crate::kernel::{EventLog, KernelEvent};
+            use e3_simcore::ReferenceQueue;
+            use proptest::{prop_assert, prop_assert_eq};
+            use rand::Rng;
+
+            let model = zoo::deebert();
+            let cfg = ServingConfig {
+                closed_loop: false,
+                horizon: Some(SimDuration::from_millis(150)),
+                ..Default::default()
+            };
+            let sim = differential_sim(&model, &words, cfg);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dataset = DatasetModel::sst2();
+            let mut arrivals: Vec<u64> = (0..1200).map(|_| rng.gen_range(0..150)).collect();
+            arrivals.sort_unstable();
+            let mut requests: Vec<Request> = arrivals
+                .iter()
+                .enumerate()
+                .map(|(id, &ms)| Request {
+                    id: id as u64,
+                    arrival: SimTime::from_millis(ms),
+                    hardness: dataset.sample_hardness(&mut rng),
+                    output_tokens: 1,
+                })
+                .collect();
+
+            type Reference = ReferenceQueue<Event<Ev>>;
+            for pass in 0..2 {
+                let backlog = sim.materialize_backlog(&requests, seed);
+                let mut upfront_log = EventLog::new();
+                let upfront = serve_open::<Reference>(&sim, backlog.clone(), true, &mut upfront_log);
+                let mut calendar_log = EventLog::new();
+                let calendar = sim.run_backlog_observed(backlog.clone(), &mut calendar_log);
+                let mut merged_log = EventLog::new();
+                let merged = serve_open::<Reference>(&sim, backlog, false, &mut merged_log);
+                for (log, report) in [(&calendar_log, &calendar), (&merged_log, &merged)] {
+                    prop_assert_eq!(&log.events, &upfront_log.events);
+                    prop_assert_eq!(report.completed, upfront.completed);
+                    prop_assert_eq!(report.within_slo, upfront.within_slo);
+                    prop_assert_eq!(report.dropped, upfront.dropped);
+                    prop_assert_eq!(report.duration, upfront.duration);
+                }
+                let times = |pred: fn(&KernelEvent) -> bool| -> Vec<SimTime> {
+                    upfront_log.events.iter().filter(|(_, e)| pred(e)).map(|(t, _)| *t).collect()
+                };
+                let dones = times(|e| matches!(e, KernelEvent::ExecDone { .. }));
+                if pass == 0 {
+                    let n = requests.len() as u64;
+                    requests.extend(dones.iter().step_by(3).zip(n..).map(|(&arrival, id)| {
+                        Request {
+                            id,
+                            arrival,
+                            hardness: dataset.sample_hardness(&mut rng),
+                            output_tokens: 1,
+                        }
+                    }));
+                    prop_assert!(!requests.is_sorted_by_key(|r| r.arrival));
+                } else {
+                    // The arrival appended at the first `ExecDone` instant
+                    // met that pass completing.
+                    let tied = times(|e| matches!(e, KernelEvent::Arrival { .. }))
+                        .iter()
+                        .any(|t| dones.binary_search(t).is_ok());
+                    prop_assert!(tied, "no arrival tied with an ExecDone");
+                }
+            }
         }
     }
 }

@@ -79,7 +79,7 @@ use e3_simcore::{EventQueue, SimDuration, SimQueue, SimTime};
 use super::faults::FaultPlan;
 use super::observer::{KernelEvent, RunObserver};
 use super::{drive, Core, Discipline, Event};
-use crate::batch::FusionBuffer;
+use crate::batch::{FusionBuffer, SamplePool};
 use crate::report::RunReport;
 use crate::sample::SimSample;
 
@@ -228,6 +228,8 @@ struct Tokens<'a, Q> {
     /// sequences go back at the front.
     pool: VecDeque<usize>,
     bbuf: FusionBuffer,
+    /// Recycled buffers of the batches `bbuf` forms.
+    sample_pool: SamplePool,
     /// Boundary crossers waiting out a link outage.
     held: Vec<SimSample>,
     crossings: u64,
@@ -520,6 +522,7 @@ impl<'a, Q: SimQueue<Event<BFlush>>> Tokens<'a, Q> {
             reps,
             pool: VecDeque::new(),
             bbuf: FusionBuffer::new(cfg.b0),
+            sample_pool: SamplePool::default(),
             held: Vec::new(),
             core: Core::new(
                 &cfg.fault_plan,
@@ -888,9 +891,10 @@ impl<'a, Q: SimQueue<Event<BFlush>>> Tokens<'a, Q> {
                 .oldest_enqueue()
                 .is_some_and(|t| now >= t + self.bwait)
                 || self.draining();
-            let Some(batch) = self.bbuf.take_full(now).or_else(|| {
+            let pool = &mut self.sample_pool;
+            let Some(batch) = self.bbuf.take_full(now, pool).or_else(|| {
                 if due {
-                    self.bbuf.take_partial(now)
+                    self.bbuf.take_partial(now, pool)
                 } else {
                     None
                 }
@@ -923,8 +927,8 @@ impl<'a, Q: SimQueue<Event<BFlush>>> Tokens<'a, Q> {
     }
 
     fn on_b_done(&mut self, r: usize) {
-        let jobs = std::mem::take(&mut self.reps[r].bpass);
-        for job in jobs {
+        let mut jobs = std::mem::take(&mut self.reps[r].bpass);
+        for job in jobs.drain(..) {
             let idx = job.id as usize;
             let home = match self.rt[idx].state {
                 SState::Blocked { home } => home,
@@ -948,6 +952,7 @@ impl<'a, Q: SimQueue<Event<BFlush>>> Tokens<'a, Q> {
                 }
             }
         }
+        self.sample_pool.put(jobs);
         self.try_start_b();
         self.kick_stage_a();
     }
@@ -1024,10 +1029,11 @@ impl<'a, Q: SimQueue<Event<BFlush>>> Discipline<'a> for Tokens<'a, Q> {
         } else {
             // The jobs rejoin the fusion buffer's head; its wait clock
             // restarts now.
-            let jobs = std::mem::take(&mut self.reps[replica].bpass);
-            for job in jobs.into_iter().rev() {
+            let mut jobs = std::mem::take(&mut self.reps[replica].bpass);
+            for job in jobs.drain(..).rev() {
                 self.bbuf.push_front(job, self.core.now());
             }
+            self.sample_pool.put(jobs);
             self.try_start_b();
         }
     }

@@ -4,8 +4,9 @@
 //! [`e3_simcore::EventQueue`]. The loop owns the *mechanism* both serving
 //! disciplines share, once:
 //!
-//! * the queue drain, and the fault plan's schedule with the dispatch of
-//!   each fault reaction (one fault state in [`faults`]);
+//! * the queue drain, merged with the open-loop arrivals a discipline
+//!   keeps in its backlog, and the fault plan's schedule with the
+//!   dispatch of each fault reaction (one fault state in [`faults`]);
 //! * each replica's lifecycle: busy, crashed, excluded and epoch, the
 //!   stale-completion check, the `ExecStart`/`ExecDone` narration, and
 //!   the accounting and narration of crash exclusion and recovery.
@@ -62,7 +63,7 @@ use std::marker::PhantomData;
 use e3_hardware::GpuKind;
 use e3_simcore::{EventQueue, SimDuration, SimQueue, SimTime};
 
-use crate::batch::Batch;
+use crate::batch::{Batch, SamplePool};
 use crate::engine::ServingSim;
 use crate::executor::execute_batch;
 use crate::sample::SimSample;
@@ -269,18 +270,50 @@ pub(crate) trait Discipline<'a> {
     fn on_stall_lifted(&mut self, stage: usize);
     /// The link out of `stage` came back from its last outage.
     fn on_link_restored(&mut self, stage: usize);
+    /// How many open-loop arrivals the run serves from outside the queue.
+    fn arrivals(&self) -> usize {
+        0
+    }
+    /// The next of those arrivals as `(at, index)`: the earliest left, by
+    /// `(at, index)`. `None` once all are served.
+    fn next_arrival(&self) -> Option<(SimTime, usize)> {
+        None
+    }
+    /// Serves the arrival `next_arrival` returned; the clock is at its
+    /// time.
+    fn on_arrival(&mut self, _index: usize) {}
 }
 
 /// The event loop: schedules the fault plan, seeds the discipline, and
-/// drains the queue.
+/// drains the queue merged with the discipline's open-loop arrivals.
 pub(crate) fn drive<'a, D: Discipline<'a>>(d: &mut D) {
-    // Fault actions go on the queue first: at equal timestamps the
-    // stable FIFO tie-break then applies a fault before any other event
-    // scheduled at the same instant, independent of plan contents.
+    // Fault actions take the first sequence numbers, and the arrivals
+    // the next ones: at equal timestamps the `(at, seq)` order then
+    // applies a fault before any arrival or other event due at the same
+    // instant, independent of plan contents. Arrivals stay in the
+    // discipline's backlog; arrival `i` holds `first + i`, so it orders
+    // against the queue exactly as if it had been scheduled here, after
+    // every fault action and before every event of the run.
     let core = d.core();
     core.faults.schedule(&mut core.q, Event::Fault);
+    let n = d.arrivals() as u64;
+    let first = d.core().q.reserve_seqs(n);
     d.start();
-    while let Some(ev) = d.core().q.pop() {
+    loop {
+        let ev = match d.next_arrival() {
+            Some((at, i)) => match d.core().q.pop_before(at, first + i as u64) {
+                Some(ev) => ev,
+                None => {
+                    d.core().q.advance_to(at);
+                    d.on_arrival(i);
+                    continue;
+                }
+            },
+            None => match d.core().q.pop() {
+                Some(ev) => ev,
+                None => break,
+            },
+        };
         match ev.event {
             Event::Done { replica, epoch } => {
                 if d.core().finish(replica, epoch) {
@@ -308,13 +341,12 @@ pub(crate) fn drive<'a, D: Discipline<'a>>(d: &mut D) {
     }
 }
 
-/// Recycled sample buffers kept per kernel run; bounds pool growth when a
-/// fault burst strands many batches at once.
-const SAMPLE_POOL_CAP: usize = 64;
-
 /// Batch serving's own events.
 #[derive(Debug, Clone)]
 pub(crate) enum Ev {
+    /// Arrival `i`, scheduled up front by the reference run of the
+    /// differential tests; the loop serves arrivals from the backlog.
+    #[cfg(test)]
     Arrival(usize),
     BatchReady {
         stage: usize,
@@ -353,17 +385,29 @@ pub(crate) struct Batches<'a, Q: SimQueue<Event<Ev>> = EventQueue<Event<Ev>>> {
     stage_replicas: Vec<Vec<usize>>,
     flush_pending: Vec<bool>,
     backlog: Vec<SimSample>,
+    /// Closed loop: the next sample to feed. Open loop: how many arrivals
+    /// the loop has served.
     backlog_cursor: usize,
+    /// Open-loop arrivals the loop merges from the backlog; 0 in closed
+    /// loop.
+    arrivals: usize,
+    /// Backlog indices in `(arrival, index)` order — the order a queue
+    /// holding every arrival would pop them — when the backlog is not
+    /// sorted by arrival; empty when it is.
+    arrival_order: Vec<u32>,
+    #[cfg(test)]
+    upfront: bool,
     /// Samples admitted at stage 0 and not yet completed; the closed-loop
     /// feeder stops pulling when this reaches `in_flight_cap`
     /// (backpressure, so an unbalanced plan builds bounded queues instead
     /// of unbounded ones).
     in_flight: usize,
     in_flight_cap: usize,
-    /// Recycled sample buffers: batches formed on the hot path draw their
-    /// `Vec<SimSample>` here instead of the allocator, and fully-completed
-    /// batches return theirs. Keeps the steady-state loop allocation-free.
-    sample_pool: Vec<Vec<SimSample>>,
+    /// Recycled sample buffers: every batch formed on the hot path — fed
+    /// in closed loop or taken from a fusion buffer — draws its
+    /// `Vec<SimSample>` here, and every batch that ends returns it.
+    /// Keeps the steady-state loop allocation-free.
+    sample_pool: SamplePool,
     /// Reused scratch for straggler peer comparisons.
     perf_scratch: Vec<ReplicaPerf>,
 }
@@ -394,6 +438,18 @@ impl<'a, Q: SimQueue<Event<Ev>>> Batches<'a, Q> {
         }
         let num_stages = sim.stages.len();
         let num_replicas = replicas.len();
+        let arrivals = if sim.cfg.closed_loop {
+            0
+        } else {
+            backlog.len()
+        };
+        let mut arrival_order = Vec::new();
+        if arrivals > 0 && !backlog.is_sorted_by_key(|s| s.arrival) {
+            let n = u32::try_from(backlog.len()).expect("backlog overflow");
+            arrival_order.extend(0..n);
+            // Stable: equal arrivals keep index order.
+            arrival_order.sort_by_key(|&i| backlog[i as usize].arrival);
+        }
         let stage_of = sim
             .stages
             .iter()
@@ -417,9 +473,13 @@ impl<'a, Q: SimQueue<Event<Ev>>> Batches<'a, Q> {
             flush_pending: vec![false; num_stages],
             backlog,
             backlog_cursor: 0,
+            arrivals,
+            arrival_order,
+            #[cfg(test)]
+            upfront: false,
             in_flight: 0,
             in_flight_cap: (5 * num_replicas * sim.stages[0].target_batch).div_ceil(4),
-            sample_pool: Vec::new(),
+            sample_pool: SamplePool::default(),
             perf_scratch: Vec::new(),
         }
     }
@@ -430,20 +490,17 @@ impl<'a, Q: SimQueue<Event<Ev>>> Batches<'a, Q> {
         self.core.acc
     }
 
-    /// Draws a cleared sample buffer from the pool (or the allocator).
-    fn pool_get(&mut self) -> Vec<SimSample> {
-        self.sample_pool.pop().unwrap_or_default()
+    /// The reference the differential tests replay: every open-loop
+    /// arrival goes on the queue at the start, arrival `i` as the
+    /// `i`-th event after the fault actions.
+    #[cfg(test)]
+    pub(crate) fn scheduling_arrivals_upfront(mut self) -> Self {
+        self.upfront = self.arrivals > 0;
+        self.arrivals = 0;
+        self
     }
 
-    /// Returns a drained sample buffer to the pool.
-    fn pool_put(&mut self, mut v: Vec<SimSample>) {
-        if self.sample_pool.len() < SAMPLE_POOL_CAP {
-            v.clear();
-            self.sample_pool.push(v);
-        }
-    }
-
-    fn on_arrival(&mut self, i: usize) {
+    fn arrive(&mut self, i: usize) {
         let s = self.backlog[i];
         let now = self.core.now();
         self.core.emit(KernelEvent::Arrival { sample: s.id });
@@ -460,14 +517,14 @@ impl<'a, Q: SimQueue<Event<Ev>>> Batches<'a, Q> {
         for s in batch.samples.drain(..) {
             self.batching.push(stage, s, now);
         }
-        self.pool_put(batch.samples);
+        self.sample_pool.put(batch.samples);
         self.pump(stage);
     }
 
     /// Forms full batches and routes them; arms a flush timer otherwise.
     fn pump(&mut self, stage: usize) {
         let now = self.core.now();
-        while let Some(b) = self.batching.take_full(stage, now) {
+        while let Some(b) = self.batching.take_full(stage, now, &mut self.sample_pool) {
             self.core.emit(KernelEvent::BatchFormed {
                 stage,
                 size: b.len(),
@@ -491,7 +548,7 @@ impl<'a, Q: SimQueue<Event<Ev>>> Batches<'a, Q> {
     fn on_flush(&mut self, stage: usize) {
         self.flush_pending[stage] = false;
         let now = self.core.now();
-        if let Some(b) = self.batching.take_due(stage, now) {
+        if let Some(b) = self.batching.take_due(stage, now, &mut self.sample_pool) {
             self.core.emit(KernelEvent::BatchFormed {
                 stage,
                 size: b.len(),
@@ -548,7 +605,7 @@ impl<'a, Q: SimQueue<Event<Ev>>> Batches<'a, Q> {
                 stage,
             });
         }
-        self.pool_put(batch.samples);
+        self.sample_pool.put(batch.samples);
         self.wake_feeders();
     }
 
@@ -589,7 +646,7 @@ impl<'a, Q: SimQueue<Event<Ev>>> Batches<'a, Q> {
                 batch.samples.truncate(kept);
             }
             if batch.samples.is_empty() {
-                self.pool_put(batch.samples);
+                self.sample_pool.put(batch.samples);
                 continue;
             }
             self.core.emit(KernelEvent::Admitted {
@@ -619,7 +676,7 @@ impl<'a, Q: SimQueue<Event<Ev>>> Batches<'a, Q> {
         }
         let now = self.core.now();
         let end = (self.backlog_cursor + target).min(self.backlog.len());
-        let mut samples = self.pool_get();
+        let mut samples = self.sample_pool.get();
         samples.reserve(end - self.backlog_cursor);
         for i in self.backlog_cursor..end {
             let mut s = self.backlog[i];
@@ -696,7 +753,7 @@ impl<'a, Q: SimQueue<Event<Ev>>> Batches<'a, Q> {
         }
         batch.samples.truncate(survivors);
         if batch.samples.is_empty() {
-            self.pool_put(batch.samples);
+            self.sample_pool.put(batch.samples);
         } else {
             self.send_downstream(stage, batch.samples, now);
         }
@@ -811,7 +868,7 @@ impl<'a, Q: SimQueue<Event<Ev>>> Batches<'a, Q> {
                 stage: from_stage,
             });
         }
-        self.pool_put(batch.samples);
+        self.sample_pool.put(batch.samples);
         self.wake_feeders();
     }
 
@@ -877,7 +934,9 @@ impl<'a, Q: SimQueue<Event<Ev>>> Discipline<'a> for Batches<'a, Q> {
                 let r = self.stage_replicas[0][k];
                 self.feed_closed_loop(r);
             }
-        } else {
+        }
+        #[cfg(test)]
+        if self.upfront {
             for i in 0..self.backlog.len() {
                 self.core.serve_at(self.backlog[i].arrival, Ev::Arrival(i));
             }
@@ -886,7 +945,8 @@ impl<'a, Q: SimQueue<Event<Ev>>> Discipline<'a> for Batches<'a, Q> {
 
     fn on_event(&mut self, event: Ev) {
         match event {
-            Ev::Arrival(i) => self.on_arrival(i),
+            #[cfg(test)]
+            Ev::Arrival(i) => self.arrive(i),
             Ev::BatchReady { stage, batch } => self.on_batch_ready(stage, batch),
             Ev::Flush { stage } => self.on_flush(stage),
             Ev::TransferRetry {
@@ -944,4 +1004,22 @@ impl<'a, Q: SimQueue<Event<Ev>>> Discipline<'a> for Batches<'a, Q> {
     /// Parked transfers notice on their next retry timer; no proactive
     /// kick keeps the retry cadence deterministic.
     fn on_link_restored(&mut self, _stage: usize) {}
+
+    fn arrivals(&self) -> usize {
+        self.arrivals
+    }
+
+    fn next_arrival(&self) -> Option<(SimTime, usize)> {
+        let k = self.backlog_cursor;
+        if k >= self.arrivals {
+            return None;
+        }
+        let i = self.arrival_order.get(k).map_or(k, |&i| i as usize);
+        Some((self.backlog[i].arrival, i))
+    }
+
+    fn on_arrival(&mut self, i: usize) {
+        self.backlog_cursor += 1;
+        self.arrive(i);
+    }
 }

@@ -13,7 +13,7 @@ use e3_hardware::{LatencyModel, TransferModel};
 use e3_model::{EeModel, RampController};
 use e3_simcore::{SimDuration, SimTime};
 
-use crate::batch::{Batch, FusionBuffer};
+use crate::batch::{Batch, FusionBuffer, SamplePool};
 use crate::sample::SimSample;
 use crate::strategy::StageSpec;
 
@@ -139,19 +139,30 @@ impl FusionBatching {
         self.buffers[stage].push(sample, now);
     }
 
-    /// Removes and returns a full batch for `stage`, if one can form.
-    pub(crate) fn take_full(&mut self, stage: usize, now: SimTime) -> Option<Batch> {
-        self.buffers[stage].take_full(now)
+    /// Removes and returns a full batch for `stage`, if one can form,
+    /// its buffer drawn from `pool`.
+    pub(crate) fn take_full(
+        &mut self,
+        stage: usize,
+        now: SimTime,
+        pool: &mut SamplePool,
+    ) -> Option<Batch> {
+        self.buffers[stage].take_full(now, pool)
     }
 
     /// Removes and returns a partial batch if the stage's oldest waiter
     /// has exceeded its wait bound (the deadline-flush path).
-    pub(crate) fn take_due(&mut self, stage: usize, now: SimTime) -> Option<Batch> {
+    pub(crate) fn take_due(
+        &mut self,
+        stage: usize,
+        now: SimTime,
+        pool: &mut SamplePool,
+    ) -> Option<Batch> {
         let due = self.buffers[stage]
             .oldest_enqueue()
             .is_some_and(|t| now >= t + self.wait_for(stage));
         if due {
-            self.buffers[stage].take_partial(now)
+            self.buffers[stage].take_partial(now, pool)
         } else {
             None
         }
@@ -340,9 +351,10 @@ mod tests {
         // drains it) must disarm its timer, then re-arm from the *next*
         // push's enqueue time — not the stale pre-drain oldest.
         let mut b = FusionBatching::new(&[2], Vec::new());
+        let mut pool = SamplePool::default();
         b.push(0, sample(0), SimTime::from_millis(1));
         b.push(0, sample(0), SimTime::from_millis(2));
-        assert!(b.take_full(0, SimTime::from_millis(2)).is_some());
+        assert!(b.take_full(0, SimTime::from_millis(2), &mut pool).is_some());
         assert!(b.is_empty(0));
         assert!(b.next_flush_at(0, SimTime::from_millis(2)).is_none());
 
@@ -351,8 +363,10 @@ mod tests {
             b.next_flush_at(0, SimTime::from_millis(40)),
             Some(SimTime::from_millis(45))
         );
-        assert!(b.take_due(0, SimTime::from_millis(44)).is_none());
-        let flushed = b.take_due(0, SimTime::from_millis(45)).expect("due flush");
+        assert!(b.take_due(0, SimTime::from_millis(44), &mut pool).is_none());
+        let flushed = b
+            .take_due(0, SimTime::from_millis(45), &mut pool)
+            .expect("due flush");
         assert_eq!(flushed.samples.len(), 1);
     }
 
@@ -379,8 +393,9 @@ mod tests {
     #[test]
     fn empty_fusion_buffer_never_schedules_a_flush() {
         let mut b = FusionBatching::new(&[4], Vec::new());
+        let mut pool = SamplePool::default();
         assert!(b.is_empty(0));
-        assert!(b.take_due(0, SimTime::from_secs(1)).is_none());
+        assert!(b.take_due(0, SimTime::from_secs(1), &mut pool).is_none());
         assert!(b.next_flush_at(0, SimTime::from_secs(1)).is_none());
 
         // Once occupied, the flush deadline appears, and firing it both
@@ -388,7 +403,7 @@ mod tests {
         b.push(0, sample(0), SimTime::from_secs(1));
         let at = b.next_flush_at(0, SimTime::from_secs(1)).expect("armed");
         assert_eq!(at, SimTime::from_secs(1) + SimDuration::from_millis(5));
-        assert!(b.take_due(0, at).is_some());
+        assert!(b.take_due(0, at, &mut pool).is_some());
         assert!(b.is_empty(0));
         assert!(b.next_flush_at(0, at).is_none());
     }

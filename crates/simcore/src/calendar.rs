@@ -20,6 +20,12 @@
 //!   ([`crate::event::ReferenceQueue`]) — the golden figure outputs do not
 //!   move by a byte.
 //!
+//! The queue also caches its minimum key. `schedule` compares the new key
+//! against it, and `pop` finds the next minimum once, after it removes the
+//! old one. So a peek and [`EventQueue::pop_before`] — the question a
+//! loop that merges a second event source asks on every step — cost
+//! O(1); no peek rescans the calendar.
+//!
 //! The classic calendar-queue weakness — a sparse far future (fault timers
 //! seconds out amid microsecond event traffic) — is handled by falling back
 //! to a direct min-scan of all buckets after a fruitless full wrap, and by
@@ -84,6 +90,8 @@ pub struct EventQueue<E> {
     /// Cursor: the virtual day (`at >> wshift`) the next pop scans first.
     /// Invariant: no pending key has a smaller virtual day.
     cur_day: u64,
+    /// The minimum pending key; `None` exactly when the queue is empty.
+    min: Option<Key>,
     len: usize,
     now: SimTime,
     next_seq: u64,
@@ -106,6 +114,7 @@ impl<E> EventQueue<E> {
             // ~65 µs days until the first resize measures real gaps.
             wshift: 16,
             cur_day: 0,
+            min: None,
             len: 0,
             now: SimTime::ZERO,
             next_seq: 0,
@@ -168,17 +177,21 @@ impl<E> EventQueue<E> {
                 s
             }
         };
-        let nanos = at.as_nanos();
-        let day = self.day_of(nanos);
-        let idx = (day & self.mask()) as usize;
-        self.buckets[idx].push(Key {
-            at: nanos,
+        let key = Key {
+            at: at.as_nanos(),
             seq,
             slot,
-        });
+        };
+        let day = self.day_of(key.at);
+        let idx = (day & self.mask()) as usize;
+        self.buckets[idx].push(key);
         self.len += 1;
-        // A peek may have advanced the cursor past this day; pull it back so
-        // the cursor invariant (no pending key below `cur_day`) holds.
+        if self.min.is_none_or(|m| key.precedes(&m)) {
+            self.min = Some(key);
+        }
+        // A rebuild leaves the cursor at the earliest pending day, which may
+        // lie past this one; pull it back so the cursor invariant (no
+        // pending key below `cur_day`) holds.
         if day < self.cur_day {
             self.cur_day = day;
         }
@@ -199,10 +212,27 @@ impl<E> EventQueue<E> {
     ///
     /// # Panics
     ///
-    /// Panics if a pending event is scheduled before the new time — the
-    /// advance would silently skip it.
+    /// As [`EventQueue::advance_to`].
     pub fn advance(&mut self, d: SimDuration) -> SimTime {
         let to = self.now + d;
+        self.advance_to(to);
+        to
+    }
+
+    /// Moves the clock to `to` without popping an event. Lets a loop
+    /// that serves events from outside the queue (a sorted arrival
+    /// backlog) keep one clock with the queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` is before the clock, or a pending event is
+    /// scheduled before `to` — the advance would silently skip it.
+    pub fn advance_to(&mut self, to: SimTime) {
+        assert!(
+            to >= self.now,
+            "advance into the past: to={to} now={}",
+            self.now
+        );
         if let Some(at) = self.peek_time() {
             assert!(
                 at >= to,
@@ -210,11 +240,33 @@ impl<E> EventQueue<E> {
             );
         }
         self.now = to;
-        to
     }
 
-    /// Finds the minimum pending key without removing it. Does not commit
-    /// the cursor — `pop` re-derives the day from the returned key.
+    /// Reserves the next `n` sequence numbers for events a caller keeps
+    /// outside the queue, and returns the first. Events scheduled later
+    /// number after them, so a reserved `(at, seq)` orders against the
+    /// queue exactly as if it had been scheduled now.
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += n;
+        first
+    }
+
+    /// Pops the earliest event if it orders before `(at, seq)`, else
+    /// leaves the queue untouched and returns `None`. The merge step of a
+    /// loop holding events outside the queue under reserved sequence
+    /// numbers ([`EventQueue::reserve_seqs`]).
+    pub fn pop_before(&mut self, at: SimTime, seq: u64) -> Option<ScheduledEvent<E>> {
+        let m = self.min?;
+        if (m.at, m.seq) < (at.as_nanos(), seq) {
+            self.pop()
+        } else {
+            None
+        }
+    }
+
+    /// Finds the minimum pending key by scanning the calendar. Does not
+    /// commit the cursor; `pop` caches the result as the next minimum.
     fn find_min(&self) -> Option<Key> {
         if self.len == 0 {
             return None;
@@ -254,7 +306,7 @@ impl<E> EventQueue<E> {
     /// Pops the earliest event and advances the clock to its timestamp.
     /// Returns `None` when the queue is drained.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let key = self.find_min()?;
+        let key = self.min?;
         self.cur_day = self.day_of(key.at);
         let idx = (self.cur_day & self.mask()) as usize;
         let bucket = &mut self.buckets[idx];
@@ -277,6 +329,7 @@ impl<E> EventQueue<E> {
         if self.len < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
             self.rebuild(self.buckets.len() / 2);
         }
+        self.min = self.find_min();
         Some(ScheduledEvent {
             at: self.now,
             seq: key.seq,
@@ -286,7 +339,7 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the next pending event, if any, without popping it.
     pub(crate) fn peek_time(&self) -> Option<SimTime> {
-        self.find_min().map(|k| SimTime::from_nanos(k.at))
+        self.min.map(|k| SimTime::from_nanos(k.at))
     }
 
     /// Discards all pending events (the clock is left unchanged). Used when
@@ -297,6 +350,7 @@ impl<E> EventQueue<E> {
         }
         self.slots.clear();
         self.free.clear();
+        self.min = None;
         self.len = 0;
         self.cur_day = self.day_of(self.now.as_nanos());
     }
@@ -371,8 +425,17 @@ impl<E> crate::event::SimQueue<E> for EventQueue<E> {
     fn advance(&mut self, d: SimDuration) -> SimTime {
         EventQueue::advance(self, d)
     }
+    fn advance_to(&mut self, to: SimTime) {
+        EventQueue::advance_to(self, to)
+    }
+    fn reserve_seqs(&mut self, n: u64) -> u64 {
+        EventQueue::reserve_seqs(self, n)
+    }
     fn pop(&mut self) -> Option<ScheduledEvent<E>> {
         EventQueue::pop(self)
+    }
+    fn pop_before(&mut self, at: SimTime, seq: u64) -> Option<ScheduledEvent<E>> {
+        EventQueue::pop_before(self, at, seq)
     }
     fn peek_time(&self) -> Option<SimTime> {
         EventQueue::peek_time(self)
@@ -525,6 +588,94 @@ mod tests {
         q.schedule(SimTime::from_millis(1), "near");
         assert_eq!(q.pop().unwrap().event, "near");
         assert_eq!(q.pop().unwrap().event, "far");
+    }
+
+    /// The minimum by a full scan of every bucket: what the cache must
+    /// hold after every operation.
+    fn scanned_min<E>(q: &EventQueue<E>) -> Option<(u64, u64)> {
+        q.buckets.iter().flatten().map(|k| (k.at, k.seq)).min()
+    }
+
+    #[test]
+    fn cached_min_survives_rebuild_and_clear() {
+        // Grow past several doubling rebuilds, drain through the halving
+        // ones, with out-of-order timestamps and cursor-rewinding
+        // schedules in between; the cache must equal a full scan after
+        // every step.
+        let mut q = EventQueue::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..400 {
+            let at = q.now() + SimDuration::from_nanos(next() % 2_000_000);
+            q.schedule(at, ());
+            assert_eq!(q.min.map(|k| (k.at, k.seq)), scanned_min(&q));
+        }
+        let grown = q.buckets.len();
+        assert!(grown > MIN_BUCKETS);
+        while q.len() > 10 {
+            q.pop().unwrap();
+            assert_eq!(q.min.map(|k| (k.at, k.seq)), scanned_min(&q));
+            if next() % 3 == 0 {
+                let at = q.now() + SimDuration::from_nanos(next() % 50_000);
+                q.schedule(at, ());
+                assert_eq!(q.min.map(|k| (k.at, k.seq)), scanned_min(&q));
+            }
+        }
+        assert!(
+            q.buckets.len() < grown,
+            "the drain never shrank the calendar"
+        );
+        q.clear_pending();
+        assert!(q.min.is_none() && q.peek_time().is_none());
+        let at = q.now() + SimDuration::from_micros(3);
+        q.schedule(at, ());
+        assert_eq!(q.peek_time(), Some(at));
+    }
+
+    #[test]
+    fn pop_before_orders_by_time_then_seq() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(2);
+        q.schedule(t, "a"); // seq 0
+        let first = q.reserve_seqs(3); // seqs 1..=3 held outside
+        assert_eq!(first, 1);
+        q.schedule(t, "b"); // seq 4: after every reserved number
+                            // An outside event at an earlier time goes first.
+        assert!(q.pop_before(SimTime::from_millis(1), first).is_none());
+        // At the same time, seq decides: "a" precedes reserved seq 1...
+        assert_eq!(q.pop_before(t, first).unwrap().event, "a");
+        // ...and reserved seq 3 precedes "b".
+        assert!(q.pop_before(t, first + 2).is_none());
+        assert_eq!(q.len(), 1);
+        // A later outside event lets "b" go.
+        assert_eq!(
+            q.pop_before(SimTime::from_millis(3), first).unwrap().event,
+            "b"
+        );
+        assert!(q.pop_before(SimTime::MAX, u64::MAX).is_none());
+    }
+
+    #[test]
+    fn advance_to_moves_the_clock_up_to_the_next_event() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(4), ());
+        q.advance_to(SimTime::from_millis(4));
+        assert_eq!(q.now(), SimTime::from_millis(4));
+        assert_eq!(q.processed(), 0);
+        assert!(q.pop().is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "advance past a pending event")]
+    fn advance_to_past_pending_event_panics() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(1), ());
+        q.advance_to(SimTime::from_millis(2));
     }
 
     #[test]

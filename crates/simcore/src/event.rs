@@ -153,6 +153,22 @@ impl<E> ReferenceQueue<E> {
     /// advance would silently skip it.
     pub fn advance(&mut self, d: crate::time::SimDuration) -> SimTime {
         let to = self.now + d;
+        self.advance_to(to);
+        to
+    }
+
+    /// Moves the clock to `to` without popping an event.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` is before the clock, or a pending event is
+    /// scheduled before `to`.
+    pub fn advance_to(&mut self, to: SimTime) {
+        assert!(
+            to >= self.now,
+            "advance into the past: to={to} now={}",
+            self.now
+        );
         if let Some(at) = self.peek_time() {
             assert!(
                 at >= to,
@@ -160,7 +176,14 @@ impl<E> ReferenceQueue<E> {
             );
         }
         self.now = to;
-        to
+    }
+
+    /// Reserves the next `n` sequence numbers for events kept outside the
+    /// queue, and returns the first.
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += n;
+        first
     }
 
     /// Pops the earliest event and advances the clock to its timestamp.
@@ -171,6 +194,17 @@ impl<E> ReferenceQueue<E> {
         self.now = ev.at;
         self.processed += 1;
         Some(ev)
+    }
+
+    /// Pops the earliest event if it orders before `(at, seq)`; otherwise
+    /// returns `None` and leaves the queue untouched.
+    pub fn pop_before(&mut self, at: SimTime, seq: u64) -> Option<ScheduledEvent<E>> {
+        let e = self.heap.peek()?;
+        if (e.at, e.seq) < (at, seq) {
+            self.pop()
+        } else {
+            None
+        }
     }
 
     /// Timestamp of the next pending event, if any, without popping it.
@@ -210,8 +244,16 @@ pub trait SimQueue<E> {
     fn schedule_after(&mut self, delay: crate::time::SimDuration, event: E);
     /// Advances the clock without popping; panics past a pending event.
     fn advance(&mut self, d: crate::time::SimDuration) -> SimTime;
+    /// Moves the clock to `to` without popping; panics past a pending
+    /// event or into the past.
+    fn advance_to(&mut self, to: SimTime);
+    /// Reserves the next `n` sequence numbers for events a caller keeps
+    /// outside the queue; returns the first.
+    fn reserve_seqs(&mut self, n: u64) -> u64;
     /// Pops the earliest event and advances the clock to its timestamp.
     fn pop(&mut self) -> Option<ScheduledEvent<E>>;
+    /// Pops the earliest event only if it orders before `(at, seq)`.
+    fn pop_before(&mut self, at: SimTime, seq: u64) -> Option<ScheduledEvent<E>>;
     /// Timestamp of the next pending event, if any.
     fn peek_time(&self) -> Option<SimTime>;
     /// Discards all pending events, leaving the clock unchanged.
@@ -243,8 +285,17 @@ impl<E> SimQueue<E> for ReferenceQueue<E> {
     fn advance(&mut self, d: crate::time::SimDuration) -> SimTime {
         ReferenceQueue::advance(self, d)
     }
+    fn advance_to(&mut self, to: SimTime) {
+        ReferenceQueue::advance_to(self, to)
+    }
+    fn reserve_seqs(&mut self, n: u64) -> u64 {
+        ReferenceQueue::reserve_seqs(self, n)
+    }
     fn pop(&mut self) -> Option<ScheduledEvent<E>> {
         ReferenceQueue::pop(self)
+    }
+    fn pop_before(&mut self, at: SimTime, seq: u64) -> Option<ScheduledEvent<E>> {
+        ReferenceQueue::pop_before(self, at, seq)
     }
     fn peek_time(&self) -> Option<SimTime> {
         ReferenceQueue::peek_time(self)
@@ -333,6 +384,30 @@ mod tests {
         let mut q: ReferenceQueue<()> = ReferenceQueue::new();
         q.schedule(SimTime::from_millis(1), ());
         q.advance(SimDuration::from_millis(2));
+    }
+
+    #[test]
+    fn pop_before_orders_by_time_then_seq() {
+        let mut q = ReferenceQueue::new();
+        let t = SimTime::from_millis(2);
+        q.schedule(t, "a"); // seq 0
+        let first = q.reserve_seqs(3); // seqs 1..=3 held outside
+        assert_eq!(first, 1);
+        q.schedule(t, "b"); // seq 4
+        assert!(q.pop_before(SimTime::from_millis(1), first).is_none());
+        assert_eq!(q.pop_before(t, first).unwrap().event, "a");
+        assert!(q.pop_before(t, first + 2).is_none());
+        let b = q.pop_before(SimTime::from_millis(3), first).unwrap();
+        assert_eq!((b.event, b.seq), ("b", 4));
+        assert!(q.pop_before(SimTime::MAX, u64::MAX).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "advance into the past")]
+    fn advance_to_into_the_past_panics() {
+        let mut q: ReferenceQueue<()> = ReferenceQueue::new();
+        q.advance_to(SimTime::from_millis(2));
+        q.advance_to(SimTime::from_millis(1));
     }
 
     #[test]

@@ -319,6 +319,30 @@ mod tests {
     }
 
     #[test]
+    fn component_shapes_are_squeeze_tested() {
+        // `e3_simcore::rng`'s gamma squeeze test replays these shapes
+        // against the exact Marsaglia–Tsang test; a new shape goes there.
+        const SQUEEZE_TESTED: [f64; 7] = [1.2, 1.5, 1.8, 2.0, 2.5, 3.0, 4.0];
+        for d in [
+            DatasetModel::sst2(),
+            DatasetModel::qnli(),
+            DatasetModel::imagenet(),
+            DatasetModel::wmt(),
+            DatasetModel::samsum(),
+            DatasetModel::mnli(),
+            DatasetModel::cifar10(),
+            DatasetModel::boolq(),
+            DatasetModel::with_mix(0.5),
+        ] {
+            for c in &d.components {
+                for shape in [c.alpha, c.beta] {
+                    assert!(SQUEEZE_TESTED.contains(&shape), "{}: {shape}", d.name());
+                }
+            }
+        }
+    }
+
+    #[test]
     fn extra_datasets_order_by_difficulty() {
         let sst2 = mean_hardness(&DatasetModel::sst2(), 9);
         let mnli = mean_hardness(&DatasetModel::mnli(), 9);

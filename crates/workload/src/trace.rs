@@ -15,6 +15,12 @@ use rand::Rng;
 use e3_simcore::rng::exp_sample;
 use e3_simcore::{SimDuration, SimTime};
 
+/// Relative slack the thinning bounds in [`BurstyTraceConfig::generate`]
+/// keep from the acceptance ratio they bound: far above the few-ulp error
+/// of `sin` and the ratio's arithmetic, far below any difference a
+/// uniform could resolve.
+const THINNING_MARGIN: f64 = 1e-9;
+
 /// Parameters of the bursty generator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BurstyTraceConfig {
@@ -58,6 +64,13 @@ impl BurstyTraceConfig {
 
     /// Generates arrival times over `[0, horizon)` via state-dependent
     /// thinning of a Poisson process.
+    ///
+    /// A candidate at `t` is kept when its uniform falls below
+    /// `rate(t) / peak`, which lies within `base·(1 ∓ a)` for the burst or
+    /// lull state's `base`. The uniform is settled against those bounds,
+    /// padded by a relative 1e-9, and the diurnal `sin` is evaluated only
+    /// when it falls between them. The draws, and every arrival, are
+    /// those of the full computation.
     pub fn generate(&self, horizon: SimDuration, rng: &mut StdRng) -> Vec<SimTime> {
         assert!(self.mean_rate > 0.0, "mean rate must be positive");
         assert!(
@@ -68,6 +81,18 @@ impl BurstyTraceConfig {
         let norm = 1.0 / self.raw_mean_factor();
         // Peak instantaneous rate bounds the proposal process.
         let peak = self.mean_rate * norm * self.burst_factor * (1.0 + self.diurnal_amplitude);
+        // Per state: its rate factor and the padded bounds of the
+        // acceptance ratio over the diurnal swing.
+        let a = self.diurnal_amplitude.abs();
+        let bounds = |factor: f64| {
+            let base = self.mean_rate * norm * factor / peak;
+            (
+                factor,
+                base * (1.0 - a) * (1.0 - THINNING_MARGIN),
+                base * (1.0 + a) * (1.0 + THINNING_MARGIN),
+            )
+        };
+        let (burst, lull) = (bounds(self.burst_factor), bounds(self.lull_factor));
 
         let mut out = Vec::new();
         let mut t = 0.0f64;
@@ -97,16 +122,16 @@ impl BurstyTraceConfig {
                     },
                 );
             }
-            let state_factor = if bursting {
-                self.burst_factor
-            } else {
-                self.lull_factor
-            };
-            let diurnal = 1.0
-                + self.diurnal_amplitude
-                    * (std::f64::consts::TAU * t / self.diurnal_period_secs).sin();
-            let rate = self.mean_rate * norm * state_factor * diurnal;
-            if rng.gen::<f64>() < rate / peak {
+            let (state_factor, lo, hi) = if bursting { burst } else { lull };
+            let u = rng.gen::<f64>();
+            let keep = u < lo
+                || (u < hi && {
+                    let diurnal = 1.0
+                        + self.diurnal_amplitude
+                            * (std::f64::consts::TAU * t / self.diurnal_period_secs).sin();
+                    u < self.mean_rate * norm * state_factor * diurnal / peak
+                });
+            if keep {
                 out.push(SimTime::from_secs_f64(t));
             }
         }
@@ -139,7 +164,92 @@ pub fn peak_to_mean(counts: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+
+    impl BurstyTraceConfig {
+        /// The full thinning computation [`BurstyTraceConfig::generate`]
+        /// must reproduce, with the number of candidates it drew.
+        fn generate_reference(
+            &self,
+            horizon: SimDuration,
+            rng: &mut StdRng,
+        ) -> (Vec<SimTime>, usize) {
+            let horizon_s = horizon.as_secs_f64();
+            let norm = 1.0 / self.raw_mean_factor();
+            let peak = self.mean_rate * norm * self.burst_factor * (1.0 + self.diurnal_amplitude);
+            let mean_secs = |bursting: bool| {
+                if bursting {
+                    self.mean_burst_secs
+                } else {
+                    self.mean_lull_secs
+                }
+            };
+            let mut out = Vec::new();
+            let mut candidates = 0;
+            let mut t = 0.0f64;
+            let mut bursting = rng.gen::<f64>()
+                < self.mean_burst_secs / (self.mean_burst_secs + self.mean_lull_secs);
+            let mut state_end = exp_sample(rng, 1.0 / mean_secs(bursting));
+            loop {
+                t += exp_sample(rng, peak);
+                if t >= horizon_s {
+                    break;
+                }
+                candidates += 1;
+                while t > state_end {
+                    bursting = !bursting;
+                    state_end += exp_sample(rng, 1.0 / mean_secs(bursting));
+                }
+                let state_factor = if bursting {
+                    self.burst_factor
+                } else {
+                    self.lull_factor
+                };
+                let diurnal = 1.0
+                    + self.diurnal_amplitude
+                        * (std::f64::consts::TAU * t / self.diurnal_period_secs).sin();
+                let rate = self.mean_rate * norm * state_factor * diurnal;
+                if rng.gen::<f64>() < rate / peak {
+                    out.push(SimTime::from_secs_f64(t));
+                }
+            }
+            (out, candidates)
+        }
+    }
+
+    #[test]
+    fn filtered_thinning_matches_reference_draw_for_draw() {
+        let mut meta = StdRng::seed_from_u64(0xE3);
+        let mut candidates = 0;
+        for case in 0..120 {
+            let burst_factor = meta.gen_range(1.1..6.0);
+            let cfg = match case {
+                0 => BurstyTraceConfig::twitter_like(1000.0),
+                _ => BurstyTraceConfig {
+                    mean_rate: meta.gen_range(50.0..2000.0),
+                    burst_factor,
+                    lull_factor: meta.gen_range(0.0..0.9) * burst_factor,
+                    mean_burst_secs: meta.gen_range(0.2..5.0),
+                    mean_lull_secs: meta.gen_range(0.2..10.0),
+                    diurnal_amplitude: if case % 4 == 1 {
+                        0.0
+                    } else {
+                        meta.gen_range(0.0..0.95)
+                    },
+                    diurnal_period_secs: meta.gen_range(1.0..300.0),
+                },
+            };
+            let horizon = SimDuration::from_secs(meta.gen_range(5..40));
+            let mut a = StdRng::seed_from_u64(meta.gen());
+            let mut b = a.clone();
+            let got = cfg.generate(horizon, &mut a);
+            let (want, drawn) = cfg.generate_reference(horizon, &mut b);
+            assert_eq!(got, want, "case {case}: {cfg:?}");
+            assert_eq!(a.next_u64(), b.next_u64(), "case {case}");
+            candidates += drawn;
+        }
+        assert!(candidates >= 1_000_000, "{candidates} candidates");
+    }
 
     #[test]
     fn mean_rate_is_respected() {

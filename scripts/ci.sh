@@ -88,9 +88,10 @@ for workload in closed_drift open_bursty tenants_skewed llm_kv_sweep; do
 done
 
 # Kernel event-throughput microbenchmark, archived as BENCH_kernel.json.
-# The committed baseline is the regression bar: fail if the windowed or
-# the continuous-batching kernel section, or the per-request exit
-# materialization, drops more than 30% below it.
+# The committed baseline is the regression bar: fail if the windowed,
+# continuous-batching or open-loop kernel section, the per-request exit
+# materialization, or open-loop request generation drops more than 30%
+# below it.
 ./target/release/bench_kernel | tee /tmp/bench_kernel.out
 grep -q "events_per_sec" /tmp/bench_kernel.out
 # The sections' event and layer counts depend on the code, not the host:
@@ -100,10 +101,13 @@ grep -q '"bench":"kernel_continuous",.*"events":594756,' /tmp/bench_kernel.out
 grep -q '"bench":"kernel_multi_tenant",.*"events":8568,' /tmp/bench_kernel.out
 grep -q '"bench":"materialize",.*"layers":109136,' /tmp/bench_kernel.out
 # The open-loop section is the one that runs SLO-slack admission, so its
-# drop count is gated too. No rate floor yet: its host-scale reading is
-# still open.
+# drop count is gated too.
 grep -q '"bench":"kernel_open",.*"dropped":263,"events":87267,' /tmp/bench_kernel.out
-for section in kernel kernel_continuous materialize; do
+# Generation is pinned by its request count and a digest of every
+# request's arrival and hardness bits: a sampling change that moves one
+# draw shows here.
+grep -q '"bench":"generate",.*"requests":130254,"digest":"11a7415516840c26",' /tmp/bench_kernel.out
+for section in kernel kernel_continuous materialize kernel_open generate; do
     scripts/bench_floor.sh "$section" BENCH_kernel.json /tmp/bench_kernel.out
 done
 cp /tmp/bench_kernel.out BENCH_kernel.json
