@@ -19,7 +19,12 @@
 //! 4. `materialize` — the Monte-Carlo materialization the `kernel`
 //!    section excludes: `ServingSim::materialize_backlog` over the same
 //!    20k DeeBERT/SST-2 requests, reported as the fastest of [`REPS`]
-//!    passes. Its `events_per_sec` counts materialized samples.
+//!    passes. Its `events_per_sec` counts materialized samples. Two
+//!    FNV-1a digests pin the exit sampler's outcomes over the same
+//!    hardnesses: `digest` under DeeBERT's entropy threshold,
+//!    `patience_digest` under PABEE's patience policy, each over every
+//!    outcome (layers executed, exit ramp, correct) and the RNG's next
+//!    word.
 //! 5. `kernel_open` — the open-loop path, the only one that runs
 //!    SLO-slack admission: DeeBERT/SST-2 on 4×2 V100s at b=8 under one
 //!    Twitter-like bursty rate over a 30 s horizon, in the shape of the
@@ -43,7 +48,7 @@ use e3::DeploymentBuilder;
 use e3_bench::exp::experiment;
 use e3_bench::{RUN_N, SEED};
 use e3_hardware::{ClusterSpec, GpuKind, LatencyModel};
-use e3_model::{InferenceSim, RampController};
+use e3_model::{zoo, EeModel, ExitPolicy, ExitSampler, InferenceSim, RampController};
 use e3_runtime::autoreg::materialize_sequences;
 use e3_runtime::{
     run_continuous, ContinuousConfig, FaultPlan, JoinPolicy, KernelEvent, KvPlan, PreemptMode,
@@ -53,7 +58,7 @@ use e3_simcore::{SeedSplitter, SimDuration, SimTime};
 use e3_tenancy::{MarginalGoodput, MultiTenantSystem, TenancyConfig, TenantSpec};
 use e3_workload::{ArrivalProcess, BurstyTraceConfig, DatasetModel, WorkloadGenerator};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 /// Timed repetitions per section (event counts are per repetition).
 const REPS: usize = 5;
@@ -209,6 +214,44 @@ fn bench_multi_tenant() {
     );
 }
 
+/// FNV-1a over every outcome `sampler` draws for `hardness` from a
+/// generator seeded with `seed`, then over the generator's next word.
+fn outcome_digest(sampler: &ExitSampler, hardness: &[f64], seed: u64) -> u64 {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |word: u64| {
+        for byte in word.to_le_bytes() {
+            digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for &h in hardness {
+        let out = sampler.sample(h, &mut rng);
+        eat(out.layers_executed as u64);
+        eat(out.exited_at_ramp.map_or(u64::MAX, |r| r as u64));
+        eat(u64::from(out.correct));
+    }
+    eat(rng.next_u64());
+    digest
+}
+
+/// The digest of `model` under `policy`, every ramp enabled, over the
+/// dataset's accuracy.
+fn policy_digest(
+    model: &EeModel,
+    policy: ExitPolicy,
+    dataset: &DatasetModel,
+    hardness: &[f64],
+    seed: u64,
+) -> u64 {
+    let ctrl = RampController::all_enabled(model.num_ramps(), policy.ramp_style());
+    let infer = InferenceSim::with_accuracy(dataset.base_accuracy);
+    outcome_digest(
+        &ExitSampler::new(&infer, model, &policy, &ctrl),
+        hardness,
+        seed,
+    )
+}
+
 /// Section 4: per-request exit materialization for the `kernel`
 /// section's configuration.
 fn bench_materialize() {
@@ -223,6 +266,12 @@ fn bench_materialize() {
         .iter()
         .map(|s| s.layers_executed)
         .sum();
+    let hardness: Vec<f64> = reqs.iter().map(|r| r.hardness).collect();
+    let fam = &exp.family;
+    let digest = policy_digest(&fam.ee, fam.policy, &exp.dataset, &hardness, run_seed);
+    let pabee = zoo::pabee();
+    let patience = zoo::default_policy(pabee.name());
+    let patience_digest = policy_digest(&pabee, patience, &exp.dataset, &hardness, run_seed);
     let mut best = f64::INFINITY;
     for _ in 0..REPS {
         let start = Instant::now();
@@ -230,9 +279,11 @@ fn bench_materialize() {
         best = best.min(start.elapsed().as_secs_f64());
     }
     println!(
-        "{{\"bench\":\"materialize\",\"samples\":{},\"layers\":{},\"wall_secs\":{:.4},\"events_per_sec\":{:.0}}}",
+        "{{\"bench\":\"materialize\",\"samples\":{},\"layers\":{},\"digest\":\"{:016x}\",\"patience_digest\":\"{:016x}\",\"wall_secs\":{:.4},\"events_per_sec\":{:.0}}}",
         reqs.len(),
         layers,
+        digest,
+        patience_digest,
         best,
         reqs.len() as f64 / best.max(1e-9)
     );

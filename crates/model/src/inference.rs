@@ -194,20 +194,32 @@ const MARGIN: f64 = 1e-9;
 /// for `u1 == 1`.
 const BINADES: usize = 53;
 /// Equal cells of `[0, 1)` that bound `cos(2π u2)`; a multiple of 4,
-/// so `cos` is monotone within each cell.
+/// so `cos` is monotone within each cell. The cell of `u2` is the top 6
+/// bits of its RNG word.
 const COS_CELLS: usize = 64;
-/// Left end and resolution of the `p_stable` grid: `p_stable` at
-/// `x = GRID_MIN + j / GRID_STEPS` for `j` in `0..GRID_POINTS`, which
-/// covers `x` in `[-16, 16]`.
-const GRID_MIN: f64 = -16.0;
-const GRID_STEPS: f64 = 64.0;
-const GRID_POINTS: usize = 32 * 64 + 1;
+/// Equal cells of `[0.5, 1)` that bound the class draw `u` when it is
+/// not below 0.5. The cell of `u` is bits 62..53 of its RNG word.
+const U_CELLS: usize = 1024;
+
+/// The uniform `[0, 1)` value `rng.gen::<f64>()` (and
+/// `rng.gen_range(0.0..1.0)`) makes of the word `w`.
+fn unit(w: u64) -> f64 {
+    (w >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// The value `rng.gen_range(f64::EPSILON..1.0)` makes of the word `w`.
+fn u1(w: u64) -> f64 {
+    f64::EPSILON + unit(w) * (1.0 - f64::EPSILON)
+}
 
 /// The tables every [`ExitSampler`] shares.
 #[derive(Debug)]
 struct Tables {
-    /// `p_stable` on the grid points.
-    stable: Vec<f64>,
+    /// `(unstable_to, stable_from)` for `u` in cell `j`, that is in
+    /// `[0.5 + j/2048, 0.5 + (j+1)/2048)`: the class is not stable when
+    /// the computed `x <= unstable_to`, and stable when
+    /// `x >= stable_from`. `NaN` where no `x` settles the class.
+    stable: [(f64, f64); U_CELLS],
     /// `(min, max)` of `cos(2π u2)` over each cell of `u2`.
     cos: [(f64, f64); COS_CELLS],
 }
@@ -215,14 +227,83 @@ struct Tables {
 fn tables() -> &'static Tables {
     static TABLES: OnceLock<Tables> = OnceLock::new();
     TABLES.get_or_init(|| Tables {
-        stable: (0..GRID_POINTS)
-            .map(|j| p_stable(GRID_MIN + j as f64 / GRID_STEPS))
-            .collect(),
+        stable: std::array::from_fn(stable_cell),
         cos: std::array::from_fn(|j| {
             let at = |j: usize| (std::f64::consts::TAU * j as f64 / COS_CELLS as f64).cos();
             (at(j).min(at(j + 1)), at(j).max(at(j + 1)))
         }),
     })
+}
+
+/// The `(unstable_to, stable_from)` entry of `u` cell `j`: the f64
+/// ends where the computed `p_stable` clears the cell by [`MARGIN`],
+/// each searched from the closed-form logit of its target.
+fn stable_cell(j: usize) -> (f64, f64) {
+    let edge = |j: usize| 0.5 + j as f64 / (2 * U_CELLS) as f64;
+    let (above, below) = (edge(j + 1) + MARGIN, edge(j) - MARGIN);
+    // p_stable(x) = p at x = logit(2p - 1).
+    let logit = |p: f64| ((2.0 * p - 1.0) / (2.0 - 2.0 * p)).ln();
+    let stable_from = if p_stable(f64::INFINITY) >= above {
+        transition(|x| p_stable(x) >= above, logit(above))
+    } else {
+        f64::NAN
+    };
+    let unstable_to = if p_stable(f64::NEG_INFINITY) <= below {
+        next_toward(transition(|x| p_stable(x) > below, logit(below)), -1)
+    } else {
+        f64::NAN
+    };
+    (unstable_to, stable_from)
+}
+
+/// Total-order key of an f64 (the map is its own inverse on bits).
+fn order_key(x: f64) -> i128 {
+    let b = x.to_bits() as i64;
+    i128::from(b ^ ((b >> 63) as u64 >> 1) as i64)
+}
+
+/// The f64 with total-order key `k`.
+fn from_order_key(k: i128) -> f64 {
+    let b = k as i64;
+    f64::from_bits((b ^ ((b >> 63) as u64 >> 1) as i64) as u64)
+}
+
+/// The f64 `steps` places after `x` in the total order (before it for
+/// negative `steps`).
+fn next_toward(x: f64, steps: i128) -> f64 {
+    from_order_key(order_key(x) + steps)
+}
+
+/// The least `x` in the f64 order at which `holds` turns true, for a
+/// predicate false at −∞ and true at +∞: gallops from `start` to
+/// bracket the turn, then bisects the bracket. `holds` is true at the
+/// result and false at the f64 before it.
+fn transition(holds: impl Fn(f64) -> bool, start: f64) -> f64 {
+    let (min, max) = (order_key(f64::NEG_INFINITY), order_key(f64::INFINITY));
+    let (mut fails, mut turned) = (order_key(start), order_key(start));
+    let mut step = 1;
+    if holds(start) {
+        while fails > min && holds(from_order_key(fails)) {
+            turned = fails;
+            fails = (fails - step).max(min);
+            step *= 2;
+        }
+    } else {
+        while turned < max && !holds(from_order_key(turned)) {
+            fails = turned;
+            turned = (turned + step).min(max);
+            step *= 2;
+        }
+    }
+    while turned - fails > 1 {
+        let mid = fails + (turned - fails) / 2;
+        if holds(from_order_key(mid)) {
+            turned = mid;
+        } else {
+            fails = mid;
+        }
+    }
+    from_order_key(turned)
 }
 
 /// Bounds on `sqrt(-2 ln u1) · sd` for `u1` in one binade, and the slack
@@ -244,11 +325,12 @@ struct Radius {
 /// policies' exit test (one more `exp`) both depend on `x` monotonically.
 /// The sampler makes exactly the RNG draws of the full computation, in
 /// the same order, but bounds `x` from the binade of `u1` and the cell
-/// of `u2` and settles each decision from precomputed tables when the
-/// bound clears it by a fixed margin (`1e-9`). Only an ambiguous
-/// decision computes `x` and evaluates the decision's own expression, so
-/// every outcome and every RNG position equal the full computation's
-/// (DESIGN.md, "Exact filtered materialization").
+/// of `u2`, reads the cell of `u` from its RNG word, and settles each
+/// decision from precomputed tables when the bound clears it by a fixed
+/// margin (`1e-9`). Only an ambiguous decision computes `x` and
+/// evaluates the decision's own expression, so every outcome and every
+/// RNG position equal the full computation's (DESIGN.md, "Exact
+/// filtered materialization").
 #[derive(Debug, Clone)]
 pub struct ExitSampler {
     sim: InferenceSim,
@@ -341,7 +423,7 @@ impl ThresholdTest {
     }
 
     /// The `(stay_below, exit_from)` pair of [`ExitRule::Cut`]. The
-    /// exit test is monotone in `x`, so it bisects the f64 order for
+    /// exit test is monotone in `x`, so it searches the f64 order for
     /// the test's transition, then widens a window around it until the
     /// test clears its bar at both ends.
     fn cut(self) -> (f64, f64) {
@@ -355,20 +437,7 @@ impl ThresholdTest {
         if self.holds(f64::NEG_INFINITY) || !self.holds(f64::INFINITY) {
             return NONE;
         }
-        // Total-order keys of f64 (the map is its own inverse).
-        let key = |b: i64| b ^ ((b >> 63) as u64 >> 1) as i64;
-        let at = |k: i128| f64::from_bits(key(k as i64) as u64);
-        let mut fails = i128::from(key(f64::NEG_INFINITY.to_bits() as i64));
-        let mut holds = i128::from(key(f64::INFINITY.to_bits() as i64));
-        while holds - fails > 1 {
-            let mid = fails + (holds - fails) / 2;
-            if self.holds(at(mid)) {
-                holds = mid;
-            } else {
-                fails = mid;
-            }
-        }
-        let x_cut = at(holds);
+        let x_cut = transition(|x| self.holds(x), 0.0);
         let mut pad = MARGIN * x_cut.abs().max(1.0);
         for _ in 0..64 {
             let (below, above) = (x_cut - pad, x_cut + pad);
@@ -469,35 +538,32 @@ impl ExitSampler {
         let filtered = self.filtered && !d_star.is_nan();
         let mut state = SampleExitState::new();
         for ramp in &self.ramps {
-            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-            let u2: f64 = rng.gen_range(0.0..1.0);
-            let u: f64 = rng.gen();
-            let mut margin = Margin {
-                sampler: self,
-                filtered,
-                base: self.sim.steepness * (ramp.depth - d_star),
-                u1,
-                u2,
-                refined: None,
-                exact: None,
-            };
+            // u1, u2 and u each come from one word (`gen_range` and
+            // `gen` read one each); the words are kept until a value is
+            // needed.
+            let (w1, w2, w) = (rng.next_u64(), rng.next_u64(), rng.next_u64());
+            let base = self.sim.steepness * (ramp.depth - d_star);
+            let mut margin = Margin::new(self, filtered, base, w1, w2);
             #[cfg(test)]
             self.tally.set((self.tally.get().0 + 1, self.tally.get().1));
 
-            // p_stable >= 0.5, so u < 0.5 is stable outright.
-            let stable = (filtered && u < 0.5)
-                || margin.decide(
+            // p_stable >= 0.5, so u < 0.5 (a clear top bit) is stable
+            // outright; otherwise the cell of u decides from bounds.
+            let stable = (filtered && w >> 63 == 0) || {
+                let (unstable_to, stable_from) = self.tables.stable[(w >> 53) as usize % U_CELLS];
+                margin.decide(
                     |lo, hi| {
-                        if u < self.stable_floor(lo) {
+                        if lo >= stable_from {
                             Some(true)
-                        } else if u >= self.stable_ceil(hi) {
+                        } else if hi <= unstable_to {
                             Some(false)
                         } else {
                             None
                         }
                     },
-                    |x| u < p_stable(x),
-                );
+                    |x| unit(w) < p_stable(x),
+                )
+            };
             let class = if stable {
                 0
             } else if self.wrong_classes == 1 {
@@ -550,88 +616,112 @@ impl ExitSampler {
             ),
         }
     }
+}
 
-    /// A value no greater than `p_stable` at any computed `x >= lo`: the
-    /// grid point one cell below `lo`'s, less the margin; `0.5` (which
-    /// `p_stable` never falls below) left of the grid.
-    fn stable_floor(&self, lo: f64) -> f64 {
-        let t = (lo - GRID_MIN) * GRID_STEPS;
-        if t >= 1.0 {
-            self.tables.stable[(t as usize - 1).min(GRID_POINTS - 1)] - MARGIN
-        } else {
-            0.5
-        }
-    }
-
-    /// A value no smaller than `p_stable` at any computed `x <= hi`: the
-    /// grid point one cell above `hi`'s, plus the margin; `1.0` (which
-    /// `p_stable` never exceeds) right of the grid.
-    fn stable_ceil(&self, hi: f64) -> f64 {
-        let t = (hi - GRID_MIN) * GRID_STEPS;
-        if t < (GRID_POINTS - 2) as f64 {
-            self.tables.stable[t.max(0.0) as usize + 2] + MARGIN
-        } else {
-            1.0
-        }
-    }
+/// How tightly a [`Margin`] knows `x`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    /// From the binades `u1`'s word allows.
+    Coarse,
+    /// From the binade of `u1` itself and the cell of `u2`.
+    Refined,
+    /// `x` itself.
+    Exact,
 }
 
 /// What a sampler knows of one ramp's margin `x = base + noise`: bounds
-/// of increasing cost, then `x` itself, each computed at most once.
+/// `[lo, hi]` on the computed `x`, tightened a tier at a time and shared
+/// by both of the ramp's decisions; at the exact tier `lo == hi == x`.
 struct Margin<'a> {
     sampler: &'a ExitSampler,
-    /// Whether the bounds apply (see [`ExitSampler::sample`]).
-    filtered: bool,
     base: f64,
-    u1: f64,
-    u2: f64,
-    refined: Option<(f64, f64)>,
-    exact: Option<f64>,
+    /// The RNG words of `u1` and `u2`.
+    w1: u64,
+    w2: u64,
+    lo: f64,
+    hi: f64,
+    tier: Tier,
 }
 
-impl Margin<'_> {
-    /// A decision monotone in `x`: `settle` answers from bounds
-    /// `[lo, hi]` on the computed `x` when it can, `exact` from `x`.
+impl<'a> Margin<'a> {
+    /// The coarse bounds, or `x` itself when the bounds do not apply
+    /// (see [`ExitSampler::sample`]).
+    fn new(sampler: &'a ExitSampler, filtered: bool, base: f64, w1: u64, w2: u64) -> Self {
+        // noise = r c sd with r = sqrt(-2 ln u1) >= 0 bounded by the
+        // binade of u1 and |c| <= 1. Rounding is monotone, so the
+        // computed x lies in each [lo, hi]. A word with z leading zeros
+        // has its unit value in binade z + 1, and u1 = EPSILON +
+        // unit·(1 − EPSILON) lies in [unit, unit + EPSILON], so in binade
+        // z or z + 1 (at most 52): the larger bounds both.
+        let radius = sampler.radius[(w1.leading_zeros() as usize + 1).min(BINADES - 1)];
+        let coarse = radius.hi + radius.pad;
+        let mut margin = Margin {
+            sampler,
+            base,
+            w1,
+            w2,
+            lo: base - coarse,
+            hi: base + coarse,
+            tier: Tier::Coarse,
+        };
+        if !filtered {
+            margin.compute_x();
+        }
+        margin
+    }
+
+    /// A decision monotone in `x`: `settle` answers from the bounds
+    /// `[lo, hi]` when it can, `exact` from `x`.
     fn decide(
         &mut self,
         settle: impl Fn(f64, f64) -> Option<bool>,
         exact: impl Fn(f64) -> bool,
     ) -> bool {
-        if !self.filtered {
-            return exact(self.x());
+        if self.tier != Tier::Exact {
+            if let Some(decided) = settle(self.lo, self.hi) {
+                return decided;
+            }
+            if self.tier == Tier::Coarse {
+                self.refine();
+                if let Some(decided) = settle(self.lo, self.hi) {
+                    return decided;
+                }
+            }
+            self.compute_x();
         }
-        // noise = r c sd with r = sqrt(-2 ln u1) >= 0 bounded by the
-        // binade of u1 and c = cos(2π u2) by the cell of u2. Rounding is
-        // monotone, so the computed x lies in each [lo, hi].
-        let r = self.sampler.radius[binade(self.u1)];
-        let coarse = r.hi + r.pad;
-        if let Some(decided) = settle(self.base - coarse, self.base + coarse) {
-            return decided;
-        }
-        let (lo, hi) = *self.refined.get_or_insert_with(|| {
-            let (c_lo, c_hi) = self.sampler.tables.cos[(self.u2 * COS_CELLS as f64) as usize];
-            (
-                self.base + ((r.lo * c_lo).min(r.hi * c_lo) - r.pad),
-                self.base + ((r.lo * c_hi).max(r.hi * c_hi) + r.pad),
-            )
-        });
-        if let Some(decided) = settle(lo, hi) {
-            return decided;
-        }
-        exact(self.x())
+        exact(self.lo)
     }
 
-    /// The margin exactly as the full computation rounds it.
-    fn x(&mut self) -> f64 {
-        let (base, u1, u2, sd) = (self.base, self.u1, self.u2, self.sampler.sim.ramp_noise_sd);
-        *self.exact.get_or_insert_with(|| {
-            #[cfg(test)]
-            {
-                let (ramps, exact) = self.sampler.tally.get();
-                self.sampler.tally.set((ramps, exact + 1));
-            }
-            base + box_muller(u1, u2) * sd
-        })
+    /// Tightens the coarse bounds: r by the binade of u1 itself, and
+    /// c = cos(2π u2) by the cell of u2, so the noise is bounded with
+    /// its sign.
+    fn refine(&mut self) {
+        let r = self.sampler.radius[binade(u1(self.w1))];
+        let (c_lo, c_hi) = self.sampler.tables.cos[(self.w2 >> 58) as usize];
+        self.lo = self.base + ((r.lo * c_lo).min(r.hi * c_lo) - r.pad);
+        self.hi = self.base + ((r.lo * c_hi).max(r.hi * c_hi) + r.pad);
+        self.tier = Tier::Refined;
+    }
+
+    /// Computes `x`: the last tier.
+    fn compute_x(&mut self) {
+        let x = self.sampler.exact_margin(self.base, self.w1, self.w2);
+        (self.lo, self.hi, self.tier) = (x, x, Tier::Exact);
+    }
+}
+
+impl ExitSampler {
+    /// The margin exactly as the full computation rounds it. Out of
+    /// line, so the per-ramp bounds stay in registers.
+    #[cold]
+    #[inline(never)]
+    fn exact_margin(&self, base: f64, w1: u64, w2: u64) -> f64 {
+        #[cfg(test)]
+        {
+            let (ramps, exact) = self.tally.get();
+            self.tally.set((ramps, exact + 1));
+        }
+        base + box_muller(u1(w1), unit(w2)) * self.sim.ramp_noise_sd
     }
 }
 
@@ -1062,5 +1152,37 @@ mod tests {
         let (ramps, exact) = sampler.tally.get();
         let share = exact as f64 / ramps as f64;
         assert!(share < 0.15, "{exact} of {ramps} ramps computed x");
+    }
+
+    #[test]
+    fn u_cell_table_is_sound_and_tight() {
+        let edge = |j: usize| 0.5 + j as f64 / (2 * U_CELLS) as f64;
+        for (j, &(unstable_to, stable_from)) in tables().stable.iter().enumerate() {
+            let (above, below) = (edge(j + 1) + MARGIN, edge(j) - MARGIN);
+            if stable_from.is_nan() {
+                assert_eq!(j, U_CELLS - 1, "only the top cell is never stable");
+                assert!(p_stable(f64::INFINITY) < above);
+            } else {
+                assert!(p_stable(stable_from) >= above, "cell {j}: {stable_from}");
+                let inward = next_toward(stable_from, -1);
+                assert!(p_stable(inward) < above, "cell {j}: {inward} also holds");
+            }
+            if unstable_to.is_nan() {
+                assert_eq!(j, 0, "only the bottom cell is never unstable");
+                assert!(p_stable(f64::NEG_INFINITY) > below);
+            } else {
+                assert!(p_stable(unstable_to) <= below, "cell {j}: {unstable_to}");
+                let inward = next_toward(unstable_to, 1);
+                assert!(p_stable(inward) > below, "cell {j}: {inward} also holds");
+            }
+        }
+        // The word's bits read u's cell: bits 62..53 of a word with its
+        // top bit set place u in [0.5 + j/2048, 0.5 + (j+1)/2048).
+        let mut rng = StdRng::seed_from_u64(12);
+        for _ in 0..100_000 {
+            let w = rng.next_u64() | 1 << 63;
+            let j = (w >> 53) as usize % U_CELLS;
+            assert!(edge(j) <= unit(w) && unit(w) < edge(j + 1), "{w:x}");
+        }
     }
 }

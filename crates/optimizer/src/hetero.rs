@@ -232,21 +232,55 @@ fn walk<S: Copy>(
     }
 }
 
-/// Kind assignments of `free` further stages that keep every kind within
-/// its GPUs, when `on_kind[k]` stages already sit on kind `k`.
-fn completions(kinds: &[(GpuKind, usize)], on_kind: &[usize], free: usize) -> u64 {
-    let Some((&(_, avail), rest)) = kinds.split_first() else {
-        return u64::from(free == 0);
-    };
-    let room = avail - on_kind[0];
-    let mut ways = 0;
-    // `choose` is C(free, c): which of the free stages take this kind.
-    let mut choose = 1u64;
-    for c in 0..=free.min(room) {
-        ways += choose * completions(rest, &on_kind[1..], free - c);
-        choose = choose * (free - c) as u64 / (c + 1) as u64;
+/// Counts the leaves of pruned subtrees, so `SearchStats::pruned` stays
+/// exact. Built once per solve.
+struct LeafCounter {
+    /// `choose[n * stride + c]` is C(n, c), for `n` and `c` up to the
+    /// deepest subtree.
+    choose: Vec<u64>,
+    stride: usize,
+    /// `ways[f]`: assignments of `f` stages to the kinds counted so far.
+    ways: Vec<u64>,
+}
+
+impl LeafCounter {
+    /// A counter for subtrees of up to `max_free` unassigned stages.
+    fn new(max_free: usize) -> Self {
+        let stride = max_free + 1;
+        let mut choose = vec![0u64; stride * stride];
+        for n in 0..stride {
+            choose[n * stride] = 1;
+            for c in 1..=n {
+                choose[n * stride + c] =
+                    choose[(n - 1) * stride + c - 1] + choose[(n - 1) * stride + c];
+            }
+        }
+        LeafCounter {
+            choose,
+            stride,
+            ways: Vec::with_capacity(stride),
+        }
     }
-    ways
+
+    /// Kind assignments of `free` further stages that keep every kind
+    /// within its GPUs, when `on_kind[k]` stages already sit on kind `k`.
+    /// Kinds are added last to first: `c` of `f` stages take the new kind
+    /// in C(f, c) ways, within its room.
+    fn count(&mut self, kinds: &[(GpuKind, usize)], on_kind: &[usize], free: usize) -> u64 {
+        let ways = &mut self.ways;
+        ways.clear();
+        ways.resize(free + 1, 0);
+        ways[0] = 1;
+        for (k, &(_, avail)) in kinds.iter().enumerate().rev() {
+            let room = avail - on_kind[k];
+            // Descending f, so ways[f - c] still holds the kinds after k.
+            for f in (0..=free).rev() {
+                let row = &self.choose[f * self.stride..];
+                ways[f] = (0..=f.min(room)).map(|c| row[c] * ways[f - c]).sum();
+            }
+        }
+        ways[free]
+    }
 }
 
 /// The pool's kinds with at least one GPU, in `GpuKind` order.
@@ -487,6 +521,7 @@ fn bottleneck_search(
     let mut sc = Scratch::new(nk, max_stages);
     let mut assign = vec![0usize; max_stages];
     let mut stats = SearchStats::default();
+    let mut leaves = LeafCounter::new(max_stages);
     // The incumbent's (penalized bottleneck, cost) and stages.
     let mut best: Option<(f64, f64)> = None;
     let mut best_stages = Vec::new();
@@ -513,7 +548,7 @@ fn bottleneck_search(
                     return false;
                 };
                 if cannot_win(best, bound, pen) {
-                    stats.pruned += completions(kinds, &placed.on_kind, i);
+                    stats.pruned += leaves.count(kinds, &placed.on_kind, i);
                     return false;
                 }
                 if i > 0 {
@@ -764,9 +799,22 @@ mod tests {
 
     #[test]
     fn completions_count_the_leaves_within_each_kind() {
-        let kinds = [(GpuKind::V100, 2), (GpuKind::P100, 1), (GpuKind::K80, 3)];
-        for free in 0..5 {
-            for on_kind in [[0, 0, 0], [1, 0, 2], [2, 1, 3], [0, 1, 0]] {
+        let kinds = [
+            (GpuKind::A6000, 1),
+            (GpuKind::V100, 2),
+            (GpuKind::P100, 1),
+            (GpuKind::K80, 3),
+        ];
+        let max_splits = 6;
+        let mut leaves = LeafCounter::new(max_splits);
+        for free in 0..=max_splits {
+            for on_kind in [
+                [0, 0, 0, 0],
+                [1, 1, 0, 2],
+                [0, 2, 1, 3],
+                [0, 0, 1, 0],
+                [1, 2, 1, 3],
+            ] {
                 let mut brute = 0;
                 let mut assign = vec![0; free];
                 loop {
@@ -778,7 +826,7 @@ mod tests {
                     }
                 }
                 assert_eq!(
-                    completions(&kinds, &on_kind, free),
+                    leaves.count(&kinds, &on_kind, free),
                     brute,
                     "{free} {on_kind:?}"
                 );

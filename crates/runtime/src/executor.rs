@@ -7,13 +7,18 @@
 //! the naive-EE inefficiency physically appears: a batch of 8 whose
 //! samples exit early leaves the late layers running at batch 2–3, well
 //! below the device's saturation point.
+//!
+//! Every term depends only on (stage layer, live count, GPU kind), so an
+//! [`ExecTable`] per (stage, kind) tables them, and timing a batch is a
+//! histogram of its exit depths and one table read per layer.
 
 use std::ops::Range;
 
-use e3_hardware::{ExitOverheads, GpuKind, LatencyModel};
+use e3_hardware::{GpuKind, LatencyModel};
 use e3_model::{EeModel, RampController};
 use e3_simcore::SimDuration;
 
+use crate::engine::ServingSim;
 use crate::sample::SimSample;
 
 /// Result of timing a batch through a stage.
@@ -25,80 +30,280 @@ pub(crate) struct ExecOutcome {
     pub mean_occupancy: f64,
 }
 
-/// Times `samples` through `stage` layers of `model` on `gpu`.
+/// One stage layer at one live count `b`.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    /// The layer's time, plus its paid ramp's and, for naive EE, the
+    /// sync and compaction that act on the ramp's exits.
+    time: SimDuration,
+    /// The layer's seconds times the occupancy at `b`.
+    layer_occ: f64,
+    /// The same for the paid ramp; `0.0` without one, which leaves the
+    /// non-negative occupancy sum bit for bit unchanged.
+    ramp_occ: f64,
+}
+
+/// The timing of one stage on one GPU kind, tabled by live count.
 ///
-/// `slowdown` is the replica's straggler factor (1.0 = healthy).
-///
-/// `deferred_exits` selects how exit decisions are *acted on*:
-/// `false` (naive EE) pays a sync + batch-compaction overhead at every
-/// checked ramp; `true` (E3 split execution) pays it once at the stage
-/// boundary, where the gather re-forms the batch anyway.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_batch(
-    model: &EeModel,
-    ctrl: &RampController,
-    lm: &LatencyModel,
-    ov: &ExitOverheads,
+/// `execute` times `samples` through `stage` layers of `model` on `gpu`.
+/// `deferred_exits` selects how exit decisions are *acted on*: `false`
+/// (naive EE) pays a sync + batch-compaction overhead at every checked
+/// ramp; `true` (E3 split execution) pays it once at the stage boundary,
+/// where the gather re-forms the batch anyway. Each entry is computed
+/// with the expressions of the per-layer walk it replaces and summed in
+/// the same order, so results are bit-identical to it.
+#[derive(Debug, Clone)]
+pub(crate) struct ExecTable<'a> {
+    model: &'a EeModel,
+    ctrl: &'a RampController,
+    lm: &'a LatencyModel,
     gpu: GpuKind,
     stage: Range<usize>,
-    samples: &[SimSample],
     deferred_exits: bool,
-    slowdown: f64,
-) -> ExecOutcome {
-    assert!(slowdown > 0.0, "slowdown factor must be positive");
-    let stage_end = stage.end;
-    let mut total = SimDuration::ZERO;
-    let mut occ_weighted = 0.0f64;
-    let mut ramps_in_stage = false;
-    for k in stage {
-        let active = samples.iter().filter(|s| s.needs_layer(k)).count();
-        if active == 0 {
-            break; // everyone left; the rest of the stage never runs
+    /// Whether a paid ramp follows any layer of the stage.
+    paid_ramp: bool,
+    /// The largest live count tabled.
+    width: usize,
+    /// `steps[(b - 1) * len + i]` for stage layer `i` at live count `b`.
+    steps: Vec<Step>,
+    /// The stage-boundary reform of deferred exits, by live count.
+    reform: Vec<SimDuration>,
+}
+
+impl<'a> ExecTable<'a> {
+    /// An empty table; `execute` fills it to the largest batch it sees.
+    pub(crate) fn new(
+        model: &'a EeModel,
+        ctrl: &'a RampController,
+        lm: &'a LatencyModel,
+        gpu: GpuKind,
+        stage: Range<usize>,
+        deferred_exits: bool,
+    ) -> Self {
+        let paid_ramp = stage
+            .clone()
+            .any(|k| model.ramp_after(k).is_some_and(|ri| ctrl.pays_cost_at(ri)));
+        ExecTable {
+            model,
+            ctrl,
+            lm,
+            gpu,
+            stage,
+            deferred_exits,
+            paid_ramp,
+            width: 0,
+            steps: Vec::new(),
+            reform: vec![SimDuration::ZERO],
         }
-        let b = active as f64;
-        let spec = model.layers()[k];
-        let t = lm.layer_time(spec.work_us + spec.fixed_us, b, gpu);
-        occ_weighted += t.as_secs_f64() * lm.occupancy(b, gpu);
-        total += t;
-        if let Some(ri) = model.ramp_after(k) {
-            if ctrl.pays_cost_at(ri) {
-                ramps_in_stage = true;
-                let rs = model.ramps()[ri];
-                let rt = lm.layer_time(rs.work_us + rs.fixed_us, b, gpu);
-                occ_weighted += rt.as_secs_f64() * lm.occupancy(b, gpu);
-                total += rt;
-                if !deferred_exits {
-                    // Naive EE: act on the decision immediately —
-                    // device-host sync plus compaction of survivors.
-                    total += ov.reform_time(b);
+    }
+
+    /// Tables live counts up to `width`.
+    fn grow(&mut self, width: usize) {
+        let (lm, gpu) = (self.lm, self.gpu);
+        for live in self.width + 1..=width {
+            let b = live as f64;
+            let occupancy = lm.occupancy(b, gpu);
+            for k in self.stage.clone() {
+                let spec = self.model.layers()[k];
+                let t = lm.layer_time(spec.work_us + spec.fixed_us, b, gpu);
+                let mut step = Step {
+                    time: t,
+                    layer_occ: t.as_secs_f64() * occupancy,
+                    ramp_occ: 0.0,
+                };
+                if let Some(ri) = self.model.ramp_after(k) {
+                    if self.ctrl.pays_cost_at(ri) {
+                        let rs = self.model.ramps()[ri];
+                        let rt = lm.layer_time(rs.work_us + rs.fixed_us, b, gpu);
+                        step.ramp_occ = rt.as_secs_f64() * occupancy;
+                        step.time += rt;
+                        if !self.deferred_exits {
+                            // Naive EE: act on the decision immediately —
+                            // device-host sync plus compaction of survivors.
+                            step.time += lm.exit.reform_time(b);
+                        }
+                    }
+                }
+                self.steps.push(step);
+            }
+            self.reform.push(lm.exit.reform_time(b));
+        }
+        self.width = width;
+    }
+
+    /// Times `samples` through the stage. `slowdown` is the replica's
+    /// straggler factor (1.0 = healthy); `hist` is scratch.
+    pub(crate) fn execute(
+        &mut self,
+        samples: &[SimSample],
+        slowdown: f64,
+        hist: &mut Vec<u32>,
+    ) -> ExecOutcome {
+        assert!(slowdown > 0.0, "slowdown factor must be positive");
+        if samples.len() > self.width {
+            self.grow(samples.len());
+        }
+        let (start, len) = (self.stage.start, self.stage.len());
+        // The samples that reach the stage, and how many leave after
+        // each of its layers but the last.
+        hist.clear();
+        hist.resize(len, 0);
+        let mut live = 0;
+        for s in samples {
+            if s.layers_executed > start {
+                live += 1;
+                if let Some(h) = hist.get_mut(s.layers_executed - start) {
+                    *h += 1;
                 }
             }
         }
+        let mut total = SimDuration::ZERO;
+        let mut occ_weighted = 0.0f64;
+        for i in 0..len {
+            if live == 0 {
+                break; // everyone left; the rest of the stage never runs
+            }
+            let step = self.steps[(live - 1) * len + i];
+            occ_weighted += step.layer_occ;
+            occ_weighted += step.ramp_occ;
+            total += step.time;
+            live -= hist.get(i + 1).map_or(0, |&h| h as usize);
+        }
+        if self.deferred_exits && self.paid_ramp {
+            // E3: one gather at the split boundary handles all exits.
+            total += self.reform[live];
+        }
+        let mean_occupancy = if total.is_zero() {
+            0.0
+        } else {
+            occ_weighted / total.as_secs_f64()
+        };
+        ExecOutcome {
+            duration: total.mul_f64(slowdown),
+            mean_occupancy,
+        }
     }
-    if deferred_exits && ramps_in_stage {
-        // E3: one gather at the split boundary handles all exits.
-        let live_at_end = samples
-            .iter()
-            .filter(|s| s.needs_layer(stage_end.saturating_sub(1)))
-            .count();
-        total += ov.reform_time(live_at_end as f64);
+}
+
+/// The [`ExecTable`] of every (stage, GPU kind) a deployment dispatches
+/// to, each built at its first dispatch and shared by the stage's
+/// replicas of that kind.
+pub(crate) struct ExecTables<'a> {
+    sim: &'a ServingSim<'a>,
+    /// Per stage, one table per kind.
+    tables: Vec<Vec<ExecTable<'a>>>,
+    hist: Vec<u32>,
+}
+
+impl<'a> ExecTables<'a> {
+    pub(crate) fn new(sim: &'a ServingSim<'a>) -> Self {
+        ExecTables {
+            sim,
+            tables: vec![Vec::new(); sim.stages.len()],
+            hist: Vec::new(),
+        }
     }
-    let mean_occupancy = if total.is_zero() {
-        0.0
-    } else {
-        occ_weighted / total.as_secs_f64()
-    };
-    ExecOutcome {
-        duration: total.mul_f64(slowdown),
-        mean_occupancy,
+
+    /// Times `samples` through stage `stage` on a replica of kind `gpu`.
+    pub(crate) fn execute(
+        &mut self,
+        stage: usize,
+        gpu: GpuKind,
+        samples: &[SimSample],
+        slowdown: f64,
+    ) -> ExecOutcome {
+        let sim = self.sim;
+        let kinds = &mut self.tables[stage];
+        let at = match kinds.iter().position(|t| t.gpu == gpu) {
+            Some(at) => at,
+            None => {
+                let spec = &sim.stages[stage];
+                kinds.push(ExecTable::new(
+                    sim.model,
+                    &sim.ctrl,
+                    &sim.lm,
+                    gpu,
+                    spec.layers.clone(),
+                    spec.deferred_exits,
+                ));
+                kinds.len() - 1
+            }
+        };
+        kinds[at].execute(samples, slowdown, &mut self.hist)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use e3_hardware::ExitOverheads;
     use e3_model::{zoo, RampStyle};
     use e3_simcore::SimTime;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The per-layer walk [`ExecTable`] tables: counts the live samples
+    /// at every layer and prices each from the latency model.
+    #[allow(clippy::too_many_arguments)]
+    fn execute_batch(
+        model: &EeModel,
+        ctrl: &RampController,
+        lm: &LatencyModel,
+        ov: &ExitOverheads,
+        gpu: GpuKind,
+        stage: Range<usize>,
+        samples: &[SimSample],
+        deferred_exits: bool,
+        slowdown: f64,
+    ) -> ExecOutcome {
+        assert!(slowdown > 0.0, "slowdown factor must be positive");
+        let stage_end = stage.end;
+        let mut total = SimDuration::ZERO;
+        let mut occ_weighted = 0.0f64;
+        let mut ramps_in_stage = false;
+        for k in stage {
+            let active = samples.iter().filter(|s| s.needs_layer(k)).count();
+            if active == 0 {
+                break; // everyone left; the rest of the stage never runs
+            }
+            let b = active as f64;
+            let spec = model.layers()[k];
+            let t = lm.layer_time(spec.work_us + spec.fixed_us, b, gpu);
+            occ_weighted += t.as_secs_f64() * lm.occupancy(b, gpu);
+            total += t;
+            if let Some(ri) = model.ramp_after(k) {
+                if ctrl.pays_cost_at(ri) {
+                    ramps_in_stage = true;
+                    let rs = model.ramps()[ri];
+                    let rt = lm.layer_time(rs.work_us + rs.fixed_us, b, gpu);
+                    occ_weighted += rt.as_secs_f64() * lm.occupancy(b, gpu);
+                    total += rt;
+                    if !deferred_exits {
+                        // Naive EE: act on the decision immediately —
+                        // device-host sync plus compaction of survivors.
+                        total += ov.reform_time(b);
+                    }
+                }
+            }
+        }
+        if deferred_exits && ramps_in_stage {
+            // E3: one gather at the split boundary handles all exits.
+            let live_at_end = samples
+                .iter()
+                .filter(|s| s.needs_layer(stage_end.saturating_sub(1)))
+                .count();
+            total += ov.reform_time(live_at_end as f64);
+        }
+        let mean_occupancy = if total.is_zero() {
+            0.0
+        } else {
+            occ_weighted / total.as_secs_f64()
+        };
+        ExecOutcome {
+            duration: total.mul_f64(slowdown),
+            mean_occupancy,
+        }
+    }
 
     fn sample(exit: usize) -> SimSample {
         SimSample {
@@ -117,21 +322,27 @@ mod tests {
         (m, c, LatencyModel::new())
     }
 
+    /// Times `batch` through `stage` of `m` on a V100 with naive EE.
+    fn run(
+        m: &EeModel,
+        c: &RampController,
+        lm: &LatencyModel,
+        stage: Range<usize>,
+        batch: &[SimSample],
+        slowdown: f64,
+    ) -> ExecOutcome {
+        ExecTable::new(m, c, lm, GpuKind::V100, stage, false).execute(
+            batch,
+            slowdown,
+            &mut Vec::new(),
+        )
+    }
+
     #[test]
     fn full_batch_full_model_anchor() {
         let (m, c, lm) = setup();
         let batch: Vec<SimSample> = (0..8).map(|_| sample(12)).collect();
-        let out = execute_batch(
-            &m,
-            &c,
-            &lm,
-            &ExitOverheads::default(),
-            GpuKind::V100,
-            0..12,
-            &batch,
-            false,
-            1.0,
-        );
+        let out = run(&m, &c, &lm, 0..12, &batch, 1.0);
         // BERT at b=8 is ~19.7ms; DeeBERT adds 11 ramp checks plus the
         // per-ramp sync/compaction overheads of acting on them.
         let ms = out.duration.as_millis_f64();
@@ -148,28 +359,8 @@ mod tests {
         // Six of eight exit after layer 3.
         let mut shrink = vec![sample(4); 6];
         shrink.extend(vec![sample(12); 2]);
-        let a = execute_batch(
-            &m,
-            &c,
-            &lm,
-            &ExitOverheads::default(),
-            GpuKind::V100,
-            0..12,
-            &full,
-            false,
-            1.0,
-        );
-        let b = execute_batch(
-            &m,
-            &c,
-            &lm,
-            &ExitOverheads::default(),
-            GpuKind::V100,
-            0..12,
-            &shrink,
-            false,
-            1.0,
-        );
+        let a = run(&m, &c, &lm, 0..12, &full, 1.0);
+        let b = run(&m, &c, &lm, 0..12, &shrink, 1.0);
         assert!(b.duration < a.duration);
         assert!(b.mean_occupancy < a.mean_occupancy);
     }
@@ -178,17 +369,7 @@ mod tests {
     fn everyone_exits_before_stage_costs_nothing() {
         let (m, c, lm) = setup();
         let batch = vec![sample(3); 4];
-        let out = execute_batch(
-            &m,
-            &c,
-            &lm,
-            &ExitOverheads::default(),
-            GpuKind::V100,
-            6..12,
-            &batch,
-            false,
-            1.0,
-        );
+        let out = run(&m, &c, &lm, 6..12, &batch, 1.0);
         assert!(out.duration.is_zero());
     }
 
@@ -196,28 +377,8 @@ mod tests {
     fn slowdown_scales_duration() {
         let (m, c, lm) = setup();
         let batch = vec![sample(12); 4];
-        let fast = execute_batch(
-            &m,
-            &c,
-            &lm,
-            &ExitOverheads::default(),
-            GpuKind::V100,
-            0..12,
-            &batch,
-            false,
-            1.0,
-        );
-        let slow = execute_batch(
-            &m,
-            &c,
-            &lm,
-            &ExitOverheads::default(),
-            GpuKind::V100,
-            0..12,
-            &batch,
-            false,
-            2.0,
-        );
+        let fast = run(&m, &c, &lm, 0..12, &batch, 1.0);
+        let slow = run(&m, &c, &lm, 0..12, &batch, 2.0);
         let ratio = slow.duration.as_secs_f64() / fast.duration.as_secs_f64();
         assert!((ratio - 2.0).abs() < 1e-9);
     }
@@ -228,29 +389,72 @@ mod tests {
         let c0 = RampController::all_enabled(0, RampStyle::Independent);
         let lm = LatencyModel::new();
         let batch = vec![sample(12); 8];
-        let stock_t = execute_batch(
-            &stock,
-            &c0,
-            &lm,
-            &ExitOverheads::default(),
-            GpuKind::V100,
-            0..12,
-            &batch,
-            false,
-            1.0,
-        );
+        let stock_t = run(&stock, &c0, &lm, 0..12, &batch, 1.0);
         let (ee, c, _) = setup();
-        let ee_t = execute_batch(
-            &ee,
-            &c,
-            &lm,
-            &ExitOverheads::default(),
-            GpuKind::V100,
-            0..12,
-            &batch,
-            false,
-            1.0,
-        );
+        let ee_t = run(&ee, &c, &lm, 0..12, &batch, 1.0);
         assert!(ee_t.duration > stock_t.duration, "ramps must cost time");
+    }
+
+    #[test]
+    fn table_matches_the_per_layer_walk() {
+        let models = [
+            zoo::deebert(),
+            zoo::pabee(),
+            zoo::branchy_resnet50(),
+            zoo::calm_t5(),
+        ];
+        let mut rng = StdRng::seed_from_u64(0xE3);
+        let mut hist = Vec::new();
+        let (configs, per_config) = (1000, 100);
+        let mut grew = 0;
+        for config in 0..configs {
+            let model = &models[config % models.len()];
+            let gpu = GpuKind::ALL[config / models.len() % GpuKind::ALL.len()];
+            let l = model.num_layers();
+            let start = rng.gen_range(0..l);
+            let stage = start..rng.gen_range(start + 1..l + 1);
+            let mask = (0..model.num_ramps()).map(|_| rng.gen_bool(0.6)).collect();
+            let ctrl = RampController::with_mask(mask, RampStyle::Independent);
+            let lm = LatencyModel {
+                speed_scale: rng.gen_range(0.5..2.0),
+                ..LatencyModel::new()
+            };
+            let deferred = rng.gen_bool(0.5);
+            let b0 = rng.gen_range(1..17);
+            let mut table = ExecTable::new(model, &ctrl, &lm, gpu, stage.clone(), deferred);
+            for _ in 0..per_config {
+                let n = rng.gen_range(1..3 * b0 + 1);
+                // Depths before, inside and past the stage.
+                let batch: Vec<SimSample> =
+                    (0..n).map(|_| sample(rng.gen_range(1..l + 1))).collect();
+                let slowdown = if rng.gen_bool(0.5) {
+                    1.0
+                } else {
+                    rng.gen_range(0.1..8.0)
+                };
+                let width = table.width;
+                let got = table.execute(&batch, slowdown, &mut hist);
+                grew += usize::from(table.width > width && width > 0);
+                let want = execute_batch(
+                    model,
+                    &ctrl,
+                    &lm,
+                    &lm.exit,
+                    gpu,
+                    stage.clone(),
+                    &batch,
+                    deferred,
+                    slowdown,
+                );
+                assert_eq!(got.duration, want.duration, "config {config}");
+                assert_eq!(
+                    got.mean_occupancy.to_bits(),
+                    want.mean_occupancy.to_bits(),
+                    "config {config}"
+                );
+            }
+        }
+        assert!(configs * per_config >= 100_000);
+        assert!(grew > configs, "tables grew {grew} times");
     }
 }

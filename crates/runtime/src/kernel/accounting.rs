@@ -184,6 +184,15 @@ impl RunAccumulator {
         self.excluded_now > 0
     }
 
+    /// Reserves room for the exit events of `completions` more
+    /// completions, when exit events are recorded: the log then grows
+    /// once instead of by doubling.
+    pub(crate) fn reserve_exit_events(&mut self, completions: usize) {
+        if self.record_exit_events {
+            self.exit_events.reserve(completions);
+        }
+    }
+
     /// Records a completion at `now`; returns whether it met the SLO.
     pub fn complete(&mut self, s: &SimSample, now: SimTime) -> bool {
         let lat = now.saturating_since(s.arrival);
@@ -376,5 +385,16 @@ mod tests {
         let r = acc.finish(SimDuration::from_secs(1));
         assert!(r.exit_events.is_empty());
         assert_eq!(r.correct, 0);
+    }
+
+    #[test]
+    fn exit_event_log_is_reserved_only_when_recorded() {
+        for record in [false, true] {
+            let mut acc = RunAccumulator::new(1, 1, SimDuration::from_millis(20), record);
+            acc.reserve_exit_events(1000);
+            let want = if record { 1000 } else { 0 };
+            assert!(acc.exit_events.capacity() >= want);
+            assert_eq!(acc.exit_events.capacity() == 0, !record);
+        }
     }
 }

@@ -65,7 +65,7 @@ use e3_simcore::{EventQueue, SimDuration, SimQueue, SimTime};
 
 use crate::batch::{Batch, SamplePool};
 use crate::engine::ServingSim;
-use crate::executor::execute_batch;
+use crate::executor::ExecTables;
 use crate::sample::SimSample;
 use faults::{FaultAction, FaultReaction, FaultState};
 use policy::{RelativeSlowdown, ReplicaPerf};
@@ -410,6 +410,8 @@ pub(crate) struct Batches<'a, Q: SimQueue<Event<Ev>> = EventQueue<Event<Ev>>> {
     sample_pool: SamplePool,
     /// Reused scratch for straggler peer comparisons.
     perf_scratch: Vec<ReplicaPerf>,
+    /// Stage timing, tabled per (stage, GPU kind).
+    exec: ExecTables<'a>,
 }
 
 impl<'a, Q: SimQueue<Event<Ev>>> Batches<'a, Q> {
@@ -455,16 +457,18 @@ impl<'a, Q: SimQueue<Event<Ev>>> Batches<'a, Q> {
             .iter()
             .enumerate()
             .flat_map(|(si, st)| std::iter::repeat_n(si, st.replicas.len()));
+        let mut core = Core::new(
+            &sim.cfg.fault_plan,
+            stage_of,
+            num_stages,
+            sim.cfg.slo,
+            true,
+            observer,
+        );
+        core.acc.reserve_exit_events(backlog.len());
         Batches {
             sim,
-            core: Core::new(
-                &sim.cfg.fault_plan,
-                stage_of,
-                num_stages,
-                sim.cfg.slo,
-                true,
-                observer,
-            ),
+            core,
             admission,
             batching,
             straggler: sim.cfg.detect_stragglers.then(RelativeSlowdown::default),
@@ -481,6 +485,7 @@ impl<'a, Q: SimQueue<Event<Ev>>> Batches<'a, Q> {
             in_flight_cap: (5 * num_replicas * sim.stages[0].target_batch).div_ceil(4),
             sample_pool: SamplePool::default(),
             perf_scratch: Vec::new(),
+            exec: ExecTables::new(sim),
         }
     }
 
@@ -701,18 +706,12 @@ impl<'a, Q: SimQueue<Event<Ev>>> Batches<'a, Q> {
     }
 
     fn start_exec(&mut self, rid: usize, batch: Batch) {
-        let spec = &self.sim.stages[self.core.reps[rid].stage];
         // Active transient slowdowns stack multiplicatively.
         let slowdown: f64 = self.core.faults.slowdowns(rid).product();
-        let out = execute_batch(
-            self.sim.model,
-            &self.sim.ctrl,
-            &self.sim.lm,
-            &self.sim.lm.exit,
+        let out = self.exec.execute(
+            self.core.reps[rid].stage,
             self.replicas[rid].gpu,
-            spec.layers.clone(),
             &batch.samples,
-            spec.deferred_exits,
             slowdown,
         );
         // Busy time counts from the start, so a batch lost to a crash

@@ -47,6 +47,7 @@ impl SimSample {
     }
 
     /// True if this sample still needs layer `k`.
+    #[cfg(test)]
     pub(crate) fn needs_layer(&self, k: usize) -> bool {
         self.layers_executed > k
     }

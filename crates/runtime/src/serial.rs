@@ -20,7 +20,7 @@ use e3_hardware::{LinkKind, TransferModel};
 use e3_simcore::{EventQueue, SimDuration, SimTime};
 
 use crate::engine::ServingSim;
-use crate::executor::execute_batch;
+use crate::executor::ExecTables;
 use crate::kernel::RunAccumulator;
 use crate::report::RunReport;
 use crate::sample::SimSample;
@@ -50,6 +50,8 @@ pub(crate) fn run_barrier(sim: &ServingSim<'_>, samples: &[SimSample]) -> RunRep
     // Pure lockstep: the queue only lends its clock; nothing is scheduled.
     let mut q: EventQueue<()> = EventQueue::new();
     let mut acc = RunAccumulator::new(stages.len(), m, sim.cfg.slo, true);
+    acc.reserve_exit_events(samples.len());
+    let mut exec = ExecTables::new(sim);
     // Every dispatch in this mode is exactly b0 wide, at every stage.
     for st in 0..stages.len() {
         acc.record_dispatch(st, b0 as f64);
@@ -59,7 +61,7 @@ pub(crate) fn run_barrier(sim: &ServingSim<'_>, samples: &[SimSample]) -> RunRep
     for chunk in samples.chunks(m * b0) {
         let round_start = q.now();
         let mut alive: Vec<SimSample> = chunk.to_vec();
-        for stage in stages {
+        for (si, stage) in stages.iter().enumerate() {
             if alive.is_empty() {
                 break;
             }
@@ -70,17 +72,7 @@ pub(crate) fn run_barrier(sim: &ServingSim<'_>, samples: &[SimSample]) -> RunRep
             for wave in batches.chunks(m) {
                 let mut wave_max = SimDuration::ZERO;
                 for (g, batch) in wave.iter().enumerate() {
-                    let out = execute_batch(
-                        model,
-                        &sim.ctrl,
-                        &sim.lm,
-                        &sim.lm.exit,
-                        gpus[g],
-                        stage.layers.clone(),
-                        batch,
-                        stage.deferred_exits,
-                        1.0,
-                    );
+                    let out = exec.execute(si, gpus[g], batch, 1.0);
                     acc.record_busy(g, out.duration, out.mean_occupancy);
                     wave_max = wave_max.max(out.duration);
                 }

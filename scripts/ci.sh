@@ -99,7 +99,10 @@ grep -q "events_per_sec" /tmp/bench_kernel.out
 grep -q '"bench":"kernel",.*"events":55934,' /tmp/bench_kernel.out
 grep -q '"bench":"kernel_continuous",.*"events":594756,' /tmp/bench_kernel.out
 grep -q '"bench":"kernel_multi_tenant",.*"events":8568,' /tmp/bench_kernel.out
-grep -q '"bench":"materialize",.*"layers":109136,' /tmp/bench_kernel.out
+# The exit sampler is pinned by its outcomes, not only their layer sum:
+# a digest of every outcome and the RNG's next word, under DeeBERT's
+# entropy threshold and under PABEE's patience policy.
+grep -q '"bench":"materialize",.*"layers":109136,"digest":"aa245db311d238db","patience_digest":"8b764e1fc45cd19c",' /tmp/bench_kernel.out
 # The open-loop section is the one that runs SLO-slack admission, so its
 # drop count is gated too.
 grep -q '"bench":"kernel_open",.*"dropped":263,"events":87267,' /tmp/bench_kernel.out
