@@ -1,14 +1,10 @@
 //! Optimizer planning-time benchmark: wall time vs cluster size.
 //!
-//! Times three planning modes of the warm-started incremental DP at each
-//! cluster size, up to the 10k-GPU horizon:
-//!
-//! * `cold` — fresh [`PlanCache`]: the full binary-search DP fills its
-//!   tables from scratch.
-//! * `warm` — the immediately repeated query: a cache hit, so the plan
-//!   is pure parent-pointer reconstruction.
-//! * `extend` — the cache holds tables for a smaller cluster (7/8 of
-//!   `m`); only the missing GPU columns are filled.
+//! Times one cold solve of the split search on `m` V100s at each cluster
+//! size, up to the 10k-GPU horizon, and reports the kind assignments its
+//! search space held and how many of them the lower bound pruned. With
+//! one kind there is one assignment per boundary set, so the counts do
+//! not grow with `m`.
 //!
 //! A final `optimizer_hetero` line times the heterogeneous solve on the
 //! paper's 6 V100 + 8 P100 + 15 K80 pool at `max_splits = 4`, each the
@@ -28,52 +24,36 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use e3_bench::figs::{scale_hetero_solver, scale_problem, scale_solver, SCALE_SIZES};
+use e3_bench::figs::{scale_pool, scale_problem, scale_solver, SCALE_SIZES};
 use e3_hardware::{GpuKind, LatencyModel, TransferModel};
-use e3_optimizer::{PlanCache, ValueOracle};
+use e3_optimizer::ValueOracle;
 
 fn main() {
     let solve = scale_solver();
     for &m in &SCALE_SIZES {
-        let mut cache = PlanCache::new();
         let start = Instant::now();
-        let cold_plan = solve(m, &mut cache);
+        let (plan, stats) = solve(&scale_pool(m));
         let cold = start.elapsed().as_secs_f64();
-
-        let start = Instant::now();
-        let warm_plan = solve(m, &mut cache);
-        let warm = start.elapsed().as_secs_f64();
-        assert_eq!(cold_plan, warm_plan, "warm re-plan must equal cold solve");
-
-        let mut cache = PlanCache::new();
-        solve(m - m / 8, &mut cache);
-        let start = Instant::now();
-        let ext_plan = solve(m, &mut cache);
-        let extend = start.elapsed().as_secs_f64();
-        assert_eq!(cold_plan, ext_plan, "extended solve must equal cold solve");
-
         println!(
-            "{{\"bench\":\"optimizer\",\"gpus\":{},\"splits\":{},\"cold_secs\":{:.6},\"warm_secs\":{:.6},\"extend_secs\":{:.6},\"warm_speedup\":{:.1},\"extend_speedup\":{:.1}}}",
+            "{{\"bench\":\"optimizer\",\"gpus\":{},\"splits\":{},\"cold_secs\":{:.6},\"assignments\":{},\"pruned\":{}}}",
             m,
-            cold_plan.splits.len(),
+            plan.splits.len(),
             cold,
-            warm,
-            extend,
-            cold / warm.max(1e-9),
-            cold / extend.max(1e-9)
+            stats.assignments,
+            stats.pruned
         );
     }
 
     let pool = BTreeMap::from([(GpuKind::V100, 6), (GpuKind::P100, 8), (GpuKind::K80, 15)]);
-    let solve_hetero = scale_hetero_solver();
-    let (plan, stats) = solve_hetero(&pool);
+    let (plan, stats) = solve(&pool);
     let cold = fastest(
         || (),
-        |()| assert_eq!(solve_hetero(&pool).0, plan, "every cold solve plans alike"),
+        |()| assert_eq!(solve(&pool).0, plan, "every cold solve plans alike"),
     );
 
-    // What each value-oracle query pays: an oracle builds its stage
-    // tables on its first mixed subset, so solve a smaller pool first.
+    // What each value-oracle query pays: an oracle fills each kind's
+    // stage table on the first subset holding it, so solve a smaller
+    // pool of the same kinds first.
     let (model, ctrl, profile, cfg) = scale_problem();
     let (tm, lm) = (TransferModel::default(), LatencyModel::new());
     let mut warm = pool.clone();

@@ -10,8 +10,8 @@
 
 use e3_hardware::{ClusterSpec, LatencyModel, TransferModel};
 use e3_model::{BatchProfile, EeModel, ExitPolicy, InferenceSim, RampController};
-use e3_optimizer::auto::plan_for_cluster_cached;
-use e3_optimizer::{OptimizerConfig, PlanCache, SplitPlan};
+use e3_optimizer::auto::plan_for_cluster;
+use e3_optimizer::{OptimizerConfig, SplitPlan};
 use e3_profiler::{BatchProfileEstimator, DriftWatchdog, WindowObserver};
 use e3_runtime::{
     FaultPlan, KernelEvent, OffsetObserver, RunObserver, RunReport, ServingSim, Strategy,
@@ -113,12 +113,6 @@ impl E3System {
 
         let guarded = self.cfg.reconfig.guarded;
         let mut watchdog = DriftWatchdog::new(self.cfg.reconfig.watchdog);
-        // Warm-start state for the per-window re-plan: windows whose
-        // forecast (and cluster) are unchanged reconstruct from cached
-        // DP tables instead of re-solving; a drifted forecast or a
-        // shrunken cluster invalidates by key. Plans are bit-identical
-        // to cold solves either way.
-        let mut plan_cache = PlanCache::new();
         // The plan currently "deployed": survives across windows so a new
         // plan has something to canary against. Cleared when the cluster
         // shrinks (old plans reference replicas that no longer exist).
@@ -142,7 +136,7 @@ impl E3System {
             let planned_safe = guarded && safe_mode;
             let full_ctrl =
                 RampController::all_enabled(self.model.num_ramps(), self.policy.ramp_style());
-            let plan = plan_for_cluster_cached(
+            let plan = plan_for_cluster(
                 &self.model,
                 &full_ctrl,
                 &planning,
@@ -151,7 +145,6 @@ impl E3System {
                 &self.tm,
                 &self.lm,
                 &self.optimizer_config(),
-                &mut plan_cache,
             );
 
             // A guarded transition needs an incumbent to compare against,
@@ -552,52 +545,6 @@ mod tests {
         let with = mk(true);
         let without = mk(false);
         assert!(with > without, "wrapper {with} vs plain {without}");
-    }
-
-    #[test]
-    fn warm_window_plans_equal_cold_solves() {
-        // The control loop warm-starts its per-window re-plan through a
-        // PlanCache; every window's plan must still be bit-identical to
-        // a cold solve from that window's recorded forecast and cluster.
-        // The phase change forces drift invalidation mid-run, and the
-        // permanent crash shrinks the cluster (ClusterSpec::without),
-        // exercising the warm-reconstruction path at a smaller budget.
-        let sys = E3System::new(
-            zoo::deebert(),
-            zoo::default_policy("DeeBERT"),
-            ClusterSpec::paper_homogeneous_v100(),
-            small_cfg(),
-        );
-        let phases = vec![
-            DatasetModel::with_mix(0.8),
-            DatasetModel::with_mix(0.8),
-            DatasetModel::with_mix(0.2),
-            DatasetModel::with_mix(0.2),
-            DatasetModel::with_mix(0.2),
-        ];
-        let faults = vec![
-            FaultPlan::default(),
-            FaultPlan::default().crash(0, e3_simcore::SimTime::from_millis(5)),
-        ];
-        let report = sys.run_windows_observed(&phases, &faults, &mut NullObserver);
-        let full_ctrl = RampController::all_enabled(sys.model.num_ramps(), sys.policy.ramp_style());
-        let mut gpus_seen = std::collections::BTreeSet::new();
-        for w in &report.windows {
-            gpus_seen.insert(w.cluster_gpus);
-            let cluster = ClusterSpec::homogeneous(e3_hardware::GpuKind::V100, w.cluster_gpus, 4);
-            let cold = e3_optimizer::auto::plan_for_cluster(
-                &sys.model,
-                &full_ctrl,
-                &w.predicted,
-                &cluster,
-                sys.cfg.batch.max(1) as f64,
-                &sys.tm,
-                &sys.lm,
-                &sys.optimizer_config(),
-            );
-            assert_eq!(w.plan, cold, "window {}", w.window);
-        }
-        assert!(gpus_seen.len() > 1, "crash should shrink the cluster");
     }
 
     #[test]

@@ -17,9 +17,9 @@
 use e3_hardware::{GpuKind, LatencyModel, TransferModel};
 use e3_model::{BatchProfile, EeModel, RampController};
 
-use crate::cache::PlanCache;
+use crate::auto::solve;
 use crate::config::OptimizerConfig;
-use crate::dp::optimize_homogeneous_cached;
+use crate::hetero::StageTables;
 use crate::plan::SplitPlan;
 use crate::stage::boundary_transfer;
 
@@ -58,10 +58,11 @@ pub fn run_ablations(
     cfg: &OptimizerConfig,
 ) -> Vec<AblationResult> {
     let tm = TransferModel::default();
-    let mut cache = PlanCache::new();
-    let base = optimize_homogeneous_cached(
-        model, ctrl, profile, gpu, num_gpus, b0, &tm, lm, cfg, &mut cache,
-    );
+    let pool = [(gpu, num_gpus)];
+    let mut tables = StageTables::new(model, profile, b0, &tm, cfg.enforce_memory);
+    let mut plan =
+        |cfg: &OptimizerConfig| solve(model, ctrl, profile, &pool, b0, &tm, lm, cfg, &mut tables).0;
+    let base = plan(cfg);
 
     let mut out = Vec::new();
 
@@ -73,18 +74,7 @@ pub fn run_ablations(
     out.push(AblationResult {
         name: "pipelined-objective",
         with_choice: base.clone(),
-        without_choice: optimize_homogeneous_cached(
-            model,
-            ctrl,
-            profile,
-            gpu,
-            num_gpus,
-            b0,
-            &tm,
-            lm,
-            &serial_cfg,
-            &mut cache,
-        ),
+        without_choice: plan(&serial_cfg),
     });
 
     // 2. Stage realization penalty.
@@ -92,18 +82,7 @@ pub fn run_ablations(
         stage_overhead_frac: 0.0,
         ..*cfg
     };
-    let unpenalized = optimize_homogeneous_cached(
-        model,
-        ctrl,
-        profile,
-        gpu,
-        num_gpus,
-        b0,
-        &tm,
-        lm,
-        &no_penalty,
-        &mut cache,
-    );
+    let unpenalized = plan(&no_penalty);
     // The unpenalized plan's *predicted* goodput is not comparable (it
     // ignores the jitter); re-cost it under the shipped assumptions by
     // reporting its raw value — callers simulate both to see the truth.

@@ -1,6 +1,6 @@
 //! Replica splits for autoregressive deployments (figs. 10–12).
 //!
-//! The classic DP in [`crate::dp`] plans per-*sample* pipelines. An
+//! The split search in [`crate::hetero`] plans per-*sample* pipelines. An
 //! autoregressive deployment is shaped differently: the unit of work is
 //! one generated *token*, and the encoder cost amortizes over a
 //! request's whole output. Given a decoder cut chosen elsewhere,

@@ -31,12 +31,13 @@ pub struct OptimizerConfig {
     /// stage count; each extra stage must beat the simpler plan by this
     /// margin to be chosen.
     pub stage_overhead_frac: f64,
-    /// Treat device memory as a first-class planning dimension: candidate
-    /// splits whose weights plus double-buffered activations do not fit
-    /// their GPU are excluded from the DP's transition set (§3.1's
+    /// Treat device memory as a first-class planning dimension: a stage
+    /// whose weights plus double-buffered activations do not fit its GPU
+    /// kind is excluded from every plan the optimizer considers (§3.1's
     /// resource safety check, applied during search rather than post hoc).
-    /// If no memory-feasible plan exists at all, the optimizer falls back
-    /// to the unconstrained plan so callers still get a best effort.
+    /// If no memory-feasible plan exists at all, the goodput planners fall
+    /// back to the unconstrained plan so callers still get a best effort;
+    /// `min_cost_for_goodput` returns `None` instead.
     pub enforce_memory: bool,
 }
 

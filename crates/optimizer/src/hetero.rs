@@ -1,10 +1,11 @@
-//! Heterogeneity-aware split optimization (§3.2.3, fig. 6).
+//! The split search (§3.2, §3.2.3, fig. 6): the one pipelined solver.
 //!
 //! The paper's final formulation lets every split choose a GPU
-//! configuration, constrained so a split's replicas share one kind. A
-//! literal DP over the 4-dimensional GPU-count vector is exact but
-//! needlessly large; because the number of useful splits is tiny (the
-//! paper's deployments cut once or twice), we solve the same optimum by:
+//! configuration, constrained so a split's replicas share one kind; a
+//! single-kind pool is the case with one kind to choose. A literal DP
+//! over the 4-dimensional GPU-count vector is exact but needlessly
+//! large; because the number of useful splits is tiny (the paper's
+//! deployments cut once or twice), we solve the same optimum by:
 //!
 //! 1. enumerating split-boundary sets with at most `max_splits` stages;
 //! 2. enumerating each stage's GPU kind (|kinds|^stages combinations);
@@ -18,12 +19,12 @@
 //! (layer range, kind) stage costs. Three things keep the walk cheap:
 //!
 //! * **Stage tables** (`StageTables`). Each kind's one-replica times
-//!   `t1[a][b]` come from `fill_t1` (without the memory check: this
-//!   search has never enforced memory), and `tx[a]` holds the
-//!   surviving-batch transfer entering a stage that starts at layer `a`.
-//!   A cold solve builds them once; [`crate::ValueOracle`] builds them
-//!   once per planning context and shares them across every subset it
-//!   solves.
+//!   `t1[a][b]` come from `fill_t1`, which reads `INF` for a range that
+//!   overflows the device when `enforce_memory` is on, and `tx[a]` holds
+//!   the surviving-batch transfer entering a stage that starts at layer
+//!   `a`. A cold solve builds them once; [`crate::ValueOracle`] builds
+//!   them once per planning context and shares them across every subset
+//!   it solves.
 //! * **Allocation-free enumeration.** Boundary sets are generated in one
 //!   buffer and scratch buffers are reused across sets and assignments.
 //!   A kind holding one stage gives it all of its GPUs, which is what
@@ -42,8 +43,14 @@
 //!   cuts its subtree, and a node that oversubscribes a kind cuts a
 //!   subtree with no feasible leaf.
 //!
-//! Plans are bit-identical to the plain enumeration. The tables hold the
-//! values it recomputed on every visit. Boundary sets are visited in the
+//! Memory is a first-class dimension: a stage that does not fit its kind
+//! has an infinite bound, so no plan that overflows a GPU can displace
+//! one that fits. When no plan fits at all, the solve repeats on
+//! unmasked tables and returns the best-effort plan.
+//!
+//! Plans are bit-identical to the plain enumeration (which has no memory
+//! rule; on pools where every stage fits, masking changes nothing). The
+//! tables hold the values it recomputed on every visit. Boundary sets are visited in the
 //! same order, and the walk reaches leaves in the order of the plain
 //! enumeration's odometer (stage 0's kind turns fastest), so first-found
 //! tie-breaks hold; waterfilling keeps `max_by`'s last-maximum tie-break
@@ -54,9 +61,10 @@
 //! bound would also have skipped against the same incumbent. The
 //! search's trajectory is unchanged and so are its [`SearchStats`]: a
 //! cut adds the subtree's leaves that fit the GPU counts to `pruned`.
-//! The plain enumeration and the assignment-by-assignment odometer
-//! survive as `#[cfg(test)]` references that a property test compares
-//! plans and statistics against.
+//! The plain enumeration, the assignment-by-assignment odometer, the
+//! linear-scan homogeneous DP and an exhaustive oracle over replica
+//! vectors survive as `#[cfg(test)]` references that property tests
+//! compare plans and statistics against.
 //!
 //! The same machinery answers the cost question of §5.3: given a target
 //! goodput, each stage needs `ceil(t_eff / λ*)` replicas where
@@ -64,27 +72,28 @@
 //! Its walk cuts a subtree whose assigned stages already oversubscribe a
 //! kind or cost at least the incumbent: every further stage adds need
 //! and at least one replica's price, far above the rounding of either
-//! sum. At a leaf the same test is the plain enumeration's.
+//! sum. At a leaf the same test is the plain enumeration's. A stage that
+//! does not fit its kind needs more replicas than any pool holds, so
+//! under `enforce_memory` the cheapest plan always fits.
 
 use std::collections::BTreeMap;
 
 use e3_hardware::{GpuKind, LatencyModel, TransferModel};
 use e3_model::{BatchProfile, EeModel, RampController};
+use e3_simcore::SimDuration;
 
-use crate::cache::PlanCache;
 use crate::config::OptimizerConfig;
-use crate::dp::{build_plan_hetero, fill_t1, optimize_homogeneous_cached};
-use crate::plan::SplitPlan;
-use crate::stage::boundary_transfer_surviving;
+use crate::plan::{Split, SplitPlan};
+use crate::stage::{boundary_transfer_surviving, stage_cost, stage_fits};
 
 /// One assigned stage: (start layer, end layer, replicas, GPU kind).
-type StageAssignment = (usize, usize, usize, GpuKind);
+pub(crate) type StageAssignment = (usize, usize, usize, GpuKind);
 
 /// Tolerance within which two penalized bottlenecks tie (and are
 /// compared by cost), and by which a plan may exceed the cost cap.
 const TIE: f64 = 1e-12;
 
-/// How much of the kind-assignment space one heterogeneous solve walked.
+/// How much of the kind-assignment space one solve walked.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Kind assignments in the search space: `|kinds|^stages`, summed
@@ -94,13 +103,43 @@ pub struct SearchStats {
     pub pruned: u64,
 }
 
+/// The per-range one-replica stage table of one GPU kind: `t1[s][j]` is
+/// the survival-weighted batch time of layers `s..j` on one replica,
+/// `INF` where the range overflows device memory (when `check_memory`).
+#[allow(clippy::needless_range_loop)] // the paper's t1[s][j] notation
+pub(crate) fn fill_t1(
+    model: &EeModel,
+    ctrl: &RampController,
+    profile: &BatchProfile,
+    gpu: GpuKind,
+    b0: f64,
+    lm: &LatencyModel,
+    check_memory: bool,
+) -> Vec<Vec<f64>> {
+    let l = model.num_layers();
+    let mut t1 = vec![vec![f64::INFINITY; l + 1]; l + 1];
+    for s in 0..l {
+        for j in s + 1..=l {
+            if check_memory && !stage_fits(model, s..j, b0, gpu) {
+                continue;
+            }
+            let sc = stage_cost(model, ctrl, profile, s..j, b0, gpu, 1, lm);
+            t1[s][j] = sc.effective_time.as_secs_f64();
+        }
+    }
+    t1
+}
+
 /// The one-replica stage costs of one planning context (model, ramps,
-/// profile, batch): everything the split search reads.
+/// profile, batch, transfer model, memory rule): everything the split
+/// search reads.
 pub(crate) struct StageTables {
     /// `tx[a]`: the surviving-batch transfer entering a stage that starts
     /// at layer `a`; zero for `a = 0`, which nothing transfers into.
     tx: Vec<f64>,
-    /// Per kind, `t1[a][b]` from [`fill_t1`] without the memory check.
+    /// Whether ranges that overflow their device read `INF`.
+    check_memory: bool,
+    /// Per kind, `t1[a][b]` from [`fill_t1`].
     t1: Vec<(GpuKind, Vec<Vec<f64>>)>,
 }
 
@@ -111,6 +150,7 @@ impl StageTables {
         profile: &BatchProfile,
         b0: f64,
         tm: &TransferModel,
+        check_memory: bool,
     ) -> Self {
         let tx = (0..model.num_layers())
             .map(|a| {
@@ -121,11 +161,15 @@ impl StageTables {
                 }
             })
             .collect();
-        StageTables { tx, t1: Vec::new() }
+        StageTables {
+            tx,
+            check_memory,
+            t1: Vec::new(),
+        }
     }
 
     /// Fills the table of each kind in `kinds` that has none yet.
-    fn add_kinds(
+    pub(crate) fn add_kinds(
         &mut self,
         model: &EeModel,
         ctrl: &RampController,
@@ -136,25 +180,117 @@ impl StageTables {
     ) {
         for &(kind, _) in kinds {
             if !self.t1.iter().any(|(k, _)| *k == kind) {
-                let t1 = fill_t1(model, ctrl, profile, kind, b0, lm, false);
+                let t1 = fill_t1(model, ctrl, profile, kind, b0, lm, self.check_memory);
                 self.t1.push((kind, t1));
             }
         }
     }
 
-    fn t1(&self, kind: GpuKind) -> &[Vec<f64>] {
+    pub(crate) fn t1(&self, kind: GpuKind) -> &[Vec<f64>] {
         self.t1
             .iter()
             .find(|(k, _)| *k == kind)
             .map(|(_, t1)| t1.as_slice())
             .expect("a table for every searched kind")
     }
+
+    /// The transfer entering a stage that starts at layer `a`.
+    pub(crate) fn tx(&self, a: usize) -> f64 {
+        self.tx[a]
+    }
+}
+
+/// Assembles a [`SplitPlan`] from `(start, end, replicas, gpu)` stages:
+/// pipelined stages overlap (the cycle is the slowest stage or link,
+/// transfers amortized over the receiving stage's replicas), serial ones
+/// run back to back (the cycle is their sum).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn build_plan(
+    model: &EeModel,
+    ctrl: &RampController,
+    profile: &BatchProfile,
+    b0: f64,
+    tm: &TransferModel,
+    lm: &LatencyModel,
+    cfg: &OptimizerConfig,
+    stages: &[StageAssignment],
+    pipelined: bool,
+) -> SplitPlan {
+    let mut splits = Vec::with_capacity(stages.len());
+    // Per-cycle effective transfer cost at each boundary (amortized over
+    // the receiving stage's replicas when pipelined) and the raw one-batch
+    // transfer time (what one request actually experiences on the wire).
+    let mut transfers = Vec::new();
+    let mut raw_transfers = Vec::new();
+    for (idx, &(s, j, m, gpu)) in stages.iter().enumerate() {
+        let sc = stage_cost(model, ctrl, profile, s..j, b0, gpu, m, lm);
+        if idx > 0 {
+            let raw = boundary_transfer_surviving(model, profile, s, b0, tm);
+            raw_transfers.push(raw);
+            let effective = if pipelined {
+                raw.mul_f64(1.0 / m as f64)
+            } else {
+                raw
+            };
+            transfers.push(effective);
+        }
+        splits.push(Split {
+            layers: s..j,
+            gpu,
+            replicas: m,
+            batch: b0,
+            batch_out: sc.batch_out,
+            batch_time: sc.batch_time,
+            effective_time: sc.effective_time,
+        });
+    }
+    let cycle_time = if pipelined {
+        splits
+            .iter()
+            .map(|s| s.effective_time)
+            .chain(transfers.iter().copied())
+            .fold(SimDuration::ZERO, SimDuration::max)
+    } else {
+        splits
+            .iter()
+            .map(|s| s.effective_time)
+            .chain(transfers.iter().copied())
+            .fold(SimDuration::ZERO, |acc, d| acc + d)
+    };
+    // Worst-case end-to-end latency: batch formation, the serial path of
+    // one batch through every stage and link, plus up to one cycle of
+    // queueing per stage boundary (refusion wait / in-flight batch).
+    let serial_path = splits
+        .iter()
+        .map(|s| s.batch_time)
+        .chain(raw_transfers.iter().copied())
+        .fold(SimDuration::ZERO, |acc, d| acc + d);
+    let worst_case_latency =
+        cfg.formation_delay(b0) + serial_path + cycle_time.mul_f64(splits.len() as f64);
+    // Goodput is b0 per cycle in both modes: effective times are already
+    // survival-weighted and replica-shared, so the serial sum equals the
+    // per-GPU batch time divided by the data-parallel width.
+    let goodput = if cycle_time.is_zero() {
+        0.0
+    } else {
+        b0 / cycle_time.as_secs_f64()
+    };
+    let plan = SplitPlan {
+        splits,
+        transfers,
+        cycle_time,
+        worst_case_latency,
+        goodput,
+        pipelined,
+    };
+    plan.assert_valid(model.num_layers());
+    plan
 }
 
 /// Calls `f` on every boundary set: sorted interior cut positions in
 /// `1..l`, with at most `max_stages - 1` cuts, in lexicographic
 /// pre-order from the empty set (1 stage). One buffer holds every set.
-fn for_each_boundary_set(l: usize, max_stages: usize, mut f: impl FnMut(&[usize])) {
+pub(crate) fn for_each_boundary_set(l: usize, max_stages: usize, mut f: impl FnMut(&[usize])) {
     let max_cuts = max_stages.saturating_sub(1);
     let mut cuts = Vec::with_capacity(max_cuts);
     loop {
@@ -180,7 +316,7 @@ fn for_each_boundary_set(l: usize, max_stages: usize, mut f: impl FnMut(&[usize]
 }
 
 /// The layer range `(start, end)` of stage `i` under the cuts `cuts`.
-fn stage_range(cuts: &[usize], l: usize, i: usize) -> (usize, usize) {
+pub(crate) fn stage_range(cuts: &[usize], l: usize, i: usize) -> (usize, usize) {
     let start = if i == 0 { 0 } else { cuts[i - 1] };
     (start, cuts.get(i).copied().unwrap_or(l))
 }
@@ -284,7 +420,7 @@ impl LeafCounter {
 }
 
 /// The pool's kinds with at least one GPU, in `GpuKind` order.
-fn available(counts: &BTreeMap<GpuKind, usize>) -> Vec<(GpuKind, usize)> {
+pub(crate) fn available(counts: &BTreeMap<GpuKind, usize>) -> Vec<(GpuKind, usize)> {
     counts
         .iter()
         .filter(|(_, n)| **n > 0)
@@ -292,42 +428,13 @@ fn available(counts: &BTreeMap<GpuKind, usize>) -> Vec<(GpuKind, usize)> {
         .collect()
 }
 
-/// Maximizes goodput on a heterogeneous pool: `counts` gives the number
-/// of available GPUs per kind. Returns the bottleneck-optimal plan (ties
-/// broken by lower cost), and how many kind assignments the search space
-/// held and how many of them the lower bound pruned.
-///
-/// With `cfg.pipelining == false`, heterogeneous placement offers no
-/// advantage (all splits run serially on the same devices), so the best
-/// single-kind serial plan is returned instead.
-#[allow(clippy::too_many_arguments)]
-pub fn optimize_heterogeneous_with_stats(
-    model: &EeModel,
-    ctrl: &RampController,
-    profile: &BatchProfile,
-    counts: &BTreeMap<GpuKind, usize>,
-    b0: f64,
-    tm: &TransferModel,
-    lm: &LatencyModel,
-    cfg: &OptimizerConfig,
-) -> (SplitPlan, SearchStats) {
-    let mut tables = StageTables::new(model, profile, b0, tm);
-    optimize_tabled(
-        model,
-        ctrl,
-        profile,
-        &available(counts),
-        b0,
-        tm,
-        lm,
-        cfg,
-        &mut tables,
-    )
-}
-
-/// [`optimize_heterogeneous_with_stats`] over the nonzero per-kind
-/// counts `kinds`, reading (and extending) `tables`, which must have
-/// been built for the same model, ramps, profile, batch and transfers.
+/// The goodput-best pipelined plan on the nonzero per-kind counts
+/// `kinds`: the least penalized bottleneck, ties broken by lower cost,
+/// then by first found. Reads (and extends) `tables`, which must have
+/// been built for the same model, profile, batch and transfers. When
+/// `tables` mask memory and no plan fits, it repeats the search on
+/// unmasked tables (best effort). Also returns how many kind assignments
+/// the search space held and how many of them the lower bound pruned.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn optimize_tabled(
     model: &EeModel,
@@ -342,24 +449,18 @@ pub(crate) fn optimize_tabled(
 ) -> (SplitPlan, SearchStats) {
     assert!(b0 > 0.0, "batch must be positive");
     assert!(!kinds.is_empty(), "no GPUs available");
+    assert_eq!(profile.num_layers(), model.num_layers(), "profile mismatch");
 
-    if !cfg.pipelining {
-        // Serial mode cannot exploit heterogeneity; take the best
-        // homogeneous serial plan over the available kinds.
-        let mut cache = PlanCache::new();
-        let plan = kinds
-            .iter()
-            .map(|&(k, n)| {
-                optimize_homogeneous_cached(model, ctrl, profile, k, n, b0, tm, lm, cfg, &mut cache)
-            })
-            .max_by(|a, b| a.goodput.partial_cmp(&b.goodput).expect("finite"))
-            .expect("nonempty kinds");
-        return (plan, SearchStats::default());
-    }
-
+    let l = model.num_layers();
     tables.add_kinds(model, ctrl, profile, b0, lm, kinds);
-    let (stages, stats) = bottleneck_search(kinds, tables, model.num_layers(), cfg);
-    let plan = build_plan_hetero(model, ctrl, profile, b0, tm, lm, cfg, &stages, true);
+    let (mut stages, mut stats) = bottleneck_search(kinds, tables, l, cfg);
+    if stages.is_none() && tables.check_memory {
+        let mut unmasked = StageTables::new(model, profile, b0, tm, false);
+        unmasked.add_kinds(model, ctrl, profile, b0, lm, kinds);
+        (stages, stats) = bottleneck_search(kinds, &unmasked, l, cfg);
+    }
+    let stages = stages.expect("at least the single-stage plan is feasible");
+    let plan = build_plan(model, ctrl, profile, b0, tm, lm, cfg, &stages, true);
     (plan, stats)
 }
 
@@ -507,13 +608,15 @@ impl Scratch {
 }
 
 /// Searches boundary sets × kind assignments for the least penalized
-/// bottleneck, ties broken by lower cost, then by first found.
+/// bottleneck, ties broken by lower cost, then by first found. `None`
+/// when no plan within the cost cap has a finite bottleneck, that is,
+/// every such plan holds a stage that does not fit its kind.
 fn bottleneck_search(
     kinds: &[(GpuKind, usize)],
     tables: &StageTables,
     l: usize,
     cfg: &OptimizerConfig,
-) -> (Vec<StageAssignment>, SearchStats) {
+) -> (Option<Vec<StageAssignment>>, SearchStats) {
     let nk = kinds.len();
     assert!(nk <= KINDS, "kinds are distinct");
     let t1: Vec<&[Vec<f64>]> = kinds.iter().map(|&(k, _)| tables.t1(k)).collect();
@@ -528,8 +631,8 @@ fn bottleneck_search(
 
     for_each_boundary_set(l, max_stages, |cuts| {
         let s = cuts.len() + 1;
-        // Same realization penalty per extra stage as the homogeneous DP
-        // (see OptimizerConfig::stage_overhead_frac).
+        // The realization penalty per extra stage (see
+        // OptimizerConfig::stage_overhead_frac).
         let pen = 1.0 + cfg.stage_overhead_frac * (s as f64 - 1.0);
         let space = (nk as u64).pow(s as u32);
         stats.assignments += space;
@@ -576,13 +679,15 @@ fn bottleneck_search(
         );
     });
 
-    assert!(best.is_some(), "at least the single-stage plan is feasible");
-    (best_stages, stats)
+    let found = best.is_some_and(|(bb, _)| bb.is_finite());
+    (found.then_some(best_stages), stats)
 }
 
 /// Minimizes dollar cost subject to a goodput target on a heterogeneous
 /// pool (fig. 15). Returns `None` when the target is unreachable even
-/// using every GPU.
+/// using every GPU, counting under `enforce_memory` only plans that fit:
+/// there is no best-effort fallback here, since `None` already says no
+/// plan meets the target.
 #[allow(clippy::too_many_arguments)]
 pub fn min_cost_for_goodput(
     model: &EeModel,
@@ -600,11 +705,11 @@ pub fn min_cost_for_goodput(
     if kinds.is_empty() {
         return None;
     }
-    let mut tables = StageTables::new(model, profile, b0, tm);
+    let mut tables = StageTables::new(model, profile, b0, tm, cfg.enforce_memory);
     tables.add_kinds(model, ctrl, profile, b0, lm, &kinds);
     let lambda = b0 / target_goodput; // required bottleneck in seconds
     let stages = cost_search(&kinds, &tables, model.num_layers(), lambda, cfg)?;
-    Some(build_plan_hetero(
+    Some(build_plan(
         model, ctrl, profile, b0, tm, lm, cfg, &stages, true,
     ))
 }
@@ -649,7 +754,8 @@ fn cost_search(
             let mut cost = 0.0;
             for (j, &k) in assign.iter().enumerate().skip(i) {
                 let n = need[j * nk + k];
-                used[k] += n;
+                // An overflowing stage's infinite time saturates its need.
+                used[k] = used[k].saturating_add(n);
                 if used[k] > kinds[k].1 {
                     return false;
                 }
@@ -676,8 +782,9 @@ fn cost_search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stage::stage_cost;
-    use e3_model::{zoo, RampStyle};
+    use crate::auto::optimize_heterogeneous_with_stats;
+    use e3_model::builder::EeModelBuilder;
+    use e3_model::{zoo, RampStyle, Task};
     use proptest::prelude::*;
 
     /// The boundary sets as owned vectors, in the order the search visits
@@ -748,6 +855,293 @@ mod tests {
         let m = zoo::deebert();
         let c = RampController::all_enabled(m.num_ramps(), RampStyle::Independent);
         (m, c, LatencyModel::new(), TransferModel::default())
+    }
+
+    /// A profile shaped like the measured SST-2 shrinkage (fig. 3): half
+    /// the batch gone shortly after mid-model, ~10% finishing the model.
+    fn measured_sst2() -> BatchProfile {
+        BatchProfile::new(vec![
+            1.0, 0.97, 0.83, 0.65, 0.49, 0.36, 0.27, 0.22, 0.21, 0.19, 0.16, 0.11, 0.11,
+        ])
+    }
+
+    /// The plan for the pool `counts`, every ramp enabled.
+    fn plan_on(
+        model: &EeModel,
+        profile: &BatchProfile,
+        counts: &[(GpuKind, usize)],
+        b0: f64,
+        cfg: &OptimizerConfig,
+    ) -> SplitPlan {
+        let ctrl = RampController::all_enabled(model.num_ramps(), RampStyle::Independent);
+        let (lm, tm) = (LatencyModel::new(), TransferModel::default());
+        let counts = counts.iter().copied().collect();
+        optimize_heterogeneous_with_stats(model, &ctrl, profile, &counts, b0, &tm, &lm, cfg).0
+    }
+
+    #[test]
+    fn stock_model_yields_single_split() {
+        let stock = zoo::bert_base();
+        let profile = BatchProfile::no_exits(12);
+        let plan = plan_on(
+            &stock,
+            &profile,
+            &[(GpuKind::V100, 16)],
+            8.0,
+            &Default::default(),
+        );
+        assert_eq!(plan.num_splits(), 1, "{plan}");
+        assert_eq!(plan.gpus_used(), 16);
+        // fig. 7 anchor: ~6400 samples/s for BERT-BASE b=8 on 16 V100.
+        assert!(
+            (5800.0..7200.0).contains(&plan.goodput),
+            "goodput={}",
+            plan.goodput
+        );
+    }
+
+    #[test]
+    fn ee_profile_induces_multiple_splits() {
+        let m = zoo::deebert();
+        let v100 = [(GpuKind::V100, 16)];
+        let plan = plan_on(&m, &measured_sst2(), &v100, 8.0, &Default::default());
+        assert!(plan.num_splits() >= 2, "{plan}");
+        // Early splits should hold at least as many replicas as late ones
+        // (they process full batches; later stages see half the work).
+        let first = &plan.splits[0];
+        let last = plan.splits.last().expect("nonempty");
+        assert!(first.replicas >= last.replicas, "{plan}");
+    }
+
+    #[test]
+    fn e3_beats_stock_on_ee_profile() {
+        let v100 = [(GpuKind::V100, 16)];
+        let cfg = OptimizerConfig::default();
+        let plan = plan_on(&zoo::deebert(), &measured_sst2(), &v100, 8.0, &cfg);
+        let stock_plan = plan_on(
+            &zoo::bert_base(),
+            &BatchProfile::no_exits(12),
+            &v100,
+            8.0,
+            &cfg,
+        );
+        assert!(
+            plan.goodput > stock_plan.goodput,
+            "E3 {} vs stock {}",
+            plan.goodput,
+            stock_plan.goodput
+        );
+    }
+
+    #[test]
+    fn single_gpu_single_split() {
+        let m = zoo::deebert();
+        let plan = plan_on(
+            &m,
+            &measured_sst2(),
+            &[(GpuKind::V100, 1)],
+            4.0,
+            &Default::default(),
+        );
+        assert_eq!(plan.num_splits(), 1);
+        assert_eq!(plan.gpus_used(), 1);
+    }
+
+    #[test]
+    fn max_splits_respected() {
+        let m = zoo::deebert();
+        for k in 1..=3 {
+            let cfg = OptimizerConfig {
+                max_splits: k,
+                ..Default::default()
+            };
+            let plan = plan_on(&m, &measured_sst2(), &[(GpuKind::V100, 16)], 8.0, &cfg);
+            assert!(plan.num_splits() <= k, "k={k} {plan}");
+        }
+    }
+
+    #[test]
+    fn goodput_monotone_in_gpus() {
+        let m = zoo::deebert();
+        let mut prev = 0.0;
+        for g in [2usize, 4, 8, 16] {
+            let plan = plan_on(
+                &m,
+                &measured_sst2(),
+                &[(GpuKind::V100, g)],
+                8.0,
+                &Default::default(),
+            );
+            assert!(
+                plan.goodput >= prev,
+                "goodput dropped at g={g}: {} < {prev}",
+                plan.goodput
+            );
+            prev = plan.goodput;
+        }
+    }
+
+    #[test]
+    fn worst_case_latency_grows_with_batch() {
+        let m = zoo::deebert();
+        let wc = |b: f64| {
+            plan_on(
+                &m,
+                &measured_sst2(),
+                &[(GpuKind::V100, 16)],
+                b,
+                &Default::default(),
+            )
+            .worst_case_latency
+        };
+        assert!(wc(16.0) > wc(4.0));
+    }
+
+    /// Llama-3.1-8B with no exits, and the default config with memory
+    /// enforced and without.
+    fn llama() -> (EeModel, BatchProfile, OptimizerConfig, OptimizerConfig) {
+        let m = zoo::llama31_8b();
+        let profile = BatchProfile::no_exits(m.num_layers());
+        let cfg = OptimizerConfig::default();
+        let free = OptimizerConfig {
+            enforce_memory: false,
+            ..cfg
+        };
+        (m, profile, cfg, free)
+    }
+
+    #[test]
+    fn memory_constraint_forces_extra_splits() {
+        // Llama-class weights (~4.4 GB fp16) plus double-buffered 4 MiB
+        // activations at b=1000 overflow a 12 GiB K80 as one stage, but
+        // halves fit. With memory enforced the search must cut the model;
+        // unconstrained it happily keeps one (infeasible) split.
+        let (m, profile, cfg, free) = llama();
+        let k80 = [(GpuKind::K80, 4)];
+        let constrained = plan_on(&m, &profile, &k80, 1000.0, &cfg);
+        let unconstrained = plan_on(&m, &profile, &k80, 1000.0, &free);
+        assert!(
+            constrained.memory_feasible(&m),
+            "constrained plan must fit: {constrained}"
+        );
+        assert!(
+            !unconstrained.memory_feasible(&m),
+            "sanity: the unconstrained plan should overflow: {unconstrained}"
+        );
+        assert!(
+            constrained.num_splits() > unconstrained.num_splits(),
+            "memory should force cuts: {constrained} vs {unconstrained}"
+        );
+    }
+
+    #[test]
+    fn memory_infeasible_everywhere_falls_back() {
+        // At b=3000 the double-buffered activations alone (~25 GB) exceed
+        // the K80's, the P100's and the V100's budgets for every layer
+        // range, so no feasible plan exists; the search must fall back to
+        // the unconstrained plan rather than panic or return nothing, on
+        // a single-kind pool and on a mixed one.
+        let (m, profile, cfg, free) = llama();
+        for pool in [
+            &[(GpuKind::K80, 4)][..],
+            &[(GpuKind::V100, 1), (GpuKind::P100, 2), (GpuKind::K80, 3)],
+        ] {
+            let fallback = plan_on(&m, &profile, pool, 3000.0, &cfg);
+            assert!(!fallback.memory_feasible(&m), "{fallback}");
+            assert_eq!(fallback, plan_on(&m, &profile, pool, 3000.0, &free));
+        }
+    }
+
+    #[test]
+    fn mixed_pool_plan_fits_memory() {
+        // On one A6000 and one V100 at b=2000, running layers 0..11 on the
+        // V100 and the rest on the A6000 would reach 253/s, but that
+        // stage overflows the V100. The best plan that fits keeps the
+        // whole model on the A6000.
+        let (m, profile, cfg, free) = llama();
+        let pool = [(GpuKind::A6000, 1), (GpuKind::V100, 1)];
+        let plan = plan_on(&m, &profile, &pool, 2000.0, &cfg);
+        assert!(plan.memory_feasible(&m), "{plan}");
+        assert_eq!(plan.num_splits(), 1, "{plan}");
+        assert_eq!(plan.splits[0].gpu, GpuKind::A6000);
+        assert!((165.0..167.0).contains(&plan.goodput), "{plan}");
+        let overflowing = plan_on(&m, &profile, &pool, 2000.0, &free);
+        assert!(!overflowing.memory_feasible(&m), "{overflowing}");
+        assert_eq!(overflowing.splits[0].layers, 0..11);
+        assert_eq!(overflowing.splits[0].gpu, GpuKind::V100);
+        assert!(
+            (252.0..254.0).contains(&overflowing.goodput),
+            "{overflowing}"
+        );
+    }
+
+    #[test]
+    fn min_cost_plans_fit_memory() {
+        // Unmasked, the cheapest way to 50/s is the whole model on the
+        // V100, which overflows it, and 200/s takes the overflowing
+        // 0..6 stage on the V100. With memory enforced, 50/s costs the
+        // A6000 and 200/s is out of reach.
+        let (m, profile, cfg, free) = llama();
+        let ctrl = RampController::all_enabled(m.num_ramps(), RampStyle::Independent);
+        let (lm, tm) = (LatencyModel::new(), TransferModel::default());
+        let pool = BTreeMap::from([(GpuKind::A6000, 1), (GpuKind::V100, 1)]);
+        let min_cost = |b0, target, cfg: &OptimizerConfig| {
+            min_cost_for_goodput(&m, &ctrl, &profile, &pool, b0, target, &tm, &lm, cfg)
+        };
+        let cheap = min_cost(2000.0, 50.0, &free).expect("reachable unmasked");
+        assert!(!cheap.memory_feasible(&m), "{cheap}");
+        assert!(min_cost(2000.0, 200.0, &free).is_some());
+        assert!(min_cost(2000.0, 200.0, &cfg).is_none());
+        for b0 in [500.0, 1000.0, 2000.0, 3000.0] {
+            for target in [25.0, 50.0, 100.0, 150.0, 200.0, 250.0, 400.0] {
+                if let Some(plan) = min_cost(b0, target, &cfg) {
+                    assert!(plan.memory_feasible(&m), "b0 {b0} target {target}: {plan}");
+                    assert!(plan.goodput >= target * (1.0 - 1e-9), "{plan}");
+                }
+            }
+        }
+        let plan = min_cost(2000.0, 50.0, &cfg).expect("the A6000 reaches 166/s");
+        assert_eq!(plan.splits[0].gpu, GpuKind::A6000);
+    }
+
+    #[test]
+    fn ties_go_to_the_first_boundary_set() {
+        // Five identical layers, no exits, on three V100s. Two layers fit
+        // one V100 and three do not, so every plan that fits has three
+        // stages of at most two layers, one replica each: cuts [1, 3],
+        // [2, 3] and [2, 4]. Each plan's bottleneck is one two-layer
+        // stage, so they tie exactly. On one kind every plan occupies
+        // every GPU, so they cost the same too, and the search keeps the
+        // first it found in boundary-set order.
+        let model = EeModelBuilder::new("tied", Task::Classification { num_classes: 2 })
+            .uniform_layers(5, 60_000.0, 10.0, 4096)
+            .build()
+            .expect("valid model");
+        let ctrl = RampController::all_enabled(0, RampStyle::Independent);
+        let profile = BatchProfile::no_exits(5);
+        let (lm, tm) = (LatencyModel::new(), TransferModel::default());
+        let cfg = OptimizerConfig::default();
+        assert!(stage_fits(&model, 0..2, 8.0, GpuKind::V100));
+        assert!(!stage_fits(&model, 0..3, 8.0, GpuKind::V100));
+        let plan = plan_on(&model, &profile, &[(GpuKind::V100, 3)], 8.0, &cfg);
+        assert_eq!(plan.boundaries(), [1, 3], "{plan}");
+        let tied: Vec<SplitPlan> = [[1, 3], [2, 3], [2, 4]]
+            .iter()
+            .map(|cuts| {
+                let stages: Vec<StageAssignment> = (0..3)
+                    .map(|i| {
+                        let (a, b) = stage_range(cuts, 5, i);
+                        (a, b, 1, GpuKind::V100)
+                    })
+                    .collect();
+                build_plan(&model, &ctrl, &profile, 8.0, &tm, &lm, &cfg, &stages, true)
+            })
+            .collect();
+        assert_eq!(plan, tied[0]);
+        for other in &tied[1..] {
+            assert_eq!(other.cycle_time, plan.cycle_time, "{other}");
+            assert_eq!(other.cost_per_sec(), plan.cost_per_sec(), "{other}");
+        }
     }
 
     #[test]
@@ -891,18 +1285,9 @@ mod tests {
             &cfg,
         )
         .0;
-        let v100_only = optimize_homogeneous_cached(
-            &m,
-            &c,
-            &profile,
-            GpuKind::V100,
-            6,
-            8.0,
-            &tm,
-            &lm,
-            &cfg,
-            &mut PlanCache::new(),
-        );
+        let v100 = BTreeMap::from([(GpuKind::V100, 6)]);
+        let v100_only =
+            optimize_heterogeneous_with_stats(&m, &c, &profile, &v100, 8.0, &tm, &lm, &cfg).0;
         assert!(
             hetero.goodput >= v100_only.goodput - 1e-6,
             "hetero {} < v100-only {}",
@@ -920,7 +1305,7 @@ mod tests {
         let hetero =
             optimize_heterogeneous_with_stats(&m, &c, &half_by_six(), &counts, 8.0, &tm, &lm, &cfg)
                 .0;
-        let homo = optimize_homogeneous_cached(
+        let homo = reference_pipelined(
             &m,
             &c,
             &half_by_six(),
@@ -930,7 +1315,6 @@ mod tests {
             &tm,
             &lm,
             &cfg,
-            &mut PlanCache::new(),
         );
         assert!(
             (hetero.goodput - homo.goodput).abs() / homo.goodput < 0.05,
@@ -1058,27 +1442,7 @@ mod tests {
             .map(|(k, n)| (*k, *n))
             .collect();
         assert!(!kinds.is_empty(), "no GPUs available");
-
-        if !cfg.pipelining {
-            return kinds
-                .iter()
-                .map(|&(k, n)| {
-                    optimize_homogeneous_cached(
-                        model,
-                        ctrl,
-                        profile,
-                        k,
-                        n,
-                        b0,
-                        tm,
-                        lm,
-                        cfg,
-                        &mut PlanCache::new(),
-                    )
-                })
-                .max_by(|a, b| a.goodput.partial_cmp(&b.goodput).expect("finite"))
-                .expect("nonempty kinds");
-        }
+        assert!(cfg.pipelining, "the reference plans pipelines");
 
         let l = model.num_layers();
         // (bottleneck, cost, stages)
@@ -1169,7 +1533,7 @@ mod tests {
         }
 
         let (_, _, stages) = best.expect("at least the single-stage plan is feasible");
-        build_plan_hetero(model, ctrl, profile, b0, tm, lm, cfg, &stages, true)
+        build_plan(model, ctrl, profile, b0, tm, lm, cfg, &stages, true)
     }
 
     /// The odometer walk the branch and bound replaced, kept as the
@@ -1181,7 +1545,7 @@ mod tests {
         tables: &StageTables,
         l: usize,
         cfg: &OptimizerConfig,
-    ) -> (Vec<StageAssignment>, SearchStats) {
+    ) -> (Option<Vec<StageAssignment>>, SearchStats) {
         let nk = kinds.len();
         let t1: Vec<&[Vec<f64>]> = kinds.iter().map(|&(k, _)| tables.t1(k)).collect();
         let max_stages = cfg.max_splits.max(1);
@@ -1243,7 +1607,8 @@ mod tests {
                 }
             }
         }
-        (best_stages, stats)
+        let found = best.is_some_and(|(bb, _)| bb.is_finite());
+        (found.then_some(best_stages), stats)
     }
 
     /// The walk's and the odometer's (stages, stats) on one pool.
@@ -1257,9 +1622,9 @@ mod tests {
         tm: &TransferModel,
         lm: &LatencyModel,
         cfg: &OptimizerConfig,
-    ) -> [(Vec<StageAssignment>, SearchStats); 2] {
+    ) -> [(Option<Vec<StageAssignment>>, SearchStats); 2] {
         let kinds = available(counts);
-        let mut tables = StageTables::new(model, profile, b0, tm);
+        let mut tables = StageTables::new(model, profile, b0, tm, cfg.enforce_memory);
         tables.add_kinds(model, ctrl, profile, b0, lm, &kinds);
         let l = model.num_layers();
         [
@@ -1354,9 +1719,7 @@ mod tests {
             }
         }
 
-        best.map(|(_, stages)| {
-            build_plan_hetero(model, ctrl, profile, b0, tm, lm, cfg, &stages, true)
-        })
+        best.map(|(_, stages)| build_plan(model, ctrl, profile, b0, tm, lm, cfg, &stages, true))
     }
 
     fn stages_of(l: usize, cuts: &[usize]) -> Vec<(usize, usize)> {
@@ -1462,8 +1825,8 @@ mod tests {
         }
     }
 
-    /// The single-kind search against the homogeneous DP on one
-    /// `(model, profile, kind, n, b0)` case: it answers the same
+    /// The single-kind search against the linear-scan homogeneous DP on
+    /// one `(model, profile, kind, n, b0)` case: it answers the same
     /// question, so it must reach the DP's planned goodput (a tie may
     /// pick another plan of equal goodput).
     #[allow(clippy::too_many_arguments)]
@@ -1480,19 +1843,112 @@ mod tests {
         let counts = BTreeMap::from([(kind, n)]);
         let (search, _) =
             optimize_heterogeneous_with_stats(model, &ctrl, profile, &counts, b0, &tm, &lm, cfg);
-        let dp = optimize_homogeneous_cached(
-            model,
-            &ctrl,
-            profile,
-            kind,
-            n,
-            b0,
-            &tm,
-            &lm,
-            cfg,
-            &mut PlanCache::new(),
-        );
+        let dp = reference_pipelined(model, &ctrl, profile, kind, n, b0, &tm, &lm, cfg);
         (search, dp)
+    }
+
+    /// The homogeneous DP over `(stages, prefix length, GPUs used)` that
+    /// planned single-kind pools before the search did, in its original
+    /// O(k·l²·m²) linear-scan form: an independent executable
+    /// specification of the single-kind optimum, memory mask and
+    /// unmasked fallback included.
+    #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+    fn reference_pipelined(
+        model: &EeModel,
+        ctrl: &RampController,
+        profile: &BatchProfile,
+        gpu: GpuKind,
+        num_gpus: usize,
+        b0: f64,
+        tm: &TransferModel,
+        lm: &LatencyModel,
+        cfg: &OptimizerConfig,
+    ) -> SplitPlan {
+        let l = model.num_layers();
+        let m = num_gpus;
+        let tx: Vec<f64> = (1..l)
+            .map(|s| boundary_transfer_surviving(model, profile, s, b0, tm).as_secs_f64())
+            .collect();
+        const INF: f64 = f64::INFINITY;
+        let max_splits = cfg.max_splits.max(1);
+        type DpTables = (Vec<Vec<Vec<f64>>>, Vec<Vec<Vec<(usize, usize)>>>);
+        let run_dp = |t1: &[Vec<f64>]| -> DpTables {
+            let mut best = vec![vec![vec![INF; m + 1]; l + 1]; max_splits + 1];
+            let mut par = vec![vec![vec![(0usize, 0usize); m + 1]; l + 1]; max_splits + 1];
+            for k in 0..=max_splits {
+                for g in 0..=m {
+                    best[k][0][g] = 0.0;
+                }
+            }
+            for k in 1..=max_splits {
+                for j in 1..=l {
+                    for g in 1..=m {
+                        if best[k - 1][j][g] < best[k][j][g] {
+                            best[k][j][g] = best[k - 1][j][g];
+                            par[k][j][g] = par[k - 1][j][g];
+                        }
+                        for s in 0..j {
+                            if !t1[s][j].is_finite() {
+                                continue;
+                            }
+                            for mp in 1..=g {
+                                let prefix_g = g - mp;
+                                if s > 0 && prefix_g == 0 {
+                                    continue;
+                                }
+                                let prefix = best[k - 1][s][prefix_g];
+                                if !prefix.is_finite() {
+                                    continue;
+                                }
+                                let link = if s == 0 { 0.0 } else { tx[s - 1] / mp as f64 };
+                                let stage = t1[s][j] / mp as f64;
+                                let cand = prefix.max(link).max(stage);
+                                if cand < best[k][j][g] {
+                                    best[k][j][g] = cand;
+                                    par[k][j][g] = (s, mp);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            (best, par)
+        };
+        let t1 = fill_t1(model, ctrl, profile, gpu, b0, lm, cfg.enforce_memory);
+        let (mut best, mut par) = run_dp(&t1);
+        if cfg.enforce_memory && !(1..=max_splits).any(|k| best[k][l][m].is_finite()) {
+            let t1 = fill_t1(model, ctrl, profile, gpu, b0, lm, false);
+            (best, par) = run_dp(&t1);
+        }
+        let mut k_star = 1;
+        let mut best_pen = f64::INFINITY;
+        for k in 1..=max_splits {
+            let pen = best[k][l][m] * (1.0 + cfg.stage_overhead_frac * (k as f64 - 1.0));
+            if pen < best_pen {
+                best_pen = pen;
+                k_star = k;
+            }
+        }
+        let mut stages_rev: Vec<(usize, usize, usize)> = Vec::new();
+        let mut k = k_star;
+        let mut j = l;
+        let mut g = m;
+        while j > 0 {
+            let (s, mp) = par[k][j][g];
+            assert!(mp >= 1, "reconstruction hit an unset state");
+            stages_rev.push((s, j, mp));
+            j = s;
+            g -= mp;
+            if k > 1 {
+                k -= 1;
+            }
+        }
+        stages_rev.reverse();
+        let stages: Vec<StageAssignment> = stages_rev
+            .iter()
+            .map(|&(s, j, mp)| (s, j, mp, gpu))
+            .collect();
+        build_plan(model, ctrl, profile, b0, tm, lm, cfg, &stages, true)
     }
 
     #[test]
@@ -1547,6 +2003,211 @@ mod tests {
                 search,
                 dp
             );
+        }
+    }
+
+    #[test]
+    fn search_matches_the_dp_under_memory_pressure() {
+        // Memory-infeasible ranges put INF holes in the tables, and at
+        // b=3000 nothing fits and both fall back to unmasked tables.
+        let (m, profile, cfg, _) = llama();
+        for (gpus, b0) in [(4usize, 1000.0), (6, 1000.0), (4, 3000.0)] {
+            let (search, dp) = single_kind_plans(&m, &profile, GpuKind::K80, gpus, b0, &cfg);
+            assert_eq!(search, dp, "gpus={gpus} b0={b0}");
+        }
+    }
+
+    /// A model of `work.len()` layers with the given per-layer work and
+    /// activation sizes, and a ramp after every layer but the last.
+    fn tiny_model(work: &[f64], bytes: &[u64]) -> EeModel {
+        work.iter()
+            .zip(bytes)
+            .fold(
+                EeModelBuilder::new("tiny", Task::Classification { num_classes: 2 }),
+                |builder, (&w, &b)| builder.layer(w, 20.0, b),
+            )
+            .ramps_after_each_layer(60.0, 5.0)
+            .build()
+            .expect("valid model")
+    }
+
+    /// A plan's boundary set and the kind of each of its stages.
+    type Layout = (Vec<usize>, Vec<GpuKind>);
+
+    /// Every plan the formulation admits, by brute force: each boundary
+    /// set, kind assignment and replica vector within the pool, under
+    /// the memory rule (only plans that fit, unless none does). Returns
+    /// the least penalized bottleneck and the (cuts, kinds) of every plan
+    /// within the tie tolerance of it.
+    #[allow(clippy::too_many_arguments)]
+    fn exhaustive_oracle(
+        model: &EeModel,
+        ctrl: &RampController,
+        profile: &BatchProfile,
+        kinds: &[(GpuKind, usize)],
+        b0: f64,
+        tm: &TransferModel,
+        lm: &LatencyModel,
+        cfg: &OptimizerConfig,
+    ) -> (f64, Vec<Layout>) {
+        let l = model.num_layers();
+        let nk = kinds.len();
+        let time = |a: usize, b: usize, k: usize| {
+            stage_cost(model, ctrl, profile, a..b, b0, kinds[k].0, 1, lm)
+                .effective_time
+                .as_secs_f64()
+        };
+        let tx = |a: usize| {
+            if a == 0 {
+                0.0
+            } else {
+                boundary_transfer_surviving(model, profile, a, b0, tm).as_secs_f64()
+            }
+        };
+        // (penalized bottleneck, fits, cuts, kinds) per boundary set and
+        // kind assignment, at its best replica vector.
+        let mut plans = Vec::new();
+        for cuts in boundary_sets(l, cfg.max_splits.max(1)) {
+            let stages = stages_of(l, &cuts);
+            let s = stages.len();
+            let pen = 1.0 + cfg.stage_overhead_frac * (s as f64 - 1.0);
+            let mut assign = vec![0usize; s];
+            loop {
+                let fits = stages
+                    .iter()
+                    .zip(&assign)
+                    .all(|(&(a, b), &k)| stage_fits(model, a..b, b0, kinds[k].0));
+                let demand: Vec<(f64, f64)> = stages
+                    .iter()
+                    .zip(&assign)
+                    .map(|(&(a, b), &k)| (time(a, b, k), tx(a)))
+                    .collect();
+                let mut best = f64::INFINITY;
+                let mut m = vec![1usize; s];
+                'vectors: loop {
+                    let mut used = vec![0usize; nk];
+                    for (i, &k) in assign.iter().enumerate() {
+                        used[k] += m[i];
+                    }
+                    if used.iter().zip(kinds).all(|(&u, &(_, avail))| u <= avail) {
+                        let bottleneck = demand
+                            .iter()
+                            .zip(&m)
+                            .map(|(&(t, x), &r)| (t / r as f64).max(x / r as f64))
+                            .fold(0.0, f64::max);
+                        best = best.min(bottleneck * pen);
+                    }
+                    // Next replica vector: an odometer with digits
+                    // 1..=avail of each stage's kind.
+                    for (i, r) in m.iter_mut().enumerate() {
+                        if *r < kinds[assign[i]].1 {
+                            *r += 1;
+                            continue 'vectors;
+                        }
+                        *r = 1;
+                    }
+                    break;
+                }
+                if best < f64::INFINITY || fits {
+                    let on: Vec<GpuKind> = assign.iter().map(|&k| kinds[k].0).collect();
+                    plans.push((best, fits, cuts.clone(), on));
+                }
+                if !next_assignment(&mut assign, nk) {
+                    break;
+                }
+            }
+        }
+        let masked = cfg.enforce_memory && plans.iter().any(|p| p.1 && p.0.is_finite());
+        plans.retain(|p| p.0.is_finite() && (p.1 || !masked));
+        let opt = plans.iter().map(|p| p.0).fold(f64::INFINITY, f64::min);
+        let tied = plans
+            .into_iter()
+            .filter(|p| p.0 <= opt + TIE)
+            .map(|p| (p.2, p.3))
+            .collect();
+        (opt, tied)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn search_matches_the_exhaustive_oracle(
+            l in 1usize..9,
+            work in proptest::collection::vec(10_000.0f64..60_000.0, 8),
+            log_bytes in proptest::collection::vec(10u32..27, 8),
+            u in proptest::collection::vec(0.0f64..1.0, 8),
+            kind_idx in proptest::collection::btree_set(0usize..4, 1..4),
+            gpus in proptest::collection::vec(1usize..7, 3),
+            max_splits in 1usize..5,
+            b0_idx in 0usize..3,
+            overhead_idx in 0usize..2,
+            memory_idx in 0usize..2,
+            target_frac in 0.05f64..1.2,
+        ) {
+            let bytes: Vec<u64> = log_bytes[..l].iter().map(|&e| 1u64 << e).collect();
+            let model = tiny_model(&work[..l], &bytes);
+            let ctrl = RampController::all_enabled(model.num_ramps(), RampStyle::Independent);
+            let (lm, tm) = (LatencyModel::new(), TransferModel::default());
+            let profile = decoded_profile(&u, l);
+            // At most six GPUs in all: 1-6 of one kind, 1-3 of each of
+            // two, 1-2 of each of three.
+            let per_kind = 6 / kind_idx.len();
+            let counts: BTreeMap<GpuKind, usize> = kind_idx
+                .iter()
+                .zip(&gpus)
+                .map(|(&k, &n)| (GpuKind::ALL[k], 1 + (n - 1) % per_kind))
+                .collect();
+            let b0 = [1.0, 4.0, 16.0][b0_idx];
+            let cfg = OptimizerConfig {
+                max_splits,
+                stage_overhead_frac: [0.0, 0.05][overhead_idx],
+                enforce_memory: memory_idx == 1,
+                ..Default::default()
+            };
+
+            let (plan, _) =
+                optimize_heterogeneous_with_stats(&model, &ctrl, &profile, &counts, b0, &tm, &lm, &cfg);
+            let (opt, tied) = exhaustive_oracle(
+                &model, &ctrl, &profile, &available(&counts), b0, &tm, &lm, &cfg,
+            );
+            let pen = 1.0 + cfg.stage_overhead_frac * (plan.num_splits() as f64 - 1.0);
+            let bottleneck = plan
+                .splits
+                .iter()
+                .map(|s| {
+                    let (a, b) = (s.layers.start, s.layers.end);
+                    let t = stage_cost(&model, &ctrl, &profile, a..b, b0, s.gpu, 1, &lm)
+                        .effective_time
+                        .as_secs_f64();
+                    let x = if a == 0 {
+                        0.0
+                    } else {
+                        boundary_transfer_surviving(&model, &profile, a, b0, &tm).as_secs_f64()
+                    };
+                    (t / s.replicas as f64).max(x / s.replicas as f64)
+                })
+                .fold(0.0, f64::max);
+            prop_assert!(bottleneck * pen == opt, "{} vs {} {:?}", plan, opt, tied);
+            let kinds: Vec<GpuKind> = plan.splits.iter().map(|s| s.gpu).collect();
+            if let [(cuts, on)] = &tied[..] {
+                prop_assert_eq!(&plan.boundaries(), cuts);
+                prop_assert_eq!(&kinds, on);
+            }
+            if cfg.enforce_memory && tied.iter().any(|(cuts, on)| {
+                stages_of(l, cuts).iter().zip(on).all(|(&(a, b), &k)| stage_fits(&model, a..b, b0, k))
+            }) {
+                prop_assert!(plan.memory_feasible(&model), "{}", plan);
+            }
+
+            // The cost search under the same memory rule never returns a
+            // plan that overflows.
+            let target = plan.goodput * target_frac;
+            let cheapest =
+                min_cost_for_goodput(&model, &ctrl, &profile, &counts, b0, target, &tm, &lm, &cfg);
+            if let (true, Some(cheapest)) = (cfg.enforce_memory, cheapest) {
+                prop_assert!(cheapest.memory_feasible(&model), "{}", cheapest);
+            }
         }
     }
 }

@@ -7,9 +7,8 @@
 //! wraps the split optimizer as a value function over per-kind GPU
 //! counts and memoizes every subset it has ever solved, so the greedy
 //! outer loop pays for each distinct subset exactly once. Each solve
-//! goes through the crate's one solver dispatch: single-kind subsets run
-//! the homogeneous DP through the oracle's plan cache, and mixed subsets
-//! share one set of per-kind stage tables, built once per oracle.
+//! goes through the crate's one solver dispatch, and every subset reads
+//! one set of per-kind stage tables, kept for the oracle's lifetime.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -18,7 +17,6 @@ use e3_hardware::{GpuKind, LatencyModel, TransferModel};
 use e3_model::{BatchProfile, EeModel, RampController};
 
 use crate::auto::{plan_feasible, solve};
-use crate::cache::PlanCache;
 use crate::config::OptimizerConfig;
 use crate::hetero::StageTables;
 
@@ -38,7 +36,7 @@ pub struct SubsetValue {
 ///
 /// The cache key is the count vector itself, so queries are *incremental*
 /// in the water-filling sense: evaluating `counts + 1×k` after `counts`
-/// costs one new DP solve, and re-evaluating either is a map lookup.
+/// costs one new solve, and re-evaluating either is a map lookup.
 pub struct ValueOracle<'a> {
     model: &'a EeModel,
     ctrl: &'a RampController,
@@ -48,20 +46,15 @@ pub struct ValueOracle<'a> {
     lm: &'a LatencyModel,
     cfg: &'a OptimizerConfig,
     cache: HashMap<Vec<(GpuKind, usize)>, SubsetValue>,
-    /// Warm-start state for the homogeneous DP behind single-kind
-    /// subsets: the water-filling loop grows counts one GPU at a time,
-    /// which the plan cache answers by extending one DP column instead
-    /// of re-solving.
-    plans: PlanCache,
-    /// Stage costs for the heterogeneous search behind mixed subsets:
-    /// they depend on the planning context, not on the subset, so the
-    /// first mixed subset builds them for the oracle's lifetime.
-    tables: Option<StageTables>,
+    /// Stage costs for the split search: they depend on the planning
+    /// context, not on the subset, so each kind's table is filled once,
+    /// by the first subset that holds the kind.
+    tables: StageTables,
 }
 
 impl<'a> ValueOracle<'a> {
     /// Creates an oracle for one tenant's planning context.
-    #[allow(clippy::too_many_arguments)] // the DP inputs of fig. 6
+    #[allow(clippy::too_many_arguments)] // the planning inputs of fig. 6
     pub fn new(
         model: &'a EeModel,
         ctrl: &'a RampController,
@@ -80,8 +73,7 @@ impl<'a> ValueOracle<'a> {
             lm,
             cfg,
             cache: HashMap::new(),
-            plans: PlanCache::new(),
-            tables: None,
+            tables: StageTables::new(model, profile, b0, tm, cfg.enforce_memory),
         }
     }
 
@@ -103,7 +95,7 @@ impl<'a> ValueOracle<'a> {
         if let Some(v) = self.cache.get(&key) {
             return *v;
         }
-        let plan = solve(
+        let (plan, _) = solve(
             self.model,
             self.ctrl,
             self.profile,
@@ -112,7 +104,6 @@ impl<'a> ValueOracle<'a> {
             self.tm,
             self.lm,
             self.cfg,
-            &mut self.plans,
             &mut self.tables,
         );
         let v = SubsetValue {
@@ -145,7 +136,6 @@ impl<'a> ValueOracle<'a> {
 mod tests {
     use super::*;
     use crate::auto::plan_for_cluster;
-    use crate::dp::optimize_homogeneous_cached;
     use e3_hardware::ClusterSpec;
     use e3_model::{zoo, RampStyle};
 
@@ -170,18 +160,8 @@ mod tests {
         let mut oracle = ValueOracle::new(&m, &ctrl, &p, 8.0, &tm, &lm, &cfg);
 
         let counts = BTreeMap::from([(GpuKind::V100, 6)]);
-        let direct = optimize_homogeneous_cached(
-            &m,
-            &ctrl,
-            &p,
-            GpuKind::V100,
-            6,
-            8.0,
-            &tm,
-            &lm,
-            &cfg,
-            &mut PlanCache::new(),
-        );
+        let six = ClusterSpec::homogeneous(GpuKind::V100, 6, 4);
+        let direct = plan_for_cluster(&m, &ctrl, &p, &six, 8.0, &tm, &lm, &cfg);
         let v = oracle.value(&counts);
         assert_eq!(v.goodput, direct.goodput);
         assert_eq!(v.cost_per_sec, direct.cost_per_sec());

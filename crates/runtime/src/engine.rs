@@ -326,7 +326,7 @@ mod tests {
     use crate::kernel::NullObserver;
     use e3_hardware::GpuKind;
     use e3_model::{zoo, RampStyle};
-    use e3_optimizer::{optimize_homogeneous_cached, OptimizerConfig, PlanCache};
+    use e3_optimizer::{plan_for_cluster, OptimizerConfig};
     use e3_simcore::SeedSplitter;
     use e3_workload::{ArrivalProcess, DatasetModel, WorkloadGenerator};
 
@@ -417,17 +417,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let hs = DatasetModel::sst2().sample_hardnesses(4000, &mut rng);
         let profile = infer.exit_profile(&dee, &policy, &ctrl, &hs, &mut rng);
-        let plan = optimize_homogeneous_cached(
+        let plan = plan_for_cluster(
             &dee,
             &ctrl,
             &profile,
-            GpuKind::V100,
-            16,
+            &cluster,
             8.0,
             &TransferModel::default(),
             &LatencyModel::new(),
             &OptimizerConfig::default(),
-            &mut PlanCache::new(),
         );
         let run = |m: &EeModel, s: Strategy| {
             run_strategy(m, &s, &cluster, ServingConfig::default(), 40_000, 3).goodput()
@@ -576,17 +574,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let hs = DatasetModel::sst2().sample_hardnesses(4000, &mut rng);
         let profile = infer.exit_profile(&dee, &policy, &ctrl, &hs, &mut rng);
-        let plan = optimize_homogeneous_cached(
+        let plan = plan_for_cluster(
             &dee,
             &ctrl,
             &profile,
-            GpuKind::V100,
-            16,
+            &cluster,
             8.0,
             &TransferModel::default(),
             &LatencyModel::new(),
             &OptimizerConfig::default(),
-            &mut PlanCache::new(),
         );
         assert!(plan.num_splits() >= 2, "{plan}");
         let strategy = Strategy::Plan(plan);
@@ -779,19 +775,17 @@ mod tests {
             1.0, 0.97, 0.83, 0.65, 0.49, 0.36, 0.27, 0.22, 0.21, 0.19, 0.16, 0.11, 0.11,
         ]);
         let (tm, lm) = (TransferModel::default(), LatencyModel::new());
-        let plan = optimize_homogeneous_cached(
+        let cluster = ClusterSpec::homogeneous(GpuKind::V100, 6, 4);
+        let plan = plan_for_cluster(
             model,
             &ctrl,
             &profile,
-            GpuKind::V100,
-            6,
+            &cluster,
             8.0,
             &tm,
             &lm,
             &OptimizerConfig::default(),
-            &mut PlanCache::new(),
         );
-        let cluster = ClusterSpec::homogeneous(GpuKind::V100, 6, 4);
         let stages = Strategy::Plan(plan).realize(model, &cluster);
         let num_replicas: usize = stages.iter().map(|s| s.replicas.len()).sum();
         let fault_plan = decoded_fault_plan(words, num_replicas, stages.len(), 150);

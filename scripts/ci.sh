@@ -60,7 +60,7 @@ expect fig_kv_pressure "continuous batching beats window batching"
 # `fig_matrix_full`.
 expect fig_matrix "zero invariant violations"
 
-# Planning-at-scale smoke: the warm-started DP must plan a 10k-GPU
+# Planning-at-scale smoke: a cold split search must plan a 10k-GPU
 # cluster inside the budget (its wall-clock section self-judges).
 expect fig_scale "10k-GPU horizon PASS"
 
@@ -115,11 +115,12 @@ for section in kernel kernel_continuous materialize kernel_open generate; do
 done
 cp /tmp/bench_kernel.out BENCH_kernel.json
 
-# Optimizer planning-time benchmark (homogeneous sweep plus the
-# heterogeneous solve, cold and on shared stage tables), archived as
-# BENCH_optimizer.json. The heterogeneous search's counts depend on the
-# code, not the host: the bound must keep pruning exactly as much.
+# Optimizer planning-time benchmark (cold single-kind solves up to 10k
+# GPUs plus the heterogeneous solve, cold and on shared stage tables),
+# archived as BENCH_optimizer.json. The search's counts depend on the
+# code, not the host: the bound must keep pruning exactly as much, on
+# the 10k-GPU single-kind pool and on the mixed pool.
 ./target/release/bench_optimizer | tee BENCH_optimizer.json
-grep -q '"gpus":10000' BENCH_optimizer.json
+grep -q '"gpus":10000,.*"assignments":232,"pruned":13' BENCH_optimizer.json
 grep -q '"bench":"optimizer_hetero"' BENCH_optimizer.json
 grep -q '"assignments":14952,"pruned":14620' BENCH_optimizer.json
