@@ -14,6 +14,13 @@
 //! reports the kind assignments the search space held and how many the
 //! lower bound pruned.
 //!
+//! A last `optimizer_tenant_pools` line times cold solves of a fixed
+//! list of small pools (`TENANT_POOLS`), the shapes the tenant
+//! allocator's value oracle asks for as it grows each grant a GPU at a
+//! time: most hold fewer GPUs than the deepest boundary sets have
+//! stages. It reports the whole list's fastest time of 200 runs and its
+//! summed assignment and pruning counts.
+//!
 //! One JSON line per measurement so CI can archive the output as
 //! `BENCH_optimizer.json`:
 //!
@@ -78,7 +85,49 @@ fn main() {
         stats.assignments,
         stats.pruned
     );
+
+    let pools: Vec<BTreeMap<GpuKind, usize>> = TENANT_POOLS
+        .iter()
+        .map(|pool| pool.iter().copied().collect())
+        .collect();
+    let (mut assignments, mut pruned) = (0, 0);
+    for pool in &pools {
+        let (_, stats) = solve(pool);
+        assignments += stats.assignments;
+        pruned += stats.pruned;
+    }
+    let cold = fastest(
+        || (),
+        |()| {
+            for pool in &pools {
+                solve(pool);
+            }
+        },
+    );
+    println!(
+        "{{\"bench\":\"optimizer_tenant_pools\",\"pools\":{},\"gpus\":{},\"cold_secs\":{:.6},\"assignments\":{},\"pruned\":{}}}",
+        pools.len(),
+        pools.iter().flat_map(|p| p.values()).sum::<usize>(),
+        cold,
+        assignments,
+        pruned
+    );
 }
+
+/// Small pools of the paper cluster's kinds, as the tenant allocator
+/// grows grants from them.
+const TENANT_POOLS: [&[(GpuKind, usize)]; 10] = [
+    &[(GpuKind::V100, 1)],
+    &[(GpuKind::K80, 1)],
+    &[(GpuKind::V100, 1), (GpuKind::K80, 1)],
+    &[(GpuKind::V100, 1), (GpuKind::P100, 1)],
+    &[(GpuKind::P100, 1), (GpuKind::K80, 2)],
+    &[(GpuKind::V100, 1), (GpuKind::P100, 1), (GpuKind::K80, 1)],
+    &[(GpuKind::K80, 4)],
+    &[(GpuKind::V100, 2), (GpuKind::K80, 2)],
+    &[(GpuKind::V100, 2), (GpuKind::P100, 1), (GpuKind::K80, 2)],
+    &[(GpuKind::V100, 2), (GpuKind::P100, 2), (GpuKind::K80, 3)],
+];
 
 /// Repetitions behind each heterogeneous timing; the fastest is reported.
 const HETERO_REPS: usize = 200;

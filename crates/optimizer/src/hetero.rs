@@ -22,9 +22,12 @@
 //!   `t1[a][b]` come from `fill_t1`, which reads `INF` for a range that
 //!   overflows the device when `enforce_memory` is on, and `tx[a]` holds
 //!   the surviving-batch transfer entering a stage that starts at layer
-//!   `a`. A cold solve builds them once; [`crate::ValueOracle`] builds
-//!   them once per planning context and shares them across every subset
-//!   it solves.
+//!   `a`. `fill_t1` fills row `a` from one `StageWalk` that grows the
+//!   stage a layer at a time, pricing and memory-checking every end
+//!   layer as it goes, so a table costs O(L²) layer visits; it is the
+//!   same walk that prices a lone range. A cold solve builds the tables
+//!   once; [`crate::ValueOracle`] builds them once per planning context
+//!   and shares them across every subset it solves.
 //! * **Allocation-free enumeration.** Boundary sets are generated in one
 //!   buffer and scratch buffers are reused across sets and assignments.
 //!   A kind holding one stage gives it all of its GPUs, which is what
@@ -41,7 +44,11 @@
 //!   more stages only shrinks caps and adds terms, so a node's bound
 //!   never exceeds that of any leaf below it; a node that cannot win
 //!   cuts its subtree, and a node that oversubscribes a kind cuts a
-//!   subtree with no feasible leaf.
+//!   subtree with no feasible leaf. A node carries its bound as a
+//!   running max: placing a stage changes only its kind's term, which
+//!   only grows. A set whose stages cannot fit the GPU counts in any
+//!   assignment (`F(s) = 0` below; on a small pool, most sets) is not
+//!   walked at all.
 //!
 //! Memory is a first-class dimension: a stage that does not fit its kind
 //! has an infinite bound, so no plan that overflows a GPU can displace
@@ -50,8 +57,10 @@
 //!
 //! Plans are bit-identical to the plain enumeration (which has no memory
 //! rule; on pools where every stage fits, masking changes nothing). The
-//! tables hold the values it recomputed on every visit. Boundary sets are visited in the
-//! same order, and the walk reaches leaves in the order of the plain
+//! tables hold the values it recomputed on every visit, bit for bit: a
+//! row walk's batch times are integer nanoseconds and its other sums run
+//! in layer order. Boundary sets are visited in the same order, and the
+//! walk reaches leaves in the order of the plain
 //! enumeration's odometer (stage 0's kind turns fastest), so first-found
 //! tie-breaks hold; waterfilling keeps `max_by`'s last-maximum tie-break
 //! and the same cost summation order. IEEE rounding is monotone, so a
@@ -59,8 +68,11 @@
 //! evaluated inside a cut subtree, so the incumbent cannot change there,
 //! and every leaf the cut skips is one that an assignment-by-assignment
 //! bound would also have skipped against the same incumbent. The
-//! search's trajectory is unchanged and so are its [`SearchStats`]: a
-//! cut adds the subtree's leaves that fit the GPU counts to `pruned`.
+//! search's trajectory is unchanged and so are its [`SearchStats`]:
+//! every leaf that fits the GPU counts is either evaluated or inside a
+//! cut, so a walked set of `s` stages adds `F(s)` minus the leaves it
+//! evaluated to `pruned`, where `F(s)`, the assignments of `s` stages
+//! that fit the counts, is computed once per solve.
 //! The plain enumeration, the assignment-by-assignment odometer, the
 //! linear-scan homogeneous DP and an exhaustive oracle over replica
 //! vectors survive as `#[cfg(test)]` references that property tests
@@ -84,7 +96,7 @@ use e3_simcore::SimDuration;
 
 use crate::config::OptimizerConfig;
 use crate::plan::{Split, SplitPlan};
-use crate::stage::{boundary_transfer_surviving, stage_cost, stage_fits};
+use crate::stage::{boundary_transfer_surviving, stage_cost, StageWalk};
 
 /// One assigned stage: (start layer, end layer, replicas, GPU kind).
 pub(crate) type StageAssignment = (usize, usize, usize, GpuKind);
@@ -106,7 +118,8 @@ pub struct SearchStats {
 /// The per-range one-replica stage table of one GPU kind: `t1[s][j]` is
 /// the survival-weighted batch time of layers `s..j` on one replica,
 /// `INF` where the range overflows device memory (when `check_memory`).
-#[allow(clippy::needless_range_loop)] // the paper's t1[s][j] notation
+/// Row `s` comes from one `StageWalk` from layer `s`, which prices each
+/// `j` as it grows, so a table costs O(L²) layer visits, not O(L³).
 pub(crate) fn fill_t1(
     model: &EeModel,
     ctrl: &RampController,
@@ -118,13 +131,13 @@ pub(crate) fn fill_t1(
 ) -> Vec<Vec<f64>> {
     let l = model.num_layers();
     let mut t1 = vec![vec![f64::INFINITY; l + 1]; l + 1];
-    for s in 0..l {
-        for j in s + 1..=l {
-            if check_memory && !stage_fits(model, s..j, b0, gpu) {
-                continue;
+    for (s, row) in t1.iter_mut().enumerate().take(l) {
+        let mut stage = StageWalk::new(model, ctrl, profile, s, b0, gpu, lm);
+        for t in &mut row[s + 1..] {
+            stage.extend();
+            if !check_memory || stage.fits() {
+                *t = stage.cost(1).effective_time.as_secs_f64();
             }
-            let sc = stage_cost(model, ctrl, profile, s..j, b0, gpu, 1, lm);
-            t1[s][j] = sc.effective_time.as_secs_f64();
         }
     }
     t1
@@ -368,55 +381,27 @@ fn walk<S: Copy>(
     }
 }
 
-/// Counts the leaves of pruned subtrees, so `SearchStats::pruned` stays
-/// exact. Built once per solve.
-struct LeafCounter {
-    /// `choose[n * stride + c]` is C(n, c), for `n` and `c` up to the
-    /// deepest subtree.
-    choose: Vec<u64>,
-    stride: usize,
-    /// `ways[f]`: assignments of `f` stages to the kinds counted so far.
-    ways: Vec<u64>,
-}
-
-impl LeafCounter {
-    /// A counter for subtrees of up to `max_free` unassigned stages.
-    fn new(max_free: usize) -> Self {
-        let stride = max_free + 1;
-        let mut choose = vec![0u64; stride * stride];
-        for n in 0..stride {
-            choose[n * stride] = 1;
-            for c in 1..=n {
-                choose[n * stride + c] =
-                    choose[(n - 1) * stride + c - 1] + choose[(n - 1) * stride + c];
-            }
-        }
-        LeafCounter {
-            choose,
-            stride,
-            ways: Vec::with_capacity(stride),
+/// `F[s]` for `s` up to `max_stages`: the kind assignments of `s`
+/// stages that keep every kind within its GPUs. Kinds are added one at a
+/// time: `c` of `s` stages take the new kind in C(s, c) ways, within its
+/// count.
+fn feasible_assignments(kinds: &[(GpuKind, usize)], max_stages: usize) -> Vec<u64> {
+    let mut choose = vec![vec![0u64; max_stages + 1]; max_stages + 1];
+    for n in 0..=max_stages {
+        choose[n][0] = 1;
+        for c in 1..=n {
+            choose[n][c] = choose[n - 1][c - 1] + choose[n - 1][c];
         }
     }
-
-    /// Kind assignments of `free` further stages that keep every kind
-    /// within its GPUs, when `on_kind[k]` stages already sit on kind `k`.
-    /// Kinds are added last to first: `c` of `f` stages take the new kind
-    /// in C(f, c) ways, within its room.
-    fn count(&mut self, kinds: &[(GpuKind, usize)], on_kind: &[usize], free: usize) -> u64 {
-        let ways = &mut self.ways;
-        ways.clear();
-        ways.resize(free + 1, 0);
-        ways[0] = 1;
-        for (k, &(_, avail)) in kinds.iter().enumerate().rev() {
-            let room = avail - on_kind[k];
-            // Descending f, so ways[f - c] still holds the kinds after k.
-            for f in (0..=free).rev() {
-                let row = &self.choose[f * self.stride..];
-                ways[f] = (0..=f.min(room)).map(|c| row[c] * ways[f - c]).sum();
-            }
+    let mut ways = vec![0u64; max_stages + 1];
+    ways[0] = 1;
+    for &(_, avail) in kinds {
+        // Descending s, so ways[s - c] still counts the earlier kinds.
+        for s in (0..=max_stages).rev() {
+            ways[s] = (0..=s.min(avail)).map(|c| choose[s][c] * ways[s - c]).sum();
         }
-        ways[free]
     }
+    ways
 }
 
 /// The pool's kinds with at least one GPU, in `GpuKind` order.
@@ -477,33 +462,39 @@ fn cannot_win(best: Option<(f64, f64)>, bound: f64, pen: f64) -> bool {
 const KINDS: usize = GpuKind::ALL.len();
 
 /// The bound's view of a node of the walk: per kind, how many assigned
-/// stages sit on it, the largest `max(t1, tx)` among them, and that over
-/// the kind's replica cap.
+/// stages sit on it and the largest `max(t1, tx)` among them, and the
+/// bound over every kind.
 ///
 /// A stage sharing kind `k` with `n − 1` others holds at most
 /// `avail_k − n + 1` replicas, and all of them share that cap. Division
-/// by one cap is monotone, so the largest term is exactly the maximum
-/// over assigned stages of `max(t1, tx) / cap`. More stages only shrink
-/// caps and add terms, so no leaf below a node bounds lower than it.
+/// by one cap is monotone, so kind `k`'s term is exactly the maximum
+/// over its assigned stages of `max(t1, tx) / cap`, and the bound is the
+/// largest term. More stages only shrink caps and add terms, so no leaf
+/// below a node bounds lower than it.
 #[derive(Clone, Copy, Default)]
 struct Placed {
     on_kind: [usize; KINDS],
     top: [f64; KINDS],
-    term: [f64; KINDS],
+    bound: f64,
 }
 
 impl Placed {
     /// Places a stage whose `max(t1, tx)` is `x` on kind `k` with `avail`
     /// GPUs. Returns the bound over the placed stages, or `None` if the
-    /// kind has no GPU left for it.
+    /// kind has no GPU left for it. Only kind `k`'s term changes, and its
+    /// top can only grow and its cap only shrink, so the new term is at
+    /// least the old one and a running max over the parent's bound is
+    /// exactly the max over every term.
     fn place(&mut self, k: usize, avail: usize, x: f64) -> Option<f64> {
         self.on_kind[k] += 1;
         if self.on_kind[k] > avail {
             return None;
         }
         self.top[k] = self.top[k].max(x);
-        self.term[k] = self.top[k] / (avail - self.on_kind[k] + 1) as f64;
-        Some(self.term.iter().copied().fold(0.0, f64::max))
+        self.bound = self
+            .bound
+            .max(self.top[k] / (avail - self.on_kind[k] + 1) as f64);
+        Some(self.bound)
     }
 }
 
@@ -624,7 +615,7 @@ fn bottleneck_search(
     let mut sc = Scratch::new(nk, max_stages);
     let mut assign = vec![0usize; max_stages];
     let mut stats = SearchStats::default();
-    let mut leaves = LeafCounter::new(max_stages);
+    let feasible = feasible_assignments(kinds, max_stages);
     // The incumbent's (penalized bottleneck, cost) and stages.
     let mut best: Option<(f64, f64)> = None;
     let mut best_stages = Vec::new();
@@ -640,6 +631,11 @@ fn bottleneck_search(
             stats.pruned += space;
             return;
         }
+        // With more stages than GPUs no leaf fits the counts.
+        if feasible[s] == 0 {
+            return;
+        }
+        let mut evaluated = 0;
         walk(
             &mut assign[..s],
             nk,
@@ -651,12 +647,12 @@ fn bottleneck_search(
                     return false;
                 };
                 if cannot_win(best, bound, pen) {
-                    stats.pruned += leaves.count(kinds, &placed.on_kind, i);
                     return false;
                 }
                 if i > 0 {
                     return true;
                 }
+                evaluated += 1;
                 let (bottleneck, cost) = sc.allocate(kinds, assign, &placed.on_kind);
                 let within_cap = cfg.max_cost_per_sec.is_none_or(|cap| cost <= cap + TIE);
                 let penalized = bottleneck * pen;
@@ -677,6 +673,9 @@ fn bottleneck_search(
                 true
             },
         );
+        // Every leaf the counts admit was either evaluated or sits in a
+        // cut subtree.
+        stats.pruned += feasible[s] - evaluated;
     });
 
     let found = best.is_some_and(|(bb, _)| bb.is_finite());
@@ -783,6 +782,8 @@ fn cost_search(
 mod tests {
     use super::*;
     use crate::auto::optimize_heterogeneous_with_stats;
+    use crate::stage::stage_fits;
+    use crate::stage::tests::{reference_stage_cost, reference_stage_fits};
     use e3_model::builder::EeModelBuilder;
     use e3_model::{zoo, RampStyle, Task};
     use proptest::prelude::*;
@@ -1193,37 +1194,131 @@ mod tests {
 
     #[test]
     fn completions_count_the_leaves_within_each_kind() {
-        let kinds = [
-            (GpuKind::A6000, 1),
-            (GpuKind::V100, 2),
-            (GpuKind::P100, 1),
-            (GpuKind::K80, 3),
-        ];
-        let max_splits = 6;
-        let mut leaves = LeafCounter::new(max_splits);
-        for free in 0..=max_splits {
-            for on_kind in [
-                [0, 0, 0, 0],
-                [1, 1, 0, 2],
-                [0, 2, 1, 3],
-                [0, 0, 1, 0],
-                [1, 2, 1, 3],
-            ] {
+        // F(s) against a brute-force count of every assignment of s
+        // stages, on pools with fewer GPUs than stages and more.
+        let max_stages = 6;
+        for kinds in [
+            &[
+                (GpuKind::A6000, 1),
+                (GpuKind::V100, 2),
+                (GpuKind::P100, 1),
+                (GpuKind::K80, 3),
+            ][..],
+            &[(GpuKind::V100, 1), (GpuKind::K80, 1)],
+            &[(GpuKind::K80, 4)],
+            &[(GpuKind::V100, 6), (GpuKind::P100, 8), (GpuKind::K80, 15)],
+        ] {
+            let feasible = feasible_assignments(kinds, max_stages);
+            assert_eq!(feasible.len(), max_stages + 1);
+            for (s, &count) in feasible.iter().enumerate() {
                 let mut brute = 0;
-                let mut assign = vec![0; free];
+                let mut assign = vec![0; s];
                 loop {
-                    let mut n = on_kind;
+                    let mut n = [0; KINDS];
                     assign.iter().for_each(|&k| n[k] += 1);
-                    brute += u64::from(n.iter().zip(&kinds).all(|(n, (_, a))| n <= a));
+                    brute += u64::from(n.iter().zip(kinds).all(|(n, (_, a))| n <= a));
                     if !next_assignment(&mut assign, kinds.len()) {
                         break;
                     }
                 }
-                assert_eq!(
-                    leaves.count(&kinds, &on_kind, free),
-                    brute,
-                    "{free} {on_kind:?}"
-                );
+                assert_eq!(count, brute, "{kinds:?} {s} stages");
+            }
+        }
+    }
+
+    /// [`fill_t1`] as it was before the row walk: every range priced on
+    /// its own by the per-range references.
+    fn reference_fill_t1(
+        model: &EeModel,
+        ctrl: &RampController,
+        profile: &BatchProfile,
+        gpu: GpuKind,
+        b0: f64,
+        lm: &LatencyModel,
+        check_memory: bool,
+    ) -> Vec<Vec<f64>> {
+        let l = model.num_layers();
+        let mut t1 = vec![vec![f64::INFINITY; l + 1]; l + 1];
+        for (s, row) in t1.iter_mut().enumerate().take(l) {
+            for (j, t) in row.iter_mut().enumerate().skip(s + 1) {
+                if check_memory && !reference_stage_fits(model, s..j, b0, gpu) {
+                    continue;
+                }
+                let sc = reference_stage_cost(model, ctrl, profile, s..j, b0, gpu, 1, lm);
+                *t = sc.effective_time.as_secs_f64();
+            }
+        }
+        t1
+    }
+
+    #[test]
+    fn row_filled_tables_match_the_per_range_reference() {
+        let lm = LatencyModel::new();
+        let cost_bits = |sc: crate::stage::StageCost| {
+            [
+                sc.batch_time.as_secs_f64(),
+                sc.effective_time.as_secs_f64(),
+                sc.mean_occupancy,
+                sc.batch_out,
+                sc.survival_in,
+            ]
+            .map(f64::to_bits)
+        };
+        let bits =
+            |t: &[Vec<f64>]| -> Vec<u64> { t.iter().flatten().map(|x| x.to_bits()).collect() };
+        for model in [zoo::deebert(), zoo::llama31_8b(), zoo::calm_t5()] {
+            let l = model.num_layers();
+            let all = RampController::all_enabled(model.num_ramps(), RampStyle::Independent);
+            let mut some = all.clone();
+            some.keep_only(&[0, model.num_ramps() / 2]);
+            let profiles = [
+                BatchProfile::no_exits(l),
+                BatchProfile::new((0..=l).map(|k| 0.85f64.powi(k as i32)).collect()),
+                // Everyone has exited by mid-model, so the rows that start
+                // past it have s_in = 0, and the ranges that reach it end
+                // on an empty batch.
+                BatchProfile::new(
+                    (0..=l)
+                        .map(|k| (1.0 - 2.0 * k as f64 / l as f64).max(0.0))
+                        .collect(),
+                ),
+            ];
+            for (ctrl, profile) in [&all, &some]
+                .into_iter()
+                .flat_map(|c| profiles.iter().map(move |p| (c, p)))
+            {
+                // At b=1000 Llama's long ranges overflow the smaller
+                // kinds; at b=30000 CALM's ranges that hold an encoder
+                // layer overflow them, while its decoder layers, whose
+                // activations are 128x narrower, still fit.
+                for (gpu, b0) in GpuKind::ALL
+                    .into_iter()
+                    .flat_map(|g| [1.0, 8.0, 1000.0, 30_000.0].map(|b| (g, b)))
+                {
+                    for check_memory in [false, true] {
+                        let rows = fill_t1(&model, ctrl, profile, gpu, b0, &lm, check_memory);
+                        let reference =
+                            reference_fill_t1(&model, ctrl, profile, gpu, b0, &lm, check_memory);
+                        assert_eq!(
+                            bits(&rows),
+                            bits(&reference),
+                            "{} {gpu:?} b0 {b0} memory {check_memory}",
+                            model.name()
+                        );
+                    }
+                    // A lone range is priced by the same walk: every field
+                    // of its cost, on more than one replica, and its fit.
+                    for (a, b) in (0..l).flat_map(|a| (a + 1..=l).map(move |b| (a, b))) {
+                        let sc = stage_cost(&model, ctrl, profile, a..b, b0, gpu, 3, &lm);
+                        let reference =
+                            reference_stage_cost(&model, ctrl, profile, a..b, b0, gpu, 3, &lm);
+                        assert_eq!(cost_bits(sc), cost_bits(reference), "{a}..{b}");
+                        assert_eq!(
+                            stage_fits(&model, a..b, b0, gpu),
+                            reference_stage_fits(&model, a..b, b0, gpu)
+                        );
+                    }
+                }
             }
         }
     }
@@ -1774,6 +1869,7 @@ mod tests {
             u in proptest::collection::vec(0.0f64..1.0, 16),
             kind_idx in proptest::collection::btree_set(0usize..4, 1..4),
             gpus in proptest::collection::vec(1usize..17, 3),
+            small_pool in 0usize..2,
             max_splits in 1usize..5,
             b0_idx in 0usize..4,
             overhead_idx in 0usize..2,
@@ -1784,11 +1880,25 @@ mod tests {
             let ctrl = RampController::all_enabled(model.num_ramps(), RampStyle::Independent);
             let (lm, tm) = (LatencyModel::new(), TransferModel::default());
             let profile = decoded_profile(&u, model.num_layers());
-            let counts: BTreeMap<GpuKind, usize> = kind_idx
-                .iter()
-                .zip(&gpus)
-                .map(|(&k, &n)| (GpuKind::ALL[k], n))
-                .collect();
+            // Half the pools hold 1-16 GPUs of each kind; the other half
+            // 1-3 GPUs in all, fewer than the deepest boundary sets'
+            // stages, one of each kind but the first.
+            let counts: BTreeMap<GpuKind, usize> = if small_pool == 1 {
+                let total = 1 + gpus[0] % 3;
+                let kinds = kind_idx.len().min(total);
+                kind_idx
+                    .iter()
+                    .take(kinds)
+                    .enumerate()
+                    .map(|(i, &k)| (GpuKind::ALL[k], if i == 0 { total + 1 - kinds } else { 1 }))
+                    .collect()
+            } else {
+                kind_idx
+                    .iter()
+                    .zip(&gpus)
+                    .map(|(&k, &n)| (GpuKind::ALL[k], n))
+                    .collect()
+            };
             let b0 = [1.0, 4.0, 8.0, 16.0][b0_idx];
             // Every plan occupies all GPUs of each kind it uses, so a cap
             // of at least the cheapest kind's full price keeps one plan
@@ -2035,10 +2145,14 @@ mod tests {
     type Layout = (Vec<usize>, Vec<GpuKind>);
 
     /// Every plan the formulation admits, by brute force: each boundary
-    /// set, kind assignment and replica vector within the pool, under
-    /// the memory rule (only plans that fit, unless none does). Returns
-    /// the least penalized bottleneck and the (cuts, kinds) of every plan
-    /// within the tie tolerance of it.
+    /// set, kind assignment and replica vector within the pool. Returns
+    /// what the split search must find, under the memory rule (only plans
+    /// that fit, unless none does): the least penalized bottleneck and
+    /// the (cuts, kinds) of every plan within the tie tolerance of it.
+    /// Also returns what the cost search must find, under the memory
+    /// rule without the fallback: the least cost of a plan whose every
+    /// stage and incoming transfer meet the bottleneck `lambda`, or
+    /// `None` when no plan does.
     #[allow(clippy::too_many_arguments)]
     fn exhaustive_oracle(
         model: &EeModel,
@@ -2046,10 +2160,11 @@ mod tests {
         profile: &BatchProfile,
         kinds: &[(GpuKind, usize)],
         b0: f64,
+        lambda: f64,
         tm: &TransferModel,
         lm: &LatencyModel,
         cfg: &OptimizerConfig,
-    ) -> (f64, Vec<Layout>) {
+    ) -> (f64, Vec<Layout>, Option<f64>) {
         let l = model.num_layers();
         let nk = kinds.len();
         let time = |a: usize, b: usize, k: usize| {
@@ -2067,6 +2182,7 @@ mod tests {
         // (penalized bottleneck, fits, cuts, kinds) per boundary set and
         // kind assignment, at its best replica vector.
         let mut plans = Vec::new();
+        let mut least_cost: Option<f64> = None;
         for cuts in boundary_sets(l, cfg.max_splits.max(1)) {
             let stages = stages_of(l, &cuts);
             let s = stages.len();
@@ -2096,6 +2212,14 @@ mod tests {
                             .map(|(&(t, x), &r)| (t / r as f64).max(x / r as f64))
                             .fold(0.0, f64::max);
                         best = best.min(bottleneck * pen);
+                        if bottleneck <= lambda && (fits || !cfg.enforce_memory) {
+                            let cost: f64 = assign
+                                .iter()
+                                .zip(&m)
+                                .map(|(&k, &r)| r as f64 * kinds[k].0.cost_per_sec())
+                                .sum();
+                            least_cost = Some(least_cost.map_or(cost, |c| c.min(cost)));
+                        }
                     }
                     // Next replica vector: an odometer with digits
                     // 1..=avail of each stage's kind.
@@ -2125,7 +2249,7 @@ mod tests {
             .filter(|p| p.0 <= opt + TIE)
             .map(|p| (p.2, p.3))
             .collect();
-        (opt, tied)
+        (opt, tied, least_cost)
     }
 
     proptest! {
@@ -2168,8 +2292,10 @@ mod tests {
 
             let (plan, _) =
                 optimize_heterogeneous_with_stats(&model, &ctrl, &profile, &counts, b0, &tm, &lm, &cfg);
-            let (opt, tied) = exhaustive_oracle(
-                &model, &ctrl, &profile, &available(&counts), b0, &tm, &lm, &cfg,
+            let target = plan.goodput * target_frac;
+            let lambda = b0 / target;
+            let (opt, tied, least_cost) = exhaustive_oracle(
+                &model, &ctrl, &profile, &available(&counts), b0, lambda, &tm, &lm, &cfg,
             );
             let pen = 1.0 + cfg.stage_overhead_frac * (plan.num_splits() as f64 - 1.0);
             let bottleneck = plan
@@ -2200,13 +2326,27 @@ mod tests {
                 prop_assert!(plan.memory_feasible(&model), "{}", plan);
             }
 
-            // The cost search under the same memory rule never returns a
-            // plan that overflows.
-            let target = plan.goodput * target_frac;
+            // The cost search finds a plan exactly when some replica
+            // vector meets the target under the memory rule, at the least
+            // such cost, and never returns a plan that overflows.
             let cheapest =
                 min_cost_for_goodput(&model, &ctrl, &profile, &counts, b0, target, &tm, &lm, &cfg);
-            if let (true, Some(cheapest)) = (cfg.enforce_memory, cheapest) {
-                prop_assert!(cheapest.memory_feasible(&model), "{}", cheapest);
+            prop_assert!(
+                cheapest.is_some() == least_cost.is_some(),
+                "{:?} vs {:?}",
+                cheapest.as_ref().map(SplitPlan::to_string),
+                least_cost
+            );
+            if let (Some(cheapest), Some(least_cost)) = (cheapest, least_cost) {
+                prop_assert!(
+                    (cheapest.cost_per_sec() - least_cost).abs() <= TIE,
+                    "{} vs {}",
+                    cheapest,
+                    least_cost
+                );
+                if cfg.enforce_memory {
+                    prop_assert!(cheapest.memory_feasible(&model), "{}", cheapest);
+                }
             }
         }
     }

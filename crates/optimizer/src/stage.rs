@@ -51,79 +51,174 @@ pub(crate) fn stage_cost(
 ) -> StageCost {
     assert!(!layers.is_empty(), "stage must contain at least one layer");
     assert!(layers.end <= model.num_layers(), "stage out of range");
-    assert!(replicas >= 1, "stage needs at least one replica");
-    assert!(b0 > 0.0, "batch must be positive");
-
-    let s_in = profile.survival_at(layers.start);
-    if s_in <= 0.0 {
-        // Nothing reaches this stage; it is free (the DP will still place
-        // a replica, but it will never run).
-        return StageCost {
-            batch_time: SimDuration::ZERO,
-            effective_time: SimDuration::ZERO,
-            mean_occupancy: 0.0,
-            batch_out: 0.0,
-            survival_in: 0.0,
-        };
+    let mut walk = StageWalk::new(model, ctrl, profile, layers.start, b0, gpu, lm);
+    for _ in layers {
+        walk.extend();
     }
-
-    let mut batch_time = SimDuration::ZERO;
-    let mut occ_weighted = 0.0f64;
-    let mut ramps_in_stage = false;
-    for k in layers.clone() {
-        let batch = b0 * profile.survival_at(k) / s_in;
-        if batch <= 0.0 {
-            continue;
-        }
-        let spec = model.layers()[k];
-        let t = lm.layer_time(spec.work_us + spec.fixed_us, batch, gpu);
-        occ_weighted += t.as_secs_f64() * lm.occupancy(batch, gpu);
-        batch_time += t;
-        if let Some(ri) = model.ramp_after(k) {
-            if ctrl.pays_cost_at(ri) {
-                ramps_in_stage = true;
-                let rs = model.ramps()[ri];
-                let rt = lm.layer_time(rs.work_us + rs.fixed_us, batch, gpu);
-                occ_weighted += rt.as_secs_f64() * lm.occupancy(batch, gpu);
-                batch_time += rt;
-            }
-        }
-    }
-    if ramps_in_stage {
-        // E3's split execution acts on all exit decisions with one
-        // gather at the stage boundary (see e3-hardware's ExitOverheads).
-        let live_at_end = b0 * profile.survival_at(layers.end) / s_in;
-        batch_time += lm.exit.reform_time(live_at_end);
-    }
-    let mean_occupancy = if batch_time.is_zero() {
-        0.0
-    } else {
-        occ_weighted / batch_time.as_secs_f64()
-    };
-    let effective_time = batch_time.mul_f64(s_in / replicas as f64);
-    StageCost {
-        batch_time,
-        effective_time,
-        mean_occupancy,
-        batch_out: b0 * profile.survival_at(layers.end) / s_in,
-        survival_in: s_in,
-    }
+    walk.cost(replicas)
 }
 
 /// Whether one replica of the stage `layers` fits `gpu`'s memory at
 /// batch `b0`: estimated weights (from the calibrated compute costs) plus
 /// double-buffered activations, per the §3.1 resource safety check. The
-/// DP uses this to prune memory-infeasible transitions.
+/// split search asks the same question of its `StageWalk`; tests check
+/// finished plans with this.
+#[cfg(test)]
 pub(crate) fn stage_fits(model: &EeModel, layers: Range<usize>, b0: f64, gpu: GpuKind) -> bool {
-    use e3_hardware::memory::{params_from_work_us, MemoryFootprint};
-    let params: f64 = layers
-        .clone()
-        .map(|k| params_from_work_us(model.layers()[k].work_us))
-        .sum();
-    let widest = layers
-        .map(|k| model.layers()[k].output_bytes as f64)
-        .fold(0.0f64, f64::max);
-    MemoryFootprint::new(params, widest).fits(b0, gpu)
+    let mut footprint = Footprint::default();
+    for k in layers {
+        footprint.add(model, k);
+    }
+    footprint.fits(b0, gpu)
+}
+
+/// The weights and widest activation of a layer range, one layer at a
+/// time.
+#[derive(Default)]
+struct Footprint {
+    params: f64,
+    widest: f64,
+}
+
+impl Footprint {
+    fn add(&mut self, model: &EeModel, k: usize) {
+        let spec = model.layers()[k];
+        self.params += e3_hardware::memory::params_from_work_us(spec.work_us);
+        self.widest = self.widest.max(spec.output_bytes as f64);
+    }
+
+    fn fits(&self, b0: f64, gpu: GpuKind) -> bool {
+        e3_hardware::memory::MemoryFootprint::new(self.params, self.widest).fits(b0, gpu)
+    }
+}
+
+/// The stages that start at one layer on one GPU kind, grown a layer at a
+/// time: the one pricing path behind [`stage_cost`], `stage_fits` and
+/// the split search's stage tables, which price every end layer of a
+/// start layer from one walk. After `extend` has taken layers
+/// `start..end`, `cost` and `fits` answer for that range. Batch times
+/// are integer nanoseconds and the other sums run in layer order, so a
+/// range priced mid-walk equals the same range priced alone.
+pub(crate) struct StageWalk<'a> {
+    model: &'a EeModel,
+    ctrl: &'a RampController,
+    profile: &'a BatchProfile,
+    lm: &'a LatencyModel,
+    gpu: GpuKind,
+    b0: f64,
+    /// The next layer `extend` takes.
+    end: usize,
+    /// Survival fraction at the start layer.
+    s_in: f64,
+    /// Layer and ramp time so far, without the boundary gather.
+    time: SimDuration,
+    /// That time weighted by occupancy, in seconds.
+    occ_weighted: f64,
+    /// Whether a paid ramp sits in the range.
+    ramps: bool,
+    footprint: Footprint,
+}
+
+impl<'a> StageWalk<'a> {
+    /// An empty range starting at layer `start`.
+    #[allow(clippy::too_many_arguments)] // the DP inputs of fig. 6
+    pub(crate) fn new(
+        model: &'a EeModel,
+        ctrl: &'a RampController,
+        profile: &'a BatchProfile,
+        start: usize,
+        b0: f64,
+        gpu: GpuKind,
+        lm: &'a LatencyModel,
+    ) -> Self {
+        assert!(b0 > 0.0, "batch must be positive");
+        StageWalk {
+            model,
+            ctrl,
+            profile,
+            lm,
+            gpu,
+            b0,
+            end: start,
+            s_in: profile.survival_at(start),
+            time: SimDuration::ZERO,
+            occ_weighted: 0.0,
+            ramps: false,
+            footprint: Footprint::default(),
+        }
+    }
+
+    /// Takes the next layer, and the ramp after it if the controller pays
+    /// for that ramp, at the layer's expected batch.
+    pub(crate) fn extend(&mut self) {
+        let k = self.end;
+        self.end += 1;
+        self.footprint.add(self.model, k);
+        // Nothing reaches a stage whose start nobody survives to.
+        if self.s_in <= 0.0 {
+            return;
+        }
+        let batch = self.b0 * self.profile.survival_at(k) / self.s_in;
+        if batch <= 0.0 {
+            return;
+        }
+        let (lm, gpu) = (self.lm, self.gpu);
+        let spec = self.model.layers()[k];
+        let t = lm.layer_time(spec.work_us + spec.fixed_us, batch, gpu);
+        self.occ_weighted += t.as_secs_f64() * lm.occupancy(batch, gpu);
+        self.time += t;
+        if let Some(ri) = self.model.ramp_after(k) {
+            if self.ctrl.pays_cost_at(ri) {
+                self.ramps = true;
+                let rs = self.model.ramps()[ri];
+                let rt = lm.layer_time(rs.work_us + rs.fixed_us, batch, gpu);
+                self.occ_weighted += rt.as_secs_f64() * lm.occupancy(batch, gpu);
+                self.time += rt;
+            }
+        }
+    }
+
+    /// The cost of the range so far on `replicas` replicas. A stage
+    /// nobody reaches is free (the DP will still place a replica, but it
+    /// will never run).
+    pub(crate) fn cost(&self, replicas: usize) -> StageCost {
+        assert!(replicas >= 1, "stage needs at least one replica");
+        let s_in = self.s_in;
+        if s_in <= 0.0 {
+            return StageCost {
+                batch_time: SimDuration::ZERO,
+                effective_time: SimDuration::ZERO,
+                mean_occupancy: 0.0,
+                batch_out: 0.0,
+                survival_in: 0.0,
+            };
+        }
+        let batch_out = self.b0 * self.profile.survival_at(self.end) / s_in;
+        let mut batch_time = self.time;
+        if self.ramps {
+            // E3's split execution acts on all exit decisions with one
+            // gather at the stage boundary (see e3-hardware's ExitOverheads).
+            batch_time += self.lm.exit.reform_time(batch_out);
+        }
+        let mean_occupancy = if batch_time.is_zero() {
+            0.0
+        } else {
+            self.occ_weighted / batch_time.as_secs_f64()
+        };
+        StageCost {
+            batch_time,
+            effective_time: batch_time.mul_f64(s_in / replicas as f64),
+            mean_occupancy,
+            batch_out,
+            survival_in: s_in,
+        }
+    }
+
+    /// Whether one replica of the range so far fits the GPU's memory at
+    /// the walk's batch (see `stage_fits`).
+    pub(crate) fn fits(&self) -> bool {
+        self.footprint.fits(self.b0, self.gpu)
+    }
 }
 
 /// The activation-transfer time charged at the boundary entering
@@ -159,11 +254,94 @@ pub(crate) fn boundary_transfer_surviving(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use e3_hardware::TransferModel;
     use e3_model::zoo;
     use e3_model::RampStyle;
+
+    /// [`stage_cost`] as it priced one range before the row walk, kept
+    /// verbatim as the reference the walk must equal bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn reference_stage_cost(
+        model: &EeModel,
+        ctrl: &RampController,
+        profile: &BatchProfile,
+        layers: Range<usize>,
+        b0: f64,
+        gpu: GpuKind,
+        replicas: usize,
+        lm: &LatencyModel,
+    ) -> StageCost {
+        let s_in = profile.survival_at(layers.start);
+        if s_in <= 0.0 {
+            return StageCost {
+                batch_time: SimDuration::ZERO,
+                effective_time: SimDuration::ZERO,
+                mean_occupancy: 0.0,
+                batch_out: 0.0,
+                survival_in: 0.0,
+            };
+        }
+        let mut batch_time = SimDuration::ZERO;
+        let mut occ_weighted = 0.0f64;
+        let mut ramps_in_stage = false;
+        for k in layers.clone() {
+            let batch = b0 * profile.survival_at(k) / s_in;
+            if batch <= 0.0 {
+                continue;
+            }
+            let spec = model.layers()[k];
+            let t = lm.layer_time(spec.work_us + spec.fixed_us, batch, gpu);
+            occ_weighted += t.as_secs_f64() * lm.occupancy(batch, gpu);
+            batch_time += t;
+            if let Some(ri) = model.ramp_after(k) {
+                if ctrl.pays_cost_at(ri) {
+                    ramps_in_stage = true;
+                    let rs = model.ramps()[ri];
+                    let rt = lm.layer_time(rs.work_us + rs.fixed_us, batch, gpu);
+                    occ_weighted += rt.as_secs_f64() * lm.occupancy(batch, gpu);
+                    batch_time += rt;
+                }
+            }
+        }
+        if ramps_in_stage {
+            let live_at_end = b0 * profile.survival_at(layers.end) / s_in;
+            batch_time += lm.exit.reform_time(live_at_end);
+        }
+        let mean_occupancy = if batch_time.is_zero() {
+            0.0
+        } else {
+            occ_weighted / batch_time.as_secs_f64()
+        };
+        let effective_time = batch_time.mul_f64(s_in / replicas as f64);
+        StageCost {
+            batch_time,
+            effective_time,
+            mean_occupancy,
+            batch_out: b0 * profile.survival_at(layers.end) / s_in,
+            survival_in: s_in,
+        }
+    }
+
+    /// [`stage_fits`] as it checked one range before the row walk, kept
+    /// verbatim as the reference.
+    pub(crate) fn reference_stage_fits(
+        model: &EeModel,
+        layers: Range<usize>,
+        b0: f64,
+        gpu: GpuKind,
+    ) -> bool {
+        use e3_hardware::memory::{params_from_work_us, MemoryFootprint};
+        let params: f64 = layers
+            .clone()
+            .map(|k| params_from_work_us(model.layers()[k].work_us))
+            .sum();
+        let widest = layers
+            .map(|k| model.layers()[k].output_bytes as f64)
+            .fold(0.0f64, f64::max);
+        MemoryFootprint::new(params, widest).fits(b0, gpu)
+    }
 
     fn setup() -> (EeModel, RampController, LatencyModel) {
         let m = zoo::deebert();

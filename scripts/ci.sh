@@ -124,3 +124,7 @@ cp /tmp/bench_kernel.out BENCH_kernel.json
 grep -q '"gpus":10000,.*"assignments":232,"pruned":13' BENCH_optimizer.json
 grep -q '"bench":"optimizer_hetero"' BENCH_optimizer.json
 grep -q '"assignments":14952,"pruned":14620' BENCH_optimizer.json
+# The small pools the tenant allocator asks for, most with fewer GPUs
+# than the deepest boundary sets have stages: the counts must hold where
+# whole boundary sets have no kind assignment that fits.
+grep -q '"bench":"optimizer_tenant_pools",.*"assignments":58056,"pruned":30410' BENCH_optimizer.json
