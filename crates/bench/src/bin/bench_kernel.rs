@@ -14,6 +14,11 @@
 //!    benchmark's `llm_kv_sweep` shape: 2000 sequences, five KV budgets
 //!    x two joins (admission + preemption events included), reported as
 //!    the fastest of [`REPS`] sweeps.
+//!
+//!    Both sections also print an FNV-1a `digest` over the time and
+//!    `{:?}` text of every event of their untimed warm-up run, so a
+//!    change that moves when events happen shows even when it keeps
+//!    their count.
 //! 3. `kernel_multi_tenant` — three NLP tenants under joint allocation
 //!    on 6 V100s; events are every tenant's tagged kernel stream.
 //! 4. `materialize` — the Monte-Carlo materialization the `kernel`
@@ -50,6 +55,7 @@ use e3_bench::{RUN_N, SEED};
 use e3_hardware::{ClusterSpec, GpuKind, LatencyModel};
 use e3_model::{zoo, EeModel, ExitPolicy, ExitSampler, InferenceSim, RampController};
 use e3_runtime::autoreg::materialize_sequences;
+use e3_runtime::kernel::EventLog;
 use e3_runtime::{
     run_continuous, ContinuousConfig, FaultPlan, JoinPolicy, KernelEvent, KvPlan, PreemptMode,
     RunObserver, Strategy, TaggedEventLog,
@@ -63,6 +69,16 @@ use rand::{RngCore, SeedableRng};
 /// Timed repetitions per section (event counts are per repetition).
 const REPS: usize = 5;
 
+/// The FNV-1a offset basis every digest starts from.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a: folds `bytes` into `digest`.
+fn fnv1a(digest: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(digest, |d, &byte| {
+        (d ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 struct CountingObserver {
     events: u64,
 }
@@ -71,6 +87,16 @@ impl RunObserver for CountingObserver {
     fn on_event(&mut self, _now: SimTime, _event: &KernelEvent) {
         self.events += 1;
     }
+}
+
+/// FNV-1a over the time and `{:?}` text of every event in `log`, so a
+/// run that emits as many events at other times (a mispriced layer, say)
+/// changes the digest.
+fn event_digest(log: &EventLog) -> u64 {
+    log.events.iter().fold(FNV_BASIS, |digest, (now, event)| {
+        let digest = fnv1a(digest, &now.as_nanos().to_le_bytes());
+        fnv1a(digest, format!("{event:?}").as_bytes())
+    })
 }
 
 /// Section 1: windowed kernel loop over a pre-materialized backlog.
@@ -82,10 +108,11 @@ fn bench_windowed() {
     );
     let (sim, reqs, run_seed) = exp.deployment(SystemKind::E3, 8);
     let backlog = sim.materialize_backlog(&reqs, run_seed);
-    // Warm-up pass: faults caches and sizes the arena before timing.
-    let mut obs = CountingObserver { events: 0 };
-    let report = sim.run_backlog_observed(backlog.clone(), &mut obs);
-    let per_run = obs.events;
+    // Warm-up pass: faults caches and sizes the arena before timing,
+    // and digests the event stream.
+    let mut log = EventLog::new();
+    let report = sim.run_backlog_observed(backlog.clone(), &mut log);
+    let (per_run, digest) = (log.events.len(), event_digest(&log));
 
     let mut obs = CountingObserver { events: 0 };
     let start = Instant::now();
@@ -94,10 +121,11 @@ fn bench_windowed() {
     }
     let wall = start.elapsed().as_secs_f64();
     println!(
-        "{{\"bench\":\"kernel\",\"requests\":{},\"completed\":{},\"events\":{},\"wall_secs\":{:.3},\"events_per_sec\":{:.0}}}",
+        "{{\"bench\":\"kernel\",\"requests\":{},\"completed\":{},\"events\":{},\"digest\":\"{:016x}\",\"wall_secs\":{:.3},\"events_per_sec\":{:.0}}}",
         RUN_N,
         report.completed,
         per_run,
+        digest,
         wall,
         obs.events as f64 / wall.max(1e-9)
     );
@@ -144,16 +172,16 @@ fn bench_continuous() {
             b_max_wait: None,
         })
         .collect();
-    let sweep = |obs: &mut CountingObserver| -> u64 {
+    let sweep = |obs: &mut dyn RunObserver| -> u64 {
         configs
             .iter()
             .map(|cfg| run_continuous(cfg, &specs, obs).report.completed)
             .sum()
     };
-    // Warm-up sweep: counts the events of one repetition.
-    let mut obs = CountingObserver { events: 0 };
-    let completed = sweep(&mut obs);
-    let per_rep = obs.events;
+    // Warm-up sweep: counts and digests the events of one repetition.
+    let mut log = EventLog::new();
+    let completed = sweep(&mut log);
+    let (per_rep, digest) = (log.events.len(), event_digest(&log));
 
     let mut best = f64::INFINITY;
     for _ in 0..REPS {
@@ -162,11 +190,12 @@ fn bench_continuous() {
         best = best.min(start.elapsed().as_secs_f64());
     }
     println!(
-        "{{\"bench\":\"kernel_continuous\",\"sequences\":{},\"runs\":{},\"completed\":{},\"events\":{},\"wall_secs\":{:.4},\"events_per_sec\":{:.0}}}",
+        "{{\"bench\":\"kernel_continuous\",\"sequences\":{},\"runs\":{},\"completed\":{},\"events\":{},\"digest\":\"{:016x}\",\"wall_secs\":{:.4},\"events_per_sec\":{:.0}}}",
         n_seqs,
         configs.len(),
         completed,
         per_rep,
+        digest,
         best,
         per_rep as f64 / best.max(1e-9)
     );
@@ -218,12 +247,8 @@ fn bench_multi_tenant() {
 /// generator seeded with `seed`, then over the generator's next word.
 fn outcome_digest(sampler: &ExitSampler, hardness: &[f64], seed: u64) -> u64 {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |word: u64| {
-        for byte in word.to_le_bytes() {
-            digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-        }
-    };
+    let mut digest = FNV_BASIS;
+    let mut eat = |word: u64| digest = fnv1a(digest, &word.to_le_bytes());
     for &h in hardness {
         let out = sampler.sample(h, &mut rng);
         eat(out.layers_executed as u64);
@@ -361,15 +386,13 @@ fn bench_generate() {
         })
     };
     // FNV-1a over each request's arrival and hardness bits.
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = FNV_BASIS;
     let mut requests = 0;
     for reqs in generate() {
         requests += reqs.len();
         for r in &reqs {
             for word in [r.arrival.as_nanos(), r.hardness.to_bits()] {
-                for byte in word.to_le_bytes() {
-                    digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-                }
+                digest = fnv1a(digest, &word.to_le_bytes());
             }
         }
     }

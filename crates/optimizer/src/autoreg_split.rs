@@ -13,11 +13,14 @@
 use e3_hardware::{GpuKind, LatencyModel};
 use e3_model::{AutoRegSpec, BatchProfile, EeModel, RampController};
 
+use crate::stage::price_layer;
+
 /// Per-token stage times `(t_a, t_b)` in seconds for a cut at `cut`
 /// (with `cut == num_layers` meaning single-stage: everything in `t_a`).
 /// Mirrors the runtime's continuous-batching cost model: encoder
-/// amortized over `mean_tokens`, decoder layers at their surviving
-/// widths, enabled ramps, one boundary reform, lm-head at full width.
+/// amortized over `mean_tokens`, both stages' decoder layers at their
+/// surviving widths with their paid ramps (the one [`price_layer`]),
+/// one boundary reform, lm-head at full width.
 #[allow(clippy::too_many_arguments)]
 fn stage_times(
     model: &EeModel,
@@ -32,47 +35,35 @@ fn stage_times(
 ) -> (f64, f64) {
     let enc = ar.encoder_layers;
     let l = model.num_layers();
-    let layer_cost = |k: usize| {
-        let s = model.layers()[k];
-        s.work_us + s.fixed_us
+    let price = |k: usize, width: f64| price_layer(model, ctrl, lm, gpu, k, width);
+    // Adds layer `k` and its paid ramp at `width` to `t`, a layer at a time.
+    let add = |t: &mut f64, k: usize, width: f64| {
+        if width <= 0.0 {
+            return;
+        }
+        let (layer, ramp) = price(k, width);
+        *t += layer.as_secs_f64();
+        if let Some(ramp) = ramp {
+            *t += ramp.as_secs_f64();
+        }
     };
     let f = profile.survival_at(cut).max(1e-9);
-    let mut t_a = (0..enc)
-        .map(|k| lm.layer_time(layer_cost(k), b0, gpu).as_secs_f64())
-        .sum::<f64>()
-        / mean_tokens.max(1.0);
+    let mut t_a =
+        (0..enc).map(|k| price(k, b0).0.as_secs_f64()).sum::<f64>() / mean_tokens.max(1.0);
     for k in enc..cut {
-        let width = b0 * profile.survival_at(k);
-        if width <= 0.0 {
-            continue;
-        }
-        t_a += lm.layer_time(layer_cost(k), width, gpu).as_secs_f64();
-        if let Some(ri) = model.ramp_after(k) {
-            if ctrl.pays_cost_at(ri) {
-                let r = model.ramps()[ri];
-                t_a += lm
-                    .layer_time(r.work_us + r.fixed_us, width, gpu)
-                    .as_secs_f64();
-            }
-        }
+        add(&mut t_a, k, b0 * profile.survival_at(k));
     }
+    let head = lm
+        .layer_time(ar.lm_head.work_us + ar.lm_head.fixed_us, b0, gpu)
+        .as_secs_f64();
     if cut == l {
         // Single-stage: the head runs here, no boundary reform.
-        let head = lm
-            .layer_time(ar.lm_head.work_us + ar.lm_head.fixed_us, b0, gpu)
-            .as_secs_f64();
         return (t_a + head, 0.0);
     }
     t_a += lm.exit.reform_time(b0 * f).as_secs_f64();
-    let mut t_b = lm
-        .layer_time(ar.lm_head.work_us + ar.lm_head.fixed_us, b0, gpu)
-        .as_secs_f64();
+    let mut t_b = head;
     for k in cut..l {
-        let width = b0 * profile.survival_at(k) / f;
-        if width <= 0.0 {
-            continue;
-        }
-        t_b += lm.layer_time(layer_cost(k), width, gpu).as_secs_f64();
+        add(&mut t_b, k, b0 * profile.survival_at(k) / f);
     }
     (t_a, t_b)
 }
@@ -153,5 +144,27 @@ mod tests {
         assert_eq!(split(4), (3, 1));
         // One device cannot host a pipeline.
         assert_eq!(split(1), (1, 0));
+    }
+
+    #[test]
+    fn stage_b_pays_its_ramps() {
+        // Stage B runs the layers past the cut with the ramps after them;
+        // paying those ramps must cost stage B time, as token serving
+        // charges it, and leave stage A alone.
+        let m = zoo::calm_t5();
+        let ar = m.autoreg().expect("autoreg");
+        let l = m.num_layers();
+        let cut = 10;
+        let profile = drop_to(l, cut - 1, 0.4);
+        let lm = LatencyModel::new();
+        let times = |ctrl: &RampController| {
+            stage_times(&m, ctrl, &profile, ar, cut, 16.0, 20.0, GpuKind::A6000, &lm)
+        };
+        let all = RampController::all_enabled(m.num_ramps(), RampStyle::Independent);
+        let before_cut = m.ramps().iter().map(|r| r.after_layer < cut).collect();
+        let upstream = RampController::with_mask(before_cut, RampStyle::Independent);
+        let (paid, unpaid) = (times(&all), times(&upstream));
+        assert_eq!(paid.0, unpaid.0);
+        assert!(paid.1 > unpaid.1, "t_b {} vs {}", paid.1, unpaid.1);
     }
 }

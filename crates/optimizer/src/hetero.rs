@@ -1258,9 +1258,7 @@ mod tests {
             [
                 sc.batch_time.as_secs_f64(),
                 sc.effective_time.as_secs_f64(),
-                sc.mean_occupancy,
                 sc.batch_out,
-                sc.survival_in,
             ]
             .map(f64::to_bits)
         };

@@ -8,14 +8,14 @@
 //! samples exit early leaves the late layers running at batch 2–3, well
 //! below the device's saturation point.
 //!
-//! Every term depends only on (stage layer, live count, GPU kind), so an
-//! [`ExecTable`] per (stage, kind) tables them, and timing a batch is a
-//! histogram of its exit depths and one table read per layer.
+//! The price is `e3_optimizer::stage`'s one stage price: an
+//! [`ExecTable`] per (stage, kind), built on the per-layer rule the
+//! planner reads too, and the table token serving walks. Timing a batch
+//! is a histogram of its exit depths, one table read per layer, and the
+//! replica's slowdown factor.
 
-use std::ops::Range;
-
-use e3_hardware::{GpuKind, LatencyModel};
-use e3_model::{EeModel, RampController};
+use e3_hardware::GpuKind;
+use e3_optimizer::stage::ExecTable;
 use e3_simcore::SimDuration;
 
 use crate::engine::ServingSim;
@@ -30,158 +30,31 @@ pub(crate) struct ExecOutcome {
     pub mean_occupancy: f64,
 }
 
-/// One stage layer at one live count `b`.
-#[derive(Debug, Clone, Copy)]
-struct Step {
-    /// The layer's time, plus its paid ramp's and, for naive EE, the
-    /// sync and compaction that act on the ramp's exits.
-    time: SimDuration,
-    /// The layer's seconds times the occupancy at `b`.
-    layer_occ: f64,
-    /// The same for the paid ramp; `0.0` without one, which leaves the
-    /// non-negative occupancy sum bit for bit unchanged.
-    ramp_occ: f64,
-}
-
-/// The timing of one stage on one GPU kind, tabled by live count.
-///
-/// `execute` times `samples` through `stage` layers of `model` on `gpu`.
-/// `deferred_exits` selects how exit decisions are *acted on*: `false`
-/// (naive EE) pays a sync + batch-compaction overhead at every checked
-/// ramp; `true` (E3 split execution) pays it once at the stage boundary,
-/// where the gather re-forms the batch anyway. Each entry is computed
-/// with the expressions of the per-layer walk it replaces and summed in
-/// the same order, so results are bit-identical to it.
-#[derive(Debug, Clone)]
-pub(crate) struct ExecTable<'a> {
-    model: &'a EeModel,
-    ctrl: &'a RampController,
-    lm: &'a LatencyModel,
-    gpu: GpuKind,
-    stage: Range<usize>,
-    deferred_exits: bool,
-    /// Whether a paid ramp follows any layer of the stage.
-    paid_ramp: bool,
-    /// The largest live count tabled.
-    width: usize,
-    /// `steps[(b - 1) * len + i]` for stage layer `i` at live count `b`.
-    steps: Vec<Step>,
-    /// The stage-boundary reform of deferred exits, by live count.
-    reform: Vec<SimDuration>,
-}
-
-impl<'a> ExecTable<'a> {
-    /// An empty table; `execute` fills it to the largest batch it sees.
-    pub(crate) fn new(
-        model: &'a EeModel,
-        ctrl: &'a RampController,
-        lm: &'a LatencyModel,
-        gpu: GpuKind,
-        stage: Range<usize>,
-        deferred_exits: bool,
-    ) -> Self {
-        let paid_ramp = stage
-            .clone()
-            .any(|k| model.ramp_after(k).is_some_and(|ri| ctrl.pays_cost_at(ri)));
-        ExecTable {
-            model,
-            ctrl,
-            lm,
-            gpu,
-            stage,
-            deferred_exits,
-            paid_ramp,
-            width: 0,
-            steps: Vec::new(),
-            reform: vec![SimDuration::ZERO],
+/// Times `samples` through `table`'s stage, filling the table to the
+/// batch first. `slowdown` is the replica's straggler factor (1.0 =
+/// healthy); `hist` is scratch for the exit-depth histogram.
+fn execute(
+    table: &mut ExecTable<'_>,
+    samples: &[SimSample],
+    slowdown: f64,
+    hist: &mut Vec<usize>,
+) -> ExecOutcome {
+    assert!(slowdown > 0.0, "slowdown factor must be positive");
+    table.fill(samples.len());
+    let (start, len) = (table.stage().start, table.stage().len());
+    // How many samples leave after each depth within the stage; those
+    // that run all of it need no entry.
+    hist.clear();
+    hist.resize(len, 0);
+    for s in samples {
+        if let Some(h) = hist.get_mut(s.layers_executed.saturating_sub(start)) {
+            *h += 1;
         }
     }
-
-    /// Tables live counts up to `width`.
-    fn grow(&mut self, width: usize) {
-        let (lm, gpu) = (self.lm, self.gpu);
-        for live in self.width + 1..=width {
-            let b = live as f64;
-            let occupancy = lm.occupancy(b, gpu);
-            for k in self.stage.clone() {
-                let spec = self.model.layers()[k];
-                let t = lm.layer_time(spec.work_us + spec.fixed_us, b, gpu);
-                let mut step = Step {
-                    time: t,
-                    layer_occ: t.as_secs_f64() * occupancy,
-                    ramp_occ: 0.0,
-                };
-                if let Some(ri) = self.model.ramp_after(k) {
-                    if self.ctrl.pays_cost_at(ri) {
-                        let rs = self.model.ramps()[ri];
-                        let rt = lm.layer_time(rs.work_us + rs.fixed_us, b, gpu);
-                        step.ramp_occ = rt.as_secs_f64() * occupancy;
-                        step.time += rt;
-                        if !self.deferred_exits {
-                            // Naive EE: act on the decision immediately —
-                            // device-host sync plus compaction of survivors.
-                            step.time += lm.exit.reform_time(b);
-                        }
-                    }
-                }
-                self.steps.push(step);
-            }
-            self.reform.push(lm.exit.reform_time(b));
-        }
-        self.width = width;
-    }
-
-    /// Times `samples` through the stage. `slowdown` is the replica's
-    /// straggler factor (1.0 = healthy); `hist` is scratch.
-    pub(crate) fn execute(
-        &mut self,
-        samples: &[SimSample],
-        slowdown: f64,
-        hist: &mut Vec<u32>,
-    ) -> ExecOutcome {
-        assert!(slowdown > 0.0, "slowdown factor must be positive");
-        if samples.len() > self.width {
-            self.grow(samples.len());
-        }
-        let (start, len) = (self.stage.start, self.stage.len());
-        // The samples that reach the stage, and how many leave after
-        // each of its layers but the last.
-        hist.clear();
-        hist.resize(len, 0);
-        let mut live = 0;
-        for s in samples {
-            if s.layers_executed > start {
-                live += 1;
-                if let Some(h) = hist.get_mut(s.layers_executed - start) {
-                    *h += 1;
-                }
-            }
-        }
-        let mut total = SimDuration::ZERO;
-        let mut occ_weighted = 0.0f64;
-        for i in 0..len {
-            if live == 0 {
-                break; // everyone left; the rest of the stage never runs
-            }
-            let step = self.steps[(live - 1) * len + i];
-            occ_weighted += step.layer_occ;
-            occ_weighted += step.ramp_occ;
-            total += step.time;
-            live -= hist.get(i + 1).map_or(0, |&h| h as usize);
-        }
-        if self.deferred_exits && self.paid_ramp {
-            // E3: one gather at the split boundary handles all exits.
-            total += self.reform[live];
-        }
-        let mean_occupancy = if total.is_zero() {
-            0.0
-        } else {
-            occ_weighted / total.as_secs_f64()
-        };
-        ExecOutcome {
-            duration: total.mul_f64(slowdown),
-            mean_occupancy,
-        }
+    let (total, mean_occupancy) = table.price_batch(hist, samples.len());
+    ExecOutcome {
+        duration: total.mul_f64(slowdown),
+        mean_occupancy,
     }
 }
 
@@ -192,7 +65,7 @@ pub(crate) struct ExecTables<'a> {
     sim: &'a ServingSim<'a>,
     /// Per stage, one table per kind.
     tables: Vec<Vec<ExecTable<'a>>>,
-    hist: Vec<u32>,
+    hist: Vec<usize>,
 }
 
 impl<'a> ExecTables<'a> {
@@ -214,7 +87,7 @@ impl<'a> ExecTables<'a> {
     ) -> ExecOutcome {
         let sim = self.sim;
         let kinds = &mut self.tables[stage];
-        let at = match kinds.iter().position(|t| t.gpu == gpu) {
+        let at = match kinds.iter().position(|t| t.gpu() == gpu) {
             Some(at) => at,
             None => {
                 let spec = &sim.stages[stage];
@@ -229,18 +102,19 @@ impl<'a> ExecTables<'a> {
                 kinds.len() - 1
             }
         };
-        kinds[at].execute(samples, slowdown, &mut self.hist)
+        execute(&mut kinds[at], samples, slowdown, &mut self.hist)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use e3_hardware::ExitOverheads;
-    use e3_model::{zoo, RampStyle};
+    use e3_hardware::{ExitOverheads, LatencyModel};
+    use e3_model::{zoo, EeModel, RampController, RampStyle};
     use e3_simcore::SimTime;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::ops::Range;
 
     /// The per-layer walk [`ExecTable`] tables: counts the live samples
     /// at every layer and prices each from the latency model.
@@ -331,11 +205,8 @@ mod tests {
         batch: &[SimSample],
         slowdown: f64,
     ) -> ExecOutcome {
-        ExecTable::new(m, c, lm, GpuKind::V100, stage, false).execute(
-            batch,
-            slowdown,
-            &mut Vec::new(),
-        )
+        let mut table = ExecTable::new(m, c, lm, GpuKind::V100, stage, false);
+        execute(&mut table, batch, slowdown, &mut Vec::new())
     }
 
     #[test]
@@ -432,9 +303,9 @@ mod tests {
                 } else {
                     rng.gen_range(0.1..8.0)
                 };
-                let width = table.width;
-                let got = table.execute(&batch, slowdown, &mut hist);
-                grew += usize::from(table.width > width && width > 0);
+                let width = table.width();
+                let got = execute(&mut table, &batch, slowdown, &mut hist);
+                grew += usize::from(table.width() > width && width > 0);
                 let want = execute_batch(
                     model,
                     &ctrl,

@@ -43,21 +43,25 @@
 //!
 //! Membership changes at every token, so every step prices a new pass.
 //! [`run_continuous`] therefore builds a `StepCosts` once per run: every
-//! duration a pass can add, tabulated by width `w` in `0..=b0`:
+//! duration a pass can add, tabled by width `w` in `0..=b0`:
 //!
-//! * the encoder prefix for `w` fresh joiners;
-//! * each stage-A and stage-B layer, plus its exit ramp when the ramp
-//!   controller pays for it, plus that ramp's batch re-formation unless
-//!   exits are deferred;
-//! * the lm head, and the deferred boundary re-formation;
+//! * each stage's decoder layers: one [`ExecTable`] per stage, filled to
+//!   `b0`. It is the stage price the planner and the batch executor read
+//!   too: each layer, plus its exit ramp when the ramp controller pays
+//!   for it, plus that ramp's batch re-formation unless exits are
+//!   deferred;
+//! * the terms only token serving has: the encoder prefix for `w` fresh
+//!   joiners, the lm head, and the deferred boundary re-formation of the
+//!   `w` members that cross;
 //!
 //! and, by debt `d` up to the longest sequence, the rebuild a preempted
 //! sequence repays on rejoin (prefill, or the PCIe swap-in). A stage-A
 //! step then makes one pass over its members: it counts joiners, repays
 //! debts and buckets each member's executed depth into a histogram.
-//! Walking the histogram gives each layer's width (the members not yet
-//! exited), and the pass adds one table entry per layer. Finishers are
-//! the top bucket. A stage-B step buckets its fused batch the same way.
+//! Walking the histogram through the stage's table gives each layer's
+//! width (the members not yet exited) and adds one entry per layer; a
+//! padded window adds one row at its padded width. Finishers are the top
+//! bucket. A stage-B step buckets its fused batch the same way.
 //! Every lookup indexes its table directly. A stage-A pass takes at most
 //! `b0` members, window admission caps a padded window at `b0`, and the
 //! fusion buffer caps a stage-B batch at `b0`, so no width exceeds `b0`.
@@ -74,6 +78,7 @@ use std::collections::VecDeque;
 
 use e3_hardware::{GpuKind, LatencyModel, LinkKind};
 use e3_model::{EeModel, RampController};
+use e3_optimizer::stage::ExecTable;
 use e3_simcore::{EventQueue, SimDuration, SimQueue, SimTime};
 
 use super::faults::FaultPlan;
@@ -241,17 +246,6 @@ struct Tokens<'a, Q> {
     hist: Vec<usize>,
 }
 
-/// One stage's layers, priced once per width.
-struct StageTable {
-    /// Absolute index of the stage's first layer.
-    first: usize,
-    /// Layers in the stage.
-    span: usize,
-    /// `costs[j * (b0 + 1) + w]`: layer `first + j` at width `w`, as
-    /// [`StepCosts::layer_direct`] prices it.
-    costs: Vec<SimDuration>,
-}
-
 /// Every duration a pass adds, precomputed once per run (see the module
 /// docs). Widths never exceed `b0` and debts never exceed the longest
 /// sequence, so every lookup indexes its table directly.
@@ -259,10 +253,10 @@ struct StepCosts<'a> {
     cfg: &'a ContinuousConfig<'a>,
     /// `encoder[w]`: the encoder prefix for `w` fresh joiners.
     encoder: Vec<SimDuration>,
-    /// Decoder layers `enc..cut`.
-    stage_a: StageTable,
-    /// Layers `cut..L` (no layers in a single-stage run).
-    stage_b: StageTable,
+    /// Decoder layers `enc..cut`, tabled to `b0`.
+    stage_a: ExecTable<'a>,
+    /// Layers `cut..L` (no layers in a single-stage run), tabled to `b0`.
+    stage_b: ExecTable<'a>,
     /// `head[w]`: the lm head at width `w`.
     head: Vec<SimDuration>,
     /// `reform[w]`: one batch re-formation at width `w`.
@@ -273,20 +267,23 @@ struct StepCosts<'a> {
 
 impl<'a> StepCosts<'a> {
     fn new(cfg: &'a ContinuousConfig<'a>, enc: usize, cut: usize, max_debt: usize) -> Self {
-        let layers = cfg.model.num_layers();
+        let stage = |layers| {
+            let mut table = ExecTable::new(
+                cfg.model,
+                cfg.ctrl,
+                cfg.lm,
+                cfg.gpu,
+                layers,
+                cfg.deferred_exits,
+            );
+            table.fill(cfg.b0);
+            table
+        };
         let mut costs = StepCosts {
             cfg,
             encoder: Vec::new(),
-            stage_a: StageTable {
-                first: enc,
-                span: cut - enc,
-                costs: Vec::new(),
-            },
-            stage_b: StageTable {
-                first: cut,
-                span: layers - cut,
-                costs: Vec::new(),
-            },
+            stage_a: stage(enc..cut),
+            stage_b: stage(cut..cfg.model.num_layers()),
             head: Vec::new(),
             reform: Vec::new(),
             rebuild: Vec::new(),
@@ -294,76 +291,36 @@ impl<'a> StepCosts<'a> {
         let widths = 0..=cfg.b0;
         costs.encoder = widths.clone().map(|w| costs.encoder_direct(w)).collect();
         costs.head = widths.clone().map(|w| costs.head_direct(w)).collect();
-        costs.reform = widths.map(|w| costs.reform_direct(w)).collect();
+        costs.reform = widths.map(|w| cfg.lm.exit.reform_time(w as f64)).collect();
         costs.rebuild = (0..=max_debt).map(|d| costs.rebuild_direct(d)).collect();
-        costs.stage_a.costs = costs.tabulate(&costs.stage_a);
-        costs.stage_b.costs = costs.tabulate(&costs.stage_b);
         costs
     }
 
-    /// The per-width rows of `st`'s layers.
-    fn tabulate(&self, st: &StageTable) -> Vec<SimDuration> {
-        (st.first..st.first + st.span)
-            .flat_map(|k| (0..=self.cfg.b0).map(move |w| (k, w)))
-            .map(|(k, w)| self.layer_direct(k, w))
-            .collect()
-    }
-
-    /// Calibrated work of absolute layer `k`.
-    fn layer_work(&self, k: usize) -> f64 {
-        let l = self.cfg.model.layers()[k];
-        l.work_us + l.fixed_us
-    }
-
-    fn layer_time(&self, work_us: f64, w: usize) -> SimDuration {
-        self.cfg.lm.layer_time(work_us, w as f64, self.cfg.gpu)
-    }
-
-    /// Layer `k` at width `w`: the layer, plus its exit ramp when the
-    /// controller pays for it, plus that ramp's re-formation unless exits
-    /// are deferred. A layer no member reaches costs nothing.
-    fn layer_direct(&self, k: usize, w: usize) -> SimDuration {
-        if w == 0 {
-            return SimDuration::ZERO;
-        }
-        let mut t = self.layer_time(self.layer_work(k), w);
-        if let Some(ri) = self.cfg.model.ramp_after(k) {
-            if self.cfg.ctrl.pays_cost_at(ri) {
-                let ramp = self.cfg.model.ramps()[ri];
-                t += self.layer_time(ramp.work_us + ramp.fixed_us, w);
-                if !self.cfg.deferred_exits {
-                    t += self.reform_direct(w);
-                }
-            }
-        }
-        t
+    /// Absolute layer `k` at width `w`, without its ramp.
+    fn layer(&self, k: usize, w: usize) -> SimDuration {
+        let (cfg, spec) = (self.cfg, self.cfg.model.layers()[k]);
+        cfg.lm
+            .layer_time(spec.work_us + spec.fixed_us, w as f64, cfg.gpu)
     }
 
     fn encoder_direct(&self, w: usize) -> SimDuration {
         if w == 0 {
             return SimDuration::ZERO;
         }
-        (0..self.stage_a.first).fold(SimDuration::ZERO, |t, k| {
-            t + self.layer_time(self.layer_work(k), w)
-        })
+        (0..self.stage_a.stage().start).fold(SimDuration::ZERO, |t, k| t + self.layer(k, w))
     }
 
     fn head_direct(&self, w: usize) -> SimDuration {
         let head = self.cfg.model.autoreg().expect("autoreg").lm_head;
-        self.layer_time(head.work_us + head.fixed_us, w)
-    }
-
-    fn reform_direct(&self, w: usize) -> SimDuration {
-        self.cfg.lm.exit.reform_time(w as f64)
+        (self.cfg.lm).layer_time(head.work_us + head.fixed_us, w as f64, self.cfg.gpu)
     }
 
     /// One pass over stage A's layers with `d` positions batched
     /// together, ramps excluded: the prefill that rebuilds a cache.
     fn prefill_direct(&self, d: usize) -> SimDuration {
-        let st = &self.stage_a;
-        (st.first..st.first + st.span).fold(SimDuration::ZERO, |t, k| {
-            t + self.layer_time(self.layer_work(k), d)
-        })
+        self.stage_a
+            .stage()
+            .fold(SimDuration::ZERO, |t, k| t + self.layer(k, d))
     }
 
     fn rebuild_direct(&self, d: usize) -> SimDuration {
@@ -386,31 +343,6 @@ impl<'a> StepCosts<'a> {
     fn rebuild(&self, d: usize) -> SimDuration {
         debug_assert!(d < self.rebuild.len(), "debt longer than any sequence");
         self.rebuild[d]
-    }
-
-    fn layer(&self, st: &StageTable, j: usize, w: usize) -> SimDuration {
-        let b0 = self.cfg.b0;
-        debug_assert!(w <= b0, "layer width past the table");
-        st.costs[j * (b0 + 1) + w]
-    }
-
-    /// A stage's layers for the members bucketed in `hist`, where
-    /// `hist[j]` counts members that stop after the stage's first `j`
-    /// layers and `n` is their total: layer `j` runs at the width left
-    /// once the buckets up to `j` have exited.
-    fn layers(&self, st: &StageTable, hist: &[usize], n: usize) -> SimDuration {
-        let mut w = n;
-        let mut t = SimDuration::ZERO;
-        for (j, &h) in hist[..st.span].iter().enumerate() {
-            w -= h;
-            t += self.layer(st, j, w);
-        }
-        t
-    }
-
-    /// A stage's layers all charged at width `w` (padded windows).
-    fn layers_at(&self, st: &StageTable, w: usize) -> SimDuration {
-        (0..st.span).fold(SimDuration::ZERO, |t, j| t + self.layer(st, j, w))
     }
 }
 
@@ -677,8 +609,8 @@ impl<'a, Q: SimQueue<Event<BFlush>>> Tokens<'a, Q> {
         // Joiners and crossers are pass members: never more than b0.
         cost += costs.encoder[joiners];
         cost += match padded_width {
-            Some(w) => costs.layers_at(&costs.stage_a, w),
-            None => costs.layers(&costs.stage_a, &hist, pass.len()),
+            Some(w) => costs.stage_a.walk(&[], w),
+            None => costs.stage_a.walk(&hist, pass.len()),
         };
         if self.two_stage() {
             if self.cfg.deferred_exits {
@@ -916,7 +848,7 @@ impl<'a, Q: SimQueue<Event<BFlush>>> Tokens<'a, Q> {
                 hist[j.layers_executed.clamp(cut, full) - cut] += 1;
             }
             let costs = &self.costs;
-            let cost = costs.layers(&costs.stage_b, &hist, size) + costs.head(size);
+            let cost = costs.stage_b.walk(&hist, size) + costs.head(size);
             self.hist = hist;
             let cost = self.stretch(r, cost);
             self.core.acc.record_dispatch(1, size as f64);

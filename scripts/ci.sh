@@ -96,8 +96,10 @@ done
 grep -q "events_per_sec" /tmp/bench_kernel.out
 # The sections' event and layer counts depend on the code, not the host:
 # a kernel change that alters how many events a run emits shows here.
-grep -q '"bench":"kernel",.*"events":55934,' /tmp/bench_kernel.out
-grep -q '"bench":"kernel_continuous",.*"events":594756,' /tmp/bench_kernel.out
+# The two kernel sections also pin a digest of every event's time and
+# text, so a mispriced layer that keeps the counts shows too.
+grep -q '"bench":"kernel",.*"events":55934,"digest":"74d5066f5d802e83",' /tmp/bench_kernel.out
+grep -q '"bench":"kernel_continuous",.*"events":594756,"digest":"50ecd1d23599bc7a",' /tmp/bench_kernel.out
 grep -q '"bench":"kernel_multi_tenant",.*"events":8568,' /tmp/bench_kernel.out
 # The exit sampler is pinned by its outcomes, not only their layer sum:
 # a digest of every outcome and the RNG's next word, under DeeBERT's
