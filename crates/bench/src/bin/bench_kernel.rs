@@ -2,13 +2,15 @@
 //!
 //! Six sections, one JSON line each, so CI can archive the output as
 //! `BENCH_kernel.json` and diff `events_per_sec` against the committed
-//! baseline:
+//! baseline. Each line also carries `minor_faults`, the process's minor
+//! page faults over the section's timed loop, so a rate outlier comes
+//! with the allocation signal that may explain it:
 //!
 //! 1. `kernel` — the fixed fig. 7 E3 configuration (BERT/DeeBERT on 16
 //!    V100s, b=8, 20k requests). The Monte-Carlo materialization runs
 //!    *once* (`ServingSim::materialize_backlog`); the timed region is
 //!    the kernel event loop alone (`run_backlog_observed`), repeated to
-//!    amortize timer noise. This is the number the arena calendar queue
+//!    amortize timer noise. This is the number the compact-key event heap
 //!    and the allocation-free batch loops are accountable to.
 //! 2. `kernel_continuous` — CALM-T5 continuous batching on SAMSum in the
 //!    benchmark's `llm_kv_sweep` shape: 2000 sequences, five KV budgets
@@ -20,7 +22,8 @@
 //!    change that moves when events happen shows even when it keeps
 //!    their count.
 //! 3. `kernel_multi_tenant` — three NLP tenants under joint allocation
-//!    on 6 V100s; events are every tenant's tagged kernel stream.
+//!    on 6 V100s; events are every tenant's tagged kernel stream, and
+//!    `digest` covers them as in the sections above.
 //! 4. `materialize` — the Monte-Carlo materialization the `kernel`
 //!    section excludes: `ServingSim::materialize_backlog` over the same
 //!    20k DeeBERT/SST-2 requests, reported as the fastest of [`REPS`]
@@ -34,7 +37,8 @@
 //!    SLO-slack admission: DeeBERT/SST-2 on 4×2 V100s at b=8 under one
 //!    Twitter-like bursty rate over a 30 s horizon, in the shape of the
 //!    benchmark's `open_bursty` workload. The backlog is materialized
-//!    once and the timed region is the kernel alone.
+//!    once and the timed region is the kernel alone. Its `digest` pins
+//!    the stream the arrival backlog and the event queue merge into.
 //! 6. `generate` — the arrival and hardness generation the `kernel_open`
 //!    section excludes, at the `open_bursty` shape: SST-2 requests under
 //!    each of six Twitter-like bursty rates (400–1000 req/s) over 30 s,
@@ -89,14 +93,34 @@ impl RunObserver for CountingObserver {
     }
 }
 
-/// FNV-1a over the time and `{:?}` text of every event in `log`, so a
+/// FNV-1a over the time and `{:?}` text of every event of a run, so a
 /// run that emits as many events at other times (a mispriced layer, say)
 /// changes the digest.
-fn event_digest(log: &EventLog) -> u64 {
-    log.events.iter().fold(FNV_BASIS, |digest, (now, event)| {
+fn event_digest<'a>(events: impl IntoIterator<Item = (SimTime, &'a KernelEvent)>) -> u64 {
+    events.into_iter().fold(FNV_BASIS, |digest, (now, event)| {
         let digest = fnv1a(digest, &now.as_nanos().to_le_bytes());
         fnv1a(digest, format!("{event:?}").as_bytes())
     })
+}
+
+/// The process's minor page faults so far (field 10 of
+/// `/proc/self/stat`), or `None` where that file is unreadable. Read
+/// around a timed loop, the difference shows how much of it went to
+/// first-touching fresh heap pages.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // The command name (field 2) may hold spaces; count from after it.
+    let (_, rest) = stat.rsplit_once(')')?;
+    rest.split_whitespace().nth(7)?.parse().ok()
+}
+
+/// The minor faults since `before`, as a JSON value (`null` where they
+/// could not be read).
+fn faults_since(before: Option<u64>) -> String {
+    match (before, minor_faults()) {
+        (Some(before), Some(after)) => (after - before).to_string(),
+        _ => "null".to_string(),
+    }
 }
 
 /// Section 1: windowed kernel loop over a pre-materialized backlog.
@@ -112,22 +136,28 @@ fn bench_windowed() {
     // and digests the event stream.
     let mut log = EventLog::new();
     let report = sim.run_backlog_observed(backlog.clone(), &mut log);
-    let (per_run, digest) = (log.events.len(), event_digest(&log));
+    let (per_run, digest) = (
+        log.events.len(),
+        event_digest(log.events.iter().map(|(now, e)| (*now, e))),
+    );
 
     let mut obs = CountingObserver { events: 0 };
+    let faults_before = minor_faults();
     let start = Instant::now();
     for _ in 0..REPS {
         sim.run_backlog_observed(backlog.clone(), &mut obs);
     }
     let wall = start.elapsed().as_secs_f64();
+    let faults = faults_since(faults_before);
     println!(
-        "{{\"bench\":\"kernel\",\"requests\":{},\"completed\":{},\"events\":{},\"digest\":\"{:016x}\",\"wall_secs\":{:.3},\"events_per_sec\":{:.0}}}",
+        "{{\"bench\":\"kernel\",\"requests\":{},\"completed\":{},\"events\":{},\"digest\":\"{:016x}\",\"wall_secs\":{:.3},\"events_per_sec\":{:.0},\"minor_faults\":{}}}",
         RUN_N,
         report.completed,
         per_run,
         digest,
         wall,
-        obs.events as f64 / wall.max(1e-9)
+        obs.events as f64 / wall.max(1e-9),
+        faults
     );
 }
 
@@ -181,23 +211,29 @@ fn bench_continuous() {
     // Warm-up sweep: counts and digests the events of one repetition.
     let mut log = EventLog::new();
     let completed = sweep(&mut log);
-    let (per_rep, digest) = (log.events.len(), event_digest(&log));
+    let (per_rep, digest) = (
+        log.events.len(),
+        event_digest(log.events.iter().map(|(now, e)| (*now, e))),
+    );
 
+    let faults_before = minor_faults();
     let mut best = f64::INFINITY;
     for _ in 0..REPS {
         let start = Instant::now();
         sweep(&mut CountingObserver { events: 0 });
         best = best.min(start.elapsed().as_secs_f64());
     }
+    let faults = faults_since(faults_before);
     println!(
-        "{{\"bench\":\"kernel_continuous\",\"sequences\":{},\"runs\":{},\"completed\":{},\"events\":{},\"digest\":\"{:016x}\",\"wall_secs\":{:.4},\"events_per_sec\":{:.0}}}",
+        "{{\"bench\":\"kernel_continuous\",\"sequences\":{},\"runs\":{},\"completed\":{},\"events\":{},\"digest\":\"{:016x}\",\"wall_secs\":{:.4},\"events_per_sec\":{:.0},\"minor_faults\":{}}}",
         n_seqs,
         configs.len(),
         completed,
         per_rep,
         digest,
         best,
-        per_rep as f64 / best.max(1e-9)
+        per_rep as f64 / best.max(1e-9),
+        faults
     );
 }
 
@@ -225,8 +261,10 @@ fn bench_multi_tenant() {
     let mut log = TaggedEventLog::new();
     let report = sys.run_observed(&MarginalGoodput::default(), &mut log);
     let per_run = log.events.len() as u64;
+    let digest = event_digest(log.events.iter().map(|(_, now, e)| (*now, e)));
 
     let mut events = 0u64;
+    let faults_before = minor_faults();
     let start = Instant::now();
     for _ in 0..REPS {
         let mut log = TaggedEventLog::new();
@@ -234,12 +272,15 @@ fn bench_multi_tenant() {
         events += log.events.len() as u64;
     }
     let wall = start.elapsed().as_secs_f64();
+    let faults = faults_since(faults_before);
     println!(
-        "{{\"bench\":\"kernel_multi_tenant\",\"tenants\":3,\"windows\":4,\"completed\":{},\"events\":{},\"wall_secs\":{:.3},\"events_per_sec\":{:.0}}}",
+        "{{\"bench\":\"kernel_multi_tenant\",\"tenants\":3,\"windows\":4,\"completed\":{},\"events\":{},\"digest\":\"{:016x}\",\"wall_secs\":{:.3},\"events_per_sec\":{:.0},\"minor_faults\":{}}}",
         report.tenants.iter().map(|t| t.within_slo()).sum::<u64>(),
         per_run,
+        digest,
         wall,
-        events as f64 / wall.max(1e-9)
+        events as f64 / wall.max(1e-9),
+        faults
     );
 }
 
@@ -297,20 +338,23 @@ fn bench_materialize() {
     let pabee = zoo::pabee();
     let patience = zoo::default_policy(pabee.name());
     let patience_digest = policy_digest(&pabee, patience, &exp.dataset, &hardness, run_seed);
+    let faults_before = minor_faults();
     let mut best = f64::INFINITY;
     for _ in 0..REPS {
         let start = Instant::now();
         std::hint::black_box(sim.materialize_backlog(&reqs, run_seed));
         best = best.min(start.elapsed().as_secs_f64());
     }
+    let faults = faults_since(faults_before);
     println!(
-        "{{\"bench\":\"materialize\",\"samples\":{},\"layers\":{},\"digest\":\"{:016x}\",\"patience_digest\":\"{:016x}\",\"wall_secs\":{:.4},\"events_per_sec\":{:.0}}}",
+        "{{\"bench\":\"materialize\",\"samples\":{},\"layers\":{},\"digest\":\"{:016x}\",\"patience_digest\":\"{:016x}\",\"wall_secs\":{:.4},\"events_per_sec\":{:.0},\"minor_faults\":{}}}",
         reqs.len(),
         layers,
         digest,
         patience_digest,
         best,
-        reqs.len() as f64 / best.max(1e-9)
+        reqs.len() as f64 / best.max(1e-9),
+        faults
     );
 }
 
@@ -340,25 +384,32 @@ fn bench_open() {
         .open_loop(horizon)
         .build();
     let backlog = sim.materialize_backlog(&reqs, SEED);
-    // Warm-up pass: counts the events of one run.
-    let mut obs = CountingObserver { events: 0 };
-    let report = sim.run_backlog_observed(backlog.clone(), &mut obs);
-    let per_run = obs.events;
+    // Warm-up pass: counts and digests the events of one run.
+    let mut log = EventLog::new();
+    let report = sim.run_backlog_observed(backlog.clone(), &mut log);
+    let (per_run, digest) = (
+        log.events.len(),
+        event_digest(log.events.iter().map(|(now, e)| (*now, e))),
+    );
 
     let mut obs = CountingObserver { events: 0 };
+    let faults_before = minor_faults();
     let start = Instant::now();
     for _ in 0..REPS {
         sim.run_backlog_observed(backlog.clone(), &mut obs);
     }
     let wall = start.elapsed().as_secs_f64();
+    let faults = faults_since(faults_before);
     println!(
-        "{{\"bench\":\"kernel_open\",\"requests\":{},\"completed\":{},\"dropped\":{},\"events\":{},\"wall_secs\":{:.3},\"events_per_sec\":{:.0}}}",
+        "{{\"bench\":\"kernel_open\",\"requests\":{},\"completed\":{},\"dropped\":{},\"events\":{},\"digest\":\"{:016x}\",\"wall_secs\":{:.3},\"events_per_sec\":{:.0},\"minor_faults\":{}}}",
         reqs.len(),
         report.completed,
         report.dropped,
         per_run,
+        digest,
         wall,
-        obs.events as f64 / wall.max(1e-9)
+        obs.events as f64 / wall.max(1e-9),
+        faults
     );
 }
 
@@ -396,6 +447,7 @@ fn bench_generate() {
             }
         }
     }
+    let faults_before = minor_faults();
     let mut best = f64::INFINITY;
     for _ in 0..REPS {
         let start = Instant::now();
@@ -404,13 +456,15 @@ fn bench_generate() {
         }
         best = best.min(start.elapsed().as_secs_f64());
     }
+    let faults = faults_since(faults_before);
     println!(
-        "{{\"bench\":\"generate\",\"rates\":{},\"requests\":{},\"digest\":\"{:016x}\",\"wall_secs\":{:.4},\"events_per_sec\":{:.0}}}",
+        "{{\"bench\":\"generate\",\"rates\":{},\"requests\":{},\"digest\":\"{:016x}\",\"wall_secs\":{:.4},\"events_per_sec\":{:.0},\"minor_faults\":{}}}",
         RATES.len(),
         requests,
         digest,
         best,
-        requests as f64 / best.max(1e-9)
+        requests as f64 / best.max(1e-9),
+        faults
     );
 }
 

@@ -293,8 +293,8 @@ impl<'a> ServingSim<'a> {
         (admission, batching)
     }
 
-    /// Serves `backlog` on event queue `Q` (the calendar queue in every
-    /// run, the binary-heap reference in the differential test), or with
+    /// Serves `backlog` on event queue `Q` (the compact-key `EventQueue`
+    /// in every run, the `ReferenceQueue` in the differential test), or with
     /// the barrier schedule when the plan is serial.
     fn serve<Q: SimQueue<Event<Ev>>>(
         &self,
@@ -824,17 +824,17 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
-        /// The arena-backed calendar queue must be observationally
-        /// indistinguishable from the binary-heap
+        /// The arena-backed [`e3_simcore::EventQueue`] must be
+        /// observationally indistinguishable from the
         /// [`e3_simcore::ReferenceQueue`] it replaced. Both queues drive the
         /// same kernel over the same materialized backlog; the *entire*
         /// kernel event stream — every event, timestamp, and ordering
         /// decision, under arbitrary decoded fault plans — must come out
-        /// identical. Duplicate-timestamp FIFO ties are where heap and
-        /// calendar orderings could legally diverge, so fault times are
+        /// identical. Duplicate-timestamp FIFO ties are where two queue
+        /// layouts could legally diverge, so fault times are
         /// drawn from a coarse grid to force plenty of simultaneous events.
         #[test]
-        fn calendar_queue_replays_reference_event_stream(
+        fn event_queue_replays_reference_event_stream(
             words in proptest::collection::vec(0u64..u64::MAX, 1..6),
             seed in 0u64..u64::MAX,
         ) {
@@ -854,8 +854,8 @@ mod tests {
                 })
                 .collect();
 
-            let mut calendar_log = EventLog::new();
-            let calendar = sim.run(&requests, seed, &mut calendar_log);
+            let mut queue_log = EventLog::new();
+            let queue = sim.run(&requests, seed, &mut queue_log);
             let mut reference_log = EventLog::new();
             let reference = sim.serve::<e3_simcore::ReferenceQueue<Event<Ev>>>(
                 sim.materialize_backlog(&requests, seed),
@@ -863,12 +863,12 @@ mod tests {
                 &mut reference_log,
             );
 
-            prop_assert_eq!(calendar_log.events.len(), reference_log.events.len());
-            prop_assert_eq!(&calendar_log.events, &reference_log.events);
-            prop_assert_eq!(calendar.completed, reference.completed);
-            prop_assert_eq!(calendar.within_slo, reference.within_slo);
-            prop_assert_eq!(calendar.dropped, reference.dropped);
-            prop_assert_eq!(calendar.duration, reference.duration);
+            prop_assert_eq!(queue_log.events.len(), reference_log.events.len());
+            prop_assert_eq!(&queue_log.events, &reference_log.events);
+            prop_assert_eq!(queue.completed, reference.completed);
+            prop_assert_eq!(queue.within_slo, reference.within_slo);
+            prop_assert_eq!(queue.dropped, reference.dropped);
+            prop_assert_eq!(queue.duration, reference.duration);
         }
 
         /// Open-loop arrivals are merged from the backlog, not put on the
@@ -916,11 +916,11 @@ mod tests {
                 let backlog = sim.materialize_backlog(&requests, seed);
                 let mut upfront_log = EventLog::new();
                 let upfront = serve_open::<Reference>(&sim, backlog.clone(), true, &mut upfront_log);
-                let mut calendar_log = EventLog::new();
-                let calendar = sim.run_backlog_observed(backlog.clone(), &mut calendar_log);
+                let mut queue_log = EventLog::new();
+                let queue = sim.run_backlog_observed(backlog.clone(), &mut queue_log);
                 let mut merged_log = EventLog::new();
                 let merged = serve_open::<Reference>(&sim, backlog, false, &mut merged_log);
-                for (log, report) in [(&calendar_log, &calendar), (&merged_log, &merged)] {
+                for (log, report) in [(&queue_log, &queue), (&merged_log, &merged)] {
                     prop_assert_eq!(&log.events, &upfront_log.events);
                     prop_assert_eq!(report.completed, upfront.completed);
                     prop_assert_eq!(report.within_slo, upfront.within_slo);

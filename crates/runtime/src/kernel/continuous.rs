@@ -363,8 +363,8 @@ pub fn run_continuous(
     run_on::<EventQueue<_>>(cfg, specs, observer)
 }
 
-/// [`run_continuous`] on event queue `Q`: the calendar queue in every
-/// run, the binary-heap reference in the differential test.
+/// [`run_continuous`] on event queue `Q`: the compact-key `EventQueue`
+/// in every run, the `ReferenceQueue` in the differential test.
 fn run_on<'a, Q: SimQueue<Event<BFlush>>>(
     cfg: &'a ContinuousConfig<'a>,
     specs: &'a [SequenceSpec],
@@ -1274,13 +1274,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Token serving on the calendar queue replays the binary-heap
+        /// Token serving on the compact-key event queue replays the
         /// reference queue event for event: single- and two-stage splits,
         /// both joins, KV budgets that preempt, and decoded fault plans
         /// with link outages. The token-side twin of
-        /// `engine::tests::calendar_queue_replays_reference_event_stream`.
+        /// `engine::tests::event_queue_replays_reference_event_stream`.
         #[test]
-        fn calendar_queue_replays_reference_token_stream(
+        fn event_queue_replays_reference_token_stream(
             words in proptest::collection::vec(0u64..u64::MAX, 0..6),
             seed in 0u64..u64::MAX,
         ) {
@@ -1322,13 +1322,13 @@ mod tests {
                 })
                 .collect();
 
-            let mut calendar_log = EventLog::new();
-            let calendar = run_on::<EventQueue<_>>(&cfg, &specs, &mut calendar_log);
+            let mut queue_log = EventLog::new();
+            let queue = run_on::<EventQueue<_>>(&cfg, &specs, &mut queue_log);
             let mut reference_log = EventLog::new();
             let reference =
                 run_on::<e3_simcore::ReferenceQueue<_>>(&cfg, &specs, &mut reference_log);
 
-            prop_assert_eq!(&calendar_log.events, &reference_log.events);
+            prop_assert_eq!(&queue_log.events, &reference_log.events);
             let outcome = |o: &ContinuousOutcome| {
                 let r = &o.report;
                 (
@@ -1341,7 +1341,7 @@ mod tests {
                     o.leftover,
                 )
             };
-            prop_assert_eq!(outcome(&calendar), outcome(&reference));
+            prop_assert_eq!(outcome(&queue), outcome(&reference));
         }
     }
 

@@ -104,8 +104,8 @@ struct Life {
 /// windows, the accounting, the observer and every replica's lifecycle.
 ///
 /// Generic over the event queue so differential tests can replay the
-/// identical run on the binary-heap [`e3_simcore::ReferenceQueue`] and
-/// compare event streams against the calendar-queue default.
+/// identical run on the [`e3_simcore::ReferenceQueue`] and compare event
+/// streams against the [`e3_simcore::EventQueue`] default.
 pub(crate) struct Core<'a, E, Q> {
     q: Q,
     faults: FaultState<'a>,

@@ -96,18 +96,20 @@ done
 grep -q "events_per_sec" /tmp/bench_kernel.out
 # The sections' event and layer counts depend on the code, not the host:
 # a kernel change that alters how many events a run emits shows here.
-# The two kernel sections also pin a digest of every event's time and
-# text, so a mispriced layer that keeps the counts shows too.
+# The four kernel sections also pin a digest of every event's time and
+# text, so a mispriced layer or a reordered event that keeps the counts
+# shows too.
 grep -q '"bench":"kernel",.*"events":55934,"digest":"74d5066f5d802e83",' /tmp/bench_kernel.out
 grep -q '"bench":"kernel_continuous",.*"events":594756,"digest":"50ecd1d23599bc7a",' /tmp/bench_kernel.out
-grep -q '"bench":"kernel_multi_tenant",.*"events":8568,' /tmp/bench_kernel.out
+grep -q '"bench":"kernel_multi_tenant",.*"events":8568,"digest":"769c989f6e218ee2",' /tmp/bench_kernel.out
 # The exit sampler is pinned by its outcomes, not only their layer sum:
 # a digest of every outcome and the RNG's next word, under DeeBERT's
 # entropy threshold and under PABEE's patience policy.
 grep -q '"bench":"materialize",.*"layers":109136,"digest":"aa245db311d238db","patience_digest":"8b764e1fc45cd19c",' /tmp/bench_kernel.out
 # The open-loop section is the one that runs SLO-slack admission, so its
-# drop count is gated too.
-grep -q '"bench":"kernel_open",.*"dropped":263,"events":87267,' /tmp/bench_kernel.out
+# drop count is gated too; it is also the one that merges the arrival
+# backlog with the queue through `pop_before`.
+grep -q '"bench":"kernel_open",.*"dropped":263,"events":87267,"digest":"cd3783f1ca499717",' /tmp/bench_kernel.out
 # Generation is pinned by its request count and a digest of every
 # request's arrival and hardness bits: a sampling change that moves one
 # draw shows here.
