@@ -25,7 +25,7 @@ use e3_scenarios::ScenarioMatrix;
 use e3_simcore::{SeedSplitter, SimDuration, SimTime};
 use e3_tenancy::{
     ClusterAllocator, DemandProportional, MarginalGoodput, MultiTenantSystem, StaticEven,
-    TenancyConfig, TenantSpec,
+    TenancyConfig, TenantSpec, SLO_FLOOR,
 };
 use e3_workload::{ArrivalProcess, BurstyTraceConfig, DatasetModel, Phase, WorkloadGenerator};
 use rand::rngs::StdRng;
@@ -1116,12 +1116,12 @@ pub(crate) fn oscillating_phases(settle: usize, burst: usize, severity: f64) -> 
 /// misprediction burst of the given severity, with the watchdog and
 /// canary/rollback machinery on or off.
 fn reconfig_goodput(severity: f64, guarded: bool) -> (f64, e3::E3Report) {
-    let mut cfg = E3Config {
+    let cfg = E3Config {
         seed: 7,
         requests_per_window: 4000,
+        guarded,
         ..Default::default()
     };
-    cfg.reconfig.guarded = guarded;
     let sys = E3System::new(
         zoo::deebert(),
         zoo::default_policy("DeeBERT"),
@@ -1309,7 +1309,7 @@ pub(crate) fn fig_multitenant_report() -> String {
         "under skewed demand MarginalGoodput's water-filling beats the even split by up to {:.2}x aggregate goodput while every tenant {} the {:.0}% SLO-attainment floor",
         gain,
         if floor_ok { "clears" } else { "MISSES" },
-        cfg.slo_floor * 100.0,
+        SLO_FLOOR * 100.0,
     )));
     out
 }

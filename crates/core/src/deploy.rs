@@ -137,7 +137,6 @@ impl<'m, 's> DeploymentBuilder<'m, 's> {
                 fault_plan: self.fault_plan,
                 detect_stragglers: self.detect_stragglers,
                 queue_cap: self.queue_cap,
-                ..Default::default()
             },
         )
     }

@@ -33,7 +33,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::deploy::DeploymentBuilder;
-use crate::system::{measure_profile, useful_ramps};
+use crate::system::{exit_wrapper, measure_profile};
 
 /// Which serving system to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -551,24 +551,20 @@ impl Experiment {
     /// error-injected copy and the exit wrapper the exact one.
     fn sim(&self, kind: SystemKind, batch: usize, horizon: Option<SimDuration>) -> ServingSim<'_> {
         let model = self.family.model_for(kind);
-        let (strategy, wrapper_ramps) = match kind {
-            SystemKind::Vanilla => (Strategy::Vanilla { batch }, None),
-            SystemKind::NaiveEe => (Strategy::NaiveEe { batch }, None),
+        let mut ctrl =
+            RampController::all_enabled(model.num_ramps(), self.family.policy.ramp_style());
+        let strategy = match kind {
+            SystemKind::Vanilla => Strategy::Vanilla { batch },
+            SystemKind::NaiveEe => Strategy::NaiveEe { batch },
             SystemKind::E3 => {
                 let profile = self.profile();
                 let plan = self.plan_from(&profile, batch);
-                let keep = self
-                    .opts
-                    .use_wrapper
-                    .then(|| useful_ramps(model, &profile, &plan.boundaries(), 0.04));
-                (Strategy::Plan(plan), keep)
+                if self.opts.use_wrapper {
+                    ctrl = exit_wrapper(model, ctrl, &profile, &plan.boundaries());
+                }
+                Strategy::Plan(plan)
             }
         };
-        let mut ctrl =
-            RampController::all_enabled(model.num_ramps(), self.family.policy.ramp_style());
-        if let Some(keep) = wrapper_ramps {
-            ctrl.keep_only(&keep);
-        }
         let builder = DeploymentBuilder::new(model, self.family.policy, &strategy, &self.cluster)
             .with_ctrl(ctrl)
             .with_inference(self.inference())

@@ -47,7 +47,7 @@ pub mod system;
 
 pub use config::E3Config;
 pub use deploy::DeploymentBuilder;
-pub use policy::{AdaptiveExitPolicy, FixedExitPolicy, OnlineThresholdTuner};
-pub use reconfig::{ReconfigConfig, ReconfigDecision, ReconfigReport};
+pub use policy::OnlineThresholdTuner;
+pub use reconfig::{ReconfigDecision, ReconfigReport};
 pub use report::{E3Report, WindowReport};
 pub use system::E3System;

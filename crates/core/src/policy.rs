@@ -4,59 +4,16 @@
 //! fixed at deployment time. EENet (PAPERS.md) shows per-input exit
 //! *scheduling* can be tuned online against a compute budget. This module
 //! adds the minimal serving-side version of that idea: an
-//! [`AdaptiveExitPolicy`] observes the realized early-exit fraction of
-//! each profiling window and nudges its threshold toward a target exit
-//! rate, so the effective compute per input tracks a budget even as input
-//! hardness drifts.
+//! [`OnlineThresholdTuner`] observes the realized early-exit fraction of
+//! each profiling window and nudges its entropy threshold toward a target
+//! exit rate, so the effective compute per input tracks a budget even as
+//! input hardness drifts.
 //!
 //! The adaptation happens strictly *between* windows — within a window
 //! the policy is a plain [`ExitPolicy`], so the kernel, profiler, and
 //! optimizer are untouched and determinism is preserved.
 
 use e3_model::ExitPolicy;
-
-/// An exit policy that retunes itself between profiling windows.
-///
-/// Implementors expose the current frozen [`ExitPolicy`] for the window
-/// being served and fold the window's observed exit fraction back into
-/// their state afterwards.
-pub trait AdaptiveExitPolicy {
-    /// The policy to use for the next window (frozen for its duration).
-    fn policy(&self) -> ExitPolicy;
-
-    /// Feeds back one served window's realized early-exit fraction in
-    /// `[0, 1]` (fraction of completions that left via a ramp).
-    fn observe_window(&mut self, exit_fraction: f64);
-
-    /// A human-readable label for reports.
-    fn label(&self) -> String;
-}
-
-/// A fixed policy wrapped in the adaptive interface — the control
-/// baseline for A/B comparisons in the scenario matrix.
-#[derive(Debug, Clone)]
-pub struct FixedExitPolicy {
-    policy: ExitPolicy,
-}
-
-impl FixedExitPolicy {
-    /// Wraps `policy`; `observe_window` is a no-op.
-    pub fn new(policy: ExitPolicy) -> Self {
-        FixedExitPolicy { policy }
-    }
-}
-
-impl AdaptiveExitPolicy for FixedExitPolicy {
-    fn policy(&self) -> ExitPolicy {
-        self.policy
-    }
-
-    fn observe_window(&mut self, _exit_fraction: f64) {}
-
-    fn label(&self) -> String {
-        format!("fixed:{}", self.policy.label())
-    }
-}
 
 /// Proportional online tuner for an entropy threshold.
 ///
@@ -111,16 +68,17 @@ impl OnlineThresholdTuner {
     pub fn target(&self) -> f64 {
         self.target_exit_fraction
     }
-}
 
-impl AdaptiveExitPolicy for OnlineThresholdTuner {
-    fn policy(&self) -> ExitPolicy {
+    /// The entropy policy for the next window (frozen for its duration).
+    pub fn policy(&self) -> ExitPolicy {
         ExitPolicy::Entropy {
             threshold: self.threshold,
         }
     }
 
-    fn observe_window(&mut self, exit_fraction: f64) {
+    /// Feeds back one served window's realized early-exit fraction in
+    /// `[0, 1]` (fraction of completions that left via a ramp).
+    pub fn observe_window(&mut self, exit_fraction: f64) {
         assert!(
             (0.0..=1.0).contains(&exit_fraction),
             "exit fraction must be in [0, 1]"
@@ -128,27 +86,11 @@ impl AdaptiveExitPolicy for OnlineThresholdTuner {
         let step = self.gain * (self.target_exit_fraction - exit_fraction);
         self.threshold = (self.threshold + step).clamp(self.min, self.max);
     }
-
-    fn label(&self) -> String {
-        format!(
-            "adaptive-entropy(target {:.2}, thr {:.3})",
-            self.target_exit_fraction, self.threshold
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fixed_policy_never_moves() {
-        let mut p = FixedExitPolicy::new(ExitPolicy::Entropy { threshold: 0.4 });
-        p.observe_window(0.0);
-        p.observe_window(1.0);
-        assert_eq!(p.policy(), ExitPolicy::Entropy { threshold: 0.4 });
-        assert!(p.label().starts_with("fixed:"));
-    }
 
     #[test]
     fn tuner_raises_threshold_when_exits_undershoot() {

@@ -1,8 +1,8 @@
-//! Guarded reconfiguration: configuration and per-window verdicts.
+//! Guarded reconfiguration: segment sizing and per-window verdicts.
 //!
 //! The naive control loop swaps to each window's freshly optimized plan
 //! instantly and unconditionally. The guarded loop
-//! ([`crate::config::E3Config::reconfig`]) treats a plan change as a
+//! ([`crate::config::E3Config::guarded`]) treats a plan change as a
 //! hazard to be contained:
 //!
 //! 1. **Probe** — the incumbent plan serves a small slice of the window's
@@ -11,8 +11,8 @@
 //!    segments the kernel drains completely (a segment's event queue
 //!    empties before the next starts), so no batch straddles two plans.
 //! 3. **Verdict** — the candidate is promoted only if its canary did not
-//!    regress against the probe (`ReconfigConfig::should_promote`);
-//!    otherwise the loop rolls back to the incumbent deterministically.
+//!    regress against the probe (`should_promote`); otherwise the loop
+//!    rolls back to the incumbent deterministically.
 //! 4. **Remainder** — the winner serves the rest of the window.
 //!
 //! Because probe and canary face the *same window's* workload, the
@@ -21,63 +21,38 @@
 //! exactly the failure mode fig. 21/22 shows naive re-planning walking
 //! into.
 
-use e3_profiler::WatchdogConfig;
 use e3_runtime::RunReport;
 
-/// Guarded-reconfiguration settings.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReconfigConfig {
-    /// Master switch. Off (the default) preserves the naive instant-swap
-    /// control loop bit-for-bit.
-    pub guarded: bool,
-    /// Fraction of a window's requests given to the probe segment and to
-    /// the canary segment (each).
-    pub canary_frac: f64,
-    /// Floor on the probe/canary segment size in requests (small windows
-    /// still need a statistically meaningful comparison).
-    pub min_canary: usize,
-    /// Relative goodput / SLO-attainment slack the canary is allowed
-    /// before it counts as a regression: promote iff
-    /// `canary_goodput >= (1 - tol) * probe_goodput` and attainment holds
-    /// likewise.
-    pub regression_tol: f64,
-    /// Drift-watchdog thresholds feeding safe-mode planning.
-    pub watchdog: WatchdogConfig,
+/// Fraction of a window's requests given to the probe segment and to
+/// the canary segment (each).
+const CANARY_FRAC: f64 = 0.08;
+/// Floor on the probe/canary segment size in requests (small windows
+/// still need a statistically meaningful comparison).
+const MIN_CANARY: usize = 256;
+/// Relative goodput / SLO-attainment slack the canary is allowed before
+/// it counts as a regression.
+const REGRESSION_TOL: f64 = 0.05;
+
+/// Requests per probe/canary segment for a window of `n` requests:
+/// `CANARY_FRAC` of the window, at least `MIN_CANARY`, but never more
+/// than a third of the window (the remainder must dominate). Returns 0
+/// when the window is too small to guard at all.
+pub(crate) fn segment_len(n: usize) -> usize {
+    ((n as f64 * CANARY_FRAC).ceil() as usize)
+        .max(MIN_CANARY)
+        .min(n / 3)
 }
 
-impl Default for ReconfigConfig {
-    fn default() -> Self {
-        ReconfigConfig {
-            guarded: false,
-            canary_frac: 0.08,
-            min_canary: 256,
-            regression_tol: 0.05,
-            watchdog: WatchdogConfig::default(),
-        }
-    }
-}
-
-impl ReconfigConfig {
-    /// Requests per probe/canary segment for a window of `n` requests:
-    /// `canary_frac` of the window, at least `min_canary`, but never more
-    /// than a third of the window (the remainder must dominate). Returns
-    /// 0 when the window is too small to guard at all.
-    pub(crate) fn segment_len(&self, n: usize) -> usize {
-        ((n as f64 * self.canary_frac).ceil() as usize)
-            .max(self.min_canary)
-            .min(n / 3)
-    }
-
-    /// The promotion criterion: the canary must hold the probe's goodput
-    /// and SLO attainment to within `regression_tol` (relative). Both
-    /// sides are measured on slices of the same window's workload, so
-    /// the comparison is paired and deterministic.
-    pub(crate) fn should_promote(&self, probe: &RunReport, canary: &RunReport) -> bool {
-        let keep = 1.0 - self.regression_tol;
-        let goodput_ok = canary.goodput() >= keep * probe.goodput();
-        let attainment_ok = attainment(canary) >= keep * attainment(probe);
-        goodput_ok && attainment_ok
-    }
+/// The promotion criterion: the canary must hold the probe's goodput and
+/// SLO attainment to within `REGRESSION_TOL` (relative): promote iff
+/// `canary_goodput >= (1 - tol) * probe_goodput` and attainment holds
+/// likewise. Both sides are measured on slices of the same window's
+/// workload, so the comparison is paired and deterministic.
+pub(crate) fn should_promote(probe: &RunReport, canary: &RunReport) -> bool {
+    let keep = 1.0 - REGRESSION_TOL;
+    let goodput_ok = canary.goodput() >= keep * probe.goodput();
+    let attainment_ok = attainment(canary) >= keep * attainment(probe);
+    goodput_ok && attainment_ok
 }
 
 fn attainment(r: &RunReport) -> f64 {
@@ -173,31 +148,28 @@ mod tests {
 
     #[test]
     fn promotion_tolerates_small_regressions() {
-        let cfg = ReconfigConfig::default();
         let probe = report(1000, 1000, 1);
         // 3% slower: within the 5% tolerance.
         let close = report(970, 1000, 1);
-        assert!(cfg.should_promote(&probe, &close));
+        assert!(should_promote(&probe, &close));
         // 20% slower: regression.
         let bad = report(800, 1000, 1);
-        assert!(!cfg.should_promote(&probe, &bad));
+        assert!(!should_promote(&probe, &bad));
     }
 
     #[test]
     fn promotion_requires_attainment_too() {
-        let cfg = ReconfigConfig::default();
         let probe = report(1000, 1000, 1);
         // Same goodput rate but over twice the time with half the
         // attainment: the throughput criterion alone would let a
         // latency-degrading plan through.
         let sloppy = report(2000, 4000, 2);
-        assert!(!cfg.should_promote(&probe, &sloppy));
+        assert!(!should_promote(&probe, &sloppy));
     }
 
     #[test]
     fn defaults_keep_the_guard_off() {
-        let cfg = ReconfigConfig::default();
-        assert!(!cfg.guarded);
-        assert!(cfg.canary_frac > 0.0 && cfg.canary_frac < 0.5);
+        assert!(!crate::E3Config::default().guarded);
+        const { assert!(CANARY_FRAC > 0.0 && CANARY_FRAC < 0.5) };
     }
 }

@@ -23,7 +23,7 @@ use rand::SeedableRng;
 
 use crate::config::E3Config;
 use crate::deploy::DeploymentBuilder;
-use crate::reconfig::{ReconfigDecision, ReconfigReport};
+use crate::reconfig::{self, ReconfigDecision, ReconfigReport};
 use crate::report::{E3Report, WindowReport};
 
 /// A running E3 deployment: model + cluster + control loop.
@@ -61,7 +61,6 @@ impl E3System {
     fn optimizer_config(&self) -> OptimizerConfig {
         OptimizerConfig {
             slo: self.cfg.slo,
-            slack_frac: self.cfg.slack_frac,
             max_splits: self.cfg.max_splits,
             ..Default::default()
         }
@@ -83,9 +82,8 @@ impl E3System {
     /// surviving replicas absorb the load in a configuration the DP
     /// optimizer actually chose for them.
     ///
-    /// When [`crate::reconfig::ReconfigConfig::guarded`] is set, plan
-    /// changes go through the guarded state machine instead of swapping
-    /// instantly:
+    /// When [`E3Config::guarded`] is set, plan changes go through the
+    /// guarded state machine instead of swapping instantly:
     ///
     /// * a [`DriftWatchdog`] consumes each window's realized drift; only a
     ///   *confirmed* regime change resets the estimator, and while the
@@ -95,8 +93,8 @@ impl E3System {
     ///   three fully-drained segments — probe (incumbent), canary
     ///   (candidate), remainder (winner) — and the candidate is promoted
     ///   only if its canary held the probe's goodput and SLO attainment
-    ///   (`ReconfigConfig::should_promote`); otherwise
-    ///   the loop rolls back deterministically.
+    ///   (`reconfig::should_promote`); otherwise the loop rolls back
+    ///   deterministically.
     ///
     /// With `guarded` off (the default) this is the naive instant-swap
     /// loop, bit-for-bit.
@@ -107,12 +105,12 @@ impl E3System {
         observer: &mut dyn RunObserver,
     ) -> E3Report {
         let seeds = SeedSplitter::new(self.cfg.seed);
-        let mut estimator = BatchProfileEstimator::new(self.model.num_layers(), self.cfg.estimator);
+        let mut estimator = BatchProfileEstimator::new(self.model.num_layers());
         let mut windows = Vec::with_capacity(phases.len());
         let mut cluster = self.cluster.clone();
 
-        let guarded = self.cfg.reconfig.guarded;
-        let mut watchdog = DriftWatchdog::new(self.cfg.reconfig.watchdog);
+        let guarded = self.cfg.guarded;
+        let mut watchdog = DriftWatchdog::default();
         // The plan currently "deployed": survives across windows so a new
         // plan has something to canary against. Cleared when the cluster
         // shrinks (old plans reference replicas that no longer exist).
@@ -150,27 +148,22 @@ impl E3System {
             // A guarded transition needs an incumbent to compare against,
             // an actual plan change, a fault-free window (fault recovery
             // has its own path), and enough requests to carve segments.
-            let k = self.cfg.reconfig.segment_len(self.cfg.requests_per_window);
+            let k = reconfig::segment_len(self.cfg.requests_per_window);
             let can_guard = guarded
                 && fault_plan.is_empty()
                 && k > 0
                 && incumbent.as_ref().is_some_and(|inc| *inc != plan);
 
-            // Exit-wrapper (§3.4): disable ramps that are not useful —
-            // those where almost nothing exits — keeping boundary ramps
-            // (required to realize the batch profile) regardless. When
-            // guarding, both contending plans' boundary ramps must stay.
+            // Exit-wrapper (§3.4). When guarding, both contending plans'
+            // boundary ramps must stay.
             let serve_ctrl = if self.cfg.use_wrapper {
-                let mut c = full_ctrl.clone();
                 let mut boundaries = plan.boundaries();
                 if can_guard {
                     if let Some(inc) = &incumbent {
                         boundaries.extend(inc.boundaries());
                     }
                 }
-                let keep = useful_ramps(&self.model, &planning, &boundaries, 0.04);
-                c.keep_only(&keep);
-                c
+                exit_wrapper(&self.model, full_ctrl, &planning, &boundaries)
             } else {
                 full_ctrl
             };
@@ -338,7 +331,7 @@ impl E3System {
         observer: &mut dyn RunObserver,
     ) -> (RunReport, SplitPlan, ReconfigReport) {
         let n = requests.len();
-        let k = self.cfg.reconfig.segment_len(n);
+        let k = reconfig::segment_len(n);
         debug_assert!(k > 0 && 2 * k < n, "caller checked segment_len");
         let inc_strategy = Strategy::Plan(incumbent.clone());
         let cand_strategy = Strategy::Plan(candidate.clone());
@@ -370,7 +363,7 @@ impl E3System {
         };
         let t2 = t1 + canary.duration;
 
-        let promote = self.cfg.reconfig.should_promote(&probe, &canary);
+        let promote = reconfig::should_promote(&probe, &canary);
         let decision = if promote {
             observer.on_event(t2, &KernelEvent::CanaryPromoted { epoch });
             ReconfigDecision::Promoted
@@ -403,33 +396,40 @@ impl E3System {
     }
 }
 
-/// Selects the ramps worth keeping under the exit-wrapper (§3.4): a ramp
-/// survives if at least `min_exit_frac` of the batch exits there per the
-/// profile, or if it sits at a split boundary (boundary ramps realize the
-/// batch profile the optimizer planned for and are always required).
-pub(crate) fn useful_ramps(
+/// Least fraction of the batch that must exit at a ramp for the
+/// exit-wrapper to keep it.
+const WRAPPER_MIN_EXIT_FRAC: f64 = 0.04;
+
+/// The exit-wrapper (§3.4): `ctrl` with the ramps that are not useful
+/// disabled. A ramp survives if at least `WRAPPER_MIN_EXIT_FRAC` of the
+/// batch exits there per the profile, or if it sits at a split boundary
+/// (boundary ramps realize the batch profile the optimizer planned for
+/// and are always required).
+pub(crate) fn exit_wrapper(
     model: &EeModel,
+    mut ctrl: RampController,
     profile: &BatchProfile,
     boundaries: &[usize],
-    min_exit_frac: f64,
-) -> Vec<usize> {
+) -> RampController {
     // No observed exit activity means no evidence of uselessness — keep
     // everything. (Disabling on a cold-start "no exits" prediction would
     // suppress all exits and the profiler could never learn otherwise.)
-    if profile.survival_at(profile.num_layers()) > 1.0 - min_exit_frac {
-        return (0..model.num_ramps()).collect();
+    if profile.survival_at(profile.num_layers()) > 1.0 - WRAPPER_MIN_EXIT_FRAC {
+        return ctrl;
     }
-    model
+    let keep: Vec<usize> = model
         .ramps()
         .iter()
         .enumerate()
         .filter(|(_, r)| {
             let k = r.after_layer;
             let exit_frac = profile.survival_at(k) - profile.survival_at(k + 1);
-            exit_frac >= min_exit_frac || boundaries.contains(&(k + 1))
+            exit_frac >= WRAPPER_MIN_EXIT_FRAC || boundaries.contains(&(k + 1))
         })
         .map(|(i, _)| i)
-        .collect()
+        .collect();
+    ctrl.keep_only(&keep);
+    ctrl
 }
 
 /// Bootstraps a batch profile by measuring exit behaviour offline —

@@ -2,13 +2,14 @@
 
 use e3_simcore::SimDuration;
 
+/// Fraction of the SLO reserved as slack (the paper uses 20%, §4).
+const SLO_SLACK_FRAC: f64 = 0.2;
+
 /// Constraints and knobs for the split optimizer (§3.2's constraint set).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptimizerConfig {
     /// End-to-end latency SLO. The paper's default is 100 ms.
     pub slo: SimDuration,
-    /// Fraction of the SLO reserved as slack (the paper uses 20%, §4).
-    pub slack_frac: f64,
     /// Whether pipelining overlaps compute and communication (§3.2.2).
     /// When `false`, the objective is the serial sum of eq. 1 — the
     /// "model parallelism OFF" ablation (fig. 26 / §5.8.7).
@@ -45,7 +46,6 @@ impl Default for OptimizerConfig {
     fn default() -> Self {
         OptimizerConfig {
             slo: SimDuration::from_millis(100),
-            slack_frac: 0.2,
             pipelining: true,
             max_splits: 4,
             request_rate: None,
@@ -58,9 +58,9 @@ impl Default for OptimizerConfig {
 }
 
 impl OptimizerConfig {
-    /// The effective latency budget: `SLO · (1 − slack)`.
+    /// The effective latency budget: `SLO · (1 − SLO_SLACK_FRAC)`.
     pub(crate) fn latency_budget(&self) -> SimDuration {
-        self.slo.mul_f64((1.0 - self.slack_frac).max(0.0))
+        self.slo.mul_f64(1.0 - SLO_SLACK_FRAC)
     }
 
     /// Worst-case batch-formation delay for batch size `b0`: the time for

@@ -16,42 +16,20 @@ use e3_model::BatchProfile;
 
 use crate::arima::ArimaModel;
 
-/// Estimator configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EstimatorConfig {
-    /// AR order.
-    pub p: usize,
-    /// Differencing order.
-    pub d: usize,
-    /// MA order.
-    pub q: usize,
-    /// Number of most-recent windows retained per ramp series.
-    pub history: usize,
-    /// EWMA smoothing factor for the short-history fallback.
-    pub ewma_alpha: f64,
-    /// Relative mean-error threshold above which
-    /// [`BatchProfileEstimator::drift_exceeds`] reports drift.
-    pub drift_threshold: f64,
-}
-
-impl Default for EstimatorConfig {
-    fn default() -> Self {
-        EstimatorConfig {
-            p: 2,
-            d: 1,
-            q: 1,
-            history: 32,
-            ewma_alpha: 0.4,
-            drift_threshold: 0.12,
-        }
-    }
-}
+/// ARIMA order `(p, d, q)` of every per-ramp series.
+const ARIMA_ORDER: (usize, usize, usize) = (2, 1, 1);
+/// Most-recent windows retained per ramp series.
+const HISTORY: usize = 32;
+/// EWMA smoothing factor for the short-history fallback.
+const EWMA_ALPHA: f64 = 0.4;
+/// Mean absolute survival error above which
+/// [`BatchProfileEstimator::drift_exceeds`] reports drift.
+const DRIFT_THRESHOLD: f64 = 0.12;
 
 /// Online batch-profile estimator: ingest one observed profile per
 /// scheduling window, forecast the next window's profile.
 #[derive(Debug, Clone)]
 pub struct BatchProfileEstimator {
-    cfg: EstimatorConfig,
     num_layers: usize,
     /// Per layer-boundary history of survival fractions (window-ordered).
     series: Vec<Vec<f64>>,
@@ -61,9 +39,8 @@ pub struct BatchProfileEstimator {
 
 impl BatchProfileEstimator {
     /// Creates an estimator for a model with `num_layers` layers.
-    pub fn new(num_layers: usize, cfg: EstimatorConfig) -> Self {
+    pub fn new(num_layers: usize) -> Self {
         BatchProfileEstimator {
-            cfg,
             num_layers,
             series: vec![Vec::new(); num_layers + 1],
             last_forecast: None,
@@ -80,7 +57,7 @@ impl BatchProfileEstimator {
         for (k, s) in observed.survival().iter().enumerate() {
             let hist = &mut self.series[k];
             hist.push(*s);
-            if hist.len() > self.cfg.history {
+            if hist.len() > HISTORY {
                 hist.remove(0);
             }
         }
@@ -108,7 +85,8 @@ impl BatchProfileEstimator {
         if hist.is_empty() {
             return 1.0; // conservative: assume no exits until observed
         }
-        if let Ok(model) = ArimaModel::fit(hist, self.cfg.p, self.cfg.d, self.cfg.q) {
+        let (p, d, q) = ARIMA_ORDER;
+        if let Ok(model) = ArimaModel::fit(hist, p, d, q) {
             let f = model.forecast_one();
             if f.is_finite() {
                 return f;
@@ -117,7 +95,7 @@ impl BatchProfileEstimator {
         // EWMA fallback for short histories or degenerate fits.
         let mut v = hist[0];
         for x in &hist[1..] {
-            v = self.cfg.ewma_alpha * x + (1.0 - self.cfg.ewma_alpha) * v;
+            v = EWMA_ALPHA * x + (1.0 - EWMA_ALPHA) * v;
         }
         v
     }
@@ -137,10 +115,10 @@ impl BatchProfileEstimator {
             / n
     }
 
-    /// True when observed drift exceeds the configured threshold — E3's
+    /// True when observed drift exceeds `DRIFT_THRESHOLD` — E3's
     /// signal to reactively re-run the optimizer (§3.1).
     pub fn drift_exceeds(&self, observed: &BatchProfile) -> bool {
-        self.drift(observed) > self.cfg.drift_threshold
+        self.drift(observed) > DRIFT_THRESHOLD
     }
 
     /// Discards accumulated history. Called on detected regime changes so
@@ -166,14 +144,14 @@ mod tests {
 
     #[test]
     fn cold_start_predicts_no_exits() {
-        let mut e = BatchProfileEstimator::new(3, EstimatorConfig::default());
+        let mut e = BatchProfileEstimator::new(3);
         let f = e.forecast();
         assert_eq!(f.survival(), &[1.0, 1.0, 1.0, 1.0]);
     }
 
     #[test]
     fn stationary_profile_converges() {
-        let mut e = BatchProfileEstimator::new(2, EstimatorConfig::default());
+        let mut e = BatchProfileEstimator::new(2);
         let obs = profile(&[0.6, 0.4]);
         for _ in 0..20 {
             e.observe_window(&obs);
@@ -187,7 +165,7 @@ mod tests {
     fn tracks_drifting_workload() {
         // Survival at boundary 1 ramps from 0.8 down to 0.4 over windows
         // (workload getting easier); the forecast must follow the trend.
-        let mut e = BatchProfileEstimator::new(1, EstimatorConfig::default());
+        let mut e = BatchProfileEstimator::new(1);
         for w in 0..20 {
             let s = 0.8 - 0.02 * w as f64;
             e.observe_window(&profile(&[s]));
@@ -199,7 +177,7 @@ mod tests {
 
     #[test]
     fn forecast_is_monotone_and_bounded() {
-        let mut e = BatchProfileEstimator::new(3, EstimatorConfig::default());
+        let mut e = BatchProfileEstimator::new(3);
         // Noisy observations that individually violate nothing but could
         // lead a per-series forecaster astray.
         for w in 0..15 {
@@ -217,7 +195,7 @@ mod tests {
 
     #[test]
     fn drift_detection_fires_on_regime_change() {
-        let mut e = BatchProfileEstimator::new(1, EstimatorConfig::default());
+        let mut e = BatchProfileEstimator::new(1);
         for _ in 0..12 {
             e.observe_window(&profile(&[0.8]));
         }
@@ -233,7 +211,7 @@ mod tests {
 
     #[test]
     fn short_history_uses_ewma() {
-        let mut e = BatchProfileEstimator::new(1, EstimatorConfig::default());
+        let mut e = BatchProfileEstimator::new(1);
         e.observe_window(&profile(&[0.5]));
         e.observe_window(&profile(&[0.5]));
         let f = e.forecast().survival_at(1);
@@ -242,7 +220,7 @@ mod tests {
 
     #[test]
     fn reset_forgets_trend() {
-        let mut e = BatchProfileEstimator::new(1, EstimatorConfig::default());
+        let mut e = BatchProfileEstimator::new(1);
         for _ in 0..12 {
             e.observe_window(&profile(&[0.8]));
         }
@@ -256,7 +234,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "shape mismatch")]
     fn shape_mismatch_panics() {
-        let mut e = BatchProfileEstimator::new(4, EstimatorConfig::default());
+        let mut e = BatchProfileEstimator::new(4);
         e.observe_window(&profile(&[0.5]));
     }
 
@@ -264,7 +242,7 @@ mod tests {
     fn drift_is_zero_before_any_forecast() {
         // No forecast issued: there is nothing to have drifted from, so
         // the threshold can never fire regardless of the observation.
-        let e = BatchProfileEstimator::new(1, EstimatorConfig::default());
+        let e = BatchProfileEstimator::new(1);
         let obs = profile(&[0.0]);
         assert_eq!(e.drift(&obs), 0.0);
         assert!(!e.drift_exceeds(&obs));
@@ -273,32 +251,29 @@ mod tests {
     #[test]
     fn drift_exactly_at_threshold_does_not_exceed() {
         // drift_exceeds is a strict comparison: an error landing exactly
-        // on the threshold is tolerated; only strictly more trips it. Use
-        // a dyadic threshold and dyadic survivals so every value below is
-        // exact in binary and the boundary is not blurred by rounding.
-        let cfg = EstimatorConfig {
-            drift_threshold: 0.125,
-            ..Default::default()
-        };
-        let mut e = BatchProfileEstimator::new(1, cfg);
-        e.observe_window(&profile(&[0.5]));
-        e.observe_window(&profile(&[0.5]));
+        // on the threshold is tolerated; only strictly more trips it. A
+        // forecast of 0.0 against an observation of twice the threshold
+        // makes the drift exact: the difference is exact and halving is
+        // exact in binary, so the boundary is not blurred by rounding.
+        let mut e = BatchProfileEstimator::new(1);
+        e.observe_window(&profile(&[0.0]));
+        e.observe_window(&profile(&[0.0]));
         let f = e.forecast();
-        assert_eq!(f.survival_at(1), 0.5);
+        assert_eq!(f.survival_at(1), 0.0);
         // Two boundaries: survival [1.0, s]. Boundary 0 always matches,
-        // so drift = |0.5 - s_obs| / 2.
-        let at_threshold = profile(&[0.75]); // drift = 0.25 / 2 = 0.125
-        assert_eq!(e.drift(&at_threshold), 0.125);
+        // so drift = |0.0 - s_obs| / 2.
+        let at_threshold = profile(&[2.0 * DRIFT_THRESHOLD]);
+        assert_eq!(e.drift(&at_threshold), DRIFT_THRESHOLD);
         assert!(!e.drift_exceeds(&at_threshold));
-        let above = profile(&[0.78125]); // drift = 0.140625
+        let above = profile(&[2.0 * DRIFT_THRESHOLD + 0.01]);
         assert!(e.drift_exceeds(&above));
-        let below = profile(&[0.625]); // drift = 0.0625
+        let below = profile(&[2.0 * DRIFT_THRESHOLD - 0.01]);
         assert!(!e.drift_exceeds(&below));
     }
 
     #[test]
     fn reset_on_empty_history_is_harmless() {
-        let mut e = BatchProfileEstimator::new(2, EstimatorConfig::default());
+        let mut e = BatchProfileEstimator::new(2);
         e.reset_history();
         assert_eq!(e.series[0].len(), 0);
         // Still boots conservatively after a vacuous reset.
@@ -307,7 +282,7 @@ mod tests {
 
     #[test]
     fn reset_clears_drift_baseline() {
-        let mut e = BatchProfileEstimator::new(1, EstimatorConfig::default());
+        let mut e = BatchProfileEstimator::new(1);
         for _ in 0..12 {
             e.observe_window(&profile(&[0.9]));
         }
@@ -323,7 +298,7 @@ mod tests {
 
     #[test]
     fn post_reset_forecast_tracks_new_regime_immediately() {
-        let mut e = BatchProfileEstimator::new(2, EstimatorConfig::default());
+        let mut e = BatchProfileEstimator::new(2);
         for _ in 0..15 {
             e.observe_window(&profile(&[0.9, 0.8]));
         }

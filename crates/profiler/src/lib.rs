@@ -31,6 +31,6 @@ pub mod watchdog;
 pub mod window;
 
 pub use arima::{ArimaError, ArimaModel};
-pub use estimator::{BatchProfileEstimator, EstimatorConfig};
-pub use watchdog::{DriftWatchdog, SafeModeReason, WatchdogConfig, WatchdogState, WatchdogVerdict};
+pub use estimator::BatchProfileEstimator;
+pub use watchdog::{DriftWatchdog, SafeModeReason, WatchdogState, WatchdogVerdict};
 pub use window::WindowObserver;

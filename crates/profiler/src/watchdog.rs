@@ -11,16 +11,15 @@
 //!
 //! [`DriftWatchdog`] wraps the raw signal with three guards:
 //!
-//! * **Hysteresis** — drift must exceed [`WatchdogConfig::trigger`] to
-//!   count against the system but fall below the lower
-//!   [`WatchdogConfig::clear`] to count for it; the dead band between the
-//!   two holds the current state instead of flapping.
-//! * **Consecutive-window confirmation** — only
-//!   [`WatchdogConfig::confirm_windows`] *successive* over-trigger
-//!   windows confirm a regime change and enter safe mode; an isolated
-//!   spike decays back to nominal.
-//! * **Staleness** — [`WatchdogConfig::stale_after`] windows without any
-//!   usable observation also force safe mode: a forecast nobody has
+//! * **Hysteresis** — drift must exceed `TRIGGER` (0.12) to count
+//!   against the system but fall below the lower `CLEAR` (0.06) to count
+//!   for it; the dead band between the two holds the current state
+//!   instead of flapping.
+//! * **Consecutive-window confirmation** — only `CONFIRM_WINDOWS` (2)
+//!   *successive* over-trigger windows confirm a regime change and enter
+//!   safe mode; an isolated spike decays back to nominal.
+//! * **Staleness** — `STALE_AFTER` (3) windows without any usable
+//!   observation also force safe mode: a forecast nobody has
 //!   corroborated recently must not steer the optimizer.
 //!
 //! In safe mode the control loop plans against
@@ -31,33 +30,18 @@
 
 use e3_model::BatchProfile;
 
-/// Watchdog thresholds and confirmation depths.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WatchdogConfig {
-    /// Drift above this counts toward confirmation (matches the
-    /// estimator's default `drift_threshold`).
-    pub trigger: f64,
-    /// Drift below this clears suspicion / safe mode. Must be `<=
-    /// trigger`; the gap is the hysteresis dead band.
-    pub clear: f64,
-    /// Consecutive over-`trigger` windows required to confirm drift and
-    /// enter safe mode.
-    pub confirm_windows: usize,
-    /// Windows without a usable observation before the forecast is
-    /// declared stale and safe mode entered.
-    pub stale_after: usize,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig {
-            trigger: 0.12,
-            clear: 0.06,
-            confirm_windows: 2,
-            stale_after: 3,
-        }
-    }
-}
+/// Drift above this counts toward confirmation (the estimator's
+/// one-shot drift threshold).
+const TRIGGER: f64 = 0.12;
+/// Drift below this clears suspicion / safe mode. Below `TRIGGER`; the
+/// gap is the hysteresis dead band.
+const CLEAR: f64 = 0.06;
+/// Consecutive over-`TRIGGER` windows required to confirm drift and
+/// enter safe mode.
+const CONFIRM_WINDOWS: usize = 2;
+/// Windows without a usable observation before the forecast is
+/// declared stale and safe mode entered.
+const STALE_AFTER: usize = 3;
 
 /// Where the watchdog currently stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,9 +58,9 @@ pub enum WatchdogState {
 /// Why safe mode was entered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SafeModeReason {
-    /// `confirm_windows` consecutive windows exceeded the trigger.
+    /// `CONFIRM_WINDOWS` consecutive windows exceeded the trigger.
     ConfirmedDrift,
-    /// `stale_after` windows passed without a usable observation.
+    /// `STALE_AFTER` windows passed without a usable observation.
     StaleForecast,
 }
 
@@ -98,34 +82,23 @@ pub struct WatchdogVerdict {
 /// control loop; feed it [`DriftWatchdog::observe`] once per window.
 #[derive(Debug, Clone)]
 pub struct DriftWatchdog {
-    cfg: WatchdogConfig,
     state: WatchdogState,
     consecutive_over: usize,
     windows_without_obs: usize,
 }
 
-impl DriftWatchdog {
+impl Default for DriftWatchdog {
     /// A watchdog in the nominal state.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `clear > trigger` or `confirm_windows == 0` — both
-    /// would make the hysteresis vacuous.
-    pub fn new(cfg: WatchdogConfig) -> Self {
-        assert!(
-            cfg.clear <= cfg.trigger,
-            "clear threshold must not exceed trigger"
-        );
-        assert!(cfg.confirm_windows > 0, "confirmation needs >= 1 window");
-        assert!(cfg.stale_after > 0, "staleness needs >= 1 window");
+    fn default() -> Self {
         DriftWatchdog {
-            cfg,
             state: WatchdogState::Nominal,
             consecutive_over: 0,
             windows_without_obs: 0,
         }
     }
+}
 
+impl DriftWatchdog {
     /// Feeds the drift measured at the end of a window. `None` means the
     /// window produced no usable observation (counts toward staleness);
     /// `Some(d)` is the estimator's mean absolute survival error for the
@@ -137,8 +110,7 @@ impl DriftWatchdog {
         match drift {
             None => {
                 self.windows_without_obs += 1;
-                if self.windows_without_obs >= self.cfg.stale_after
-                    && self.state != WatchdogState::SafeMode
+                if self.windows_without_obs >= STALE_AFTER && self.state != WatchdogState::SafeMode
                 {
                     self.state = WatchdogState::SafeMode;
                     entered = Some(SafeModeReason::StaleForecast);
@@ -146,9 +118,9 @@ impl DriftWatchdog {
             }
             Some(d) => {
                 self.windows_without_obs = 0;
-                if d > self.cfg.trigger {
+                if d > TRIGGER {
                     self.consecutive_over += 1;
-                    if self.consecutive_over >= self.cfg.confirm_windows {
+                    if self.consecutive_over >= CONFIRM_WINDOWS {
                         if self.state != WatchdogState::SafeMode {
                             self.state = WatchdogState::SafeMode;
                             entered = Some(SafeModeReason::ConfirmedDrift);
@@ -157,7 +129,7 @@ impl DriftWatchdog {
                     } else if self.state == WatchdogState::Nominal {
                         self.state = WatchdogState::Suspect;
                     }
-                } else if d < self.cfg.clear {
+                } else if d < CLEAR {
                     self.consecutive_over = 0;
                     if self.state != WatchdogState::Nominal {
                         cleared = true;
@@ -198,7 +170,7 @@ mod tests {
     use super::*;
 
     fn wd() -> DriftWatchdog {
-        DriftWatchdog::new(WatchdogConfig::default())
+        DriftWatchdog::default()
     }
 
     #[test]
@@ -246,16 +218,22 @@ mod tests {
 
     #[test]
     fn interrupted_streak_does_not_confirm() {
-        let mut w = DriftWatchdog::new(WatchdogConfig {
-            confirm_windows: 3,
-            ..Default::default()
-        });
-        w.observe(Some(0.2));
-        w.observe(Some(0.2));
-        w.observe(Some(0.01)); // streak broken
-        w.observe(Some(0.2));
+        let mut w = wd();
+        // One window short of confirmation, then a healthy window breaks
+        // the streak.
+        for _ in 1..CONFIRM_WINDOWS {
+            w.observe(Some(0.2));
+        }
+        w.observe(Some(0.01));
+        // A fresh streak one window short stays suspect: the windows
+        // before the break do not count toward it.
+        for _ in 1..CONFIRM_WINDOWS {
+            w.observe(Some(0.2));
+        }
+        assert_eq!(w.state(), WatchdogState::Suspect);
+        // Its confirming window is exactly the streak's CONFIRM_WINDOWS-th.
         let v = w.observe(Some(0.2));
-        assert_eq!(v.state, WatchdogState::Suspect);
+        assert_eq!(v.entered_safe_mode, Some(SafeModeReason::ConfirmedDrift));
     }
 
     #[test]
@@ -281,12 +259,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "clear threshold")]
-    fn inverted_thresholds_panic() {
-        DriftWatchdog::new(WatchdogConfig {
-            trigger: 0.05,
-            clear: 0.1,
-            ..Default::default()
-        });
+    fn hysteresis_band_is_not_empty() {
+        // Checked when the test compiles: a band with `CLEAR >= TRIGGER`
+        // or a zero window count would make the hysteresis vacuous.
+        const { assert!(CLEAR < TRIGGER) };
+        const { assert!(CONFIRM_WINDOWS > 0 && STALE_AFTER > 0) };
     }
 }

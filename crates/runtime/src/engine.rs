@@ -80,10 +80,6 @@ pub struct ServingConfig {
     /// even the least-loaded candidate replica is at the bound. `None`
     /// (the default) keeps the pre-existing unbounded behaviour.
     pub queue_cap: Option<usize>,
-    /// Retry/backoff schedule for stage transfers that hit a downed link
-    /// ([`crate::kernel::FaultEvent::LinkDown`]). Inert without link
-    /// faults.
-    pub transfer_retry: TransferRetryConfig,
 }
 
 impl Default for ServingConfig {
@@ -96,40 +92,25 @@ impl Default for ServingConfig {
             fault_plan: FaultPlan::new(),
             horizon: None,
             queue_cap: None,
-            transfer_retry: TransferRetryConfig::default(),
         }
     }
 }
 
-/// Backoff schedule for transfers interrupted by a link outage: attempt
-/// `k` waits `base_backoff * 2^(k-1)`; after `max_attempts` failed
-/// attempts the transfer aborts and its samples are dropped.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TransferRetryConfig {
-    /// Retry attempts before the transfer aborts.
-    pub max_attempts: u32,
-    /// Wait before the first retry; doubles each further attempt.
-    pub base_backoff: SimDuration,
-}
+/// Retry attempts before a transfer interrupted by a link outage
+/// ([`crate::kernel::FaultEvent::LinkDown`]) aborts and its samples are
+/// dropped.
+pub(crate) const MAX_TRANSFER_ATTEMPTS: u32 = 4;
+/// Wait before a parked transfer's first retry; doubles each further
+/// attempt.
+const TRANSFER_BASE_BACKOFF: SimDuration = SimDuration::from_millis(2);
 
-impl TransferRetryConfig {
-    /// The wait before retry `attempt` (1-based): `base_backoff *
-    /// 2^(attempt-1)`, with the exponent clamped at 20 so an arbitrarily
-    /// long outage saturates the backoff (~10⁶× base) instead of
-    /// overflowing the shift.
-    pub(crate) fn backoff_for(&self, attempt: u32) -> SimDuration {
-        let exp = attempt.saturating_sub(1).min(20);
-        self.base_backoff * (1u64 << exp)
-    }
-}
-
-impl Default for TransferRetryConfig {
-    fn default() -> Self {
-        TransferRetryConfig {
-            max_attempts: 4,
-            base_backoff: SimDuration::from_millis(2),
-        }
-    }
+/// The wait before transfer retry `attempt` (1-based):
+/// `TRANSFER_BASE_BACKOFF * 2^(attempt-1)`, with the exponent clamped at
+/// 20 so an arbitrarily long outage saturates the backoff (~10⁶× base)
+/// instead of overflowing the shift.
+pub(crate) fn backoff_for(attempt: u32) -> SimDuration {
+    let exp = attempt.saturating_sub(1).min(20);
+    TRANSFER_BASE_BACKOFF * (1u64 << exp)
 }
 
 /// The serving simulator. Construct once, then [`ServingSim::run`].
@@ -689,20 +670,19 @@ mod tests {
 
     #[test]
     fn transfer_backoff_doubles_then_saturates() {
-        let retry = TransferRetryConfig::default();
-        let base = retry.base_backoff;
-        assert_eq!(retry.backoff_for(1), base);
-        assert_eq!(retry.backoff_for(2), base * 2);
-        assert_eq!(retry.backoff_for(3), base * 4);
-        assert_eq!(retry.backoff_for(11), base * 1024);
+        let base = TRANSFER_BASE_BACKOFF;
+        assert_eq!(backoff_for(1), base);
+        assert_eq!(backoff_for(2), base * 2);
+        assert_eq!(backoff_for(3), base * 4);
+        assert_eq!(backoff_for(11), base * 1024);
         // The exponent clamps at 20: attempt 21 and beyond all wait the
         // same saturated backoff instead of overflowing the shift.
         let saturated = base * (1u64 << 20);
-        assert_eq!(retry.backoff_for(21), saturated);
-        assert_eq!(retry.backoff_for(22), saturated);
-        assert_eq!(retry.backoff_for(u32::MAX), saturated);
+        assert_eq!(backoff_for(21), saturated);
+        assert_eq!(backoff_for(22), saturated);
+        assert_eq!(backoff_for(u32::MAX), saturated);
         // attempt 0 (never scheduled, but total) behaves like attempt 1.
-        assert_eq!(retry.backoff_for(0), base);
+        assert_eq!(backoff_for(0), base);
     }
 
     #[test]

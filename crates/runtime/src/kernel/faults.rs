@@ -88,9 +88,9 @@ pub enum FaultEvent {
         at: SimTime,
     },
     /// Transfers out of `from_stage` fail between `from` and `until`:
-    /// each affected transfer is retried with exponential backoff (see
-    /// [`crate::engine::ServingConfig::transfer_retry`]) and dropped when
-    /// the budget is exhausted.
+    /// each affected transfer is retried with exponential backoff
+    /// (`engine::backoff_for`) and dropped after `MAX_TRANSFER_ATTEMPTS`
+    /// failed attempts.
     LinkDown {
         /// Sending stage whose outbound link is down.
         from_stage: usize,

@@ -64,7 +64,7 @@ use e3_hardware::GpuKind;
 use e3_simcore::{EventQueue, SimDuration, SimQueue, SimTime};
 
 use crate::batch::{Batch, SamplePool};
-use crate::engine::ServingSim;
+use crate::engine::{backoff_for, ServingSim, MAX_TRANSFER_ATTEMPTS};
 use crate::executor::ExecTables;
 use crate::sample::SimSample;
 use faults::{FaultAction, FaultReaction, FaultState};
@@ -777,7 +777,6 @@ impl<'a, Q: SimQueue<Event<Ev>>> Batches<'a, Q> {
             "survivors past the last stage"
         );
         if self.core.faults.link_down(from_stage) {
-            let retry = self.sim.cfg.transfer_retry;
             let batch = Batch {
                 samples: survivors,
                 formed_at: now,
@@ -789,7 +788,7 @@ impl<'a, Q: SimQueue<Event<Ev>>> Batches<'a, Q> {
                 size: batch.len(),
             });
             self.core.serve_after(
-                retry.backoff_for(1),
+                backoff_for(1),
                 Ev::TransferRetry {
                     from_stage,
                     batch,
@@ -827,12 +826,11 @@ impl<'a, Q: SimQueue<Event<Ev>>> Batches<'a, Q> {
     /// per-transfer attempt limit is spent.
     fn on_transfer_retry(&mut self, from_stage: usize, batch: Batch, attempt: u32) {
         let now = self.core.now();
-        let retry = self.sim.cfg.transfer_retry;
         if !self.core.faults.link_down(from_stage) {
             self.send_downstream(from_stage, batch.samples, now);
             return;
         }
-        if attempt >= retry.max_attempts {
+        if attempt >= MAX_TRANSFER_ATTEMPTS {
             self.abort_transfer(from_stage, batch);
             return;
         }
@@ -844,7 +842,7 @@ impl<'a, Q: SimQueue<Event<Ev>>> Batches<'a, Q> {
             size: batch.len(),
         });
         self.core.serve_after(
-            retry.backoff_for(next_attempt),
+            backoff_for(next_attempt),
             Ev::TransferRetry {
                 from_stage,
                 batch,

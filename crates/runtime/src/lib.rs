@@ -66,7 +66,7 @@ pub mod sample;
 pub mod serial;
 pub mod strategy;
 
-pub use engine::{ServingConfig, ServingSim, TransferRetryConfig};
+pub use engine::{ServingConfig, ServingSim};
 pub use kernel::{
     run_continuous, ContinuousConfig, ContinuousOutcome, ExclusionReason, FaultEvent, FaultPlan,
     JoinPolicy, KernelEvent, KvPlan, OffsetObserver, PreemptMode, RunObserver, SequenceSpec,

@@ -100,7 +100,7 @@ mod tests {
     use e3_hardware::{GpuKind, LatencyModel, TransferModel};
     use e3_model::{zoo, ExitPolicy, InferenceSim, RampController, RampStyle};
     use e3_runtime::strategy::StageSpec;
-    use e3_runtime::{ServingConfig, ServingSim, TransferRetryConfig};
+    use e3_runtime::{ServingConfig, ServingSim};
     use e3_simcore::SimDuration;
     use e3_workload::{ArrivalProcess, DatasetModel, WorkloadGenerator};
     use rand::rngs::StdRng;
@@ -206,10 +206,6 @@ mod tests {
                     closed_loop: false,
                     slo: SimDuration::from_millis(50),
                     detect_stragglers: true,
-                    transfer_retry: TransferRetryConfig {
-                        max_attempts: 5,
-                        base_backoff: SimDuration::from_millis(1),
-                    },
                     fault_plan: plan,
                     ..Default::default()
                 },

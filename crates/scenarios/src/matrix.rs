@@ -25,7 +25,7 @@
 
 use std::fmt::Write as _;
 
-use e3::{AdaptiveExitPolicy, FixedExitPolicy, OnlineThresholdTuner};
+use e3::OnlineThresholdTuner;
 use e3_hardware::{ClusterSpec, GpuKind, LatencyModel};
 use e3_model::{zoo, ExitPolicy, InferenceSim, RampController};
 use e3_runtime::autoreg::materialize_sequences;
@@ -510,11 +510,10 @@ impl ScenarioMatrix {
         let model = zoo::calm_t5();
         let lm = LatencyModel::new();
         let seeds = SeedSplitter::new(self.seed);
-        let mut policy: Box<dyn AdaptiveExitPolicy> = match cell.exit {
-            ExitPolicyMode::Fixed => {
-                Box::new(FixedExitPolicy::new(ExitPolicy::Entropy { threshold: 0.4 }))
-            }
-            ExitPolicyMode::Adaptive => Box::new(OnlineThresholdTuner::new(0.4, 0.6, 0.5)),
+        // `None` is the fixed entropy-0.4 policy.
+        let mut tuner = match cell.exit {
+            ExitPolicyMode::Fixed => None,
+            ExitPolicyMode::Adaptive => Some(OnlineThresholdTuner::new(0.4, 0.6, 0.5)),
         };
         let chunk_sizes: [usize; 2] = match cell.arrival {
             ArrivalPattern::Steady => [120, 120],
@@ -527,7 +526,10 @@ impl ScenarioMatrix {
                 (1, HardnessDrift::Drifting) => DatasetModel::samsum(),
                 _ => DatasetModel::wmt(),
             };
-            let exit_policy = policy.policy();
+            let exit_policy = tuner.as_ref().map_or(
+                ExitPolicy::Entropy { threshold: 0.4 },
+                OnlineThresholdTuner::policy,
+            );
             let ctrl = RampController::all_enabled(model.num_ramps(), exit_policy.ramp_style());
             let infer = InferenceSim::with_accuracy(ds.base_accuracy);
             let specs = materialize_sequences(
@@ -541,14 +543,16 @@ impl ScenarioMatrix {
             );
             // Realized early-exit fraction of the chunk's token stream,
             // fed back to the adaptive policy for the next chunk.
-            let full = model.num_layers();
-            let total: usize = specs.iter().map(|s| s.tokens.len()).sum();
-            let exited = specs
-                .iter()
-                .flat_map(|s| s.tokens.iter())
-                .filter(|t| t.layers_executed < full)
-                .count();
-            policy.observe_window(exited as f64 / total.max(1) as f64);
+            if let Some(tuner) = &mut tuner {
+                let full = model.num_layers();
+                let total: usize = specs.iter().map(|s| s.tokens.len()).sum();
+                let exited = specs
+                    .iter()
+                    .flat_map(|s| s.tokens.iter())
+                    .filter(|t| t.layers_executed < full)
+                    .count();
+                tuner.observe_window(exited as f64 / total.max(1) as f64);
+            }
 
             let kv_cap = 256;
             let cfg = ContinuousConfig {

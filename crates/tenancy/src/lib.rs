@@ -35,7 +35,7 @@ pub use allocator::{
     ClusterAllocator, DemandProportional, MarginalGoodput, Shares, StaticEven, TenantDemand,
 };
 pub use report::{format_share, AllocationRecord, MultiTenantReport, TenantReport};
-pub use system::{MultiTenantSystem, TenancyConfig};
+pub use system::{MultiTenantSystem, TenancyConfig, SLO_FLOOR};
 pub use tenant::TenantSpec;
 
 #[cfg(test)]

@@ -78,7 +78,7 @@ pub struct MultiTenantReport {
     pub tenants: Vec<TenantReport>,
     /// The allocation decision of every epoch.
     pub allocations: Vec<AllocationRecord>,
-    /// The SLO-attainment floor the run was configured with.
+    /// The SLO-attainment floor the run is held against ([`crate::SLO_FLOOR`]).
     pub slo_floor: f64,
 }
 

@@ -30,7 +30,7 @@
 //! plan swap through the probe/canary/rollback state machine.
 
 use e3::system::measure_profile;
-use e3::{E3Config, E3System, ReconfigConfig};
+use e3::{E3Config, E3System};
 use e3_hardware::{ClusterSpec, LatencyModel, TransferModel};
 use e3_model::{InferenceSim, RampController};
 use e3_optimizer::{OptimizerConfig, ValueOracle};
@@ -43,6 +43,10 @@ use crate::allocator::{ClusterAllocator, Shares, TenantDemand};
 use crate::report::{AllocationRecord, MultiTenantReport, TenantReport};
 use crate::tenant::TenantSpec;
 
+/// The SLO-attainment floor the operator holds every tenant against
+/// (reported; benchmarks assert it).
+pub const SLO_FLOOR: f64 = 0.5;
+
 /// Knobs for a multi-tenant run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenancyConfig {
@@ -54,11 +58,8 @@ pub struct TenancyConfig {
     /// front.
     pub realloc_every: usize,
     /// Route within-epoch plan swaps through guarded probe/canary
-    /// transitions (see [`e3::ReconfigConfig`]).
+    /// transitions (see [`e3::E3Config::guarded`]).
     pub guarded: bool,
-    /// The SLO-attainment floor the operator holds every tenant against
-    /// (reported; benchmarks assert it).
-    pub slo_floor: f64,
     /// Experiment seed; all tenant streams derive from it.
     pub seed: u64,
     /// Samples per offline profile measurement at each epoch boundary.
@@ -74,7 +75,6 @@ impl Default for TenancyConfig {
             window: SimDuration::from_secs(2),
             realloc_every: 3,
             guarded: false,
-            slo_floor: 0.5,
             seed: 0,
             profile_samples: 2000,
             max_splits: 4,
@@ -248,7 +248,7 @@ impl MultiTenantSystem {
             allocator: allocator.name().to_string(),
             tenants,
             allocations,
-            slo_floor: self.cfg.slo_floor,
+            slo_floor: SLO_FLOOR,
         }
     }
 
@@ -330,13 +330,9 @@ impl MultiTenantSystem {
             seed: seeds.derive_indexed(&format!("tenant{tenant}-segment"), segment_start as u64),
             slo: spec.slo,
             batch: spec.batch,
-            window: self.cfg.window,
             max_splits: self.cfg.max_splits,
             requests_per_window: spec.requests_per_window,
-            reconfig: ReconfigConfig {
-                guarded: self.cfg.guarded,
-                ..Default::default()
-            },
+            guarded: self.cfg.guarded,
             ..Default::default()
         }
     }

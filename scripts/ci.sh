@@ -13,11 +13,13 @@ cargo clippy --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --locked
 
 # The examples: `cargo test` only builds them, so run each release
-# binary too. An example that panics or exits non-zero fails the gate
-# (all five take about a second together).
+# binary too. An example that panics, exits non-zero or prints anything
+# other than its pinned stdout in examples/golden/ fails the gate (all
+# five take about a second together).
 cargo build --release --locked -p e3-examples --examples
 for src in examples/*.rs; do
-    ./target/release/examples/"$(basename "$src" .rs)" > /dev/null
+    name="$(basename "$src" .rs)"
+    ./target/release/examples/"$name" | diff -u "examples/golden/$name.txt" -
 done
 
 # The whole experiment registry, run once in-process, with per-figure

@@ -8,7 +8,7 @@ use e3_hardware::{GpuKind, LatencyModel, TransferModel};
 use e3_model::{zoo, BatchProfile, EeModel, LayerSpec, RampController, RampSpec, Task};
 use e3_model::{ExitPolicy, ExitSampler, InferenceSim};
 use e3_optimizer::{optimize_heterogeneous_with_stats, OptimizerConfig};
-use e3_profiler::{ArimaModel, BatchProfileEstimator, EstimatorConfig};
+use e3_profiler::{ArimaModel, BatchProfileEstimator};
 use e3_runtime::autoreg::materialize_sequences;
 use e3_runtime::kernel::EventLog;
 use e3_runtime::strategy::StageSpec;
@@ -268,7 +268,7 @@ proptest! {
             proptest::collection::vec(0.0f64..1.0, 6), 1..20,
         ),
     ) {
-        let mut est = BatchProfileEstimator::new(6, EstimatorConfig::default());
+        let mut est = BatchProfileEstimator::new(6);
         for drops in windows {
             let mut surv = vec![1.0];
             let mut cur = 1.0f64;

@@ -13,8 +13,8 @@
 //!
 //! On `c` V100s each request joins the least-loaded replica's private
 //! queue, which sits between one central M/D/c queue and `c` independent
-//! M/D/1 queues at `λ / c`. And any closed loop obeys Little's law,
-//! `X · R = N`.
+//! M/D/1 queues at `λ / c`. And any run that drops nothing obeys
+//! Little's law, `X · R = N`, closed loop or open.
 
 use e3::harness::{Experiment, ModelFamily, SystemKind};
 use e3::DeploymentBuilder;
@@ -22,8 +22,8 @@ use e3_hardware::{ClusterSpec, GpuKind};
 use e3_model::{zoo, ExitPolicy};
 use e3_runtime::kernel::{EventLog, NullObserver};
 use e3_runtime::{KernelEvent, RunReport, Strategy};
-use e3_simcore::{stats, SimDuration};
-use e3_workload::{ArrivalProcess, DatasetModel, WorkloadGenerator};
+use e3_simcore::{stats, SimDuration, SimTime};
+use e3_workload::{ArrivalProcess, BurstyTraceConfig, DatasetModel, WorkloadGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -154,7 +154,44 @@ fn closed_loop_obeys_littles_law() {
     let r = exp.run(SystemKind::E3, 8, &mut log);
     assert_eq!(r.dropped, 0);
     assert_eq!(r.completed, 8000);
+    assert_littles_law(&r, &log);
+}
 
+#[test]
+fn open_loop_obeys_littles_law() {
+    // Bursty arrivals well under an E3 plan's capacity: bursts queue up
+    // and lulls drain. Arrivals stop 2 s before the horizon, so the
+    // report's duration is the horizon floor, not the last completion.
+    let family = ModelFamily::nlp();
+    let cluster = ClusterSpec::paper_homogeneous_v100();
+    let exp = Experiment::new(family.clone(), cluster.clone(), DatasetModel::sst2());
+    let strategy = Strategy::Plan(exp.plan(8));
+    let horizon = SimDuration::from_secs(20);
+    let sim = DeploymentBuilder::new(&family.ee, family.policy, &strategy, &cluster)
+        .open_loop(horizon)
+        .build();
+    let last_arrival = SimTime::ZERO + SimDuration::from_secs(18);
+    let requests: Vec<_> = WorkloadGenerator::new(
+        ArrivalProcess::Bursty(BurstyTraceConfig::twitter_like(500.0)),
+        DatasetModel::sst2(),
+        horizon,
+    )
+    .generate(0, &mut StdRng::seed_from_u64(5))
+    .into_iter()
+    .filter(|r| r.arrival < last_arrival)
+    .collect();
+    let mut log = EventLog::new();
+    let r = sim.run(&requests, 5, &mut log);
+    assert_eq!(r.dropped, 0);
+    assert_eq!(r.completed, requests.len() as u64);
+    assert_eq!(r.duration, horizon);
+    assert_littles_law(&r, &log);
+}
+
+/// Checks `X · R = N` for a run that dropped nothing: `N` integrated
+/// from the log's `Arrival`/`Completion` events over the report's
+/// `duration`, `X` and `R` from the report.
+fn assert_littles_law(r: &RunReport, log: &EventLog) {
     // N: the time-averaged count between `Arrival` and `Completion`.
     let duration = r.duration.as_secs_f64();
     let (mut in_flight, mut area, mut last) = (0i64, 0.0, 0.0);

@@ -21,12 +21,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn burst_system(guarded: bool) -> E3System {
-    let mut cfg = E3Config {
+    let cfg = E3Config {
         seed: 7,
         requests_per_window: 4000,
+        guarded,
         ..Default::default()
     };
-    cfg.reconfig.guarded = guarded;
     E3System::new(
         zoo::deebert(),
         zoo::default_policy("DeeBERT"),
