@@ -41,11 +41,11 @@ use rand::SeedableRng;
 
 use e3_hardware::{ClusterSpec, LatencyModel, TransferModel};
 use e3_model::{EeModel, ExitPolicy, ExitSampler, InferenceSim, RampController};
-use e3_simcore::{EventQueue, SimDuration, SimQueue, SimTime};
+use e3_simcore::{SimDuration, SimTime};
 use e3_workload::Request;
 
 use crate::kernel::{
-    Batches, Ev, Event, FaultPlan, FusionBatching, RunAccumulator, RunObserver, SloSlackAdmission,
+    Batches, FaultPlan, FusionBatching, RunAccumulator, RunObserver, SloSlackAdmission,
 };
 use crate::report::RunReport;
 use crate::sample::SimSample;
@@ -94,23 +94,6 @@ impl Default for ServingConfig {
             queue_cap: None,
         }
     }
-}
-
-/// Retry attempts before a transfer interrupted by a link outage
-/// ([`crate::kernel::FaultEvent::LinkDown`]) aborts and its samples are
-/// dropped.
-pub(crate) const MAX_TRANSFER_ATTEMPTS: u32 = 4;
-/// Wait before a parked transfer's first retry; doubles each further
-/// attempt.
-const TRANSFER_BASE_BACKOFF: SimDuration = SimDuration::from_millis(2);
-
-/// The wait before transfer retry `attempt` (1-based):
-/// `TRANSFER_BASE_BACKOFF * 2^(attempt-1)`, with the exponent clamped at
-/// 20 so an arbitrarily long outage saturates the backoff (~10⁶× base)
-/// instead of overflowing the shift.
-pub(crate) fn backoff_for(attempt: u32) -> SimDuration {
-    let exp = attempt.saturating_sub(1).min(20);
-    TRANSFER_BASE_BACKOFF * (1u64 << exp)
 }
 
 /// The serving simulator. Construct once, then [`ServingSim::run`].
@@ -221,7 +204,7 @@ impl<'a> ServingSim<'a> {
         // layout the event loop runs on, and with it the run's speed.
         let policies = self.policies();
         let backlog = self.materialize_backlog(requests, seed);
-        self.serve::<EventQueue<_>>(backlog, policies, observer)
+        self.serve(backlog, policies, observer)
     }
 
     /// Materializes the per-request outcomes (the RNG-bound Monte-Carlo
@@ -251,7 +234,7 @@ impl<'a> ServingSim<'a> {
         backlog: Vec<SimSample>,
         observer: &mut dyn RunObserver,
     ) -> RunReport {
-        self.serve::<EventQueue<_>>(backlog, self.policies(), observer)
+        self.serve(backlog, self.policies(), observer)
     }
 
     /// The admission and batching policies derived from this simulator's
@@ -274,10 +257,9 @@ impl<'a> ServingSim<'a> {
         (admission, batching)
     }
 
-    /// Serves `backlog` on event queue `Q` (the compact-key `EventQueue`
-    /// in every run, the `ReferenceQueue` in the differential test), or with
-    /// the barrier schedule when the plan is serial.
-    fn serve<Q: SimQueue<Event<Ev>>>(
+    /// Serves `backlog` on the kernel's event loop, or with the barrier
+    /// schedule when the plan is serial.
+    fn serve(
         &self,
         backlog: Vec<SimSample>,
         (admission, batching): (Option<SloSlackAdmission>, FusionBatching),
@@ -286,7 +268,7 @@ impl<'a> ServingSim<'a> {
         if !self.pipelined {
             return serial::run_barrier(self, &backlog);
         }
-        self.report(Batches::<Q>::new(self, backlog, admission, batching, observer).run())
+        self.report(Batches::new(self, backlog, admission, batching, observer).run())
     }
 
     /// The report of a finished event-loop run.
@@ -669,23 +651,6 @@ mod tests {
     }
 
     #[test]
-    fn transfer_backoff_doubles_then_saturates() {
-        let base = TRANSFER_BASE_BACKOFF;
-        assert_eq!(backoff_for(1), base);
-        assert_eq!(backoff_for(2), base * 2);
-        assert_eq!(backoff_for(3), base * 4);
-        assert_eq!(backoff_for(11), base * 1024);
-        // The exponent clamps at 20: attempt 21 and beyond all wait the
-        // same saturated backoff instead of overflowing the shift.
-        let saturated = base * (1u64 << 20);
-        assert_eq!(backoff_for(21), saturated);
-        assert_eq!(backoff_for(22), saturated);
-        assert_eq!(backoff_for(u32::MAX), saturated);
-        // attempt 0 (never scheduled, but total) behaves like attempt 1.
-        assert_eq!(backoff_for(0), base);
-    }
-
-    #[test]
     fn sheds_are_attributed_to_their_cause() {
         let model = zoo::bert_base();
         let cluster = ClusterSpec::homogeneous(GpuKind::V100, 1, 1);
@@ -738,15 +703,11 @@ mod tests {
         assert!(r.mean_depth() < 10.0, "mean depth {}", r.mean_depth());
     }
 
-    /// The deployment the queue differential tests replay: a multi-stage
-    /// E3 plan on a small cluster (stage faults and transfer events only
+    /// The deployment the arrival-merge test replays: a multi-stage E3
+    /// plan on a small cluster (stage faults and transfer events only
     /// exist with at least two stages), with `cfg`'s fault plan decoded
     /// from `words` on a millisecond grid within the first 150 ms.
-    fn differential_sim<'a>(
-        model: &'a EeModel,
-        words: &[u64],
-        cfg: ServingConfig,
-    ) -> ServingSim<'a> {
+    fn merge_sim<'a>(model: &'a EeModel, words: &[u64], cfg: ServingConfig) -> ServingSim<'a> {
         use e3_model::BatchProfile;
 
         let ctrl = RampController::all_enabled(model.num_ramps(), RampStyle::Independent);
@@ -782,90 +743,35 @@ mod tests {
         )
     }
 
-    /// Serves `backlog` on queue `Q` with open-loop arrivals merged from
-    /// the backlog or, with `upfront`, all scheduled on the queue at the
-    /// start — the reference the merge must reproduce.
-    fn serve_open<Q: SimQueue<Event<Ev>>>(
+    /// Serves `backlog` with every open-loop arrival scheduled on the
+    /// queue at the start: the schedule the merge must reproduce.
+    fn serve_upfront(
         sim: &ServingSim,
         backlog: Vec<SimSample>,
-        upfront: bool,
         observer: &mut dyn RunObserver,
     ) -> RunReport {
         let (admission, batching) = sim.policies();
-        let run = Batches::<Q>::new(sim, backlog, admission, batching, observer);
-        let run = if upfront {
-            run.scheduling_arrivals_upfront()
-        } else {
-            run
-        };
-        sim.report(run.run())
+        let run = Batches::new(sim, backlog, admission, batching, observer);
+        sim.report(run.scheduling_arrivals_upfront().run())
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
-        /// The arena-backed [`e3_simcore::EventQueue`] must be
-        /// observationally indistinguishable from the
-        /// [`e3_simcore::ReferenceQueue`] it replaced. Both queues drive the
-        /// same kernel over the same materialized backlog; the *entire*
-        /// kernel event stream — every event, timestamp, and ordering
-        /// decision, under arbitrary decoded fault plans — must come out
-        /// identical. Duplicate-timestamp FIFO ties are where two queue
-        /// layouts could legally diverge, so fault times are
-        /// drawn from a coarse grid to force plenty of simultaneous events.
-        #[test]
-        fn event_queue_replays_reference_event_stream(
-            words in proptest::collection::vec(0u64..u64::MAX, 1..6),
-            seed in 0u64..u64::MAX,
-        ) {
-            use crate::kernel::EventLog;
-            use proptest::prop_assert_eq;
-
-            let model = zoo::deebert();
-            let sim = differential_sim(&model, &words, ServingConfig::default());
-            let mut rng = StdRng::seed_from_u64(seed);
-            let dataset = DatasetModel::sst2();
-            let requests: Vec<Request> = (0..1500u64)
-                .map(|id| Request {
-                    id,
-                    arrival: SimTime::ZERO,
-                    hardness: dataset.sample_hardness(&mut rng),
-                    output_tokens: 1,
-                })
-                .collect();
-
-            let mut queue_log = EventLog::new();
-            let queue = sim.run(&requests, seed, &mut queue_log);
-            let mut reference_log = EventLog::new();
-            let reference = sim.serve::<e3_simcore::ReferenceQueue<Event<Ev>>>(
-                sim.materialize_backlog(&requests, seed),
-                sim.policies(),
-                &mut reference_log,
-            );
-
-            prop_assert_eq!(queue_log.events.len(), reference_log.events.len());
-            prop_assert_eq!(&queue_log.events, &reference_log.events);
-            prop_assert_eq!(queue.completed, reference.completed);
-            prop_assert_eq!(queue.within_slo, reference.within_slo);
-            prop_assert_eq!(queue.dropped, reference.dropped);
-            prop_assert_eq!(queue.duration, reference.duration);
-        }
-
         /// Open-loop arrivals are merged from the backlog, not put on the
-        /// queue. On both queues the merged run must replay, event for
-        /// event, the reference that schedules every arrival up front
-        /// after the fault actions. Arrivals sit on the faults'
-        /// millisecond grid, so they tie with fault edges, flush timers
-        /// and each other. A second backlog appends arrivals stamped at
-        /// the first run's `ExecDone` instants: it ties arrivals with
-        /// completions of passes, and it is not sorted by arrival.
+        /// queue. The merged run must replay, event for event, the run
+        /// that schedules every arrival up front after the fault actions.
+        /// Arrivals sit on the faults' millisecond grid, so they tie with
+        /// fault edges, flush timers and each other. A second backlog
+        /// appends arrivals stamped at the first run's `ExecDone`
+        /// instants: it ties arrivals with completions of passes, and it
+        /// is not sorted by arrival.
         #[test]
-        fn merged_arrivals_replay_upfront_reference(
+        fn merged_arrivals_replay_upfront_schedule(
             words in proptest::collection::vec(0u64..u64::MAX, 1..6),
             seed in 0u64..u64::MAX,
         ) {
             use crate::kernel::{EventLog, KernelEvent};
-            use e3_simcore::ReferenceQueue;
             use proptest::{prop_assert, prop_assert_eq};
             use rand::Rng;
 
@@ -875,7 +781,7 @@ mod tests {
                 horizon: Some(SimDuration::from_millis(150)),
                 ..Default::default()
             };
-            let sim = differential_sim(&model, &words, cfg);
+            let sim = merge_sim(&model, &words, cfg);
             let mut rng = StdRng::seed_from_u64(seed);
             let dataset = DatasetModel::sst2();
             let mut arrivals: Vec<u64> = (0..1200).map(|_| rng.gen_range(0..150)).collect();
@@ -891,22 +797,17 @@ mod tests {
                 })
                 .collect();
 
-            type Reference = ReferenceQueue<Event<Ev>>;
             for pass in 0..2 {
                 let backlog = sim.materialize_backlog(&requests, seed);
                 let mut upfront_log = EventLog::new();
-                let upfront = serve_open::<Reference>(&sim, backlog.clone(), true, &mut upfront_log);
-                let mut queue_log = EventLog::new();
-                let queue = sim.run_backlog_observed(backlog.clone(), &mut queue_log);
+                let upfront = serve_upfront(&sim, backlog.clone(), &mut upfront_log);
                 let mut merged_log = EventLog::new();
-                let merged = serve_open::<Reference>(&sim, backlog, false, &mut merged_log);
-                for (log, report) in [(&queue_log, &queue), (&merged_log, &merged)] {
-                    prop_assert_eq!(&log.events, &upfront_log.events);
-                    prop_assert_eq!(report.completed, upfront.completed);
-                    prop_assert_eq!(report.within_slo, upfront.within_slo);
-                    prop_assert_eq!(report.dropped, upfront.dropped);
-                    prop_assert_eq!(report.duration, upfront.duration);
-                }
+                let merged = sim.run_backlog_observed(backlog, &mut merged_log);
+                prop_assert_eq!(&merged_log.events, &upfront_log.events);
+                prop_assert_eq!(merged.completed, upfront.completed);
+                prop_assert_eq!(merged.within_slo, upfront.within_slo);
+                prop_assert_eq!(merged.dropped, upfront.dropped);
+                prop_assert_eq!(merged.duration, upfront.duration);
                 let times = |pred: fn(&KernelEvent) -> bool| -> Vec<SimTime> {
                     upfront_log.events.iter().filter(|(_, e)| pred(e)).map(|(t, _)| *t).collect()
                 };

@@ -32,8 +32,6 @@ pub struct RunAccumulator {
     peak_queue_depth: Vec<usize>,
     peak_replica_queue_depth: Vec<usize>,
     shed: u64,
-    transfer_retries: u64,
-    transfer_aborts: u64,
     excluded_since: Vec<Option<SimTime>>,
     excluded_total: Vec<SimDuration>,
     excluded_now: usize,
@@ -73,8 +71,6 @@ impl RunAccumulator {
             peak_queue_depth: vec![0; num_stages],
             peak_replica_queue_depth: vec![0; num_replicas],
             shed: 0,
-            transfer_retries: 0,
-            transfer_aborts: 0,
             excluded_since: vec![None; num_replicas],
             excluded_total: vec![SimDuration::ZERO; num_replicas],
             excluded_now: 0,
@@ -125,19 +121,6 @@ impl RunAccumulator {
         self.shed += n as u64;
         self.dropped += n as u64;
         self.robustness.sheds.queue_cap += n as u64;
-    }
-
-    /// Records one transfer retry scheduled while a link was down.
-    pub(crate) fn record_transfer_retry(&mut self) {
-        self.transfer_retries += 1;
-    }
-
-    /// Records a transfer abort that dropped `n` samples after its retry
-    /// attempts ran out.
-    pub(crate) fn record_transfer_abort(&mut self, n: usize) {
-        self.transfer_aborts += 1;
-        self.dropped += n as u64;
-        self.robustness.sheds.transfer_abort += n as u64;
     }
 
     /// Records a replica flagged as a straggler.
@@ -277,8 +260,8 @@ impl RunAccumulator {
             degraded_completed: self.degraded_completed,
             degraded_within_slo: self.degraded_within_slo,
             shed: self.shed,
-            transfer_retries: self.transfer_retries,
-            transfer_aborts: self.transfer_aborts,
+            transfer_retries: 0,
+            transfer_aborts: 0,
             tokens_generated: self.tokens_generated,
             kv_preemptions: self.kv_preemptions,
             robustness: self.robustness,
@@ -357,17 +340,13 @@ mod tests {
         acc.record_shed(4);
         acc.record_shed(3);
         acc.record_drop(); // admission rejection
-        acc.record_transfer_abort(2);
-        acc.record_transfer_abort(5);
         let r = acc.finish(SimDuration::from_secs(1));
         assert_eq!(r.robustness.sheds.queue_cap, 7);
         assert_eq!(r.robustness.sheds.admission, 1);
-        assert_eq!(r.robustness.sheds.transfer_abort, 7);
         // The breakdown partitions `dropped` exactly.
         assert_eq!(r.robustness.sheds.total(), r.dropped);
         // Legacy aggregates keep their meaning.
         assert_eq!(r.shed, 7);
-        assert_eq!(r.transfer_aborts, 2);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   plan order, goes on the queue before any other event, so at one
 //!   instant a window that opens takes effect before one that closes.
 //! * **Windows ignore crash state.** A crash or a recovery neither opens
-//!   nor clears a slowdown, stall or link window.
+//!   nor clears a slowdown or stall window.
 //! * **Counting.** Every entry counts once, at its start, whether or not
 //!   the loop has anything to react to (a crash of a crashed replica).
 //!
@@ -32,13 +32,9 @@
 //!   wait and dispatch resumes when the stall lifts;
 //! * [`FaultEvent::DelayedRecovery`] — a crashed replica (in the batch
 //!   kernel, also a straggler-excluded one) rejoins with
-//!   fresh service statistics;
-//! * [`FaultEvent::LinkDown`] — the interconnect out of a stage drops
-//!   transfers over a time window; the kernel retries them with
-//!   exponential backoff and aborts (dropping the samples) when the
-//!   transfer runs out of retry attempts.
+//!   fresh service statistics.
 
-use e3_simcore::{SimQueue, SimTime};
+use e3_simcore::{EventQueue, SimTime};
 
 use super::accounting::RunAccumulator;
 use super::observer::{KernelEvent, RunObserver};
@@ -87,18 +83,6 @@ pub enum FaultEvent {
         /// Recovery instant.
         at: SimTime,
     },
-    /// Transfers out of `from_stage` fail between `from` and `until`:
-    /// each affected transfer is retried with exponential backoff
-    /// (`engine::backoff_for`) and dropped after `MAX_TRANSFER_ATTEMPTS`
-    /// failed attempts.
-    LinkDown {
-        /// Sending stage whose outbound link is down.
-        from_stage: usize,
-        /// Outage onset.
-        from: SimTime,
-        /// Outage end.
-        until: SimTime,
-    },
 }
 
 impl FaultEvent {
@@ -108,7 +92,7 @@ impl FaultEvent {
             FaultEvent::ReplicaCrash { replica, .. }
             | FaultEvent::TransientSlowdown { replica, .. }
             | FaultEvent::DelayedRecovery { replica, .. } => Some(*replica),
-            FaultEvent::StageStall { .. } | FaultEvent::LinkDown { .. } => None,
+            FaultEvent::StageStall { .. } => None,
         }
     }
 
@@ -116,7 +100,6 @@ impl FaultEvent {
     pub fn stage(&self) -> Option<usize> {
         match self {
             FaultEvent::StageStall { stage, .. } => Some(*stage),
-            FaultEvent::LinkDown { from_stage, .. } => Some(*from_stage),
             _ => None,
         }
     }
@@ -125,9 +108,9 @@ impl FaultEvent {
     pub(crate) fn starts_at(&self) -> SimTime {
         match self {
             FaultEvent::ReplicaCrash { at, .. } | FaultEvent::DelayedRecovery { at, .. } => *at,
-            FaultEvent::TransientSlowdown { from, .. }
-            | FaultEvent::StageStall { from, .. }
-            | FaultEvent::LinkDown { from, .. } => *from,
+            FaultEvent::TransientSlowdown { from, .. } | FaultEvent::StageStall { from, .. } => {
+                *from
+            }
         }
     }
 
@@ -136,9 +119,9 @@ impl FaultEvent {
     pub(crate) fn ends_at(&self) -> Option<SimTime> {
         match self {
             FaultEvent::ReplicaCrash { .. } | FaultEvent::DelayedRecovery { .. } => None,
-            FaultEvent::TransientSlowdown { until, .. }
-            | FaultEvent::StageStall { until, .. }
-            | FaultEvent::LinkDown { until, .. } => Some(*until),
+            FaultEvent::TransientSlowdown { until, .. } | FaultEvent::StageStall { until, .. } => {
+                Some(*until)
+            }
         }
     }
 }
@@ -188,17 +171,6 @@ impl FaultPlan {
     pub fn recover(mut self, replica: usize, at: SimTime) -> Self {
         self.events
             .push(FaultEvent::DelayedRecovery { replica, at });
-        self
-    }
-
-    /// Schedules an outage of the link out of `from_stage` over
-    /// `[from, until)`.
-    pub fn link_down(mut self, from_stage: usize, from: SimTime, until: SimTime) -> Self {
-        self.events.push(FaultEvent::LinkDown {
-            from_stage,
-            from,
-            until,
-        });
         self
     }
 
@@ -261,17 +233,8 @@ impl FaultPlan {
             if let Some(until) = e.ends_at() {
                 assert!(until >= e.starts_at(), "fault window ends before it starts");
             }
-            match *e {
-                FaultEvent::TransientSlowdown { factor, .. } => {
-                    assert!(factor > 0.0, "slowdown factor must be positive");
-                }
-                FaultEvent::LinkDown { from_stage, .. } => {
-                    assert!(
-                        from_stage + 1 < num_stages,
-                        "link-down fault targets stage {from_stage}, which has no outbound link"
-                    );
-                }
-                _ => {}
+            if let FaultEvent::TransientSlowdown { factor, .. } = *e {
+                assert!(factor > 0.0, "slowdown factor must be positive");
             }
         }
     }
@@ -295,8 +258,6 @@ pub(crate) enum FaultReaction {
     Recover(usize),
     /// The stage's last stall window ended: kick its replicas.
     StallLifted(usize),
-    /// The link out of the stage came back from its last outage.
-    LinkRestored(usize),
 }
 
 /// The one fault model of the event loop: it schedules a [`FaultPlan`],
@@ -307,9 +268,6 @@ pub(crate) struct FaultState<'a> {
     plan: &'a [FaultEvent],
     /// Per-stage count of active [`FaultEvent::StageStall`] windows.
     stalls: Vec<u32>,
-    /// Per-stage count of active [`FaultEvent::LinkDown`] windows on the
-    /// stage's outbound link.
-    outages: Vec<u32>,
     /// Per-replica `(entry, factor)` of active slowdowns, in start order.
     slowdowns: Vec<Vec<(usize, f64)>>,
 }
@@ -322,7 +280,6 @@ impl<'a> FaultState<'a> {
         FaultState {
             plan: plan.events(),
             stalls: vec![0; num_stages],
-            outages: vec![0; num_stages],
             slowdowns: vec![Vec::new(); num_replicas],
         }
     }
@@ -331,7 +288,7 @@ impl<'a> FaultState<'a> {
     /// in plan order. Called before any other event is scheduled, so the
     /// queue's FIFO tie-break applies a fault before anything else due at
     /// the same instant, and a window opening before one closing.
-    pub(crate) fn schedule<E, Q: SimQueue<E>>(&self, q: &mut Q, wrap: impl Fn(FaultAction) -> E) {
+    pub(crate) fn schedule<E>(&self, q: &mut EventQueue<E>, wrap: impl Fn(FaultAction) -> E) {
         for (i, f) in self.plan.iter().enumerate() {
             q.schedule(f.starts_at(), wrap(FaultAction::Start(i)));
         }
@@ -368,7 +325,6 @@ impl<'a> FaultState<'a> {
                         replica, factor, ..
                     } => self.slowdowns[replica].push((i, factor)),
                     FaultEvent::StageStall { stage, .. } => self.stalls[stage] += 1,
-                    FaultEvent::LinkDown { from_stage, .. } => self.outages[from_stage] += 1,
                 }
                 None
             }
@@ -384,11 +340,6 @@ impl<'a> FaultState<'a> {
                     self.stalls[stage] -= 1;
                     (self.stalls[stage] == 0).then_some(FaultReaction::StallLifted(stage))
                 }
-                FaultEvent::LinkDown { from_stage, .. } => {
-                    self.outages[from_stage] -= 1;
-                    (self.outages[from_stage] == 0)
-                        .then_some(FaultReaction::LinkRestored(from_stage))
-                }
                 FaultEvent::ReplicaCrash { .. } | FaultEvent::DelayedRecovery { .. } => {
                     unreachable!("instantaneous faults have no end")
                 }
@@ -401,11 +352,6 @@ impl<'a> FaultState<'a> {
         self.stalls[stage] > 0
     }
 
-    /// True while an outage holds the link out of `from_stage`.
-    pub(crate) fn link_down(&self, from_stage: usize) -> bool {
-        self.outages[from_stage] > 0
-    }
-
     /// `replica`'s active slowdown factors, in start order.
     pub(crate) fn slowdowns(&self, replica: usize) -> impl Iterator<Item = f64> + '_ {
         self.slowdowns[replica].iter().map(|&(_, f)| f)
@@ -414,10 +360,9 @@ impl<'a> FaultState<'a> {
 
 /// Decodes raw entropy words into a fault plan valid for `replicas`
 /// replicas over `stages` stages: each word yields a crash, a crash with
-/// a delayed recovery, a slowdown, a stage stall or (with two stages or
-/// more) a link outage out of stage 0, starting on a millisecond grid
-/// inside `horizon_ms`, so any word vector makes a well-formed plan and
-/// ties abound.
+/// a delayed recovery, a slowdown or a stage stall, starting on a
+/// millisecond grid inside `horizon_ms`, so any word vector makes a
+/// well-formed plan and ties abound.
 #[cfg(test)]
 pub(crate) fn decoded_fault_plan(
     words: &[u64],
@@ -435,7 +380,6 @@ pub(crate) fn decoded_fault_plan(
             0 => plan.crash(replica, from),
             1 => plan.crash(replica, from).recover(replica, until),
             2 => plan.slowdown(replica, 1.5 + ((w >> 32) % 5) as f64 * 0.5, from, until),
-            3 if stages >= 2 => plan.link_down(0, from, until),
             _ => plan.stall(stage, from, until),
         };
     }
@@ -514,21 +458,6 @@ mod tests {
         FaultPlan::new()
             .slowdown(0, 0.0, ms(1), ms(2))
             .validate(1, 1);
-    }
-
-    #[test]
-    fn link_down_is_stage_scoped() {
-        let plan = FaultPlan::new().link_down(0, ms(5), ms(25));
-        assert_eq!(plan.events()[0].stage(), Some(0));
-        assert_eq!(plan.events()[0].replica(), None);
-        assert_eq!(plan.events()[0].starts_at(), ms(5));
-        plan.validate(4, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "no outbound link")]
-    fn validate_rejects_link_down_on_last_stage() {
-        FaultPlan::new().link_down(1, ms(1), ms(2)).validate(4, 2);
     }
 
     #[test]

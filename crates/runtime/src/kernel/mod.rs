@@ -58,13 +58,12 @@ pub use policy::FUSION_MAX_WAIT;
 pub(crate) use policy::{FusionBatching, SloSlackAdmission};
 
 use std::collections::VecDeque;
-use std::marker::PhantomData;
 
 use e3_hardware::GpuKind;
-use e3_simcore::{EventQueue, SimDuration, SimQueue, SimTime};
+use e3_simcore::{EventQueue, SimDuration, SimTime};
 
 use crate::batch::{Batch, SamplePool};
-use crate::engine::{backoff_for, ServingSim, MAX_TRANSFER_ATTEMPTS};
+use crate::engine::ServingSim;
 use crate::executor::ExecTables;
 use crate::sample::SimSample;
 use faults::{FaultAction, FaultReaction, FaultState};
@@ -102,20 +101,16 @@ struct Life {
 
 /// The mechanism of one run: the event queue and its clock, the fault
 /// windows, the accounting, the observer and every replica's lifecycle.
-///
-/// Generic over the event queue so differential tests can replay the
-/// identical run on the [`e3_simcore::ReferenceQueue`] and compare event
-/// streams against the [`e3_simcore::EventQueue`] default.
-pub(crate) struct Core<'a, E, Q> {
-    q: Q,
+/// `E` is the discipline's own event type.
+pub(crate) struct Core<'a, E> {
+    q: EventQueue<Event<E>>,
     faults: FaultState<'a>,
     acc: RunAccumulator,
     obs: &'a mut dyn RunObserver,
     reps: Vec<Life>,
-    event: PhantomData<E>,
 }
 
-impl<'a, E, Q: SimQueue<Event<E>>> Core<'a, E, Q> {
+impl<'a, E> Core<'a, E> {
     /// A run over one replica per entry of `stage_of` (its stage), with
     /// `plan` validated against that shape and an accumulator over `slo`.
     fn new(
@@ -137,12 +132,11 @@ impl<'a, E, Q: SimQueue<Event<E>>> Core<'a, E, Q> {
             })
             .collect();
         Core {
-            q: Q::new(),
+            q: EventQueue::new(),
             faults: FaultState::new(plan, reps.len(), num_stages),
             acc: RunAccumulator::new(num_stages, reps.len(), slo, record_exit_events),
             obs,
             reps,
-            event: PhantomData,
         }
     }
 
@@ -254,9 +248,7 @@ impl<'a, E, Q: SimQueue<Event<E>>> Core<'a, E, Q> {
 pub(crate) trait Discipline<'a> {
     /// The discipline's own events.
     type Ev;
-    /// The event queue the run uses.
-    type Q: SimQueue<Event<Self::Ev>>;
-    fn core(&mut self) -> &mut Core<'a, Self::Ev, Self::Q>;
+    fn core(&mut self) -> &mut Core<'a, Self::Ev>;
     /// Seeds the run once the fault schedule is on the queue.
     fn start(&mut self);
     fn on_event(&mut self, event: Self::Ev);
@@ -268,8 +260,6 @@ pub(crate) trait Discipline<'a> {
     fn on_recover(&mut self, r: usize);
     /// The last stall on `stage` lifted.
     fn on_stall_lifted(&mut self, stage: usize);
-    /// The link out of `stage` came back from its last outage.
-    fn on_link_restored(&mut self, stage: usize);
     /// How many open-loop arrivals the run serves from outside the queue.
     fn arrivals(&self) -> usize {
         0
@@ -332,7 +322,6 @@ pub(crate) fn drive<'a, D: Discipline<'a>>(d: &mut D) {
                     Some(FaultReaction::Crash(r)) if d.core().crash(r) => d.on_crash(r),
                     Some(FaultReaction::Recover(r)) if d.core().recover(r) => d.on_recover(r),
                     Some(FaultReaction::StallLifted(stage)) => d.on_stall_lifted(stage),
-                    Some(FaultReaction::LinkRestored(stage)) => d.on_link_restored(stage),
                     _ => {}
                 }
             }
@@ -344,8 +333,8 @@ pub(crate) fn drive<'a, D: Discipline<'a>>(d: &mut D) {
 /// Batch serving's own events.
 #[derive(Debug, Clone)]
 pub(crate) enum Ev {
-    /// Arrival `i`, scheduled up front by the reference run of the
-    /// differential tests; the loop serves arrivals from the backlog.
+    /// Arrival `i`, scheduled up front by the schedule the arrival-merge
+    /// test compares against; the loop serves arrivals from the backlog.
     #[cfg(test)]
     Arrival(usize),
     BatchReady {
@@ -354,11 +343,6 @@ pub(crate) enum Ev {
     },
     Flush {
         stage: usize,
-    },
-    TransferRetry {
-        from_stage: usize,
-        batch: Batch,
-        attempt: u32,
     },
 }
 
@@ -373,9 +357,9 @@ struct Replica {
 /// Batch serving: one run of a [`crate::engine::ServingSim`] deployment
 /// over its materialized backlog. [`Batches::run`] drives it through the
 /// loop and returns the filled [`RunAccumulator`].
-pub(crate) struct Batches<'a, Q: SimQueue<Event<Ev>> = EventQueue<Event<Ev>>> {
+pub(crate) struct Batches<'a> {
     sim: &'a ServingSim<'a>,
-    core: Core<'a, Ev, Q>,
+    core: Core<'a, Ev>,
     /// SLO-slack admission; `None` admits everything (closed loop).
     admission: Option<SloSlackAdmission>,
     batching: FusionBatching,
@@ -414,7 +398,7 @@ pub(crate) struct Batches<'a, Q: SimQueue<Event<Ev>> = EventQueue<Event<Ev>>> {
     exec: ExecTables<'a>,
 }
 
-impl<'a, Q: SimQueue<Event<Ev>>> Batches<'a, Q> {
+impl<'a> Batches<'a> {
     pub(crate) fn new(
         sim: &'a ServingSim<'a>,
         backlog: Vec<SimSample>,
@@ -495,7 +479,7 @@ impl<'a, Q: SimQueue<Event<Ev>>> Batches<'a, Q> {
         self.core.acc
     }
 
-    /// The reference the differential tests replay: every open-loop
+    /// The schedule the arrival-merge test replays: every open-loop
     /// arrival goes on the queue at the start, arrival `i` as the
     /// `i`-th event after the fault actions.
     #[cfg(test)]
@@ -766,37 +750,14 @@ impl<'a, Q: SimQueue<Event<Ev>>> Batches<'a, Q> {
         self.wake_feeders();
     }
 
-    /// Hands survivors of `from_stage` to the interconnect. A healthy
-    /// link schedules the fused batch at the next stage after the
-    /// transfer time; a downed link ([`FaultEvent::LinkDown`]) parks the
-    /// batch on a backed-off retry timer instead.
+    /// Hands survivors of `from_stage` to the interconnect: the fused
+    /// batch reaches the next stage after the transfer time.
     fn send_downstream(&mut self, from_stage: usize, survivors: Vec<SimSample>, now: SimTime) {
         let next = from_stage + 1;
         assert!(
             next < self.sim.stages.len(),
             "survivors past the last stage"
         );
-        if self.core.faults.link_down(from_stage) {
-            let batch = Batch {
-                samples: survivors,
-                formed_at: now,
-            };
-            self.core.acc.record_transfer_retry();
-            self.core.emit(KernelEvent::TransferRetried {
-                from_stage,
-                attempt: 1,
-                size: batch.len(),
-            });
-            self.core.serve_after(
-                backoff_for(1),
-                Ev::TransferRetry {
-                    from_stage,
-                    batch,
-                    attempt: 1,
-                },
-            );
-            return;
-        }
         let stage_end = self.sim.stages[from_stage].layers.end;
         let bytes = self.sim.model.boundary_bytes(stage_end - 1);
         let tx = self
@@ -819,54 +780,6 @@ impl<'a, Q: SimQueue<Event<Ev>>> Batches<'a, Q> {
                 batch: b,
             },
         );
-    }
-
-    /// A parked transfer's retry timer fired: send if the link is back,
-    /// back off again if not, abort (dropping the samples) once the
-    /// per-transfer attempt limit is spent.
-    fn on_transfer_retry(&mut self, from_stage: usize, batch: Batch, attempt: u32) {
-        let now = self.core.now();
-        if !self.core.faults.link_down(from_stage) {
-            self.send_downstream(from_stage, batch.samples, now);
-            return;
-        }
-        if attempt >= MAX_TRANSFER_ATTEMPTS {
-            self.abort_transfer(from_stage, batch);
-            return;
-        }
-        let next_attempt = attempt + 1;
-        self.core.acc.record_transfer_retry();
-        self.core.emit(KernelEvent::TransferRetried {
-            from_stage,
-            attempt: next_attempt,
-            size: batch.len(),
-        });
-        self.core.serve_after(
-            backoff_for(next_attempt),
-            Ev::TransferRetry {
-                from_stage,
-                batch,
-                attempt: next_attempt,
-            },
-        );
-    }
-
-    /// Aborts a parked transfer, dropping its samples.
-    fn abort_transfer(&mut self, from_stage: usize, mut batch: Batch) {
-        self.core.acc.record_transfer_abort(batch.len());
-        self.core.emit(KernelEvent::TransferAborted {
-            from_stage,
-            size: batch.len(),
-        });
-        for s in batch.samples.drain(..) {
-            self.in_flight = self.in_flight.saturating_sub(1);
-            self.core.emit(KernelEvent::Dropped {
-                sample: s.id,
-                stage: from_stage,
-            });
-        }
-        self.sample_pool.put(batch.samples);
-        self.wake_feeders();
     }
 
     /// Wakes idle closed-loop stage-0 feeders (drops or completions may
@@ -917,11 +830,10 @@ impl<'a, Q: SimQueue<Event<Ev>>> Batches<'a, Q> {
     }
 }
 
-impl<'a, Q: SimQueue<Event<Ev>>> Discipline<'a> for Batches<'a, Q> {
+impl<'a> Discipline<'a> for Batches<'a> {
     type Ev = Ev;
-    type Q = Q;
 
-    fn core(&mut self) -> &mut Core<'a, Ev, Q> {
+    fn core(&mut self) -> &mut Core<'a, Ev> {
         &mut self.core
     }
 
@@ -946,11 +858,6 @@ impl<'a, Q: SimQueue<Event<Ev>>> Discipline<'a> for Batches<'a, Q> {
             Ev::Arrival(i) => self.arrive(i),
             Ev::BatchReady { stage, batch } => self.on_batch_ready(stage, batch),
             Ev::Flush { stage } => self.on_flush(stage),
-            Ev::TransferRetry {
-                from_stage,
-                batch,
-                attempt,
-            } => self.on_transfer_retry(from_stage, batch, attempt),
         }
     }
 
@@ -997,10 +904,6 @@ impl<'a, Q: SimQueue<Event<Ev>>> Discipline<'a> for Batches<'a, Q> {
             self.try_begin(rid);
         }
     }
-
-    /// Parked transfers notice on their next retry timer; no proactive
-    /// kick keeps the retry cadence deterministic.
-    fn on_link_restored(&mut self, _stage: usize) {}
 
     fn arrivals(&self) -> usize {
         self.arrivals

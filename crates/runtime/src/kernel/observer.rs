@@ -113,24 +113,6 @@ pub enum KernelEvent {
         /// Samples shed.
         size: usize,
     },
-    /// A stage transfer found the link down and was scheduled for a
-    /// backed-off retry.
-    TransferRetried {
-        /// Sending stage.
-        from_stage: usize,
-        /// Retry attempt number (1 = first retry).
-        attempt: u32,
-        /// Samples waiting on the transfer.
-        size: usize,
-    },
-    /// A stage transfer exhausted its retry attempts; its samples were
-    /// dropped.
-    TransferAborted {
-        /// Sending stage.
-        from_stage: usize,
-        /// Samples dropped with the transfer.
-        size: usize,
-    },
     /// A sequence joined a replica's running batch mid-flight (continuous
     /// batching: admission happens at iteration boundaries, not windows).
     SequenceJoined {

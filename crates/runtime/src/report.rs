@@ -17,16 +17,16 @@ pub struct ExitEvent {
 }
 
 /// Every dropped sample of a run, broken down by what dropped it. The
-/// causes partition [`RunReport::dropped`]: queue-bound sheds,
-/// admission-policy rejections and transfer aborts are the only paths
-/// that lose samples.
+/// causes partition [`RunReport::dropped`]: queue-bound sheds and
+/// admission-policy rejections are the only paths that lose samples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShedBreakdown {
     /// Samples shed at routing time by the per-replica queue bound.
     pub queue_cap: u64,
     /// Samples rejected by the admission policy (deadline unmeetable).
     pub admission: u64,
-    /// Samples dropped with a transfer that exhausted its retries.
+    /// Transfer aborts: always 0; kept because the benchmark digests this
+    /// report's Debug text; goes with the next `benchmark/` change.
     pub transfer_abort: u64,
     /// Brownout sheds: always 0; kept because the benchmark digests this
     /// report's Debug text; goes with the next `benchmark/` change.
@@ -37,14 +37,13 @@ impl ShedBreakdown {
     /// Total samples lost across all causes — equals
     /// [`RunReport::dropped`].
     pub fn total(&self) -> u64 {
-        self.queue_cap + self.admission + self.transfer_abort
+        self.queue_cap + self.admission
     }
 
     /// Adds another breakdown's counts into this one.
     pub fn merge(&mut self, other: &ShedBreakdown) {
         self.queue_cap += other.queue_cap;
         self.admission += other.admission;
-        self.transfer_abort += other.transfer_abort;
     }
 }
 
@@ -131,10 +130,11 @@ pub struct RunReport {
     /// Samples shed at routing time by the per-replica queue bound
     /// (a subset of `dropped`).
     pub shed: u64,
-    /// Stage transfers re-scheduled because the outbound link was down.
+    /// Transfer retries: always 0; kept because the benchmark digests this
+    /// report's Debug text; goes with the next `benchmark/` change.
     pub transfer_retries: u64,
-    /// Stage transfers aborted after exhausting their retry attempts (their
-    /// samples count under `dropped`).
+    /// Transfer aborts: always 0; kept because the benchmark digests this
+    /// report's Debug text; goes with the next `benchmark/` change.
     pub transfer_aborts: u64,
     /// Output tokens generated (0 for non-autoregressive runs).
     pub tokens_generated: u64,
@@ -151,8 +151,8 @@ impl RunReport {
     /// as probe / canary / remainder kernel runs and reports them as one.
     ///
     /// Counters (`completed`, `within_slo`, `dropped`, `correct`,
-    /// `faults_injected`, degraded counts, `shed`, transfer retry/abort
-    /// counts) sum; durations sum; latency histograms merge; exit-event
+    /// `faults_injected`, degraded counts, `shed`, tokens, preemptions)
+    /// sum; durations sum; latency histograms merge; exit-event
     /// timestamps are re-based onto the cumulative clock; straggler lists
     /// concatenate. Shape-dependent per-replica and per-stage vectors
     /// (`replica_util`, `mean_dispatch_batch`, `peak_queue_depth`,
@@ -178,8 +178,6 @@ impl RunReport {
             merged.degraded_completed += seg.degraded_completed;
             merged.degraded_within_slo += seg.degraded_within_slo;
             merged.shed += seg.shed;
-            merged.transfer_retries += seg.transfer_retries;
-            merged.transfer_aborts += seg.transfer_aborts;
             merged.tokens_generated += seg.tokens_generated;
             merged.kv_preemptions += seg.kv_preemptions;
             merged.robustness.merge(&seg.robustness);
@@ -423,19 +421,17 @@ mod tests {
         let mut a = ShedBreakdown {
             queue_cap: 5,
             admission: 2,
-            transfer_abort: 1,
-            brownout: 0,
+            ..ShedBreakdown::default()
         };
-        assert_eq!(a.total(), 8);
+        assert_eq!(a.total(), 7);
         let b = ShedBreakdown {
             queue_cap: 1,
-            admission: 0,
-            transfer_abort: 7,
-            brownout: 0,
+            admission: 4,
+            ..ShedBreakdown::default()
         };
         a.merge(&b);
-        assert_eq!(a.total(), 16);
-        assert_eq!(a.transfer_abort, 8);
+        assert_eq!(a.total(), 12);
+        assert_eq!(a.admission, 6);
         assert_eq!(ShedBreakdown::default().total(), 0);
     }
 

@@ -10,12 +10,12 @@
 //! the definition of "forever" instead of failing loudly.
 //!
 //! The decoder covers the kernel's fault vocabulary: crash with
-//! recovery, transient slowdown, stage stall and link-down.
+//! recovery, transient slowdown and stage stall.
 //!
-//! The companion property test serves hundreds of decoded plans with
-//! straggler detection and a finite transfer-retry schedule, and asserts,
-//! per run, that no sample is lost or double-counted and the kernel event
-//! stream passes the typed invariant checker.
+//! The companion property test serves decoded plans with straggler
+//! detection, and asserts, per run, that no sample is lost or
+//! double-counted and the kernel event stream passes the typed invariant
+//! checker.
 
 use e3_runtime::kernel::FaultPlan;
 use e3_simcore::{SimDuration, SimTime};
@@ -80,12 +80,6 @@ pub fn decode_fault_plan(
         plan = match op % 4 {
             0 => plan.crash(replica, from).recover(replica, until),
             1 => plan.slowdown(replica, factor, from, until),
-            2 => plan.stall(stage, from, until),
-            // Only stages with an outbound link can lose one; a
-            // single-stage deployment degrades the record to a stall.
-            _ if num_stages > 1 => {
-                plan.link_down(usize::from(operand) % (num_stages - 1), from, until)
-            }
             _ => plan.stall(stage, from, until),
         };
     }
@@ -157,9 +151,8 @@ mod tests {
 
     #[test]
     fn conservation_holds_under_decoded_plans() {
-        // A 2-stage DeeBERT pipeline over 6 V100s: stage transfers exist
-        // (so link faults and transfer retries bite), and each stage keeps
-        // a protected replica (0 and 4).
+        // A 2-stage DeeBERT pipeline over 6 V100s: stage transfers exist,
+        // and each stage keeps a protected replica (0 and 4).
         let model = zoo::deebert();
         let stages = || {
             vec![

@@ -535,9 +535,7 @@ impl RunObserver for InvariantChecker {
             | KernelEvent::Fusion { .. }
             | KernelEvent::ExecDone { .. }
             | KernelEvent::StageTransfer { .. }
-            | KernelEvent::FaultInjected { .. }
-            | KernelEvent::TransferRetried { .. }
-            | KernelEvent::TransferAborted { .. } => {}
+            | KernelEvent::FaultInjected { .. } => {}
         }
     }
 }

@@ -13,8 +13,8 @@
 //!
 //! Keys order by `(at, seq)`, a *unique* total order (seq is a monotone
 //! insertion counter), so the pop sequence is identical, event for event,
-//! to the reference queue's ([`crate::event::ReferenceQueue`]) and the
-//! golden figure outputs do not move by a byte.
+//! to that of the test-only reference queue in [`crate::event`], one
+//! binary heap of whole events.
 //!
 //! The pending set stays small — a handful to a few dozen events in every
 //! serving loop — so an O(log n) sift over a few cache lines is cheaper
@@ -35,9 +35,9 @@ struct Key {
 
 /// A deterministic priority queue of future events.
 ///
-/// Drop-in replacement for the [`crate::event::ReferenceQueue`] with the
-/// same API, the same panics, and the exact same pop order; see the module
-/// docs for the layout. The queue also tracks the simulation clock:
+/// Pops in the exact order of the reference queue in [`crate::event`],
+/// with the same API and the same panics; see the module docs for the
+/// layout. The queue also tracks the simulation clock:
 /// [`EventQueue::pop`] advances `now` to the popped event's timestamp, and
 /// scheduling an event in the past is rejected (it would make the simulation
 /// non-causal).
@@ -277,8 +277,10 @@ impl<E> EventQueue<E> {
         self.heap.first().map(|k| SimTime::from_nanos(k.at))
     }
 
-    /// Discards all pending events (the clock is left unchanged). Used when
-    /// a simulation ends at a horizon with work still in flight.
+    /// Discards all pending events (the clock is left unchanged). No
+    /// serving loop needs it; the differential test applies it to both
+    /// queues.
+    #[cfg(test)]
     pub(crate) fn clear_pending(&mut self) {
         self.heap.clear();
         self.slots.clear();
@@ -286,55 +288,10 @@ impl<E> EventQueue<E> {
     }
 }
 
-impl<E> crate::event::SimQueue<E> for EventQueue<E> {
-    fn new() -> Self {
-        EventQueue::new()
-    }
-    fn now(&self) -> SimTime {
-        EventQueue::now(self)
-    }
-    fn processed(&self) -> u64 {
-        EventQueue::processed(self)
-    }
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-    fn is_empty(&self) -> bool {
-        EventQueue::is_empty(self)
-    }
-    fn schedule(&mut self, at: SimTime, event: E) {
-        EventQueue::schedule(self, at, event)
-    }
-    fn schedule_after(&mut self, delay: SimDuration, event: E) {
-        EventQueue::schedule_after(self, delay, event)
-    }
-    fn advance(&mut self, d: SimDuration) -> SimTime {
-        EventQueue::advance(self, d)
-    }
-    fn advance_to(&mut self, to: SimTime) {
-        EventQueue::advance_to(self, to)
-    }
-    fn reserve_seqs(&mut self, n: u64) -> u64 {
-        EventQueue::reserve_seqs(self, n)
-    }
-    fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        EventQueue::pop(self)
-    }
-    fn pop_before(&mut self, at: SimTime, seq: u64) -> Option<ScheduledEvent<E>> {
-        EventQueue::pop_before(self, at, seq)
-    }
-    fn peek_time(&self) -> Option<SimTime> {
-        EventQueue::peek_time(self)
-    }
-    fn clear_pending(&mut self) {
-        EventQueue::clear_pending(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{ReferenceQueue, SimQueue};
+    use crate::event::ReferenceQueue;
     use proptest::prop_assert;
 
     #[test]
@@ -557,8 +514,10 @@ mod tests {
     }
 
     /// The observable state both queues must agree on.
-    fn state<Q: SimQueue<u32>>(q: &Q) -> (usize, Option<SimTime>, SimTime, u64) {
-        (q.len(), q.peek_time(), q.now(), q.processed())
+    macro_rules! state {
+        ($q:expr) => {
+            ($q.len(), $q.peek_time(), $q.now(), $q.processed())
+        };
     }
 
     fn popped(ev: Option<ScheduledEvent<u32>>) -> Option<(SimTime, u64, u32)> {
@@ -632,7 +591,7 @@ mod tests {
                     }
                 }
                 assert_invariants(&q);
-                prop_assert_eq!(state(&q), state(&r));
+                prop_assert_eq!(state!(q), state!(r));
             }
             while !q.is_empty() {
                 prop_assert_eq!(popped(q.pop()), popped(r.pop()));

@@ -1,20 +1,21 @@
-//! Stable discrete-event queue — the reference implementation.
+//! Scheduled events, and the reference queue the event heap is checked
+//! against.
 //!
 //! A simulation is a loop that pops the earliest scheduled event, advances
 //! the clock to its timestamp, and handles it (possibly scheduling more
 //! events). Correctness of the reproduction demands *stable* ordering:
 //! events scheduled for the same instant must pop in the order they were
-//! scheduled, otherwise runs would not be reproducible. [`ReferenceQueue`]
+//! scheduled, otherwise runs would not be reproducible. Every queue
 //! guarantees this with a monotonically increasing sequence number.
 //!
-//! This binary heap of whole events is the *specification*: obviously
-//! correct, one comparison path, no tuning knobs. The hot-path simulator
-//! runs on the compact-key heap over a payload arena
-//! ([`crate::calendar::EventQueue`]), which must pop the exact same
-//! `(at, seq)` sequence; differential tests replay random operation
-//! sequences and full kernel runs against this queue to prove it.
+//! A test-only reference queue, a binary heap of whole events, is the
+//! *specification*: obviously correct, one comparison path, no tuning
+//! knobs. The simulator runs on the compact-key heap over a payload
+//! arena ([`crate::calendar::EventQueue`]), which must pop the exact same
+//! `(at, seq)` sequence; a differential test replays random operation
+//! sequences on both queues to prove it.
 
-use std::cmp::Ordering;
+#[cfg(test)]
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
@@ -31,65 +32,50 @@ pub struct ScheduledEvent<E> {
     pub event: E,
 }
 
+// The reference heap's order: `BinaryHeap` is a max-heap, so invert
+// `(at, seq)` and the earliest (and, on ties, first-scheduled) event pops
+// first.
+#[cfg(test)]
 impl<E> PartialEq for ScheduledEvent<E> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
+#[cfg(test)]
 impl<E> Eq for ScheduledEvent<E> {}
-
+#[cfg(test)]
 impl<E> Ord for ScheduledEvent<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (and, on ties,
-        // first-scheduled) event is popped first.
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         other
             .at
             .cmp(&self.at)
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
+#[cfg(test)]
 impl<E> PartialOrd for ScheduledEvent<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-/// A deterministic priority queue of future events.
+/// The reference priority queue of future events: the specification
+/// [`crate::calendar::EventQueue`] is tested against, with the same API,
+/// the same panics and the same pop order.
 ///
-/// The queue also tracks the simulation clock: [`ReferenceQueue::pop`] advances
-/// `now` to the popped event's timestamp, and scheduling an event in the
-/// past is rejected (it would make the simulation non-causal).
-///
-/// # Examples
-///
-/// ```
-/// use e3_simcore::{ReferenceQueue, SimDuration, SimTime};
-///
-/// let mut q: ReferenceQueue<&str> = ReferenceQueue::new();
-/// q.schedule(SimTime::from_millis(5), "late");
-/// q.schedule(SimTime::from_millis(1), "early");
-/// q.schedule_after(SimDuration::from_millis(1), "also-early");
-///
-/// assert_eq!(q.pop().unwrap().event, "early");
-/// assert_eq!(q.pop().unwrap().event, "also-early");
-/// assert_eq!(q.now(), SimTime::from_millis(1));
-/// assert_eq!(q.pop().unwrap().event, "late");
-/// assert!(q.pop().is_none());
-/// ```
+/// The queue also tracks the simulation clock: `pop` advances `now` to
+/// the popped event's timestamp, and scheduling an event in the past is
+/// rejected (it would make the simulation non-causal).
+#[cfg(test)]
 #[derive(Debug)]
-pub struct ReferenceQueue<E> {
+pub(crate) struct ReferenceQueue<E> {
     heap: BinaryHeap<ScheduledEvent<E>>,
     now: SimTime,
     next_seq: u64,
     processed: u64,
 }
 
-impl<E> Default for ReferenceQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
+#[cfg(test)]
 impl<E> ReferenceQueue<E> {
     /// Creates an empty queue with the clock at time zero.
     pub fn new() -> Self {
@@ -209,100 +195,13 @@ impl<E> ReferenceQueue<E> {
     }
 
     /// Timestamp of the next pending event, if any, without popping it.
-    pub(crate) fn peek_time(&self) -> Option<SimTime> {
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
     }
 
-    /// Discards all pending events (the clock is left unchanged). Used when
-    /// a simulation ends at a horizon with work still in flight.
-    pub(crate) fn clear_pending(&mut self) {
+    /// Discards all pending events (the clock is left unchanged).
+    pub fn clear_pending(&mut self) {
         self.heap.clear();
-    }
-}
-
-/// The event-queue interface simulation drivers are generic over.
-///
-/// Both the hot-path compact-key heap ([`crate::calendar::EventQueue`], the
-/// default everywhere) and the [`ReferenceQueue`] implement it
-/// with identical semantics, so differential tests can run the *same*
-/// simulation on both queues and compare the resulting event streams.
-pub trait SimQueue<E> {
-    /// Creates an empty queue with the clock at time zero.
-    fn new() -> Self;
-    /// Current simulated time (the timestamp of the last popped event).
-    fn now(&self) -> SimTime;
-    /// Number of events popped so far.
-    fn processed(&self) -> u64;
-    /// Number of events still pending.
-    fn len(&self) -> usize;
-    /// True if no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Schedules `event` at absolute time `at`; panics if `at` is in the past.
-    fn schedule(&mut self, at: SimTime, event: E);
-    /// Schedules `event` at `now + delay`.
-    fn schedule_after(&mut self, delay: crate::time::SimDuration, event: E);
-    /// Advances the clock without popping; panics past a pending event.
-    fn advance(&mut self, d: crate::time::SimDuration) -> SimTime;
-    /// Moves the clock to `to` without popping; panics past a pending
-    /// event or into the past.
-    fn advance_to(&mut self, to: SimTime);
-    /// Reserves the next `n` sequence numbers for events a caller keeps
-    /// outside the queue; returns the first.
-    fn reserve_seqs(&mut self, n: u64) -> u64;
-    /// Pops the earliest event and advances the clock to its timestamp.
-    fn pop(&mut self) -> Option<ScheduledEvent<E>>;
-    /// Pops the earliest event only if it orders before `(at, seq)`.
-    fn pop_before(&mut self, at: SimTime, seq: u64) -> Option<ScheduledEvent<E>>;
-    /// Timestamp of the next pending event, if any.
-    fn peek_time(&self) -> Option<SimTime>;
-    /// Discards all pending events, leaving the clock unchanged.
-    fn clear_pending(&mut self);
-}
-
-impl<E> SimQueue<E> for ReferenceQueue<E> {
-    fn new() -> Self {
-        ReferenceQueue::new()
-    }
-    fn now(&self) -> SimTime {
-        ReferenceQueue::now(self)
-    }
-    fn processed(&self) -> u64 {
-        ReferenceQueue::processed(self)
-    }
-    fn len(&self) -> usize {
-        ReferenceQueue::len(self)
-    }
-    fn is_empty(&self) -> bool {
-        ReferenceQueue::is_empty(self)
-    }
-    fn schedule(&mut self, at: SimTime, event: E) {
-        ReferenceQueue::schedule(self, at, event)
-    }
-    fn schedule_after(&mut self, delay: crate::time::SimDuration, event: E) {
-        ReferenceQueue::schedule_after(self, delay, event)
-    }
-    fn advance(&mut self, d: crate::time::SimDuration) -> SimTime {
-        ReferenceQueue::advance(self, d)
-    }
-    fn advance_to(&mut self, to: SimTime) {
-        ReferenceQueue::advance_to(self, to)
-    }
-    fn reserve_seqs(&mut self, n: u64) -> u64 {
-        ReferenceQueue::reserve_seqs(self, n)
-    }
-    fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        ReferenceQueue::pop(self)
-    }
-    fn pop_before(&mut self, at: SimTime, seq: u64) -> Option<ScheduledEvent<E>> {
-        ReferenceQueue::pop_before(self, at, seq)
-    }
-    fn peek_time(&self) -> Option<SimTime> {
-        ReferenceQueue::peek_time(self)
-    }
-    fn clear_pending(&mut self) {
-        ReferenceQueue::clear_pending(self)
     }
 }
 

@@ -12,10 +12,9 @@
 //! * [`EventQueue`] — a stable priority queue of timestamped events with
 //!   deterministic FIFO tie-breaking: a binary min-heap of compact
 //!   `(at, seq, slot)` keys over an arena of payloads, with O(1) peeks.
-//!   The [`ReferenceQueue`], one heap of whole events, is kept as the
-//!   executable specification; differential tests replay random
-//!   operation sequences and whole kernel runs on both and demand
-//!   identical event streams.
+//!   A test-only reference queue, one heap of whole events, is kept as
+//!   the executable specification; a differential test replays random
+//!   operation sequences on both and demands identical pops.
 //! * [`SeedSplitter`] — reproducible per-component RNG derivation from one
 //!   experiment seed.
 //! * [`metrics`] — histograms with exact quantiles, counters, time series,
@@ -36,6 +35,6 @@ pub mod stats;
 pub mod time;
 
 pub use calendar::EventQueue;
-pub use event::{ReferenceQueue, ScheduledEvent, SimQueue};
+pub use event::ScheduledEvent;
 pub use rng::SeedSplitter;
 pub use time::{SimDuration, SimTime};

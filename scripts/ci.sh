@@ -12,6 +12,10 @@ cargo clippy --all-targets -- -D warnings
 # deleted item cannot leave a dangling link behind (a few seconds).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --locked
 
+# Code size: non-test Rust lines per crate, printed for the record and
+# never gated.
+scripts/loc.sh
+
 # The examples: `cargo test` only builds them, so run each release
 # binary too. An example that panics, exits non-zero or prints anything
 # other than its pinned stdout in examples/golden/ fails the gate (all

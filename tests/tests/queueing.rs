@@ -13,14 +13,16 @@
 //!
 //! On `c` V100s each request joins the least-loaded replica's private
 //! queue, which sits between one central M/D/c queue and `c` independent
-//! M/D/1 queues at `λ / c`. And any run that drops nothing obeys
-//! Little's law, `X · R = N`, closed loop or open.
+//! M/D/1 queues at `λ / c`, and each replica's busy fraction is its
+//! completions times `S` over the run (the utilization law per replica).
+//! And any run that drops nothing obeys Little's law, `X · R = N`,
+//! closed loop or open.
 
 use e3::harness::{Experiment, ModelFamily, SystemKind};
 use e3::DeploymentBuilder;
 use e3_hardware::{ClusterSpec, GpuKind};
 use e3_model::{zoo, ExitPolicy};
-use e3_runtime::kernel::{EventLog, NullObserver};
+use e3_runtime::kernel::{EventLog, NullObserver, RunObserver};
 use e3_runtime::{KernelEvent, RunReport, Strategy};
 use e3_simcore::{stats, SimDuration, SimTime};
 use e3_workload::{ArrivalProcess, BurstyTraceConfig, DatasetModel, WorkloadGenerator};
@@ -31,8 +33,15 @@ use rand::SeedableRng;
 const REQUESTS: f64 = 50_000.0;
 const SEEDS: [u64; 5] = [11, 12, 13, 14, 15];
 
-/// Serves Poisson arrivals at `rate` for `horizon` on `gpus` V100s.
-fn serve(gpus: usize, rate: f64, horizon: SimDuration, seed: u64) -> RunReport {
+/// Serves Poisson arrivals at `rate` for `horizon` on `gpus` V100s,
+/// streaming the kernel's events to `observer`.
+fn serve(
+    gpus: usize,
+    rate: f64,
+    horizon: SimDuration,
+    seed: u64,
+    observer: &mut dyn RunObserver,
+) -> RunReport {
     let model = zoo::bert_base();
     let cluster = ClusterSpec::homogeneous(GpuKind::V100, gpus, 1);
     let strategy = Strategy::Vanilla { batch: 1 };
@@ -51,7 +60,7 @@ fn serve(gpus: usize, rate: f64, horizon: SimDuration, seed: u64) -> RunReport {
         horizon,
     )
     .generate(0, &mut StdRng::seed_from_u64(seed));
-    let r = sim.run(&requests, seed, &mut NullObserver);
+    let r = sim.run(&requests, seed, observer);
     assert_eq!(r.dropped, 0, "a 100 s SLO admits every arrival");
     assert_eq!(r.completed, requests.len() as u64);
     r
@@ -60,7 +69,7 @@ fn serve(gpus: usize, rate: f64, horizon: SimDuration, seed: u64) -> RunReport {
 /// The deterministic service time, read from a light-load run: busy
 /// time per completed batch of one.
 fn service_secs() -> f64 {
-    let r = serve(1, 1.0, SimDuration::from_secs(20), 1);
+    let r = serve(1, 1.0, SimDuration::from_secs(20), 1, &mut NullObserver);
     r.replica_util[0].busy().as_secs_f64() / r.completed as f64
 }
 
@@ -73,7 +82,7 @@ fn single_server_matches_md1_and_the_utilization_law() {
         let horizon = SimDuration::from_secs_f64(REQUESTS / rate);
         let runs: Vec<RunReport> = SEEDS
             .iter()
-            .map(|&seed| serve(1, rate, horizon, seed))
+            .map(|&seed| serve(1, rate, horizon, seed, &mut NullObserver))
             .collect();
 
         let means: Vec<f64> = runs.iter().map(|r| r.latency.mean_ms()).collect();
@@ -120,10 +129,27 @@ fn four_servers_sit_between_central_md4_and_independent_md1_queues() {
     for rho in [0.5, 0.8] {
         let rate = c as f64 * rho / s;
         let horizon = SimDuration::from_secs_f64(REQUESTS / rate);
-        let means: Vec<f64> = SEEDS
-            .iter()
-            .map(|&seed| serve(c, rate, horizon, seed).latency.mean_ms())
-            .collect();
+        let mut means = Vec::new();
+        for &seed in &SEEDS {
+            let mut log = EventLog::new();
+            let r = serve(c, rate, horizon, seed, &mut log);
+            means.push(r.latency.mean_ms());
+            // Utilization law per replica: every pass serves one request
+            // in exactly `S`, so busy fraction = passes × S / duration.
+            let duration = r.duration.as_secs_f64();
+            for (replica, util) in r.replica_util.iter().enumerate() {
+                let passes = log.count(
+                    |e| matches!(e, KernelEvent::ExecDone { replica: done, .. } if *done == replica),
+                );
+                assert!(passes > 0, "rho {rho}: replica {replica} never served");
+                let law = passes as f64 * s / duration;
+                let busy = util.busy_fraction(r.duration);
+                assert!(
+                    (busy - law).abs() <= 1e-9 * law,
+                    "rho {rho}, seed {seed}, replica {replica}: busy {busy} != {passes} x S / T = {law}"
+                );
+            }
+        }
         let mean = stats::mean(&means);
         // One central queue: the M/D/c wait is about half the M/M/c
         // (Erlang-C) wait.

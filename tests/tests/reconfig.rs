@@ -4,18 +4,16 @@
 //! The scenarios here are the PR's acceptance demos: the guarded control
 //! loop strictly beats naive instant re-planning under a misprediction
 //! burst, bounded queues keep per-replica depth under the cap with
-//! admission absorbing the excess as sheds, stage transfers retry and
-//! abort deterministically across link outages, and every path stays
+//! admission absorbing the excess as sheds, and every path stays
 //! bit-for-bit deterministic.
 
 use e3::harness::{Experiment, ModelFamily};
 use e3::{DeploymentBuilder, E3Config, E3System};
-use e3_hardware::{ClusterSpec, GpuKind, LatencyModel, TransferModel};
-use e3_model::{zoo, InferenceSim, RampController};
+use e3_hardware::{ClusterSpec, GpuKind};
+use e3_model::zoo;
 use e3_runtime::kernel::{EventLog, NullObserver};
-use e3_runtime::strategy::StageSpec;
-use e3_runtime::{FaultPlan, KernelEvent, ServingConfig, ServingSim, Strategy};
-use e3_simcore::{SimDuration, SimTime};
+use e3_runtime::{KernelEvent, Strategy};
+use e3_simcore::SimDuration;
 use e3_workload::{ArrivalProcess, DatasetModel, WorkloadGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -223,91 +221,4 @@ fn bounded_queues_shed_at_admission_and_hold_the_cap() {
     // Sheds are honest drops: they are accounted, and conservation holds.
     assert!(bounded.dropped >= bounded.shed);
     assert_eq!(unbounded.shed, 0, "no cap, no shedding");
-}
-
-/// The two-stage rig from the property tests, with a configurable fault
-/// plan, for exercising transfer retry/abort.
-fn two_stage_run(plan: FaultPlan, n: usize) -> e3_runtime::RunReport {
-    let model = zoo::deebert();
-    let stages = vec![
-        StageSpec {
-            layers: 0..6,
-            target_batch: 4,
-            replicas: vec![GpuKind::V100; 2],
-            deferred_exits: true,
-        },
-        StageSpec {
-            layers: 6..12,
-            target_batch: 4,
-            replicas: vec![GpuKind::V100; 2],
-            deferred_exits: true,
-        },
-    ];
-    let sim = ServingSim::new(
-        &model,
-        zoo::default_policy("DeeBERT"),
-        RampController::all_enabled(model.num_ramps(), e3_model::RampStyle::Independent),
-        InferenceSim::new(),
-        stages,
-        LatencyModel::new(),
-        TransferModel::default(),
-        ServingConfig {
-            fault_plan: plan,
-            ..Default::default()
-        },
-    );
-    let g = WorkloadGenerator::new(
-        ArrivalProcess::ClosedLoop { concurrency: 64 },
-        DatasetModel::sst2(),
-        SimDuration::from_secs(60),
-    );
-    let reqs = g.generate(n, &mut StdRng::seed_from_u64(3));
-    sim.run(&reqs, 3, &mut NullObserver)
-}
-
-#[test]
-fn short_link_outage_retries_through() {
-    // A brief interconnect outage: transfers park, back off, and deliver
-    // once the link returns. Nothing is lost.
-    let plan = FaultPlan::new().link_down(0, SimTime::from_millis(5), SimTime::from_millis(8));
-    let n = 400;
-    let r = two_stage_run(plan, n);
-    assert!(
-        r.transfer_retries > 0,
-        "outage never intercepted a transfer"
-    );
-    assert_eq!(r.transfer_aborts, 0, "short outage must not abort");
-    assert_eq!(r.completed, n as u64, "every sample completes");
-    assert_eq!(r.dropped, 0);
-}
-
-#[test]
-fn long_link_outage_aborts_and_conserves() {
-    // An outage longer than the full retry schedule: transfers caught in it
-    // exhaust their attempts and abort, dropping their samples — but
-    // every sample is still exactly completed or dropped.
-    let plan = FaultPlan::new().link_down(0, SimTime::from_millis(5), SimTime::from_secs(2));
-    let n = 400;
-    let r = two_stage_run(plan, n);
-    assert!(r.transfer_aborts > 0, "long outage must abort transfers");
-    assert!(r.dropped > 0);
-    assert!(r.transfer_retries >= r.transfer_aborts);
-    assert_eq!(r.completed + r.dropped, n as u64, "conservation");
-}
-
-#[test]
-fn link_retry_is_deterministic() {
-    let mk = || {
-        two_stage_run(
-            FaultPlan::new().link_down(0, SimTime::from_millis(5), SimTime::from_millis(40)),
-            400,
-        )
-    };
-    let a = mk();
-    let b = mk();
-    assert_eq!(a.completed, b.completed);
-    assert_eq!(a.dropped, b.dropped);
-    assert_eq!(a.transfer_retries, b.transfer_retries);
-    assert_eq!(a.transfer_aborts, b.transfer_aborts);
-    assert_eq!(a.latency.samples_ms(), b.latency.samples_ms());
 }
