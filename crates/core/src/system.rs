@@ -3,7 +3,7 @@
 //! Time is divided into scheduling windows. In each window the system
 //! serves with the plan computed from the *previous* window's forecast,
 //! observes the realized batch-shrinkage profile from completion events,
-//! feeds it to the ARIMA estimator, and re-runs the DP optimizer for the
+//! feeds it to the EWMA estimator, and re-runs the DP optimizer for the
 //! next window. Before any observation exists the estimator predicts "no
 //! exits", so E3 boots as a stock data-parallel deployment and adapts
 //! from there — exactly the conservative behaviour §3.1 calls for.

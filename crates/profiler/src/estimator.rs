@@ -1,26 +1,21 @@
 //! The online batch-profile estimator (§3.1).
 //!
-//! One ARIMA series per ramp position, fed by per-window survival
-//! observations. The forecast for the next scheduling window is assembled
-//! into a [`BatchProfile`] with the paper's safety checks applied:
-//! survival fractions are clamped to `[0, 1]` and forced monotone
-//! non-increasing over depth (a predicted batch can never exceed what the
-//! resources, i.e. the incoming batch, can supply).
+//! One exponentially weighted moving average per layer boundary, fed by
+//! per-window survival observations. The forecast for the next
+//! scheduling window is assembled into a [`BatchProfile`] with the
+//! paper's safety checks applied: survival fractions are clamped to
+//! `[0, 1]` and forced monotone non-increasing over depth (a predicted
+//! batch can never exceed what the resources, i.e. the incoming batch,
+//! can supply).
 //!
-//! When too little history exists for an ARIMA fit, the estimator falls
-//! back to an exponentially weighted moving average, and before any
-//! observation at all it predicts "no exits" — the conservative profile
-//! under which E3 behaves exactly like a stock model.
+//! The EWMA stands in for the paper's autoregressive model, a deviation
+//! made on measured forecast error (DESIGN.md, decision 9). Before any
+//! observation the estimator predicts "no exits" — the conservative
+//! profile under which E3 behaves exactly like a stock model.
 
 use e3_model::BatchProfile;
 
-use crate::arima::ArimaModel;
-
-/// ARIMA order `(p, d, q)` of every per-ramp series.
-const ARIMA_ORDER: (usize, usize, usize) = (2, 1, 1);
-/// Most-recent windows retained per ramp series.
-const HISTORY: usize = 32;
-/// EWMA smoothing factor for the short-history fallback.
+/// EWMA smoothing factor: the weight of the newest window.
 const EWMA_ALPHA: f64 = 0.4;
 /// Mean absolute survival error above which
 /// [`BatchProfileEstimator::drift_exceeds`] reports drift.
@@ -31,8 +26,9 @@ const DRIFT_THRESHOLD: f64 = 0.12;
 #[derive(Debug, Clone)]
 pub struct BatchProfileEstimator {
     num_layers: usize,
-    /// Per layer-boundary history of survival fractions (window-ordered).
-    series: Vec<Vec<f64>>,
+    /// Per layer-boundary EWMA of survival fractions; `None` until the
+    /// first observation (or since the last reset).
+    level: Option<Vec<f64>>,
     /// Last forecast issued, for drift measurement.
     last_forecast: Option<BatchProfile>,
 }
@@ -42,7 +38,7 @@ impl BatchProfileEstimator {
     pub fn new(num_layers: usize) -> Self {
         BatchProfileEstimator {
             num_layers,
-            series: vec![Vec::new(); num_layers + 1],
+            level: None,
             last_forecast: None,
         }
     }
@@ -54,11 +50,12 @@ impl BatchProfileEstimator {
             self.num_layers,
             "profile shape mismatch"
         );
-        for (k, s) in observed.survival().iter().enumerate() {
-            let hist = &mut self.series[k];
-            hist.push(*s);
-            if hist.len() > HISTORY {
-                hist.remove(0);
+        match &mut self.level {
+            None => self.level = Some(observed.survival().to_vec()),
+            Some(level) => {
+                for (v, x) in level.iter_mut().zip(observed.survival()) {
+                    *v = EWMA_ALPHA * x + (1.0 - EWMA_ALPHA) * *v;
+                }
             }
         }
     }
@@ -69,8 +66,8 @@ impl BatchProfileEstimator {
         let mut survival = Vec::with_capacity(self.num_layers + 1);
         survival.push(1.0);
         for k in 1..=self.num_layers {
-            let hist = &self.series[k];
-            let raw = self.forecast_series(hist);
+            // Conservative: assume no exits until observed.
+            let raw = self.level.as_ref().map_or(1.0, |level| level[k]);
             // Safety checks (§3.1): in range, and never above the
             // previous boundary's survival.
             let prev = *survival.last().expect("nonempty");
@@ -79,25 +76,6 @@ impl BatchProfileEstimator {
         let profile = BatchProfile::new(survival);
         self.last_forecast = Some(profile.clone());
         profile
-    }
-
-    fn forecast_series(&self, hist: &[f64]) -> f64 {
-        if hist.is_empty() {
-            return 1.0; // conservative: assume no exits until observed
-        }
-        let (p, d, q) = ARIMA_ORDER;
-        if let Ok(model) = ArimaModel::fit(hist, p, d, q) {
-            let f = model.forecast_one();
-            if f.is_finite() {
-                return f;
-            }
-        }
-        // EWMA fallback for short histories or degenerate fits.
-        let mut v = hist[0];
-        for x in &hist[1..] {
-            v = EWMA_ALPHA * x + (1.0 - EWMA_ALPHA) * v;
-        }
-        v
     }
 
     /// Mean absolute survival error between the last forecast and the
@@ -121,13 +99,12 @@ impl BatchProfileEstimator {
         self.drift(observed) > DRIFT_THRESHOLD
     }
 
-    /// Discards accumulated history. Called on detected regime changes so
-    /// the forecaster stops extrapolating a dead trend (§3.1's reactive
+    /// Discards the EWMA level. Called on detected regime changes so
+    /// the forecast follows the new regime from its first observation
+    /// instead of averaging it with the dead one (§3.1's reactive
     /// correction).
     pub fn reset_history(&mut self) {
-        for s in &mut self.series {
-            s.clear();
-        }
+        self.level = None;
         self.last_forecast = None;
     }
 }
@@ -162,17 +139,24 @@ mod tests {
     }
 
     #[test]
-    fn tracks_drifting_workload() {
-        // Survival at boundary 1 ramps from 0.8 down to 0.4 over windows
-        // (workload getting easier); the forecast must follow the trend.
+    fn ewma_lag_on_a_linear_ramp_matches_closed_form() {
+        // Survival at boundary 1 falls by DELTA per window from 0.8. The
+        // EWMA trails a ramp: after n + 1 observations its level sits
+        // DELTA * (1 - a) / a * (1 - (1 - a)^n) above the last one.
+        const DELTA: f64 = 0.02;
         let mut e = BatchProfileEstimator::new(1);
+        let mut last = 0.0;
         for w in 0..20 {
-            let s = 0.8 - 0.02 * w as f64;
-            e.observe_window(&profile(&[s]));
+            last = 0.8 - DELTA * w as f64;
+            e.observe_window(&profile(&[last]));
         }
-        let f = e.forecast().survival_at(1);
-        // Last observation was 0.42; the trend predicts ~0.40.
-        assert!((0.33..0.45).contains(&f), "forecast={f}");
+        let lag = e.forecast().survival_at(1) - last;
+        let a = EWMA_ALPHA;
+        let expected = DELTA * (1.0 - a) / a * (1.0 - (1.0 - a).powi(19));
+        assert!(
+            (lag - expected).abs() < 1e-12,
+            "lag={lag} expected={expected}"
+        );
     }
 
     #[test]
@@ -225,7 +209,7 @@ mod tests {
             e.observe_window(&profile(&[0.8]));
         }
         e.reset_history();
-        assert_eq!(e.series[0].len(), 0);
+        assert!(e.level.is_none());
         e.observe_window(&profile(&[0.2]));
         let f = e.forecast().survival_at(1);
         assert!((f - 0.2).abs() < 1e-9, "f={f}");
@@ -275,7 +259,7 @@ mod tests {
     fn reset_on_empty_history_is_harmless() {
         let mut e = BatchProfileEstimator::new(2);
         e.reset_history();
-        assert_eq!(e.series[0].len(), 0);
+        assert!(e.level.is_none());
         // Still boots conservatively after a vacuous reset.
         assert_eq!(e.forecast().survival(), &[1.0, 1.0, 1.0]);
     }
@@ -289,7 +273,7 @@ mod tests {
         let _ = e.forecast();
         let new_regime = profile(&[0.1]);
         assert!(e.drift_exceeds(&new_regime));
-        // The reset forgets the forecast along with the history: drift is
+        // The reset forgets the forecast along with the level: drift is
         // defined against a forecast, and none is outstanding.
         e.reset_history();
         assert_eq!(e.drift(&new_regime), 0.0);

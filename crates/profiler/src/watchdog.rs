@@ -2,8 +2,8 @@
 //! per-window drift signal.
 //!
 //! [`crate::BatchProfileEstimator::drift_exceeds`] is a one-shot
-//! comparison: a single noisy window over the threshold triggers a
-//! history reset and an immediate re-plan. That is the right reflex for
+//! comparison: a single noisy window over the threshold triggers an
+//! estimator reset and an immediate re-plan. That is the right reflex for
 //! the paper's fig. 22 sweep, but as a production trigger it is twitchy —
 //! one outlier window can throw away a healthy trend, and a forecast that
 //! silently stops receiving observations (e.g. every sample dropped
@@ -73,7 +73,7 @@ pub struct WatchdogVerdict {
     pub entered_safe_mode: Option<SafeModeReason>,
     /// True when this window left safe mode or suspicion.
     pub cleared: bool,
-    /// True when the caller should reset the estimator's history — fires
+    /// True when the caller should reset the estimator — fires
     /// exactly once per confirmed-drift entry, not on every noisy window.
     pub reset_estimator: bool,
 }

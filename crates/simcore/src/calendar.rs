@@ -276,16 +276,6 @@ impl<E> EventQueue<E> {
     pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.first().map(|k| SimTime::from_nanos(k.at))
     }
-
-    /// Discards all pending events (the clock is left unchanged). No
-    /// serving loop needs it; the differential test applies it to both
-    /// queues.
-    #[cfg(test)]
-    pub(crate) fn clear_pending(&mut self) {
-        self.heap.clear();
-        self.slots.clear();
-        self.free.clear();
-    }
 }
 
 #[cfg(test)]
@@ -391,16 +381,6 @@ mod tests {
         let mut q: EventQueue<()> = EventQueue::new();
         q.schedule(SimTime::from_millis(1), ());
         q.advance(SimDuration::from_millis(2));
-    }
-
-    #[test]
-    fn clear_pending_empties_queue() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(1), ());
-        q.schedule(SimTime::from_millis(2), ());
-        q.clear_pending();
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
     }
 
     #[test]
@@ -531,10 +511,10 @@ mod tests {
         /// operation applied to both queues: schedules at `now` plus a
         /// delay on a coarse grid (many equal timestamps), far-future
         /// timers and `SimTime::MAX` sentinels; pops; `pop_before`
-        /// against reserved sequence numbers; `advance_to` the next
-        /// pending time; and `clear_pending`. Every pop must return the
-        /// same `(at, seq, payload)`, and length, next time, clock and
-        /// pop count must agree after every operation.
+        /// against reserved sequence numbers; and `advance_to` the next
+        /// pending time. Every pop must return the same
+        /// `(at, seq, payload)`, and length, next time, clock and pop
+        /// count must agree after every operation.
         #[test]
         fn heap_replays_reference_queue(
             words in proptest::collection::vec(0u64..u64::MAX, 1..300),
@@ -558,7 +538,6 @@ mod tests {
                         q.schedule(at, tag);
                         r.schedule(at, tag);
                     }
-                    7..=11 => prop_assert_eq!(popped(q.pop()), popped(r.pop())),
                     12 | 13 => {
                         // Half the time against a fresh reservation, else
                         // against an older one that events scheduled
@@ -585,10 +564,7 @@ mod tests {
                             r.advance_to(at);
                         }
                     }
-                    _ => {
-                        q.clear_pending();
-                        r.clear_pending();
-                    }
+                    _ => prop_assert_eq!(popped(q.pop()), popped(r.pop())),
                 }
                 assert_invariants(&q);
                 prop_assert_eq!(state!(q), state!(r));

@@ -198,11 +198,6 @@ impl<E> ReferenceQueue<E> {
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
     }
-
-    /// Discards all pending events (the clock is left unchanged).
-    pub fn clear_pending(&mut self) {
-        self.heap.clear();
-    }
 }
 
 #[cfg(test)]
@@ -308,15 +303,5 @@ mod tests {
         let mut q: ReferenceQueue<()> = ReferenceQueue::new();
         q.advance_to(SimTime::from_millis(2));
         q.advance_to(SimTime::from_millis(1));
-    }
-
-    #[test]
-    fn clear_pending_empties_queue() {
-        let mut q = ReferenceQueue::new();
-        q.schedule(SimTime::from_millis(1), ());
-        q.schedule(SimTime::from_millis(2), ());
-        q.clear_pending();
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
     }
 }

@@ -19,8 +19,8 @@
 //!   experiment seed.
 //! * [`metrics`] — histograms with exact quantiles, counters, time series,
 //!   and busy-time utilization tracking.
-//! * [`stats`] / [`linalg`] — the numeric toolbox (summary statistics,
-//!   least squares) that the ARIMA profiler builds on.
+//! * [`stats`] — summary statistics (means, quantiles, forecast error,
+//!   fairness indices) for reports and tests.
 //!
 //! The simulation is single-threaded on purpose: determinism is a feature.
 //! Every experiment in the paper-reproduction benches is reproducible
@@ -28,7 +28,6 @@
 
 pub mod calendar;
 pub mod event;
-pub mod linalg;
 pub mod metrics;
 pub mod rng;
 pub mod stats;

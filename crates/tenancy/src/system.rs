@@ -19,7 +19,7 @@
 //!
 //! **Reconfiguration across epochs is guarded conservatively.** When an
 //! epoch boundary leaves a tenant's partition unchanged, its control
-//! loop continues uninterrupted — estimator history, incumbent plan, and
+//! loop continues uninterrupted — estimator state, incumbent plan, and
 //! watchdog state all survive (consecutive same-partition epochs are
 //! served by a single [`E3System`] run, so this holds bit-for-bit). When
 //! the partition *changes*, the old incumbent plan references hardware

@@ -78,19 +78,22 @@ expect fig_scale "10k-GPU horizon PASS"
 cargo fmt --check --manifest-path benchmark/Cargo.toml
 cargo clippy --release --offline --all-targets --manifest-path benchmark/Cargo.toml -- -D warnings
 
-# One short traced run per workload: traced iterations run the
+# One short traced run per workload and seed: traced iterations run the
 # invariant checker over every event stream (closed_drift's slowdown
 # and crash windows included) and must match the untraced digests. The
 # last stdout line reports whether iterations 0-7 matched the pinned
-# digests.
-for workload in closed_drift open_bursty tenants_skewed llm_kv_sweep; do
-    cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- \
-        --workload "$workload" --seed 227 --seconds 1 --trace 1 > /tmp/benchmark.out
-    last=$(tail -n 1 /tmp/benchmark.out)
-    if [[ "$last" != *'"correct": true'* ]]; then
-        echo "benchmark $workload: $last" >&2
-        exit 1
-    fi
+# digests. A second seed catches a change that holds the digests on one
+# seed's draws only.
+for seed in 227 48879; do
+    for workload in closed_drift open_bursty tenants_skewed llm_kv_sweep; do
+        cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- \
+            --workload "$workload" --seed "$seed" --seconds 1 --trace 1 > /tmp/benchmark.out
+        last=$(tail -n 1 /tmp/benchmark.out)
+        if [[ "$last" != *'"correct": true'* ]]; then
+            echo "benchmark $workload (seed $seed): $last" >&2
+            exit 1
+        fi
+    done
 done
 
 # Kernel event-throughput microbenchmark, archived as BENCH_kernel.json.

@@ -164,3 +164,21 @@ fn report_aggregates_are_consistent() {
     assert!(report.accuracy() > 0.85);
     assert!(report.mean_drift() >= 0.0);
 }
+
+#[test]
+fn stationary_windows_stay_under_the_drift_threshold() {
+    // A stationary workload gives the forecaster nothing to chase: once
+    // the first observation seeds it (window 0 plans on "no exits"),
+    // every later window's drift stays far below the reset threshold.
+    for m in [0.5, 0.8] {
+        let report = stationary(1, DatasetModel::with_mix(m), 30);
+        for w in &report.windows[1..] {
+            assert!(
+                w.drift < 0.05,
+                "mix {m}: window {} drift {}",
+                w.window,
+                w.drift
+            );
+        }
+    }
+}

@@ -8,7 +8,7 @@ use e3_hardware::{GpuKind, LatencyModel, TransferModel};
 use e3_model::{zoo, BatchProfile, EeModel, LayerSpec, RampController, RampSpec, Task};
 use e3_model::{ExitPolicy, ExitSampler, InferenceSim};
 use e3_optimizer::{optimize_heterogeneous_with_stats, OptimizerConfig};
-use e3_profiler::{ArimaModel, BatchProfileEstimator};
+use e3_profiler::BatchProfileEstimator;
 use e3_runtime::autoreg::materialize_sequences;
 use e3_runtime::kernel::EventLog;
 use e3_runtime::strategy::StageSpec;
@@ -252,20 +252,9 @@ proptest! {
     }
 
     #[test]
-    fn arima_forecasts_are_finite(
-        xs in proptest::collection::vec(0.0f64..1.0, 20..60),
-    ) {
-        if let Ok(m) = ArimaModel::fit(&xs, 2, 1, 1) {
-            for v in m.forecast(5) {
-                prop_assert!(v.is_finite());
-            }
-        }
-    }
-
-    #[test]
     fn estimator_forecast_always_valid(
         windows in proptest::collection::vec(
-            proptest::collection::vec(0.0f64..1.0, 6), 1..20,
+            proptest::collection::vec(0.0f64..1.0, 6), 1..48,
         ),
     ) {
         let mut est = BatchProfileEstimator::new(6);
