@@ -330,7 +330,7 @@ fn bench_materialize() {
     let layers: usize = sim
         .materialize_backlog(&reqs, run_seed)
         .iter()
-        .map(|s| s.layers_executed)
+        .map(|s| usize::from(s.layers_executed))
         .sum();
     let hardness: Vec<f64> = reqs.iter().map(|r| r.hardness).collect();
     let fam = &exp.family;

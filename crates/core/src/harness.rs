@@ -391,7 +391,7 @@ impl Experiment {
         let depths: Vec<f64> = specs
             .iter()
             .flat_map(|s| s.tokens.iter())
-            .map(|t| (t.layers_executed - enc) as f64)
+            .map(|t| (usize::from(t.layers_executed) - enc) as f64)
             .collect();
 
         if matches!(strat, AutoRegStrategy::NaiveEeBatched) {
@@ -584,7 +584,7 @@ impl Experiment {
 fn token_profile(layers: usize, specs: &[SequenceSpec], total: usize) -> BatchProfile {
     let mut ended = vec![0usize; layers + 1];
     for t in specs.iter().flat_map(|s| s.tokens.iter()) {
-        ended[t.layers_executed] += 1;
+        ended[usize::from(t.layers_executed)] += 1;
     }
     let mut alive = total;
     let mut survival: Vec<f64> = (0..layers)

@@ -238,7 +238,7 @@ impl E3System {
             let mut obs = WindowObserver::new(self.model.num_layers());
             for e in &run.exit_events {
                 if e.exited_early {
-                    obs.record_exit(e.layers_executed - 1);
+                    obs.record_exit(usize::from(e.layers_executed) - 1);
                 } else {
                     obs.record_completion();
                 }

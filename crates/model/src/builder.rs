@@ -193,6 +193,17 @@ mod tests {
     }
 
     #[test]
+    fn depth_is_capped_at_u16_max() {
+        let deep = |n| {
+            EeModelBuilder::new("deep", Task::Classification { num_classes: 2 })
+                .uniform_layers(n, 1.0, 0.0, 4)
+                .build()
+        };
+        assert_eq!(deep(65_536), Err(ModelError::TooDeep { layers: 65_536 }));
+        assert_eq!(deep(65_535).expect("fits").num_layers(), 65_535);
+    }
+
+    #[test]
     fn empty_builder_errors() {
         let r = EeModelBuilder::new("m", Task::Classification { num_classes: 2 }).build();
         assert_eq!(r, Err(ModelError::Empty));

@@ -93,6 +93,12 @@ pub enum ModelError {
     },
     /// The autoregressive encoder prefix exceeds the layer count.
     EncoderTooLong,
+    /// The model has more layers than a per-sample record can count:
+    /// the runtime stores each sample's executed depth in a `u16`.
+    TooDeep {
+        /// The model's layer count.
+        layers: usize,
+    },
 }
 
 impl fmt::Display for ModelError {
@@ -112,6 +118,9 @@ impl fmt::Display for ModelError {
             ModelError::EncoderTooLong => {
                 write!(f, "encoder prefix exceeds the model's layer count")
             }
+            ModelError::TooDeep { layers } => {
+                write!(f, "model has {layers} layers; at most {} fit", u16::MAX)
+            }
         }
     }
 }
@@ -121,7 +130,7 @@ impl std::error::Error for ModelError {}
 /// A (possibly early-exit) DNN.
 ///
 /// Invariants, enforced at construction:
-/// * at least one layer;
+/// * at least one layer and at most `u16::MAX` layers;
 /// * ramps strictly ordered by `after_layer`, each before the final layer;
 /// * all costs finite and non-negative.
 ///
@@ -152,6 +161,11 @@ impl EeModel {
     ) -> Result<Self, ModelError> {
         if layers.is_empty() {
             return Err(ModelError::Empty);
+        }
+        if layers.len() > usize::from(u16::MAX) {
+            return Err(ModelError::TooDeep {
+                layers: layers.len(),
+            });
         }
         for l in &layers {
             if !(l.work_us >= 0.0

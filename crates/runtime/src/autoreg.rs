@@ -41,7 +41,8 @@ pub fn materialize_sequences(
             let h = dataset.sample_hardness(&mut rng);
             let out = sampler.sample(h, &mut rng);
             tokens.push(TokenJourney {
-                layers_executed: out.layers_executed,
+                layers_executed: u16::try_from(out.layers_executed)
+                    .expect("EeModel::new caps a model's depth at u16::MAX layers"),
             });
         }
         specs.push(SequenceSpec {

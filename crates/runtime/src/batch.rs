@@ -146,7 +146,7 @@ mod tests {
             id,
             arrival: SimTime::ZERO,
             layers_executed: 12,
-            exited_at_ramp: None,
+            exited_early: false,
             correct: true,
             output_tokens: 1,
         }

@@ -47,7 +47,7 @@ fn execute(
     hist.clear();
     hist.resize(len, 0);
     for s in samples {
-        if let Some(h) = hist.get_mut(s.layers_executed.saturating_sub(start)) {
+        if let Some(h) = hist.get_mut(usize::from(s.layers_executed).saturating_sub(start)) {
             *h += 1;
         }
     }
@@ -183,8 +183,8 @@ mod tests {
         SimSample {
             id: 0,
             arrival: SimTime::ZERO,
-            layers_executed: exit,
-            exited_at_ramp: None,
+            layers_executed: u16::try_from(exit).expect("test models have at most u16::MAX layers"),
+            exited_early: false,
             correct: true,
             output_tokens: 1,
         }

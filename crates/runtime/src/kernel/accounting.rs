@@ -167,10 +167,11 @@ impl RunAccumulator {
         self.excluded_now > 0
     }
 
-    /// Reserves room for the exit events of `completions` more
-    /// completions, when exit events are recorded: the log then grows
-    /// once instead of by doubling.
-    pub(crate) fn reserve_exit_events(&mut self, completions: usize) {
+    /// Reserves room for `completions` more completions in the latency
+    /// log and, when exit events are recorded, in the exit log: both then
+    /// grow once instead of by doubling.
+    pub(crate) fn reserve(&mut self, completions: usize) {
+        self.latency.reserve(completions);
         if self.record_exit_events {
             self.exit_events.reserve(completions);
         }
@@ -198,7 +199,7 @@ impl RunAccumulator {
             self.exit_events.push(ExitEvent {
                 at: now,
                 layers_executed: s.layers_executed,
-                exited_early: s.exited_at_ramp.is_some(),
+                exited_early: s.exited_early,
             });
         }
         self.last_completion = now;
@@ -287,7 +288,7 @@ mod tests {
             id: 1,
             arrival: SimTime::ZERO,
             layers_executed: 4,
-            exited_at_ramp: Some(1),
+            exited_early: true,
             correct: true,
             output_tokens: 1,
         };
@@ -315,7 +316,7 @@ mod tests {
             id: 9,
             arrival: SimTime::from_secs(1),
             layers_executed: 1,
-            exited_at_ramp: None,
+            exited_early: false,
             correct: true,
             output_tokens: 1,
         };
@@ -356,7 +357,7 @@ mod tests {
             id: 1,
             arrival: SimTime::ZERO,
             layers_executed: 4,
-            exited_at_ramp: None,
+            exited_early: false,
             correct: false,
             output_tokens: 1,
         };
@@ -370,10 +371,12 @@ mod tests {
     fn exit_event_log_is_reserved_only_when_recorded() {
         for record in [false, true] {
             let mut acc = RunAccumulator::new(1, 1, SimDuration::from_millis(20), record);
-            acc.reserve_exit_events(1000);
+            acc.reserve(1000);
             let want = if record { 1000 } else { 0 };
             assert!(acc.exit_events.capacity() >= want);
             assert_eq!(acc.exit_events.capacity() == 0, !record);
+            // Every completion records a latency, recorded exits or not.
+            assert!(acc.latency.capacity() >= 1000);
         }
     }
 }

@@ -129,9 +129,13 @@ pub struct KvPlan {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TokenJourney {
     /// Absolute layers this token executes (including any encoder
-    /// prefix); the model's layer count when it never exits.
-    pub layers_executed: usize,
+    /// prefix); the model's layer count when it never exits. A model
+    /// holds at most `u16::MAX` layers.
+    pub layers_executed: u16,
 }
+
+// One per generated token of every sequence: keep it at two bytes.
+const _: () = assert!(std::mem::size_of::<TokenJourney>() == 2);
 
 /// One request: an id, an arrival, and its materialized token journeys.
 #[derive(Debug, Clone, PartialEq)]
@@ -572,7 +576,7 @@ impl<'a> Tokens<'a> {
                 cost += self.costs.rebuild(s.debt);
                 s.debt = 0;
             }
-            let layers = self.specs[i].tokens[s.next_token].layers_executed;
+            let layers = usize::from(self.specs[i].tokens[s.next_token].layers_executed);
             debug_assert!(layers <= full, "token deeper than the model");
             hist[layers.clamp(enc, cut) - enc] += 1;
             crossers += usize::from(layers > cut);
@@ -618,7 +622,7 @@ impl<'a> Tokens<'a> {
         self.core.begin(r, size, width, cost);
     }
 
-    fn token_layers(&self, idx: usize) -> usize {
+    fn token_layers(&self, idx: usize) -> u16 {
         self.specs[idx].tokens[self.rt[idx].next_token].layers_executed
     }
 
@@ -629,7 +633,7 @@ impl<'a> Tokens<'a> {
             id: spec.id,
             arrival: spec.arrival,
             layers_executed: last_layers,
-            exited_at_ramp: None,
+            exited_early: false,
             correct: true,
             output_tokens: spec.tokens.len() as u32,
         };
@@ -652,14 +656,14 @@ impl<'a> Tokens<'a> {
             let layers = self.token_layers(idx);
             self.rt[idx].kv_tokens += 1;
             self.reps[r].kv_used += 1;
-            if self.two_stage() && layers > self.cut {
+            if self.two_stage() && usize::from(layers) > self.cut {
                 self.crossings += 1;
                 self.rt[idx].state = SState::Blocked { home: Some(r) };
                 let job = SimSample {
                     id: idx as u64,
                     arrival: self.specs[idx].arrival,
                     layers_executed: layers,
-                    exited_at_ramp: None,
+                    exited_early: false,
                     correct: true,
                     output_tokens: 1,
                 };
@@ -827,7 +831,7 @@ impl<'a> Tokens<'a> {
             hist.clear();
             hist.resize(full - cut + 1, 0);
             for j in &batch.samples {
-                hist[j.layers_executed.clamp(cut, full) - cut] += 1;
+                hist[usize::from(j.layers_executed).clamp(cut, full) - cut] += 1;
             }
             let costs = &self.costs;
             let cost = costs.stage_b.walk(&hist, size) + costs.head(size);
@@ -1073,13 +1077,15 @@ mod tests {
             }
             cost += self.reference_layers(self.enc..self.cut, |k| {
                 padded_width.unwrap_or_else(|| {
-                    pass.iter().filter(|&&i| self.token_layers(i) > k).count() as f64
+                    pass.iter()
+                        .filter(|&&i| usize::from(self.token_layers(i)) > k)
+                        .count() as f64
                 })
             });
             if self.two_stage() {
                 let crossers = pass
                     .iter()
-                    .filter(|&&i| self.token_layers(i) > self.cut)
+                    .filter(|&&i| usize::from(self.token_layers(i)) > self.cut)
                     .count();
                 if self.cfg.deferred_exits && crossers > 0 {
                     cost += lm.exit.reform_time(crossers as f64);
@@ -1088,7 +1094,7 @@ mod tests {
                 let full = self.cfg.model.num_layers();
                 let finishers = pass
                     .iter()
-                    .filter(|&&i| self.token_layers(i) == full)
+                    .filter(|&&i| usize::from(self.token_layers(i)) == full)
                     .count() as f64;
                 let head_width = padded_width.unwrap_or(finishers);
                 if head_width > 0.0 {
@@ -1102,7 +1108,10 @@ mod tests {
         fn reference_cost_b(&self, r: usize) -> SimDuration {
             let batch = &self.reps[r].bpass;
             let mut cost = self.reference_layers(self.cut..self.cfg.model.num_layers(), |k| {
-                batch.iter().filter(|j| j.layers_executed > k).count() as f64
+                batch
+                    .iter()
+                    .filter(|j| usize::from(j.layers_executed) > k)
+                    .count() as f64
             });
             cost += self.cfg.lm.layer_time(
                 self.reference_head_cost(),
@@ -1156,7 +1165,7 @@ mod tests {
                     arrival: SimTime::ZERO,
                     tokens: (0..rng.gen_range(1usize..12))
                         .map(|_| TokenJourney {
-                            layers_executed: rng.gen_range(1..layers + 1),
+                            layers_executed: depth(rng.gen_range(1..layers + 1)),
                         })
                         .collect(),
                 })
@@ -1220,8 +1229,8 @@ mod tests {
                     let job = SimSample {
                         id,
                         arrival: SimTime::ZERO,
-                        layers_executed: rng.gen_range(cut..layers + 1),
-                        exited_at_ramp: None,
+                        layers_executed: depth(rng.gen_range(cut..layers + 1)),
+                        exited_early: false,
                         correct: true,
                         output_tokens: 1,
                     };
@@ -1278,7 +1287,7 @@ mod tests {
                     arrival: SimTime::ZERO,
                     tokens: (0..rng.gen_range(1usize..10))
                         .map(|_| TokenJourney {
-                            layers_executed: rng.gen_range(enc + 1..layers + 1),
+                            layers_executed: depth(rng.gen_range(enc + 1..layers + 1)),
                         })
                         .collect(),
                 })
@@ -1293,6 +1302,11 @@ mod tests {
         LatencyModel::new()
     }
 
+    /// A test depth as a journey's `u16`.
+    fn depth(layers: usize) -> u16 {
+        u16::try_from(layers).expect("test models have at most u16::MAX layers")
+    }
+
     fn seqs(n: usize, tokens: usize, layers: usize) -> Vec<SequenceSpec> {
         (0..n)
             .map(|i| SequenceSpec {
@@ -1300,7 +1314,7 @@ mod tests {
                 arrival: SimTime::ZERO,
                 tokens: vec![
                     TokenJourney {
-                        layers_executed: layers
+                        layers_executed: depth(layers)
                     };
                     tokens
                 ],
@@ -1381,7 +1395,7 @@ mod tests {
                 arrival: SimTime::ZERO,
                 tokens: (0..3)
                     .map(|t| TokenJourney {
-                        layers_executed: 9 + ((i as usize + t) % 8),
+                        layers_executed: depth(9 + ((i as usize + t) % 8)),
                     })
                     .collect(),
             })
@@ -1445,7 +1459,7 @@ mod tests {
                 arrival: SimTime::ZERO,
                 tokens: vec![
                     TokenJourney {
-                        layers_executed: t5.num_layers()
+                        layers_executed: depth(t5.num_layers())
                     };
                     if i % 4 == 0 { 24 } else { 4 }
                 ],

@@ -449,7 +449,7 @@ impl<'a> Batches<'a> {
             true,
             observer,
         );
-        core.acc.reserve_exit_events(backlog.len());
+        core.acc.reserve(backlog.len());
         Batches {
             sim,
             core,

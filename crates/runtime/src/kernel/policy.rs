@@ -249,7 +249,7 @@ mod tests {
             id: 0,
             arrival: SimTime::from_millis(arrival_ms),
             layers_executed: 12,
-            exited_at_ramp: None,
+            exited_early: false,
             correct: true,
             output_tokens: 1,
         }

@@ -10,11 +10,14 @@ use e3_simcore::{SimDuration, SimTime};
 pub struct ExitEvent {
     /// Completion time.
     pub at: SimTime,
-    /// Layers the sample executed.
-    pub layers_executed: usize,
+    /// Layers the sample executed (a model holds at most `u16::MAX`).
+    pub layers_executed: u16,
     /// Whether it left via a ramp (vs. running the full model).
     pub exited_early: bool,
 }
+
+// Every report keeps one of these per completion: keep it at two words.
+const _: () = assert!(std::mem::size_of::<ExitEvent>() == 16);
 
 /// Every dropped sample of a run, broken down by what dropped it. The
 /// causes partition [`RunReport::dropped`]: queue-bound sheds and
@@ -286,7 +289,7 @@ impl RunReport {
         }
         self.exit_events
             .iter()
-            .map(|e| e.layers_executed as f64)
+            .map(|e| f64::from(e.layers_executed))
             .sum::<f64>()
             / self.exit_events.len() as f64
     }
@@ -376,6 +379,21 @@ mod tests {
         assert_eq!(m.peak_replica_queue_depth, vec![4]);
         // goodput over the merged window: 3 in-SLO / 3 s.
         assert_eq!(m.goodput(), 1.0);
+    }
+
+    /// The benchmark digests each report's `Debug` text, exit events
+    /// included: a field change must show here, not only in its digests.
+    #[test]
+    fn exit_event_debug_text_is_pinned() {
+        let e = ExitEvent {
+            at: SimTime::from_millis(10),
+            layers_executed: 4,
+            exited_early: true,
+        };
+        assert_eq!(
+            format!("{e:?}"),
+            "ExitEvent { at: SimTime(10000000), layers_executed: 4, exited_early: true }"
+        );
     }
 
     #[test]

@@ -21,15 +21,23 @@ pub struct SimSample {
     /// runs, where the client always has work ready).
     pub arrival: SimTime,
     /// Total layers this sample will execute before exiting (equals the
-    /// model's layer count when it never exits).
-    pub layers_executed: usize,
-    /// Ramp index it exits at, if any.
-    pub exited_at_ramp: Option<usize>,
+    /// model's layer count when it never exits). A `u16` holds every
+    /// depth: `EeModel::new` rejects deeper models with
+    /// `ModelError::TooDeep`.
+    pub layers_executed: u16,
+    /// Whether it leaves via a ramp (vs. running the full model). Which
+    /// ramp stays in the sampler's `InferenceOutcome`; serving only asks
+    /// whether one fired.
+    pub exited_early: bool,
     /// Whether the synthetic prediction is correct.
     pub correct: bool,
     /// Output tokens (1 for classification).
     pub output_tokens: u32,
 }
+
+// The serving path copies this record at every dispatch, fusion and
+// completion: keep it at three words.
+const _: () = assert!(std::mem::size_of::<SimSample>() == 24);
 
 impl SimSample {
     /// Materializes a request's journey with `sampler`, the
@@ -39,8 +47,9 @@ impl SimSample {
         SimSample {
             id: req.id,
             arrival: req.arrival,
-            layers_executed: out.layers_executed,
-            exited_at_ramp: out.exited_at_ramp,
+            layers_executed: u16::try_from(out.layers_executed)
+                .expect("EeModel::new caps a model's depth at u16::MAX layers"),
+            exited_early: out.exited_at_ramp.is_some(),
             correct: out.correct,
             output_tokens: req.output_tokens,
         }
@@ -49,13 +58,13 @@ impl SimSample {
     /// True if this sample still needs layer `k`.
     #[cfg(test)]
     pub(crate) fn needs_layer(&self, k: usize) -> bool {
-        self.layers_executed > k
+        usize::from(self.layers_executed) > k
     }
 
     /// True if the sample finishes (exits or completes) strictly before
     /// layer `end` — i.e. within a stage covering `..end`.
     pub(crate) fn finishes_before(&self, end: usize) -> bool {
-        self.layers_executed <= end
+        usize::from(self.layers_executed) <= end
     }
 }
 
@@ -84,7 +93,7 @@ mod tests {
             id: 0,
             arrival: SimTime::ZERO,
             layers_executed: 4,
-            exited_at_ramp: Some(3),
+            exited_early: true,
             correct: true,
             output_tokens: 1,
         };

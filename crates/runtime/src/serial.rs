@@ -50,7 +50,7 @@ pub(crate) fn run_barrier(sim: &ServingSim<'_>, samples: &[SimSample]) -> RunRep
     // Pure lockstep: the queue only lends its clock; nothing is scheduled.
     let mut q: EventQueue<()> = EventQueue::new();
     let mut acc = RunAccumulator::new(stages.len(), m, sim.cfg.slo, true);
-    acc.reserve_exit_events(samples.len());
+    acc.reserve(samples.len());
     let mut exec = ExecTables::new(sim);
     // Every dispatch in this mode is exactly b0 wide, at every stage.
     for st in 0..stages.len() {

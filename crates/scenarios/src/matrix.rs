@@ -549,7 +549,7 @@ impl ScenarioMatrix {
                 let exited = specs
                     .iter()
                     .flat_map(|s| s.tokens.iter())
-                    .filter(|t| t.layers_executed < full)
+                    .filter(|t| usize::from(t.layers_executed) < full)
                     .count();
                 tuner.observe_window(exited as f64 / total.max(1) as f64);
             }

@@ -50,6 +50,18 @@ impl DurationHistogram {
         self.samples_ms.push(d.as_millis_f64());
     }
 
+    /// Reserves room for `additional` more observations, so a caller
+    /// that knows its run length grows the log once instead of by
+    /// doubling.
+    pub fn reserve(&mut self, additional: usize) {
+        self.samples_ms.reserve(additional);
+    }
+
+    /// Observations the log holds before it next reallocates.
+    pub fn capacity(&self) -> usize {
+        self.samples_ms.capacity()
+    }
+
     /// Number of recorded observations.
     pub fn count(&self) -> usize {
         self.samples_ms.len()

@@ -123,6 +123,15 @@ grep -q '"bench":"kernel_open",.*"dropped":263,"events":87267,"digest":"cd3783f1
 # request's arrival and hardness bits: a sampling change that moves one
 # draw shows here.
 grep -q '"bench":"generate",.*"requests":130254,"digest":"11a7415516840c26",' /tmp/bench_kernel.out
+# The windowed kernel section's page faults follow the size of the
+# per-sample records it stores and copies, so they read the code, not
+# the host: 24-byte samples and 16-byte exit events hold them near 815,
+# where 48- and 24-byte records read about 1,840.
+faults=$(sed -n 's/.*"bench":"kernel",.*"minor_faults":\([0-9]*\).*/\1/p' /tmp/bench_kernel.out)
+if [ -z "$faults" ] || [ "$faults" -gt 1200 ]; then
+    echo "bench_kernel: kernel section minor_faults ${faults:-missing} > 1200" >&2
+    exit 1
+fi
 for section in kernel kernel_continuous materialize kernel_open generate; do
     scripts/bench_floor.sh "$section" BENCH_kernel.json /tmp/bench_kernel.out
 done
