@@ -1,6 +1,6 @@
 //! Kernel event-throughput microbenchmark.
 //!
-//! Six sections, one JSON line each, so CI can archive the output as
+//! Seven sections, one JSON line each, so CI can archive the output as
 //! `BENCH_kernel.json` and diff `events_per_sec` against the committed
 //! baseline. Each line also carries `minor_faults`, the process's minor
 //! page faults over the section's timed loop, so a rate outlier comes
@@ -12,6 +12,10 @@
 //!    the kernel event loop alone (`run_backlog_observed`), repeated to
 //!    amortize timer noise. This is the number the compact-key event heap
 //!    and the allocation-free batch loops are accountable to.
+//!
+//!    `kernel_mp_off` follows it on the same deployment with model
+//!    parallelism OFF (fig. 26's MP-OFF E3 point at b=8): the serial
+//!    plan's stages share the 16 GPUs under the kernel's phase barrier.
 //! 2. `kernel_continuous` — CALM-T5 continuous batching on SAMSum in the
 //!    benchmark's `llm_kv_sweep` shape: 2000 sequences, five KV budgets
 //!    x two joins (admission + preemption events included), reported as
@@ -123,13 +127,15 @@ fn faults_since(before: Option<u64>) -> String {
     }
 }
 
-/// Section 1: windowed kernel loop over a pre-materialized backlog.
-fn bench_windowed() {
-    let exp = experiment(
+/// Section 1: windowed kernel loop over a pre-materialized backlog,
+/// printed as `bench`; with `pipelining` false, the serial plan.
+fn bench_windowed(bench: &str, pipelining: bool) {
+    let mut exp = experiment(
         ModelFamily::nlp(),
         ClusterSpec::paper_homogeneous_v100(),
         DatasetModel::sst2(),
     );
+    exp.opts.pipelining = pipelining;
     let (sim, reqs, run_seed) = exp.deployment(SystemKind::E3, 8);
     let backlog = sim.materialize_backlog(&reqs, run_seed);
     // Warm-up pass: faults caches and sizes the arena before timing,
@@ -150,7 +156,8 @@ fn bench_windowed() {
     let wall = start.elapsed().as_secs_f64();
     let faults = faults_since(faults_before);
     println!(
-        "{{\"bench\":\"kernel\",\"requests\":{},\"completed\":{},\"events\":{},\"digest\":\"{:016x}\",\"wall_secs\":{:.3},\"events_per_sec\":{:.0},\"minor_faults\":{}}}",
+        "{{\"bench\":\"{}\",\"requests\":{},\"completed\":{},\"events\":{},\"digest\":\"{:016x}\",\"wall_secs\":{:.3},\"events_per_sec\":{:.0},\"minor_faults\":{}}}",
+        bench,
         RUN_N,
         report.completed,
         per_run,
@@ -469,7 +476,8 @@ fn bench_generate() {
 }
 
 fn main() {
-    bench_windowed();
+    bench_windowed("kernel", true);
+    bench_windowed("kernel_mp_off", false);
     bench_continuous();
     bench_multi_tenant();
     bench_materialize();

@@ -299,13 +299,8 @@ impl Experiment {
     ///
     /// E3 with `pipelining: false` is model parallelism OFF (§5.8.7):
     /// the optimizer solves a serial plan, whose splits the simulator
-    /// runs on the same data-parallel GPUs with a barrier at every
-    /// boundary. That schedule streams no events to `observer`.
-    ///
-    /// # Panics
-    ///
-    /// On E3 with `pipelining: false` and a non-empty
-    /// [`HarnessOpts::fault_plan`]: the barrier schedule injects no faults.
+    /// runs on the same data-parallel GPUs, one stage at a time, under
+    /// the kernel's phase barrier.
     pub fn run(&self, kind: SystemKind, batch: usize, observer: &mut dyn RunObserver) -> RunReport {
         let (sim, reqs, run_seed) = self.deployment(kind, batch);
         sim.run(&reqs, run_seed, observer)
@@ -315,11 +310,6 @@ impl Experiment {
     /// arrival process, streaming the kernel's typed events to
     /// `observer`. The experiment's dataset still supplies the planning
     /// profile.
-    ///
-    /// # Panics
-    ///
-    /// On E3 with `pipelining: false`: the barrier schedule behind MP-OFF
-    /// has no open-loop form.
     pub fn run_open(
         &self,
         kind: SystemKind,
@@ -613,7 +603,8 @@ fn closed_loop_requests(dataset: &DatasetModel, n: usize, seed: u64) -> Vec<Requ
 #[cfg(test)]
 mod tests {
     use super::*;
-    use e3_runtime::kernel::NullObserver;
+    use e3_runtime::kernel::{EventLog, KernelEvent, NullObserver};
+    use e3_simcore::SimTime;
     use e3_workload::ArrivalProcess;
 
     /// DeeBERT on SST-2 and 16 V100s.
@@ -697,14 +688,34 @@ mod tests {
         assert_ne!(fingerprint(run(false)), fingerprint(run(true)));
     }
 
+    fn mp_off(seed: u64, fault_plan: FaultPlan) -> Experiment {
+        nlp(seed).with_opts(HarnessOpts {
+            pipelining: false,
+            fault_plan,
+            ..Default::default()
+        })
+    }
+
     #[test]
-    #[should_panic(expected = "no open-loop form")]
-    fn open_loop_rejects_mp_off() {
-        nlp(5)
-            .with_opts(HarnessOpts {
-                pipelining: false,
-                ..Default::default()
-            })
-            .run_open(SystemKind::E3, 8, &poisson(1000.0), &mut NullObserver);
+    fn mp_off_serves_open_loop() {
+        let mut log = EventLog::new();
+        let r = mp_off(5, FaultPlan::new()).run_open(SystemKind::E3, 8, &poisson(1000.0), &mut log);
+        let offered = log
+            .events
+            .iter()
+            .filter(|(_, e)| matches!(e, KernelEvent::Arrival { .. }))
+            .count() as u64;
+        assert!(offered > 0);
+        assert!(r.completed > 0);
+        assert_eq!(r.completed + r.dropped, offered);
+    }
+
+    #[test]
+    fn mp_off_survives_a_crash() {
+        let ms = SimTime::from_millis;
+        let exp = mp_off(6, FaultPlan::new().crash(3, ms(100)).recover(3, ms(400)));
+        let r = exp.run(SystemKind::E3, 8, &mut NullObserver);
+        assert_eq!(r.completed + r.dropped, exp.n as u64);
+        assert!(r.faults_injected > 0);
     }
 }

@@ -12,8 +12,8 @@
 //!   the stage exits shrink it to `b0 · survival[k] / survival[start]`,
 //!   a fraction;
 //! * an [`ExecTable`] tables each layer at every *integer* live count,
-//!   which the runtime's batch kernel, its serial barrier schedule and
-//!   token serving read for the batches that actually run.
+//!   which the runtime's batch kernel and token serving read for the
+//!   batches that actually run.
 //!
 //! The *effective* per-input-batch time of a stage divides by the replica
 //! count and multiplies by the stage's survival fraction: a stage that

@@ -32,9 +32,9 @@
 //!
 //! A deployment of a plan solved without pipelining
 //! ([`e3_optimizer::SplitPlan::pipelined`] false, model parallelism OFF,
-//! §5.8.7) runs every split on the same GPU set. Its
-//! [`ServingSim::run`] serves the backlog with the barrier schedule of
-//! [`crate::serial`] instead of the event loop.
+//! §5.8.7) runs every split on the same GPU set. The event loop serves
+//! it too, under the batch kernel's phase barrier: one stage runs at a
+//! time, and survivors re-form at each boundary (see [`crate::kernel`]).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,7 +49,6 @@ use crate::kernel::{
 };
 use crate::report::RunReport;
 use crate::sample::SimSample;
-use crate::serial;
 use crate::strategy::{StageSpec, Strategy};
 
 /// Runtime configuration.
@@ -107,7 +106,7 @@ pub struct ServingSim<'a> {
     pub(crate) tm: TransferModel,
     pub(crate) cfg: ServingConfig,
     /// False for a plan solved without pipelining: every stage runs on
-    /// the same GPU set, behind a barrier.
+    /// the same GPU set, under the kernel's phase barrier.
     pub(crate) pipelined: bool,
 }
 
@@ -159,8 +158,8 @@ impl<'a> ServingSim<'a> {
     }
 
     /// Builds the simulator that serves `strategy` on `cluster`: its
-    /// realized stages, served behind barriers when the strategy is a
-    /// plan solved without pipelining.
+    /// realized stages, served under a phase barrier when the strategy
+    /// is a plan solved without pipelining.
     ///
     /// # Panics
     ///
@@ -189,11 +188,6 @@ impl<'a> ServingSim<'a> {
     /// the kernel's typed events to `observer`. The same as
     /// [`ServingSim::materialize_backlog`] followed by
     /// [`ServingSim::run_backlog_observed`].
-    ///
-    /// # Panics
-    ///
-    /// A serial plan's barrier schedule panics in open loop, or with
-    /// faults planned: it has neither form.
     pub fn run(
         &self,
         requests: &[Request],
@@ -225,10 +219,6 @@ impl<'a> ServingSim<'a> {
 
     /// Runs the kernel event loop over an already-materialized backlog,
     /// streaming its events to `observer`.
-    ///
-    /// # Panics
-    ///
-    /// As [`ServingSim::run`].
     pub fn run_backlog_observed(
         &self,
         backlog: Vec<SimSample>,
@@ -257,17 +247,13 @@ impl<'a> ServingSim<'a> {
         (admission, batching)
     }
 
-    /// Serves `backlog` on the kernel's event loop, or with the barrier
-    /// schedule when the plan is serial.
+    /// Serves `backlog` on the kernel's event loop.
     fn serve(
         &self,
         backlog: Vec<SimSample>,
         (admission, batching): (Option<SloSlackAdmission>, FusionBatching),
         observer: &mut dyn RunObserver,
     ) -> RunReport {
-        if !self.pipelined {
-            return serial::run_barrier(self, &backlog);
-        }
         self.report(Batches::new(self, backlog, admission, batching, observer).run())
     }
 
@@ -833,5 +819,110 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// DeeBERT split at `boundaries`, every split on the same `gpus`
+    /// V100s at batch `b0`, served with model parallelism OFF: under the
+    /// kernel's phase barrier, closed loop over 8000 SST-2 requests.
+    fn mp_off(boundaries: &[usize], gpus: usize, b0: usize) -> RunReport {
+        let model = zoo::deebert();
+        let ctrl = RampController::all_enabled(model.num_ramps(), RampStyle::Independent);
+        let cuts: Vec<usize> = std::iter::once(0)
+            .chain(boundaries.iter().copied())
+            .chain(std::iter::once(model.num_layers()))
+            .collect();
+        let stages = cuts
+            .windows(2)
+            .map(|w| StageSpec {
+                layers: w[0]..w[1],
+                target_batch: b0,
+                replicas: vec![GpuKind::V100; gpus],
+                deferred_exits: true,
+            })
+            .collect();
+        let sim = ServingSim {
+            pipelined: false,
+            ..ServingSim::new(
+                &model,
+                zoo::default_policy("DeeBERT"),
+                ctrl,
+                InferenceSim::new(),
+                stages,
+                LatencyModel::new(),
+                TransferModel::default(),
+                ServingConfig::default(),
+            )
+        };
+        let ds = DatasetModel::sst2();
+        let mut rng = StdRng::seed_from_u64(1);
+        let reqs: Vec<Request> = (0..8000)
+            .map(|id| Request {
+                id,
+                arrival: SimTime::ZERO,
+                hardness: ds.sample_hardness(&mut rng),
+                output_tokens: 1,
+            })
+            .collect();
+        sim.run(&reqs, 7, &mut NullObserver)
+    }
+
+    #[test]
+    fn mp_off_completes_everything() {
+        let r = mp_off(&[6], 4, 8);
+        assert_eq!(r.completed, 8000);
+        assert_eq!(r.dropped, 0);
+        assert!(r.goodput() > 0.0);
+    }
+
+    #[test]
+    fn mp_off_refusion_pays_barrier_costs() {
+        // With one stage of the shared GPUs running at a time, re-fusing
+        // at a boundary costs idle GPUs at the barrier and a transfer;
+        // above GPU saturation that outweighs the refusion benefit —
+        // exactly why the paper's MP-OFF mode underperforms.
+        let none = mp_off(&[], 4, 8);
+        let split = mp_off(&[6], 4, 8);
+        assert!(split.goodput() > none.goodput() * 0.6, "not catastrophic");
+        assert!(
+            split.goodput() < none.goodput() * 1.1,
+            "barriers must not be free: split {} none {}",
+            split.goodput(),
+            none.goodput()
+        );
+    }
+
+    #[test]
+    fn mp_off_more_gpus_more_goodput() {
+        let small = mp_off(&[6], 2, 8);
+        let big = mp_off(&[6], 8, 8);
+        assert!(big.goodput() > small.goodput() * 1.5);
+    }
+
+    #[test]
+    fn mp_off_is_deterministic() {
+        let a = mp_off(&[4, 8], 4, 8);
+        let b = mp_off(&[4, 8], 4, 8);
+        assert_eq!(a.completed, b.completed);
+        assert_eq!(a.latency.samples_ms(), b.latency.samples_ms());
+    }
+
+    #[test]
+    fn mp_off_report_shape() {
+        // Closed-loop rounds feed one full batch per GPU (8000 samples
+        // are 250 rounds of 4 x 8); later stages re-form survivors, the
+        // partial last batch included, so no stage ever holds more than
+        // one round's 4 batches.
+        let r = mp_off(&[4, 8], 4, 8);
+        assert_eq!(r.mean_dispatch_batch[0], 8.0);
+        assert!(r.mean_dispatch_batch[1..]
+            .iter()
+            .all(|&b| b > 0.0 && b <= 8.0));
+        assert!(
+            r.peak_queue_depth.iter().all(|&d| d <= 4),
+            "{:?}",
+            r.peak_queue_depth
+        );
+        assert!(r.stragglers_detected.is_empty());
+        assert_eq!(r.exit_events.len() as u64, r.completed);
     }
 }

@@ -1,10 +1,8 @@
 //! Shared run accounting.
 //!
-//! Every schedule that produces a [`RunReport`] — the event loop's two
-//! serving disciplines, the serial barrier schedule — funnels its
-//! measurements through one
-//! [`RunAccumulator`], so latency, utilization, drop, and dispatch
-//! accounting are defined in exactly one place.
+//! Both of the event loop's serving disciplines funnel their
+//! measurements through one [`RunAccumulator`], so latency, utilization,
+//! drop, and dispatch accounting are defined in exactly one place.
 
 use e3_simcore::metrics::{DurationHistogram, UtilizationTracker};
 use e3_simcore::{SimDuration, SimTime};

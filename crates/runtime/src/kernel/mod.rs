@@ -34,9 +34,16 @@
 //! A [`RunObserver`] receives the typed [`KernelEvent`] stream (arrival,
 //! admit, drop, batch-formed, fusion, exec start/done, stage transfer,
 //! completion) after each transition; observation cannot perturb
-//! scheduling. Metrics funnel through the shared [`RunAccumulator`],
-//! which the serial barrier schedule ([`crate::serial`]) reuses so every
-//! schedule accounts identically.
+//! scheduling. Metrics funnel through the shared [`RunAccumulator`].
+//!
+//! A plan solved without pipelining (model parallelism OFF, §5.8.7) puts
+//! every stage on the same GPU set, so stage `s`'s replica `k` and stage
+//! `s'`'s replica `k` are one device. Batch serving runs it under a
+//! *phase barrier*: only the phase stage starts batches, and the phase
+//! passes on once its stage has no batch queued, running or in transfer
+//! — to the next stage holding survivors, whose fusion buffer then forms
+//! all its batches at once, or back to stage 0 for a new round. Two
+//! replicas sharing a device therefore never run together.
 
 mod accounting;
 mod continuous;
@@ -368,6 +375,11 @@ pub(crate) struct Batches<'a> {
     replicas: Vec<Replica>,
     stage_replicas: Vec<Vec<usize>>,
     flush_pending: Vec<bool>,
+    /// The stage allowed to run under a phase barrier; `None` for a
+    /// pipelined deployment.
+    phase: Option<usize>,
+    /// Batches in transfer out of each stage.
+    in_transfer: Vec<usize>,
     backlog: Vec<SimSample>,
     /// Closed loop: the next sample to feed. Open loop: how many arrivals
     /// the loop has served.
@@ -459,6 +471,8 @@ impl<'a> Batches<'a> {
             replicas,
             stage_replicas,
             flush_pending: vec![false; num_stages],
+            phase: (!sim.pipelined).then_some(0),
+            in_transfer: vec![0; num_stages],
             backlog,
             backlog_cursor: 0,
             arrivals,
@@ -498,6 +512,7 @@ impl<'a> Batches<'a> {
     }
 
     fn on_batch_ready(&mut self, stage: usize, mut batch: Batch) {
+        self.in_transfer[stage - 1] -= 1;
         let now = self.core.now();
         self.core.emit(KernelEvent::Fusion {
             stage,
@@ -508,10 +523,14 @@ impl<'a> Batches<'a> {
         }
         self.sample_pool.put(batch.samples);
         self.pump(stage);
+        self.pass_phase();
     }
 
     /// Forms full batches and routes them; arms a flush timer otherwise.
     fn pump(&mut self, stage: usize) {
+        if !self.forms(stage) {
+            return;
+        }
         let now = self.core.now();
         while let Some(b) = self.batching.take_full(stage, now, &mut self.sample_pool) {
             self.core.emit(KernelEvent::BatchFormed {
@@ -536,6 +555,9 @@ impl<'a> Batches<'a> {
 
     fn on_flush(&mut self, stage: usize) {
         self.flush_pending[stage] = false;
+        if !self.forms(stage) {
+            return;
+        }
         let now = self.core.now();
         if let Some(b) = self.batching.take_due(stage, now, &mut self.sample_pool) {
             self.core.emit(KernelEvent::BatchFormed {
@@ -602,15 +624,16 @@ impl<'a> Batches<'a> {
     /// Crashed replicas and stalled stages start nothing (a straggler, by
     /// contrast, may still drain work already queued on it).
     fn try_begin(&mut self, rid: usize) {
-        if !self.core.ready(rid) {
+        let stage = self.core.reps[rid].stage;
+        if !self.core.ready(rid) || self.phase.is_some_and(|p| p != stage) {
             return;
         }
-        let stage = self.core.reps[rid].stage;
         let now = self.core.now();
         loop {
             let Some(mut batch) = self.replicas[rid].queue.pop_front() else {
-                // Idle: closed-loop stage-0 replicas self-feed.
-                if stage == 0 && self.sim.cfg.closed_loop {
+                // Idle: closed-loop stage-0 replicas self-feed, unless
+                // a phase barrier feeds them by the round.
+                if stage == 0 && self.sim.cfg.closed_loop && self.phase.is_none() {
                     self.feed_closed_loop(rid);
                 }
                 return;
@@ -748,6 +771,7 @@ impl<'a> Batches<'a> {
         // Completions may have released backpressure: wake idle stage-0
         // feeders.
         self.wake_feeders();
+        self.pass_phase();
     }
 
     /// Hands survivors of `from_stage` to the interconnect: the fused
@@ -769,6 +793,7 @@ impl<'a> Batches<'a> {
             to_stage: next,
             size: survivors.len(),
         });
+        self.in_transfer[from_stage] += 1;
         let b = Batch {
             samples: survivors,
             formed_at: now,
@@ -785,7 +810,7 @@ impl<'a> Batches<'a> {
     /// Wakes idle closed-loop stage-0 feeders (drops or completions may
     /// have released backpressure). A no-op in open loop.
     fn wake_feeders(&mut self) {
-        if self.sim.cfg.closed_loop {
+        if self.sim.cfg.closed_loop && self.phase.is_none() {
             for k in 0..self.stage_replicas[0].len() {
                 let r = self.stage_replicas[0][k];
                 if !self.core.reps[r].busy && self.replicas[r].queue.is_empty() {
@@ -793,6 +818,70 @@ impl<'a> Batches<'a> {
                 }
             }
         }
+    }
+
+    /// True when batches may form at `stage`: always without a phase
+    /// barrier; under one, only at the phase stage while it runs
+    /// nothing, so each round forms its batches once.
+    fn forms(&self, stage: usize) -> bool {
+        self.phase.is_none_or(|p| p == stage && self.idle(p))
+    }
+
+    /// True when `stage` has no batch queued, running or in transfer.
+    fn idle(&self, stage: usize) -> bool {
+        self.in_transfer[stage] == 0
+            && self.stage_replicas[stage]
+                .iter()
+                .all(|&r| self.replicas[r].running.is_none() && self.replicas[r].queue.is_empty())
+    }
+
+    /// Passes an idle phase stage's turn on: to the next stage holding
+    /// survivors, else back to stage 0 for a new round, until a stage
+    /// forms work. A no-op without a phase barrier.
+    fn pass_phase(&mut self) {
+        while let Some(p) = self.phase {
+            if !self.idle(p) {
+                return;
+            }
+            let next = (p + 1..self.sim.stages.len())
+                .find(|&t| !self.batching.is_empty(t))
+                .unwrap_or(0);
+            self.phase = Some(next);
+            if !self.enter(next) {
+                return;
+            }
+        }
+    }
+
+    /// Opens `stage`'s turn: forms every batch its buffer holds, the
+    /// partial last one included, and routes them. A closed-loop round
+    /// first moves one batch per stage-0 replica in from the backlog.
+    /// False when nothing formed.
+    fn enter(&mut self, stage: usize) -> bool {
+        let now = self.core.now();
+        let target = self.sim.stages[stage].target_batch;
+        if stage == 0 && self.sim.cfg.closed_loop {
+            let end = (self.backlog_cursor + self.stage_replicas[0].len() * target)
+                .min(self.backlog.len());
+            for i in self.backlog_cursor..end {
+                let mut s = self.backlog[i];
+                s.arrival = now; // closed loop: latency measured from dispatch
+                self.core.emit(KernelEvent::Arrival { sample: s.id });
+                self.batching.push(0, s, now);
+            }
+            self.backlog_cursor = end;
+        }
+        let mut formed = false;
+        while let Some(b) = self.batching.take_any(stage, now, &mut self.sample_pool) {
+            self.core.emit(KernelEvent::BatchFormed {
+                stage,
+                size: b.len(),
+                partial: b.len() < target,
+            });
+            self.route(stage, b);
+            formed = true;
+        }
+        formed
     }
 
     /// Judges the replica that just finished a batch against its stage
@@ -838,7 +927,9 @@ impl<'a> Discipline<'a> for Batches<'a> {
     }
 
     fn start(&mut self) {
-        if self.sim.cfg.closed_loop {
+        if self.phase.is_some() {
+            self.pass_phase();
+        } else if self.sim.cfg.closed_loop {
             for k in 0..self.stage_replicas[0].len() {
                 let r = self.stage_replicas[0][k];
                 self.feed_closed_loop(r);
@@ -875,6 +966,7 @@ impl<'a> Discipline<'a> for Batches<'a> {
         for b in orphaned {
             self.route(stage, b);
         }
+        self.pass_phase();
     }
 
     /// Fresh straggler statistics, and work orphaned on still-crashed
@@ -896,6 +988,7 @@ impl<'a> Discipline<'a> for Batches<'a> {
             self.route(stage, b);
         }
         self.try_begin(r);
+        self.pass_phase();
     }
 
     fn on_stall_lifted(&mut self, stage: usize) {
@@ -903,6 +996,7 @@ impl<'a> Discipline<'a> for Batches<'a> {
             let rid = self.stage_replicas[stage][k];
             self.try_begin(rid);
         }
+        self.pass_phase();
     }
 
     fn arrivals(&self) -> usize {

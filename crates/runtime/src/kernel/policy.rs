@@ -168,6 +168,17 @@ impl FusionBatching {
         }
     }
 
+    /// Removes and returns up to a target's worth of whatever waits at
+    /// `stage`, full or not; `None` while nothing does.
+    pub(crate) fn take_any(
+        &mut self,
+        stage: usize,
+        now: SimTime,
+        pool: &mut SamplePool,
+    ) -> Option<Batch> {
+        self.buffers[stage].take_partial(now, pool)
+    }
+
     /// When the stage's current contents should be force-flushed; `None`
     /// while nothing waits there.
     pub(crate) fn next_flush_at(&self, stage: usize, now: SimTime) -> Option<SimTime> {

@@ -20,8 +20,8 @@
 //! All three run through the same event loop; what differs is the stage
 //! layout and the policies the deployment derives from its
 //! configuration. A plan solved without pipelining (model parallelism
-//! OFF) runs through the same [`engine::ServingSim::run`] on a barrier
-//! schedule instead.
+//! OFF) runs through the same loop too, under batch serving's phase
+//! barrier: one stage of the shared GPU set runs at a time.
 //!
 //! Module map:
 //!
@@ -43,8 +43,6 @@
 //!   [`engine::ServingSim::run`] (or its two halves,
 //!   [`engine::ServingSim::materialize_backlog`] and
 //!   [`engine::ServingSim::run_backlog_observed`]);
-//! * [`serial`] — the "model parallelism OFF" barrier schedule that
-//!   `run` picks for a serial plan, on the same clock and accumulator;
 //! * [`report`] — run metrics: goodput, latency quartiles, utilization,
 //!   drops, accuracy, per-window exit observations;
 //! * [`strategy`] — strategy construction, including the data-parallel
@@ -63,7 +61,6 @@ pub(crate) mod executor;
 pub mod kernel;
 pub mod report;
 pub mod sample;
-pub mod serial;
 pub mod strategy;
 
 pub use engine::{ServingConfig, ServingSim};

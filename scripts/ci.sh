@@ -109,6 +109,10 @@ grep -q "events_per_sec" /tmp/bench_kernel.out
 # text, so a mispriced layer or a reordered event that keeps the counts
 # shows too.
 grep -q '"bench":"kernel",.*"events":55934,"digest":"74d5066f5d802e83",' /tmp/bench_kernel.out
+# Model parallelism OFF: the same deployment's serial plan under the
+# kernel's phase barrier, pinned so a kernel change cannot move it
+# silently. (No rate floor until BENCH_kernel.json holds a baseline.)
+grep -q '"bench":"kernel_mp_off",.*"events":61672,"digest":"e11540f1e55d8c75",' /tmp/bench_kernel.out
 grep -q '"bench":"kernel_continuous",.*"events":594756,"digest":"50ecd1d23599bc7a",' /tmp/bench_kernel.out
 grep -q '"bench":"kernel_multi_tenant",.*"events":8568,"digest":"769c989f6e218ee2",' /tmp/bench_kernel.out
 # The exit sampler is pinned by its outcomes, not only their layer sum:
