@@ -257,8 +257,8 @@ pub(crate) fn fig09_report() -> String {
 }
 
 /// Largest batch whose worst-case latency fits the SLO budget, per the
-/// optimizer's own feasibility rule (§3.2): formation + serial path +
-/// pipeline occupancy <= SLO - slack.
+/// optimizer's own feasibility rule (§3.2): serial path + pipeline
+/// occupancy <= SLO - slack.
 fn max_batch_for_slo(exp: &Experiment, slo_ms: u64) -> usize {
     let slo = SimDuration::from_millis(slo_ms);
     let cfg = OptimizerConfig {

@@ -1,4 +1,7 @@
-//! Top-level E3 configuration.
+//! Top-level E3 configuration: the settings of the windowed control
+//! loop ([`crate::E3System`]). Serving runs with every ramp enabled and
+//! unbounded replica queues; the exit-wrapper (§3.4) is an option of
+//! the one-shot harness ([`crate::harness::HarnessOpts`], fig. 25).
 
 use e3_simcore::SimDuration;
 
@@ -11,8 +14,6 @@ pub struct E3Config {
     pub slo: SimDuration,
     /// Input batch size E3 maintains across every split.
     pub batch: usize,
-    /// Whether the exit-wrapper (§3.4) may disable non-boundary ramps.
-    pub use_wrapper: bool,
     /// Maximum number of splits the optimizer may create.
     pub max_splits: usize,
     /// Requests processed per scheduling window in closed-loop mode: the
@@ -23,9 +24,6 @@ pub struct E3Config {
     /// probe/canary plan transitions with automatic rollback. Off by
     /// default — the naive instant-swap loop is preserved bit-for-bit.
     pub guarded: bool,
-    /// Bound on queued batches per replica in the serving runtime;
-    /// routing sheds batches past it. `None` keeps queues unbounded.
-    pub queue_cap: Option<usize>,
 }
 
 impl Default for E3Config {
@@ -34,11 +32,9 @@ impl Default for E3Config {
             seed: 0,
             slo: SimDuration::from_millis(100),
             batch: 8,
-            use_wrapper: false,
             max_splits: 4,
             requests_per_window: 10_000,
             guarded: false,
-            queue_cap: None,
         }
     }
 }
@@ -51,11 +47,6 @@ mod tests {
     fn defaults_match_paper() {
         let c = E3Config::default();
         assert_eq!(c.slo, SimDuration::from_millis(100));
-        assert!(
-            !c.use_wrapper,
-            "paper's evaluation runs without the wrapper"
-        );
         assert!(!c.guarded, "guarded reconfiguration is opt-in");
-        assert_eq!(c.queue_cap, None, "queues unbounded unless asked");
     }
 }

@@ -6,7 +6,9 @@
 //! its own copy of the per-stage fusion-wait derivation. This module is
 //! the single home for that recipe: realize the strategy on the cluster,
 //! derive the fusion waits from the plan, and wire the serving
-//! configuration.
+//! configuration. A caller overrides only what its run varies: the ramp
+//! controller, inference semantics, latency and transfer models, SLO,
+//! open loop, fault plan and straggler detection.
 
 use e3_hardware::{ClusterSpec, LatencyModel, TransferModel};
 use e3_model::{EeModel, ExitPolicy, InferenceSim, RampController};
@@ -31,7 +33,6 @@ pub struct DeploymentBuilder<'m, 's> {
     horizon: Option<SimDuration>,
     fault_plan: FaultPlan,
     detect_stragglers: bool,
-    queue_cap: Option<usize>,
 }
 
 impl<'m, 's> DeploymentBuilder<'m, 's> {
@@ -58,7 +59,6 @@ impl<'m, 's> DeploymentBuilder<'m, 's> {
             horizon: None,
             fault_plan: FaultPlan::new(),
             detect_stragglers: false,
-            queue_cap: None,
         }
     }
 
@@ -112,12 +112,6 @@ impl<'m, 's> DeploymentBuilder<'m, 's> {
         self
     }
 
-    /// Bounds queued batches per replica; routing sheds past the cap.
-    pub fn with_queue_cap(mut self, cap: Option<usize>) -> Self {
-        self.queue_cap = cap;
-        self
-    }
-
     /// Realizes the strategy and assembles the simulator.
     pub fn build(self) -> ServingSim<'m> {
         ServingSim::for_strategy(
@@ -136,7 +130,6 @@ impl<'m, 's> DeploymentBuilder<'m, 's> {
                 fusion_waits: fusion_waits(self.strategy, self.slo),
                 fault_plan: self.fault_plan,
                 detect_stragglers: self.detect_stragglers,
-                queue_cap: self.queue_cap,
             },
         )
     }

@@ -33,7 +33,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::deploy::DeploymentBuilder;
-use crate::system::{exit_wrapper, measure_profile};
+use crate::system::measure_profile;
 
 /// Which serving system to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -598,6 +598,42 @@ fn closed_loop_requests(dataset: &DatasetModel, n: usize, seed: u64) -> Vec<Requ
             output_tokens: dataset.output_len.sample(&mut rng),
         })
         .collect()
+}
+
+/// Least fraction of the batch that must exit at a ramp for the
+/// exit-wrapper to keep it.
+const WRAPPER_MIN_EXIT_FRAC: f64 = 0.04;
+
+/// The exit-wrapper (§3.4): `ctrl` with the ramps that are not useful
+/// disabled. A ramp survives if at least `WRAPPER_MIN_EXIT_FRAC` of the
+/// batch exits there per the profile, or if it sits at a split boundary
+/// (boundary ramps realize the batch profile the optimizer planned for
+/// and are always required).
+fn exit_wrapper(
+    model: &EeModel,
+    mut ctrl: RampController,
+    profile: &BatchProfile,
+    boundaries: &[usize],
+) -> RampController {
+    // No observed exit activity means no evidence of uselessness — keep
+    // everything. (Disabling on a cold-start "no exits" prediction would
+    // suppress all exits and the profiler could never learn otherwise.)
+    if profile.survival_at(profile.num_layers()) > 1.0 - WRAPPER_MIN_EXIT_FRAC {
+        return ctrl;
+    }
+    let keep: Vec<usize> = model
+        .ramps()
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| {
+            let k = r.after_layer;
+            let exit_frac = profile.survival_at(k) - profile.survival_at(k + 1);
+            exit_frac >= WRAPPER_MIN_EXIT_FRAC || boundaries.contains(&(k + 1))
+        })
+        .map(|(i, _)| i)
+        .collect();
+    ctrl.keep_only(&keep);
+    ctrl
 }
 
 #[cfg(test)]

@@ -7,6 +7,10 @@
 //! next window. Before any observation exists the estimator predicts "no
 //! exits", so E3 boots as a stock data-parallel deployment and adapts
 //! from there — exactly the conservative behaviour §3.1 calls for.
+//!
+//! Every window serves with all ramps enabled and stock inference
+//! semantics; the exit-wrapper (§3.4) is measured by the one-shot
+//! harness instead (fig. 25).
 
 use e3_hardware::{ClusterSpec, LatencyModel, TransferModel};
 use e3_model::{BatchProfile, EeModel, ExitPolicy, InferenceSim, RampController};
@@ -34,7 +38,6 @@ pub struct E3System {
     cfg: E3Config,
     lm: LatencyModel,
     tm: TransferModel,
-    infer: InferenceSim,
 }
 
 impl E3System {
@@ -47,14 +50,7 @@ impl E3System {
             cfg,
             lm: LatencyModel::new(),
             tm: TransferModel::default(),
-            infer: InferenceSim::new(),
         }
-    }
-
-    /// Overrides the inference-semantics engine (e.g. dataset accuracy).
-    pub fn with_inference(mut self, infer: InferenceSim) -> Self {
-        self.infer = infer;
-        self
     }
 
     /// The optimizer configuration induced by this system's settings.
@@ -154,20 +150,6 @@ impl E3System {
                 && k > 0
                 && incumbent.as_ref().is_some_and(|inc| *inc != plan);
 
-            // Exit-wrapper (§3.4). When guarding, both contending plans'
-            // boundary ramps must stay.
-            let serve_ctrl = if self.cfg.use_wrapper {
-                let mut boundaries = plan.boundaries();
-                if can_guard {
-                    if let Some(inc) = &incumbent {
-                        boundaries.extend(inc.boundaries());
-                    }
-                }
-                exit_wrapper(&self.model, full_ctrl, &planning, &boundaries)
-            } else {
-                full_ctrl
-            };
-
             // Serve the window.
             let mut rng = StdRng::seed_from_u64(seeds.derive_indexed("window-reqs", w as u64));
             let requests: Vec<Request> = (0..self.cfg.requests_per_window as u64)
@@ -186,21 +168,12 @@ impl E3System {
                 let inc = incumbent.clone().expect("can_guard implies incumbent");
                 epoch += 1;
                 let (run, winner, report) = self.serve_window_guarded(
-                    w,
-                    &seeds,
-                    &requests,
-                    &inc,
-                    &plan,
-                    &serve_ctrl,
-                    &cluster,
-                    epoch,
-                    clock,
-                    observer,
+                    w, &seeds, &requests, &inc, &plan, &cluster, epoch, clock, observer,
                 );
                 (run, winner, Some(report))
             } else {
                 let strategy = Strategy::Plan(plan.clone());
-                let sim = self.deployment(&strategy, &cluster, serve_ctrl, fault_plan.clone());
+                let sim = self.deployment(&strategy, &cluster, fault_plan.clone());
                 let mut off = OffsetObserver::new(clock, observer);
                 let run = sim.run(
                     &requests,
@@ -287,22 +260,19 @@ impl E3System {
     }
 
     /// Assembles the serving simulator for one window (or one guarded
-    /// segment) of the control loop.
+    /// segment) of the control loop: every ramp enabled, stock inference
+    /// semantics.
     fn deployment<'a>(
         &'a self,
         strategy: &'a Strategy,
         cluster: &'a ClusterSpec,
-        ctrl: RampController,
         fault_plan: FaultPlan,
     ) -> ServingSim<'a> {
         DeploymentBuilder::new(&self.model, self.policy, strategy, cluster)
-            .with_ctrl(ctrl)
-            .with_inference(self.infer)
             .with_latency_model(self.lm)
             .with_transfer_model(self.tm)
             .with_slo(self.cfg.slo)
             .with_fault_plan(fault_plan)
-            .with_queue_cap(self.cfg.queue_cap)
             .build()
     }
 
@@ -324,7 +294,6 @@ impl E3System {
         requests: &[Request],
         incumbent: &SplitPlan,
         candidate: &SplitPlan,
-        serve_ctrl: &RampController,
         cluster: &ClusterSpec,
         epoch: u32,
         clock: SimTime,
@@ -335,13 +304,8 @@ impl E3System {
         debug_assert!(k > 0 && 2 * k < n, "caller checked segment_len");
         let inc_strategy = Strategy::Plan(incumbent.clone());
         let cand_strategy = Strategy::Plan(candidate.clone());
-        let inc_sim = self.deployment(&inc_strategy, cluster, serve_ctrl.clone(), FaultPlan::new());
-        let cand_sim = self.deployment(
-            &cand_strategy,
-            cluster,
-            serve_ctrl.clone(),
-            FaultPlan::new(),
-        );
+        let inc_sim = self.deployment(&inc_strategy, cluster, FaultPlan::new());
+        let cand_sim = self.deployment(&cand_strategy, cluster, FaultPlan::new());
 
         observer.on_event(clock, &KernelEvent::ReconfigStarted { epoch });
         let probe = {
@@ -394,42 +358,6 @@ impl E3System {
     pub fn model(&self) -> &EeModel {
         &self.model
     }
-}
-
-/// Least fraction of the batch that must exit at a ramp for the
-/// exit-wrapper to keep it.
-const WRAPPER_MIN_EXIT_FRAC: f64 = 0.04;
-
-/// The exit-wrapper (§3.4): `ctrl` with the ramps that are not useful
-/// disabled. A ramp survives if at least `WRAPPER_MIN_EXIT_FRAC` of the
-/// batch exits there per the profile, or if it sits at a split boundary
-/// (boundary ramps realize the batch profile the optimizer planned for
-/// and are always required).
-pub(crate) fn exit_wrapper(
-    model: &EeModel,
-    mut ctrl: RampController,
-    profile: &BatchProfile,
-    boundaries: &[usize],
-) -> RampController {
-    // No observed exit activity means no evidence of uselessness — keep
-    // everything. (Disabling on a cold-start "no exits" prediction would
-    // suppress all exits and the profiler could never learn otherwise.)
-    if profile.survival_at(profile.num_layers()) > 1.0 - WRAPPER_MIN_EXIT_FRAC {
-        return ctrl;
-    }
-    let keep: Vec<usize> = model
-        .ramps()
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| {
-            let k = r.after_layer;
-            let exit_frac = profile.survival_at(k) - profile.survival_at(k + 1);
-            exit_frac >= WRAPPER_MIN_EXIT_FRAC || boundaries.contains(&(k + 1))
-        })
-        .map(|(i, _)| i)
-        .collect();
-    ctrl.keep_only(&keep);
-    ctrl
 }
 
 /// Bootstraps a batch profile by measuring exit behaviour offline —
@@ -525,26 +453,6 @@ mod tests {
             report.windows[5].drift,
             report.windows[3].drift
         );
-    }
-
-    #[test]
-    fn wrapper_improves_goodput() {
-        let mk = |wrapper| {
-            let sys = E3System::new(
-                zoo::deebert(),
-                zoo::default_policy("DeeBERT"),
-                ClusterSpec::paper_homogeneous_v100(),
-                E3Config {
-                    use_wrapper: wrapper,
-                    ..small_cfg()
-                },
-            );
-            let r = stationary(&sys, DatasetModel::sst2(), 4);
-            r.windows.last().expect("windows").run.goodput()
-        };
-        let with = mk(true);
-        let without = mk(false);
-        assert!(with > without, "wrapper {with} vs plain {without}");
     }
 
     #[test]

@@ -11,22 +11,16 @@ use e3_simcore::SimDuration;
 /// Kind of link between two GPUs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkKind {
-    /// Same device — no transfer needed.
-    Local,
     /// Shared PCIe within one machine.
     Pcie,
     /// 10 Gbps Ethernet between machines (the paper's testbed fabric).
     Ethernet10G,
-    /// NVLink, mentioned by the paper as a would-only-help upgrade.
-    NvLink,
 }
 
 impl LinkKind {
     /// One-way base latency of the link.
     pub(crate) fn base_latency(self) -> SimDuration {
         match self {
-            LinkKind::Local => SimDuration::ZERO,
-            LinkKind::NvLink => SimDuration::from_micros(2),
             LinkKind::Pcie => SimDuration::from_micros(5),
             LinkKind::Ethernet10G => SimDuration::from_micros(50),
         }
@@ -35,8 +29,6 @@ impl LinkKind {
     /// Usable bandwidth in bytes per second.
     pub(crate) fn bandwidth_bytes_per_sec(self) -> f64 {
         match self {
-            LinkKind::Local => f64::INFINITY,
-            LinkKind::NvLink => 25.0e9,
             LinkKind::Pcie => 12.0e9,
             // 10 Gbps line rate with ~10% framing/TCP overhead.
             LinkKind::Ethernet10G => 1.125e9,
@@ -45,9 +37,6 @@ impl LinkKind {
 
     /// Time to move `bytes` across this link.
     pub fn transfer_time(self, bytes: u64) -> SimDuration {
-        if matches!(self, LinkKind::Local) {
-            return SimDuration::ZERO;
-        }
         let serialize = bytes as f64 / self.bandwidth_bytes_per_sec();
         self.base_latency() + SimDuration::from_secs_f64(serialize)
     }
@@ -95,11 +84,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn local_transfer_is_free() {
-        assert_eq!(LinkKind::Local.transfer_time(1 << 30), SimDuration::ZERO);
-    }
-
-    #[test]
     fn ethernet_3mb_batch_is_milliseconds() {
         // BERT-BASE activations: 8 samples x 128 tokens x 768 hidden x 4 B
         // ≈ 3 MiB; at ~1.1 GB/s that is ~2.8 ms — the magnitude E3's
@@ -113,10 +97,9 @@ mod tests {
     #[test]
     fn link_speed_ordering() {
         let bytes = 1_000_000;
-        let nv = LinkKind::NvLink.transfer_time(bytes);
         let pcie = LinkKind::Pcie.transfer_time(bytes);
         let eth = LinkKind::Ethernet10G.transfer_time(bytes);
-        assert!(nv < pcie && pcie < eth);
+        assert!(pcie < eth);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   [`min_gpus_for_goodput`] finds the fewest homogeneous GPUs
 //!   (fig. 14), and [`crate::min_cost_for_goodput`] the cheapest
 //!   heterogeneous allocation (fig. 15).
-//! * [`plan_feasible`] is the one SLO, cost and goodput feasibility rule.
+//! * [`plan_feasible`] is the one feasibility rule: the SLO budget.
 //!
 //! The crate-private `solve` is the only code that picks a formulation.
 //! Pipelined plans, on one GPU kind or several, come from the boundary ×
@@ -110,7 +110,7 @@ fn serial_plan(
             (a, b, n, kind)
         })
         .collect();
-    build_plan(model, ctrl, profile, b0, &gather, lm, cfg, &stages, false)
+    build_plan(model, ctrl, profile, b0, &gather, lm, &stages, false)
 }
 
 /// The goodput-best plan on the per-kind GPU counts `counts` at batch
@@ -148,23 +148,9 @@ pub fn plan_for_cluster(
     optimize_heterogeneous_with_stats(model, ctrl, profile, &counts, b0, tm, lm, cfg).0
 }
 
-/// True if the plan satisfies the SLO budget and the optional cost and
-/// goodput constraints.
+/// True if the plan's worst-case latency fits the SLO budget.
 pub fn plan_feasible(plan: &SplitPlan, cfg: &OptimizerConfig) -> bool {
-    if plan.worst_case_latency > cfg.latency_budget() {
-        return false;
-    }
-    if let Some(cap) = cfg.max_cost_per_sec {
-        if plan.cost_per_sec() > cap + 1e-12 {
-            return false;
-        }
-    }
-    if let Some(min) = cfg.min_goodput {
-        if plan.goodput < min {
-            return false;
-        }
-    }
-    true
+    plan.worst_case_latency <= cfg.latency_budget()
 }
 
 /// Smallest homogeneous GPU count achieving `target` goodput at batch

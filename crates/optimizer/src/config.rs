@@ -1,4 +1,9 @@
-//! Optimizer configuration and constraints.
+//! Optimizer configuration.
+//!
+//! The planner maximizes goodput under one constraint, the SLO (§3.2):
+//! a plan is feasible when its worst-case latency fits the budget
+//! `SLO · (1 − SLO_SLACK_FRAC)`. The other fields choose the formulation
+//! (pipelining, split count, memory) and the realization penalty.
 
 use e3_simcore::SimDuration;
 
@@ -18,15 +23,6 @@ pub struct OptimizerConfig {
     /// very few (one or two cuts); bounding keeps the heterogeneous
     /// enumeration exact and fast.
     pub max_splits: usize,
-    /// Open-loop request rate (req/s), used to charge batch-formation
-    /// delay against the SLO. `None` for closed-loop clients (batches
-    /// form instantly).
-    pub request_rate: Option<f64>,
-    /// Cost ceiling in $/s (the paper's `α × Cost_baseline`), if any.
-    pub max_cost_per_sec: Option<f64>,
-    /// Minimum acceptable goodput (the paper's `Throughput_baseline`),
-    /// if any.
-    pub min_goodput: Option<f64>,
     /// Realization penalty per additional split: the DP's expected-value
     /// model ignores fusion jitter and queueing variance, which grow with
     /// stage count; each extra stage must beat the simpler plan by this
@@ -48,9 +44,6 @@ impl Default for OptimizerConfig {
             slo: SimDuration::from_millis(100),
             pipelining: true,
             max_splits: 4,
-            request_rate: None,
-            max_cost_per_sec: None,
-            min_goodput: None,
             stage_overhead_frac: 0.05,
             enforce_memory: true,
         }
@@ -62,16 +55,6 @@ impl OptimizerConfig {
     pub(crate) fn latency_budget(&self) -> SimDuration {
         self.slo.mul_f64(1.0 - SLO_SLACK_FRAC)
     }
-
-    /// Worst-case batch-formation delay for batch size `b0`: the time for
-    /// `b0 − 1` further requests to arrive after the first. Zero for
-    /// closed-loop clients.
-    pub(crate) fn formation_delay(&self, b0: f64) -> SimDuration {
-        match self.request_rate {
-            Some(rate) if rate > 0.0 && b0 > 1.0 => SimDuration::from_secs_f64((b0 - 1.0) / rate),
-            _ => SimDuration::ZERO,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -82,21 +65,5 @@ mod tests {
     fn latency_budget_applies_slack() {
         let cfg = OptimizerConfig::default();
         assert_eq!(cfg.latency_budget(), SimDuration::from_millis(80));
-    }
-
-    #[test]
-    fn formation_delay_closed_loop_is_zero() {
-        let cfg = OptimizerConfig::default();
-        assert_eq!(cfg.formation_delay(16.0), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn formation_delay_open_loop() {
-        let cfg = OptimizerConfig {
-            request_rate: Some(1000.0),
-            ..Default::default()
-        };
-        assert_eq!(cfg.formation_delay(9.0), SimDuration::from_millis(8));
-        assert_eq!(cfg.formation_delay(1.0), SimDuration::ZERO);
     }
 }

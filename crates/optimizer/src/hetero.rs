@@ -225,7 +225,6 @@ pub(crate) fn build_plan(
     b0: f64,
     tm: &TransferModel,
     lm: &LatencyModel,
-    cfg: &OptimizerConfig,
     stages: &[StageAssignment],
     pipelined: bool,
 ) -> SplitPlan {
@@ -270,16 +269,16 @@ pub(crate) fn build_plan(
             .chain(transfers.iter().copied())
             .fold(SimDuration::ZERO, |acc, d| acc + d)
     };
-    // Worst-case end-to-end latency: batch formation, the serial path of
-    // one batch through every stage and link, plus up to one cycle of
-    // queueing per stage boundary (refusion wait / in-flight batch).
+    // Worst-case end-to-end latency: the serial path of one batch through
+    // every stage and link, plus up to one cycle of queueing per stage
+    // boundary (refusion wait / in-flight batch). Batch formation is not
+    // charged: closed-loop batches form at once.
     let serial_path = splits
         .iter()
         .map(|s| s.batch_time)
         .chain(raw_transfers.iter().copied())
         .fold(SimDuration::ZERO, |acc, d| acc + d);
-    let worst_case_latency =
-        cfg.formation_delay(b0) + serial_path + cycle_time.mul_f64(splits.len() as f64);
+    let worst_case_latency = serial_path + cycle_time.mul_f64(splits.len() as f64);
     // Goodput is b0 per cycle in both modes: effective times are already
     // survival-weighted and replica-shared, so the serial sum equals the
     // per-GPU batch time divided by the data-parallel width.
@@ -445,7 +444,7 @@ pub(crate) fn optimize_tabled(
         (stages, stats) = bottleneck_search(kinds, &unmasked, l, cfg);
     }
     let stages = stages.expect("at least the single-stage plan is feasible");
-    let plan = build_plan(model, ctrl, profile, b0, tm, lm, cfg, &stages, true);
+    let plan = build_plan(model, ctrl, profile, b0, tm, lm, &stages, true);
     (plan, stats)
 }
 
@@ -654,7 +653,6 @@ fn bottleneck_search(
                 }
                 evaluated += 1;
                 let (bottleneck, cost) = sc.allocate(kinds, assign, &placed.on_kind);
-                let within_cap = cfg.max_cost_per_sec.is_none_or(|cap| cost <= cap + TIE);
                 let penalized = bottleneck * pen;
                 let better = match best {
                     None => true,
@@ -662,7 +660,7 @@ fn bottleneck_search(
                         penalized < bb - TIE || ((penalized - bb).abs() <= TIE && cost < bc)
                     }
                 };
-                if within_cap && better {
+                if better {
                     best = Some((penalized, cost));
                     best_stages.clear();
                     best_stages.extend(assign.iter().enumerate().map(|(i, &k)| {
@@ -708,9 +706,7 @@ pub fn min_cost_for_goodput(
     tables.add_kinds(model, ctrl, profile, b0, lm, &kinds);
     let lambda = b0 / target_goodput; // required bottleneck in seconds
     let stages = cost_search(&kinds, &tables, model.num_layers(), lambda, cfg)?;
-    Some(build_plan(
-        model, ctrl, profile, b0, tm, lm, cfg, &stages, true,
-    ))
+    Some(build_plan(model, ctrl, profile, b0, tm, lm, &stages, true))
 }
 
 /// Searches boundary sets × kind assignments for the cheapest plan whose
@@ -1135,7 +1131,7 @@ mod tests {
                         (a, b, 1, GpuKind::V100)
                     })
                     .collect();
-                build_plan(&model, &ctrl, &profile, 8.0, &tm, &lm, &cfg, &stages, true)
+                build_plan(&model, &ctrl, &profile, 8.0, &tm, &lm, &stages, true)
             })
             .collect();
         assert_eq!(plan, tied[0]);
@@ -1595,13 +1591,6 @@ mod tests {
                     }
                 }
                 if feasible {
-                    if let Some(cap) = cfg.max_cost_per_sec {
-                        if cost > cap + 1e-12 {
-                            feasible = false;
-                        }
-                    }
-                }
-                if feasible {
                     let penalized = bottleneck * (1.0 + cfg.stage_overhead_frac * (s as f64 - 1.0));
                     let better = match &best {
                         None => true,
@@ -1626,7 +1615,7 @@ mod tests {
         }
 
         let (_, _, stages) = best.expect("at least the single-stage plan is feasible");
-        build_plan(model, ctrl, profile, b0, tm, lm, cfg, &stages, true)
+        build_plan(model, ctrl, profile, b0, tm, lm, &stages, true)
     }
 
     /// The odometer walk the branch and bound replaced, kept as the
@@ -1677,7 +1666,6 @@ mod tests {
                         stats.pruned += 1;
                     } else {
                         let (bottleneck, cost) = sc.allocate(kinds, &assign, &on_kind);
-                        let within_cap = cfg.max_cost_per_sec.is_none_or(|cap| cost <= cap + TIE);
                         let penalized = bottleneck * pen;
                         let better = match best {
                             None => true,
@@ -1685,7 +1673,7 @@ mod tests {
                                 penalized < bb - TIE || ((penalized - bb).abs() <= TIE && cost < bc)
                             }
                         };
-                        if within_cap && better {
+                        if better {
                             best = Some((penalized, cost));
                             best_stages.clear();
                             best_stages.extend(assign.iter().enumerate().map(|(i, &k)| {
@@ -1812,7 +1800,7 @@ mod tests {
             }
         }
 
-        best.map(|(_, stages)| build_plan(model, ctrl, profile, b0, tm, lm, cfg, &stages, true))
+        best.map(|(_, stages)| build_plan(model, ctrl, profile, b0, tm, lm, &stages, true))
     }
 
     fn stages_of(l: usize, cuts: &[usize]) -> Vec<(usize, usize)> {
@@ -1871,7 +1859,6 @@ mod tests {
             max_splits in 1usize..5,
             b0_idx in 0usize..4,
             overhead_idx in 0usize..2,
-            cap_frac in 0.0f64..2.0,
             target_frac in 0.05f64..1.2,
         ) {
             let model = [zoo::deebert, zoo::distilbert_ee, zoo::branchy_resnet50][model_idx]();
@@ -1898,17 +1885,9 @@ mod tests {
                     .collect()
             };
             let b0 = [1.0, 4.0, 8.0, 16.0][b0_idx];
-            // Every plan occupies all GPUs of each kind it uses, so a cap
-            // of at least the cheapest kind's full price keeps one plan
-            // feasible. Half the cases run uncapped.
-            let price = |(k, n): (&GpuKind, &usize)| *n as f64 * k.cost_per_sec();
-            let cheapest = counts.iter().map(price).fold(f64::INFINITY, f64::min);
-            let total: f64 = counts.iter().map(price).sum();
             let cfg = OptimizerConfig {
                 max_splits,
                 stage_overhead_frac: [0.0, 0.05][overhead_idx],
-                max_cost_per_sec: (cap_frac >= 1.0)
-                    .then_some(cheapest + (cap_frac - 1.0) * (total - cheapest)),
                 ..Default::default()
             };
 
@@ -2056,7 +2035,7 @@ mod tests {
             .iter()
             .map(|&(s, j, mp)| (s, j, mp, gpu))
             .collect();
-        build_plan(model, ctrl, profile, b0, tm, lm, cfg, &stages, true)
+        build_plan(model, ctrl, profile, b0, tm, lm, &stages, true)
     }
 
     #[test]

@@ -1,4 +1,8 @@
 //! Split plans: the optimizer's output and the runtime's input.
+//!
+//! A plan carries its predicted goodput and worst-case latency. The
+//! latency is the serial path of one batch plus one cycle per stage; it
+//! charges no batch formation, so it does not bound open-loop tails.
 
 use std::fmt;
 use std::ops::Range;
@@ -38,8 +42,9 @@ pub struct SplitPlan {
     /// The steady-state pipeline cycle time: with pipelining, the max of
     /// stage effective times and transfers; without, their sum.
     pub cycle_time: SimDuration,
-    /// Worst-case end-to-end request latency (formation + serial path +
-    /// pipeline occupancy), checked against the SLO budget.
+    /// Worst-case end-to-end request latency (serial path + pipeline
+    /// occupancy), checked against the SLO budget. It charges no batch
+    /// formation, so it is not a bound on open-loop tails.
     pub worst_case_latency: SimDuration,
     /// Estimated goodput in input samples/second.
     pub goodput: f64,

@@ -19,7 +19,9 @@
 //! * pipelining — transfers are events, so compute and communication
 //!   overlap naturally;
 //! * admission drops when a request's deadline is unmeetable (Clockwork
-//!   style) — SLO-slack admission, open loop only;
+//!   style) — SLO-slack admission, open loop only, and the one way a
+//!   request is lost: queues are unbounded, and closed loop's feeder
+//!   holds back instead of dropping;
 //! * straggler detection by per-replica service-time monitoring, with
 //!   exclusion from future assignment (§3.3) — the relative-slowdown
 //!   monitor, when [`ServingConfig::detect_stragglers`] is set.
@@ -74,11 +76,6 @@ pub struct ServingConfig {
     /// Report duration floor (open-loop traces with idle tails divide
     /// goodput by the full horizon, not the last completion).
     pub horizon: Option<SimDuration>,
-    /// Bound on queued batches per replica (excluding the batch
-    /// executing). Routing sheds a batch — dropping its samples — when
-    /// even the least-loaded candidate replica is at the bound. `None`
-    /// (the default) keeps the pre-existing unbounded behaviour.
-    pub queue_cap: Option<usize>,
 }
 
 impl Default for ServingConfig {
@@ -90,7 +87,6 @@ impl Default for ServingConfig {
             detect_stragglers: false,
             fault_plan: FaultPlan::new(),
             horizon: None,
-            queue_cap: None,
         }
     }
 }
@@ -660,14 +656,15 @@ mod tests {
             ServingConfig {
                 closed_loop: false,
                 horizon: Some(SimDuration::from_secs(2)),
-                queue_cap: Some(1),
                 ..Default::default()
             },
         );
         let r = sim.run(&reqs, 25, &mut NullObserver);
         let sheds = r.robustness.sheds;
-        assert!(sheds.queue_cap > 0, "{sheds:?}");
-        assert_eq!(sheds.queue_cap, r.shed);
+        // SLO-slack admission is the one drop path.
+        assert!(sheds.admission > 0, "{sheds:?}");
+        assert_eq!(sheds.admission, r.dropped);
+        assert_eq!(r.shed, 0);
         assert_eq!(sheds.total(), r.dropped);
     }
 

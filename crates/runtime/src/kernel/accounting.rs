@@ -29,7 +29,6 @@ pub struct RunAccumulator {
     last_completion: SimTime,
     peak_queue_depth: Vec<usize>,
     peak_replica_queue_depth: Vec<usize>,
-    shed: u64,
     excluded_since: Vec<Option<SimTime>>,
     excluded_total: Vec<SimDuration>,
     excluded_now: usize,
@@ -68,7 +67,6 @@ impl RunAccumulator {
             last_completion: SimTime::ZERO,
             peak_queue_depth: vec![0; num_stages],
             peak_replica_queue_depth: vec![0; num_replicas],
-            shed: 0,
             excluded_since: vec![None; num_replicas],
             excluded_total: vec![SimDuration::ZERO; num_replicas],
             excluded_now: 0,
@@ -111,14 +109,6 @@ impl RunAccumulator {
         if depth > self.peak_replica_queue_depth[rid] {
             self.peak_replica_queue_depth[rid] = depth;
         }
-    }
-
-    /// Records `n` samples shed at routing time by the per-replica queue
-    /// bound. Shed samples also count as drops.
-    pub(crate) fn record_shed(&mut self, n: usize) {
-        self.shed += n as u64;
-        self.dropped += n as u64;
-        self.robustness.sheds.queue_cap += n as u64;
     }
 
     /// Records a replica flagged as a straggler.
@@ -258,7 +248,7 @@ impl RunAccumulator {
             faults_injected: self.faults_injected,
             degraded_completed: self.degraded_completed,
             degraded_within_slo: self.degraded_within_slo,
-            shed: self.shed,
+            shed: 0,
             transfer_retries: 0,
             transfer_aborts: 0,
             tokens_generated: self.tokens_generated,
@@ -336,16 +326,13 @@ mod tests {
     #[test]
     fn sheds_by_cause_partition_the_drops() {
         let mut acc = RunAccumulator::new(1, 2, SimDuration::from_millis(20), false);
-        acc.record_shed(4);
-        acc.record_shed(3);
-        acc.record_drop(); // admission rejection
+        acc.record_drop(); // admission rejections, the one drop path
+        acc.record_drop();
         let r = acc.finish(SimDuration::from_secs(1));
-        assert_eq!(r.robustness.sheds.queue_cap, 7);
-        assert_eq!(r.robustness.sheds.admission, 1);
+        assert_eq!(r.robustness.sheds.admission, 2);
         // The breakdown partitions `dropped` exactly.
         assert_eq!(r.robustness.sheds.total(), r.dropped);
-        // Legacy aggregates keep their meaning.
-        assert_eq!(r.shed, 7);
+        assert_eq!(r.shed, 0);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! * batch serving (this module) — the Vanilla/NaiveEe/Plan strategies
 //!   of [`crate::engine::ServingSim`], open and closed loop: queues,
 //!   routing, fusion, transfers and backpressure, calling the paper's
-//!   `policy` types directly — SLO-slack admission, fusion batching
+//!   `policy` types directly — SLO-slack admission (the one place a
+//!   request is dropped; replica queues are unbounded), fusion batching
 //!   and relative-slowdown straggler detection;
 //! * token serving ([`run_continuous`]) — iteration-level continuous
 //!   batching with KV admission and preemption for autoregressive models.
@@ -570,11 +571,7 @@ impl<'a> Batches<'a> {
         self.arm_flush(stage);
     }
 
-    /// Routes a batch to the least-loaded, non-excluded replica. With a
-    /// configured [`crate::engine::ServingConfig::queue_cap`], a batch
-    /// that would push even the least-loaded candidate past the bound is
-    /// shed instead — admission absorbs overload as drops rather than
-    /// letting queues grow without limit.
+    /// Routes a batch to the least-loaded, non-excluded replica.
     fn route(&mut self, stage: usize, batch: Batch) {
         let reps = &self.core.reps;
         let rid = self.stage_replicas[stage]
@@ -583,12 +580,6 @@ impl<'a> Batches<'a> {
             .filter(|&r| !reps[r].excluded)
             .min_by_key(|&r| (self.replicas[r].queue.len() + usize::from(reps[r].busy), r))
             .unwrap_or(self.stage_replicas[stage][0]); // all excluded: fall back
-        if let Some(cap) = self.sim.cfg.queue_cap {
-            if self.replicas[rid].queue.len() >= cap {
-                self.shed_batch(stage, batch);
-                return;
-            }
-        }
         self.core.acc.record_dispatch(stage, batch.len() as f64);
         self.replicas[rid].queue.push_back(batch);
         self.core
@@ -600,24 +591,6 @@ impl<'a> Batches<'a> {
             .sum();
         self.core.acc.observe_queue_depth(stage, depth);
         self.try_begin(rid);
-    }
-
-    /// Drops a whole batch at routing time (queue bound reached).
-    fn shed_batch(&mut self, stage: usize, mut batch: Batch) {
-        self.core.acc.record_shed(batch.len());
-        self.core.emit(KernelEvent::BatchShed {
-            stage,
-            size: batch.len(),
-        });
-        for s in batch.samples.drain(..) {
-            self.in_flight = self.in_flight.saturating_sub(1);
-            self.core.emit(KernelEvent::Dropped {
-                sample: s.id,
-                stage,
-            });
-        }
-        self.sample_pool.put(batch.samples);
-        self.wake_feeders();
     }
 
     /// Starts the replica on its next queued batch, if it is ready.

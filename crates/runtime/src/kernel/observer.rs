@@ -105,14 +105,6 @@ pub enum KernelEvent {
         /// Global replica id.
         replica: usize,
     },
-    /// A batch was shed at routing time because every candidate replica's
-    /// queue was at the configured bound (backpressure).
-    BatchShed {
-        /// Stage whose queues were full.
-        stage: usize,
-        /// Samples shed.
-        size: usize,
-    },
     /// A sequence joined a replica's running batch mid-flight (continuous
     /// batching: admission happens at iteration boundaries, not windows).
     SequenceJoined {

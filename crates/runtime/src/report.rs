@@ -1,4 +1,11 @@
 //! Run metrics.
+//!
+//! A run loses requests in one way only, SLO-slack admission, so
+//! [`RunReport::dropped`] equals [`ShedBreakdown::admission`]. Several
+//! counters (`RunReport::{shed, transfer_retries, transfer_aborts}`,
+//! the non-admission [`ShedBreakdown`] causes and the tail-tolerance
+//! counters of [`RobustnessStats`]) are always 0: the benchmark digests
+//! the reports' `Debug` text, so they leave with its next change.
 
 use e3_simcore::metrics::{DurationHistogram, UtilizationTracker};
 use e3_simcore::stats::FiveNumber;
@@ -20,11 +27,12 @@ pub struct ExitEvent {
 const _: () = assert!(std::mem::size_of::<ExitEvent>() == 16);
 
 /// Every dropped sample of a run, broken down by what dropped it. The
-/// causes partition [`RunReport::dropped`]: queue-bound sheds and
-/// admission-policy rejections are the only paths that lose samples.
+/// causes partition [`RunReport::dropped`]: admission-policy rejections
+/// (SLO slack, §4) are the only path that loses samples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShedBreakdown {
-    /// Samples shed at routing time by the per-replica queue bound.
+    /// Queue-bound sheds: always 0; kept because the benchmark digests this
+    /// report's Debug text; goes with the next `benchmark/` change.
     pub queue_cap: u64,
     /// Samples rejected by the admission policy (deadline unmeetable).
     pub admission: u64,
@@ -40,12 +48,11 @@ impl ShedBreakdown {
     /// Total samples lost across all causes — equals
     /// [`RunReport::dropped`].
     pub fn total(&self) -> u64 {
-        self.queue_cap + self.admission
+        self.admission
     }
 
     /// Adds another breakdown's counts into this one.
     pub fn merge(&mut self, other: &ShedBreakdown) {
-        self.queue_cap += other.queue_cap;
         self.admission += other.admission;
     }
 }
@@ -116,9 +123,7 @@ pub struct RunReport {
     /// bounded by the engine's backpressure; useful for diagnosing
     /// mis-balanced plans.
     pub peak_queue_depth: Vec<usize>,
-    /// Peak queued batches per replica (excluding the batch executing) —
-    /// stays at or under [`crate::engine::ServingConfig::queue_cap`] when
-    /// one is set.
+    /// Peak queued batches per replica (excluding the batch executing).
     pub peak_replica_queue_depth: Vec<usize>,
     /// Fraction of the run each replica spent available for assignment
     /// (1.0 = never excluded; crashes and straggler exclusions count
@@ -130,8 +135,8 @@ pub struct RunReport {
     pub degraded_completed: u64,
     /// SLO-compliant completions recorded while degraded.
     pub degraded_within_slo: u64,
-    /// Samples shed at routing time by the per-replica queue bound
-    /// (a subset of `dropped`).
+    /// Queue-bound sheds: always 0; kept because the benchmark digests this
+    /// report's Debug text; goes with the next `benchmark/` change.
     pub shed: u64,
     /// Transfer retries: always 0; kept because the benchmark digests this
     /// report's Debug text; goes with the next `benchmark/` change.
@@ -154,7 +159,7 @@ impl RunReport {
     /// as probe / canary / remainder kernel runs and reports them as one.
     ///
     /// Counters (`completed`, `within_slo`, `dropped`, `correct`,
-    /// `faults_injected`, degraded counts, `shed`, tokens, preemptions)
+    /// `faults_injected`, degraded counts, tokens, preemptions)
     /// sum; durations sum; latency histograms merge; exit-event
     /// timestamps are re-based onto the cumulative clock; straggler lists
     /// concatenate. Shape-dependent per-replica and per-stage vectors
@@ -180,7 +185,6 @@ impl RunReport {
             merged.faults_injected += seg.faults_injected;
             merged.degraded_completed += seg.degraded_completed;
             merged.degraded_within_slo += seg.degraded_within_slo;
-            merged.shed += seg.shed;
             merged.tokens_generated += seg.tokens_generated;
             merged.kv_preemptions += seg.kv_preemptions;
             merged.robustness.merge(&seg.robustness);
@@ -359,16 +363,14 @@ mod tests {
         let mut b = report();
         b.duration = SimDuration::from_secs(1);
         b.within_slo = 2;
-        b.shed = 3;
         b.peak_replica_queue_depth = vec![4];
-        b.robustness.sheds.queue_cap = 3;
+        b.robustness.sheds.admission = 3;
         let m = RunReport::concat(vec![a, b]);
         assert_eq!(m.duration, SimDuration::from_secs(3));
         assert_eq!(m.completed, 4);
         assert_eq!(m.within_slo, 3);
         assert_eq!(m.dropped, 4);
-        assert_eq!(m.shed, 3);
-        assert_eq!(m.robustness.sheds.queue_cap, 3);
+        assert_eq!(m.robustness.sheds.admission, 3);
         assert_eq!(m.tokens_generated, 8);
         assert_eq!(m.latency.samples_ms().len(), 4);
         // Second segment's exit events are re-based past the first's end.
@@ -437,18 +439,16 @@ mod tests {
     #[test]
     fn shed_breakdown_totals_and_merges() {
         let mut a = ShedBreakdown {
-            queue_cap: 5,
             admission: 2,
             ..ShedBreakdown::default()
         };
-        assert_eq!(a.total(), 7);
+        assert_eq!(a.total(), 2);
         let b = ShedBreakdown {
-            queue_cap: 1,
             admission: 4,
             ..ShedBreakdown::default()
         };
         a.merge(&b);
-        assert_eq!(a.total(), 12);
+        assert_eq!(a.total(), 6);
         assert_eq!(a.admission, 6);
         assert_eq!(ShedBreakdown::default().total(), 0);
     }

@@ -206,7 +206,6 @@ mod tests {
             let mut checker = InvariantChecker::new(CheckerConfig {
                 scope: StreamScope::SingleRun,
                 kv_capacity_tokens: None,
-                queue_cap: None,
             });
             let r = sim.run(&reqs, seed, &mut checker);
             assert!(checker.events_seen() > 0, "seed {seed}: silent run");

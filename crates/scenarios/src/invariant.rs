@@ -8,7 +8,10 @@
 //! Heisenbugs: a checked run and an unchecked run are bit-identical.
 //!
 //! Every rule is derived from the kernel's documented emission contract
-//! (see DESIGN.md "Invariants"); the checker is deliberately exact — a
+//! (see DESIGN.md "Invariants"), in seven [`InvariantClass`]es. A drop
+//! needs no class of its own: SLO-slack admission is the kernel's one
+//! drop path, and each `Dropped` closes its arrival under sample
+//! conservation. The checker is deliberately exact — a
 //! single false positive on a legal stream is a checker bug, which is why
 //! the legality edge cases (lone-sequence KV overcommit, straggler
 //! drain, crash-stale residency, window-id reuse) are first-class here.
@@ -41,9 +44,6 @@ pub enum InvariantClass {
     /// no double exclusion (except a crash upgrading a straggler verdict),
     /// and no execution on a crash-excluded replica.
     ReplicaLifecycle,
-    /// Batches are shed only when a queue bound is configured, and the
-    /// reported peak replica queue depth stays under it.
-    QueueBound,
     /// Continuous-batching residency: a sequence joins a replica at most
     /// once at a time and only leaves a replica it lives on (or was
     /// crash-evicted from).
@@ -60,7 +60,6 @@ impl fmt::Display for InvariantClass {
             InvariantClass::KvAccounting => "kv-accounting",
             InvariantClass::ReconfigEpochs => "reconfig-epochs",
             InvariantClass::ReplicaLifecycle => "replica-lifecycle",
-            InvariantClass::QueueBound => "queue-bound",
             InvariantClass::SequenceResidency => "sequence-residency",
             InvariantClass::ClockMonotonic => "clock-monotonic",
         };
@@ -111,10 +110,6 @@ pub struct CheckerConfig {
     /// when one is configured. `None` skips the capacity bound but still
     /// checks admission/preemption pairing.
     pub kv_capacity_tokens: Option<usize>,
-    /// The run's per-replica queue bound
-    /// ([`e3_runtime::ServingConfig::queue_cap`]). With `None`, any
-    /// `BatchShed` event is itself a violation.
-    pub queue_cap: Option<usize>,
 }
 
 #[derive(Debug, Default)]
@@ -432,16 +427,6 @@ impl InvariantChecker {
         }
     }
 
-    fn on_shed(&mut self, at: SimTime, stage: usize, size: usize) {
-        if self.cfg.queue_cap.is_none() {
-            self.report(
-                at,
-                InvariantClass::QueueBound,
-                format!("stage {stage} shed {size} sample(s) with no queue cap configured"),
-            );
-        }
-    }
-
     fn on_reconfig_started(&mut self, at: SimTime, epoch: u32) {
         if let Some(open) = self.open_epoch {
             self.report(
@@ -522,7 +507,6 @@ impl RunObserver for InvariantChecker {
             }
             KernelEvent::ReplicaRecovered { replica } => self.on_recovered(now, replica),
             KernelEvent::ExecStart { replica, .. } => self.on_exec_start(now, replica),
-            KernelEvent::BatchShed { stage, size } => self.on_shed(now, stage, size),
             KernelEvent::ReconfigStarted { epoch } => self.on_reconfig_started(now, epoch),
             KernelEvent::CanaryPromoted { epoch } => {
                 self.on_reconfig_closed(now, epoch, "CanaryPromoted")

@@ -578,7 +578,6 @@ impl ScenarioMatrix {
             let mut checker = InvariantChecker::new(CheckerConfig {
                 scope: StreamScope::SingleRun,
                 kv_capacity_tokens: Some(kv_cap),
-                queue_cap: None,
             });
             let outcome = run_continuous(&cfg, &specs, &mut checker);
             *events += checker.events_seen();

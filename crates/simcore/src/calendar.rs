@@ -184,19 +184,6 @@ impl<E> EventQueue<E> {
         self.schedule(at, event);
     }
 
-    /// Advances the clock by `d` without popping an event, returning the
-    /// new time. Lets barrier-style drivers (lockstep waves with no event
-    /// interleaving) share the queue's clock with event-driven code.
-    ///
-    /// # Panics
-    ///
-    /// As [`EventQueue::advance_to`].
-    pub fn advance(&mut self, d: SimDuration) -> SimTime {
-        let to = self.now + d;
-        self.advance_to(to);
-        to
-    }
-
     /// Moves the clock to `to` without popping an event. Lets a loop
     /// that serves events from outside the queue (a sorted arrival
     /// backlog) keep one clock with the queue.
@@ -359,28 +346,6 @@ mod tests {
         let ev = q.pop().unwrap();
         assert_eq!(ev.at, SimTime::from_millis(15));
         assert_eq!(ev.event, "b");
-    }
-
-    #[test]
-    fn advance_moves_clock_without_popping() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert_eq!(
-            q.advance(SimDuration::from_millis(4)),
-            SimTime::from_millis(4)
-        );
-        assert_eq!(q.now(), SimTime::from_millis(4));
-        assert_eq!(q.processed(), 0);
-        q.schedule(SimTime::from_millis(10), ());
-        q.advance(SimDuration::from_millis(6)); // exactly onto the event: ok
-        assert_eq!(q.now(), SimTime::from_millis(10));
-    }
-
-    #[test]
-    #[should_panic(expected = "advance past a pending event")]
-    fn advance_past_pending_event_panics() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        q.schedule(SimTime::from_millis(1), ());
-        q.advance(SimDuration::from_millis(2));
     }
 
     #[test]

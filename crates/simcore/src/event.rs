@@ -130,20 +130,6 @@ impl<E> ReferenceQueue<E> {
         self.schedule(at, event);
     }
 
-    /// Advances the clock by `d` without popping an event, returning the
-    /// new time. Lets barrier-style drivers (lockstep waves with no event
-    /// interleaving) share the queue's clock with event-driven code.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pending event is scheduled before the new time — the
-    /// advance would silently skip it.
-    pub fn advance(&mut self, d: crate::time::SimDuration) -> SimTime {
-        let to = self.now + d;
-        self.advance_to(to);
-        to
-    }
-
     /// Moves the clock to `to` without popping an event.
     ///
     /// # Panics
@@ -262,14 +248,11 @@ mod tests {
     #[test]
     fn advance_moves_clock_without_popping() {
         let mut q: ReferenceQueue<()> = ReferenceQueue::new();
-        assert_eq!(
-            q.advance(SimDuration::from_millis(4)),
-            SimTime::from_millis(4)
-        );
+        q.advance_to(SimTime::from_millis(4));
         assert_eq!(q.now(), SimTime::from_millis(4));
         assert_eq!(q.processed(), 0);
         q.schedule(SimTime::from_millis(10), ());
-        q.advance(SimDuration::from_millis(6)); // exactly onto the event: ok
+        q.advance_to(SimTime::from_millis(10)); // exactly onto the event: ok
         assert_eq!(q.now(), SimTime::from_millis(10));
     }
 
@@ -278,7 +261,7 @@ mod tests {
     fn advance_past_pending_event_panics() {
         let mut q: ReferenceQueue<()> = ReferenceQueue::new();
         q.schedule(SimTime::from_millis(1), ());
-        q.advance(SimDuration::from_millis(2));
+        q.advance_to(SimTime::from_millis(2));
     }
 
     #[test]

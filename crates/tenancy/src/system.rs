@@ -333,7 +333,6 @@ impl MultiTenantSystem {
             max_splits: self.cfg.max_splits,
             requests_per_window: spec.requests_per_window,
             guarded: self.cfg.guarded,
-            ..Default::default()
         }
     }
 }

@@ -149,10 +149,7 @@ mod tests {
         // 80:20 easy for 30s then 20:80 for 30s: mean hardness of the
         // second half must exceed the first.
         let g = WorkloadGenerator::with_phases(
-            ArrivalProcess::Uniform {
-                rate: 1000.0,
-                jitter: 0.05,
-            },
+            ArrivalProcess::Poisson { rate: 1000.0 },
             vec![
                 Phase {
                     dataset: DatasetModel::with_mix(0.8),

@@ -4,7 +4,8 @@
 //!
 //! The paper drives E3 with (a) closed-loop clients over GLUE / ImageNet /
 //! WMT / SAMSum / BoolQ inputs, (b) uniform open-loop arrivals matching
-//! their production service's ~9,000 req/s (scaled), and (c) the bursty
+//! their production service's ~9,000 req/s (scaled; modelled here as
+//! Poisson arrivals), and (c) the bursty
 //! ArchiveTeam Twitter trace scaled to 1,000 req/s (§5.7). None of those
 //! datasets' raw requests matter to E3 — only two per-request properties
 //! do: the **arrival time** and the **hardness** (which determines exit
@@ -15,8 +16,8 @@
 //!   easy and hard sub-populations) with the paper's easy:hard knob
 //!   (80/20, 50/50, 20/80 in fig. 16), accuracy ceilings, and output-length
 //!   distributions.
-//! * [`ArrivalProcess`] — closed-loop, uniform, Poisson, and replayable
-//!   trace arrivals.
+//! * [`ArrivalProcess`] — closed-loop, Poisson, and bursty-trace
+//!   arrivals.
 //! * [`trace`] — a Markov-modulated bursty generator reproducing the
 //!   Twitter trace's salient statistics (extreme bursts, long idle gaps).
 //! * [`WorkloadGenerator`] — combines the two into a deterministic request

@@ -12,8 +12,8 @@ use rand::rngs::StdRng;
 
 /// Decodes raw entropy words into a well-formed multi-phase generator:
 /// each word yields one phase (hardness mix in [0,1], duration 5–24 s),
-/// and the first word also picks the arrival process, so any word vector
-/// produces a valid workload.
+/// and the first word also sets the Poisson arrival rate, so any word
+/// vector produces a valid workload.
 fn decoded_generator(words: &[u64]) -> WorkloadGenerator {
     let phases: Vec<Phase> = words
         .iter()
@@ -23,12 +23,7 @@ fn decoded_generator(words: &[u64]) -> WorkloadGenerator {
         })
         .collect();
     let rate = 200.0 + ((words[0] >> 16) % 800) as f64;
-    let arrival = if words[0].is_multiple_of(2) {
-        ArrivalProcess::Poisson { rate }
-    } else {
-        ArrivalProcess::Uniform { rate, jitter: 0.1 }
-    };
-    WorkloadGenerator::with_phases(arrival, phases)
+    WorkloadGenerator::with_phases(ArrivalProcess::Poisson { rate }, phases)
 }
 
 /// Pearson correlation of two equal-length samples.

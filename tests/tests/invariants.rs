@@ -65,7 +65,6 @@ fn continuous_cfg() -> CheckerConfig {
     CheckerConfig {
         scope: StreamScope::SingleRun,
         kv_capacity_tokens: Some(KV_CAP),
-        queue_cap: None,
     }
 }
 
@@ -185,16 +184,6 @@ fn exec_start_on_crashed_replica_fires_replica_lifecycle() {
         ),
     );
     assert_fires(&log, InvariantClass::ReplicaLifecycle);
-}
-
-#[test]
-fn unconfigured_batch_shed_fires_queue_bound() {
-    let mut log = recorded_continuous_log();
-    // The run was checked with `queue_cap: None`: no shedding may happen.
-    let at = log.events.last().expect("nonempty log").0;
-    log.events
-        .push((at, KernelEvent::BatchShed { stage: 0, size: 4 }));
-    assert_fires(&log, InvariantClass::QueueBound);
 }
 
 #[test]

@@ -2,7 +2,8 @@
 
 use e3::harness::{Experiment, HarnessOpts, ModelFamily, SystemKind};
 use e3_hardware::{ClusterSpec, GpuKind};
-use e3_runtime::kernel::NullObserver;
+use e3_runtime::kernel::{EventLog, NullObserver};
+use e3_runtime::KernelEvent;
 use e3_simcore::SimDuration;
 use e3_workload::{ArrivalProcess, BurstyTraceConfig, DatasetModel, WorkloadGenerator};
 
@@ -35,17 +36,24 @@ fn overload_sheds_load_but_served_requests_meet_slo() {
         DatasetModel::sst2(),
         SimDuration::from_secs(3),
     );
+    let mut log = EventLog::new();
     let r = nlp(ClusterSpec::homogeneous(GpuKind::V100, 2, 2), 42).run_open(
         SystemKind::E3,
         8,
         &g,
-        &mut NullObserver,
+        &mut log,
     );
     assert!(r.drop_rate() > 0.3, "drops {}", r.drop_rate());
     assert!(
         r.within_slo as f64 / r.completed.max(1) as f64 > 0.9,
         "served requests must meet the SLO"
     );
+    // SLO-slack admission is the one drop path: every drop is an
+    // admission drop, and every offered request completes or drops.
+    assert_eq!(r.robustness.sheds.admission, r.dropped);
+    assert_eq!(r.shed, 0);
+    let offered = log.count(|e| matches!(e, KernelEvent::Arrival { .. }));
+    assert_eq!(r.completed + r.dropped, offered as u64);
 }
 
 #[test]
